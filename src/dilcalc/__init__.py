@@ -25,11 +25,9 @@ from .errors import (
     NotTypeOmega,
     OutOfNotation,
     ParseError,
-    UnsupportedClassification,
     UnsupportedDecomposition,
     UnsupportedLimit,
     UnsupportedOtp,
-    UnsupportedSeparation,
 )
 from .expr import Dil, parse_dil, parse_expr, to_str
 from .jfunctor import JResult, j_eval, j_guard_report, jplus_eval, jprime_eval
@@ -53,16 +51,14 @@ from .psi import (
     chain_search,
     embed_check,
     psi_clause_otp,
-    psi_cmp,
     psi_enum,
-    psi_term_valid,
 )
 from .semantics import (
     EnumBudget,
+    ambient_stream,
     compare_elements,
     enum_elements,
     prefix_elements,
-    stream_elements,
     support_of,
 )
 from .suites import CHECKS, run_check

@@ -38,6 +38,7 @@ from .expr import (
     mk_band,
     mk_cnf_head,
     mk_mul_nat,
+    mk_omega_comp,
     mk_sep_atom,
     mk_sep_plus,
     mk_shift,
@@ -48,6 +49,7 @@ from .expr import (
 from .ordinal import (
     GREATER,
     LESS,
+    LIMIT_SAMPLES,
     ONE,
     ZERO,
     Ord,
@@ -59,9 +61,13 @@ from .ordinal import (
     ord_pred,
     ord_sup_of_sequence,
 )
-from .semantics import apply_embedding, compare_elements, support_of
-
-LIMIT_SAMPLES = 8
+from .semantics import (
+    EnumBudget,
+    apply_embedding,
+    compare_elements,
+    enum_elements,
+    support_of,
+)
 
 
 @dataclass(frozen=True)
@@ -95,14 +101,7 @@ def decompose(d: Dil) -> Decomposition:
     if isinstance(d, IdNode):
         return Decomposition("succ", D_ZERO, d, length=ONE)
     if isinstance(d, Sum):
-        inner = decompose(d.right)
-        if inner.kind == "zero":
-            return decompose(d.left)
-        if inner.kind == "succ":
-            return Decomposition("succ", mk_sum(d.left, inner.prefix), inner.top)
-        return Decomposition(
-            "limit", fund=lambda k: mk_sum(d.left, inner.fund(k))
-        )
+        return _concat(d.left, d.right)
     if isinstance(d, MulOmega):
         return Decomposition("limit", fund=lambda k: mk_mul_nat(d.base, k))
     if isinstance(d, OmegaComp):
@@ -110,12 +109,12 @@ def decompose(d: Dil) -> Decomposition:
         if inner.kind == "succ":
             return Decomposition(
                 "succ",
-                mk_omega_comp_safe(inner.prefix),
+                mk_omega_comp(inner.prefix),
                 mk_cnf_head(inner.prefix, inner.top),
             )
         if inner.kind == "limit":
             return Decomposition(
-                "limit", fund=lambda k: mk_omega_comp_safe(inner.fund(k))
+                "limit", fund=lambda k: mk_omega_comp(inner.fund(k))
             )
         raise UnsupportedDecomposition(f"omega composed with zero: {to_str(d)}")
     if isinstance(d, CnfHead):
@@ -158,12 +157,6 @@ def decompose(d: Dil) -> Decomposition:
             length=span,
         )
     raise UnsupportedDecomposition(f"no decomposition rule for {d!r}")
-
-
-def mk_omega_comp_safe(d: Dil) -> Dil:
-    from .expr import mk_omega_comp
-
-    return mk_omega_comp(d)
 
 
 def components(d: Dil, cap: int = 64) -> list:
@@ -264,16 +257,16 @@ def _otp(d: Dil, a: Ord) -> Ord:
     if isinstance(d, IdNode):
         return a
     if isinstance(d, Sum):
-        return ord_add(_rec_otp(d.left, a), _rec_otp(d.right, a))
+        return ord_add(otp_symbolic(d.left, a), otp_symbolic(d.right, a))
     if isinstance(d, MulOmega):
-        return ord_mul_omega(_rec_otp(d.base, a))
+        return ord_mul_omega(otp_symbolic(d.base, a))
     if isinstance(d, OmegaComp):
-        return ord_omega_pow(_rec_otp(d.base, a))
+        return ord_omega_pow(otp_symbolic(d.base, a))
     if isinstance(d, CnfHead):
-        high = _rec_otp(d.high, a)
+        high = otp_symbolic(d.high, a)
         if high.is_zero():
             return ZERO
-        return ord_omega_pow(ord_add(_rec_otp(d.low, a), high))
+        return ord_omega_pow(ord_add(otp_symbolic(d.low, a), high))
     if isinstance(d, Sep):
         arg = ord_add(ord_left_sub(d.cut, d.amb), a)
         return _otp_fold(
@@ -292,10 +285,6 @@ def _otp(d: Dil, a: Ord) -> Ord:
             ),
         )
     raise UnsupportedOtp(f"no order-type rule for {d!r}")
-
-
-def _rec_otp(d, a):
-    return otp_symbolic(d, a)
 
 
 def _otp_fold(length: Ord, piece, prefix_value) -> Ord:
@@ -331,13 +320,9 @@ def _embeddings(n: int, big: int):
     return [dict(enumerate(c)) for c in itertools.combinations(range(big), n)]
 
 
-def trace_arity(d: Dil, t) -> int:
-    return len(support_of(d, t))
-
-
 def ll_relation(d: Dil, t1, t2) -> str:
     """Coarse comparison of trace terms by exhausting embedding pairs."""
-    n1, n2 = trace_arity(d, t1), trace_arity(d, t2)
+    n1, n2 = len(support_of(d, t1)), len(support_of(d, t2))
     big = n1 + n2
     if big == 0:
         c = compare_elements(d, t1, t2)
@@ -393,8 +378,6 @@ def important_index(d: Dil, t) -> int:
 
 def enum_trace_terms(d: Dil, max_arity: int, budget=None):
     """Trace terms (full-support elements) grouped as (term, arity) pairs."""
-    from .semantics import EnumBudget, enum_elements
-
     budget = budget or EnumBudget()
     out = []
     for n in range(max_arity + 1):

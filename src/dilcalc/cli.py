@@ -3,7 +3,7 @@
 Verbs map one-to-one onto kernel operations; ``check`` runs a named
 acceptance suite and ``run --file`` replays a line-oriented scenario.
 Exit codes: 0 success, 1 failed check, 2 outside the supported fragment,
-3 parse or usage error.
+3 parse or usage error (an unreadable scenario file included).
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import json
 import shlex
 import sys
 
-from .analysis import classify, decompose, otp_symbolic, sep
-from .errors import FRAGMENT_ERRORS, DilcalcError, ParseError
+from .analysis import classify, components, decompose, otp_symbolic, sep
+from .errors import FRAGMENT_ERRORS, DilcalcError, ParseError, UnsupportedDecomposition
 from .expr import parse_dil, to_str
 from .jfunctor import j_eval, j_guard_report, jplus_eval, jprime_eval
 from .ordinal import ord_cmp, ord_str, parse_ord
@@ -127,9 +127,6 @@ def _dispatch(args) -> int:
             payload["result"] = {"kind": "zero", "components": []}
             _emit(args, payload, ["[]"])
         elif dec.kind == "succ":
-            from .analysis import components
-            from .errors import UnsupportedDecomposition
-
             try:
                 comps = [to_str(c) for c in components(expr)]
                 payload["result"] = {"kind": "successor", "components": comps}
@@ -318,7 +315,7 @@ def main(argv=None) -> int:
     except FRAGMENT_ERRORS as exc:
         print(f"outside supported fragment: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except DilcalcError as exc:
+    except (DilcalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -9,6 +9,7 @@ real soundness violation.
 
 from __future__ import annotations
 
+from .analysis import decompose, otp_symbolic
 from .errors import UnsupportedDecomposition
 from .expr import (
     Band,
@@ -22,7 +23,9 @@ from .expr import (
     OmegaComp,
     Sep,
     Sum,
+    is_connected_atom,
     mk_band,
+    mk_cnf_head,
     mk_mul_nat,
     mk_omega_comp,
     mk_sep_atom,
@@ -31,7 +34,15 @@ from .expr import (
     mk_sum,
     to_str,
 )
-from .ordinal import ZERO, Ord, ord_add, ord_left_sub, ord_mul_nat, ord_omega_pow
+from .ordinal import (
+    ZERO,
+    Ord,
+    ord_add,
+    ord_left_sub,
+    ord_mul_nat,
+    ord_omega_pow,
+    ord_pred,
+)
 from .semantics import (
     ECnf,
     EConst,
@@ -81,8 +92,6 @@ def sum_inject(a: Dil, b: Dil, side: int, elem):
 
 def frozen_value(expr: Dil, elem, bound: Ord) -> Ord:
     """Rank of an element with only frozen positions inside expr([0, bound))."""
-    from .analysis import otp_symbolic
-
     if isinstance(expr, Const):
         return elem.index
     if isinstance(expr, IdNode):
@@ -114,14 +123,10 @@ def frozen_value(expr: Dil, elem, bound: Ord) -> Ord:
             if x.side == 0:
                 v = frozen_value(expr.low, x.inner, bound)
             else:
-                from .analysis import otp_symbolic as otp
-
-                low_otp = low_otp if low_otp is not None else otp(expr.low, bound)
+                low_otp = low_otp if low_otp is not None else otp_symbolic(expr.low, bound)
                 v = ord_add(low_otp, frozen_value(expr.high, x.inner, bound))
             total = ord_add(total, ord_mul_nat(ord_omega_pow(v), m))
-        from .analysis import otp_symbolic as otp
-
-        low_otp = low_otp if low_otp is not None else otp(expr.low, bound)
+        low_otp = low_otp if low_otp is not None else otp_symbolic(expr.low, bound)
         return ord_left_sub(ord_omega_pow(low_otp), total)
     if isinstance(expr, (Sep, Band)):
         raise TranslationGap("frozen values inside filtered nodes are not needed")
@@ -186,8 +191,6 @@ def unshift_translate(expr: Dil, g: Ord, elem):
             return EId(Left(elem.inner.index))
         return elem.inner
     if isinstance(expr, Sum):
-        from .semantics import default_pos_cmp
-
         side, inner = _sum_split(mk_shift(expr.left, g), mk_shift(expr.right, g), elem)
         part = expr.left if side == 0 else expr.right
         return ESum(side, unshift_translate(part, g, inner))
@@ -307,9 +310,6 @@ def sep_translate(atom: Dil, g: Ord, elem):
 
 def prefix_inject(d: Dil, elem):
     """Element of decompose(d).prefix as an element of d."""
-    from .analysis import decompose
-    from .expr import is_connected_atom, mk_cnf_head
-
     dec = decompose(d)
     if dec.kind != "succ":
         raise TranslationGap("prefix injection needs a successor decomposition")
@@ -348,10 +348,6 @@ def prefix_inject(d: Dil, elem):
 
 def top_inject(d: Dil, elem):
     """Element of decompose(d).top as an element of d."""
-    from .analysis import decompose
-    from .expr import is_connected_atom
-    from .ordinal import ord_pred
-
     if is_connected_atom(d):
         return elem
     dec = decompose(d)
@@ -395,16 +391,14 @@ def _oc_inject(p: Dil, elem, inject_exp, base: Dil):
         # p is a constant; read the index off in base-omega form
         return _cnf_of_value(p, elem.index, inject_exp)
     if isinstance(target, MulOmega):
-        from .analysis import decompose
-
         pdec = decompose(p)
         if pdec.kind != "succ" or pdec.top != D_ONE:
             raise TranslationGap("unexpected repetition normal form")
-        unit = top_inject_value(p)
+        unit = top_inject(p, EConst(ZERO))  # the last unit of p
         inner = _oc_inject(
             pdec.prefix,
             elem.inner,
-            lambda x: inject_exp(prefix_inject_via(p, x)),
+            lambda x: inject_exp(prefix_inject(p, x)),
             base,
         )
         if elem.copy == 0:
@@ -412,15 +406,6 @@ def _oc_inject(p: Dil, elem, inject_exp, base: Dil):
         lead = (inject_exp(unit), elem.copy)
         return ECnf((lead,) + inner.pairs)
     raise TranslationGap(f"no omega-composition translation onto {to_str(target)}")
-
-
-def top_inject_value(p: Dil):
-    """The last unit of a successor expression, as an element of p."""
-    return top_inject(p, EConst(ZERO))
-
-
-def prefix_inject_via(p: Dil, elem):
-    return prefix_inject(p, elem)
 
 
 def _cnf_of_value(p: Dil, v: Ord, inject_exp):
@@ -436,8 +421,6 @@ def _const_element_of(p: Dil, v: Ord):
     if isinstance(p, Const):
         return EConst(v)
     if isinstance(p, Sum):
-        from .analysis import otp_symbolic
-
         left_otp = otp_symbolic(p.left, ZERO)
         if v < left_otp:
             return ESum(0, _const_element_of(p.left, v))
@@ -447,8 +430,6 @@ def _const_element_of(p: Dil, v: Ord):
 
 def limit_prefix_inject(d: Dil, j: int, elem):
     """Element of decompose(d).fund(j) as an element of d."""
-    from .analysis import decompose
-
     dec = decompose(d)
     if dec.kind != "limit":
         raise TranslationGap("limit injection needs a limit decomposition")

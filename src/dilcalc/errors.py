@@ -36,14 +36,6 @@ class NotTypeOmega(DilcalcError):
     """Separation demanded on an expression that is not of the top type."""
 
 
-class UnsupportedSeparation(DilcalcError):
-    pass
-
-
-class UnsupportedClassification(DilcalcError):
-    pass
-
-
 class UnsupportedDecomposition(DilcalcError):
     pass
 
@@ -72,8 +64,6 @@ FRAGMENT_ERRORS = (
     OutOfNotation,
     UnsupportedLimit,
     NotTypeOmega,
-    UnsupportedSeparation,
-    UnsupportedClassification,
     UnsupportedDecomposition,
     UnsupportedOtp,
 )

@@ -27,9 +27,15 @@ from .ordinal import (
     Ord,
     _Scanner,
     _parse_ord_sum,
+    from_int,
     ord_add,
     ord_cmp,
+    ord_left_sub,
+    ord_mul_omega,
+    ord_omega_pow,
+    ord_pred,
     ord_str,
+    parse_ord,
 )
 
 
@@ -141,10 +147,6 @@ def is_max_dominated(d: Dil) -> bool:
 # smart constructors
 
 
-def mk_const(a: Ord) -> Dil:
-    return Const(a)
-
-
 def mk_sum(a: Dil, b: Dil) -> Dil:
     if isinstance(a, Const) and a.value.is_zero():
         return b
@@ -174,8 +176,6 @@ def mk_mul_nat(d: Dil, n: int) -> Dil:
 
 
 def mk_mul_omega(d: Dil) -> Dil:
-    from .ordinal import ord_mul_omega
-
     if isinstance(d, Const):
         return Const(ord_mul_omega(d.value))
     return MulOmega(d)
@@ -190,8 +190,6 @@ def _split_trailing(d: Dil):
 
 
 def mk_omega_comp(d: Dil) -> Dil:
-    from .ordinal import ord_omega_pow, ord_pred
-
     if isinstance(d, Const):
         return Const(ord_omega_pow(d.value))
     rest, last = _split_trailing(d)
@@ -215,8 +213,6 @@ def mk_cnf_head(low: Dil, high: Dil) -> Dil:
 
 def mk_band(base: Dil, lo: Ord, hi: Ord, amb: Ord) -> Dil:
     """The slab of a connected atom with most important position in [lo, hi)."""
-    from .ordinal import ord_left_sub
-
     if ord_cmp(lo, hi) != LESS:
         return D_ZERO
     if isinstance(base, IdNode):
@@ -340,10 +336,7 @@ def _parse_atom(sc: _Scanner) -> Dil:
         sc.take(")")
         return inner
     if ch.isdigit():
-        n = sc.nat()
-        from .ordinal import from_int
-
-        return Const(from_int(n))
+        return Const(from_int(sc.nat()))
     for word, parser in _KEYWORDS:
         if sc.text.startswith(word, sc.pos):
             sc.pos += len(word)
@@ -359,7 +352,7 @@ def _parse_const(sc):
     sc.take("(")
     value = _parse_ord_sum(sc)
     sc.take(")")
-    return mk_const(value)
+    return Const(value)
 
 
 def _parse_omega_comp(sc):
@@ -465,6 +458,4 @@ def parse_expr(text: str):
     try:
         return parse_dil(text)
     except ParseError:
-        from .ordinal import parse_ord
-
         return parse_ord(text)

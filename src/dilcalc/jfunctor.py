@@ -18,6 +18,7 @@ from .analysis import classify, otp_symbolic
 from .errors import DepthExceeded, FRAGMENT_ERRORS, GuardViolation, UnsupportedLimit
 from .expr import Const, D_ONE, Dil, _split_trailing, mk_omega_comp, mk_sum, to_str
 from .ordinal import (
+    LIMIT_SAMPLES,
     OMEGA,
     ONE,
     ZERO,
@@ -27,7 +28,6 @@ from .ordinal import (
     ord_sup_of_sequence,
 )
 
-LIMIT_SAMPLES = 8
 STEP_CAP = 4000
 
 
@@ -122,7 +122,6 @@ class _Session:
 
 def _sup_with_transients(values):
     """Supremum of sampled values, tolerating a short initial transient."""
-    tail = values
     if len(values) >= 3 and all(v == values[-1] for v in values[-3:]):
         return values[-1]
     last_error = None

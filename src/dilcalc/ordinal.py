@@ -10,7 +10,7 @@ the exact supremum, or refuses honestly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import OutOfNotation, ParseError, UnsupportedLimit
 
@@ -95,10 +95,6 @@ def ord_cmp(a: Ord, b: Ord) -> int:
     return LESS if len(a.terms) < len(b.terms) else GREATER
 
 
-def ord_max(a: Ord, b: Ord) -> Ord:
-    return b if a < b else a
-
-
 def ord_add(a: Ord, b: Ord) -> Ord:
     """Ordinal sum; terms of ``a`` below b's leading exponent are absorbed."""
     if b.is_zero():
@@ -117,13 +113,6 @@ def ord_add(a: Ord, b: Ord) -> Ord:
         else:
             break
     return Ord(tuple(kept) + b.terms)
-
-
-def ord_add_all(values: Iterable[Ord]) -> Ord:
-    total = ZERO
-    for v in values:
-        total = ord_add(total, v)
-    return total
 
 
 def ord_omega_pow(e: Ord) -> Ord:
@@ -201,18 +190,11 @@ def ord_nesting_depth(a: Ord) -> int:
     return 1 + max(ord_nesting_depth(exp) for exp, _ in a.terms)
 
 
-def ordinal_prefix(bound: Ord, k: int):
-    """The first min(k, bound) ordinals below ``bound``, ascending."""
-    out = []
-    current = ZERO
-    while len(out) < k and current < bound:
-        out.append(current)
-        current = ord_add(current, ONE)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # limit solver
+
+# samples drawn from a fundamental sequence before its supremum is solved
+LIMIT_SAMPLES = 8
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,14 @@ type leaves the notation fragment.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import decompose
-from .errors import BudgetExceeded, DepthExceeded, EnumerationShortfall
+from .errors import BudgetExceeded, DepthExceeded, EnumerationShortfall, MalformedElement
 from .expr import (
     Band,
     CnfHead,
@@ -31,12 +33,15 @@ from .expr import (
     mk_band,
 )
 from .ordinal import (
+    EQUAL,
+    GREATER,
     LESS,
+    LIMIT_SAMPLES,
     ONE,
     ZERO,
     Ord,
     ord_add,
-    ord_cmp,
+    ord_str,
     ord_sup_of_sequence,
 )
 from .semantics import (
@@ -48,16 +53,19 @@ from .semantics import (
     EnumBudget,
     Left,
     Right,
+    _cmp_exponent,
     _grid_values,
     band_member,
     compare_elements,
+    default_pos_cmp,
     element_positions,
+    element_str,
     enum_elements,
+    prefix_elements,
     sep_member,
     validate_element,
 )
 
-LIMIT_SAMPLES = 8
 CONNECTED_ROUNDS = 10
 
 
@@ -110,27 +118,20 @@ def _psi_connected(atom: Dil, delta: Ord, budget) -> Ord:
     Iterates the lower split at the running cut and sums the resulting
     values; the partial sums are extrapolated to their supremum.
     """
-    total_cut, step, acc = ZERO, delta, ZERO
-    partials = []
-    for _ in range(CONNECTED_ROUNDS):
-        hi = ord_add(total_cut, step)
-        lower = mk_band(atom, total_cut, hi, hi)
-        value = psi_clause_otp(lower, ZERO, budget)
-        if value.is_zero():
-            return acc
-        acc = ord_add(acc, value)
-        partials.append(acc)
-        total_cut, step = hi, value
+    stages = connected_stage_values(atom, delta, CONNECTED_ROUNDS, budget)
+    partials = list(itertools.accumulate(stages, ord_add))
+    if stages[-1].is_zero():
+        return partials[-1]
     return ord_sup_of_sequence(partials)
 
 
-def connected_stage_values(atom: Dil, delta: Ord, rounds: int) -> list:
+def connected_stage_values(atom: Dil, delta: Ord, rounds: int, _budget: list = None) -> list:
     """The successive stage values of the connected clause at ``delta``."""
     total_cut, step = ZERO, delta
     stages = []
     for _ in range(rounds):
         hi = ord_add(total_cut, step)
-        value = psi_clause_otp(mk_band(atom, total_cut, hi, hi), ZERO)
+        value = psi_clause_otp(mk_band(atom, total_cut, hi, hi), ZERO, _budget)
         stages.append(value)
         if value.is_zero():
             break
@@ -150,13 +151,9 @@ class PsiOrder:
     gamma: Ord
 
     def pos_cmp(self, p, q) -> int:
-        if isinstance(p, Left) and isinstance(q, Left):
-            return ord_cmp(p.value, q.value)
-        if isinstance(p, Left):
-            return LESS
-        if isinstance(q, Left):
-            return -LESS
-        return self.compare(p.point, q.point)
+        if isinstance(p, Right) and isinstance(q, Right):
+            return self.compare(p.point, q.point)
+        return default_pos_cmp(p, q)
 
     def compare(self, t1, t2) -> int:
         return compare_elements(self.dilator, t1, t2, self.pos_cmp)
@@ -164,7 +161,7 @@ class PsiOrder:
     def valid(self, t) -> bool:
         try:
             validate_element(self.dilator, t, self.pos_cmp)
-        except Exception:
+        except MalformedElement:
             return False
         for p in element_positions(self.dilator, t):
             if isinstance(p, Left):
@@ -180,19 +177,16 @@ class PsiOrder:
 
     # -- enumeration
 
-    def enum(self, depth: int = 2, budget: EnumBudget = None, strategy: str = "default"):
+    def enum(self, depth: int = 2, budget: EnumBudget = None):
         """All valid terms of nesting depth <= depth, sorted ascending."""
         budget = budget or EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
         lefts = _grid_values(self.gamma, budget.grid)
         known: list = []
         seen = set()
         for _level in range(depth + 1):
-            points = list(known)
-            if strategy == "reversed":
-                points = points[::-1]
             fresh = []
             for cand in enum_elements(
-                self.dilator, points, budget, lefts=lefts, pos_cmp=self.pos_cmp
+                self.dilator, known, budget, lefts=lefts, pos_cmp=self.pos_cmp
             ):
                 if cand in seen:
                     continue
@@ -204,8 +198,6 @@ class PsiOrder:
             known.extend(fresh)
             if len(known) > budget.max_count:
                 raise BudgetExceeded("term universe exceeds the budget")
-        import functools
-
         return sorted(known, key=functools.cmp_to_key(self.compare))
 
     # -- random generation
@@ -287,15 +279,11 @@ class PsiOrder:
                     exps.append(ESum(side, self._rand(part, rng, depth, lefts)))
                 except _DeadEnd:
                     continue
-        import functools
-
         if high is None:
             key = functools.cmp_to_key(
                 lambda x, y: compare_elements(low, x, y, self.pos_cmp)
             )
         else:
-            from .semantics import _cmp_exponent
-
             key = functools.cmp_to_key(
                 lambda x, y: _cmp_exponent(low, high, x, y, self.pos_cmp)
             )
@@ -312,28 +300,15 @@ class _DeadEnd(Exception):
     pass
 
 
-def psi_term_valid(order: PsiOrder, t) -> bool:
-    """Validity of a collapse term in the given order."""
-    return order.valid(t)
-
-
-def psi_cmp(order: PsiOrder, t1, t2) -> int:
-    """Total comparison of two valid collapse terms."""
-    return order.compare(t1, t2)
-
-
-def psi_enum(order: PsiOrder, depth: int = 4, budget=None, strategy: str = "default"):
+def psi_enum(order: PsiOrder, depth: int = 4, budget=None):
     """Sorted valid terms of bounded nesting depth; see PsiOrder.enum."""
     if isinstance(budget, int):
         budget = EnumBudget(max_count=budget)
-    return order.enum(depth, budget, strategy)
+    return order.enum(depth, budget)
 
 
 def term_str(order: PsiOrder, t) -> str:
     """Render a collapse term; bracketed positions are nested sub-terms."""
-    from .semantics import element_str
-    from .ordinal import ord_str
-
     def render(p):
         if isinstance(p, Left):
             return ord_str(p.value)
@@ -412,7 +387,7 @@ class IllFoundedFixture:
         return self.state
 
     def compare(self, a, b):
-        return LESS if a < b else 0 if a == b else -LESS
+        return LESS if a < b else EQUAL if a == b else GREATER
 
 
 @dataclass(frozen=True)
@@ -422,8 +397,6 @@ class OrderHandle:
 
 
 def expr_order_handle(expr: Dil, n_points: int, pull_cap: int = 400000) -> OrderHandle:
-    from .semantics import prefix_elements
-
     return OrderHandle(
         elements=lambda k: prefix_elements(expr, n_points, k, pull_cap),
         compare=lambda a, b: compare_elements(expr, a, b),

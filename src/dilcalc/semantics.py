@@ -11,14 +11,13 @@ prefix of the order.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetExceeded, MalformedElement
 from .expr import Band, CnfHead, Const, Dil, IdNode, MulOmega, OmegaComp, Sep, Sum
-from .ordinal import ONE, ZERO, Ord, ord_add, ord_cmp, ord_str
-
-LESS, EQUAL, GREATER = -1, 0, 1
+from .ordinal import EQUAL, GREATER, LESS, ONE, ZERO, Ord, ord_add, ord_cmp, ord_str
 
 
 @dataclass(frozen=True)
@@ -380,26 +379,18 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
                     if len(out) > budget.max_count:
                         raise BudgetExceeded("formal-sum budget overflow")
         return out
-    if isinstance(expr, Sep):
+    if isinstance(expr, (Sep, Band)):
+        member = sep_member if isinstance(expr, Sep) else band_member
         inner_lefts = _grid_values(expr.amb, budget.grid)
         return [
             e
             for e in _gen(expr.base, points, budget, inner_lefts, pos_cmp)
-            if sep_member(expr, e)
-        ]
-    if isinstance(expr, Band):
-        inner_lefts = _grid_values(expr.amb, budget.grid)
-        return [
-            e
-            for e in _gen(expr.base, points, budget, inner_lefts, pos_cmp)
-            if band_member(expr, e)
+            if member(expr, e)
         ]
     raise MalformedElement(f"no enumeration rule for {expr!r}")
 
 
 def _sorted_by(items, cmp):
-    import functools
-
     return sorted(items, key=functools.cmp_to_key(cmp))
 
 
@@ -427,15 +418,16 @@ def enum_elements(
 # ascending streams (true prefixes)
 
 
-def stream_elements(expr: Dil, points=(), pull_cap: int = 200000):
-    """Yield elements in strictly ascending order.
+def ambient_stream(expr: Dil, points, bound: Ord = ZERO, pull_cap: int = 200000):
+    """Yield the elements of ``expr`` over the order [0, bound) + points in
+    strictly ascending order.
 
     The stream realizes the true initial segment of the order: frozen
     positions are walked upward from zero, and filtered nodes stop as soon
     as the most important argument leaves their window.
     """
     state = {"pulls": 0}
-    return _stream(expr, tuple(points), state, pull_cap, ZERO)
+    return _stream(expr, tuple(points), state, pull_cap, bound)
 
 
 def _tick(state, pull_cap):
@@ -482,7 +474,7 @@ def _stream(expr: Dil, points, state, cap, bound):
         return
     if isinstance(expr, OmegaComp):
         lead_stream = lambda: _stream(expr.base, points, state, cap, bound)
-        yield from _cnf_stream(lead_stream, lambda: iter(()), None, state, cap)
+        yield from _cnf_stream(lead_stream, lambda: (), state, cap)
         return
     if isinstance(expr, CnfHead):
         lead_stream = lambda: (
@@ -491,91 +483,53 @@ def _stream(expr: Dil, points, state, cap, bound):
         low_stream = lambda: (
             ESum(0, x) for x in _stream(expr.low, points, state, cap, bound)
         )
-        yield from _cnf_stream(lead_stream, low_stream, None, state, cap, head=True)
+        yield from _cnf_stream(lead_stream, low_stream, state, cap, head=True)
         return
-    if isinstance(expr, Sep):
+    if isinstance(expr, (Sep, Band)):
+        hi, member = (expr.cut, sep_member) if isinstance(expr, Sep) else (expr.hi, band_member)
         for e in _stream(expr.base, points, state, cap, expr.amb):
             mi = important_position(expr.base, e)
-            if isinstance(mi, Left) and mi.value >= expr.cut:
+            if not isinstance(mi, Left) or mi.value >= hi:
                 return  # ascending, so nothing later can re-enter
-            if not isinstance(mi, Left):
-                return
-            if sep_member(expr, e):
-                yield e
-        return
-    if isinstance(expr, Band):
-        for e in _stream(expr.base, points, state, cap, expr.amb):
-            mi = important_position(expr.base, e)
-            if isinstance(mi, Left) and mi.value >= expr.hi:
-                return
-            if not isinstance(mi, Left):
-                return
-            if band_member(expr, e):
+            if member(expr, e):
                 yield e
         return
     raise MalformedElement(f"no stream rule for {expr!r}")
 
 
-def _cnf_stream(lead_factory, below_factory, _unused, state, cap, head=False):
+def _cnf_stream(lead_factory, below_factory, state, cap, head=False):
     """Ascending formal sums; leads ascend over lead_factory, tails over
-    everything strictly below the current lead."""
+    everything strictly below the current lead: below_factory, then the
+    earlier leads.  A tail stream passes no below_factory; it is the same
+    stream over its source, except that its leads are not charged a pull."""
     if not head:
         yield EMPTY_CNF
     seen_leads = []
     for lead in lead_factory():
-        _tick(state, cap)
+        if below_factory is not None:
+            _tick(state, cap)
         prior = list(seen_leads)
 
         def tails(prior=prior):
-            return _chain_iters(below_factory(), iter(prior))
+            return itertools.chain(below_factory() if below_factory else (), prior)
 
-        probe = tails()
-        has_tail = next(probe, None) is not None
-        if not has_tail:
+        if next(tails(), None) is None:
             m = 1
             while True:
                 _tick(state, cap)
                 yield ECnf(((lead, m),))
                 m += 1
         else:
-            for tail in _cnf_tail_stream(tails, state, cap):
+            for tail in _cnf_stream(tails, None, state, cap):
                 _tick(state, cap)
                 yield ECnf(((lead, 1),) + tail.pairs)
         seen_leads.append(lead)
 
 
-def _cnf_tail_stream(source_factory, state, cap):
-    """Ascending formal sums over a restartable ascending element source."""
-    yield EMPTY_CNF
-    seen = []
-    for lead in source_factory():
-        prior = list(seen)
-
-        def tails(prior=prior):
-            return iter(prior)
-
-        if not prior:
-            m = 1
-            while True:
-                _tick(state, cap)
-                yield ECnf(((lead, m),))
-                m += 1
-        else:
-            for tail in _cnf_tail_stream(lambda p=prior: iter(p), state, cap):
-                _tick(state, cap)
-                yield ECnf(((lead, 1),) + tail.pairs)
-        seen.append(lead)
-
-
-def _chain_iters(*iters):
-    for it in iters:
-        yield from it
-
-
 def prefix_elements(expr: Dil, n_points: int, k: int, pull_cap: int = 200000):
     """The first ``k`` elements of the order over {0,...,n_points-1}."""
     out = []
-    for e in stream_elements(expr, range(n_points), pull_cap):
+    for e in ambient_stream(expr, range(n_points), ZERO, pull_cap):
         out.append(e)
         if len(out) >= k:
             break
@@ -590,12 +544,6 @@ def pos_str(p) -> str:
     if isinstance(p, Left):
         return f"L({ord_str(p.value)})"
     return f"x{p.point}"
-
-
-def ambient_stream(expr: Dil, points, bound: Ord, pull_cap: int = 200000):
-    """Ascending elements of ``expr`` over the order [0, bound) + points."""
-    state = {"pulls": 0}
-    return _stream(expr, tuple(points), state, pull_cap, bound)
 
 
 def element_str(expr: Dil, elem, render_pos=pos_str) -> str:

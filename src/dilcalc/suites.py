@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from . import coherence
 from .analysis import (
     EQUIVALENT,
+    _embeddings,
     classify,
     decompose,
     enum_trace_terms,
@@ -42,6 +43,7 @@ from .expr import (
 )
 from .jfunctor import j_eval, j_guard_report, jplus_eval, jprime_eval
 from .ordinal import (
+    GREATER,
     LESS,
     OMEGA,
     ONE,
@@ -61,8 +63,12 @@ from .psi import (
     psi_clause_otp,
 )
 from .semantics import (
+    ECnf,
+    EId,
+    ESum,
     EnumBudget,
     Left,
+    Right,
     ambient_stream,
     apply_embedding,
     compare_elements,
@@ -115,7 +121,6 @@ OMEGA_TYPE_SUITE = ["Id", "1+Id", "Const(w)+Id", "omega[Id]", "omega[Id*2]", "Id
 COHERENCE_SUITE = ["1", "Const(3)", "Const(w)", "Const(w^2)", "Id", "Id+1", "1+Id",
                    "Id+Const(w)", "Id*2", "Id*w", "omega[Id]", "omega[Id+1]",
                    "omega[Id*2]", "Const(w)+Id", "omega[Id]+Id"]
-GAMMAS = ["0", "1", "w", "w+1", "w*2", "w^2"]
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +211,8 @@ def check_bound_theorem(**_opts) -> CheckReport:
 # criterion 4: functor law suites
 
 
-def _evaluable(pairs):
-    for d, g in pairs:
-        try:
-            yield d, g, j_eval(d, g).value
-        except FRAGMENT_ERRORS:
-            continue
-
-
 def check_j_laws(**_opts) -> CheckReport:
     rep = CheckReport("j-laws")
-    gammas = [parse_ord(g) for g in GAMMAS]
-    exprs = [_d(s) for s in J_SUITE]
 
     # composition, >= 20 instances
     count = 0
@@ -514,10 +509,6 @@ def check_coherence(prefix: int = 200, **_opts) -> CheckReport:
 # criterion 6: order-theoretic sanity
 
 
-def _embeddings_sample(m, n):
-    return [dict(enumerate(c)) for c in itertools.combinations(range(n), m)]
-
-
 def check_order_sanity(**_opts) -> CheckReport:
     rep = CheckReport("order-sanity")
     budget = EnumBudget(const_cap=5, copies=2, cnf_len=2, cnf_mult=2, grid=4, max_count=4000)
@@ -538,7 +529,7 @@ def check_order_sanity(**_opts) -> CheckReport:
                 bad += 1
         rep.check(bad == 0, f"order sanity of {to_str(d)} on {len(es)} elements")
         # support naturality + monotonicity + support condition
-        fs = _embeddings_sample(3, 5)
+        fs = _embeddings(3, 5)
         nat_bad = 0
         for e in es[:10]:
             supp = support_of(d, e)
@@ -551,7 +542,7 @@ def check_order_sanity(**_opts) -> CheckReport:
                 hi = {i: max(f[i], gmap[i]) for i in f}
                 if (
                     compare_elements(d, apply_embedding(d, e, lo), apply_embedding(d, e, hi))
-                    == -LESS
+                    == GREATER
                 ):
                     nat_bad += 1
             # support condition: refactor through any embedding covering the support
@@ -584,8 +575,6 @@ def check_order_sanity(**_opts) -> CheckReport:
     # arity-5 witnesses: maximal index on a dominated atom, lead index on a
     # composite head whose tails carry larger points
     h = CnfHead(D_ZERO, D_ID)
-    from .semantics import ECnf, EId, Right, ESum
-
     t5 = ECnf(tuple((ESum(1, EId(Right(i))), 1) for i in reversed(range(5))))
     rep.check(important_index(h, t5) == 4, "arity-5 term has the maximal index")
     hid = CnfHead(D_ID, D_ID)

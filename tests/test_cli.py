@@ -1,6 +1,7 @@
 import json
 
 from dilcalc.cli import main
+from dilcalc.suites import CheckReport
 
 
 def run(capsys, *argv):
@@ -73,9 +74,28 @@ class TestExitCodes:
         code, _, _ = run(capsys, "nonsense")
         assert code == 3
 
-    def test_failed_check_is_one(self, capsys):
+    def test_unknown_suite_is_three(self, capsys):
         code, _, err = run(capsys, "check", "does-not-exist")
         assert code == 3
+        assert "unknown check suite" in err
+
+    def test_failed_check_is_one(self, capsys, monkeypatch):
+        def broken(**_opts):
+            rep = CheckReport("broken")
+            rep.failed("planted violation")
+            return rep
+
+        monkeypatch.setattr("dilcalc.suites.CHECKS", {"broken": broken})
+        code, out, _ = run(capsys, "check", "broken")
+        assert code == 1
+        assert out.splitlines()[0].startswith("FAIL broken:")
+        assert "  violation: planted violation" in out.splitlines()
+
+    def test_unreadable_run_file_is_three(self, tmp_path, capsys):
+        code, out, err = run(capsys, "run", "--file", str(tmp_path / "missing.commands"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestDeterminism:

@@ -16,7 +16,16 @@ from dilcalc.psi import (
     psi_order_handle,
     term_str,
 )
-from dilcalc.semantics import ECnf, EConst, EId, Left, Right
+from dilcalc.semantics import (
+    ECnf,
+    EConst,
+    EId,
+    EnumBudget,
+    Left,
+    Right,
+    _grid_values,
+    enum_elements,
+)
 
 w = OMEGA
 
@@ -117,10 +126,25 @@ class TestTermOrder:
         assert o1.compare(t0, t1) == -1
         assert o1.compare(t1, t1) == 0
 
-    def test_enum_strategy_independence(self):
+    def test_enum_independent_of_point_order(self):
+        # each enumeration round lists candidates over the terms known so far;
+        # the sorted candidates must not depend on the order of those terms
+        budget = EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
         for text, gamma in [("omega[Id]", "0"), ("Id", "2"), ("Id+1", "1")]:
             order = PsiOrder(parse_dil(text), parse_ord(gamma))
-            assert order.enum(2) == order.enum(2, strategy="reversed")
+            lefts = _grid_values(order.gamma, budget.grid)
+            for depth in (1, 2):
+                known = order.enum(depth)
+                assert len(known) > 1
+                forward, backward = (
+                    enum_elements(order.dilator, points, budget, lefts, order.pos_cmp)
+                    for points in (known, known[::-1])
+                )
+                assert forward == backward
+
+    def test_structurally_wrong_term_is_invalid(self):
+        assert PsiOrder(D_ID, ONE).valid(EConst(ZERO)) is False
+        assert PsiOrder(parse_dil("omega[Id]"), ZERO).valid(EId(Left(ZERO))) is False
 
     def test_trichotomy_and_transitivity(self):
         order = PsiOrder(parse_dil("omega[Id]"), ZERO)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from dilcalc.errors import MalformedElement
-from dilcalc.expr import CnfHead, D_ID, D_ZERO, Sep, parse_dil
+from dilcalc.expr import CnfHead, D_ID, D_ONE, D_ZERO, Sep, parse_dil
 from dilcalc.ordinal import OMEGA, ZERO, from_int
 from dilcalc.semantics import (
     ECnf,
@@ -143,6 +143,51 @@ class TestStreams:
         assert any(
             isinstance(p, Left) for e in elems for p in element_positions(h, e)
         )
+
+    @pytest.mark.parametrize(
+        "head, expected",
+        [
+            (
+                CnfHead(D_ID, D_ID),
+                [
+                    "w^{r:L(0)}",
+                    "w^{r:L(0)}+w^{l:L(0)}",
+                    "w^{r:L(0)}+w^{l:L(0)}*2",
+                    "w^{r:L(0)}+w^{l:L(0)}*3",
+                    "w^{r:L(0)}+w^{l:L(0)}*4",
+                    "w^{r:L(0)}+w^{l:L(0)}*5",
+                    "w^{r:L(0)}+w^{l:L(0)}*6",
+                    "w^{r:L(0)}+w^{l:L(0)}*7",
+                    "w^{r:L(0)}+w^{l:L(0)}*8",
+                    "w^{r:L(0)}+w^{l:L(0)}*9",
+                    "w^{r:L(0)}+w^{l:L(0)}*10",
+                    "w^{r:L(0)}+w^{l:L(0)}*11",
+                ],
+            ),
+            (
+                CnfHead(D_ONE, CnfHead(D_ZERO, D_ID)),
+                [
+                    "w^{r:w^{r:L(0)}}",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}*2",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}*3",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}*4",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}*5",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}*6",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}*7",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}*8",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}*9",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}*10",
+                    "w^{r:w^{r:L(0)}}+w^{l:c[0]}*11",
+                ],
+            ),
+        ],
+    )
+    def test_head_tail_prefix_pinned(self, head, expected):
+        # heads with a non-empty low part stream formal-sum tails behind
+        # their first lead
+        stream = ambient_stream(head, range(2), OMEGA)
+        assert [element_str(head, e) for e in itertools.islice(stream, 12)] == expected
 
 
 class TestValidation:
