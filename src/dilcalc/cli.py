@@ -16,7 +16,7 @@ import sys
 from .analysis import classify, components, decompose, otp_symbolic, sep
 from .errors import FRAGMENT_ERRORS, DilcalcError, ParseError, UnsupportedDecomposition
 from .expr import parse_dil, to_str
-from .jfunctor import j_eval, j_guard_report, jplus_eval, jprime_eval
+from .jfunctor import EVALUATORS, j_guard_report
 from .ordinal import ord_cmp, ord_str, parse_ord
 from .psi import PsiOrder, psi_clause_otp, term_str
 from .semantics import element_str, prefix_elements
@@ -96,195 +96,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload, text_lines) -> None:
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+# the arguments each verb echoes under "inputs" in its JSON line
+_ECHOED = {
+    "classify": ("expr",),
+    "decompose": ("expr",),
+    "enum": ("expr", "x", "prefix"),
+    "compare": ("left", "right"),
+    "jeval": ("expr", "gamma"),
+    "jprime": ("expr", "gamma"),
+    "jplus": ("expr", "gamma"),
+    "psi-enum": ("expr", "gamma", "depth"),
+    "psi-otp": ("expr", "gamma"),
+    "otp": ("expr", "arg"),
+    "sep": ("expr", "gamma"),
+    "check": ("name", "prefix", "trials", "depth", "seed"),
+}
 
 
 def _dispatch(args) -> int:
-    verb = args.verb
-    if verb == "classify":
-        expr = parse_dil(args.expr)
-        tc = classify(expr)
-        names = {"0": "0", "1": "1", "omega": "omega", "Omega": "Omega"}
-        payload = {
-            "verb": verb,
-            "inputs": {"expr": args.expr},
-            "result": {"type": names[tc.kind]},
-        }
-        if tc.kind == "1":
-            payload["result"]["pred"] = to_str(tc.pred)
-        _emit(args, payload, [f"type {tc.kind}" + (f", pred {to_str(tc.pred)}" if tc.kind == "1" else "")])
-        return 0
-    if verb == "decompose":
-        expr = parse_dil(args.expr)
-        dec = decompose(expr)
-        payload = {"verb": verb, "inputs": {"expr": args.expr}}
-        if dec.kind == "zero":
-            payload["result"] = {"kind": "zero", "components": []}
-            _emit(args, payload, ["[]"])
-        elif dec.kind == "succ":
-            try:
-                comps = [to_str(c) for c in components(expr)]
-                payload["result"] = {"kind": "successor", "components": comps}
-                _emit(args, payload, ["[" + ", ".join(comps) + "]"])
-            except UnsupportedDecomposition:
-                payload["result"] = {
-                    "kind": "successor",
-                    "prefix": to_str(dec.prefix),
-                    "top": to_str(dec.top),
-                }
-                _emit(args, payload, [f"prefix {to_str(dec.prefix)}", f"top {to_str(dec.top)}"])
-        else:
-            samples = [to_str(dec.fund(k)) for k in range(args.samples)]
-            payload["result"] = {"kind": "limit", "partials": samples}
-            _emit(args, payload, [f"limit; partial sums: {', '.join(samples)}"])
-        return 0
-    if verb == "enum":
-        expr = parse_dil(args.expr)
-        elems = prefix_elements(expr, args.x, args.prefix)
-        shown = [element_str(expr, e) for e in elems]
-        payload = {
-            "verb": verb,
-            "inputs": {"expr": args.expr, "x": args.x, "prefix": args.prefix},
-            "result": shown,
-        }
-        _emit(args, payload, shown)
-        return 0
-    if verb == "compare":
-        a, b = parse_ord(args.left), parse_ord(args.right)
-        c = ord_cmp(a, b)
-        word = {(-1): "less", 0: "equal", 1: "greater"}[c]
-        payload = {
-            "verb": verb,
-            "inputs": {"left": args.left, "right": args.right},
-            "result": word,
-        }
-        _emit(args, payload, [word])
-        return 0
-    if verb in ("jeval", "jprime", "jplus"):
-        expr = parse_dil(args.expr)
-        gamma = parse_ord(args.gamma)
-        evaluator = {"jeval": j_eval, "jprime": jprime_eval, "jplus": jplus_eval}[verb]
-        result = evaluator(expr, gamma)
-        payload = {
-            "verb": verb,
-            "inputs": {"expr": args.expr, "gamma": args.gamma},
-            "value": ord_str(result.value),
-            "eta": ord_str(result.eta),
-            "xi": ord_str(result.xi) if result.xi is not None else None,
-        }
-        lines = [f"value {ord_str(result.value)}",
-                 f"guards eta={ord_str(result.eta)} xi={ord_str(result.xi) if result.xi is not None else '?'}"]
-        if args.audit:
-            audit = j_guard_report(result)
-            payload["guardAudit"] = {
-                "identical": audit.value_identical,
-                "enlargedEta": ord_str(audit.enlarged_eta),
-                "stepsChecked": audit.steps_checked,
-                "rankViolations": list(audit.rank_violations),
-                "unranked": audit.unranked_steps,
-            }
-            lines.append(
-                f"audit identical={audit.value_identical} ranks_ok={not audit.rank_violations}"
-            )
-        if args.steps:
-            payload["steps"] = [
-                {
-                    "expr": to_str(s.parent),
-                    "clause": s.clause,
-                    "value": ord_str(s.value),
-                }
-                for s in result.steps
-            ]
-            lines += [f"  [{s.clause}] {to_str(s.parent)} -> {ord_str(s.value)}" for s in result.steps]
-        _emit(args, payload, lines)
-        return 0
-    if verb == "psi-enum":
-        expr = parse_dil(args.expr)
-        order = PsiOrder(expr, parse_ord(args.gamma))
-        terms = order.enum(args.depth)[: args.prefix]
-        shown = [term_str(order, t) for t in terms]
-        payload = {
-            "verb": verb,
-            "inputs": {"expr": args.expr, "gamma": args.gamma, "depth": args.depth},
-            "result": shown,
-        }
-        _emit(args, payload, shown)
-        return 0
-    if verb == "psi-otp":
-        expr = parse_dil(args.expr)
-        value = psi_clause_otp(expr, parse_ord(args.gamma))
-        payload = {
-            "verb": verb,
-            "inputs": {"expr": args.expr, "gamma": args.gamma},
-            "value": ord_str(value),
-        }
-        _emit(args, payload, [ord_str(value)])
-        return 0
-    if verb == "otp":
-        expr = parse_dil(args.expr)
-        value = otp_symbolic(expr, parse_ord(args.arg))
-        payload = {
-            "verb": verb,
-            "inputs": {"expr": args.expr, "arg": args.arg},
-            "value": ord_str(value),
-        }
-        _emit(args, payload, [ord_str(value)])
-        return 0
-    if verb == "sep":
-        expr = parse_dil(args.expr)
-        value = sep(expr, parse_ord(args.gamma))
-        payload = {
-            "verb": verb,
-            "inputs": {"expr": args.expr, "gamma": args.gamma},
-            "value": to_str(value),
-        }
-        _emit(args, payload, [to_str(value)])
-        return 0
-    if verb == "check":
-        reports = run_check(
-            args.name,
-            prefix=args.prefix,
-            trials=args.trials,
-            depth=args.depth,
-            seed=args.seed,
-        )
-        ok = all(r.ok for r in reports)
-        payload = {
-            "verb": verb,
-            "inputs": {
-                "name": args.name,
-                "prefix": args.prefix,
-                "trials": args.trials,
-                "depth": args.depth,
-                "seed": args.seed,
-            },
-            "result": [
-                {
-                    "suite": r.name,
-                    "ok": r.ok,
-                    "passed": len(r.details),
-                    "skipped": len(r.skips),
-                    "violations": r.violations,
-                }
-                for r in reports
-            ],
-        }
-        lines = []
-        for r in reports:
-            lines.append(
-                f"{'PASS' if r.ok else 'FAIL'} {r.name}: "
-                f"{len(r.details)} checks, {len(r.skips)} skips, {len(r.violations)} violations"
-            )
-            lines += [f"  violation: {v}" for v in r.violations]
-            lines += [f"  skip: {s}" for s in r.skips]
-        _emit(args, payload, lines)
-        return 0 if ok else 1
-    if verb == "run":
+    if args.verb == "run":
         worst = 0
         with open(args.file) as fh:
             for raw in fh:
@@ -295,6 +125,120 @@ def _dispatch(args) -> int:
                 code = main(shlex.split(line))
                 worst = max(worst, code)
         return worst
+    fields, lines, code = _answer(args)
+    if args.format == "json":
+        inputs = {name: getattr(args, name) for name in _ECHOED[args.verb]}
+        print(json.dumps({"verb": args.verb, "inputs": inputs, **fields}, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
+
+
+def _answer(args):
+    """A verb's JSON fields besides verb and inputs, its text lines, its exit code."""
+    verb = args.verb
+    if verb == "classify":
+        tc = classify(parse_dil(args.expr))
+        if tc.kind == "1":
+            pred = to_str(tc.pred)
+            return {"result": {"type": "1", "pred": pred}}, [f"type 1, pred {pred}"], 0
+        return {"result": {"type": tc.kind}}, [f"type {tc.kind}"], 0
+    if verb == "decompose":
+        expr = parse_dil(args.expr)
+        dec = decompose(expr)
+        if dec.kind == "zero":
+            return {"result": {"kind": "zero", "components": []}}, ["[]"], 0
+        if dec.kind == "succ":
+            try:
+                comps = [to_str(c) for c in components(expr)]
+            except UnsupportedDecomposition:
+                prefix, top = to_str(dec.prefix), to_str(dec.top)
+                result = {"kind": "successor", "prefix": prefix, "top": top}
+                return {"result": result}, [f"prefix {prefix}", f"top {top}"], 0
+            result = {"kind": "successor", "components": comps}
+            return {"result": result}, ["[" + ", ".join(comps) + "]"], 0
+        samples = [to_str(dec.fund(k)) for k in range(args.samples)]
+        result = {"kind": "limit", "partials": samples}
+        return {"result": result}, [f"limit; partial sums: {', '.join(samples)}"], 0
+    if verb == "enum":
+        expr = parse_dil(args.expr)
+        shown = [element_str(expr, e) for e in prefix_elements(expr, args.x, args.prefix)]
+        return {"result": shown}, shown, 0
+    if verb == "compare":
+        c = ord_cmp(parse_ord(args.left), parse_ord(args.right))
+        word = {(-1): "less", 0: "equal", 1: "greater"}[c]
+        return {"result": word}, [word], 0
+    if verb in ("jeval", "jprime", "jplus"):
+        evaluator = EVALUATORS["j" if verb == "jeval" else verb]
+        result = evaluator(parse_dil(args.expr), parse_ord(args.gamma))
+        value, eta = ord_str(result.value), ord_str(result.eta)
+        xi = ord_str(result.xi) if result.xi is not None else None
+        fields = {"value": value, "eta": eta, "xi": xi}
+        lines = [f"value {value}", f"guards eta={eta} xi={xi or '?'}"]
+        if args.audit:
+            audit = j_guard_report(result)
+            fields["guardAudit"] = {
+                "identical": audit.value_identical,
+                "enlargedEta": ord_str(audit.enlarged_eta),
+                "stepsChecked": audit.steps_checked,
+                "rankViolations": list(audit.rank_violations),
+                "unranked": audit.unranked_steps,
+            }
+            lines.append(
+                f"audit identical={audit.value_identical} ranks_ok={not audit.rank_violations}"
+            )
+        if args.steps:
+            fields["steps"] = [
+                {
+                    "expr": to_str(s.parent),
+                    "clause": s.clause,
+                    "value": ord_str(s.value),
+                }
+                for s in result.steps
+            ]
+            lines += [f"  [{s.clause}] {to_str(s.parent)} -> {ord_str(s.value)}" for s in result.steps]
+        return fields, lines, 0
+    if verb == "psi-enum":
+        order = PsiOrder(parse_dil(args.expr), parse_ord(args.gamma))
+        shown = [term_str(order, t) for t in order.enum(args.depth)[: args.prefix]]
+        return {"result": shown}, shown, 0
+    if verb == "psi-otp":
+        value = ord_str(psi_clause_otp(parse_dil(args.expr), parse_ord(args.gamma)))
+        return {"value": value}, [value], 0
+    if verb == "otp":
+        value = ord_str(otp_symbolic(parse_dil(args.expr), parse_ord(args.arg)))
+        return {"value": value}, [value], 0
+    if verb == "sep":
+        value = to_str(sep(parse_dil(args.expr), parse_ord(args.gamma)))
+        return {"value": value}, [value], 0
+    if verb == "check":
+        reports = run_check(
+            args.name,
+            prefix=args.prefix,
+            trials=args.trials,
+            depth=args.depth,
+            seed=args.seed,
+        )
+        result = [
+            {
+                "suite": r.name,
+                "ok": r.ok,
+                "passed": len(r.details),
+                "skipped": len(r.skips),
+                "violations": r.violations,
+            }
+            for r in reports
+        ]
+        lines = []
+        for r in reports:
+            lines.append(
+                f"{'PASS' if r.ok else 'FAIL'} {r.name}: "
+                f"{len(r.details)} checks, {len(r.skips)} skips, {len(r.violations)} violations"
+            )
+            lines += [f"  violation: {v}" for v in r.violations]
+            lines += [f"  skip: {s}" for s in r.skips]
+        return {"result": result}, lines, 0 if all(r.ok for r in reports) else 1
     raise DilcalcError(f"unknown verb {verb!r}")
 
 

@@ -47,7 +47,6 @@ from .semantics import (
     ECnf,
     EConst,
     ECopies,
-    EId,
     ESum,
     Left,
     important_position,
@@ -109,25 +108,15 @@ def frozen_value(expr: Dil, elem, bound: Ord) -> Ord:
         return ord_add(
             ord_mul_nat(base, elem.copy), frozen_value(expr.base, elem.inner, bound)
         )
-    if isinstance(expr, OmegaComp):
+    if isinstance(expr, (OmegaComp, CnfHead)):
         total = ZERO
         for x, m in elem.pairs:
-            total = ord_add(
-                total, ord_mul_nat(ord_omega_pow(frozen_value(expr.base, x, bound)), m)
-            )
-        return total
-    if isinstance(expr, CnfHead):
-        low_otp = None
-        total = ZERO
-        for x, m in elem.pairs:
-            if x.side == 0:
-                v = frozen_value(expr.low, x.inner, bound)
-            else:
-                low_otp = low_otp if low_otp is not None else otp_symbolic(expr.low, bound)
-                v = ord_add(low_otp, frozen_value(expr.high, x.inner, bound))
+            v = frozen_value(expr.exponents, x, bound)
             total = ord_add(total, ord_mul_nat(ord_omega_pow(v), m))
-        low_otp = low_otp if low_otp is not None else otp_symbolic(expr.low, bound)
-        return ord_left_sub(ord_omega_pow(low_otp), total)
+        if isinstance(expr, OmegaComp):
+            return total
+        # a head holds only the sums at or above omega^otp(low); rank from there
+        return ord_left_sub(ord_omega_pow(otp_symbolic(expr.low, bound)), total)
     if isinstance(expr, (Sep, Band)):
         raise TranslationGap("frozen values inside filtered nodes are not needed")
     raise TranslationGap(f"no frozen value rule for {expr!r}")
@@ -180,44 +169,6 @@ def shift_translate(expr: Dil, g: Ord, elem):
     if isinstance(expr, (Sep, Band)):
         return elem  # ambient extension keeps the representation
     raise TranslationGap(f"no shift translation for {expr!r}")
-
-
-def unshift_translate(expr: Dil, g: Ord, elem):
-    """Element of mk_shift(expr, g) read back as an expr element over g+X."""
-    if g.is_zero() or isinstance(expr, Const):
-        return elem
-    if isinstance(expr, IdNode):
-        if elem.side == 0:
-            return EId(Left(elem.inner.index))
-        return elem.inner
-    if isinstance(expr, Sum):
-        side, inner = _sum_split(mk_shift(expr.left, g), mk_shift(expr.right, g), elem)
-        part = expr.left if side == 0 else expr.right
-        return ESum(side, unshift_translate(part, g, inner))
-    if isinstance(expr, MulOmega):
-        return ECopies(elem.copy, unshift_translate(expr.base, g, elem.inner))
-    if isinstance(expr, OmegaComp):
-        return ECnf(
-            tuple((unshift_translate(expr.base, g, x), m) for x, m in elem.pairs)
-        )
-    if isinstance(expr, CnfHead):
-        return ECnf(
-            tuple(
-                (
-                    ESum(
-                        x.side,
-                        unshift_translate(
-                            expr.low if x.side == 0 else expr.high, g, x.inner
-                        ),
-                    ),
-                    m,
-                )
-                for x, m in elem.pairs
-            )
-        )
-    if isinstance(expr, (Sep, Band)):
-        return elem
-    raise TranslationGap(f"no unshift translation for {expr!r}")
 
 
 def _sum_split(a: Dil, b: Dil, elem):
@@ -336,13 +287,7 @@ def prefix_inject(d: Dil, elem):
             mk_cnf_head(d.low, inner_dec.prefix), CnfHead
         ):
             raise TranslationGap("composite head prefix renormalizes")
-        pairs = []
-        for x, m in elem.pairs:
-            if x.side == 0:
-                pairs.append((x, m))
-            else:
-                pairs.append((ESum(1, prefix_inject(d.high, x.inner)), m))
-        return ECnf(tuple(pairs))
+        return _inject_high(elem, lambda x: prefix_inject(d.high, x))
     raise TranslationGap(f"no prefix injection for {d!r}")
 
 
@@ -380,6 +325,13 @@ def top_inject(d: Dil, elem):
                 pairs.append((ESum(1, top_inject(d.high, x.inner)), m))
         return ECnf(tuple(pairs))
     raise TranslationGap(f"no top injection for {d!r}")
+
+
+def _inject_high(elem, inject):
+    """A head element with its high-part exponents mapped by ``inject``."""
+    return ECnf(
+        tuple((x if x.side == 0 else ESum(1, inject(x.inner)), m) for x, m in elem.pairs)
+    )
 
 
 def _oc_inject(p: Dil, elem, inject_exp, base: Dil):
@@ -460,11 +412,5 @@ def limit_prefix_inject(d: Dil, j: int, elem):
     if isinstance(d, (Sep, Band)):
         return elem
     if isinstance(d, CnfHead):
-        pairs = []
-        for x, m in elem.pairs:
-            if x.side == 0:
-                pairs.append((x, m))
-            else:
-                pairs.append((ESum(1, limit_prefix_inject(d.high, j, x.inner)), m))
-        return ECnf(tuple(pairs))
+        return _inject_high(elem, lambda x: limit_prefix_inject(d.high, j, x))
     raise TranslationGap(f"no limit injection for {d!r}")

@@ -18,6 +18,7 @@ connected expression cut by its most important argument position).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError
 from .ordinal import (
@@ -68,7 +69,13 @@ class MulOmega(Dil):
 
 @dataclass(frozen=True)
 class OmegaComp(Dil):
+    """Formal base-omega sums whose exponents are the elements of base."""
+
     base: Dil
+
+    @cached_property
+    def exponents(self) -> Dil:
+        return self.base
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,11 @@ class CnfHead(Dil):
 
     low: Dil
     high: Dil
+
+    @cached_property
+    def exponents(self) -> Dil:
+        """Sum(low, high), not normalized, so each exponent keeps its side tag."""
+        return Sum(self.low, self.high)
 
 
 @dataclass(frozen=True)
@@ -356,6 +368,7 @@ def _parse_const(sc):
 
 
 def _parse_omega_comp(sc):
+    sc.open()  # the "[" of the keyword
     inner = _parse_dil(sc)
     sc.take("]")
     return mk_omega_comp(inner)

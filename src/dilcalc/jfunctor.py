@@ -159,6 +159,9 @@ def jplus_eval(d: Dil, gamma: Ord, depth_cap: int = 10000) -> JResult:
     return JResult(d, gamma, "jplus", result.value, result.eta, result.xi, result.steps)
 
 
+EVALUATORS = {"j": j_eval, "jprime": jprime_eval, "jplus": jplus_eval}
+
+
 @dataclass(frozen=True)
 class GuardAudit:
     value_identical: bool
@@ -176,12 +179,7 @@ class GuardAudit:
 
 def j_guard_report(result: JResult) -> GuardAudit:
     """Re-evaluate under enlarged guards and re-check rank decrease."""
-    if result.variant == "jplus":
-        revalue = jplus_eval(result.expr, result.gamma).value
-    elif result.variant == "jprime":
-        revalue = jprime_eval(result.expr, result.gamma).value
-    else:
-        revalue = j_eval(result.expr, result.gamma).value
+    revalue = EVALUATORS[result.variant](result.expr, result.gamma).value
     enlarged = ord_add(result.eta, OMEGA)
     violations, unranked, checked = [], 0, 0
     for eta in (result.eta, enlarged):

@@ -154,19 +154,13 @@ def ord_left_sub(a: Ord, b: Ord) -> Ord:
     """The unique c with a + c = b; requires a <= b."""
     if ord_cmp(a, b) == GREATER:
         raise ValueError("left subtraction needs a <= b")
+    # a <= b: the first term where they differ has a smaller exponent or
+    # a smaller coefficient in a
     for i, ((ea, ca), (eb, cb)) in enumerate(zip(a.terms, b.terms)):
-        c = ord_cmp(ea, eb)
-        if c == LESS:
+        if ord_cmp(ea, eb) == LESS:
             return Ord(b.terms[i:])
-        if c == GREATER:  # unreachable given a <= b
-            raise ValueError("left subtraction needs a <= b")
         if ca < cb:
             return Ord(((eb, cb - ca),) + b.terms[i + 1:])
-        if ca > cb:
-            if i + 1 == len(a.terms) and ea.is_zero():
-                raise ValueError("left subtraction needs a <= b")
-            # a's term bigger but a <= b: remaining a-terms absorbed is impossible
-            raise ValueError("left subtraction needs a <= b")
     return Ord(b.terms[len(a.terms):])
 
 
@@ -389,10 +383,16 @@ def ord_str(a: Ord) -> str:
     return "+".join(parts)
 
 
+# deepest bracket nesting the parsers accept; each level costs a few stack
+# frames, so a deeper input would otherwise end in a RecursionError
+MAX_NESTING = 100
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -408,6 +408,19 @@ class _Scanner:
                 f"expected {ch!r} at position {self.pos}", self.pos, [ch]
             )
         self.pos += 1
+        if ch in "([":
+            self.open()
+        elif ch in ")]":
+            self.depth -= 1
+
+    def open(self):
+        """Count an opening bracket that was just consumed."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"brackets nested deeper than {MAX_NESTING} at position {self.pos}",
+                self.pos,
+            )
 
     def nat(self) -> int:
         self.skip_ws()

@@ -53,7 +53,6 @@ from .semantics import (
     EnumBudget,
     Left,
     Right,
-    _cmp_exponent,
     _grid_values,
     band_member,
     compare_elements,
@@ -244,10 +243,8 @@ class PsiOrder:
             raise _DeadEnd()
         if isinstance(expr, MulOmega):
             return ECopies(rng.randint(0, 3), self._rand(expr.base, rng, depth, lefts))
-        if isinstance(expr, OmegaComp):
-            return self._rand_cnf(expr.base, None, rng, depth, lefts, head=False)
-        if isinstance(expr, CnfHead):
-            return self._rand_cnf(expr.low, expr.high, rng, depth, lefts, head=True)
+        if isinstance(expr, (OmegaComp, CnfHead)):
+            return self._rand_cnf(expr, rng, depth, lefts)
         if isinstance(expr, (Sep, Band)):
             for _ in range(12):
                 cand = self._rand(expr.base, rng, depth, lefts)
@@ -261,32 +258,28 @@ class PsiOrder:
             raise _DeadEnd()
         raise _DeadEnd()
 
-    def _rand_cnf(self, low, high, rng, depth, lefts, head):
+    def _rand_cnf(self, expr, rng, depth, lefts):
+        head = isinstance(expr, CnfHead)
         count = rng.randint(0 if not head else 1, 2)
         if count == 0:
             return ECnf(())
         exps = []
         if head:
-            exps.append(ESum(1, self._rand(high, rng, depth, lefts)))
+            exps.append(ESum(1, self._rand(expr.high, rng, depth, lefts)))
             count -= 1
         for _ in range(count):
-            if high is None:
-                exps.append(self._rand(low, rng, depth, lefts))
+            if not head:
+                exps.append(self._rand(expr.base, rng, depth, lefts))
             else:
                 side = 0 if rng.random() < 0.7 else 1
-                part = low if side == 0 else high
+                part = expr.low if side == 0 else expr.high
                 try:
                     exps.append(ESum(side, self._rand(part, rng, depth, lefts)))
                 except _DeadEnd:
                     continue
-        if high is None:
-            key = functools.cmp_to_key(
-                lambda x, y: compare_elements(low, x, y, self.pos_cmp)
-            )
-        else:
-            key = functools.cmp_to_key(
-                lambda x, y: _cmp_exponent(low, high, x, y, self.pos_cmp)
-            )
+        key = functools.cmp_to_key(
+            lambda x, y: compare_elements(expr.exponents, x, y, self.pos_cmp)
+        )
         uniq = []
         for e in sorted(exps, key=key, reverse=True):
             if not uniq or key(uniq[-1][0]) > key(e):

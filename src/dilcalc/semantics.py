@@ -92,34 +92,19 @@ def compare_elements(expr: Dil, e1, e2, pos_cmp=default_pos_cmp) -> int:
         if e1.copy != e2.copy:
             return LESS if e1.copy < e2.copy else GREATER
         return compare_elements(expr.base, e1.inner, e2.inner, pos_cmp)
-    if isinstance(expr, OmegaComp):
-        return _cmp_cnf(expr.base, None, e1, e2, pos_cmp)
-    if isinstance(expr, CnfHead):
-        return _cmp_cnf(expr.low, expr.high, e1, e2, pos_cmp)
+    if isinstance(expr, (OmegaComp, CnfHead)):
+        for (x, m), (y, n) in zip(e1.pairs, e2.pairs):
+            c = compare_elements(expr.exponents, x, y, pos_cmp)
+            if c != EQUAL:
+                return c
+            if m != n:
+                return LESS if m < n else GREATER
+        if len(e1.pairs) == len(e2.pairs):
+            return EQUAL
+        return LESS if len(e1.pairs) < len(e2.pairs) else GREATER
     if isinstance(expr, (Sep, Band)):
         return compare_elements(expr.base, e1, e2, pos_cmp)
     raise MalformedElement(f"no comparison rule for {expr!r}")
-
-
-def _cmp_exponent(low, high, x, y, pos_cmp):
-    if high is None:
-        return compare_elements(low, x, y, pos_cmp)
-    if x.side != y.side:
-        return LESS if x.side < y.side else GREATER
-    part = low if x.side == 0 else high
-    return compare_elements(part, x.inner, y.inner, pos_cmp)
-
-
-def _cmp_cnf(low, high, e1, e2, pos_cmp):
-    for (x, m), (y, n) in zip(e1.pairs, e2.pairs):
-        c = _cmp_exponent(low, high, x, y, pos_cmp)
-        if c != EQUAL:
-            return c
-        if m != n:
-            return LESS if m < n else GREATER
-    if len(e1.pairs) == len(e2.pairs):
-        return EQUAL
-    return LESS if len(e1.pairs) < len(e2.pairs) else GREATER
 
 
 def element_positions(expr: Dil, elem) -> list:
@@ -141,13 +126,9 @@ def _walk_positions(expr, elem, out):
     if isinstance(expr, MulOmega):
         _walk_positions(expr.base, elem.inner, out)
         return
-    if isinstance(expr, OmegaComp):
+    if isinstance(expr, (OmegaComp, CnfHead)):
         for x, _ in elem.pairs:
-            _walk_positions(expr.base, x, out)
-        return
-    if isinstance(expr, CnfHead):
-        for x, _ in elem.pairs:
-            _walk_positions(expr.low if x.side == 0 else expr.high, x.inner, out)
+            _walk_positions(expr.exponents, x, out)
         return
     if isinstance(expr, (Sep, Band)):
         _walk_positions(expr.base, elem, out)
@@ -229,19 +210,12 @@ def validate_element(expr: Dil, elem, pos_cmp=default_pos_cmp):
     if isinstance(expr, (OmegaComp, CnfHead)):
         if not isinstance(elem, ECnf):
             raise MalformedElement(f"bad formal sum {elem!r}")
-        low = expr.base if isinstance(expr, OmegaComp) else expr.low
-        high = None if isinstance(expr, OmegaComp) else expr.high
         for x, m in elem.pairs:
             if m < 1:
                 raise MalformedElement("multiplicities must be positive")
-            if high is None:
-                validate_element(low, x, pos_cmp)
-            else:
-                if not isinstance(x, ESum):
-                    raise MalformedElement("head exponents must carry a side tag")
-                validate_element(low if x.side == 0 else high, x.inner, pos_cmp)
+            validate_element(expr.exponents, x, pos_cmp)
         for (x, _), (y, _) in zip(elem.pairs, elem.pairs[1:]):
-            if _cmp_exponent(low, high, x, y, pos_cmp) != GREATER:
+            if compare_elements(expr.exponents, x, y, pos_cmp) != GREATER:
                 raise MalformedElement("exponents must strictly descend")
         if isinstance(expr, CnfHead):
             if not elem.pairs or elem.pairs[0][0].side != 1:
@@ -270,13 +244,10 @@ def important_position(expr: Dil, elem):
         return important_position(expr.left if elem.side == 0 else expr.right, elem.inner)
     if isinstance(expr, MulOmega):
         return important_position(expr.base, elem.inner)
-    if isinstance(expr, OmegaComp):
+    if isinstance(expr, (OmegaComp, CnfHead)):
         if not elem.pairs:
             return None
-        return important_position(expr.base, elem.pairs[0][0])
-    if isinstance(expr, CnfHead):
-        lead = elem.pairs[0][0]
-        return important_position(expr.low if lead.side == 0 else expr.high, lead.inner)
+        return important_position(expr.exponents, elem.pairs[0][0])
     if isinstance(expr, (Sep, Band)):
         return important_position(expr.base, elem)
     raise MalformedElement(f"no importance rule for {expr!r}")
@@ -357,15 +328,10 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
         inner = _gen(expr.base, points, budget, lefts, pos_cmp)
         return [ECopies(k, x) for k in range(budget.copies) for x in inner]
     if isinstance(expr, (OmegaComp, CnfHead)):
-        if isinstance(expr, OmegaComp):
-            exps = _gen(expr.base, points, budget, lefts, pos_cmp)
-            comparer = lambda x, y: compare_elements(expr.base, x, y, pos_cmp)
-        else:
-            exps = [ESum(0, x) for x in _gen(expr.low, points, budget, lefts, pos_cmp)] + [
-                ESum(1, x) for x in _gen(expr.high, points, budget, lefts, pos_cmp)
-            ]
-            comparer = lambda x, y: _cmp_exponent(expr.low, expr.high, x, y, pos_cmp)
-        exps = _sorted_by(exps, comparer)
+        exps = _sorted_by(
+            _gen(expr.exponents, points, budget, lefts, pos_cmp),
+            lambda x, y: compare_elements(expr.exponents, x, y, pos_cmp),
+        )
         out = []
         for count in range(0, budget.cnf_len + 1):
             for combo in itertools.combinations(range(len(exps)), count):
@@ -471,7 +437,6 @@ def _stream(expr: Dil, points, state, cap, bound):
             if not produced:
                 return
             k += 1
-        return
     if isinstance(expr, OmegaComp):
         lead_stream = lambda: _stream(expr.base, points, state, cap, bound)
         yield from _cnf_stream(lead_stream, lambda: (), state, cap)
@@ -560,16 +525,10 @@ def element_str(expr: Dil, elem, render_pos=pos_str) -> str:
     if isinstance(expr, (OmegaComp, CnfHead)):
         if not elem.pairs:
             return "0"
-        parts = []
-        for x, m in elem.pairs:
-            if isinstance(expr, OmegaComp):
-                inner = element_str(expr.base, x, render_pos)
-            else:
-                part = expr.low if x.side == 0 else expr.high
-                tag = "l" if x.side == 0 else "r"
-                inner = f"{tag}:{element_str(part, x.inner, render_pos)}"
-            parts.append(f"w^{{{inner}}}" + (f"*{m}" if m > 1 else ""))
-        return "+".join(parts)
+        return "+".join(
+            f"w^{{{element_str(expr.exponents, x, render_pos)}}}" + (f"*{m}" if m > 1 else "")
+            for x, m in elem.pairs
+        )
     if isinstance(expr, (Sep, Band)):
         return element_str(expr.base, elem, render_pos)
     return repr(elem)

@@ -41,7 +41,7 @@ from .expr import (
     parse_dil,
     to_str,
 )
-from .jfunctor import j_eval, j_guard_report, jplus_eval, jprime_eval
+from .jfunctor import EVALUATORS, j_eval, j_guard_report, jplus_eval, jprime_eval
 from .ordinal import (
     GREATER,
     LESS,
@@ -139,10 +139,9 @@ def check_j_exact(**_opts) -> CheckReport:
         ("jplus", "1", "w", "w^2"),
         ("j", "omega[Id]", "w", "w^(w+1)"),
     ]
-    evaluators = {"j": j_eval, "jprime": jprime_eval, "jplus": jplus_eval}
     for variant, ds, gs, expected in cases:
         t0 = time.time()
-        value = evaluators[variant](_d(ds), parse_ord(gs)).value
+        value = EVALUATORS[variant](_d(ds), parse_ord(gs)).value
         dt = time.time() - t0
         tag = f"{variant}({ds},{gs}) = {ord_str(value)} [{dt*1000:.0f}ms]"
         rep.check(value == parse_ord(expected) and dt < 1.0, tag)

@@ -1,4 +1,7 @@
 import json
+import shlex
+
+import pytest
 
 from dilcalc.cli import main
 from dilcalc.suites import CheckReport
@@ -59,6 +62,60 @@ class TestVerbs:
         assert payload["guardAudit"]["rankViolations"] == []
 
 
+# One command per verb with its whole JSON line, as printed before the verbs
+# shared one output path; ``inputs`` echoes only the listed arguments.
+JSON_LINES = [
+    ("classify Id+1",
+     '{"inputs": {"expr": "Id+1"}, "result": {"pred": "Id", "type": "1"}, "verb": "classify"}'),
+    ("decompose Id*w --samples 2",
+     '{"inputs": {"expr": "Id*w"}, "result": {"kind": "limit", "partials": ["0", "Id"]}, '
+     '"verb": "decompose"}'),
+    ("enum omega_head(Id;Id) --x 1 --prefix 4",
+     '{"inputs": {"expr": "omega_head(Id;Id)", "prefix": 4, "x": 1}, "result": '
+     '["w^{r:x0}", "w^{r:x0}+w^{l:x0}", "w^{r:x0}+w^{l:x0}*2", "w^{r:x0}+w^{l:x0}*3"], '
+     '"verb": "enum"}'),
+    ("compare w^2+1 w*3",
+     '{"inputs": {"left": "w^2+1", "right": "w*3"}, "result": "greater", "verb": "compare"}'),
+    ("jeval Id --gamma w --audit --steps",
+     '{"eta": "w*3+1", "guardAudit": {"enlargedEta": "w*4", "identical": true, '
+     '"rankViolations": [], "stepsChecked": 2, "unranked": 0}, "inputs": {"expr": "Id", '
+     '"gamma": "w"}, "steps": [{"clause": "constant", "expr": "0", "value": "w"}, '
+     '{"clause": "constant", "expr": "Const(w)", "value": "w*2"}, {"clause": "separation", '
+     '"expr": "Id", "value": "w*3"}], "value": "w*3", "verb": "jeval", "xi": "w^(w*3+1)+1"}'),
+    ("jprime Id --gamma w",
+     '{"eta": "w*5+1", "inputs": {"expr": "Id", "gamma": "w"}, "value": "w*5", '
+     '"verb": "jprime", "xi": "w^(w*5+1)+1"}'),
+    ("jplus 1 --gamma w",
+     '{"eta": "w^2+1", "inputs": {"expr": "1", "gamma": "w"}, "value": "w^2", '
+     '"verb": "jplus", "xi": "w^2+1"}'),
+    ("psi-enum Const(3) --gamma 0 --depth 2 --prefix 2",
+     '{"inputs": {"depth": 2, "expr": "Const(3)", "gamma": "0"}, "result": ["c[0]", "c[1]"], '
+     '"verb": "psi-enum"}'),
+    ("psi-otp Id --gamma w",
+     '{"inputs": {"expr": "Id", "gamma": "w"}, "value": "w^2", "verb": "psi-otp"}'),
+    ("otp omega[Id] --arg w",
+     '{"inputs": {"arg": "w", "expr": "omega[Id]"}, "value": "w^w", "verb": "otp"}'),
+    ("sep Id+Id --gamma w",
+     '{"inputs": {"expr": "Id+Id", "gamma": "w"}, "value": "Id+Const(w)", "verb": "sep"}'),
+    ("check j-laws",
+     '{"inputs": {"depth": 30, "name": "j-laws", "prefix": 200, "seed": 2024, '
+     '"trials": 10000}, "result": [{"ok": true, "passed": 6, "skipped": 12, '
+     '"suite": "j-laws", "violations": []}], "verb": "check"}'),
+]
+
+
+class TestJsonLines:
+    def test_every_verb_is_pinned(self):
+        verbs = {line.split()[0] for line, _ in JSON_LINES}
+        assert verbs == {"classify", "decompose", "enum", "compare", "jeval", "jprime",
+                         "jplus", "psi-enum", "psi-otp", "otp", "sep", "check"}
+
+    @pytest.mark.parametrize("line,expected", JSON_LINES, ids=[v for v, _ in JSON_LINES])
+    def test_json_line(self, capsys, line, expected):
+        code, out, err = run(capsys, *shlex.split(line), "--format", "json")
+        assert (code, out, err) == (0, expected + "\n", "")
+
+
 class TestExitCodes:
     def test_fragment_error_is_two(self, capsys):
         code, _, err = run(capsys, "jplus", "Id", "--gamma", "w")
@@ -90,6 +147,14 @@ class TestExitCodes:
         assert code == 1
         assert out.splitlines()[0].startswith("FAIL broken:")
         assert "  violation: planted violation" in out.splitlines()
+
+    @pytest.mark.parametrize("opener,closer", [("(", ")"), ("omega[", "]")])
+    def test_deep_nesting_is_three(self, capsys, opener, closer):
+        code, out, err = run(capsys, "classify", opener * 12000 + "Id" + closer * 12000)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error: ")
+        assert "Traceback" not in err
 
     def test_unreadable_run_file_is_three(self, tmp_path, capsys):
         code, out, err = run(capsys, "run", "--file", str(tmp_path / "missing.commands"))

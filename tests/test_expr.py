@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from dilcalc.errors import ParseError
@@ -16,7 +18,7 @@ from dilcalc.expr import (
     parse_expr,
     to_str,
 )
-from dilcalc.ordinal import OMEGA, ONE, ZERO, from_int, parse_ord
+from dilcalc.ordinal import MAX_NESTING, OMEGA, ONE, ZERO, from_int, parse_ord
 
 
 @pytest.mark.parametrize(
@@ -59,6 +61,34 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_dil("Id+shift(Id")
     assert err.value.position is not None
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+# text of bracket depth n, one shape per kind of bracket
+NESTINGS = {
+    "parens": lambda n: "(" * n + "Id" + ")" * n,
+    "omega": lambda n: "omega[" * n + "Id" + "]" * n,
+    "shift": lambda n: "shift(" * n + "Id" + ",1)" * n,
+    "ordinal": lambda n: "Const(" + "w^(" * (n - 1) + "1" + ")" * (n - 1) + ")",
+}
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_nesting_at_the_limit_parses(default_recursion_limit, shape):
+    parse_dil(NESTINGS[shape](MAX_NESTING))
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_nesting_past_the_limit_is_a_parse_error(default_recursion_limit, shape):
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_dil(NESTINGS[shape](MAX_NESTING + 1))
 
 
 def test_sum_normalization_right_greedy():

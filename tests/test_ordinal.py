@@ -107,6 +107,11 @@ class TestArithmetic:
         if a <= b:
             assert ord_add(a, ord_left_sub(a, b)) == b
 
+    @pytest.mark.parametrize("a,b", [("1", "w"), ("w+5", "w*2"), ("w", "w+1"), ("0", "3")])
+    def test_left_sub_refuses_a_greater_left(self, a, b):
+        with pytest.raises(ValueError):
+            ord_left_sub(o(b), o(a))
+
     def test_mul_nat(self):
         assert ord_mul_nat(o("w+1"), 3) == o("w*3+1")
 

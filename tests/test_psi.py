@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from dilcalc.psi import (
     embed_check,
     expr_order_handle,
     psi_clause_otp,
+    psi_enum,
     psi_order_handle,
     term_str,
 )
@@ -220,6 +222,44 @@ class TestTermOrder:
         order = PsiOrder(D_ID, ONE)
         t0 = EId(Left(ZERO))
         assert term_str(order, EId(Right(t0))) == "[0]"
+
+
+class TestHeadDilator:
+    """Collapse orders over an internal head, pinned before its formal-sum
+    rules were shared with omega[...]; they reach the head sort key of
+    PsiOrder._rand_cnf."""
+
+    def test_random_terms_pinned(self):
+        order = PsiOrder(parse_dil("omega_head(Id;Id)"), OMEGA)
+        rng = random.Random(5)
+        drawn = [order.random_term(rng, 2) for _ in range(8)]
+        assert [term_str(order, t) for t in drawn] == [
+            "w^{r:[w^{r:[w^{r:10}]}]}*2+w^{l:3}",
+            "w^{r:3}*2",
+            "w^{r:[w^{r:11}]}+w^{r:[w^{r:6}*2+w^{l:1}*2]}*2",
+            "w^{r:4}*2",
+            "w^{r:7}*2+w^{r:0}*2",
+            "w^{r:6}*2",
+            "w^{r:[w^{r:5}*2]}+w^{l:[w^{r:8}*2]}*2",
+            "w^{r:[w^{r:5}*2]}*2+w^{l:2}*2",
+        ]
+
+    def test_enumeration_pinned(self):
+        order = PsiOrder(parse_dil("omega_head(1;Id)"), ONE)
+        terms = psi_enum(order, 1)
+        assert len(terms) == 126
+        assert [term_str(order, t) for t in terms[:10]] == [
+            "w^{r:0}",
+            "w^{r:0}+w^{l:c[0]}",
+            "w^{r:0}+w^{l:c[0]}*2",
+            "w^{r:0}*2",
+            "w^{r:0}*2+w^{l:c[0]}",
+            "w^{r:0}*2+w^{l:c[0]}*2",
+            "w^{r:[w^{r:0}]}",
+            "w^{r:[w^{r:0}]}+w^{l:c[0]}",
+            "w^{r:[w^{r:0}]}+w^{l:c[0]}*2",
+            "w^{r:[w^{r:0}]}+w^{r:0}",
+        ]
 
 
 def _depth(order, t):
