@@ -11,6 +11,7 @@ oracles the symbolic rules are tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -47,6 +48,7 @@ from .expr import (
     to_str,
 )
 from .ordinal import (
+    EQUAL,
     GREATER,
     LESS,
     LIMIT_SAMPLES,
@@ -348,7 +350,15 @@ def ll_relation(d: Dil, t1, t2) -> str:
 
 
 def important_index(d: Dil, t) -> int:
-    """The unique argument slot whose increase strictly increases the value."""
+    """The unique argument slot whose increase strictly increases the value.
+
+    Each embedding f of the n support points into 2n points is applied once,
+    and the images are ranked under ``compare_elements``, equal images
+    sharing a dense rank.  Slot i wins iff rank[f] < rank[g] for every pair
+    of embeddings with f[i] < g[i].  This assumes ``compare_elements`` is a
+    total order on well-formed elements: then rank[f] < rank[g] holds exactly
+    when the image under f compares LESS than the image under g.
+    """
     if not is_connected_atom(d):
         raise NotConnected(f"{to_str(d)} is not connected and non-unit")
     pts = support_of(d, t)
@@ -356,21 +366,25 @@ def important_index(d: Dil, t) -> int:
     if n == 0:
         raise NotConnected("nullary trace term in a connected non-unit expression")
     embs = _embeddings(n, 2 * n)
-    winners = []
-    for i in range(n):
-        ok = True
-        for f in embs:
-            for g in embs:
-                if f[i] < g[i]:
-                    e1 = apply_embedding(d, t, {p: f[j] for j, p in enumerate(pts)})
-                    e2 = apply_embedding(d, t, {p: g[j] for j, p in enumerate(pts)})
-                    if compare_elements(d, e1, e2) != LESS:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            winners.append(i)
+    images = [apply_embedding(d, t, {p: f[j] for j, p in enumerate(pts)}) for f in embs]
+    order = sorted(
+        range(len(images)),
+        key=functools.cmp_to_key(lambda a, b: compare_elements(d, images[a], images[b])),
+    )
+    rank = [0] * len(images)
+    for prev, k in zip(order, order[1:]):
+        same = compare_elements(d, images[prev], images[k]) == EQUAL
+        rank[k] = rank[prev] if same else rank[prev] + 1
+    winners = [
+        i
+        for i in range(n)
+        if all(
+            rank[a] < rank[b]
+            for a, f in enumerate(embs)
+            for b, g in enumerate(embs)
+            if f[i] < g[i]
+        )
+    ]
     if len(winners) != 1:
         raise NoUniqueIndex(f"candidates {winners} for {to_str(d)}")
     return winners[0]

@@ -243,14 +243,12 @@ def _answer(args):
 
 
 def main(argv=None) -> int:
+    limit = sys.getrecursionlimit()
     sys.setrecursionlimit(20000)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _dispatch(build_parser().parse_args(argv))
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
-    try:
-        return _dispatch(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         if exc.expected:
@@ -262,6 +260,8 @@ def main(argv=None) -> int:
     except (DilcalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

@@ -226,7 +226,7 @@ class PsiOrder:
             if expr.value.is_zero():
                 raise _DeadEnd()
             bound = expr.value
-            pool = [v for v in _grid_values(bound, 6)]
+            pool = _grid_values(bound, 6)
             if not pool:
                 raise _DeadEnd()
             return EConst(rng.choice(pool))

@@ -286,8 +286,18 @@ class EnumBudget:
     grid: int = 8
 
 
-def _grid_values(bound: Ord, size: int) -> list:
-    """A small sample of ordinals below ``bound``, always starting 0,1,2,..."""
+def _grid_values(bound: Ord, size: int) -> tuple:
+    """A small sample of ordinals below ``bound``, always starting 0,1,2,...
+
+    Memoized on ``(bound, size)``.  This plain function stays in front of
+    the cache so that per-call tracing (``perfbench/tracer.py`` wraps plain
+    functions only) still counts every call.
+    """
+    return _grid(bound, size)
+
+
+@functools.lru_cache(maxsize=256)
+def _grid(bound: Ord, size: int) -> tuple:
     seeds = [ZERO]
     partial = ZERO
     for exp, coeff in bound.terms:
@@ -305,7 +315,7 @@ def _grid_values(bound: Ord, size: int) -> list:
                 v = ord_add(v, ONE)
             else:
                 break
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):

@@ -657,9 +657,16 @@ CHECKS = {
 }
 
 
+def _timed(check, **opts) -> CheckReport:
+    start = time.perf_counter()
+    rep = check(**opts)
+    rep.duration = time.perf_counter() - start
+    return rep
+
+
 def run_check(name: str, **opts) -> list:
     if name == "all":
-        return [fn(**opts) for fn in CHECKS.values()]
+        return [_timed(fn, **opts) for fn in CHECKS.values()]
     if name not in CHECKS:
         raise DilcalcError(f"unknown check suite {name!r}; known: {', '.join(CHECKS)}, all")
-    return [CHECKS[name](**opts)]
+    return [_timed(CHECKS[name], **opts)]

@@ -2,7 +2,7 @@
 
 import time
 
-from dilcalc.suites import run_check
+from dilcalc.suites import CheckReport, run_check
 
 
 def _run(name, budget_seconds, **opts):
@@ -54,3 +54,14 @@ def test_criterion_6_order_sanity():
 
 def test_criterion_7_wellfoundedness():
     _run("wellfounded-fuzz", 60, trials=10000, depth=30, seed=2024)
+
+
+def test_run_check_times_each_suite(monkeypatch):
+    def slow(**_opts):
+        time.sleep(0.01)
+        return CheckReport("slow")
+
+    monkeypatch.setattr("dilcalc.suites.CHECKS", {"slow": slow, "also-slow": slow})
+    for name in ("slow", "all"):
+        reports = run_check(name)
+        assert reports and all(r.duration >= 0.01 for r in reports)

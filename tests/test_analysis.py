@@ -1,8 +1,13 @@
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilcalc.analysis import (
     EQUIVALENT,
     MUCH_LESS,
+    _embeddings,
     classify,
     components,
     decompose,
@@ -16,7 +21,7 @@ from dilcalc.analysis import (
     shift,
 )
 from dilcalc.coherence import limit_prefix_inject, prefix_inject, top_inject
-from dilcalc.errors import NotConnected, NotTypeOmega
+from dilcalc.errors import NoUniqueIndex, NotConnected, NotTypeOmega
 from dilcalc.expr import (
     CnfHead,
     Const,
@@ -24,10 +29,11 @@ from dilcalc.expr import (
     D_ONE,
     D_ZERO,
     Sep,
+    is_connected_atom,
     parse_dil,
     to_str,
 )
-from dilcalc.ordinal import OMEGA, ONE, ZERO, from_int, ord_str, parse_ord
+from dilcalc.ordinal import EQUAL, GREATER, LESS, OMEGA, ONE, ZERO, from_int, ord_str, parse_ord
 from dilcalc.semantics import (
     ECnf,
     EConst,
@@ -35,8 +41,11 @@ from dilcalc.semantics import (
     ESum,
     EnumBudget,
     Right,
+    apply_embedding,
+    compare_elements,
     enum_elements,
     prefix_elements,
+    support_of,
 )
 
 w = OMEGA
@@ -260,3 +269,134 @@ class TestTraceRelations:
             for term, arity in enum_trace_terms(atom, 4, budget):
                 if arity:
                     important_index(atom, term)  # raises on non-uniqueness
+
+
+# ---------------------------------------------------------------------------
+# important_index against the triple loop it replaced
+
+# the atoms and the trace-term budget of the order-sanity suite
+ORDER_SANITY_ATOMS = [D_ID, H0, HID, CnfHead(D_ONE, H0)]
+TRACE_BUDGET = EnumBudget(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
+# the two arity-5 witnesses of the order-sanity suite
+ARITY5_WITNESSES = [
+    (H0, ECnf(tuple((ESum(1, EId(Right(i))), 1) for i in reversed(range(5))))),
+    (
+        HID,
+        ECnf(
+            ((ESum(1, EId(Right(0))), 1),)
+            + tuple((ESum(0, EId(Right(i))), 1) for i in (4, 3, 2, 1))
+        ),
+    ),
+]
+
+
+def reference_important_index(d, t) -> int:
+    """The rule important_index had before it ranked images: for each slot
+    i, compare the images of every pair of embeddings with f[i] < g[i]
+    directly, and drop the slot at the first pair that is not LESS.  The
+    loop used to apply both embeddings for every (slot, f, g) triple;
+    ``apply_embedding`` is pure, so here each image is memoized, which only
+    saves time."""
+    if not is_connected_atom(d):
+        raise NotConnected(f"{to_str(d)} is not connected and non-unit")
+    pts = support_of(d, t)
+    n = len(pts)
+    if n == 0:
+        raise NotConnected("nullary trace term in a connected non-unit expression")
+    embs = _embeddings(n, 2 * n)
+    images = {}
+
+    def image(f):
+        key = tuple(f.values())
+        if key not in images:
+            images[key] = apply_embedding(d, t, {p: f[j] for j, p in enumerate(pts)})
+        return images[key]
+
+    winners = []
+    for i in range(n):
+        ok = True
+        for f in embs:
+            for g in embs:
+                if f[i] < g[i]:
+                    if compare_elements(d, image(f), image(g)) != LESS:
+                        ok = False
+                        break
+            if not ok:
+                break
+        if ok:
+            winners.append(i)
+    if len(winners) != 1:
+        raise NoUniqueIndex(f"candidates {winners} for {to_str(d)}")
+    return winners[0]
+
+
+def _outcome(index_fn, d, t):
+    try:
+        return index_fn(d, t)
+    except NoUniqueIndex:
+        return NoUniqueIndex
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_terms(atom, max_arity):
+    return [(t, n) for t, n in enum_trace_terms(atom, max_arity, TRACE_BUDGET) if n]
+
+
+class TestImportantIndexRanking:
+    @pytest.mark.parametrize("atom", ORDER_SANITY_ATOMS, ids=to_str)
+    def test_matches_reference_up_to_arity_3(self, atom):
+        terms = _trace_terms(atom, 3)
+        assert terms
+        for t, _ in terms:
+            assert _outcome(important_index, atom, t) == _outcome(
+                reference_important_index, atom, t
+            ), t
+
+    def test_matches_reference_on_arity_4_terms(self):
+        atom = ORDER_SANITY_ATOMS[-1]
+        terms = [t for t, n in _trace_terms(atom, 4) if n == 4]
+        assert len(terms) > 120
+        for t in terms[::24]:
+            assert important_index(atom, t) == reference_important_index(atom, t), t
+
+    @pytest.mark.parametrize("atom,term", ARITY5_WITNESSES, ids=["head", "composite-head"])
+    def test_matches_reference_on_arity_5_witnesses(self, atom, term):
+        assert important_index(atom, term) == reference_important_index(atom, term)
+
+    def test_tied_images_share_a_rank(self, monkeypatch):
+        # under a comparison that ties every pair of images, no slot wins
+        def tie(d, x, y, pos_cmp=None):
+            return EQUAL
+
+        monkeypatch.setattr("dilcalc.analysis.compare_elements", tie)
+        monkeypatch.setitem(globals(), "compare_elements", tie)
+        for atom, term in ARITY5_WITNESSES[:1] + [(D_ID, EId(Right(0)))]:
+            assert _outcome(important_index, atom, term) is NoUniqueIndex
+            assert _outcome(reference_important_index, atom, term) is NoUniqueIndex
+
+
+@functools.lru_cache(maxsize=None)
+def _ranked_terms():
+    return [(atom, t) for atom in ORDER_SANITY_ATOMS for t, _ in _trace_terms(atom, 4)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compare_is_a_total_order_on_ranked_images(data):
+    """The rank rule of important_index needs a total order on its images."""
+    # indices, not sampled_from: hashing the terms would dominate the run
+    terms = _ranked_terms()
+    atom, term = terms[data.draw(st.integers(0, len(terms) - 1))]
+    pts = support_of(atom, term)
+    embs = _embeddings(len(pts), 2 * len(pts))
+    picks = data.draw(st.lists(st.integers(0, len(embs) - 1), min_size=3, max_size=3))
+    x, y, z = (
+        apply_embedding(atom, term, {p: embs[k][j] for j, p in enumerate(pts)})
+        for k in picks
+    )
+    xy, yx = compare_elements(atom, x, y), compare_elements(atom, y, x)
+    assert xy == -yx
+    assert (xy == EQUAL) == (x == y)
+    yz, xz = compare_elements(atom, y, z), compare_elements(atom, x, z)
+    if GREATER not in (xy, yz):
+        assert xz == (EQUAL if xy == yz == EQUAL else LESS)

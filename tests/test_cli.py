@@ -1,5 +1,6 @@
 import json
 import shlex
+import sys
 
 import pytest
 
@@ -161,6 +162,22 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ")
+
+
+class TestRecursionLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare", "1", "2"], ["jeval", "Id+", "--gamma", "w"], ["nonsense"]],
+        ids=["answer", "parse-error", "usage-error"],
+    )
+    def test_main_restores_the_limit(self, capsys, argv):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1500)
+        try:
+            run(capsys, *argv)
+            assert sys.getrecursionlimit() == 1500
+        finally:
+            sys.setrecursionlimit(old)
 
 
 class TestDeterminism:
