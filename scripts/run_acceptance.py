@@ -3,7 +3,6 @@
 
 import argparse
 import sys
-import time
 
 from dilcalc.suites import CHECKS, run_check
 
@@ -20,7 +19,6 @@ def main() -> int:
     names = [args.only] if args.only else list(CHECKS)
     worst = 0
     for name in names:
-        start = time.time()
         reports = run_check(
             name,
             prefix=args.prefix,
@@ -33,7 +31,7 @@ def main() -> int:
             print(
                 f"{status} {rep.name}: {len(rep.details)} checks, "
                 f"{len(rep.skips)} skips, {len(rep.violations)} violations "
-                f"({time.time() - start:.1f}s)"
+                f"({rep.duration:.1f}s)"
             )
             for line in rep.violations:
                 print(f"    violation: {line}")

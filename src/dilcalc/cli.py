@@ -2,8 +2,10 @@
 
 Verbs map one-to-one onto kernel operations; ``check`` runs a named
 acceptance suite and ``run --file`` replays a line-oriented scenario.
-Exit codes: 0 success, 1 failed check, 2 outside the supported fragment,
-3 parse or usage error (an unreadable scenario file included).
+Exit codes: 0 success, 1 failed check, 2 outside the supported fragment
+or refused (a budget, depth or recursion limit reached; one stderr line
+``refused: <Type>: <message>``), 3 parse or usage error (an unreadable
+scenario file included).
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ import shlex
 import sys
 
 from .analysis import classify, components, decompose, otp_symbolic, sep
-from .errors import FRAGMENT_ERRORS, DilcalcError, ParseError, UnsupportedDecomposition
+from .errors import (
+    FRAGMENT_ERRORS,
+    BudgetExceeded,
+    DepthExceeded,
+    DilcalcError,
+    ParseError,
+    UnsupportedDecomposition,
+)
 from .expr import parse_dil, to_str
 from .jfunctor import EVALUATORS, j_guard_report
 from .ordinal import ord_cmp, ord_str, parse_ord
@@ -256,6 +265,9 @@ def main(argv=None) -> int:
         return 3
     except FRAGMENT_ERRORS as exc:
         print(f"outside supported fragment: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except (BudgetExceeded, DepthExceeded, RecursionError) as exc:
+        print(f"refused: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (DilcalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

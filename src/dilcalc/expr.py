@@ -40,6 +40,10 @@ from .ordinal import (
 )
 
 
+# ``D*n`` expands to n summands, so the parser refuses larger multipliers
+MAX_MULTIPLIER = 100_000
+
+
 class Dil:
     """Base class for dilator expression nodes."""
 
@@ -445,16 +449,23 @@ def _parse_term(sc: _Scanner) -> Dil:
             sc.take("w")
             value = mk_mul_omega(value)
         else:
-            value = mk_mul_nat(value, sc.nat())
+            start = sc.pos
+            n = sc.nat()
+            if n > MAX_MULTIPLIER:
+                raise ParseError(
+                    f"multiplier {n} at position {start} exceeds {MAX_MULTIPLIER}", start
+                )
+            value = mk_mul_nat(value, n)
     return value
 
 
 def _parse_dil(sc: _Scanner) -> Dil:
-    total = _parse_term(sc)
+    # fold once at the end: folding per summand re-walks the growing sum
+    terms = [_parse_term(sc)]
     while sc.peek() == "+":
         sc.take("+")
-        total = mk_sum(total, _parse_term(sc))
-    return total
+        terms.append(_parse_term(sc))
+    return mk_sum_all(terms)
 
 
 def parse_dil(text: str) -> Dil:

@@ -429,7 +429,10 @@ class _Scanner:
             self.pos += 1
         if start == self.pos:
             raise ParseError(f"expected a natural at position {start}", start, ["digit"])
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"natural at position {start} has too many digits", start) from None
 
 
 def _parse_ord_sum(sc: _Scanner) -> Ord:

@@ -53,13 +53,13 @@ from .semantics import (
     EnumBudget,
     Left,
     Right,
+    _gen,
     _grid_values,
     band_member,
     compare_elements,
     default_pos_cmp,
     element_positions,
     element_str,
-    enum_elements,
     prefix_elements,
     sep_member,
     validate_element,
@@ -177,27 +177,70 @@ class PsiOrder:
     # -- enumeration
 
     def enum(self, depth: int = 2, budget: EnumBudget = None):
-        """All valid terms of nesting depth <= depth, sorted ascending."""
+        """All valid terms of nesting depth <= depth, sorted ascending.
+
+        Level L lists every budgeted element over the terms known after the
+        levels before it.  Each point of such a candidate is one of those
+        term objects, so points are compared by rank, not by recursion into
+        their sub-terms: after each level the known terms are sorted once
+        and each term's index is stored under ``id(term)``.  This relies on
+        ``compare`` being a strict total order on valid terms, in which
+        EQUAL means identical, so ranks order points exactly as ``compare``
+        does.
+
+        Level 0 keeps every valid candidate.  At a later level a candidate
+        is new iff one of its points was accepted at the level before: one
+        whose points are all older was already a candidate then, and
+        validity does not depend on the level.  A candidate is checked by
+        the rules of ``valid``; its sub-terms are known terms, already valid.
+        """
         budget = budget or EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
         lefts = _grid_values(self.gamma, budget.grid)
-        known: list = []
-        seen = set()
-        for _level in range(depth + 1):
-            fresh = []
-            for cand in enum_elements(
-                self.dilator, known, budget, lefts=lefts, pos_cmp=self.pos_cmp
+        rank: dict = {}
+
+        def pos_cmp(p, q):
+            if isinstance(p, Right) and isinstance(q, Right):
+                a, b = rank[id(p.point)], rank[id(q.point)]
+                return LESS if a < b else GREATER if a > b else EQUAL
+            return default_pos_cmp(p, q)
+
+        def compare(t1, t2):
+            return compare_elements(self.dilator, t1, t2, pos_cmp)
+
+        def accepts(t, last) -> bool:
+            positions = element_positions(self.dilator, t)
+            if last is not None and not any(
+                isinstance(p, Right) and id(p.point) in last for p in positions
             ):
-                if cand in seen:
-                    continue
-                if self.valid(cand):
-                    seen.add(cand)
-                    fresh.append(cand)
+                return False
+            try:
+                validate_element(self.dilator, t, pos_cmp)
+            except MalformedElement:
+                return False
+            for p in positions:
+                if isinstance(p, Left):
+                    if not p.value < self.gamma:
+                        return False
+                elif compare(p.point, t) != LESS:
+                    return False
+            return True
+
+        known: list = []
+        last = None  # ids of the terms accepted at the level before
+        for _level in range(depth + 1):
+            cands = _gen(self.dilator, known, budget, lefts, pos_cmp)
+            if len(cands) > budget.max_count:
+                raise BudgetExceeded(f"{len(cands)} elements exceed cap {budget.max_count}")
+            fresh = [t for t in cands if accepts(t, last)]
             if not fresh:
                 break
-            known.extend(fresh)
+            known = known + fresh
             if len(known) > budget.max_count:
                 raise BudgetExceeded("term universe exceeds the budget")
-        return sorted(known, key=functools.cmp_to_key(self.compare))
+            known.sort(key=functools.cmp_to_key(compare))
+            rank = {id(t): i for i, t in enumerate(known)}
+            last = {id(t) for t in fresh}
+        return known
 
     # -- random generation
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from dilcalc.cli import main
+from dilcalc.errors import DepthExceeded
 from dilcalc.suites import CheckReport
 
 
@@ -156,6 +157,38 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("parse error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,refusal",
+        [
+            (["classify", "Id*12000"], "refused: RecursionError: "),
+            (["psi-enum", "omega[Id]", "--gamma", "1"],
+             "refused: BudgetExceeded: formal-sum budget overflow\n"),
+        ],
+        ids=["recursion", "budget"],
+    )
+    def test_refusal_is_two(self, capsys, argv, refusal):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(refusal)
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_depth_refusal_is_two(self, capsys, monkeypatch):
+        def exhausted(*_args):
+            raise DepthExceeded("collapse recursion exceeded its step budget")
+
+        monkeypatch.setattr("dilcalc.cli.psi_clause_otp", exhausted)
+        code, out, err = run(capsys, "psi-otp", "Id", "--gamma", "w")
+        assert (code, out) == (2, "")
+        assert err == "refused: DepthExceeded: collapse recursion exceeded its step budget\n"
+
+    @pytest.mark.parametrize("multiplier", ["1000000000", "1" * 5000])
+    def test_huge_multiplier_is_three(self, capsys, multiplier):
+        code, out, err = run(capsys, "classify", "Id*" + multiplier)
+        assert (code, out) == (3, "")
+        assert err.startswith("parse error: ")
 
     def test_unreadable_run_file_is_three(self, tmp_path, capsys):
         code, out, err = run(capsys, "run", "--file", str(tmp_path / "missing.commands"))

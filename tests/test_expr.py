@@ -1,7 +1,10 @@
+import functools
+import random
 import sys
 
 import pytest
 
+import dilcalc.expr as expr_module
 from dilcalc.errors import ParseError
 from dilcalc.expr import (
     CnfHead,
@@ -12,8 +15,11 @@ from dilcalc.expr import (
     is_connected_atom,
     is_max_dominated,
     mk_band,
+    mk_mul_nat,
     mk_sep_plus,
     mk_shift,
+    mk_sum,
+    mk_sum_all,
     parse_dil,
     parse_expr,
     to_str,
@@ -89,6 +95,44 @@ def test_nesting_at_the_limit_parses(default_recursion_limit, shape):
 def test_nesting_past_the_limit_is_a_parse_error(default_recursion_limit, shape):
     with pytest.raises(ParseError, match="nested deeper"):
         parse_dil(NESTINGS[shape](MAX_NESTING + 1))
+
+
+def _random_summand(rng):
+    atom = rng.choice(["0", "1", "Id", "Const(2)", "Const(w)", "Const(w^2+3)", "omega[Id]",
+                       "(Id+1)", "(1+Id+Const(w))", "(0+Id)", "shift(Id,w)"])
+    return atom + rng.choice(["", "", "*2", "*w"])
+
+
+def test_sum_parse_equals_the_summand_fold():
+    # the parser folds its summands once; the result must be the normal form
+    # that folding them one at a time from the left gives
+    rng = random.Random(7)
+    for _ in range(300):
+        summands = [_random_summand(rng) for _ in range(rng.randint(1, 12))]
+        parts = [parse_dil(t) for t in summands]
+        expected = functools.reduce(mk_sum, parts)
+        assert parse_dil("+".join(summands)) == expected == mk_sum_all(parts)
+
+
+def test_sum_parse_is_linear(monkeypatch):
+    calls = [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return mk_sum(a, b)
+
+    monkeypatch.setattr(expr_module, "mk_sum", counting)
+    n = 200
+    parsed = parse_dil("+".join(["Id"] * n))
+    assert calls[0] <= 2 * n
+    assert parsed == mk_mul_nat(D_ID, n)
+
+
+def test_multiplier_cap(monkeypatch):
+    monkeypatch.setattr(expr_module, "MAX_MULTIPLIER", 5)
+    assert to_str(parse_dil("Id*5")) == "Id+Id+Id+Id+Id"
+    with pytest.raises(ParseError, match="multiplier 6 at position 3 exceeds 5"):
+        parse_dil("Id*6")
 
 
 def test_sum_normalization_right_greedy():

@@ -1,9 +1,11 @@
+import functools
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from dilcalc.errors import OutOfNotation
+from dilcalc.errors import BudgetExceeded, DilcalcError, OutOfNotation
 from dilcalc.expr import D_ID, mk_band, parse_dil
 from dilcalc.ordinal import OMEGA, ONE, ZERO, from_int, ord_add, ord_str, parse_ord  # noqa: F401
 from dilcalc.psi import (
@@ -28,6 +30,8 @@ from dilcalc.semantics import (
     _grid_values,
     enum_elements,
 )
+
+DEFAULT_ENUM_BUDGET = EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
 
 w = OMEGA
 
@@ -131,7 +135,7 @@ class TestTermOrder:
     def test_enum_independent_of_point_order(self):
         # each enumeration round lists candidates over the terms known so far;
         # the sorted candidates must not depend on the order of those terms
-        budget = EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
+        budget = DEFAULT_ENUM_BUDGET
         for text, gamma in [("omega[Id]", "0"), ("Id", "2"), ("Id+1", "1")]:
             order = PsiOrder(parse_dil(text), parse_ord(gamma))
             lefts = _grid_values(order.gamma, budget.grid)
@@ -222,6 +226,80 @@ class TestTermOrder:
         order = PsiOrder(D_ID, ONE)
         t0 = EId(Left(ZERO))
         assert term_str(order, EId(Right(t0))) == "[0]"
+
+
+def reference_enum(order, depth=2, budget=None):
+    """The enumeration as it was before levels were ranked: every
+    candidate of every level is sorted, deduplicated against all accepted
+    terms and checked by the recursive ``PsiOrder.valid``."""
+    budget = budget or DEFAULT_ENUM_BUDGET
+    lefts = _grid_values(order.gamma, budget.grid)
+    known: list = []
+    seen = set()
+    for _level in range(depth + 1):
+        fresh = []
+        for cand in enum_elements(
+            order.dilator, known, budget, lefts=lefts, pos_cmp=order.pos_cmp
+        ):
+            if cand in seen:
+                continue
+            if order.valid(cand):
+                seen.add(cand)
+                fresh.append(cand)
+        if not fresh:
+            break
+        known.extend(fresh)
+        if len(known) > budget.max_count:
+            raise BudgetExceeded("term universe exceeds the budget")
+    return sorted(known, key=functools.cmp_to_key(order.compare))
+
+
+def _enum_outcome(enumerate_terms, order, depth, budget):
+    try:
+        return [term_str(order, t) for t in enumerate_terms(order, depth, budget)]
+    except DilcalcError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+RANKED_ENUM_EXPRS = ["Const(3)", "Id", "Id*2", "Id+1", "omega[Id]", "omega[Id]+Id",
+                     "Const(w)+Id", "omega_head(0;Id)"]
+# at the default budget these redo depth 2 (0.1-0.3 s in the reference)
+# before depth 3 overflows the formal-sum budget; they stop at depth 2
+DEPTH_2_ONLY = {("omega[Id]", "1"), ("omega[Id]+Id", "1"), ("omega_head(0;Id)", "1")}
+
+
+class TestRankedEnumeration:
+    """``PsiOrder.enum`` ranks each level once; it must list the same terms
+    in the same order, or refuse with the same error, as the reference."""
+
+    @pytest.mark.parametrize("budget", [None, EnumBudget(max_count=300)], ids=["default", "cap300"])
+    @pytest.mark.parametrize("gamma", ["0", "1", "w"])
+    @pytest.mark.parametrize("text", RANKED_ENUM_EXPRS)
+    def test_same_terms_as_reference(self, text, gamma, budget):
+        order = PsiOrder(parse_dil(text), parse_ord(gamma))
+        deepest = 2 if budget is None and (text, gamma) in DEPTH_2_ONLY else 3
+        for depth in range(deepest + 1):
+            assert _enum_outcome(PsiOrder.enum, order, depth, budget) == _enum_outcome(
+                reference_enum, order, depth, budget
+            ), (text, gamma, depth)
+
+    # the four benchmark enumerations at depth 2: count and sha1 of the
+    # rendered terms, one per line, taken before levels were ranked
+    @pytest.mark.parametrize(
+        "text,gamma,count,digest",
+        [
+            ("omega[Id]+Id", "1", 2352, "9aa7745b53b6d8af5a071f14540e0d6feb115d89"),
+            ("omega[Id]", "0", 19, "02df1787c7746038b505d096f02df14f28314abc"),
+            ("Id*2", "w", 54, "5c88f574f48168b1819ee0acbdf2a4341e195426"),
+            ("Const(w)+Id", "w^2", 42, "3508c81162741a22755d146c3f9cb40c0ea5b76d"),
+        ],
+    )
+    def test_benchmark_enumerations_pinned(self, text, gamma, count, digest):
+        order = PsiOrder(parse_dil(text), parse_ord(gamma))
+        terms = psi_enum(order, 2)
+        rendered = "\n".join(term_str(order, t) for t in terms)
+        assert len(terms) == count
+        assert hashlib.sha1(rendered.encode()).hexdigest() == digest
 
 
 class TestHeadDilator:
