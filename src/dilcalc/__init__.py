@@ -61,6 +61,5 @@ from .semantics import (
     prefix_elements,
     support_of,
 )
-from .suites import CHECKS, run_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

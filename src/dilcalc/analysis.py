@@ -330,7 +330,7 @@ def ll_relation(d: Dil, t1, t2) -> str:
         c = compare_elements(d, t1, t2)
         if c == LESS:
             return MUCH_LESS
-        return EQUIVALENT if c == 0 else MUCH_GREATER
+        return EQUIVALENT if c == EQUAL else MUCH_GREATER
     emb1, emb2 = _embeddings(n1, big), _embeddings(n2, big)
     all_less = all(
         compare_elements(d, apply_embedding(d, t1, f), apply_embedding(d, t2, g))

@@ -26,10 +26,9 @@ from .errors import (
 )
 from .expr import parse_dil, to_str
 from .jfunctor import EVALUATORS, j_guard_report
-from .ordinal import ord_cmp, ord_str, parse_ord
+from .ordinal import EQUAL, GREATER, LESS, ord_cmp, ord_str, parse_ord
 from .psi import PsiOrder, psi_clause_otp, term_str
 from .semantics import element_str, prefix_elements
-from .suites import run_check
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,7 +175,7 @@ def _answer(args):
         return {"result": shown}, shown, 0
     if verb == "compare":
         c = ord_cmp(parse_ord(args.left), parse_ord(args.right))
-        word = {(-1): "less", 0: "equal", 1: "greater"}[c]
+        word = {LESS: "less", EQUAL: "equal", GREATER: "greater"}[c]
         return {"result": word}, [word], 0
     if verb in ("jeval", "jprime", "jplus"):
         evaluator = EVALUATORS["j" if verb == "jeval" else verb]
@@ -222,6 +221,8 @@ def _answer(args):
         value = to_str(sep(parse_dil(args.expr), parse_ord(args.gamma)))
         return {"value": value}, [value], 0
     if verb == "check":
+        from .suites import run_check  # only this verb needs the suites
+
         reports = run_check(
             args.name,
             prefix=args.prefix,

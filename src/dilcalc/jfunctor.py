@@ -4,9 +4,13 @@ The evaluator recurses along the classification: type 0 returns the
 argument, type 1 adds one, limit types take the exact supremum along the
 fundamental sequence of partial sums, and top-type expressions split as
 alpha + beta through separation of variables (J separates at 0, the primed
-variant at omega).  Guards are certificates computed after the fact: eta
-bounds the value, xi bounds the order type at omega^(1+eta), and the audit
-re-checks that recorded recursion steps strictly decrease in rank.
+variant at omega).  Each evaluated sub-expression is recorded once, as a
+``JStep`` with its clause, the child it recursed into last and its value;
+``JResult.steps`` lists every one of them in post-order, root last, with no
+cap beyond the session's ``depth_cap``.  Guards are certificates computed
+after the fact: eta bounds the value, xi bounds the order type at
+omega^(1+eta), and the audit re-checks that every recorded step strictly
+decreases in rank.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analysis import classify, otp_symbolic
-from .errors import DepthExceeded, FRAGMENT_ERRORS, GuardViolation, UnsupportedLimit
+from .errors import DepthExceeded, FRAGMENT_ERRORS, GuardViolation
 from .expr import Const, D_ONE, Dil, _split_trailing, mk_omega_comp, mk_sum, to_str
 from .ordinal import (
     LIMIT_SAMPLES,
@@ -27,8 +31,6 @@ from .ordinal import (
     ord_omega_pow,
     ord_sup_of_sequence,
 )
-
-STEP_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -55,94 +57,76 @@ class JResult:
 
 
 class _Session:
-    def __init__(self, variant: str, depth_cap: int = 10000):
-        self.variant = variant
+    """One guarded recursion of J or J' at one argument gamma.
+
+    Every recursive call passes the session's gamma unchanged, so gamma is
+    fixed here and the memo is keyed by the expression alone.  The memo is
+    also the step log: it maps each evaluated expression to its ``JStep``,
+    stored once its children are done, so insertion order is post-order and
+    the root comes last.  ``depth_cap`` bounds the number of entries.
+    """
+
+    def __init__(self, gamma: Ord, first_cut: Ord, depth_cap: int = 10000):
+        self.gamma = gamma
+        self.first_cut = first_cut
         self.memo = {}
-        self.steps = []
         self.calls = 0
         self.depth_cap = depth_cap
 
-    def record(self, parent, clause, child, value):
-        if len(self.steps) < STEP_CAP:
-            self.steps.append(JStep(parent, clause, child, value))
-
-    def eval(self, d: Dil, gamma: Ord) -> Ord:
-        key = (d, gamma)
-        if key in self.memo:
-            return self.memo[key]
+    def eval(self, d: Dil) -> Ord:
+        step = self.memo.get(d)
+        if step is not None:
+            return step.value
         self.calls += 1
         if self.calls > self.depth_cap:
             raise DepthExceeded(f"evaluation exceeded {self.depth_cap} steps")
+        child = None
         if isinstance(d, Const):
             # closed form: unfolding the successor and limit clauses along a
             # constant gives gamma + value; keeps nested limits tractable
-            value = ord_add(gamma, d.value)
-            self.record(d, "constant", None, value)
-            self.memo[key] = value
-            return value
-        rest, last = _split_trailing(d)
-        if rest is not None and isinstance(last, Const):
-            # composition along the last summand; same closed form
-            value = ord_add(self.eval(rest, gamma), last.value)
-            self.record(d, "constant-tail", rest, value)
-            self.memo[key] = value
-            return value
-        tc = classify(d)
-        if tc.kind == "0":
-            value = gamma
-            self.record(d, "empty", None, value)
-        elif tc.kind == "1":
-            sub = self.eval(tc.pred, gamma)
-            value = ord_add(sub, ONE)
-            self.record(d, "successor", tc.pred, value)
-        elif tc.kind == "omega":
-            values, last_child = [], None
-            for k in range(LIMIT_SAMPLES):
-                child = tc.fund_seq(k)
-                last_child = child
-                values.append(self.eval(child, gamma))
-            for a, b in zip(values, values[1:]):
-                if a > b:
-                    raise GuardViolation(
-                        f"partial-sum values decreased under {to_str(d)}"
-                    )
-            value = _sup_with_transients(values)
-            self.record(d, "limit", last_child, value)
+            clause, value = "constant", ord_add(self.gamma, d.value)
         else:
-            first_cut = ZERO if self.variant == "j" else OMEGA
-            d_first = tc.sep_fn(first_cut)
-            alpha = self.eval(d_first, gamma)
-            d_second = tc.sep_fn(alpha)
-            beta = self.eval(d_second, gamma)
-            value = ord_add(alpha, beta)
-            self.record(d, "separation", d_second, value)
-        self.memo[key] = value
+            rest, last = _split_trailing(d)
+            tc = None if rest is not None and isinstance(last, Const) else classify(d)
+            if tc is None:
+                # composition along the last summand; same closed form
+                clause, child = "constant-tail", rest
+                value = ord_add(self.eval(rest), last.value)
+            elif tc.kind == "0":
+                clause, value = "empty", self.gamma
+            elif tc.kind == "1":
+                clause, child = "successor", tc.pred
+                value = ord_add(self.eval(child), ONE)
+            elif tc.kind == "omega":
+                clause, values = "limit", []
+                for k in range(LIMIT_SAMPLES):
+                    child = tc.fund_seq(k)
+                    values.append(self.eval(child))
+                for a, b in zip(values, values[1:]):
+                    if a > b:
+                        raise GuardViolation(
+                            f"partial-sum values decreased under {to_str(d)}"
+                        )
+                value = ord_sup_of_sequence(values)
+            else:
+                alpha = self.eval(tc.sep_fn(self.first_cut))
+                clause, child = "separation", tc.sep_fn(alpha)
+                value = ord_add(alpha, self.eval(child))
+        self.memo[d] = JStep(d, clause, child, value)
         return value
 
 
-def _sup_with_transients(values):
-    """Supremum of sampled values, tolerating a short initial transient."""
-    if len(values) >= 3 and all(v == values[-1] for v in values[-3:]):
-        return values[-1]
-    last_error = None
-    for drop in range(0, min(3, len(values) - 3) + 1):
-        try:
-            return ord_sup_of_sequence(values[drop:])
-        except UnsupportedLimit as exc:
-            last_error = exc
-    raise last_error
-
-
 def _run(d: Dil, gamma: Ord, variant: str, depth_cap: int = 10000) -> JResult:
-    session = _Session(variant, depth_cap)
-    value = session.eval(d, gamma)
+    # J separates at 0, the primed variant at omega
+    session = _Session(gamma, ZERO if variant == "j" else OMEGA, depth_cap)
+    value = session.eval(d)
     eta = ord_add(value, ONE)
     xi = None
     try:
         xi = ord_add(otp_symbolic(d, ord_omega_pow(ord_add(ONE, eta))), ONE)
     except FRAGMENT_ERRORS:
         pass
-    return JResult(d, gamma, variant, value, eta, xi, tuple(session.steps))
+    return JResult(d, gamma, variant, value, eta, xi, tuple(session.memo.values()))
 
 
 def j_eval(d: Dil, gamma: Ord, depth_cap: int = 10000) -> JResult:
@@ -165,8 +149,6 @@ EVALUATORS = {"j": j_eval, "jprime": jprime_eval, "jplus": jplus_eval}
 @dataclass(frozen=True)
 class GuardAudit:
     value_identical: bool
-    revalue: Ord
-    eta: Ord
     enlarged_eta: Ord
     steps_checked: int
     rank_violations: tuple
@@ -200,8 +182,6 @@ def j_guard_report(result: JResult) -> GuardAudit:
                 )
     return GuardAudit(
         value_identical=revalue == result.value,
-        revalue=revalue,
-        eta=result.eta,
         enlarged_eta=enlarged,
         steps_checked=checked,
         rank_violations=tuple(violations),

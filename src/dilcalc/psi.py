@@ -193,6 +193,13 @@ class PsiOrder:
         whose points are all older was already a candidate then, and
         validity does not depend on the level.  A candidate is checked by
         the rules of ``valid``; its sub-terms are known terms, already valid.
+
+        The known terms need no cap of their own.  Generation is monotone in
+        the known points, so every known term (all of its points older than
+        the last level) is again a candidate, and every fresh term (a point
+        from the last level) is a candidate too; the two are disjoint, so
+        ``known + fresh`` never outnumbers the candidates, which the cap
+        check has already bounded.
         """
         budget = budget or EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
         lefts = _grid_values(self.gamma, budget.grid)
@@ -235,8 +242,6 @@ class PsiOrder:
             if not fresh:
                 break
             known = known + fresh
-            if len(known) > budget.max_count:
-                raise BudgetExceeded("term universe exceeds the budget")
             known.sort(key=functools.cmp_to_key(compare))
             rank = {id(t): i for i, t in enumerate(known)}
             last = {id(t) for t in fresh}

@@ -43,6 +43,7 @@ from .expr import (
 )
 from .jfunctor import EVALUATORS, j_eval, j_guard_report, jplus_eval, jprime_eval
 from .ordinal import (
+    EQUAL,
     GREATER,
     LESS,
     OMEGA,
@@ -517,7 +518,7 @@ def check_order_sanity(**_opts) -> CheckReport:
         # trichotomy and transitivity
         bad = 0
         for x, y in itertools.combinations(es, 2):
-            if compare_elements(d, x, y) == 0:
+            if compare_elements(d, x, y) == EQUAL:
                 bad += 1
         for x, y, z in itertools.combinations(es, 3):
             if (

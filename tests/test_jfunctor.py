@@ -1,9 +1,13 @@
+import hashlib
+import random
+
 import pytest
 
-from dilcalc.errors import OutOfNotation
-from dilcalc.expr import mk_mul_nat, mk_shift, mk_sum, parse_dil
-from dilcalc.jfunctor import j_eval, j_guard_report, jplus_eval, jprime_eval
-from dilcalc.ordinal import OMEGA, from_int, ord_str, parse_ord
+from dilcalc.errors import DilcalcError, OutOfNotation
+from dilcalc.expr import Band, D_ID, mk_mul_nat, mk_shift, mk_sum, parse_dil, to_str
+from dilcalc.jfunctor import EVALUATORS, j_eval, j_guard_report, jplus_eval, jprime_eval
+from dilcalc.ordinal import OMEGA, ZERO, from_int, ord_str, parse_ord
+from dilcalc.suites import J_SUITE
 
 w = OMEGA
 
@@ -162,3 +166,85 @@ class TestLaws:
         assert (
             j_eval(parse_dil("Id*2"), w).value <= j_eval(parse_dil("Id*3"), w).value
         )
+
+
+def _render(name, d, gs, evaluator, depth_cap=10000):
+    """Value, guards, full step log and guard audit of one evaluation, or
+    its refusal as ``type: message``."""
+    head = f"{name} {to_str(d)} @ {gs}"
+    try:
+        res = evaluator(d, parse_ord(gs), depth_cap=depth_cap)
+    except DilcalcError as exc:
+        return [f"{head} ! {type(exc).__name__}: {exc}"]
+    xi = ord_str(res.xi) if res.xi is not None else None
+    lines = [f"{head} = {ord_str(res.value)} eta={ord_str(res.eta)} xi={xi}"]
+    for s in res.steps:
+        child = to_str(s.child) if s.child is not None else "-"
+        lines.append(f"  [{s.clause}] {to_str(s.parent)} <- {child} = {ord_str(s.value)}")
+    audit = j_guard_report(res)
+    lines.append(
+        f"  audit {audit.value_identical} {ord_str(audit.enlarged_eta)} "
+        f"{audit.steps_checked} {audit.rank_violations} {audit.unranked_steps}"
+    )
+    return lines
+
+
+class TestStepLog:
+    ATOMS = ["0", "1", "Const(3)", "Const(w)", "Id", "Id+1", "Id*2", "Id*w",
+             "omega[Id]", "Const(w)+Id", "omega[Id*2]", "1*w", "(Id*w)*w"]
+    GAMMAS = ["0", "1", "w", "w^2"]
+
+    @classmethod
+    def grid(cls):
+        """(name, expr, gamma, evaluator, depth_cap) over seeded sums of
+        atoms, plus two raw bands of Id: parsed expressions do not reach
+        the empty and successor clauses, these bands do."""
+        rng = random.Random(2024)
+        texts = list(cls.ATOMS) + [
+            "+".join(rng.choice(cls.ATOMS) for _ in range(rng.randint(2, 3)))
+            for _ in range(16)
+        ]
+        cases = []
+        for i, text in enumerate(texts):
+            d, gs = parse_dil(text), cls.GAMMAS[i % len(cls.GAMMAS)]
+            cases += [(name, d, gs, fn, 10000) for name, fn in EVALUATORS.items()]
+        two = parse_ord("2")
+        for band in (Band(D_ID, OMEGA, OMEGA, OMEGA), Band(D_ID, ZERO, two, two)):
+            cases += [(name, band, "w", EVALUATORS[name], 10000) for name in ("j", "jprime")]
+        cases.append(("j", parse_dil("Id*w"), "w", j_eval, 3))
+        return cases
+
+    def test_fingerprint(self):
+        # count and sha1 of the rendered grid, taken while the step log was
+        # still a list beside the memo
+        lines = []
+        for case in self.grid():
+            lines += _render(*case)
+        text = "\n".join(lines)
+        clauses = {line[3:line.index("]")] for line in lines if line.startswith("  [")}
+        assert clauses == {"constant", "constant-tail", "empty", "successor", "limit",
+                           "separation"}
+        assert any("! OutOfNotation" in line for line in lines)
+        assert any("! DepthExceeded" in line for line in lines)
+        assert len(lines) == 1320
+        assert hashlib.sha1(text.encode()).hexdigest() == "1f7adb9ec94c42112e31185fe735f2f663917fe2"
+
+    @pytest.mark.parametrize("gs", ["0", "w", "w^2"])
+    def test_shape(self, gs):
+        for text in J_SUITE:
+            for evaluator in (j_eval, jprime_eval):
+                res = evaluator(parse_dil(text), parse_ord(gs))
+                parents = [s.parent for s in res.steps]
+                assert len(set(parents)) == len(parents), text
+                assert parents[-1] == res.expr, text
+                seen = set()
+                for s in res.steps:
+                    assert s.child is None or s.child in seen, (text, to_str(s.child))
+                    seen.add(s.parent)
+
+    def test_long_log_is_complete(self):
+        # the log has no cap of its own below depth_cap
+        res = j_eval(parse_dil("Id*w*w*w*w"), OMEGA)
+        assert ord_str(res.value) == "w^w^3"
+        assert len(res.steps) == 5203
+        assert res.steps[-1].parent == res.expr
