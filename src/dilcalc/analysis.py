@@ -259,7 +259,17 @@ def _otp(d: Dil, a: Ord) -> Ord:
     if isinstance(d, IdNode):
         return a
     if isinstance(d, Sum):
-        return ord_add(otp_symbolic(d.left, a), otp_symbolic(d.right, a))
+        # down the right spine in a loop, in the order the recursion would
+        # take, so a long sum costs no recursion depth
+        spine = []
+        while isinstance(d, Sum) and (d, a) not in _OTP_CACHE:
+            spine.append((d, otp_symbolic(d.left, a)))
+            d = d.right
+        value = otp_symbolic(d, a)
+        for node, left in reversed(spine):
+            value = ord_add(left, value)
+            _OTP_CACHE[(node, a)] = value
+        return value
     if isinstance(d, MulOmega):
         return ord_mul_omega(otp_symbolic(d.base, a))
     if isinstance(d, OmegaComp):

@@ -65,6 +65,35 @@ class Sum(Dil):
     left: Dil
     right: Dil
 
+    _hash = None  # not a field: set on first use, then kept
+
+    def __hash__(self):
+        """hash((left, right)), computed once.  The spine below is filled
+        bottom-up in a loop, so a long sum costs no recursion depth; lazily,
+        because most sums built are never hashed."""
+        if self._hash is None:
+            spine, node = [], self
+            while isinstance(node, Sum) and node._hash is None:
+                spine.append(node)
+                node = node.right
+            for node in reversed(spine):
+                object.__setattr__(node, "_hash", hash((node.left, node.right)))
+        return self._hash
+
+    def __eq__(self, other):
+        """Field equality, walked down both right spines in a loop, so two
+        equal long sums built apart (say, as memo keys) need no recursion."""
+        if other.__class__ is not Sum:
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            if a.left != b.left:
+                return False
+            a, b = a.right, b.right
+            if a.__class__ is not Sum or b.__class__ is not Sum:
+                return a == b
+        return True
+
 
 @dataclass(frozen=True)
 class MulOmega(Dil):
@@ -398,9 +427,21 @@ def _parse_sep(sc):
     return sep(inner, g)
 
 
+def _parse_base(sc, form):
+    """The base of an internal ``sep@`` / ``band`` form: a connected atom,
+    the only base their rules can cut."""
+    start = sc.pos
+    base = _parse_dil(sc)
+    if not is_connected_atom(base):
+        raise ParseError(
+            f"{form} base at position {start} is not a connected atom: {to_str(base)}", start
+        )
+    return base
+
+
 def _parse_sep_at(sc):
     sc.take("(")
-    inner = _parse_dil(sc)
+    inner = _parse_base(sc, "sep@")
     sc.take(";")
     cut = _parse_ord_sum(sc)
     sc.take(";")
@@ -420,7 +461,7 @@ def _parse_head(sc):
 
 def _parse_band(sc):
     sc.take("(")
-    inner = _parse_dil(sc)
+    inner = _parse_base(sc, "band")
     parts = []
     for _ in range(3):
         sc.take(";")

@@ -4,23 +4,25 @@ The evaluator recurses along the classification: type 0 returns the
 argument, type 1 adds one, limit types take the exact supremum along the
 fundamental sequence of partial sums, and top-type expressions split as
 alpha + beta through separation of variables (J separates at 0, the primed
-variant at omega).  Each evaluated sub-expression is recorded once, as a
+variant at omega).  A sum takes none of these clauses: it composes,
+J(a+e, gamma) = J(e, J(a, gamma)), one summand at a time down the sum's
+right spine, so a sum of n summands costs n steps and no sum is rebuilt.
+Each evaluated (sub-expression, gamma) pair is recorded once, as a
 ``JStep`` with its clause, the child it recursed into last and its value;
 ``JResult.steps`` lists every one of them in post-order, root last, with no
-cap beyond the session's ``depth_cap``.  Guards are certificates computed
-after the fact: eta bounds the value, xi bounds the order type at
-omega^(1+eta), and the audit re-checks that every recorded step strictly
-decreases in rank.
+cap of its own.  Guards are certificates computed after the fact: eta
+bounds the value, xi bounds the order type at omega^(1+eta), and the audit
+re-checks that every recorded step descends in rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .analysis import classify, otp_symbolic
 from .errors import DepthExceeded, FRAGMENT_ERRORS, GuardViolation
-from .expr import Const, D_ONE, Dil, _split_trailing, mk_omega_comp, mk_sum, to_str
+from .expr import Const, D_ONE, Dil, Sum, mk_omega_comp, mk_sum, to_str
 from .ordinal import (
     LIMIT_SAMPLES,
     OMEGA,
@@ -36,6 +38,7 @@ from .ordinal import (
 @dataclass(frozen=True)
 class JStep:
     parent: Dil
+    gamma: Ord
     clause: str
     child: Optional[Dil]
     value: Ord
@@ -50,6 +53,7 @@ class JResult:
     eta: Ord
     xi: Optional[Ord]
     steps: tuple
+    depth_cap: int = 10000
 
     def __post_init__(self):
         if self.value >= self.eta:
@@ -57,51 +61,52 @@ class JResult:
 
 
 class _Session:
-    """One guarded recursion of J or J' at one argument gamma.
+    """One guarded recursion of J or J'.
 
-    Every recursive call passes the session's gamma unchanged, so gamma is
-    fixed here and the memo is keyed by the expression alone.  The memo is
-    also the step log: it maps each evaluated expression to its ``JStep``,
-    stored once its children are done, so insertion order is post-order and
-    the root comes last.  ``depth_cap`` bounds the number of entries.
+    A sum composes: its left summand is evaluated at the current gamma and
+    its right summand at the value, so sub-evaluations run at other gammas
+    and the memo is keyed by ``(expr, gamma)``.  The memo is also the step
+    log: it maps each pair to its ``JStep``, stored once its children are
+    done, so insertion order is post-order and the root comes last.
+    ``depth_cap`` bounds the guarded steps, the ones that call
+    ``classify``.  Constant steps are leaves and a sum has one composition
+    step per summand and gamma, so the guarded steps bound the work; counting
+    the others too would refuse inputs that were answered while sums were
+    classified whole, at one gamma.
     """
 
-    def __init__(self, gamma: Ord, first_cut: Ord, depth_cap: int = 10000):
-        self.gamma = gamma
+    def __init__(self, first_cut: Ord, depth_cap: int = 10000):
         self.first_cut = first_cut
         self.memo = {}
         self.calls = 0
         self.depth_cap = depth_cap
 
-    def eval(self, d: Dil) -> Ord:
-        step = self.memo.get(d)
+    def eval(self, d: Dil, gamma: Ord) -> Ord:
+        step = self.memo.get((d, gamma))
         if step is not None:
             return step.value
-        self.calls += 1
-        if self.calls > self.depth_cap:
-            raise DepthExceeded(f"evaluation exceeded {self.depth_cap} steps")
+        if isinstance(d, Sum):
+            return self._compose(d, gamma)
         child = None
         if isinstance(d, Const):
             # closed form: unfolding the successor and limit clauses along a
             # constant gives gamma + value; keeps nested limits tractable
-            clause, value = "constant", ord_add(self.gamma, d.value)
+            clause, value = "constant", ord_add(gamma, d.value)
         else:
-            rest, last = _split_trailing(d)
-            tc = None if rest is not None and isinstance(last, Const) else classify(d)
-            if tc is None:
-                # composition along the last summand; same closed form
-                clause, child = "constant-tail", rest
-                value = ord_add(self.eval(rest), last.value)
-            elif tc.kind == "0":
-                clause, value = "empty", self.gamma
+            self.calls += 1
+            if self.calls > self.depth_cap:
+                raise DepthExceeded(f"evaluation exceeded {self.depth_cap} steps")
+            tc = classify(d)
+            if tc.kind == "0":
+                clause, value = "empty", gamma
             elif tc.kind == "1":
                 clause, child = "successor", tc.pred
-                value = ord_add(self.eval(child), ONE)
+                value = ord_add(self.eval(child, gamma), ONE)
             elif tc.kind == "omega":
                 clause, values = "limit", []
                 for k in range(LIMIT_SAMPLES):
                     child = tc.fund_seq(k)
-                    values.append(self.eval(child))
+                    values.append(self.eval(child, gamma))
                 for a, b in zip(values, values[1:]):
                     if a > b:
                         raise GuardViolation(
@@ -109,24 +114,39 @@ class _Session:
                         )
                 value = ord_sup_of_sequence(values)
             else:
-                alpha = self.eval(tc.sep_fn(self.first_cut))
+                alpha = self.eval(tc.sep_fn(self.first_cut), gamma)
                 clause, child = "separation", tc.sep_fn(alpha)
-                value = ord_add(alpha, self.eval(child))
-        self.memo[d] = JStep(d, clause, child, value)
+                value = ord_add(alpha, self.eval(child, gamma))
+        self.memo[(d, gamma)] = JStep(d, gamma, clause, child, value)
+        return value
+
+    def _compose(self, d: Sum, gamma: Ord) -> Ord:
+        """J(a+e, gamma) = J(e, J(a, gamma)), walked down the right spine in a
+        loop, so a long sum costs no recursion depth.  Every spine node takes
+        the value of the last one; each records its right summand as child."""
+        spine = []
+        while isinstance(d, Sum) and (d, gamma) not in self.memo:
+            spine.append((d, gamma))
+            gamma = self.eval(d.left, gamma)
+            d = d.right
+        value = self.eval(d, gamma)
+        for node, g in reversed(spine):
+            self.memo[(node, g)] = JStep(node, g, "composition", node.right, value)
         return value
 
 
 def _run(d: Dil, gamma: Ord, variant: str, depth_cap: int = 10000) -> JResult:
     # J separates at 0, the primed variant at omega
-    session = _Session(gamma, ZERO if variant == "j" else OMEGA, depth_cap)
-    value = session.eval(d)
+    session = _Session(ZERO if variant == "j" else OMEGA, depth_cap)
+    value = session.eval(d, gamma)
     eta = ord_add(value, ONE)
     xi = None
     try:
         xi = ord_add(otp_symbolic(d, ord_omega_pow(ord_add(ONE, eta))), ONE)
     except FRAGMENT_ERRORS:
         pass
-    return JResult(d, gamma, variant, value, eta, xi, tuple(session.memo.values()))
+    steps = tuple(session.memo.values())
+    return JResult(d, gamma, variant, value, eta, xi, steps, depth_cap)
 
 
 def j_eval(d: Dil, gamma: Ord, depth_cap: int = 10000) -> JResult:
@@ -140,7 +160,7 @@ def jprime_eval(d: Dil, gamma: Ord, depth_cap: int = 10000) -> JResult:
 def jplus_eval(d: Dil, gamma: Ord, depth_cap: int = 10000) -> JResult:
     target = mk_omega_comp(mk_sum(d, D_ONE))
     result = _run(target, gamma, "jprime", depth_cap)
-    return JResult(d, gamma, "jplus", result.value, result.eta, result.xi, result.steps)
+    return replace(result, expr=d, variant="jplus")
 
 
 EVALUATORS = {"j": j_eval, "jprime": jprime_eval, "jplus": jplus_eval}
@@ -160,23 +180,49 @@ class GuardAudit:
 
 
 def j_guard_report(result: JResult) -> GuardAudit:
-    """Re-evaluate under enlarged guards and re-check rank decrease."""
-    revalue = EVALUATORS[result.variant](result.expr, result.gamma).value
+    """Re-evaluate under the result's own ``depth_cap``, then re-check the
+    ranks of every recorded edge under two guards, ranking each expression
+    once per guard.
+
+    An edge must lower the rank ``otp_symbolic(-, omega^(1+eta))`` strictly,
+    except a composition edge: it descends to the right summand of its
+    parent, a proper subterm, whose rank may equal the parent's
+    (``otp(1+Id, w^(1+eta)) = otp(Id, w^(1+eta))``), so it is checked as
+    that descent with a rank that does not rise.
+    """
+    revalue = EVALUATORS[result.variant](result.expr, result.gamma, result.depth_cap).value
     enlarged = ord_add(result.eta, OMEGA)
     violations, unranked, checked = [], 0, 0
     for eta in (result.eta, enlarged):
         probe = ord_omega_pow(ord_add(ONE, eta))
+        ranks = {}
+
+        def rank(d):
+            if d not in ranks:
+                try:
+                    ranks[d] = otp_symbolic(d, probe)
+                except FRAGMENT_ERRORS:
+                    ranks[d] = None
+            return ranks[d]
+
         for step in result.steps:
             if step.child is None:
                 continue
             checked += 1
-            try:
-                parent_rank = otp_symbolic(step.parent, probe)
-                child_rank = otp_symbolic(step.child, probe)
-            except FRAGMENT_ERRORS:
+            parent_rank = rank(step.parent)
+            child_rank = rank(step.child) if parent_rank is not None else None
+            if child_rank is None:
                 unranked += 1
                 continue
-            if not child_rank < parent_rank:
+            if step.clause == "composition":
+                ok = (
+                    isinstance(step.parent, Sum)
+                    and step.child == step.parent.right
+                    and child_rank <= parent_rank
+                )
+            else:
+                ok = child_rank < parent_rank
+            if not ok:
                 violations.append(
                     (to_str(step.parent), to_str(step.child), str(eta))
                 )

@@ -84,6 +84,9 @@ def from_int(n: int) -> Ord:
 
 def ord_cmp(a: Ord, b: Ord) -> int:
     """Total order: lexicographic on the descending (exponent, coeff) lists."""
+    if a is b:
+        # values built from one gamma share their terms and exponents
+        return EQUAL
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
         c = ord_cmp(ea, eb)
         if c != EQUAL:

@@ -213,6 +213,11 @@ class TestOtp:
                 count = len(enum_elements(d, n, EnumBudget(const_cap=30)))
                 assert otp_symbolic(d, from_int(n)) == from_int(count), (text, n)
 
+    def test_long_sum_needs_no_recursion(self):
+        # 5,000 summands, deeper than the default recursion limit
+        d = parse_dil("Const(w)+" + "+".join(["Id", "1"] * 2500))
+        assert ord_str(otp_symbolic(d, w)) == "w*2501+1"
+
     def test_separated_head_order_type(self):
         node = Sep(HID, w, w)
         assert ord_str(otp_symbolic(node, parse_ord("w^2"))) == "w^(w^2+w)"

@@ -184,6 +184,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "refused: DepthExceeded: collapse recursion exceeded its step budget\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        ["band(omega[Id];0;1;1)", "band(Id+Id;0;1;1)", "sep@(omega[Id];1;1)", "sep@(Id*2;1;1)"],
+    )
+    def test_internal_form_over_a_compound_base_is_three(self, capsys, text):
+        # band and sep@ cut a connected atom; any other base is refused on parse
+        code, out, err = run(capsys, "classify", text)
+        assert (code, out) == (3, "")
+        assert err.startswith("parse error: ") and "is not a connected atom" in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("multiplier", ["1000000000", "1" * 5000])
     def test_huge_multiplier_is_three(self, capsys, multiplier):
         code, out, err = run(capsys, "classify", "Id*" + multiplier)

@@ -128,6 +128,19 @@ def test_sum_parse_is_linear(monkeypatch):
     assert parsed == mk_mul_nat(D_ID, n)
 
 
+def test_sum_hash_and_equality_are_the_field_ones_and_need_no_recursion():
+    # 5,000 summands, deeper than the default recursion limit
+    d = mk_mul_nat(D_ID, 5000)
+    assert hash(d) == hash((d.left, d.right))
+    assert hash(d.right) == hash((d.right.left, d.right.right))
+    fresh = mk_mul_nat(D_ID, 5000)
+    assert fresh is not d and fresh == d and hash(fresh) == hash(d)
+    assert d != mk_sum_all([D_ID] * 4999 + [D_ONE])
+    assert d != mk_sum_all([D_ONE] + [D_ID] * 4999)
+    assert d != mk_mul_nat(D_ID, 4999) and d != D_ID
+    assert mk_sum(D_ID, D_ONE) == mk_sum(D_ID, D_ONE) != mk_sum(D_ONE, D_ID)
+
+
 def test_multiplier_cap(monkeypatch):
     monkeypatch.setattr(expr_module, "MAX_MULTIPLIER", 5)
     assert to_str(parse_dil("Id*5")) == "Id+Id+Id+Id+Id"

@@ -1,12 +1,54 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
-from dilcalc.errors import DilcalcError, OutOfNotation
-from dilcalc.expr import Band, D_ID, mk_mul_nat, mk_shift, mk_sum, parse_dil, to_str
-from dilcalc.jfunctor import EVALUATORS, j_eval, j_guard_report, jplus_eval, jprime_eval
-from dilcalc.ordinal import OMEGA, ZERO, from_int, ord_str, parse_ord
+import dilcalc.analysis as analysis_module
+import dilcalc.expr as expr_module
+import dilcalc.jfunctor as jfunctor_module
+from dilcalc.analysis import classify, otp_symbolic
+from dilcalc.errors import (
+    DepthExceeded,
+    DilcalcError,
+    FRAGMENT_ERRORS,
+    GuardViolation,
+    OutOfNotation,
+)
+from dilcalc.expr import (
+    Band,
+    Const,
+    D_ID,
+    D_ONE,
+    _split_trailing,
+    mk_mul_nat,
+    mk_omega_comp,
+    mk_shift,
+    mk_sum,
+    parse_dil,
+    to_str,
+)
+from dilcalc.jfunctor import (
+    EVALUATORS,
+    _Session,
+    j_eval,
+    j_guard_report,
+    jplus_eval,
+    jprime_eval,
+)
+from dilcalc.ordinal import (
+    LIMIT_SAMPLES,
+    OMEGA,
+    ONE,
+    ZERO,
+    Ord,
+    from_int,
+    ord_add,
+    ord_omega_pow,
+    ord_str,
+    ord_sup_of_sequence,
+    parse_ord,
+)
 from dilcalc.suites import J_SUITE
 
 w = OMEGA
@@ -170,7 +212,7 @@ class TestLaws:
 
 def _render(name, d, gs, evaluator, depth_cap=10000):
     """Value, guards, full step log and guard audit of one evaluation, or
-    its refusal as ``type: message``."""
+    its refusal as ``type: message``; the first line alone is the answer."""
     head = f"{name} {to_str(d)} @ {gs}"
     try:
         res = evaluator(d, parse_ord(gs), depth_cap=depth_cap)
@@ -180,7 +222,10 @@ def _render(name, d, gs, evaluator, depth_cap=10000):
     lines = [f"{head} = {ord_str(res.value)} eta={ord_str(res.eta)} xi={xi}"]
     for s in res.steps:
         child = to_str(s.child) if s.child is not None else "-"
-        lines.append(f"  [{s.clause}] {to_str(s.parent)} <- {child} = {ord_str(s.value)}")
+        lines.append(
+            f"  [{s.clause}] {to_str(s.parent)} @ {ord_str(s.gamma)} <- {child}"
+            f" = {ord_str(s.value)}"
+        )
     audit = j_guard_report(res)
     lines.append(
         f"  audit {audit.value_identical} {ord_str(audit.enlarged_eta)} "
@@ -215,36 +260,234 @@ class TestStepLog:
         return cases
 
     def test_fingerprint(self):
-        # count and sha1 of the rendered grid, taken while the step log was
-        # still a list beside the memo
+        # count and sha1 of the rendered grid, taken when sums first composed
         lines = []
         for case in self.grid():
             lines += _render(*case)
         text = "\n".join(lines)
         clauses = {line[3:line.index("]")] for line in lines if line.startswith("  [")}
-        assert clauses == {"constant", "constant-tail", "empty", "successor", "limit",
+        assert clauses == {"constant", "composition", "empty", "successor", "limit",
                            "separation"}
         assert any("! OutOfNotation" in line for line in lines)
         assert any("! DepthExceeded" in line for line in lines)
-        assert len(lines) == 1320
-        assert hashlib.sha1(text.encode()).hexdigest() == "1f7adb9ec94c42112e31185fe735f2f663917fe2"
+        assert len(lines) == 2486
+        assert hashlib.sha1(text.encode()).hexdigest() == "fb9f663eb83e00720498ae5c3eecbd22413d3bc6"
+
+    def test_answers_fingerprint(self):
+        # value, eta, xi or `type: message` of each case, taken while sums
+        # were still peeled: composing changed the log, not the answers
+        heads = [_render(*case)[0] for case in self.grid()]
+        assert len(heads) == 92
+        text = "\n".join(heads)
+        assert hashlib.sha1(text.encode()).hexdigest() == "098b907255a0ea8b7dc195ff173b0a1c525e4107"
 
     @pytest.mark.parametrize("gs", ["0", "w", "w^2"])
     def test_shape(self, gs):
         for text in J_SUITE:
             for evaluator in (j_eval, jprime_eval):
                 res = evaluator(parse_dil(text), parse_ord(gs))
-                parents = [s.parent for s in res.steps]
-                assert len(set(parents)) == len(parents), text
-                assert parents[-1] == res.expr, text
-                seen = set()
+                keys = [(s.parent, s.gamma) for s in res.steps]
+                assert len(set(keys)) == len(keys), text
+                assert keys[-1] == (res.expr, res.gamma), text
+                done, parents = set(), set()
                 for s in res.steps:
-                    assert s.child is None or s.child in seen, (text, to_str(s.child))
-                    seen.add(s.parent)
+                    if s.clause == "composition":
+                        # the right summand, evaluated earlier at the left's value
+                        assert s.child == s.parent.right and s.child in parents, text
+                    elif s.child is not None:
+                        # every other clause recurses at its own gamma
+                        assert (s.child, s.gamma) in done, (text, to_str(s.child))
+                    done.add((s.parent, s.gamma))
+                    parents.add(s.parent)
 
     def test_long_log_is_complete(self):
         # the log has no cap of its own below depth_cap
         res = j_eval(parse_dil("Id*w*w*w*w"), OMEGA)
         assert ord_str(res.value) == "w^w^3"
-        assert len(res.steps) == 5203
+        assert len(res.steps) == 16003
+        assert len({s.parent for s in res.steps}) == 2431
         assert res.steps[-1].parent == res.expr
+
+
+# ---------------------------------------------------------------------------
+# the peeling evaluator, kept as an independent reference for composition
+
+
+class ReferenceSession:
+    """J or J' as evaluated before sums composed: one gamma per session and
+    a memo keyed by the expression alone.  A sum that ends in a constant
+    peels it, J(r+c) = J(r)+c; any other sum is classified whole, so each
+    step re-splits the sum and the cost is quadratic in its length.
+    ``depth_cap`` counts every step.  It never applies the composition law,
+    so agreement with it is evidence for that law."""
+
+    def __init__(self, gamma, first_cut, depth_cap=10000):
+        self.gamma, self.first_cut, self.depth_cap = gamma, first_cut, depth_cap
+        self.memo, self.calls = {}, 0
+
+    def eval(self, d):
+        if d in self.memo:
+            return self.memo[d]
+        self.calls += 1
+        if self.calls > self.depth_cap:
+            raise DepthExceeded(f"evaluation exceeded {self.depth_cap} steps")
+        if isinstance(d, Const):
+            value = ord_add(self.gamma, d.value)
+        else:
+            rest, last = _split_trailing(d)
+            tc = None if rest is not None and isinstance(last, Const) else classify(d)
+            if tc is None:
+                value = ord_add(self.eval(rest), last.value)
+            elif tc.kind == "0":
+                value = self.gamma
+            elif tc.kind == "1":
+                value = ord_add(self.eval(tc.pred), ONE)
+            elif tc.kind == "omega":
+                values = [self.eval(tc.fund_seq(k)) for k in range(LIMIT_SAMPLES)]
+                if any(a > b for a, b in zip(values, values[1:])):
+                    raise GuardViolation(f"partial-sum values decreased under {to_str(d)}")
+                value = ord_sup_of_sequence(values)
+            else:
+                alpha = self.eval(tc.sep_fn(self.first_cut))
+                value = ord_add(alpha, self.eval(tc.sep_fn(alpha)))
+        self.memo[d] = value
+        return value
+
+
+def reference_eval(d, gamma, variant, depth_cap=10000):
+    """(value, eta, xi) of the peeling evaluator."""
+    if variant == "jplus":
+        d, variant = mk_omega_comp(mk_sum(d, D_ONE)), "jprime"
+    session = ReferenceSession(gamma, ZERO if variant == "j" else OMEGA, depth_cap)
+    value = session.eval(d)
+    eta = ord_add(value, ONE)
+    try:
+        xi = ord_add(otp_symbolic(d, ord_omega_pow(ord_add(ONE, eta))), ONE)
+    except FRAGMENT_ERRORS:
+        xi = None
+    return value, eta, xi
+
+
+def _answer(call):
+    try:
+        return call()
+    except DilcalcError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestReference:
+    GAMMAS = ["0", "1", "w", "w+1", "w*2", "w^2"]
+
+    @staticmethod
+    def assert_matches(d, gs, variant):
+        """Value, eta and xi, or refusal type and message, as the reference
+        gives them."""
+        gamma = parse_ord(gs)
+
+        def current():
+            res = EVALUATORS[variant](d, gamma)
+            return res.value, res.eta, res.xi
+
+        want = _answer(lambda: reference_eval(d, gamma, variant))
+        assert _answer(current) == want, (variant, to_str(d), gs)
+
+    def test_matches_reference_on_seeded_sums(self):
+        rng = random.Random(77)
+        atoms = TestStepLog.ATOMS
+        texts = [
+            "+".join(rng.choice(atoms) for _ in range(rng.randint(2, 6)))
+            for _ in range(12)
+        ]
+        for text in texts:
+            for gs in self.GAMMAS:
+                for variant in EVALUATORS:
+                    self.assert_matches(parse_dil(text), gs, variant)
+
+    def test_matches_reference_on_a_deep_limit(self):
+        # 2,801 guarded steps here against 5,203 peeling ones
+        self.assert_matches(parse_dil("Id*w*w*w*w"), "w", "j")
+
+
+class TestLinearity:
+    @staticmethod
+    def cost(monkeypatch, evaluator, n):
+        """Steps and mk_sum calls of one evaluation of Id*n at w."""
+        d = mk_mul_nat(D_ID, n)
+        calls = [0]
+        original = expr_module.mk_sum
+
+        def counting(a, b):
+            calls[0] += 1
+            return original(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(expr_module, "mk_sum", counting)
+            patch.setattr(analysis_module, "mk_sum", counting)
+            steps = len(evaluator(d, OMEGA).steps)
+        return steps, calls[0]
+
+    @pytest.mark.parametrize("evaluator", [j_eval, jprime_eval], ids=["j", "jprime"])
+    def test_doubling_the_sum_doubles_the_work(self, monkeypatch, evaluator):
+        steps, sums = self.cost(monkeypatch, evaluator, 100)
+        steps2, sums2 = self.cost(monkeypatch, evaluator, 200)
+        assert steps2 <= 2 * steps + 8
+        assert sums2 <= 2 * sums + 8
+
+    def test_long_sum_costs_no_recursion_depth(self):
+        # the spine is walked in a loop, hashed in a loop and ranked in a loop
+        res = j_eval(mk_mul_nat(D_ID, 3000), OMEGA)
+        assert len(res.steps) == 4 * 3000 - 1
+        assert res.value == Ord(((ONE, 3 ** 3000),))
+
+
+class TestAudit:
+    @staticmethod
+    def tampered(res, clause, child_of):
+        """The result with the child of its last ``clause`` step replaced."""
+        steps = list(res.steps)
+        i = max(i for i, s in enumerate(steps) if s.clause == clause)
+        steps[i] = dataclasses.replace(steps[i], child=child_of(steps[i]))
+        return dataclasses.replace(res, steps=tuple(steps))
+
+    def test_composition_edges_may_keep_the_rank(self):
+        res = j_eval(parse_dil("1+Id"), OMEGA)
+        root = res.steps[-1]
+        probe = ord_omega_pow(ord_add(ONE, res.eta))
+        assert root.clause == "composition" and root.child == D_ID
+        assert otp_symbolic(root.parent, probe) == otp_symbolic(root.child, probe)
+        assert j_guard_report(res).ok
+
+    def test_composition_child_must_be_the_right_summand(self):
+        res = j_eval(parse_dil("Id+Id+Id"), OMEGA)
+        bad = self.tampered(res, "composition", lambda s: s.parent.right.right)
+        assert j_guard_report(res).ok
+        assert j_guard_report(bad).rank_violations
+
+    def test_separation_child_of_equal_rank_is_caught(self):
+        res = j_eval(parse_dil("omega[Id]"), OMEGA)
+        bad = self.tampered(res, "separation", lambda s: s.parent)
+        assert j_guard_report(bad).rank_violations
+
+    def test_reevaluates_under_the_results_own_cap(self):
+        d = parse_dil("Id*w")
+        session = _Session(ZERO, 10**6)
+        session.eval(d, OMEGA)
+        res = j_eval(d, OMEGA, depth_cap=session.calls)
+        assert j_guard_report(res).ok
+        with pytest.raises(DepthExceeded):
+            j_guard_report(dataclasses.replace(res, depth_cap=session.calls - 1))
+
+    def test_ranks_each_expression_once_per_eta(self, monkeypatch):
+        res = j_eval(parse_dil("Id*w*w"), OMEGA)
+        ranked = []
+        original = otp_symbolic
+
+        def counting(d, a):
+            ranked.append((d, a))
+            return original(d, a)
+
+        monkeypatch.setattr(jfunctor_module, "otp_symbolic", counting)
+        audit = j_guard_report(res)
+        assert audit.ok and audit.steps_checked == 2 * sum(s.child is not None for s in res.steps)
+        # one more: the re-evaluation's xi ranks the root at the first eta
+        assert len(ranked) == len(set(ranked)) + 1
