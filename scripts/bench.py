@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Scaling series of the kernel on long sums, written to BENCH_<tag>.json.
+
+    python scripts/bench.py --tag T
+
+Times J, J', psi and otp of ``Id*n`` at w for each n in SIZES, in this
+process, at the interpreter's default recursion limit.  Each point runs
+REPEATS times on a freshly built expression with the module caches
+(``_PSI_CACHE``, ``_OTP_CACHE``) emptied, and the median is kept with a
+sha1 of the value, so two checkouts can be compared value for value.  A
+point that raises records the error; after an error, or a median above
+MAX_SECONDS, the series records its larger sizes as skipped.  Each series
+gets the least-squares slope of log time on log n over its timed points.
+
+The kernel is imported from the ``src`` directory next to this script, so
+the script measures the checkout it sits in.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from dilcalc import analysis, psi  # noqa: E402
+from dilcalc.analysis import otp_symbolic  # noqa: E402
+from dilcalc.errors import DilcalcError  # noqa: E402
+from dilcalc.expr import D_ID, mk_mul_nat  # noqa: E402
+from dilcalc.jfunctor import j_eval, jprime_eval  # noqa: E402
+from dilcalc.ordinal import ord_str, parse_ord  # noqa: E402
+
+SIZES = (100, 200, 400, 800, 1600, 3000)
+REPEATS = 3
+MAX_SECONDS = 5.0
+SERIES = {
+    "j": lambda d, w: j_eval(d, w).value,
+    "jprime": lambda d, w: jprime_eval(d, w).value,
+    "psi": psi.psi_clause_otp,
+    "otp": otp_symbolic,
+}
+
+
+def time_point(fn, n: int) -> dict:
+    runs, digest = [], None
+    for _ in range(REPEATS):
+        psi._PSI_CACHE.clear()
+        analysis._OTP_CACHE.clear()
+        d, w = mk_mul_nat(D_ID, n), parse_ord("w")
+        start = time.perf_counter()
+        try:
+            value = fn(d, w)
+        except (DilcalcError, RecursionError) as exc:
+            return {"n": n, "error": f"{type(exc).__name__}: {exc}"[:200]}
+        runs.append(time.perf_counter() - start)
+        digest = hashlib.sha1(ord_str(value).encode()).hexdigest()
+    return {"n": n, "median_s": statistics.median(runs), "runs_s": runs, "value_sha1": digest}
+
+
+def fit_exponent(points: list):
+    timed = [p for p in points if "median_s" in p]
+    if len(timed) < 2:
+        return None
+    xs = [math.log(p["n"]) for p in timed]
+    ys = [math.log(p["median_s"]) for p in timed]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def run_series(fn) -> dict:
+    points = []
+    for n in SIZES:
+        if points and points[-1].get("median_s", math.inf) > MAX_SECONDS:
+            points.append({"n": n, "skipped": True})
+            continue
+        points.append(time_point(fn, n))
+        print(f"  n={n}: {points[-1].get('median_s', points[-1].get('error'))}", file=sys.stderr)
+    return {"points": points, "exponent": fit_exponent(points)}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
+    args = parser.parse_args()
+    report = {
+        "tag": args.tag,
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "recursion_limit": sys.getrecursionlimit(),
+        "family": "Id*n at w",
+        "repeats": REPEATS,
+        "max_seconds": MAX_SECONDS,
+        "series": {},
+    }
+    for name, fn in SERIES.items():
+        print(f"{name}:", file=sys.stderr)
+        report["series"][name] = run_series(fn)
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -350,7 +350,13 @@ def to_str(d: Dil) -> str:
     if isinstance(d, IdNode):
         return "Id"
     if isinstance(d, Sum):
-        return f"{to_str(d.left)}+{to_str(d.right)}"
+        # joined down the right spine in a loop: a long sum costs no recursion
+        parts = []
+        while isinstance(d, Sum):
+            parts.append(to_str(d.left))
+            d = d.right
+        parts.append(to_str(d))
+        return "+".join(parts)
     if isinstance(d, MulOmega):
         return f"{_term_str(d.base)}*w"
     if isinstance(d, OmegaComp):

@@ -27,10 +27,20 @@ class Ord:
 
     terms: tuple = ()
 
+    _hash = None  # not a field: set on first use, then kept
+
     def __post_init__(self):
         for exp, coeff in self.terms:
             if not isinstance(exp, Ord) or coeff < 1:
                 raise ValueError("malformed CNF term")
+
+    def __hash__(self):
+        """hash((terms,)), the dataclass hash, computed once: memo keys hold
+        the same notations again and again, and each hash would otherwise
+        walk the whole CNF tree."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.terms,)))
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.terms

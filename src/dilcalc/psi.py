@@ -4,9 +4,13 @@ A collapse term over (D, gamma) is an element of D whose positions are
 either ordinals below gamma or strictly smaller collapse terms; the order
 compares terms through the element order of D with that position
 comparator.  ``psi_clause_otp`` computes the order type of the whole term
-order by recursion on D; the term-level services (validity, comparison,
-enumeration, seeded descent search) stay available even where the order
-type leaves the notation fragment.
+order by recursion on D.  A sum takes the prefix clause
+psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), one summand at a
+time down its right spine, so a sum of n summands costs n steps of two
+summands each; each step of a sum passed in has its own step budget.  The
+term-level services (validity, comparison, enumeration, seeded descent
+search) stay available even where the order type leaves the notation
+fragment.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .expr import (
     OmegaComp,
     Sep,
     Sum,
-    _split_trailing,
     mk_band,
+    mk_sum,
 )
 from .ordinal import (
     EQUAL,
@@ -75,27 +79,45 @@ _PSI_CACHE: dict = {}
 
 
 def psi_clause_otp(d: Dil, gamma: Ord, _budget: list = None) -> Ord:
-    """Order type of the collapse order of d shifted by gamma."""
+    """Order type of the collapse order of d shifted by gamma.
+
+    A sum other than ``Const + atom`` is folded by the prefix clause
+    psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), so its cost is
+    linear in the number of summands.
+
+    The step budget counts cache misses, 4,000 to a recursion, then
+    ``DepthExceeded``.  A constant is its own value: it is neither cached
+    nor counted.  A sum passed in by the caller gives each of its summand
+    steps a budget of its own, so no length of sum runs out of budget; a
+    sum met inside a recursion shares that recursion's budget, so the
+    budget still bounds the work of every step.
+    """
+    if isinstance(d, Const):
+        return d.value
     key = (d, gamma)
     if key in _PSI_CACHE:
         return _PSI_CACHE[key]
-    if _budget is None:
-        _budget = [4000]
-    _budget[0] -= 1
-    if _budget[0] < 0:
-        raise DepthExceeded("collapse recursion exceeded its step budget")
-    value = _psi(d, gamma, _budget)
+    if _budget is None and _folds(d):
+        value = _psi_prefix(d, gamma, None)
+    else:
+        if _budget is None:
+            _budget = [4000]
+        _budget[0] -= 1
+        if _budget[0] < 0:
+            raise DepthExceeded("collapse recursion exceeded its step budget")
+        value = _psi(d, gamma, _budget)
     _PSI_CACHE[key] = value
     return value
 
 
+def _folds(d: Dil) -> bool:
+    """A sum that the prefix clause folds; a step ``Const + atom`` does not."""
+    return isinstance(d, Sum) and (isinstance(d.right, Sum) or not isinstance(d.left, Const))
+
+
 def _psi(d: Dil, gamma: Ord, budget) -> Ord:
-    if isinstance(d, Const):
-        return d.value
-    rest, last = _split_trailing(d)
-    if rest is not None and isinstance(last, Const):
-        # sum clause with a constant tail: the shifted tail keeps its value
-        return ord_add(psi_clause_otp(rest, gamma, budget), last.value)
+    if _folds(d):
+        return _psi_prefix(d, gamma, budget)
     dec = decompose(d)
     if dec.kind == "zero":
         return ZERO
@@ -109,6 +131,22 @@ def _psi(d: Dil, gamma: Ord, budget) -> Ord:
     for k in range(LIMIT_SAMPLES):
         samples.append(psi_clause_otp(dec.fund(k), gamma, budget))
     return ord_sup_of_sequence(samples)
+
+
+def _psi_prefix(d: Sum, gamma: Ord, budget) -> Ord:
+    """psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), walked down
+    the right spine in a loop: each step evaluates ``Const(v) + a`` for the
+    next summand ``a``, with v the value of the summands before it.
+
+    The terms over P form an initial segment of the collapse order, and the
+    terms over X see them only as available positions, so only their order
+    type matters.
+    """
+    value, node = ZERO, d
+    while isinstance(node, Sum):
+        value = psi_clause_otp(mk_sum(Const(value), node.left), gamma, budget)
+        node = node.right
+    return psi_clause_otp(mk_sum(Const(value), node), gamma, budget)
 
 
 def _psi_connected(atom: Dil, delta: Ord, budget) -> Ord:

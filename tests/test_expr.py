@@ -1,6 +1,5 @@
 import functools
 import random
-import sys
 
 import pytest
 
@@ -69,14 +68,6 @@ def test_parse_error_reports_position():
     assert err.value.position is not None
 
 
-@pytest.fixture
-def default_recursion_limit():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(old)
-
-
 # text of bracket depth n, one shape per kind of bracket
 NESTINGS = {
     "parens": lambda n: "(" * n + "Id" + ")" * n,
@@ -139,6 +130,16 @@ def test_sum_hash_and_equality_are_the_field_ones_and_need_no_recursion():
     assert d != mk_sum_all([D_ONE] + [D_ID] * 4999)
     assert d != mk_mul_nat(D_ID, 4999) and d != D_ID
     assert mk_sum(D_ID, D_ONE) == mk_sum(D_ID, D_ONE) != mk_sum(D_ONE, D_ID)
+
+
+def test_long_sum_prints_in_a_loop(default_recursion_limit):
+    # 5,000 summands, deeper than the default recursion limit
+    texts = ["Id", "Const(w)", "Id*w", "omega[Id]", "1"]
+    summands = [texts[i % len(texts)] for i in range(5000)]
+    d = mk_sum_all(parse_dil(t) for t in summands)
+    assert to_str(d) == "+".join(to_str(parse_dil(t)) for t in summands)
+    assert parse_dil(to_str(d)) == d
+    assert to_str(mk_mul_nat(D_ID, 1200)) == "+".join(["Id"] * 1200)
 
 
 def test_multiplier_cap(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,25 @@ class TestComparison:
             assert a < c
         if ord_cmp(a, b) == 0:
             assert a == b
+
+
+class TestNotation:
+    def test_hash_is_the_field_hash_computed_once(self):
+        a = o("w^(w+1)*2+w^w+3")
+        b = ord_add(o("w^(w+1)*2"), o("w^w+3"))
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash((a.terms,))
+        assert hash(a) == hash(a) and {a: "found"}[b] == "found" and len({a, b}) == 1
+        # the cache is no field: equality, repr and replace are the dataclass ones
+        assert [f.name for f in dataclasses.fields(Ord)] == ["terms"]
+        assert repr(dataclasses.replace(a)) == "Ord('w^(w+1)*2+w^w+3')"
+
+    @settings(max_examples=150)
+    @given(ords(), ords())
+    def test_hash_covers_every_term(self, a, b):
+        assert hash(a) == hash((a.terms,))
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 class TestArithmetic:

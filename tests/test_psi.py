@@ -5,10 +5,24 @@ import random
 
 import pytest
 
-from dilcalc.errors import BudgetExceeded, DilcalcError, OutOfNotation
-from dilcalc.expr import D_ID, mk_band, parse_dil
-from dilcalc.ordinal import OMEGA, ONE, ZERO, from_int, ord_add, ord_str, parse_ord  # noqa: F401
+import dilcalc.psi as psi_module
+from dilcalc.analysis import decompose
+from dilcalc.errors import BudgetExceeded, DepthExceeded, DilcalcError, OutOfNotation
+from dilcalc.expr import D_ID, Const, _split_trailing, mk_band, mk_mul_nat, parse_dil, to_str
+from dilcalc.ordinal import (  # noqa: F401
+    LIMIT_SAMPLES,
+    OMEGA,
+    ONE,
+    ZERO,
+    Ord,
+    from_int,
+    ord_add,
+    ord_str,
+    ord_sup_of_sequence,
+    parse_ord,
+)
 from dilcalc.psi import (
+    CONNECTED_ROUNDS,
     IllFoundedFixture,
     PsiOrder,
     PsiSearchHandle,
@@ -87,6 +101,116 @@ class TestClauseValues:
             assert direct == psi_clause_otp(lower, ZERO)
             assert ord_str(direct) == "w"  # each stage contributes omega
             total, step = hi, direct
+
+
+# ---------------------------------------------------------------------------
+# the peeling psi, kept as an independent reference for the prefix clause
+
+
+def reference_psi(d, gamma):
+    """psi as computed before sums were folded by prefix, with a cache of
+    its own.  A sum that ends in a constant peels it, psi(r+c) = psi(r)+c;
+    any other sum is decomposed whole, so each step re-splits the sum and
+    the cost is quadratic in its length.  One budget of 4,000 cache misses,
+    constants included, covers the whole recursion.  It never applies the
+    prefix clause, so agreement with it is evidence for that clause."""
+    cache, budget = {}, [4000]
+
+    def rec(d, gamma):
+        key = (d, gamma)
+        if key not in cache:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise DepthExceeded("collapse recursion exceeded its step budget")
+            cache[key] = clause(d, gamma)
+        return cache[key]
+
+    def clause(d, gamma):
+        if isinstance(d, Const):
+            return d.value
+        rest, last = _split_trailing(d)
+        if rest is not None and isinstance(last, Const):
+            return ord_add(rec(rest, gamma), last.value)
+        dec = decompose(d)
+        if dec.kind == "zero":
+            return ZERO
+        if dec.kind == "succ":
+            head = rec(dec.prefix, gamma)
+            if isinstance(dec.top, Const):
+                return ord_add(head, ONE)
+            return ord_add(head, connected(dec.top, ord_add(gamma, head)))
+        return ord_sup_of_sequence([rec(dec.fund(k), gamma) for k in range(LIMIT_SAMPLES)])
+
+    def connected(atom, delta):
+        total_cut, step, stages = ZERO, delta, []
+        for _ in range(CONNECTED_ROUNDS):
+            hi = ord_add(total_cut, step)
+            stages.append(rec(mk_band(atom, total_cut, hi, hi), ZERO))
+            if stages[-1].is_zero():
+                return functools.reduce(ord_add, stages)
+            total_cut, step = hi, stages[-1]
+        return ord_sup_of_sequence(list(itertools.accumulate(stages, ord_add)))
+
+    return rec(d, gamma)
+
+
+def _answer(call):
+    try:
+        return ord_str(call())
+    except DilcalcError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestPrefixClause:
+    """psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), against the
+    peeling reference: the same value, or the same refusal and message."""
+
+    # most of the omega_head forms refuse at gamma > 0 (OutOfNotation), so
+    # they are few, and a refusal must match too
+    ATOMS = ["1", "Const(3)", "Const(w)", "Const(w^2)", "Id", "Id+1", "Id*2", "Id*w",
+             "Id*w*w", "shift(Id*2,w)", "band(omega_head(0;Id);0;2;2)", "omega[Id]",
+             "omega_head(0;Id)", "sep(omega_head(Id;Id),w)"]
+    GAMMAS = ["0", "1", "w", "w+1", "w^2"]
+
+    def test_matches_reference_on_seeded_sums(self, monkeypatch):
+        rng = random.Random(8)
+        texts = list(self.ATOMS) + [
+            "+".join(rng.choice(self.ATOMS) for _ in range(rng.randint(2, 8)))
+            for _ in range(24)
+        ]
+        for text in texts:
+            d = parse_dil(text)
+            for gs in self.GAMMAS:
+                gamma = parse_ord(gs)
+                # a cold cache, as the reference has: cache hits cost no budget
+                monkeypatch.setattr(psi_module, "_PSI_CACHE", {})
+                want = _answer(lambda: reference_psi(d, gamma))
+                assert _answer(lambda: psi_clause_otp(d, gamma)) == want, (to_str(d), gs)
+
+    @staticmethod
+    def misses(monkeypatch, n):
+        monkeypatch.setattr(psi_module, "_PSI_CACHE", {})
+        psi_clause_otp(mk_mul_nat(D_ID, n), w)
+        return len(psi_module._PSI_CACHE)
+
+    def test_doubling_the_sum_doubles_the_work(self, monkeypatch):
+        assert self.misses(monkeypatch, 200) <= 2 * self.misses(monkeypatch, 100) + 8
+
+    def test_long_sum_costs_no_recursion_depth(self, default_recursion_limit):
+        # the peeling psi refused from Id*2000 on: one budget covered the sum
+        value = psi_clause_otp(mk_mul_nat(D_ID, 3000), w)
+        assert value == Ord(((from_int(3001), 1),))
+
+    def test_each_summand_step_has_its_own_budget(self, monkeypatch):
+        # each step takes about 2,200 misses, more than half of one budget
+        monkeypatch.setattr(psi_module, "_PSI_CACHE", {})
+        assert PSI("Id*w*w*3*w+Id*w*w*3*w", "w") == "w^(w^3*2)"
+
+    def test_a_sum_inside_a_recursion_shares_its_budget(self, monkeypatch):
+        # the sums Id*w^5*k of the limit samples fold within the one budget
+        monkeypatch.setattr(psi_module, "_PSI_CACHE", {})
+        with pytest.raises(DepthExceeded):
+            psi_clause_otp(parse_dil("Id*w*w*w*w*w*w"), w)
 
 
 class TestTermOrder:
