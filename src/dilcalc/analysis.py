@@ -35,6 +35,7 @@ from .expr import (
     OmegaComp,
     Sep,
     Sum,
+    _split_trailing,
     is_connected_atom,
     mk_band,
     mk_cnf_head,
@@ -49,7 +50,6 @@ from .expr import (
 )
 from .ordinal import (
     EQUAL,
-    GREATER,
     LESS,
     LIMIT_SAMPLES,
     ONE,
@@ -80,7 +80,6 @@ class Decomposition:
     prefix: Optional[Dil] = None
     top: Optional[Dil] = None
     fund: Optional[Callable[[int], Dil]] = None
-    length: Optional[Ord] = None
 
 
 def _concat(prefix_expr: Dil, rest: Dil) -> Decomposition:
@@ -96,14 +95,14 @@ def decompose(d: Dil) -> Decomposition:
     if isinstance(d, Const):
         a = d.value
         if a.is_zero():
-            return Decomposition("zero", length=ZERO)
+            return Decomposition("zero")
         if a.is_successor():
-            return Decomposition("succ", Const(ord_pred(a)), D_ONE, length=a)
-        return Decomposition("limit", fund=lambda k: Const(fund_seq(a, k)), length=a)
+            return Decomposition("succ", Const(ord_pred(a)), D_ONE)
+        return Decomposition("limit", fund=lambda k: Const(fund_seq(a, k)))
     if isinstance(d, IdNode):
-        return Decomposition("succ", D_ZERO, d, length=ONE)
+        return Decomposition("succ", D_ZERO, d)
     if isinstance(d, Sum):
-        return _concat(d.left, d.right)
+        return _concat(*_split_trailing(d))
     if isinstance(d, MulOmega):
         return Decomposition("limit", fund=lambda k: mk_mul_nat(d.base, k))
     if isinstance(d, OmegaComp):
@@ -121,7 +120,7 @@ def decompose(d: Dil) -> Decomposition:
         raise UnsupportedDecomposition(f"omega composed with zero: {to_str(d)}")
     if isinstance(d, CnfHead):
         if is_connected_atom(d.high):
-            return Decomposition("succ", D_ZERO, d, length=ONE)
+            return Decomposition("succ", D_ZERO, d)
         inner = decompose(d.high)
         if inner.kind == "succ":
             return _concat(
@@ -142,12 +141,11 @@ def decompose(d: Dil) -> Decomposition:
         return Decomposition(
             "limit",
             fund=lambda k: mk_sep_atom(d.base, fund_seq(d.cut, k), d.amb),
-            length=d.cut,
         )
     if isinstance(d, Band):
         span = ord_left_sub(d.lo, d.hi)
         if span.is_zero():
-            return Decomposition("zero", length=ZERO)
+            return Decomposition("zero")
         if span.is_successor():
             nu = ord_add(d.lo, ord_pred(span))
             return _concat(
@@ -156,7 +154,6 @@ def decompose(d: Dil) -> Decomposition:
         return Decomposition(
             "limit",
             fund=lambda k: mk_band(d.base, d.lo, ord_add(d.lo, fund_seq(span, k)), d.amb),
-            length=span,
         )
     raise UnsupportedDecomposition(f"no decomposition rule for {d!r}")
 
@@ -341,22 +338,18 @@ def ll_relation(d: Dil, t1, t2) -> str:
         if c == LESS:
             return MUCH_LESS
         return EQUIVALENT if c == EQUAL else MUCH_GREATER
-    emb1, emb2 = _embeddings(n1, big), _embeddings(n2, big)
-    all_less = all(
-        compare_elements(d, apply_embedding(d, t1, f), apply_embedding(d, t2, g))
-        == LESS
-        for f in emb1
-        for g in emb2
-    )
-    if all_less:
-        return MUCH_LESS
-    all_greater = all(
-        compare_elements(d, apply_embedding(d, t1, f), apply_embedding(d, t2, g))
-        == GREATER
-        for f in emb1
-        for g in emb2
-    )
-    return MUCH_GREATER if all_greater else EQUIVALENT
+    # each embedding is applied once; one pass stops at the first EQUAL or at
+    # the first outcome that differs from the first one
+    images2 = [apply_embedding(d, t2, g) for g in _embeddings(n2, big)]
+    first = None
+    for f in _embeddings(n1, big):
+        image1 = apply_embedding(d, t1, f)
+        for image2 in images2:
+            c = compare_elements(d, image1, image2)
+            if c == EQUAL or first not in (None, c):
+                return EQUIVALENT
+            first = c
+    return MUCH_LESS if first == LESS else MUCH_GREATER
 
 
 def important_index(d: Dil, t) -> int:

@@ -81,18 +81,17 @@ class Sum(Dil):
         return self._hash
 
     def __eq__(self, other):
-        """Field equality, walked down both right spines in a loop, so two
-        equal long sums built apart (say, as memo keys) need no recursion."""
+        """Field equality over ``summands``, so two equal long sums built
+        apart (say, as memo keys) need no recursion."""
         if other.__class__ is not Sum:
             return NotImplemented
-        a, b = self, other
-        while a is not b:
-            if a.left != b.left:
-                return False
-            a, b = a.right, b.right
-            if a.__class__ is not Sum or b.__class__ is not Sum:
-                return a == b
-        return True
+        return summands(self) == summands(other)
+
+    def __repr__(self):
+        """The dataclass repr, built over ``summands`` in a loop."""
+        parts = summands(self)
+        heads = "".join(f"Sum(left={p!r}, right=" for p in parts[:-1])
+        return heads + repr(parts[-1]) + ")" * (len(parts) - 1)
 
 
 @dataclass(frozen=True)
@@ -149,6 +148,19 @@ D_ONE = Const(ONE)
 D_ID = IdNode()
 
 
+def summands(d: Dil) -> list:
+    """The summands of d down the right spine, collected in a loop, so a long
+    sum costs no recursion depth; a non-sum is its own one summand.
+    ``Sum.__hash__``, ``analysis._otp`` and ``jfunctor._Session._compose``
+    walk the spine node by node instead: they store a value per spine node."""
+    parts = []
+    while isinstance(d, Sum):
+        parts.append(d.left)
+        d = d.right
+    parts.append(d)
+    return parts
+
+
 def is_constant(d: Dil) -> bool:
     return isinstance(d, Const)
 
@@ -167,7 +179,8 @@ def is_supp_monotone(d: Dil) -> bool:
     if isinstance(d, (Const, IdNode)):
         return True
     if isinstance(d, Sum):
-        return is_constant(d.left) and is_supp_monotone(d.right)
+        *rest, last = summands(d)
+        return all(map(is_constant, rest)) and is_supp_monotone(last)
     if isinstance(d, OmegaComp):
         return is_supp_monotone(d.base)
     if isinstance(d, CnfHead):
@@ -198,7 +211,9 @@ def mk_sum(a: Dil, b: Dil) -> Dil:
     if isinstance(b, Const) and b.value.is_zero():
         return a
     if isinstance(a, Sum):
-        return mk_sum(a.left, mk_sum(a.right, b))
+        for part in reversed(summands(a)):
+            b = mk_sum(part, b)
+        return b
     if isinstance(a, Const):
         if isinstance(b, Const):
             return Const(ord_add(a.value, b.value))
@@ -228,10 +243,8 @@ def mk_mul_omega(d: Dil) -> Dil:
 
 def _split_trailing(d: Dil):
     """Split a normalized expression as (rest, last summand)."""
-    if isinstance(d, Sum):
-        rest, last = _split_trailing(d.right)
-        return mk_sum(d.left, rest) if rest is not None else d.left, last
-    return None, d
+    *rest, last = summands(d)
+    return (mk_sum_all(rest) if rest else None), last
 
 
 def mk_omega_comp(d: Dil) -> Dil:
@@ -317,7 +330,7 @@ def mk_shift(d: Dil, g: Ord) -> Dil:
     if isinstance(d, IdNode):
         return mk_sum(Const(g), D_ID)
     if isinstance(d, Sum):
-        return mk_sum(mk_shift(d.left, g), mk_shift(d.right, g))
+        return mk_sum_all([mk_shift(part, g) for part in summands(d)])
     if isinstance(d, MulOmega):
         return mk_mul_omega(mk_shift(d.base, g))
     if isinstance(d, OmegaComp):
@@ -350,13 +363,7 @@ def to_str(d: Dil) -> str:
     if isinstance(d, IdNode):
         return "Id"
     if isinstance(d, Sum):
-        # joined down the right spine in a loop: a long sum costs no recursion
-        parts = []
-        while isinstance(d, Sum):
-            parts.append(to_str(d.left))
-            d = d.right
-        parts.append(to_str(d))
-        return "+".join(parts)
+        return "+".join(to_str(part) for part in summands(d))
     if isinstance(d, MulOmega):
         return f"{_term_str(d.base)}*w"
     if isinstance(d, OmegaComp):

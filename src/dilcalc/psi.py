@@ -35,6 +35,7 @@ from .expr import (
     Sum,
     mk_band,
     mk_sum,
+    summands,
 )
 from .ordinal import (
     EQUAL,
@@ -142,11 +143,10 @@ def _psi_prefix(d: Sum, gamma: Ord, budget) -> Ord:
     terms over X see them only as available positions, so only their order
     type matters.
     """
-    value, node = ZERO, d
-    while isinstance(node, Sum):
-        value = psi_clause_otp(mk_sum(Const(value), node.left), gamma, budget)
-        node = node.right
-    return psi_clause_otp(mk_sum(Const(value), node), gamma, budget)
+    value = ZERO
+    for part in summands(d):
+        value = psi_clause_otp(mk_sum(Const(value), part), gamma, budget)
+    return value
 
 
 def _psi_connected(atom: Dil, delta: Ord, budget) -> Ord:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from dilcalc.analysis import (
     EQUIVALENT,
+    MUCH_GREATER,
     MUCH_LESS,
     _embeddings,
     classify,
@@ -30,10 +32,24 @@ from dilcalc.expr import (
     D_ZERO,
     Sep,
     is_connected_atom,
+    mk_mul_nat,
+    mk_sum,
+    mk_sum_all,
     parse_dil,
     to_str,
 )
-from dilcalc.ordinal import EQUAL, GREATER, LESS, OMEGA, ONE, ZERO, from_int, ord_str, parse_ord
+from dilcalc.ordinal import (
+    EQUAL,
+    GREATER,
+    LESS,
+    OMEGA,
+    ONE,
+    ZERO,
+    from_int,
+    fund_seq,
+    ord_str,
+    parse_ord,
+)
 from dilcalc.semantics import (
     ECnf,
     EConst,
@@ -94,6 +110,29 @@ class TestDecompose:
                     for e in prefix_elements(dec.fund(j), 2, 50)
                 ]
                 assert images == target[: len(images)], (text, j)
+
+
+class TestLongSums:
+    """5,000 summands at the default recursion limit: a sum is taken apart
+    by one loop, never by one call per summand."""
+
+    LONG = mk_mul_nat(D_ID, 5000)
+
+    def test_classify(self, default_recursion_limit):
+        assert classify(self.LONG).kind == "Omega"
+
+    def test_decompose_successor(self, default_recursion_limit):
+        dec = decompose(self.LONG)
+        assert dec.kind == "succ" and dec.top == D_ID
+        assert dec.prefix == mk_mul_nat(D_ID, 4999)
+
+    def test_decompose_limit(self, default_recursion_limit):
+        dec = decompose(mk_sum(self.LONG, Const(w)))
+        assert dec.kind == "limit"
+        assert dec.fund(2) == mk_sum_all([D_ID] * 5000 + [Const(fund_seq(w, 2))])
+
+    def test_sep(self, default_recursion_limit):
+        assert sep(self.LONG, w) == mk_sum_all([D_ID] * 4999 + [Const(w)])
 
 
 class TestClassify:
@@ -405,3 +444,69 @@ def test_compare_is_a_total_order_on_ranked_images(data):
     yz, xz = compare_elements(atom, y, z), compare_elements(atom, x, z)
     if GREATER not in (xy, yz):
         assert xz == (EQUAL if xy == yz == EQUAL else LESS)
+
+
+# ---------------------------------------------------------------------------
+# ll_relation against the two-pass body it replaced
+
+# the trace-term budget of the order-sanity suite's placed-element checks
+PAIR_BUDGET = EnumBudget(const_cap=2, copies=2, cnf_len=2, cnf_mult=1, grid=2)
+# connected atoms relate every pair as equivalent; a sum orders some pairs
+LL_CASES = [(atom, {EQUIVALENT}) for atom in ORDER_SANITY_ATOMS] + [
+    (parse_dil("omega[Id]+Id"), {MUCH_LESS, MUCH_GREATER, EQUIVALENT})
+]
+
+
+def reference_ll_relation(d, t1, t2) -> str:
+    """The body ll_relation had before it applied each embedding once: one
+    pass for all-LESS and one for all-GREATER, applying both embeddings for
+    every pair."""
+    n1, n2 = len(support_of(d, t1)), len(support_of(d, t2))
+    big = n1 + n2
+    if big == 0:
+        c = compare_elements(d, t1, t2)
+        if c == LESS:
+            return MUCH_LESS
+        return EQUIVALENT if c == EQUAL else MUCH_GREATER
+    emb1, emb2 = _embeddings(n1, big), _embeddings(n2, big)
+    all_less = all(
+        compare_elements(d, apply_embedding(d, t1, f), apply_embedding(d, t2, g))
+        == LESS
+        for f in emb1
+        for g in emb2
+    )
+    if all_less:
+        return MUCH_LESS
+    all_greater = all(
+        compare_elements(d, apply_embedding(d, t1, f), apply_embedding(d, t2, g))
+        == GREATER
+        for f in emb1
+        for g in emb2
+    )
+    return MUCH_GREATER if all_greater else EQUIVALENT
+
+
+class TestLlRelationOnePass:
+    def test_each_embedding_is_applied_once(self, monkeypatch):
+        # a MUCH_LESS pair visits every pair of embeddings
+        d = parse_dil("Id+Id")
+        t1, t2 = ESum(0, EId(Right(0))), ESum(1, EId(Right(0)))
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return apply_embedding(*args)
+
+        monkeypatch.setattr("dilcalc.analysis.apply_embedding", counting)
+        assert ll_relation(d, t1, t2) == MUCH_LESS
+        assert calls[0] <= len(_embeddings(1, 2)) + len(_embeddings(1, 2))
+
+    @pytest.mark.parametrize("d,outcomes", LL_CASES, ids=[to_str(d) for d, _ in LL_CASES])
+    def test_matches_the_two_pass_body(self, d, outcomes):
+        terms = [t for t, _ in enum_trace_terms(d, 2, PAIR_BUDGET)]
+        seen = set()
+        for t1, t2 in itertools.product(terms, repeat=2):
+            answer = ll_relation(d, t1, t2)
+            assert answer == reference_ll_relation(d, t1, t2), (to_str(d), t1, t2)
+            seen.add(answer)
+        assert seen == outcomes

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,7 +163,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,refusal",
         [
-            (["classify", "Id*12000"], "refused: RecursionError: "),
+            # a sum is walked in a loop; nesting of another kind still runs
+            # out of stack
+            (["otp", "Id" + "*w" * 12000, "--arg", "w"], "refused: RecursionError: "),
             (["psi-enum", "omega[Id]", "--gamma", "1"],
              "refused: BudgetExceeded: formal-sum budget overflow\n"),
         ],
@@ -174,6 +178,10 @@ class TestExitCodes:
         assert err.startswith(refusal)
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_long_sum_answers(self, capsys):
+        code, out, err = run(capsys, "classify", "Id*12000")
+        assert (code, out, err) == (0, "type Omega\n", "")
 
     def test_depth_refusal_is_two(self, capsys, monkeypatch):
         def exhausted(*_args):
@@ -237,6 +245,12 @@ class TestDeterminism:
 
 
 class TestScenario:
+    def test_lemma_suite_output_is_pinned(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "lemma_suite.commands"
+        code, out, _ = run(capsys, "run", "--file", str(path))
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == "544997e43f54e2c6b52e98d0a275dc0383882f92"
+
     def test_run_file_aggregates_worst_exit(self, tmp_path, capsys):
         scenario = tmp_path / "demo.commands"
         scenario.write_text(

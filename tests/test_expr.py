@@ -7,14 +7,18 @@ import dilcalc.expr as expr_module
 from dilcalc.errors import ParseError
 from dilcalc.expr import (
     CnfHead,
+    Const,
     D_ID,
     D_ONE,
     D_ZERO,
+    MulOmega,
+    OmegaComp,
     Sep,
     is_connected_atom,
     is_max_dominated,
     mk_band,
     mk_mul_nat,
+    mk_omega_comp,
     mk_sep_plus,
     mk_shift,
     mk_sum,
@@ -140,6 +144,29 @@ def test_long_sum_prints_in_a_loop(default_recursion_limit):
     assert to_str(d) == "+".join(to_str(parse_dil(t)) for t in summands)
     assert parse_dil(to_str(d)) == d
     assert to_str(mk_mul_nat(D_ID, 1200)) == "+".join(["Id"] * 1200)
+
+
+def test_sum_repr_is_the_dataclass_one_and_needs_no_recursion(default_recursion_limit):
+    assert repr(mk_sum(D_ID, D_ID)) == "Sum(left=IdNode(), right=IdNode())"
+    assert repr(mk_sum_all([D_ID, D_ID, D_ONE])) == (
+        "Sum(left=IdNode(), right=Sum(left=IdNode(), right=Const(value=Ord('1'))))"
+    )
+    # a head's exponents are an unnormalized sum with a sum on the left
+    assert repr(CnfHead(mk_sum(D_ID, D_ID), D_ID).exponents) == (
+        "Sum(left=Sum(left=IdNode(), right=IdNode()), right=IdNode())"
+    )
+    text = repr(mk_mul_nat(D_ID, 5000))
+    assert text == "Sum(left=IdNode(), right=" * 4999 + "IdNode()" + ")" * 4999
+
+
+# 5,000 summands, deeper than the default recursion limit
+LONG = mk_mul_nat(D_ID, 5000)
+
+
+def test_long_sum_constructors_need_no_recursion(default_recursion_limit):
+    assert mk_sum(LONG, D_ONE) == mk_sum_all([D_ID] * 5000 + [D_ONE])
+    assert mk_shift(LONG, OMEGA) == mk_sum_all([Const(OMEGA), D_ID] * 5000)
+    assert mk_omega_comp(mk_sum(LONG, D_ONE)) == MulOmega(OmegaComp(LONG))
 
 
 def test_multiplier_cap(monkeypatch):
