@@ -338,8 +338,8 @@ def ll_relation(d: Dil, t1, t2) -> str:
         if c == LESS:
             return MUCH_LESS
         return EQUIVALENT if c == EQUAL else MUCH_GREATER
-    # each embedding is applied once; one pass stops at the first EQUAL or at
-    # the first outcome that differs from the first one
+    # each embedding is applied once; the one pass ends at an EQUAL or at a
+    # change of outcome, either of which makes the pair EQUIVALENT
     images2 = [apply_embedding(d, t2, g) for g in _embeddings(n2, big)]
     first = None
     for f in _embeddings(n1, big):
