@@ -11,7 +11,6 @@ from .analysis import (
     sep,
     sep_signed,
     sep_signed_iter,
-    shift,
 )
 from .errors import (
     BudgetExceeded,

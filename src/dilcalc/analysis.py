@@ -158,7 +158,7 @@ def decompose(d: Dil) -> Decomposition:
     raise UnsupportedDecomposition(f"no decomposition rule for {d!r}")
 
 
-def components(d: Dil, cap: int = 64) -> list:
+def components(d: Dil) -> list:
     """Finite list of connected components; raises if transfinite."""
     out = []
     while True:
@@ -172,7 +172,7 @@ def components(d: Dil, cap: int = 64) -> list:
             )
         out.append(dec.top)
         d = dec.prefix
-        if len(out) > cap:
+        if len(out) > 64:
             raise UnsupportedDecomposition("component cap exceeded")
 
 
@@ -208,10 +208,6 @@ def sep(d: Dil, g: Ord) -> Dil:
     if tc.kind != "Omega":
         raise NotTypeOmega(f"{to_str(d)} has type {tc.kind}")
     return tc.sep_fn(g)
-
-
-def shift(d: Dil, g: Ord) -> Dil:
-    return mk_shift(d, g)
 
 
 def sep_signed(d: Dil, g: Ord):

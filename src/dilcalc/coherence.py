@@ -412,5 +412,8 @@ def limit_prefix_inject(d: Dil, j: int, elem):
     if isinstance(d, (Sep, Band)):
         return elem
     if isinstance(d, CnfHead):
+        if decompose(d.high).kind != "limit":
+            # the limit comes from the repeated unit top of the high part
+            raise TranslationGap(f"no limit injection for {to_str(d)}")
         return _inject_high(elem, lambda x: limit_prefix_inject(d.high, j, x))
     raise TranslationGap(f"no limit injection for {d!r}")

@@ -22,6 +22,7 @@ from functools import cached_property
 
 from .errors import ParseError
 from .ordinal import (
+    GREATER,
     LESS,
     ONE,
     ZERO,
@@ -440,27 +441,34 @@ def _parse_sep(sc):
     return sep(inner, g)
 
 
-def _parse_base(sc, form):
-    """The base of an internal ``sep@`` / ``band`` form: a connected atom,
-    the only base their rules can cut."""
-    start = sc.pos
-    base = _parse_dil(sc)
-    if not is_connected_atom(base):
-        raise ParseError(
-            f"{form} base at position {start} is not a connected atom: {to_str(base)}", start
-        )
-    return base
+def _parse_cut_form(form, count, build):
+    """The parser of an internal ``sep@`` / ``band`` form.  Its base is a
+    connected atom, the only base their rules can cut; of its ``count``
+    ordinal arguments the last is the ambient, and the one before it, the
+    cut or the upper bound, may not exceed it."""
 
+    def parse(sc):
+        sc.take("(")
+        start = sc.pos
+        base = _parse_dil(sc)
+        if not is_connected_atom(base):
+            raise ParseError(
+                f"{form} base at position {start} is not a connected atom: {to_str(base)}",
+                start,
+            )
+        parts = []
+        for _ in range(count):
+            sc.take(";")
+            parts.append(_parse_ord_sum(sc))
+        cut, amb = parts[-2:]
+        if ord_cmp(cut, amb) == GREATER:
+            raise ParseError(
+                f"{form} cut {ord_str(cut)} exceeds its ambient {ord_str(amb)}", sc.pos
+            )
+        sc.take(")")
+        return build(base, *parts)
 
-def _parse_sep_at(sc):
-    sc.take("(")
-    inner = _parse_base(sc, "sep@")
-    sc.take(";")
-    cut = _parse_ord_sum(sc)
-    sc.take(";")
-    amb = _parse_ord_sum(sc)
-    sc.take(")")
-    return Sep(inner, cut, amb)
+    return parse
 
 
 def _parse_head(sc):
@@ -472,26 +480,15 @@ def _parse_head(sc):
     return mk_cnf_head(low, high)
 
 
-def _parse_band(sc):
-    sc.take("(")
-    inner = _parse_base(sc, "band")
-    parts = []
-    for _ in range(3):
-        sc.take(";")
-        parts.append(_parse_ord_sum(sc))
-    sc.take(")")
-    return mk_band(inner, *parts)
-
-
 _KEYWORDS = (
     ("Id", lambda sc: D_ID),
     ("Const", _parse_const),
     ("omega_head", _parse_head),
     ("omega[", _parse_omega_comp),
     ("shift", _parse_shift),
-    ("sep@", _parse_sep_at),
+    ("sep@", _parse_cut_form("sep@", 2, mk_sep_atom)),
     ("sep", _parse_sep),
-    ("band", _parse_band),
+    ("band", _parse_cut_form("band", 3, mk_band)),
 )
 
 

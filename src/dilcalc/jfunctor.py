@@ -34,6 +34,9 @@ from .ordinal import (
     ord_sup_of_sequence,
 )
 
+# the one resource limit of the guarded recursion: steps that call classify
+DEPTH_CAP = 10000
+
 
 @dataclass(frozen=True)
 class JStep:
@@ -53,7 +56,6 @@ class JResult:
     eta: Ord
     xi: Optional[Ord]
     steps: tuple
-    depth_cap: int = 10000
 
     def __post_init__(self):
         if self.value >= self.eta:
@@ -68,18 +70,17 @@ class _Session:
     and the memo is keyed by ``(expr, gamma)``.  The memo is also the step
     log: it maps each pair to its ``JStep``, stored once its children are
     done, so insertion order is post-order and the root comes last.
-    ``depth_cap`` bounds the guarded steps, the ones that call
+    ``DEPTH_CAP`` bounds the guarded steps, the ones that call
     ``classify``.  Constant steps are leaves and a sum has one composition
     step per summand and gamma, so the guarded steps bound the work; counting
     the others too would refuse inputs that were answered while sums were
     classified whole, at one gamma.
     """
 
-    def __init__(self, first_cut: Ord, depth_cap: int = 10000):
+    def __init__(self, first_cut: Ord):
         self.first_cut = first_cut
         self.memo = {}
         self.calls = 0
-        self.depth_cap = depth_cap
 
     def eval(self, d: Dil, gamma: Ord) -> Ord:
         step = self.memo.get((d, gamma))
@@ -94,8 +95,8 @@ class _Session:
             clause, value = "constant", ord_add(gamma, d.value)
         else:
             self.calls += 1
-            if self.calls > self.depth_cap:
-                raise DepthExceeded(f"evaluation exceeded {self.depth_cap} steps")
+            if self.calls > DEPTH_CAP:
+                raise DepthExceeded(f"evaluation exceeded {DEPTH_CAP} steps")
             tc = classify(d)
             if tc.kind == "0":
                 clause, value = "empty", gamma
@@ -135,9 +136,9 @@ class _Session:
         return value
 
 
-def _run(d: Dil, gamma: Ord, variant: str, depth_cap: int = 10000) -> JResult:
+def _run(d: Dil, gamma: Ord, variant: str) -> JResult:
     # J separates at 0, the primed variant at omega
-    session = _Session(ZERO if variant == "j" else OMEGA, depth_cap)
+    session = _Session(ZERO if variant == "j" else OMEGA)
     value = session.eval(d, gamma)
     eta = ord_add(value, ONE)
     xi = None
@@ -146,20 +147,20 @@ def _run(d: Dil, gamma: Ord, variant: str, depth_cap: int = 10000) -> JResult:
     except FRAGMENT_ERRORS:
         pass
     steps = tuple(session.memo.values())
-    return JResult(d, gamma, variant, value, eta, xi, steps, depth_cap)
+    return JResult(d, gamma, variant, value, eta, xi, steps)
 
 
-def j_eval(d: Dil, gamma: Ord, depth_cap: int = 10000) -> JResult:
-    return _run(d, gamma, "j", depth_cap)
+def j_eval(d: Dil, gamma: Ord) -> JResult:
+    return _run(d, gamma, "j")
 
 
-def jprime_eval(d: Dil, gamma: Ord, depth_cap: int = 10000) -> JResult:
-    return _run(d, gamma, "jprime", depth_cap)
+def jprime_eval(d: Dil, gamma: Ord) -> JResult:
+    return _run(d, gamma, "jprime")
 
 
-def jplus_eval(d: Dil, gamma: Ord, depth_cap: int = 10000) -> JResult:
+def jplus_eval(d: Dil, gamma: Ord) -> JResult:
     target = mk_omega_comp(mk_sum(d, D_ONE))
-    result = _run(target, gamma, "jprime", depth_cap)
+    result = _run(target, gamma, "jprime")
     return replace(result, expr=d, variant="jplus")
 
 
@@ -180,9 +181,8 @@ class GuardAudit:
 
 
 def j_guard_report(result: JResult) -> GuardAudit:
-    """Re-evaluate under the result's own ``depth_cap``, then re-check the
-    ranks of every recorded edge under two guards, ranking each expression
-    once per guard.
+    """Re-evaluate under ``DEPTH_CAP``, then re-check the ranks of every
+    recorded edge under two guards, ranking each expression once per guard.
 
     An edge must lower the rank ``otp_symbolic(-, omega^(1+eta))`` strictly,
     except a composition edge: it descends to the right summand of its
@@ -190,7 +190,7 @@ def j_guard_report(result: JResult) -> GuardAudit:
     (``otp(1+Id, w^(1+eta)) = otp(Id, w^(1+eta))``), so it is checked as
     that descent with a rank that does not rise.
     """
-    revalue = EVALUATORS[result.variant](result.expr, result.gamma, result.depth_cap).value
+    revalue = EVALUATORS[result.variant](result.expr, result.gamma).value
     enlarged = ord_add(result.eta, OMEGA)
     violations, unranked, checked = [], 0, 0
     for eta in (result.eta, enlarged):

@@ -155,18 +155,18 @@ def _psi_connected(atom: Dil, delta: Ord, budget) -> Ord:
     Iterates the lower split at the running cut and sums the resulting
     values; the partial sums are extrapolated to their supremum.
     """
-    stages = connected_stage_values(atom, delta, CONNECTED_ROUNDS, budget)
+    stages = connected_stage_values(atom, delta, budget)
     partials = list(itertools.accumulate(stages, ord_add))
     if stages[-1].is_zero():
         return partials[-1]
     return ord_sup_of_sequence(partials)
 
 
-def connected_stage_values(atom: Dil, delta: Ord, rounds: int, _budget: list = None) -> list:
+def connected_stage_values(atom: Dil, delta: Ord, _budget: list = None) -> list:
     """The successive stage values of the connected clause at ``delta``."""
     total_cut, step = ZERO, delta
     stages = []
-    for _ in range(rounds):
+    for _ in range(CONNECTED_ROUNDS):
         hi = ord_add(total_cut, step)
         value = psi_clause_otp(mk_band(atom, total_cut, hi, hi), ZERO, _budget)
         stages.append(value)
@@ -287,9 +287,9 @@ class PsiOrder:
 
     # -- random generation
 
-    def random_term(self, rng: random.Random, depth: int = 3, tries: int = 40):
+    def random_term(self, rng: random.Random, depth: int = 3):
         lefts = _grid_values(self.gamma, 12)
-        for _ in range(tries):
+        for _ in range(40):
             try:
                 cand = self._rand(self.dilator, rng, depth, lefts)
             except _DeadEnd:
@@ -379,11 +379,9 @@ class _DeadEnd(Exception):
     pass
 
 
-def psi_enum(order: PsiOrder, depth: int = 4, budget=None):
+def psi_enum(order: PsiOrder, depth: int = 4):
     """Sorted valid terms of bounded nesting depth; see PsiOrder.enum."""
-    if isinstance(budget, int):
-        budget = EnumBudget(max_count=budget)
-    return order.enum(depth, budget)
+    return order.enum(depth)
 
 
 def term_str(order: PsiOrder, t) -> str:
@@ -411,11 +409,11 @@ class SearchResult:
         return "Counterexample" if self.found else "NoneFound"
 
 
-def chain_search(handle, trials: int, depth: int, seed: int, retries: int = 4) -> SearchResult:
+def chain_search(handle, trials: int, depth: int, seed: int) -> SearchResult:
     """Seeded random search for a strictly descending chain.
 
     Each trial draws fresh elements and extends the chain only when the
-    draw is strictly smaller (a few retries per level).  Finding a chain of
+    draw is strictly smaller (four draws per level).  Finding a chain of
     the requested depth refutes well-foundedness of the sampled region;
     exhausting the trials certifies only absence within the budget.
     """
@@ -427,7 +425,7 @@ def chain_search(handle, trials: int, depth: int, seed: int, retries: int = 4) -
         chain = [current]
         while len(chain) < depth:
             extended = False
-            for _ in range(retries):
+            for _ in range(4):
                 cand = handle.random_element(rng)
                 if cand is None:
                     continue
@@ -446,10 +444,9 @@ def chain_search(handle, trials: int, depth: int, seed: int, retries: int = 4) -
 @dataclass
 class PsiSearchHandle:
     order: PsiOrder
-    depth: int = 3
 
     def random_element(self, rng):
-        return self.order.random_term(rng, self.depth)
+        return self.order.random_term(rng)
 
     def compare(self, a, b):
         return self.order.compare(a, b)
@@ -475,16 +472,16 @@ class OrderHandle:
     compare: Callable[[object, object], int]
 
 
-def expr_order_handle(expr: Dil, n_points: int, pull_cap: int = 400000) -> OrderHandle:
+def expr_order_handle(expr: Dil, n_points: int) -> OrderHandle:
     return OrderHandle(
-        elements=lambda k: prefix_elements(expr, n_points, k, pull_cap),
+        elements=lambda k: prefix_elements(expr, n_points, k, 400000),
         compare=lambda a, b: compare_elements(expr, a, b),
     )
 
 
-def psi_order_handle(order: PsiOrder, depth: int = 2, budget=None) -> OrderHandle:
+def psi_order_handle(order: PsiOrder, depth: int = 2) -> OrderHandle:
     return OrderHandle(
-        elements=lambda k: order.enum(depth, budget)[:k],
+        elements=lambda k: order.enum(depth)[:k],
         compare=order.compare,
     )
 

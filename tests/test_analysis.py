@@ -20,7 +20,6 @@ from dilcalc.analysis import (
     sep,
     sep_signed,
     sep_signed_iter,
-    shift,
 )
 from dilcalc.coherence import limit_prefix_inject, prefix_inject, top_inject
 from dilcalc.errors import NoUniqueIndex, NotConnected, NotTypeOmega
@@ -33,6 +32,7 @@ from dilcalc.expr import (
     Sep,
     is_connected_atom,
     mk_mul_nat,
+    mk_shift,
     mk_sum,
     mk_sum_all,
     parse_dil,
@@ -192,15 +192,15 @@ class TestSep:
 
 class TestShift:
     def test_fixed_points(self):
-        assert shift(parse_dil("0"), w) == D_ZERO
-        assert shift(parse_dil("Const(5)"), w) == Const(from_int(5))
+        assert mk_shift(parse_dil("0"), w) == D_ZERO
+        assert mk_shift(parse_dil("Const(5)"), w) == Const(from_int(5))
 
     def test_identity_rule(self):
-        assert to_str(shift(D_ID, w)) == "Const(w)+Id"
+        assert to_str(mk_shift(D_ID, w)) == "Const(w)+Id"
 
     def test_prefix_isomorphism(self):
         # Id over w+X agrees with the rewritten form on prefixes
-        target = shift(D_ID, w)
+        target = mk_shift(D_ID, w)
         elems = prefix_elements(target, 2, 12)
         assert [to_str(target)] == ["Const(w)+Id"]
         assert len(elems) == 12

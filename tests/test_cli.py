@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import dilcalc
 from dilcalc.cli import main
 from dilcalc.errors import DepthExceeded
 from dilcalc.suites import CheckReport
@@ -203,6 +206,18 @@ class TestExitCodes:
         assert err.startswith("parse error: ") and "is not a connected atom" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "sep@(omega_head(Id;Id);w;1)"],
+            ["otp", "band(omega_head(Id;Id);0;w;1)", "--arg", "1"],
+        ],
+    )
+    def test_internal_cut_above_its_ambient_is_three(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("parse error: ") and "exceeds its ambient" in err
+
     @pytest.mark.parametrize("multiplier", ["1000000000", "1" * 5000])
     def test_huge_multiplier_is_three(self, capsys, multiplier):
         code, out, err = run(capsys, "classify", "Id*" + multiplier)
@@ -269,3 +284,16 @@ class TestScenario:
         code, out, _ = run(capsys, "run", "--file", str(scenario))
         assert code == 0
         assert "less" in out and "w^2" in out
+
+
+class TestImportSurface:
+    def test_cli_loads_neither_suites_nor_coherence(self):
+        # a cold CLI process is mostly import; only `check` needs the suites
+        src = Path(dilcalc.__file__).resolve().parents[1]
+        probe = "import sys, dilcalc.cli; print(*sorted(m for m in sys.modules if m.startswith('dilcalc')))"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        loaded = done.stdout.split()
+        assert "dilcalc.cli" in loaded
+        assert "dilcalc.suites" not in loaded and "dilcalc.coherence" not in loaded

@@ -196,9 +196,19 @@ def test_shift_distributes_over_heads():
 
 
 def test_internal_round_trips():
-    for text in ["omega_head(0;Id)", "omega_head(Id;Id)", "band(omega_head(Id;Id);1;w;w)"]:
+    # sep@ of a max-dominated base is its constant, as the kernel builds it
+    for text in ["omega_head(0;Id)", "omega_head(Id;Id)", "band(omega_head(Id;Id);1;w;w)",
+                 "sep@(Id;2;2)", "sep@(omega_head(Id;Id);1;w)"]:
         expr = parse_dil(text)
         assert parse_dil(to_str(expr)) == expr
+
+
+@pytest.mark.parametrize(
+    "text", ["sep@(omega_head(Id;Id);w;1)", "sep@(Id;2;1)", "band(omega_head(Id;Id);0;w;1)"]
+)
+def test_internal_cut_above_its_ambient_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="exceeds its ambient"):
+        parse_dil(text)
 
 
 def test_sep_alias_round_trip():

@@ -170,11 +170,12 @@ class TestLaws:
         audit = j_guard_report(res)
         assert audit.ok and audit.steps_checked > 0
 
-    def test_depth_cap_configurable(self):
+    def test_depth_cap_configurable(self, monkeypatch):
         from dilcalc.errors import DepthExceeded
 
-        with pytest.raises(DepthExceeded):
-            j_eval(parse_dil("Id*w"), w, depth_cap=3)
+        monkeypatch.setattr(jfunctor_module, "DEPTH_CAP", 3)
+        with pytest.raises(DepthExceeded, match="evaluation exceeded 3 steps"):
+            j_eval(parse_dil("Id*w"), w)
 
     def test_guards_bound_value_and_rank(self):
         from dilcalc.analysis import otp_symbolic
@@ -210,14 +211,18 @@ class TestLaws:
         )
 
 
-def _render(name, d, gs, evaluator, depth_cap=10000):
-    """Value, guards, full step log and guard audit of one evaluation, or
-    its refusal as ``type: message``; the first line alone is the answer."""
+def _render(name, d, gs, evaluator, depth_cap):
+    """Value, guards, full step log and guard audit of one evaluation under
+    ``DEPTH_CAP = depth_cap``, or its refusal as ``type: message``; the
+    first line alone is the answer."""
     head = f"{name} {to_str(d)} @ {gs}"
-    try:
-        res = evaluator(d, parse_ord(gs), depth_cap=depth_cap)
-    except DilcalcError as exc:
-        return [f"{head} ! {type(exc).__name__}: {exc}"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jfunctor_module, "DEPTH_CAP", depth_cap)
+        try:
+            res = evaluator(d, parse_ord(gs))
+        except DilcalcError as exc:
+            return [f"{head} ! {type(exc).__name__}: {exc}"]
+        audit = j_guard_report(res)
     xi = ord_str(res.xi) if res.xi is not None else None
     lines = [f"{head} = {ord_str(res.value)} eta={ord_str(res.eta)} xi={xi}"]
     for s in res.steps:
@@ -226,7 +231,6 @@ def _render(name, d, gs, evaluator, depth_cap=10000):
             f"  [{s.clause}] {to_str(s.parent)} @ {ord_str(s.gamma)} <- {child}"
             f" = {ord_str(s.value)}"
         )
-    audit = j_guard_report(res)
     lines.append(
         f"  audit {audit.value_identical} {ord_str(audit.enlarged_eta)} "
         f"{audit.steps_checked} {audit.rank_violations} {audit.unranked_steps}"
@@ -301,7 +305,7 @@ class TestStepLog:
                     parents.add(s.parent)
 
     def test_long_log_is_complete(self):
-        # the log has no cap of its own below depth_cap
+        # the log has no cap of its own below DEPTH_CAP
         res = j_eval(parse_dil("Id*w*w*w*w"), OMEGA)
         assert ord_str(res.value) == "w^w^3"
         assert len(res.steps) == 16003
@@ -318,19 +322,19 @@ class ReferenceSession:
     a memo keyed by the expression alone.  A sum that ends in a constant
     peels it, J(r+c) = J(r)+c; any other sum is classified whole, so each
     step re-splits the sum and the cost is quadratic in its length.
-    ``depth_cap`` counts every step.  It never applies the composition law,
+    ``DEPTH_CAP`` counts every step.  It never applies the composition law,
     so agreement with it is evidence for that law."""
 
-    def __init__(self, gamma, first_cut, depth_cap=10000):
-        self.gamma, self.first_cut, self.depth_cap = gamma, first_cut, depth_cap
+    def __init__(self, gamma, first_cut):
+        self.gamma, self.first_cut = gamma, first_cut
         self.memo, self.calls = {}, 0
 
     def eval(self, d):
         if d in self.memo:
             return self.memo[d]
         self.calls += 1
-        if self.calls > self.depth_cap:
-            raise DepthExceeded(f"evaluation exceeded {self.depth_cap} steps")
+        if self.calls > jfunctor_module.DEPTH_CAP:
+            raise DepthExceeded(f"evaluation exceeded {jfunctor_module.DEPTH_CAP} steps")
         if isinstance(d, Const):
             value = ord_add(self.gamma, d.value)
         else:
@@ -354,11 +358,11 @@ class ReferenceSession:
         return value
 
 
-def reference_eval(d, gamma, variant, depth_cap=10000):
+def reference_eval(d, gamma, variant):
     """(value, eta, xi) of the peeling evaluator."""
     if variant == "jplus":
         d, variant = mk_omega_comp(mk_sum(d, D_ONE)), "jprime"
-    session = ReferenceSession(gamma, ZERO if variant == "j" else OMEGA, depth_cap)
+    session = ReferenceSession(gamma, ZERO if variant == "j" else OMEGA)
     value = session.eval(d)
     eta = ord_add(value, ONE)
     try:
@@ -468,14 +472,16 @@ class TestAudit:
         bad = self.tampered(res, "separation", lambda s: s.parent)
         assert j_guard_report(bad).rank_violations
 
-    def test_reevaluates_under_the_results_own_cap(self):
+    def test_reevaluates_under_the_depth_cap(self, monkeypatch):
         d = parse_dil("Id*w")
-        session = _Session(ZERO, 10**6)
+        session = _Session(ZERO)
         session.eval(d, OMEGA)
-        res = j_eval(d, OMEGA, depth_cap=session.calls)
+        monkeypatch.setattr(jfunctor_module, "DEPTH_CAP", session.calls)
+        res = j_eval(d, OMEGA)
         assert j_guard_report(res).ok
+        monkeypatch.setattr(jfunctor_module, "DEPTH_CAP", session.calls - 1)
         with pytest.raises(DepthExceeded):
-            j_guard_report(dataclasses.replace(res, depth_cap=session.calls - 1))
+            j_guard_report(res)
 
     def test_ranks_each_expression_once_per_eta(self, monkeypatch):
         res = j_eval(parse_dil("Id*w*w"), OMEGA)

@@ -335,10 +335,9 @@ class TestTermOrder:
         for (t1, r1), (t2, r2) in itertools.combinations(zip(terms, ranks), 2):
             assert order.compare(t1, t2) == (-1 if r1 < r2 else 1)
 
-    def test_stage_values_match_direct_splits(self):
-        from dilcalc.psi import connected_stage_values
-
-        stages = connected_stage_values(D_ID, w, 5)
+    def test_stage_values_match_direct_splits(self, monkeypatch):
+        monkeypatch.setattr(psi_module, "CONNECTED_ROUNDS", 5)
+        stages = psi_module.connected_stage_values(D_ID, w)
         assert stages == [w] * 5
         total = ZERO
         for g in stages:
