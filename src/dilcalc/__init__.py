@@ -16,7 +16,6 @@ from .errors import (
     BudgetExceeded,
     DepthExceeded,
     DilcalcError,
-    EnumerationShortfall,
     GuardViolation,
     MalformedElement,
     NoUniqueIndex,
@@ -28,7 +27,7 @@ from .errors import (
     UnsupportedLimit,
     UnsupportedOtp,
 )
-from .expr import Dil, parse_dil, parse_expr, to_str
+from .expr import Dil, parse_dil, to_str
 from .jfunctor import JResult, j_eval, j_guard_report, jplus_eval, jprime_eval
 from .ordinal import (
     LimitPattern,
@@ -48,7 +47,6 @@ from .ordinal import (
 from .psi import (
     PsiOrder,
     chain_search,
-    embed_check,
     psi_clause_otp,
     psi_enum,
 )

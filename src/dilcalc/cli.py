@@ -31,6 +31,14 @@ from .psi import PsiOrder, psi_clause_otp, term_str
 from .semantics import element_str, prefix_elements
 
 
+def count(text: str) -> int:
+    """A non-negative integer option; argparse names it in its errors."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dilcalc",
@@ -47,13 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="connected-sum decomposition")
     p.add_argument("expr")
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=count, default=3)
     common(p)
 
     p = sub.add_parser("enum", help="ascending prefix of the element order")
     p.add_argument("expr")
-    p.add_argument("--x", type=int, default=2, help="argument order size")
-    p.add_argument("--prefix", type=int, default=20)
+    p.add_argument("--x", type=count, default=2, help="argument order size")
+    p.add_argument("--prefix", type=count, default=20)
     common(p)
 
     p = sub.add_parser("compare", help="compare two ordinal notations")
@@ -72,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psi-enum", help="enumerate collapse terms")
     p.add_argument("expr")
     p.add_argument("--gamma", required=True)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--prefix", type=int, default=200)
+    p.add_argument("--depth", type=count, default=4)
+    p.add_argument("--prefix", type=count, default=200)
     common(p)
 
     p = sub.add_parser("psi-otp", help="order type of the collapse order")
@@ -93,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named acceptance suite")
     p.add_argument("name")
-    p.add_argument("--prefix", type=int, default=200)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--depth", type=int, default=30)
+    p.add_argument("--prefix", type=count, default=200)
+    p.add_argument("--trials", type=count, default=10000)
+    p.add_argument("--depth", type=count, default=30)
     p.add_argument("--seed", type=int, default=2024)
     common(p)
 

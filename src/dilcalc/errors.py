@@ -56,10 +56,6 @@ class GuardViolation(DilcalcError):
     """Recorded recursion ranks failed to decrease; implementation bug."""
 
 
-class EnumerationShortfall(DilcalcError):
-    pass
-
-
 FRAGMENT_ERRORS = (
     OutOfNotation,
     UnsupportedLimit,

@@ -37,7 +37,6 @@ from .ordinal import (
     ord_omega_pow,
     ord_pred,
     ord_str,
-    parse_ord,
 )
 
 
@@ -526,11 +525,3 @@ def parse_dil(text: str) -> Dil:
     if sc.pos != len(sc.text):
         raise ParseError(f"trailing input at position {sc.pos}", sc.pos)
     return value
-
-
-def parse_expr(text: str):
-    """Parse as a dilator expression, falling back to an ordinal notation."""
-    try:
-        return parse_dil(text)
-    except ParseError:
-        return parse_ord(text)

@@ -19,10 +19,9 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .analysis import decompose
-from .errors import BudgetExceeded, DepthExceeded, EnumerationShortfall, MalformedElement
+from .errors import DepthExceeded, MalformedElement
 from .expr import (
     Band,
     CnfHead,
@@ -58,14 +57,13 @@ from .semantics import (
     EnumBudget,
     Left,
     Right,
-    _gen,
+    _candidates,
     _grid_values,
     band_member,
     compare_elements,
     default_pos_cmp,
     element_positions,
     element_str,
-    prefix_elements,
     sep_member,
     validate_element,
 )
@@ -273,9 +271,7 @@ class PsiOrder:
         known: list = []
         last = None  # ids of the terms accepted at the level before
         for _level in range(depth + 1):
-            cands = _gen(self.dilator, known, budget, lefts, pos_cmp)
-            if len(cands) > budget.max_count:
-                raise BudgetExceeded(f"{len(cands)} elements exceed cap {budget.max_count}")
+            cands = _candidates(self.dilator, known, budget, lefts, pos_cmp)
             fresh = [t for t in cands if accepts(t, last)]
             if not fresh:
                 break
@@ -464,49 +460,3 @@ class IllFoundedFixture:
 
     def compare(self, a, b):
         return LESS if a < b else EQUAL if a == b else GREATER
-
-
-@dataclass(frozen=True)
-class OrderHandle:
-    elements: Callable[[int], list]
-    compare: Callable[[object, object], int]
-
-
-def expr_order_handle(expr: Dil, n_points: int) -> OrderHandle:
-    return OrderHandle(
-        elements=lambda k: prefix_elements(expr, n_points, k, 400000),
-        compare=lambda a, b: compare_elements(expr, a, b),
-    )
-
-
-def psi_order_handle(order: PsiOrder, depth: int = 2) -> OrderHandle:
-    return OrderHandle(
-        elements=lambda k: order.enum(depth)[:k],
-        compare=order.compare,
-    )
-
-
-@dataclass(frozen=True)
-class EmbedReport:
-    verified: bool
-    violation: Optional[tuple] = None
-    checked: int = 0
-
-    @property
-    def summary(self) -> str:
-        return "Verified" if self.verified else f"Violation{self.violation}"
-
-
-def embed_check(map_fn, source: OrderHandle, target: OrderHandle, k: int) -> EmbedReport:
-    """Check injectivity and order preservation of map_fn on a k-prefix."""
-    src = source.elements(k)
-    if len(src) < k:
-        raise EnumerationShortfall(f"source produced {len(src)} < {k} elements")
-    images = [map_fn(e) for e in src]
-    checked = 0
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            checked += 1
-            if target.compare(images[i], images[j]) != LESS:
-                return EmbedReport(False, (i, j), checked)
-    return EmbedReport(True, None, checked)

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, MalformedElement
-from .expr import Band, CnfHead, Const, Dil, IdNode, MulOmega, OmegaComp, Sep, Sum
+from .expr import Band, CnfHead, Const, Dil, IdNode, MulOmega, OmegaComp, Sep, Sum, summands
 from .ordinal import EQUAL, GREATER, LESS, ONE, ZERO, Ord, ord_add, ord_cmp, ord_str
 
 
@@ -366,6 +366,30 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
     raise MalformedElement(f"no enumeration rule for {expr!r}")
 
 
+def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
+    """``_gen`` under ``budget.max_count``.  The summands of a sum are
+    generated (each distinct one once) and counted before any element is
+    wrapped in the ``ESum`` nodes of its place on the right spine, so a sum
+    over the cap is refused without building its elements."""
+    parts = summands(expr)
+    made: dict = {}
+    for part in parts:
+        if part not in made:
+            made[part] = _gen(part, points, budget, lefts, pos_cmp)
+    count = sum(len(made[part]) for part in parts)
+    if count > budget.max_count:
+        raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
+    out = []
+    for i, part in enumerate(parts):
+        wrapped = made[part]
+        if i < len(parts) - 1:
+            wrapped = [ESum(0, x) for x in wrapped]
+        for _ in range(i):
+            wrapped = [ESum(1, x) for x in wrapped]
+        out += wrapped
+    return out
+
+
 def _sorted_by(items, cmp):
     return sorted(items, key=functools.cmp_to_key(cmp))
 
@@ -384,9 +408,7 @@ def enum_elements(
     """
     if isinstance(points, int):
         points = list(range(points))
-    out = _gen(expr, list(points), budget, list(lefts), pos_cmp)
-    if len(out) > budget.max_count:
-        raise BudgetExceeded(f"{len(out)} elements exceed cap {budget.max_count}")
+    out = _candidates(expr, list(points), budget, list(lefts), pos_cmp)
     return _sorted_by(out, lambda x, y: compare_elements(expr, x, y, pos_cmp))
 
 
@@ -503,12 +525,7 @@ def _cnf_stream(lead_factory, below_factory, state, cap, head=False):
 
 def prefix_elements(expr: Dil, n_points: int, k: int, pull_cap: int = 200000):
     """The first ``k`` elements of the order over {0,...,n_points-1}."""
-    out = []
-    for e in ambient_stream(expr, range(n_points), ZERO, pull_cap):
-        out.append(e)
-        if len(out) >= k:
-            break
-    return out
+    return list(itertools.islice(ambient_stream(expr, range(n_points), ZERO, pull_cap), k))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,6 @@ from .semantics import (
     EId,
     ESum,
     EnumBudget,
-    Left,
     Right,
     ambient_stream,
     apply_embedding,
@@ -76,7 +75,6 @@ from .semantics import (
     enum_elements,
     important_position,
     prefix_elements,
-    sep_member,
     support_of,
 )
 
@@ -242,9 +240,8 @@ def check_j_laws(**_opts) -> CheckReport:
                 res = j_eval(d, g)
             except FRAGMENT_ERRORS:
                 continue
-            again = j_eval(d, g)
             audit = j_guard_report(res)
-            if res.value != again.value or not audit.value_identical:
+            if not audit.value_identical:
                 rep.failed(f"determinism broke on ({ds},{gs})")
             if audit.rank_violations:
                 rep.failed(f"rank decrease broke on ({ds},{gs}): {audit.rank_violations[:2]}")
@@ -439,19 +436,10 @@ def _check_sep_expr(rep, d: Dil, g: Ord, k: int, n_points: int):
         for e in _take(dec.prefix, n_points, k)
     ]
     if len(images) < k and not g.is_zero():
-        probe = Sep(atom, g, g)
-        for e in ambient_stream(atom, range(n_points), g, pull_cap=600000):
-            mi = important_position(atom, e)
-            if not isinstance(mi, Left) or mi.value >= g:
-                break
-            if sep_member(probe, e):
-                images.append(
-                    coherence.sum_inject(
-                        dec.prefix, sep_atom_expr, 1, coherence.sep_translate(atom, g, e)
-                    )
-                )
-                if len(images) >= k:
-                    break
+        images += [
+            coherence.sum_inject(dec.prefix, sep_atom_expr, 1, coherence.sep_translate(atom, g, e))
+            for e in _take(Sep(atom, g, g), n_points, k - len(images))
+        ]
     target = _take(sep_expr, n_points, len(images))
     _structurally_equal(rep, tag, images, target)
 

@@ -5,6 +5,27 @@ import time
 from dilcalc.suites import CheckReport, run_check
 
 
+# what ``dilcalc check all`` prints per suite besides the timed detail lines:
+# the passed count and the skip lines, in order
+_GAMMAS = ("w", "w^2")
+PRINTED = {
+    "j-exact": (8, []),
+    "psi-values": (17, []),
+    "bound-theorem": (6, [
+        f"closure side of ({d},{g}): OutOfNotation"
+        for d in ("Id", "Id+1", "Id*2", "Id*w") for g in _GAMMAS
+    ]),
+    "j-laws": (6, [
+        f"closure ({d},{g}): OutOfNotation"
+        for d in ("Id", "1+Id", "Const(w)+Id", "omega[Id]", "omega[Id*2]", "Id*2")
+        for g in _GAMMAS
+    ]),
+    "coherence": (145, []),
+    "order-sanity": (63, []),
+    "wellfounded-fuzz": (3, []),
+}
+
+
 def _run(name, budget_seconds, **opts):
     start = time.time()
     reports = run_check(name, **opts)
@@ -21,6 +42,9 @@ def _run(name, budget_seconds, **opts):
         print(f"    violation: {v}")
     assert ok, violations
     assert duration < budget_seconds, f"{name} exceeded {budget_seconds}s"
+    passed, skip_lines = PRINTED[name]
+    assert (checks, skips) == (passed, len(skip_lines))
+    assert [line for r in reports for line in r.skips] == skip_lines
     return reports
 
 

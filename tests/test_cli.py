@@ -224,11 +224,40 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("parse error: ")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "enum Id --x -2 --prefix 3",
+            "enum Id --prefix -1",
+            "psi-enum Const(3) --gamma 0 --prefix -1",
+            "psi-enum Const(3) --gamma 0 --depth -1",
+            "decompose Id*w --samples -1",
+            "check coherence --prefix -1",
+            "check wellfounded-fuzz --trials -1",
+            "check wellfounded-fuzz --depth -1",
+        ],
+    )
+    def test_negative_count_is_three(self, capsys, line):
+        code, out, err = run(capsys, *shlex.split(line))
+        assert (code, out) == (3, "")
+        assert "expected a non-negative integer" in err
+
     def test_unreadable_run_file_is_three(self, tmp_path, capsys):
         code, out, err = run(capsys, "run", "--file", str(tmp_path / "missing.commands"))
         assert code == 3
         assert out == ""
         assert err.startswith("error: ")
+
+
+class TestEmptyPrefix:
+    def test_enum_prints_nothing(self, capsys):
+        assert run(capsys, "enum", "Id", "--x", "2", "--prefix", "0") == (0, "", "")
+        code, out, _ = run(capsys, "enum", "Id", "--x", "2", "--prefix", "0", "--format", "json")
+        assert (code, json.loads(out)["result"]) == (0, [])
+
+    def test_coherence_passes(self, capsys):
+        code, out, _ = run(capsys, "check", "coherence", "--prefix", "0")
+        assert (code, out.splitlines()[0]) == (0, "PASS coherence: 145 checks, 0 skips, 0 violations")
 
 
 class TestRecursionLimit:
@@ -297,3 +326,20 @@ class TestImportSurface:
         loaded = done.stdout.split()
         assert "dilcalc.cli" in loaded
         assert "dilcalc.suites" not in loaded and "dilcalc.coherence" not in loaded
+
+    def test_public_names(self):
+        # adding or retiring a public name is an edit here
+        assert sorted(dilcalc.__all__) == [
+            "BudgetExceeded", "DepthExceeded", "Dil", "DilcalcError", "EnumBudget",
+            "GuardViolation", "JResult", "LimitPattern", "MalformedElement", "NoUniqueIndex",
+            "NotConnected", "NotTypeOmega", "Ord", "OutOfNotation", "ParseError", "PsiOrder",
+            "TypeClass", "UnsupportedDecomposition", "UnsupportedLimit", "UnsupportedOtp",
+            "ambient_stream", "analysis", "chain_search", "classify", "compare_elements",
+            "components", "decompose", "detect_limit_pattern", "enum_elements", "errors",
+            "expr", "important_index", "j_eval", "j_guard_report", "jfunctor", "jplus_eval",
+            "jprime_eval", "ll_relation", "ord_add", "ord_cmp", "ord_is_principal",
+            "ord_mul_nat", "ord_mul_omega", "ord_omega_pow", "ord_str", "ord_sup_of_sequence",
+            "ord_sup_solve", "ordinal", "otp_symbolic", "parse_dil", "parse_ord",
+            "prefix_elements", "psi", "psi_clause_otp", "psi_enum", "semantics", "sep",
+            "sep_signed", "sep_signed_iter", "support_of", "to_str",
+        ]

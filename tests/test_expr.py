@@ -24,10 +24,9 @@ from dilcalc.expr import (
     mk_sum,
     mk_sum_all,
     parse_dil,
-    parse_expr,
     to_str,
 )
-from dilcalc.ordinal import MAX_NESTING, OMEGA, ONE, ZERO, from_int, parse_ord
+from dilcalc.ordinal import MAX_NESTING, OMEGA, ONE, ZERO, from_int
 
 
 @pytest.mark.parametrize(
@@ -59,11 +58,6 @@ def test_parse_and_normalize(text, canonical):
     expr = parse_dil(text)
     assert to_str(expr) == canonical
     assert parse_dil(to_str(expr)) == expr
-
-
-def test_parse_expr_falls_back_to_ordinals():
-    assert parse_expr("w^2+1") == parse_ord("w^2+1")
-    assert parse_expr("Id+1") == parse_dil("Id+1")
 
 
 def test_parse_error_reports_position():

@@ -27,11 +27,8 @@ from dilcalc.psi import (
     PsiOrder,
     PsiSearchHandle,
     chain_search,
-    embed_check,
-    expr_order_handle,
     psi_clause_otp,
     psi_enum,
-    psi_order_handle,
     term_str,
 )
 from dilcalc.semantics import (
@@ -224,9 +221,10 @@ class TestTermOrder:
 
     def test_nested_chain(self):
         order = PsiOrder(D_ID, ONE)
-        terms = order.enum(3)
-        assert len(terms) == 4
-        for a, b in zip(terms, terms[1:]):
+        assert len(order.enum(3)) == 4
+        terms = order.enum(10)
+        assert len(terms) == 11
+        for a, b in itertools.combinations(terms, 2):
             assert order.compare(a, b) == -1
 
     def test_validity(self):
@@ -488,20 +486,6 @@ class TestSearch:
 
 
 class TestEmbedCheck:
-    def test_identity_embedding(self):
-        order = PsiOrder(D_ID, ONE)
-        handle = psi_order_handle(order, depth=10)
-        report = embed_check(lambda t: t, handle, handle, 10)
-        assert report.verified
-
-    def test_sep_monotone_embedding(self):
-        from dilcalc.analysis import sep
-
-        lo = expr_order_handle(sep(D_ID, from_int(2)), 1)
-        hi = expr_order_handle(sep(D_ID, from_int(5)), 1)
-        report = embed_check(lambda e: e, lo, hi, 2)
-        assert report.verified
-
     def test_split_sum_for_constants(self):
         # combined collapse of a constant sum splits as an initial segment
         # plus a shifted copy
@@ -513,17 +497,3 @@ class TestEmbedCheck:
         mapped = [EConst(t.index) for t in first]
         mapped += [EConst(ord_add(from_int(2), t.index)) for t in second]
         assert mapped == combined
-
-    def test_violation_detected(self):
-        order = PsiOrder(parse_dil("Const(3)"), ZERO)
-        handle = psi_order_handle(order, depth=2)
-        report = embed_check(lambda t: EConst(ZERO), handle, handle, 3)
-        assert not report.verified
-
-    def test_shortfall(self):
-        from dilcalc.errors import EnumerationShortfall
-
-        order = PsiOrder(parse_dil("Const(2)"), ZERO)
-        handle = psi_order_handle(order, depth=2)
-        with pytest.raises(EnumerationShortfall):
-            embed_check(lambda t: t, handle, handle, 10)

@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
-from dilcalc.errors import MalformedElement
-from dilcalc.expr import CnfHead, D_ID, D_ONE, D_ZERO, Sep, parse_dil
-from dilcalc.ordinal import OMEGA, ZERO, from_int
+import dilcalc.semantics as semantics
+from dilcalc.errors import BudgetExceeded, MalformedElement
+from dilcalc.expr import CnfHead, D_ID, D_ONE, D_ZERO, Sep, mk_mul_nat, parse_dil
+from dilcalc.ordinal import OMEGA, ONE, ZERO, from_int
+from dilcalc.psi import PsiOrder
 from dilcalc.semantics import (
     ECnf,
     EConst,
@@ -109,7 +111,39 @@ class TestEnum:
         assert enum_elements(expr, 2, SMALL) == enum_elements(expr, 2, SMALL)
 
 
+def _limit_esums(monkeypatch, bound):
+    """Count the ``ESum`` nodes built, failing once there are more than bound."""
+    made = []
+
+    class CountedESum(semantics.ESum):
+        def __init__(self, side, inner):
+            made.append(side)
+            assert len(made) <= bound, f"more than {bound} ESum nodes built"
+            super().__init__(side, inner)
+
+    monkeypatch.setattr(semantics, "ESum", CountedESum)
+
+
+class TestCapOnLongSums:
+    """A sum over the element cap is refused before its elements are built."""
+
+    def test_enum_elements(self, monkeypatch):
+        _limit_esums(monkeypatch, 0)
+        with pytest.raises(BudgetExceeded, match=r"^8000 elements exceed cap 4000$"):
+            enum_elements(mk_mul_nat(D_ID, 800), 10)
+
+    def test_psi_enum(self, monkeypatch):
+        # level 0 builds its 800 elements, i+1 nodes for the i-th summand's;
+        # level 1 (800 * 801 elements) is refused before any is built
+        _limit_esums(monkeypatch, 800 * 801 // 2)
+        with pytest.raises(BudgetExceeded, match=r"^640800 elements exceed cap 4000$"):
+            PsiOrder(mk_mul_nat(D_ID, 800), ONE).enum(1)
+
+
 class TestStreams:
+    def test_empty_prefix(self):
+        assert prefix_elements(D_ID, 2, 0) == []
+
     def test_true_prefix_of_cnf(self):
         oc = parse_dil("omega[Id]")
         got = [element_str(oc, e) for e in prefix_elements(oc, 2, 5)]
