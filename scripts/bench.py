@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Scaling series of the kernel on long sums, written to BENCH_<tag>.json.
+"""Kernel scaling series and CLI start-up times, written to BENCH_<tag>.json.
 
     python scripts/bench.py --tag T
 
@@ -11,6 +11,13 @@ sha1 of the value, so two checkouts can be compared value for value.  A
 point that raises records the error; after an error, or a median above
 MAX_SECONDS, the series records its larger sizes as skipped.  Each series
 gets the least-squares slope of log time on log n over its timed points.
+
+The CLI series runs each line of ``scripts/lemma_suite.commands`` as
+``python -m dilcalc.cli`` and, beside it, a bare ``python -c pass``, each
+CLI_REPEATS times in alternation, and keeps the median of each child's user
+plus system CPU time (from ``os.wait4``) with its exit code.  Children
+inherit this process's environment, so whether they may write bytecode is
+recorded too: without cached bytecode every child compiles the kernel.
 
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
@@ -24,7 +31,9 @@ import json
 import math
 import os
 import platform
+import shlex
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -42,6 +51,8 @@ from dilcalc.ordinal import ord_str, parse_ord  # noqa: E402
 SIZES = (100, 200, 400, 800, 1600, 3000)
 REPEATS = 3
 MAX_SECONDS = 5.0
+CLI_REPEATS = 5
+COMMANDS = ROOT / "scripts" / "lemma_suite.commands"
 SERIES = {
     "j": lambda d, w: j_eval(d, w).value,
     "jprime": lambda d, w: jprime_eval(d, w).value,
@@ -87,6 +98,38 @@ def run_series(fn) -> dict:
     return {"points": points, "exponent": fit_exponent(points)}
 
 
+def child_cpu(argv: list) -> tuple:
+    """User+system CPU seconds of one child run to completion, and its exit code."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return usage.ru_utime + usage.ru_stime, proc.returncode
+
+
+def cli_series() -> dict:
+    lines = [line for line in COMMANDS.read_text().splitlines()
+             if line.strip() and not line.startswith("#")]
+    bare, runs, codes = [], {line: [] for line in lines}, {}
+    for _ in range(CLI_REPEATS):
+        bare.append(child_cpu([sys.executable, "-c", "pass"])[0])
+        for line in lines:
+            cpu, codes[line] = child_cpu([sys.executable, "-m", "dilcalc.cli", *shlex.split(line)])
+            runs[line].append(cpu)
+    verbs = [{"line": line, "exit": codes[line], "median_cpu_s": statistics.median(runs[line]),
+              "runs_cpu_s": runs[line]} for line in lines]
+    print(f"  bare start {statistics.median(bare):.3f} s, verbs "
+          f"{statistics.median(v['median_cpu_s'] for v in verbs):.3f} s", file=sys.stderr)
+    return {
+        "repeats": CLI_REPEATS,
+        "dont_write_bytecode": sys.dont_write_bytecode,
+        "bare_median_cpu_s": statistics.median(bare),
+        "bare_runs_cpu_s": bare,
+        "verbs_median_cpu_s": statistics.median(v["median_cpu_s"] for v in verbs),
+        "verbs": verbs,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
@@ -104,6 +147,8 @@ def main() -> int:
     for name, fn in SERIES.items():
         print(f"{name}:", file=sys.stderr)
         report["series"][name] = run_series(fn)
+    print("cli:", file=sys.stderr)
+    report["cli"] = cli_series()
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)

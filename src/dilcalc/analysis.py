@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import (
@@ -54,7 +53,9 @@ from .ordinal import (
     LIMIT_SAMPLES,
     ONE,
     ZERO,
+    Frozen,
     Ord,
+    _set,
     fund_seq,
     ord_add,
     ord_left_sub,
@@ -72,14 +73,15 @@ from .semantics import (
 )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """Successor/limit view of the connected-sum decomposition."""
 
-    kind: str  # "zero" | "succ" | "limit"
-    prefix: Optional[Dil] = None
-    top: Optional[Dil] = None
-    fund: Optional[Callable[[int], Dil]] = None
+    def __init__(self, kind: str, prefix: Optional[Dil] = None, top: Optional[Dil] = None,
+                 fund: Optional[Callable[[int], Dil]] = None):
+        _set(self, "kind", kind)  # "zero" | "succ" | "limit"
+        _set(self, "prefix", prefix)
+        _set(self, "top", top)
+        _set(self, "fund", fund)
 
 
 def _concat(prefix_expr: Dil, rest: Dil) -> Decomposition:
@@ -180,12 +182,14 @@ def components(d: Dil) -> list:
 # classification
 
 
-@dataclass(frozen=True)
-class TypeClass:
-    kind: str  # "0" | "1" | "omega" | "Omega"
-    pred: Optional[Dil] = None
-    fund_seq: Optional[Callable[[int], Dil]] = None
-    sep_fn: Optional[Callable[[Ord], Dil]] = None
+class TypeClass(Frozen):
+    def __init__(self, kind: str, pred: Optional[Dil] = None,
+                 fund_seq: Optional[Callable[[int], Dil]] = None,
+                 sep_fn: Optional[Callable[[Ord], Dil]] = None):
+        _set(self, "kind", kind)  # "0" | "1" | "omega" | "Omega"
+        _set(self, "pred", pred)
+        _set(self, "fund_seq", fund_seq)
+        _set(self, "sep_fn", sep_fn)
 
 
 def classify(d: Dil) -> TypeClass:

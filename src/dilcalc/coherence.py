@@ -32,6 +32,7 @@ from .expr import (
     mk_sep_plus,
     mk_shift,
     mk_sum,
+    summands,
     to_str,
 )
 from .ordinal import (
@@ -301,7 +302,13 @@ def top_inject(d: Dil, elem):
     if isinstance(d, Const):
         return EConst(ord_pred(d.value))
     if isinstance(d, Sum):
-        return ESum(1, top_inject(d.right, elem))
+        # the top of a sum is the top of its last summand, one ESum(1, -) per
+        # summand before it; a loop, so a long sum costs no recursion depth
+        parts = summands(d)
+        inner = top_inject(parts[-1], elem)
+        for _ in parts[:-1]:
+            inner = ESum(1, inner)
+        return inner
     if isinstance(d, OmegaComp):
         # top is mk_cnf_head(prefix, top-of-base); exponents land in the base
         pairs = []

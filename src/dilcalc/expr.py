@@ -17,7 +17,6 @@ connected expression cut by its most important argument position).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParseError
@@ -26,8 +25,10 @@ from .ordinal import (
     LESS,
     ONE,
     ZERO,
+    Frozen,
     Ord,
     _Scanner,
+    _set,
     _parse_ord_sum,
     from_int,
     ord_add,
@@ -44,28 +45,40 @@ from .ordinal import (
 MAX_MULTIPLIER = 100_000
 
 
-class Dil:
-    """Base class for dilator expression nodes."""
+class Dil(Frozen):
+    """Base class for dilator expression nodes.  Nodes are memo keys, so each
+    node class writes out its ``__hash__``; the common ones its ``__eq__``."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Dil):
-    value: Ord
+    def __init__(self, value: Ord):
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
 class IdNode(Dil):
-    pass
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
 
-@dataclass(frozen=True)
 class Sum(Dil):
-    left: Dil
-    right: Dil
-
     _hash = None  # not a field: set on first use, then kept
+
+    def __init__(self, left: Dil, right: Dil):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __hash__(self):
         """hash((left, right)), computed once.  The spine below is filled
@@ -77,7 +90,7 @@ class Sum(Dil):
                 spine.append(node)
                 node = node.right
             for node in reversed(spine):
-                object.__setattr__(node, "_hash", hash((node.left, node.right)))
+                _set(node, "_hash", hash((node.left, node.right)))
         return self._hash
 
     def __eq__(self, other):
@@ -88,34 +101,43 @@ class Sum(Dil):
         return summands(self) == summands(other)
 
     def __repr__(self):
-        """The dataclass repr, built over ``summands`` in a loop."""
+        """The field repr, built over ``summands`` in a loop."""
         parts = summands(self)
         heads = "".join(f"Sum(left={p!r}, right=" for p in parts[:-1])
         return heads + repr(parts[-1]) + ")" * (len(parts) - 1)
 
 
-@dataclass(frozen=True)
 class MulOmega(Dil):
-    base: Dil
+    def __init__(self, base: Dil):
+        _set(self, "base", base)
+
+    def __hash__(self):
+        return hash((self.base,))
 
 
-@dataclass(frozen=True)
 class OmegaComp(Dil):
     """Formal base-omega sums whose exponents are the elements of base."""
 
-    base: Dil
+    def __init__(self, base: Dil):
+        _set(self, "base", base)
+
+    def __hash__(self):
+        return hash((self.base,))
 
     @cached_property
     def exponents(self) -> Dil:
         return self.base
 
 
-@dataclass(frozen=True)
 class CnfHead(Dil):
     """Formal base-omega sums over low+high whose lead lies in the high part."""
 
-    low: Dil
-    high: Dil
+    def __init__(self, low: Dil, high: Dil):
+        _set(self, "low", low)
+        _set(self, "high", high)
+
+    def __hash__(self):
+        return hash((self.low, self.high))
 
     @cached_property
     def exponents(self) -> Dil:
@@ -123,24 +145,30 @@ class CnfHead(Dil):
         return Sum(self.low, self.high)
 
 
-@dataclass(frozen=True)
 class Sep(Dil):
     """Elements of base(amb+X) whose most important position is the largest
     position below ``cut``; base is a connected non-max-dominated atom."""
 
-    base: Dil
-    cut: Ord
-    amb: Ord
+    def __init__(self, base: Dil, cut: Ord, amb: Ord):
+        _set(self, "base", base)
+        _set(self, "cut", cut)
+        _set(self, "amb", amb)
+
+    def __hash__(self):
+        return hash((self.base, self.cut, self.amb))
 
 
-@dataclass(frozen=True)
 class Band(Dil):
     """Elements of base(amb+X) whose most important position lies in [lo, hi)."""
 
-    base: Dil
-    lo: Ord
-    hi: Ord
-    amb: Ord
+    def __init__(self, base: Dil, lo: Ord, hi: Ord, amb: Ord):
+        _set(self, "base", base)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "amb", amb)
+
+    def __hash__(self):
+        return hash((self.base, self.lo, self.hi, self.amb))
 
 
 D_ZERO = Const(ZERO)

@@ -17,7 +17,6 @@ re-checks that every recorded step descends in rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .analysis import classify, otp_symbolic
@@ -28,7 +27,9 @@ from .ordinal import (
     OMEGA,
     ONE,
     ZERO,
+    Frozen,
     Ord,
+    _set,
     ord_add,
     ord_omega_pow,
     ord_sup_of_sequence,
@@ -38,28 +39,27 @@ from .ordinal import (
 DEPTH_CAP = 10000
 
 
-@dataclass(frozen=True)
-class JStep:
-    parent: Dil
-    gamma: Ord
-    clause: str
-    child: Optional[Dil]
-    value: Ord
+class JStep(Frozen):
+    def __init__(self, parent: Dil, gamma: Ord, clause: str, child: Optional[Dil], value: Ord):
+        _set(self, "parent", parent)
+        _set(self, "gamma", gamma)
+        _set(self, "clause", clause)
+        _set(self, "child", child)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class JResult:
-    expr: Dil
-    gamma: Ord
-    variant: str
-    value: Ord
-    eta: Ord
-    xi: Optional[Ord]
-    steps: tuple
-
-    def __post_init__(self):
-        if self.value >= self.eta:
+class JResult(Frozen):
+    def __init__(self, expr: Dil, gamma: Ord, variant: str, value: Ord, eta: Ord,
+                 xi: Optional[Ord], steps: tuple):
+        if value >= eta:
             raise ValueError("guard eta must exceed the value")
+        _set(self, "expr", expr)
+        _set(self, "gamma", gamma)
+        _set(self, "variant", variant)
+        _set(self, "value", value)
+        _set(self, "eta", eta)
+        _set(self, "xi", xi)
+        _set(self, "steps", steps)
 
 
 class _Session:
@@ -160,20 +160,21 @@ def jprime_eval(d: Dil, gamma: Ord) -> JResult:
 
 def jplus_eval(d: Dil, gamma: Ord) -> JResult:
     target = mk_omega_comp(mk_sum(d, D_ONE))
-    result = _run(target, gamma, "jprime")
-    return replace(result, expr=d, variant="jplus")
+    res = _run(target, gamma, "jprime")
+    return JResult(d, res.gamma, "jplus", res.value, res.eta, res.xi, res.steps)
 
 
 EVALUATORS = {"j": j_eval, "jprime": jprime_eval, "jplus": jplus_eval}
 
 
-@dataclass(frozen=True)
-class GuardAudit:
-    value_identical: bool
-    enlarged_eta: Ord
-    steps_checked: int
-    rank_violations: tuple
-    unranked_steps: int
+class GuardAudit(Frozen):
+    def __init__(self, value_identical: bool, enlarged_eta: Ord, steps_checked: int,
+                 rank_violations: tuple, unranked_steps: int):
+        _set(self, "value_identical", value_identical)
+        _set(self, "enlarged_eta", enlarged_eta)
+        _set(self, "steps_checked", steps_checked)
+        _set(self, "rank_violations", rank_violations)
+        _set(self, "unranked_steps", unranked_steps)
 
     @property
     def ok(self) -> bool:

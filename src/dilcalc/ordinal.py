@@ -9,37 +9,91 @@ the exact supremum, or refuses honestly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import OutOfNotation, ParseError, UnsupportedLimit
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
+# how a frozen record's ``__init__`` sets its fields
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Ord:
+
+class Record:
+    """A record whose fields are the parameters of its class's ``__init__``.
+
+    Equality compares the fields of two records of one class, and the repr
+    lists them.  A plain record is mutable and unhashable; see ``Frozen``.
+    The classes are written out rather than made by ``dataclasses``, whose
+    import and generated code a fresh CLI process would pay for each time.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """An immutable record, hashed as the tuple of its fields.  Its
+    ``__init__`` sets each field once with ``_set``.  Classes whose records
+    are memo keys write out ``__eq__`` and ``__hash__``: per call the
+    generic ones below cost 4-10x as much."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Ord(Frozen):
     """Ordinal below epsilon_0 in Cantor normal form.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs, exponents
     strictly descending, coefficients >= 1.  The empty tuple is 0.
     """
 
-    terms: tuple = ()
-
     _hash = None  # not a field: set on first use, then kept
 
-    def __post_init__(self):
-        for exp, coeff in self.terms:
+    def __init__(self, terms: tuple = ()):
+        for exp, coeff in terms:
             if not isinstance(exp, Ord) or coeff < 1:
                 raise ValueError("malformed CNF term")
+        _set(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.terms,) == (other.terms,)
+        return NotImplemented
 
     def __hash__(self):
-        """hash((terms,)), the dataclass hash, computed once: memo keys hold
+        """hash((terms,)), the field hash, computed once: memo keys hold
         the same notations again and again, and each hash would otherwise
         walk the whole CNF tree."""
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.terms,)))
+            _set(self, "_hash", hash((self.terms,)))
         return self._hash
 
     def is_zero(self) -> bool:
@@ -204,40 +258,38 @@ def ord_nesting_depth(a: Ord) -> int:
 LIMIT_SAMPLES = 8
 
 
-@dataclass(frozen=True)
-class ConstantIncrement:
-    increment: Ord
+class ConstantIncrement(Frozen):
+    def __init__(self, increment: Ord):
+        _set(self, "increment", increment)
 
 
-@dataclass(frozen=True)
-class AffineStep:
-    multiplier: int
-    addend: Ord
+class AffineStep(Frozen):
+    def __init__(self, multiplier: int, addend: Ord):
+        _set(self, "multiplier", multiplier)
+        _set(self, "addend", addend)
 
 
-@dataclass(frozen=True)
-class TermEscalation:
+class TermEscalation(Frozen):
     """Values share a stable CNF prefix while the next term escalates."""
 
-    prefix: Ord
-    exponent_limit: Ord
+    def __init__(self, prefix: Ord, exponent_limit: Ord):
+        _set(self, "prefix", prefix)
+        _set(self, "exponent_limit", exponent_limit)
 
 
-@dataclass(frozen=True)
-class Unsupported:
-    reason: str = ""
+class Unsupported(Frozen):
+    def __init__(self, reason: str = ""):
+        _set(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class LimitPattern:
-    kind: object
-    start: Ord
-
-    def __post_init__(self):
-        if isinstance(self.kind, ConstantIncrement) and self.kind.increment.is_zero():
+class LimitPattern(Frozen):
+    def __init__(self, kind: object, start: Ord):
+        if isinstance(kind, ConstantIncrement) and kind.increment.is_zero():
             raise ValueError("ConstantIncrement needs a positive increment")
-        if isinstance(self.kind, AffineStep) and self.kind.multiplier < 1:
+        if isinstance(kind, AffineStep) and kind.multiplier < 1:
             raise ValueError("AffineStep needs multiplier >= 1")
+        _set(self, "kind", kind)
+        _set(self, "start", start)
 
 
 def ord_sup_solve(pattern: LimitPattern) -> Ord:

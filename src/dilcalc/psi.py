@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
 from .analysis import decompose
 from .errors import DepthExceeded, MalformedElement
@@ -43,7 +42,10 @@ from .ordinal import (
     LIMIT_SAMPLES,
     ONE,
     ZERO,
+    Frozen,
     Ord,
+    Record,
+    _set,
     ord_add,
     ord_str,
     ord_sup_of_sequence,
@@ -178,12 +180,12 @@ def connected_stage_values(atom: Dil, delta: Ord, _budget: list = None) -> list:
 # the term order
 
 
-@dataclass(frozen=True)
-class PsiOrder:
+class PsiOrder(Frozen):
     """Decidable presentation of the collapse order of (dilator, gamma)."""
 
-    dilator: Dil
-    gamma: Ord
+    def __init__(self, dilator: Dil, gamma: Ord):
+        _set(self, "dilator", dilator)
+        _set(self, "gamma", gamma)
 
     def pos_cmp(self, p, q) -> int:
         if isinstance(p, Right) and isinstance(q, Right):
@@ -394,11 +396,11 @@ def term_str(order: PsiOrder, t) -> str:
 # descent search and embedding checks
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    found: bool
-    chain: tuple = ()
-    trials: int = 0
+class SearchResult(Frozen):
+    def __init__(self, found: bool, chain: tuple = (), trials: int = 0):
+        _set(self, "found", found)
+        _set(self, "chain", chain)
+        _set(self, "trials", trials)
 
     @property
     def summary(self) -> str:
@@ -437,9 +439,9 @@ def chain_search(handle, trials: int, depth: int, seed: int) -> SearchResult:
     return SearchResult(False, (), trials)
 
 
-@dataclass
-class PsiSearchHandle:
-    order: PsiOrder
+class PsiSearchHandle(Record):
+    def __init__(self, order: PsiOrder):
+        self.order = order
 
     def random_element(self, rng):
         return self.order.random_term(rng)
@@ -448,11 +450,11 @@ class PsiSearchHandle:
         return self.order.compare(a, b)
 
 
-@dataclass
-class IllFoundedFixture:
+class IllFoundedFixture(Record):
     """Deliberately descending integer generator; the harness self-test."""
 
-    state: int = 0
+    def __init__(self, state: int = 0):
+        self.state = state
 
     def random_element(self, rng):
         self.state -= rng.randint(1, 9)

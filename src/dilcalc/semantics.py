@@ -13,50 +13,49 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, MalformedElement
 from .expr import Band, CnfHead, Const, Dil, IdNode, MulOmega, OmegaComp, Sep, Sum, summands
-from .ordinal import EQUAL, GREATER, LESS, ONE, ZERO, Ord, ord_add, ord_cmp, ord_str
+from .ordinal import EQUAL, GREATER, LESS, ONE, ZERO, Frozen, Ord, _set, ord_add, ord_cmp, ord_str
 
 
-@dataclass(frozen=True)
-class Left:
-    value: Ord
+class Left(Frozen):
+    def __init__(self, value: Ord):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Right:
-    point: object
+class Right(Frozen):
+    def __init__(self, point: object):
+        _set(self, "point", point)
 
 
-@dataclass(frozen=True)
-class EConst:
-    index: Ord
+class EConst(Frozen):
+    def __init__(self, index: Ord):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class EId:
-    pos: object
+class EId(Frozen):
+    def __init__(self, pos: object):
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ESum:
-    side: int
-    inner: object
+class ESum(Frozen):
+    def __init__(self, side: int, inner: object):
+        _set(self, "side", side)
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class ECopies:
-    copy: int
-    inner: object
+class ECopies(Frozen):
+    def __init__(self, copy: int, inner: object):
+        _set(self, "copy", copy)
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class ECnf:
+class ECnf(Frozen):
     """Formal sum of omega-powers: ((exponent, multiplicity), ...) descending."""
 
-    pairs: tuple = ()
+    def __init__(self, pairs: tuple = ()):
+        _set(self, "pairs", pairs)
 
 
 EMPTY_CNF = ECnf()
@@ -276,14 +275,15 @@ def band_member(node: Band, elem) -> bool:
 # exhaustive enumeration under a budget
 
 
-@dataclass(frozen=True)
-class EnumBudget:
-    max_count: int = 4000
-    const_cap: int = 12
-    copies: int = 3
-    cnf_len: int = 2
-    cnf_mult: int = 2
-    grid: int = 8
+class EnumBudget(Frozen):
+    def __init__(self, max_count: int = 4000, const_cap: int = 12, copies: int = 3,
+                 cnf_len: int = 2, cnf_mult: int = 2, grid: int = 8):
+        _set(self, "max_count", max_count)
+        _set(self, "const_cap", const_cap)
+        _set(self, "copies", copies)
+        _set(self, "cnf_len", cnf_len)
+        _set(self, "cnf_mult", cnf_mult)
+        _set(self, "grid", grid)
 
 
 def _grid_values(bound: Ord, size: int) -> tuple:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 
 from . import coherence
 from .analysis import (
@@ -50,6 +49,7 @@ from .ordinal import (
     ONE,
     ZERO,
     Ord,
+    Record,
     from_int,
     ord_add,
     ord_is_principal,
@@ -79,14 +79,15 @@ from .semantics import (
 )
 
 
-@dataclass
-class CheckReport:
-    name: str
-    ok: bool = True
-    details: list = field(default_factory=list)
-    skips: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    duration: float = 0.0
+class CheckReport(Record):
+    def __init__(self, name: str, ok: bool = True, details: list = None, skips: list = None,
+                 violations: list = None, duration: float = 0.0):
+        self.name = name
+        self.ok = ok
+        self.details = [] if details is None else details
+        self.skips = [] if skips is None else skips
+        self.violations = [] if violations is None else violations
+        self.duration = duration
 
     def passed(self, line: str):
         self.details.append(line)

@@ -316,16 +316,32 @@ class TestScenario:
 
 
 class TestImportSurface:
+    @staticmethod
+    def loaded(*argv):
+        """The modules a fresh process has loaded after ``dilcalc.cli.main(argv)``
+        (after the bare import when argv is empty)."""
+        src = Path(dilcalc.__file__).resolve().parents[1]
+        probe = ("import sys, dilcalc.cli\n"
+                 "if sys.argv[1:]: assert dilcalc.cli.main(sys.argv[1:]) == 0\n"
+                 "print(*sorted(sys.modules), file=sys.stderr)")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        return done.stderr.split()
+
     def test_cli_loads_neither_suites_nor_coherence(self):
         # a cold CLI process is mostly import; only `check` needs the suites
-        src = Path(dilcalc.__file__).resolve().parents[1]
-        probe = "import sys, dilcalc.cli; print(*sorted(m for m in sys.modules if m.startswith('dilcalc')))"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
-        loaded = done.stdout.split()
+        loaded = self.loaded()
         assert "dilcalc.cli" in loaded
         assert "dilcalc.suites" not in loaded and "dilcalc.coherence" not in loaded
+
+    @pytest.mark.parametrize("argv", [(), ("check", "j-exact")], ids=["import", "check"])
+    def test_cli_loads_neither_dataclasses_nor_inspect(self, argv):
+        # the kernel's records are plain classes: dataclasses generates code
+        # at import and brings in inspect, which every cold process would pay
+        loaded = self.loaded(*argv)
+        assert "dilcalc.cli" in loaded and ("dilcalc.suites" in loaded) == bool(argv)
+        assert "dataclasses" not in loaded and "inspect" not in loaded
 
     def test_public_names(self):
         # adding or retiring a public name is an edit here

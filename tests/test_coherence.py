@@ -11,10 +11,13 @@ import pytest
 
 from dilcalc import coherence
 from dilcalc.analysis import decompose, sep_signed
-from dilcalc.expr import mk_shift, mk_sum, parse_dil
+from dilcalc.expr import D_ID, mk_mul_nat, mk_shift, mk_sum, parse_dil
 from dilcalc.ordinal import LESS, parse_ord
 from dilcalc.semantics import (
+    EId,
+    ESum,
     EnumBudget,
+    Right,
     _grid_values,
     compare_elements,
     enum_elements,
@@ -84,3 +87,21 @@ def test_limit_injection_refuses_a_unit_top_head():
     elem = enum_elements(decompose(d).fund(1), 1)[0]
     with pytest.raises(coherence.TranslationGap):
         coherence.limit_prefix_inject(d, 1, elem)
+
+
+def test_top_injection_of_a_sum_is_the_recursive_one():
+    # ESum(1, -) around the right summand's injection, as the recursion had it
+    for text in ("Id+1", "1+Id", "Id*2", "Id*3+1", "Const(w)+Id", "omega[Id]+Id",
+                 "omega_head(0;Id)+1", "Id+omega_head(Id;Id)"):
+        d = parse_dil(text)
+        for e in _elements(decompose(d).top, parse_ord("2")):
+            assert coherence.top_inject(d, e) == ESum(1, coherence.top_inject(d.right, e)), text
+
+
+def test_top_injection_of_a_long_sum_needs_no_recursion(default_recursion_limit):
+    elem = EId(Right(0))
+    image = coherence.top_inject(mk_mul_nat(D_ID, 2000), elem)
+    for _ in range(1999):
+        assert image.__class__ is ESum and image.side == 1
+        image = image.inner
+    assert image is elem

@@ -251,6 +251,7 @@ class TestCollapseSumSplit:
     def test_constant_parts(self):
         combined = PsiOrder(parse_dil("Const(2)+Const(3)"), ZERO)
         all_terms = combined.enum(2)
+        assert len(all_terms) == 5
         first = PsiOrder(parse_dil("Const(2)"), ZERO).enum(2)
         second = PsiOrder(parse_dil("Const(3)"), from_int(2)).enum(2)
         images = [EConst(t.index) for t in first]

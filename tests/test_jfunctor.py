@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -30,6 +29,8 @@ from dilcalc.expr import (
 )
 from dilcalc.jfunctor import (
     EVALUATORS,
+    JResult,
+    JStep,
     _Session,
     j_eval,
     j_guard_report,
@@ -450,8 +451,9 @@ class TestAudit:
         """The result with the child of its last ``clause`` step replaced."""
         steps = list(res.steps)
         i = max(i for i, s in enumerate(steps) if s.clause == clause)
-        steps[i] = dataclasses.replace(steps[i], child=child_of(steps[i]))
-        return dataclasses.replace(res, steps=tuple(steps))
+        s = steps[i]
+        steps[i] = JStep(s.parent, s.gamma, s.clause, child_of(s), s.value)
+        return JResult(res.expr, res.gamma, res.variant, res.value, res.eta, res.xi, tuple(steps))
 
     def test_composition_edges_may_keep_the_rank(self):
         res = j_eval(parse_dil("1+Id"), OMEGA)

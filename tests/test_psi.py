@@ -483,17 +483,3 @@ class TestSearch:
             handle = PsiSearchHandle(PsiOrder(parse_dil(text), parse_ord(gamma)))
             res = chain_search(handle, 1500, 30, seed=11)
             assert not res.found, text
-
-
-class TestEmbedCheck:
-    def test_split_sum_for_constants(self):
-        # combined collapse of a constant sum splits as an initial segment
-        # plus a shifted copy
-        order = PsiOrder(parse_dil("Const(2)+Const(3)"), ZERO)
-        combined = order.enum(2)
-        first = PsiOrder(parse_dil("Const(2)"), ZERO).enum(2)
-        second = PsiOrder(parse_dil("Const(3)"), from_int(2)).enum(2)
-        assert len(combined) == 5
-        mapped = [EConst(t.index) for t in first]
-        mapped += [EConst(ord_add(from_int(2), t.index)) for t in second]
-        assert mapped == combined
