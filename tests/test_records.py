@@ -1,12 +1,14 @@
-"""The record semantics of every kernel record class, pinned as the
-dataclass versions of these classes had them: the repr, equality within one
-class and NotImplemented across classes, the hash of the field tuple,
+"""The record semantics of every kernel record class: the repr, equality
+within one class and NotImplemented across classes, the hash of the field
+tuple (set and dict orders, and so the pinned answers, depend on it),
 immutability, and unhashable mutable records."""
 
 import pytest
 
 from dilcalc.analysis import Decomposition, TypeClass
-from dilcalc.expr import D_ID, D_ONE, D_ZERO, Band, CnfHead, Const, IdNode, MulOmega, OmegaComp, Sep, Sum
+from dilcalc.expr import (
+    D_ID, D_ONE, D_ZERO, Band, CnfHead, Const, IdNode, MulOmega, OmegaComp, Sep, Sum,
+)
 from dilcalc.jfunctor import GuardAudit, JStep, j_eval, jplus_eval
 from dilcalc.ordinal import (
     OMEGA, ONE, ZERO, AffineStep, ConstantIncrement, LimitPattern, Ord, TermEscalation,
