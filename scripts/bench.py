@@ -19,6 +19,13 @@ plus system CPU time (from ``os.wait4``) with its exit code.  Children
 inherit this process's environment, so whether they may write bytecode is
 recorded too: without cached bytecode every child compiles the kernel.
 
+The element series times the brute-force oracle layer on the atom
+ELEMENT_ATOM, under the trace budget of the element-oracles workload:
+``important_index`` on the first trace term of each arity 1-4 (median of
+ELEMENT_REPEATS calls, with the slot it answers), and ``compare_elements``
+per call over the adjacent pairs of the arity-4 term's embedding images,
+ranked as ``important_index`` ranks them (median of ELEMENT_REPEATS passes).
+
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
 """
@@ -26,7 +33,9 @@ the script measures the checkout it sits in.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -42,17 +51,26 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from dilcalc import analysis, psi  # noqa: E402
-from dilcalc.analysis import otp_symbolic  # noqa: E402
+from dilcalc.analysis import enum_trace_terms, important_index, otp_symbolic  # noqa: E402
 from dilcalc.errors import DilcalcError  # noqa: E402
-from dilcalc.expr import D_ID, mk_mul_nat  # noqa: E402
+from dilcalc.expr import D_ID, mk_mul_nat, parse_dil  # noqa: E402
 from dilcalc.jfunctor import j_eval, jprime_eval  # noqa: E402
 from dilcalc.ordinal import ord_str, parse_ord  # noqa: E402
+from dilcalc.semantics import (  # noqa: E402
+    EnumBudget,
+    apply_embedding,
+    compare_elements,
+    support_of,
+)
 
 SIZES = (100, 200, 400, 800, 1600, 3000)
 REPEATS = 3
 MAX_SECONDS = 5.0
 CLI_REPEATS = 5
 COMMANDS = ROOT / "scripts" / "lemma_suite.commands"
+ELEMENT_ATOM = "omega_head(1;omega_head(0;Id))"
+ELEMENT_BUDGET = dict(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
+ELEMENT_REPEATS = 51
 SERIES = {
     "j": lambda d, w: j_eval(d, w).value,
     "jprime": lambda d, w: jprime_eval(d, w).value,
@@ -96,6 +114,47 @@ def run_series(fn) -> dict:
         points.append(time_point(fn, n))
         print(f"  n={n}: {points[-1].get('median_s', points[-1].get('error'))}", file=sys.stderr)
     return {"points": points, "exponent": fit_exponent(points)}
+
+
+def median_s(fn, repeats: int) -> tuple:
+    """The median and the runs of ``repeats`` timed calls of fn."""
+    runs = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        runs.append(time.perf_counter() - start)
+    return statistics.median(runs), runs
+
+
+def element_series() -> dict:
+    atom = parse_dil(ELEMENT_ATOM)
+    firsts = {}
+    for term, arity in enum_trace_terms(atom, 4, EnumBudget(**ELEMENT_BUDGET)):
+        firsts.setdefault(arity, term)
+    index = []
+    for arity in range(1, 5):
+        term = firsts[arity]
+        med, runs = median_s(lambda: important_index(atom, term), ELEMENT_REPEATS)
+        index.append({"arity": arity, "slot": important_index(atom, term),
+                      "median_ms": 1000 * med, "runs_ms": [1000 * r for r in runs]})
+        print(f"  important_index arity {arity}: {1000 * med:.3f} ms", file=sys.stderr)
+    term = firsts[4]
+    pts = support_of(atom, term)
+    images = sorted(
+        (apply_embedding(atom, term, dict(zip(pts, c)))
+         for c in itertools.combinations(range(8), 4)),
+        key=functools.cmp_to_key(functools.partial(compare_elements, atom)))
+    pairs = list(zip(images, images[1:]))
+    med, runs = median_s(lambda: [compare_elements(atom, x, y) for x, y in pairs], ELEMENT_REPEATS)
+    print(f"  compare_elements: {1e6 * med / len(pairs):.2f} us per call", file=sys.stderr)
+    return {
+        "atom": ELEMENT_ATOM,
+        "budget": ELEMENT_BUDGET,
+        "repeats": ELEMENT_REPEATS,
+        "important_index": index,
+        "compare_elements": {"pairs": len(pairs), "median_us_per_call": 1e6 * med / len(pairs),
+                             "runs_us_per_call": [1e6 * r / len(pairs) for r in runs]},
+    }
 
 
 def child_cpu(argv: list) -> tuple:
@@ -147,6 +206,8 @@ def main() -> int:
     for name, fn in SERIES.items():
         print(f"{name}:", file=sys.stderr)
         report["series"][name] = run_series(fn)
+    print("elements:", file=sys.stderr)
+    report["elements"] = element_series()
     print("cli:", file=sys.stderr)
     report["cli"] = cli_series()
     out = ROOT / f"BENCH_{args.tag}.json"

@@ -1,5 +1,7 @@
 """Symbolic kernel for coded dilators, ordinal functors, and collapse orders."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     TypeClass,
     classify,
@@ -59,4 +61,9 @@ from .semantics import (
     support_of,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names; the submodules, which the imports above bind as
+# attributes of the package, are not part of the public surface
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -62,48 +62,76 @@ EMPTY_CNF = ECnf()
 
 
 def default_pos_cmp(p, q) -> int:
-    if isinstance(p, Left) and isinstance(q, Left):
-        return ord_cmp(p.value, q.value)
-    if isinstance(p, Left):
-        return LESS
-    if isinstance(q, Left):
-        return GREATER
+    if p.__class__ is not Right or q.__class__ is not Right:
+        if isinstance(p, Left) and isinstance(q, Left):
+            return ord_cmp(p.value, q.value)
+        if isinstance(p, Left):
+            return LESS
+        if isinstance(q, Left):
+            return GREATER
     a, b = p.point, q.point
     return LESS if a < b else GREATER if a > b else EQUAL
 
 
 # ---------------------------------------------------------------------------
 # comparison and structure
+#
+# The walkers go down Sum, MulOmega, Sep and Band levels in a loop, so the i
+# nested ESum layers of an element of a long sum's i-th summand cost no
+# recursion depth; only formal-sum exponents recurse.  Each level dispatches
+# on the node's exact class: the node classes have no subclasses.
+
+
+def _descend(expr: Dil, elem):
+    """The first node below Sum, MulOmega, Sep and Band levels, with its element."""
+    while True:
+        kind = expr.__class__
+        if kind is Sum:
+            expr = expr.left if elem.side == 0 else expr.right
+            elem = elem.inner
+        elif kind is MulOmega:
+            expr, elem = expr.base, elem.inner
+        elif kind is Sep or kind is Band:
+            expr = expr.base
+        else:
+            return expr, elem
 
 
 def compare_elements(expr: Dil, e1, e2, pos_cmp=default_pos_cmp) -> int:
     """Total order on well-formed elements of ``expr``."""
-    if isinstance(expr, Const):
-        return ord_cmp(e1.index, e2.index)
-    if isinstance(expr, IdNode):
-        return pos_cmp(e1.pos, e2.pos)
-    if isinstance(expr, Sum):
-        if e1.side != e2.side:
-            return LESS if e1.side < e2.side else GREATER
-        part = expr.left if e1.side == 0 else expr.right
-        return compare_elements(part, e1.inner, e2.inner, pos_cmp)
-    if isinstance(expr, MulOmega):
-        if e1.copy != e2.copy:
-            return LESS if e1.copy < e2.copy else GREATER
-        return compare_elements(expr.base, e1.inner, e2.inner, pos_cmp)
-    if isinstance(expr, (OmegaComp, CnfHead)):
-        for (x, m), (y, n) in zip(e1.pairs, e2.pairs):
-            c = compare_elements(expr.exponents, x, y, pos_cmp)
-            if c != EQUAL:
-                return c
-            if m != n:
-                return LESS if m < n else GREATER
-        if len(e1.pairs) == len(e2.pairs):
-            return EQUAL
-        return LESS if len(e1.pairs) < len(e2.pairs) else GREATER
-    if isinstance(expr, (Sep, Band)):
-        return compare_elements(expr.base, e1, e2, pos_cmp)
-    raise MalformedElement(f"no comparison rule for {expr!r}")
+    while True:
+        kind = expr.__class__
+        if kind is Sum:
+            side = e1.side
+            if side != e2.side:
+                return LESS if side < e2.side else GREATER
+            expr = expr.left if side == 0 else expr.right
+            e1, e2 = e1.inner, e2.inner
+        elif kind is OmegaComp or kind is CnfHead:
+            exponents = expr.exponents
+            p1, p2 = e1.pairs, e2.pairs
+            for (x, m), (y, n) in zip(p1, p2):
+                c = compare_elements(exponents, x, y, pos_cmp)
+                if c != EQUAL:
+                    return c
+                if m != n:
+                    return LESS if m < n else GREATER
+            if len(p1) == len(p2):
+                return EQUAL
+            return LESS if len(p1) < len(p2) else GREATER
+        elif kind is IdNode:
+            return pos_cmp(e1.pos, e2.pos)
+        elif kind is Const:
+            return ord_cmp(e1.index, e2.index)
+        elif kind is MulOmega:
+            if e1.copy != e2.copy:
+                return LESS if e1.copy < e2.copy else GREATER
+            expr = expr.base
+            e1, e2 = e1.inner, e2.inner
+        elif kind is Sep or kind is Band:
+            expr = expr.base
+        else:
+            raise MalformedElement(f"no comparison rule for {expr!r}")
 
 
 def element_positions(expr: Dil, elem) -> list:
@@ -114,25 +142,15 @@ def element_positions(expr: Dil, elem) -> list:
 
 
 def _walk_positions(expr, elem, out):
-    if isinstance(expr, Const):
-        return
-    if isinstance(expr, IdNode):
+    expr, elem = _descend(expr, elem)
+    kind = expr.__class__
+    if kind is IdNode:
         out.append(elem.pos)
-        return
-    if isinstance(expr, Sum):
-        _walk_positions(expr.left if elem.side == 0 else expr.right, elem.inner, out)
-        return
-    if isinstance(expr, MulOmega):
-        _walk_positions(expr.base, elem.inner, out)
-        return
-    if isinstance(expr, (OmegaComp, CnfHead)):
+    elif kind is OmegaComp or kind is CnfHead:
         for x, _ in elem.pairs:
             _walk_positions(expr.exponents, x, out)
-        return
-    if isinstance(expr, (Sep, Band)):
-        _walk_positions(expr.base, elem, out)
-        return
-    raise MalformedElement(f"no position rule for {expr!r}")
+    elif kind is not Const:
+        raise MalformedElement(f"no position rule for {expr!r}")
 
 
 def support_of(expr: Dil, elem) -> list:
@@ -150,63 +168,68 @@ def support_of(expr: Dil, elem) -> list:
 
 
 def apply_embedding(expr: Dil, elem, mapping) -> object:
-    """Functorial action on a live-point embedding given as a dict."""
-    if isinstance(expr, Const):
-        return elem
-    if isinstance(expr, IdNode):
-        if isinstance(elem.pos, Right):
-            return EId(Right(mapping[elem.pos.point]))
-        return elem
-    if isinstance(expr, Sum):
-        part = expr.left if elem.side == 0 else expr.right
-        return ESum(elem.side, apply_embedding(part, elem.inner, mapping))
-    if isinstance(expr, MulOmega):
-        return ECopies(elem.copy, apply_embedding(expr.base, elem.inner, mapping))
-    if isinstance(expr, OmegaComp):
-        return ECnf(
-            tuple((apply_embedding(expr.base, x, mapping), m) for x, m in elem.pairs)
-        )
-    if isinstance(expr, CnfHead):
-        return ECnf(
-            tuple(
-                (
-                    ESum(
-                        x.side,
-                        apply_embedding(
-                            expr.low if x.side == 0 else expr.high, x.inner, mapping
-                        ),
-                    ),
-                    m,
-                )
-                for x, m in elem.pairs
-            )
-        )
-    if isinstance(expr, (Sep, Band)):
-        return apply_embedding(expr.base, elem, mapping)
-    raise MalformedElement(f"no embedding rule for {expr!r}")
+    """Functorial action on a live-point embedding given as a dict.  The
+    ESum and ECopies layers walked through are rebuilt around the image of
+    the node below them."""
+    layers = []
+    while True:
+        kind = expr.__class__
+        if kind is Sum:
+            layers.append((ESum, elem.side))
+            expr = expr.left if elem.side == 0 else expr.right
+            elem = elem.inner
+        elif kind is OmegaComp or kind is CnfHead:
+            exponents, pairs = expr.exponents, []
+            for x, m in elem.pairs:
+                pairs.append((apply_embedding(exponents, x, mapping), m))
+            elem = ECnf(tuple(pairs))
+            break
+        elif kind is IdNode:
+            pos = elem.pos
+            if isinstance(pos, Right):
+                elem = EId(Right(mapping[pos.point]))
+            break
+        elif kind is Const:
+            break
+        elif kind is MulOmega:
+            layers.append((ECopies, elem.copy))
+            expr, elem = expr.base, elem.inner
+        elif kind is Sep or kind is Band:
+            expr = expr.base
+        else:
+            raise MalformedElement(f"no embedding rule for {expr!r}")
+    for make, tag in reversed(layers):
+        elem = make(tag, elem)
+    return elem
 
 
 def validate_element(expr: Dil, elem, pos_cmp=default_pos_cmp):
-    """Structural well-formedness; raises MalformedElement."""
-    if isinstance(expr, Const):
+    """Structural well-formedness; raises MalformedElement.  A separation's
+    or band's membership is checked after its base, innermost first."""
+    filters = []
+    while True:
+        kind = expr.__class__
+        if kind is Sum:
+            if not isinstance(elem, ESum) or elem.side not in (0, 1):
+                raise MalformedElement(f"bad sum element {elem!r}")
+            expr = expr.left if elem.side == 0 else expr.right
+            elem = elem.inner
+        elif kind is MulOmega:
+            if not isinstance(elem, ECopies) or elem.copy < 0:
+                raise MalformedElement(f"bad repetition element {elem!r}")
+            expr, elem = expr.base, elem.inner
+        elif kind is Sep or kind is Band:
+            filters.append((expr, elem))
+            expr = expr.base
+        else:
+            break
+    if kind is Const:
         if not isinstance(elem, EConst) or ord_cmp(elem.index, expr.value) != LESS:
             raise MalformedElement(f"bad constant element {elem!r}")
-        return
-    if isinstance(expr, IdNode):
+    elif kind is IdNode:
         if not isinstance(elem, EId):
             raise MalformedElement(f"bad Id element {elem!r}")
-        return
-    if isinstance(expr, Sum):
-        if not isinstance(elem, ESum) or elem.side not in (0, 1):
-            raise MalformedElement(f"bad sum element {elem!r}")
-        validate_element(expr.left if elem.side == 0 else expr.right, elem.inner, pos_cmp)
-        return
-    if isinstance(expr, MulOmega):
-        if not isinstance(elem, ECopies) or elem.copy < 0:
-            raise MalformedElement(f"bad repetition element {elem!r}")
-        validate_element(expr.base, elem.inner, pos_cmp)
-        return
-    if isinstance(expr, (OmegaComp, CnfHead)):
+    elif kind is OmegaComp or kind is CnfHead:
         if not isinstance(elem, ECnf):
             raise MalformedElement(f"bad formal sum {elem!r}")
         for x, m in elem.pairs:
@@ -216,40 +239,33 @@ def validate_element(expr: Dil, elem, pos_cmp=default_pos_cmp):
         for (x, _), (y, _) in zip(elem.pairs, elem.pairs[1:]):
             if compare_elements(expr.exponents, x, y, pos_cmp) != GREATER:
                 raise MalformedElement("exponents must strictly descend")
-        if isinstance(expr, CnfHead):
+        if kind is CnfHead:
             if not elem.pairs or elem.pairs[0][0].side != 1:
                 raise MalformedElement("head elements need a high-part lead")
-        return
-    if isinstance(expr, Sep):
-        validate_element(expr.base, elem, pos_cmp)
-        if not sep_member(expr, elem):
-            raise MalformedElement("element violates the separation condition")
-        return
-    if isinstance(expr, Band):
-        validate_element(expr.base, elem, pos_cmp)
-        if not band_member(expr, elem):
+    else:
+        raise MalformedElement(f"no validation rule for {expr!r}")
+    for node, e in reversed(filters):
+        if node.__class__ is Sep:
+            if not sep_member(node, e):
+                raise MalformedElement("element violates the separation condition")
+        elif not band_member(node, e):
             raise MalformedElement("element outside the band")
-        return
-    raise MalformedElement(f"no validation rule for {expr!r}")
 
 
 def important_position(expr: Dil, elem):
     """The most important position, computed structurally (None if frozen)."""
-    if isinstance(expr, Const):
-        return None
-    if isinstance(expr, IdNode):
-        return elem.pos
-    if isinstance(expr, Sum):
-        return important_position(expr.left if elem.side == 0 else expr.right, elem.inner)
-    if isinstance(expr, MulOmega):
-        return important_position(expr.base, elem.inner)
-    if isinstance(expr, (OmegaComp, CnfHead)):
+    while True:
+        expr, elem = _descend(expr, elem)
+        kind = expr.__class__
+        if kind is IdNode:
+            return elem.pos
+        if kind is Const:
+            return None
+        if kind is not OmegaComp and kind is not CnfHead:
+            raise MalformedElement(f"no importance rule for {expr!r}")
         if not elem.pairs:
             return None
-        return important_position(expr.exponents, elem.pairs[0][0])
-    if isinstance(expr, (Sep, Band)):
-        return important_position(expr.base, elem)
-    raise MalformedElement(f"no importance rule for {expr!r}")
+        expr, elem = expr.exponents, elem.pairs[0][0]
 
 
 def sep_member(node: Sep, elem) -> bool:

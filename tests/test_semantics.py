@@ -3,22 +3,44 @@ import itertools
 import pytest
 
 import dilcalc.semantics as semantics
+from dilcalc.coherence import top_inject
 from dilcalc.errors import BudgetExceeded, MalformedElement
-from dilcalc.expr import CnfHead, D_ID, D_ONE, D_ZERO, Sep, mk_mul_nat, parse_dil
-from dilcalc.ordinal import OMEGA, ONE, ZERO, from_int
+from dilcalc.expr import (
+    Band,
+    CnfHead,
+    Const,
+    D_ID,
+    D_ONE,
+    D_ZERO,
+    Dil,
+    IdNode,
+    MulOmega,
+    OmegaComp,
+    Sep,
+    Sum,
+    mk_mul_nat,
+    parse_dil,
+)
+from dilcalc.ordinal import EQUAL, GREATER, LESS, OMEGA, ONE, ZERO, from_int, ord_cmp
 from dilcalc.psi import PsiOrder
 from dilcalc.semantics import (
+    EMPTY_CNF,
     ECnf,
     EConst,
+    ECopies,
     EId,
+    ESum,
     EnumBudget,
     Left,
     Right,
     ambient_stream,
     apply_embedding,
     compare_elements,
+    default_pos_cmp,
+    element_positions,
     element_str,
     enum_elements,
+    important_position,
     prefix_elements,
     support_of,
     validate_element,
@@ -246,3 +268,186 @@ class TestValidation:
         node = Sep(CnfHead(D_ID, D_ID), OMEGA, OMEGA)
         for e in prefix_elements(node, 1, 10):
             validate_element(node, e)
+
+
+# ---------------------------------------------------------------------------
+# the walkers against the recursive ones they replaced
+
+
+def reference_compare_elements(expr, e1, e2, pos_cmp=default_pos_cmp):
+    """The element order by recursion at every node level."""
+    if isinstance(expr, Const):
+        return ord_cmp(e1.index, e2.index)
+    if isinstance(expr, IdNode):
+        return pos_cmp(e1.pos, e2.pos)
+    if isinstance(expr, Sum):
+        if e1.side != e2.side:
+            return LESS if e1.side < e2.side else GREATER
+        part = expr.left if e1.side == 0 else expr.right
+        return reference_compare_elements(part, e1.inner, e2.inner, pos_cmp)
+    if isinstance(expr, MulOmega):
+        if e1.copy != e2.copy:
+            return LESS if e1.copy < e2.copy else GREATER
+        return reference_compare_elements(expr.base, e1.inner, e2.inner, pos_cmp)
+    if isinstance(expr, (OmegaComp, CnfHead)):
+        for (x, m), (y, n) in zip(e1.pairs, e2.pairs):
+            c = reference_compare_elements(expr.exponents, x, y, pos_cmp)
+            if c != EQUAL:
+                return c
+            if m != n:
+                return LESS if m < n else GREATER
+        if len(e1.pairs) == len(e2.pairs):
+            return EQUAL
+        return LESS if len(e1.pairs) < len(e2.pairs) else GREATER
+    if isinstance(expr, (Sep, Band)):
+        return reference_compare_elements(expr.base, e1, e2, pos_cmp)
+    raise MalformedElement(f"no comparison rule for {expr!r}")
+
+
+def reference_apply_embedding(expr, elem, mapping):
+    """The functorial action by recursion at every node level."""
+    if isinstance(expr, Const):
+        return elem
+    if isinstance(expr, IdNode):
+        if isinstance(elem.pos, Right):
+            return EId(Right(mapping[elem.pos.point]))
+        return elem
+    if isinstance(expr, Sum):
+        part = expr.left if elem.side == 0 else expr.right
+        return ESum(elem.side, reference_apply_embedding(part, elem.inner, mapping))
+    if isinstance(expr, MulOmega):
+        return ECopies(elem.copy, reference_apply_embedding(expr.base, elem.inner, mapping))
+    if isinstance(expr, OmegaComp):
+        return ECnf(
+            tuple((reference_apply_embedding(expr.base, x, mapping), m) for x, m in elem.pairs)
+        )
+    if isinstance(expr, CnfHead):
+        return ECnf(
+            tuple(
+                (
+                    ESum(
+                        x.side,
+                        reference_apply_embedding(
+                            expr.low if x.side == 0 else expr.high, x.inner, mapping
+                        ),
+                    ),
+                    m,
+                )
+                for x, m in elem.pairs
+            )
+        )
+    if isinstance(expr, (Sep, Band)):
+        return reference_apply_embedding(expr.base, elem, mapping)
+    raise MalformedElement(f"no embedding rule for {expr!r}")
+
+
+# the expressions and the omega_head atoms of the element-oracles benchmark
+ORACLE_EXPRS = [
+    "1", "Const(3)", "Const(w)", "Const(w^2)", "Id", "Id+1", "1+Id", "Id+Const(w)", "Id*2",
+    "Id*w", "omega[Id]", "omega[Id+1]", "omega[Id*2]", "Const(w)+Id", "omega[Id]+Id",
+    "omega_head(0;Id)", "omega_head(Id;Id)", "omega_head(1;omega_head(0;Id))",
+]
+ORACLE_BUDGET = EnumBudget(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
+# three valid terms of a collapse order, used as points under its pos_cmp
+PSI_ORDER = PsiOrder(parse_dil("omega[Id]"), ZERO)
+PSI_TERMS = PSI_ORDER.enum(1)[:3]
+SETTINGS = {
+    # name: (points, lefts, pos_cmp, an embedding of the points)
+    "0pts": (0, (), default_pos_cmp, {}),
+    "1pt": (1, (), default_pos_cmp, {0: 2}),
+    "2pts": (2, (), default_pos_cmp, {0: 1, 1: 3}),
+    "lefts": (0, (ZERO, ONE), default_pos_cmp, {}),
+    "lefts+1pt": (1, (ZERO,), default_pos_cmp, {0: 1}),
+    "psi": (PSI_TERMS[:2], (), PSI_ORDER.pos_cmp, {PSI_TERMS[0]: PSI_TERMS[1],
+                                                   PSI_TERMS[1]: PSI_TERMS[2]}),
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+class TestWalkersMatchTheRecursiveOnes:
+    @pytest.mark.parametrize("setting", SETTINGS)
+    @pytest.mark.parametrize("text", ORACLE_EXPRS)
+    def test_every_pair_of_sorted_elements(self, text, setting):
+        points, lefts, pos_cmp, mapping = SETTINGS[setting]
+        expr = parse_dil(text)
+        elems = enum_elements(expr, points, ORACLE_BUDGET, lefts, pos_cmp)
+        for x in elems:
+            for y in elems:
+                assert compare_elements(expr, x, y, pos_cmp) == reference_compare_elements(
+                    expr, x, y, pos_cmp
+                ), (x, y)
+            assert apply_embedding(expr, x, mapping) == reference_apply_embedding(
+                expr, x, mapping
+            ), x
+
+    def test_psi_points_are_nontrivial_terms(self):
+        assert len(PSI_TERMS) == 3 and PSI_TERMS[2] != EMPTY_CNF
+
+    @pytest.mark.parametrize(
+        "text,e1,e2",
+        [
+            ("Id", EConst(ZERO), EId(Right(0))),
+            ("Id", EId(Right("a")), EId(Right(0))),
+            ("Id", EId(0), EId(Right(0))),
+            ("Id+1", EId(Right(0)), ESum(0, EId(Right(0)))),
+            ("Id+1", ESum(2, EConst(ZERO)), ESum(2, EConst(ZERO))),
+            ("Id+1", ESum(0, EConst(ZERO)), ESum(0, EId(Right(0)))),
+            ("Id*w", ECopies(0, EId(Right(0))), EId(Right(0))),
+            ("omega[Id]", ESum(0, EId(Right(0))), EMPTY_CNF),
+            ("omega[Id]", ECnf(((EId(Right(0)),),)), ECnf(((EId(Right(1)), 1),))),
+            ("omega[Id]", ECnf(((EConst(ZERO), 1),)), ECnf(((EId(Right(1)), 1),))),
+            ("omega_head(0;Id)", ECnf(((EId(Right(0)), 1),)), ECnf(((EId(Right(0)), 1),))),
+            ("Const(3)", EConst(from_int(5)), EId(Right(0))),
+        ],
+    )
+    def test_malformed_elements(self, text, e1, e2):
+        expr = parse_dil(text)
+        assert _outcome(compare_elements, expr, e1, e2) == _outcome(
+            reference_compare_elements, expr, e1, e2
+        )
+        for elem in (e1, e2):
+            for mapping in ({0: 1}, {}):
+                assert _outcome(apply_embedding, expr, elem, mapping) == _outcome(
+                    reference_apply_embedding, expr, elem, mapping
+                )
+
+    def test_nodes_without_a_rule(self):
+        for expr in (Dil(), None):
+            e = EId(Right(0))
+            assert _outcome(compare_elements, expr, e, e) is MalformedElement
+            assert _outcome(apply_embedding, expr, e, {0: 1}) is MalformedElement
+            assert _outcome(reference_compare_elements, expr, e, e) is MalformedElement
+            assert _outcome(reference_apply_embedding, expr, e, {0: 1}) is MalformedElement
+
+
+# at the default recursion limit the recursive walkers still handled the
+# last summand of a sum of 950 summands, and failed on this one
+LONG_SUM = 1000
+
+
+class TestLongSumElements:
+    """An element of the i-th summand of a sum nests i ESum layers."""
+
+    def test_walkers_loop_down_the_layers(self, default_recursion_limit):
+        d = mk_mul_nat(D_ID, LONG_SUM)
+        x, y = (top_inject(d, EId(Right(p))) for p in (0, 1))
+        assert compare_elements(d, x, y) == LESS
+        validate_element(d, x)
+        assert element_positions(d, x) == [Right(0)]
+        assert support_of(d, x) == [0]
+        assert important_position(d, x) == Right(0)
+        image = apply_embedding(d, x, {0: 1})
+        for _ in range(LONG_SUM - 1):
+            assert image.__class__ is ESum and image.side == 1
+            image = image.inner
+        assert image == EId(Right(1))
+
+    def test_psi_level_zero(self, default_recursion_limit):
+        terms = PsiOrder(mk_mul_nat(D_ID, LONG_SUM), ONE).enum(0)
+        assert len(terms) == LONG_SUM
