@@ -19,6 +19,11 @@ plus system CPU time (from ``os.wait4``) with its exit code.  Children
 inherit this process's environment, so whether they may write bytecode is
 recorded too: without cached bytecode every child compiles the kernel.
 
+The translation series times ``coherence.sum_inject`` (of ``Id*n`` and
+``Id``) and ``coherence.prefix_inject`` (into ``Id*n+1``) on the element of
+the last summand of ``Id*n`` over one point, with the same sizes, repeats,
+error and skip rules, and a sha1 of the image's ``element_str``.
+
 The element series times the brute-force oracle layer on the atom
 ELEMENT_ATOM, under the trace budget of the element-oracles workload:
 ``important_index`` on the first trace term of each arity 1-4 (median of
@@ -50,16 +55,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dilcalc import analysis, psi  # noqa: E402
+from dilcalc import analysis, coherence, psi  # noqa: E402
 from dilcalc.analysis import enum_trace_terms, important_index, otp_symbolic  # noqa: E402
 from dilcalc.errors import DilcalcError  # noqa: E402
-from dilcalc.expr import D_ID, mk_mul_nat, parse_dil  # noqa: E402
+from dilcalc.expr import D_ID, D_ONE, mk_mul_nat, mk_sum, parse_dil  # noqa: E402
 from dilcalc.jfunctor import j_eval, jprime_eval  # noqa: E402
 from dilcalc.ordinal import ord_str, parse_ord  # noqa: E402
 from dilcalc.semantics import (  # noqa: E402
+    EId,
     EnumBudget,
+    Right,
     apply_embedding,
     compare_elements,
+    element_str,
     support_of,
 )
 
@@ -79,19 +87,45 @@ SERIES = {
 }
 
 
-def time_point(fn, n: int) -> dict:
+
+def kernel_setup(fn):
+    """A series point of fn at Id*n and w, its value shown as an ordinal."""
+    def setup(n: int):
+        d, w = mk_mul_nat(D_ID, n), parse_ord("w")
+        return (lambda: fn(d, w)), ord_str
+    return setup
+
+
+def sum_inject_setup(n: int):
+    d = mk_mul_nat(D_ID, n)
+    elem = coherence.top_inject(d, EId(Right(0)))
+    target = mk_sum(d, D_ID)
+    return (lambda: coherence.sum_inject(d, D_ID, 0, elem)), lambda r: element_str(target, r)
+
+
+def prefix_inject_setup(n: int):
+    d = mk_mul_nat(D_ID, n)
+    elem, target = coherence.top_inject(d, EId(Right(0))), mk_sum(d, D_ONE)
+    return (lambda: coherence.prefix_inject(target, elem)), lambda r: element_str(target, r)
+
+
+TRANSLATIONS = {"sum_inject": sum_inject_setup, "prefix_inject": prefix_inject_setup}
+
+
+def time_point(setup, n: int) -> dict:
+    """REPEATS timed calls of the call that setup(n) builds afresh each time."""
     runs, digest = [], None
     for _ in range(REPEATS):
         psi._PSI_CACHE.clear()
         analysis._OTP_CACHE.clear()
-        d, w = mk_mul_nat(D_ID, n), parse_ord("w")
+        call, show = setup(n)
         start = time.perf_counter()
         try:
-            value = fn(d, w)
+            value = call()
         except (DilcalcError, RecursionError) as exc:
             return {"n": n, "error": f"{type(exc).__name__}: {exc}"[:200]}
         runs.append(time.perf_counter() - start)
-        digest = hashlib.sha1(ord_str(value).encode()).hexdigest()
+        digest = hashlib.sha1(show(value).encode()).hexdigest()
     return {"n": n, "median_s": statistics.median(runs), "runs_s": runs, "value_sha1": digest}
 
 
@@ -105,13 +139,13 @@ def fit_exponent(points: list):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def run_series(fn) -> dict:
+def run_series(setup) -> dict:
     points = []
     for n in SIZES:
         if points and points[-1].get("median_s", math.inf) > MAX_SECONDS:
             points.append({"n": n, "skipped": True})
             continue
-        points.append(time_point(fn, n))
+        points.append(time_point(setup, n))
         print(f"  n={n}: {points[-1].get('median_s', points[-1].get('error'))}", file=sys.stderr)
     return {"points": points, "exponent": fit_exponent(points)}
 
@@ -205,7 +239,11 @@ def main() -> int:
     }
     for name, fn in SERIES.items():
         print(f"{name}:", file=sys.stderr)
-        report["series"][name] = run_series(fn)
+        report["series"][name] = run_series(kernel_setup(fn))
+    report["translations"] = {}
+    for name, setup in TRANSLATIONS.items():
+        print(f"{name}:", file=sys.stderr)
+        report["translations"][name] = run_series(setup)
     print("elements:", file=sys.stderr)
     report["elements"] = element_series()
     print("cli:", file=sys.stderr)

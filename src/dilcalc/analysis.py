@@ -215,10 +215,10 @@ def sep(d: Dil, g: Ord) -> Dil:
 
 
 def sep_signed(d: Dil, g: Ord):
-    """Split of a connected non-unit expression at ``g``: (lower, upper)."""
-    if not is_connected_atom(d):
-        raise NotConnected(f"{to_str(d)} is not a connected non-unit expression")
-    return mk_band(d, ZERO, g, g), mk_sep_plus(d, g)
+    """Split of a connected non-unit expression at ``g``: (lower, upper), the
+    iterated split at the one cut ``g``."""
+    (minus,), plus = sep_signed_iter(d, [g])
+    return minus, plus
 
 
 def sep_signed_iter(d: Dil, gammas):

@@ -63,27 +63,41 @@ class TranslationGap(UnsupportedDecomposition):
 
 
 def sum_inject(a: Dil, b: Dil, side: int, elem):
-    """Element of ``a`` (side 0) or ``b`` (side 1) as an element of mk_sum(a, b)."""
+    """Element of ``a`` (side 0) or ``b`` (side 1) as an element of mk_sum(a, b).
+
+    A normal form has no two adjacent constants, so only ``a``'s last summand
+    can merge with ``b``: the elements of its other summands keep their ESum
+    layers, and the loop down ``a`` costs no recursion depth."""
     if isinstance(a, Const) and a.value.is_zero():
         return elem
     if isinstance(b, Const) and b.value.is_zero():
         return elem
-    if isinstance(a, Sum):
-        rest = mk_sum(a.right, b)
+    outer, layers = elem, 0
+    while a.__class__ is Sum:
         if side == 0:
             if elem.side == 0:
-                return sum_inject(a.left, rest, 0, elem.inner)
-            return sum_inject(a.left, rest, 1, sum_inject(a.right, b, 0, elem.inner))
-        return sum_inject(a.left, rest, 1, sum_inject(a.right, b, 1, elem))
+                return outer
+            elem = elem.inner
+        a, layers = a.right, layers + 1
     if isinstance(a, Const) and isinstance(b, Const):
-        return elem if side == 0 else EConst(ord_add(a.value, elem.index))
-    if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
+        image = elem if side == 0 else EConst(ord_add(a.value, elem.index))
+    elif isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
         if side == 0:
-            return ESum(0, elem)
-        if elem.side == 0:
-            return ESum(0, EConst(ord_add(a.value, elem.inner.index)))
-        return elem
-    return ESum(side, elem)
+            image = ESum(0, elem)
+        elif elem.side == 0:
+            image = ESum(0, EConst(ord_add(a.value, elem.inner.index)))
+        else:
+            image = elem
+    else:
+        image = ESum(side, elem)
+    return _wrap_right(image, layers)
+
+
+def _wrap_right(elem, layers: int):
+    """``elem`` inside ``layers`` ESum(1, -) layers: the place of a later summand."""
+    for _ in range(layers):
+        elem = ESum(1, elem)
+    return elem
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +113,15 @@ def frozen_value(expr: Dil, elem, bound: Ord) -> Ord:
             raise TranslationGap("live position in a frozen element")
         return elem.pos.value
     if isinstance(expr, Sum):
-        if elem.side == 0:
-            return frozen_value(expr.left, elem.inner, bound)
-        return ord_add(
-            otp_symbolic(expr.left, bound), frozen_value(expr.right, elem.inner, bound)
-        )
+        # the ranks of the earlier summands, added up in a loop
+        total = ZERO
+        while expr.__class__ is Sum:
+            if elem.side == 0:
+                expr, elem = expr.left, elem.inner
+                break
+            total = ord_add(total, otp_symbolic(expr.left, bound))
+            expr, elem = expr.right, elem.inner
+        return ord_add(total, frozen_value(expr, elem, bound))
     if isinstance(expr, MulOmega):
         base = otp_symbolic(expr.base, bound)
         return ord_add(
@@ -173,30 +191,30 @@ def shift_translate(expr: Dil, g: Ord, elem):
 
 
 def _sum_split(a: Dil, b: Dil, elem):
-    """Which side of mk_sum(a, b) an element belongs to, with the part element."""
+    """Which side of mk_sum(a, b) an element belongs to, with the part element;
+    down ``a`` in a loop, as in ``sum_inject``."""
     if isinstance(a, Const) and a.value.is_zero():
         return 1, elem
     if isinstance(b, Const) and b.value.is_zero():
         return 0, elem
-    if isinstance(a, Sum):
-        side, inner = _sum_split(a.left, mk_sum(a.right, b), elem)
-        if side == 0:
-            return 0, ESum(0, inner)
-        side2, inner2 = _sum_split(a.right, b, inner)
-        if side2 == 0:
-            return 0, ESum(1, inner2)
-        return 1, inner2
+    outer, layers = elem, 0
+    while a.__class__ is Sum:
+        if elem.side == 0:
+            return 0, outer
+        elem, a, layers = elem.inner, a.right, layers + 1
     if isinstance(a, Const) and isinstance(b, Const):
         if elem.index < a.value:
-            return 0, elem
+            return 0, _wrap_right(elem, layers)
         return 1, EConst(ord_left_sub(a.value, elem.index))
     if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
         if elem.side == 0:
             if elem.inner.index < a.value:
-                return 0, elem.inner
+                return 0, _wrap_right(elem.inner, layers)
             return 1, ESum(0, EConst(ord_left_sub(a.value, elem.inner.index)))
         return 1, elem
-    return elem.side, elem.inner
+    if elem.side == 0:
+        return 0, _wrap_right(elem.inner, layers)
+    return 1, elem.inner
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +237,7 @@ def plus_translate(atom: Dil, g: Ord, elem):
             else:
                 mi = important_position(atom.high, x.inner)
                 if isinstance(mi, Left) and mi.value < g:
-                    if isinstance(band_t, Const):
-                        frozen = EConst(frozen_value(atom.high, x.inner, g))
-                    else:
-                        frozen = x.inner
+                    frozen = _cut_translate(band_t, atom.high, g, x.inner)
                     new = ESum(0, sum_inject(low_t, band_t, 1, frozen))
                 else:
                     new = ESum(1, plus_translate(atom.high, g, x.inner))
@@ -231,12 +246,18 @@ def plus_translate(atom: Dil, g: Ord, elem):
     raise TranslationGap(f"no upper-split translation for {atom!r}")
 
 
-def minus_translate(atom: Dil, g: Ord, elem):
-    """Lower-split element as an element of mk_band(atom, 0, g, g)."""
-    target = mk_band(atom, ZERO, g, g)
+def _cut_translate(target: Dil, atom: Dil, g: Ord, elem):
+    """An element of ``atom`` below the cut ``g`` as an element of ``target``,
+    the atom's part below the cut: its frozen rank when that part is a
+    constant, else the element itself."""
     if isinstance(target, Const):
         return EConst(frozen_value(atom, elem, g))
     return elem
+
+
+def minus_translate(atom: Dil, g: Ord, elem):
+    """Lower-split element as an element of mk_band(atom, 0, g, g)."""
+    return _cut_translate(mk_band(atom, ZERO, g, g), atom, g, elem)
 
 
 def split_translate(atom: Dil, g: Ord, elem):
@@ -250,10 +271,7 @@ def split_translate(atom: Dil, g: Ord, elem):
 
 def sep_translate(atom: Dil, g: Ord, elem):
     """Separated element (filter semantics) into mk_sep_atom(atom, g, g)."""
-    target = mk_sep_atom(atom, g, g)
-    if isinstance(target, Const):
-        return EConst(frozen_value(atom, elem, g))
-    return elem
+    return _cut_translate(mk_sep_atom(atom, g, g), atom, g, elem)
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +280,62 @@ def sep_translate(atom: Dil, g: Ord, elem):
 
 def prefix_inject(d: Dil, elem):
     """Element of decompose(d).prefix as an element of d."""
-    dec = decompose(d)
-    if dec.kind != "succ":
-        raise TranslationGap("prefix injection needs a successor decomposition")
-    if isinstance(d, Const):
+    return _part_inject(d, None, elem)
+
+
+def limit_prefix_inject(d: Dil, j: int, elem):
+    """Element of decompose(d).fund(j) as an element of d."""
+    return _part_inject(d, j, elem)
+
+
+def _part_inject(d: Dil, j, elem):
+    """Element of an initial part of d's decomposition as an element of d:
+    of the successor view's prefix when ``j`` is None, else of the limit
+    view's fund(j).  Both views take d apart along the same nodes."""
+    succ = j is None
+    if decompose(d).kind != ("succ" if succ else "limit"):
+        raise TranslationGap("prefix injection needs a successor decomposition" if succ
+                             else "limit injection needs a limit decomposition")
+    if isinstance(d, Sum):
+        # only the last summand's part can merge with the summand before it
+        # (see sum_inject), so the loop stops at the last two summands
+        outer, layers = elem, 0
+        while d.right.__class__ is Sum:
+            if elem.side == 0:
+                return outer
+            elem, d, layers = elem.inner, d.right, layers + 1
+        last = decompose(d.right)
+        side, part = _sum_split(d.left, last.prefix if succ else last.fund(j), elem)
+        image = ESum(0, part) if side == 0 else ESum(1, _part_inject(d.right, j, part))
+        return _wrap_right(image, layers)
+    if isinstance(d, (Const, Sep, Band)):
         return elem
+    if isinstance(d, OmegaComp):
+        base = decompose(d.base)
+        part = base.prefix if succ else base.fund(j)
+        return _oc_inject(part, elem, lambda x: _part_inject(d.base, j, x))
+    if isinstance(d, CnfHead) and not is_connected_atom(d):
+        high = decompose(d.high)
+        if succ:
+            if high.kind != "succ" or not isinstance(mk_cnf_head(d.low, high.prefix), CnfHead):
+                raise TranslationGap("composite head prefix renormalizes")
+        elif high.kind != "limit":
+            # the limit comes from the repeated unit top of the high part
+            raise TranslationGap(f"no limit injection for {to_str(d)}")
+        return _inject_high(elem, lambda x: _part_inject(d.high, j, x))
     if isinstance(d, IdNode):
         raise TranslationGap("the identity expression has an empty prefix")
-    if isinstance(d, Sum):
-        inner_dec = decompose(d.right)
-        side, part = _sum_split(d.left, inner_dec.prefix, elem)
-        if side == 0:
-            return ESum(0, part)
-        return ESum(1, prefix_inject(d.right, part))
-    if isinstance(d, OmegaComp):
-        inner_dec = decompose(d.base)
-        return _oc_inject(
-            inner_dec.prefix, elem, lambda x: prefix_inject(d.base, x), d.base
-        )
-    if isinstance(d, (Sep, Band)):
-        return elem
-    if isinstance(d, CnfHead) and not is_connected_atom(d):
-        inner_dec = decompose(d.high)
-        if inner_dec.kind != "succ" or not isinstance(
-            mk_cnf_head(d.low, inner_dec.prefix), CnfHead
-        ):
-            raise TranslationGap("composite head prefix renormalizes")
-        return _inject_high(elem, lambda x: prefix_inject(d.high, x))
-    raise TranslationGap(f"no prefix injection for {d!r}")
+    if isinstance(d, MulOmega):
+        copy, current, remaining = 0, elem, j
+        while remaining > 1:
+            side, part = _sum_split(d.base, mk_mul_nat(d.base, remaining - 1), current)
+            if side == 0:
+                return ECopies(copy, part)
+            copy, current, remaining = copy + 1, part, remaining - 1
+        if remaining == 1:
+            return ECopies(copy, current)
+        raise TranslationGap("empty repetition prefix has no elements")
+    raise TranslationGap(f"no {'prefix' if succ else 'limit'} injection for {d!r}")
 
 
 def top_inject(d: Dil, elem):
@@ -302,13 +348,10 @@ def top_inject(d: Dil, elem):
     if isinstance(d, Const):
         return EConst(ord_pred(d.value))
     if isinstance(d, Sum):
-        # the top of a sum is the top of its last summand, one ESum(1, -) per
-        # summand before it; a loop, so a long sum costs no recursion depth
+        # the top of a sum is the top of its last summand, in that summand's
+        # place; a loop, so a long sum costs no recursion depth
         parts = summands(d)
-        inner = top_inject(parts[-1], elem)
-        for _ in parts[:-1]:
-            inner = ESum(1, inner)
-        return inner
+        return _wrap_right(top_inject(parts[-1], elem), len(parts) - 1)
     if isinstance(d, OmegaComp):
         # top is mk_cnf_head(prefix, top-of-base); exponents land in the base
         pairs = []
@@ -341,86 +384,23 @@ def _inject_high(elem, inject):
     )
 
 
-def _oc_inject(p: Dil, elem, inject_exp, base: Dil):
-    """Element of mk_omega_comp(p) as a formal sum over ``base`` via inject_exp."""
+def _oc_inject(p: Dil, elem, inject_exp):
+    """Element of mk_omega_comp(p) as a formal sum with exponents mapped by inject_exp."""
     target = mk_omega_comp(p)
     if isinstance(target, OmegaComp):
         return ECnf(tuple((inject_exp(x), m) for x, m in elem.pairs))
     if isinstance(target, Const):
-        # p is a constant; read the index off in base-omega form
-        return _cnf_of_value(p, elem.index, inject_exp)
+        # only a constant p composes to a constant: the index in base-omega form
+        return ECnf(tuple((inject_exp(EConst(exp)), m) for exp, m in elem.index.terms))
     if isinstance(target, MulOmega):
         pdec = decompose(p)
         if pdec.kind != "succ" or pdec.top != D_ONE:
             raise TranslationGap("unexpected repetition normal form")
         unit = top_inject(p, EConst(ZERO))  # the last unit of p
-        inner = _oc_inject(
-            pdec.prefix,
-            elem.inner,
-            lambda x: inject_exp(prefix_inject(p, x)),
-            base,
-        )
+        inner = _oc_inject(pdec.prefix, elem.inner, lambda x: inject_exp(prefix_inject(p, x)))
         if elem.copy == 0:
             return inner
         lead = (inject_exp(unit), elem.copy)
         return ECnf((lead,) + inner.pairs)
     raise TranslationGap(f"no omega-composition translation onto {to_str(target)}")
 
-
-def _cnf_of_value(p: Dil, v: Ord, inject_exp):
-    """The v-th formal sum over the constant expression p."""
-    pairs = []
-    for exp, coeff in v.terms:
-        pairs.append((inject_exp(_const_element_of(p, exp)), coeff))
-    return ECnf(tuple(pairs))
-
-
-def _const_element_of(p: Dil, v: Ord):
-    """The element of rank v inside a constant-valued expression."""
-    if isinstance(p, Const):
-        return EConst(v)
-    if isinstance(p, Sum):
-        left_otp = otp_symbolic(p.left, ZERO)
-        if v < left_otp:
-            return ESum(0, _const_element_of(p.left, v))
-        return ESum(1, _const_element_of(p.right, ord_left_sub(left_otp, v)))
-    raise TranslationGap(f"no rank inverse for {p!r}")
-
-
-def limit_prefix_inject(d: Dil, j: int, elem):
-    """Element of decompose(d).fund(j) as an element of d."""
-    dec = decompose(d)
-    if dec.kind != "limit":
-        raise TranslationGap("limit injection needs a limit decomposition")
-    if isinstance(d, Const):
-        return elem
-    if isinstance(d, Sum):
-        inner = decompose(d.right)
-        side, part = _sum_split(d.left, inner.fund(j), elem)
-        if side == 0:
-            return ESum(0, part)
-        return ESum(1, limit_prefix_inject(d.right, j, part))
-    if isinstance(d, MulOmega):
-        copy, current = 0, elem
-        remaining = j
-        while remaining > 1:
-            side, part = _sum_split(d.base, mk_mul_nat(d.base, remaining - 1), current)
-            if side == 0:
-                return ECopies(copy, part)
-            copy, current, remaining = copy + 1, part, remaining - 1
-        if remaining == 1:
-            return ECopies(copy, current)
-        raise TranslationGap("empty repetition prefix has no elements")
-    if isinstance(d, OmegaComp):
-        inner = decompose(d.base)
-        return _oc_inject(
-            inner.fund(j), elem, lambda x: limit_prefix_inject(d.base, j, x), d.base
-        )
-    if isinstance(d, (Sep, Band)):
-        return elem
-    if isinstance(d, CnfHead):
-        if decompose(d.high).kind != "limit":
-            # the limit comes from the repeated unit top of the high part
-            raise TranslationGap(f"no limit injection for {to_str(d)}")
-        return _inject_high(elem, lambda x: limit_prefix_inject(d.high, j, x))
-    raise TranslationGap(f"no limit injection for {d!r}")

@@ -347,9 +347,9 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
     if isinstance(expr, IdNode):
         return [EId(Left(v)) for v in lefts] + [EId(Right(p)) for p in points]
     if isinstance(expr, Sum):
-        return [ESum(0, x) for x in _gen(expr.left, points, budget, lefts, pos_cmp)] + [
-            ESum(1, x) for x in _gen(expr.right, points, budget, lefts, pos_cmp)
-        ]
+        parts = summands(expr)
+        made = {p: _gen(p, points, budget, lefts, pos_cmp) for p in dict.fromkeys(parts)}
+        return _place_parts(parts, made)
     if isinstance(expr, MulOmega):
         inner = _gen(expr.base, points, budget, lefts, pos_cmp)
         return [ECopies(k, x) for k in range(budget.copies) for x in inner]
@@ -385,16 +385,18 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
 def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
     """``_gen`` under ``budget.max_count``.  The summands of a sum are
     generated (each distinct one once) and counted before any element is
-    wrapped in the ``ESum`` nodes of its place on the right spine, so a sum
-    over the cap is refused without building its elements."""
+    placed, so a sum over the cap is refused without building its elements."""
     parts = summands(expr)
-    made: dict = {}
-    for part in parts:
-        if part not in made:
-            made[part] = _gen(part, points, budget, lefts, pos_cmp)
+    made = {p: _gen(p, points, budget, lefts, pos_cmp) for p in dict.fromkeys(parts)}
     count = sum(len(made[part]) for part in parts)
     if count > budget.max_count:
         raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
+    return _place_parts(parts, made)
+
+
+def _place_parts(parts, made: dict) -> list:
+    """The summands' elements in order, each summand's list (made[part])
+    wrapped as ``_place`` wraps one element, a layer at a time."""
     out = []
     for i, part in enumerate(parts):
         wrapped = made[part]
@@ -404,6 +406,17 @@ def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_po
             wrapped = [ESum(1, x) for x in wrapped]
         out += wrapped
     return out
+
+
+def _place(elem, i: int, n: int):
+    """An element of the i-th of n summands as an element of their sum: the
+    ESum nodes of its place on the right spine, built in a loop, so a long
+    sum costs no recursion depth."""
+    if i < n - 1:
+        elem = ESum(0, elem)
+    for _ in range(i):
+        elem = ESum(1, elem)
+    return elem
 
 
 def _sorted_by(items, cmp):
@@ -470,10 +483,10 @@ def _stream(expr: Dil, points, state, cap, bound):
             yield EId(Right(p))
         return
     if isinstance(expr, Sum):
-        for x in _stream(expr.left, points, state, cap, bound):
-            yield ESum(0, x)
-        for x in _stream(expr.right, points, state, cap, bound):
-            yield ESum(1, x)
+        parts = summands(expr)
+        for i, part in enumerate(parts):
+            for x in _stream(part, points, state, cap, bound):
+                yield _place(x, i, len(parts))
         return
     if isinstance(expr, MulOmega):
         k = 0
@@ -555,23 +568,30 @@ def pos_str(p) -> str:
 
 
 def element_str(expr: Dil, elem, render_pos=pos_str) -> str:
-    if isinstance(expr, Const):
-        return f"c[{ord_str(elem.index)}]"
-    if isinstance(expr, IdNode):
-        return render_pos(elem.pos)
-    if isinstance(expr, Sum):
-        tag = "l" if elem.side == 0 else "r"
-        part = expr.left if elem.side == 0 else expr.right
-        return f"{tag}:{element_str(part, elem.inner, render_pos)}"
-    if isinstance(expr, MulOmega):
-        return f"{elem.copy}#{element_str(expr.base, elem.inner, render_pos)}"
-    if isinstance(expr, (OmegaComp, CnfHead)):
-        if not elem.pairs:
-            return "0"
-        return "+".join(
+    """The element as text; down Sum, MulOmega, Sep and Band levels in a loop."""
+    head = []
+    while True:
+        kind = expr.__class__
+        if kind is Sum:
+            head.append("l:" if elem.side == 0 else "r:")
+            expr = expr.left if elem.side == 0 else expr.right
+            elem = elem.inner
+        elif kind is MulOmega:
+            head.append(f"{elem.copy}#")
+            expr, elem = expr.base, elem.inner
+        elif kind is Sep or kind is Band:
+            expr = expr.base
+        else:
+            break
+    if kind is Const:
+        body = f"c[{ord_str(elem.index)}]"
+    elif kind is IdNode:
+        body = render_pos(elem.pos)
+    elif kind is OmegaComp or kind is CnfHead:
+        body = "+".join(
             f"w^{{{element_str(expr.exponents, x, render_pos)}}}" + (f"*{m}" if m > 1 else "")
             for x, m in elem.pairs
-        )
-    if isinstance(expr, (Sep, Band)):
-        return element_str(expr.base, elem, render_pos)
-    return repr(elem)
+        ) or "0"
+    else:
+        body = repr(elem)
+    return "".join(head) + body

@@ -10,13 +10,36 @@ still ascend.
 import pytest
 
 from dilcalc import coherence
-from dilcalc.analysis import decompose, sep_signed
-from dilcalc.expr import D_ID, mk_mul_nat, mk_shift, mk_sum, parse_dil
-from dilcalc.ordinal import LESS, parse_ord
+from dilcalc.analysis import decompose, otp_symbolic, sep_signed
+from dilcalc.expr import (
+    D_ID,
+    D_ONE,
+    Band,
+    CnfHead,
+    Const,
+    IdNode,
+    MulOmega,
+    OmegaComp,
+    Sep,
+    Sum,
+    is_connected_atom,
+    mk_cnf_head,
+    mk_mul_nat,
+    mk_omega_comp,
+    mk_shift,
+    mk_sum,
+    parse_dil,
+    to_str,
+)
+from dilcalc.ordinal import LESS, OMEGA, ZERO, ord_add, ord_left_sub, parse_ord
 from dilcalc.semantics import (
+    ECnf,
+    EConst,
+    ECopies,
     EId,
     ESum,
     EnumBudget,
+    Left,
     Right,
     _grid_values,
     compare_elements,
@@ -105,3 +128,275 @@ def test_top_injection_of_a_long_sum_needs_no_recursion(default_recursion_limit)
         assert image.__class__ is ESum and image.side == 1
         image = image.inner
     assert image is elem
+
+
+# ---------------------------------------------------------------------------
+# the sum maps and the part injection against the recursive ones they replaced
+
+
+def reference_sum_inject(a, b, side, elem):
+    """``sum_inject`` by recursion once per summand of ``a``."""
+    if isinstance(a, Const) and a.value.is_zero():
+        return elem
+    if isinstance(b, Const) and b.value.is_zero():
+        return elem
+    if isinstance(a, Sum):
+        rest = mk_sum(a.right, b)
+        if side == 0:
+            if elem.side == 0:
+                return reference_sum_inject(a.left, rest, 0, elem.inner)
+            inner = reference_sum_inject(a.right, b, 0, elem.inner)
+            return reference_sum_inject(a.left, rest, 1, inner)
+        return reference_sum_inject(a.left, rest, 1, reference_sum_inject(a.right, b, 1, elem))
+    if isinstance(a, Const) and isinstance(b, Const):
+        return elem if side == 0 else EConst(ord_add(a.value, elem.index))
+    if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
+        if side == 0:
+            return ESum(0, elem)
+        if elem.side == 0:
+            return ESum(0, EConst(ord_add(a.value, elem.inner.index)))
+        return elem
+    return ESum(side, elem)
+
+
+def reference_sum_split(a, b, elem):
+    """``_sum_split`` by recursion once per summand of ``a``."""
+    if isinstance(a, Const) and a.value.is_zero():
+        return 1, elem
+    if isinstance(b, Const) and b.value.is_zero():
+        return 0, elem
+    if isinstance(a, Sum):
+        side, inner = reference_sum_split(a.left, mk_sum(a.right, b), elem)
+        if side == 0:
+            return 0, ESum(0, inner)
+        side2, inner2 = reference_sum_split(a.right, b, inner)
+        if side2 == 0:
+            return 0, ESum(1, inner2)
+        return 1, inner2
+    if isinstance(a, Const) and isinstance(b, Const):
+        if elem.index < a.value:
+            return 0, elem
+        return 1, EConst(ord_left_sub(a.value, elem.index))
+    if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
+        if elem.side == 0:
+            if elem.inner.index < a.value:
+                return 0, elem.inner
+            return 1, ESum(0, EConst(ord_left_sub(a.value, elem.inner.index)))
+        return 1, elem
+    return elem.side, elem.inner
+
+
+def reference_prefix_inject(d, elem):
+    """``prefix_inject`` as its own recursion, with a decomposition per suffix."""
+    dec = decompose(d)
+    if dec.kind != "succ":
+        raise coherence.TranslationGap("prefix injection needs a successor decomposition")
+    if isinstance(d, Const):
+        return elem
+    if isinstance(d, IdNode):
+        raise coherence.TranslationGap("the identity expression has an empty prefix")
+    if isinstance(d, Sum):
+        side, part = reference_sum_split(d.left, decompose(d.right).prefix, elem)
+        if side == 0:
+            return ESum(0, part)
+        return ESum(1, reference_prefix_inject(d.right, part))
+    if isinstance(d, OmegaComp):
+        return reference_oc_inject(
+            decompose(d.base).prefix, elem, lambda x: reference_prefix_inject(d.base, x)
+        )
+    if isinstance(d, (Sep, Band)):
+        return elem
+    if isinstance(d, CnfHead) and not is_connected_atom(d):
+        inner_dec = decompose(d.high)
+        if inner_dec.kind != "succ" or not isinstance(
+            mk_cnf_head(d.low, inner_dec.prefix), CnfHead
+        ):
+            raise coherence.TranslationGap("composite head prefix renormalizes")
+        return coherence._inject_high(elem, lambda x: reference_prefix_inject(d.high, x))
+    raise coherence.TranslationGap(f"no prefix injection for {d!r}")
+
+
+def reference_limit_prefix_inject(d, j, elem):
+    """``limit_prefix_inject`` as its own recursion, with a decomposition per suffix."""
+    dec = decompose(d)
+    if dec.kind != "limit":
+        raise coherence.TranslationGap("limit injection needs a limit decomposition")
+    if isinstance(d, Const):
+        return elem
+    if isinstance(d, Sum):
+        side, part = reference_sum_split(d.left, decompose(d.right).fund(j), elem)
+        if side == 0:
+            return ESum(0, part)
+        return ESum(1, reference_limit_prefix_inject(d.right, j, part))
+    if isinstance(d, MulOmega):
+        copy, current = 0, elem
+        remaining = j
+        while remaining > 1:
+            side, part = reference_sum_split(d.base, mk_mul_nat(d.base, remaining - 1), current)
+            if side == 0:
+                return ECopies(copy, part)
+            copy, current, remaining = copy + 1, part, remaining - 1
+        if remaining == 1:
+            return ECopies(copy, current)
+        raise coherence.TranslationGap("empty repetition prefix has no elements")
+    if isinstance(d, OmegaComp):
+        return reference_oc_inject(
+            decompose(d.base).fund(j), elem, lambda x: reference_limit_prefix_inject(d.base, j, x)
+        )
+    if isinstance(d, (Sep, Band)):
+        return elem
+    if isinstance(d, CnfHead):
+        if decompose(d.high).kind != "limit":
+            raise coherence.TranslationGap(f"no limit injection for {to_str(d)}")
+        return coherence._inject_high(
+            elem, lambda x: reference_limit_prefix_inject(d.high, j, x)
+        )
+    raise coherence.TranslationGap(f"no limit injection for {d!r}")
+
+
+def reference_oc_inject(p, elem, inject_exp):
+    """``_oc_inject`` with the rank inverse it had for constants."""
+    target = mk_omega_comp(p)
+    if isinstance(target, OmegaComp):
+        return ECnf(tuple((inject_exp(x), m) for x, m in elem.pairs))
+    if isinstance(target, Const):
+        pairs = [(inject_exp(reference_const_element_of(p, exp)), c) for exp, c in elem.index.terms]
+        return ECnf(tuple(pairs))
+    if isinstance(target, MulOmega):
+        pdec = decompose(p)
+        if pdec.kind != "succ" or pdec.top != D_ONE:
+            raise coherence.TranslationGap("unexpected repetition normal form")
+        unit = coherence.top_inject(p, EConst(ZERO))
+        inner = reference_oc_inject(
+            pdec.prefix, elem.inner, lambda x: inject_exp(reference_prefix_inject(p, x))
+        )
+        if elem.copy == 0:
+            return inner
+        return ECnf(((inject_exp(unit), elem.copy),) + inner.pairs)
+    raise coherence.TranslationGap(f"no omega-composition translation onto {to_str(target)}")
+
+
+def reference_const_element_of(p, v):
+    if isinstance(p, Const):
+        return EConst(v)
+    if isinstance(p, Sum):
+        left_otp = otp_symbolic(p.left, ZERO)
+        if v < left_otp:
+            return ESum(0, reference_const_element_of(p.left, v))
+        return ESum(1, reference_const_element_of(p.right, ord_left_sub(left_otp, v)))
+    raise coherence.TranslationGap(f"no rank inverse for {p!r}")
+
+
+def reference_frozen_value(expr, elem, bound):
+    """``frozen_value`` by recursion at sum levels."""
+    if isinstance(expr, Sum):
+        if elem.side == 0:
+            return reference_frozen_value(expr.left, elem.inner, bound)
+        rest = reference_frozen_value(expr.right, elem.inner, bound)
+        return ord_add(otp_symbolic(expr.left, bound), rest)
+    return coherence.frozen_value(expr, elem, bound)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception type and message are the outcome compared
+        return type(exc), str(exc)
+
+
+# a constant prefix of the base (the first two), and longer sums
+MORE_EXPRS = ["omega[Const(3)+Id]", "omega[Const(w)+Id]", "omega[2+Id]+1", "Id*3+Const(w)",
+              "Const(w)+Id*3+1", "Id+omega[Id*3+1]", "omega_head(0;Id)*2+Id*w"]
+SHORT = ["0", "1", "Const(3)", "Const(w)", "Id", "Id+1", "1+Id", "Id*2", "2+Id+3", "omega[Id]",
+         "Const(w)+Id+Const(2)", "Id*w", "omega_head(0;Id)"]
+
+
+@pytest.mark.parametrize("gs", ["1", "2", "w"])
+@pytest.mark.parametrize("text", EXPRS + MORE_EXPRS)
+def test_part_injections_match_the_recursive_ones(text, gs):
+    d, g = parse_dil(text), parse_ord(gs)
+    dec = decompose(d)
+    parts = [(None, dec.prefix)] if dec.kind == "succ" else [(j, dec.fund(j)) for j in (1, 2, 3)]
+    for j, part in parts:
+        for e in _elements(part, g):
+            for k in (None, j or 1):
+                if k is None:
+                    new, old = (coherence.prefix_inject, d, e), (reference_prefix_inject, d, e)
+                else:
+                    new = (coherence.limit_prefix_inject, d, k, e)
+                    old = (reference_limit_prefix_inject, d, k, e)
+                assert _outcome(*new) == _outcome(*old), (text, j, k, e)
+
+
+@pytest.mark.parametrize("sa", SHORT)
+def test_sum_maps_match_the_recursive_ones(sa):
+    a = parse_dil(sa)
+    for b in map(parse_dil, SHORT):
+        s = mk_sum(a, b)
+        for side, part in ((0, a), (1, b)):
+            for e in _elements(part, parse_ord("w"))[:20]:
+                assert _outcome(coherence.sum_inject, a, b, side, e) == _outcome(
+                    reference_sum_inject, a, b, side, e
+                ), (sa, b, side, e)
+        for e in _elements(s, parse_ord("w"))[:40]:
+            assert _outcome(coherence._sum_split, a, b, e) == _outcome(
+                reference_sum_split, a, b, e
+            ), (sa, b, e)
+        frozen = enum_elements(s, 0, BUDGET, _grid_values(parse_ord("w"), 2))[:20]
+        for e in frozen:
+            assert _outcome(coherence.frozen_value, s, e, OMEGA) == _outcome(
+                reference_frozen_value, s, e, OMEGA
+            ), (sa, b, e)
+
+
+# ---------------------------------------------------------------------------
+# long sums at the default recursion limit
+
+
+def _last_summand_element(n, point=0):
+    """The element of Id*n in its last summand, n-1 ESum(1, -) layers deep."""
+    return coherence.top_inject(mk_mul_nat(D_ID, n), EId(Right(point)))
+
+
+def _peel(elem, sides):
+    """The element inside the given ESum layers, outermost first."""
+    for side in sides:
+        assert elem.__class__ is ESum and elem.side == side
+        elem = elem.inner
+    return elem
+
+
+class TestLongSums:
+    """Each map walks a 1,500-summand sum in a loop, not by recursion."""
+
+    N = 1500
+
+    def test_sum_inject(self, default_recursion_limit):
+        a, x = mk_mul_nat(D_ID, self.N), EId(Right(0))
+        assert _peel(coherence.sum_inject(a, D_ID, 1, x), [1] * self.N) is x
+        image = coherence.sum_inject(a, D_ID, 0, _last_summand_element(self.N))
+        assert _peel(image, [1] * (self.N - 1) + [0]) == x
+        assert coherence.sum_inject(a, D_ID, 0, ESum(0, x)).inner is x
+
+    def test_sum_split(self, default_recursion_limit):
+        a, x = mk_mul_nat(D_ID, self.N), EId(Right(0))
+        side, part = coherence._sum_split(a, D_ID, coherence.sum_inject(a, D_ID, 1, x))
+        assert side == 1 and part is x
+        image = coherence.sum_inject(a, D_ID, 0, _last_summand_element(self.N))
+        side, part = coherence._sum_split(a, D_ID, image)
+        assert side == 0 and _peel(part, [1] * (self.N - 1)) == x
+
+    def test_prefix_inject(self, default_recursion_limit):
+        d, x = mk_sum(mk_mul_nat(D_ID, self.N), D_ONE), EId(Right(0))
+        image = coherence.prefix_inject(d, _last_summand_element(self.N))
+        assert _peel(image, [1] * (self.N - 1) + [0]) == x
+
+    def test_limit_prefix_inject(self, default_recursion_limit):
+        d, x = mk_sum(mk_mul_nat(D_ID, self.N), parse_dil("Id*w")), EId(Right(0))
+        for j in (1, 2):
+            image = coherence.limit_prefix_inject(d, j, _last_summand_element(self.N + j))
+            assert _peel(image, [1] * self.N) == ECopies(j - 1, x)
+
+    def test_frozen_value(self, default_recursion_limit):
+        elem = coherence.top_inject(mk_mul_nat(D_ID, self.N), EId(Left(ZERO)))
+        assert coherence.frozen_value(mk_mul_nat(D_ID, self.N), elem, OMEGA) == parse_ord("w*1499")

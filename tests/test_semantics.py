@@ -21,7 +21,7 @@ from dilcalc.expr import (
     mk_mul_nat,
     parse_dil,
 )
-from dilcalc.ordinal import EQUAL, GREATER, LESS, OMEGA, ONE, ZERO, from_int, ord_cmp
+from dilcalc.ordinal import EQUAL, GREATER, LESS, OMEGA, ONE, ZERO, from_int, ord_cmp, ord_str
 from dilcalc.psi import PsiOrder
 from dilcalc.semantics import (
     EMPTY_CNF,
@@ -426,6 +426,85 @@ class TestWalkersMatchTheRecursiveOnes:
             assert _outcome(reference_apply_embedding, expr, e, {0: 1}) is MalformedElement
 
 
+# ---------------------------------------------------------------------------
+# sum levels in enumeration, streams and rendering against the recursion
+
+
+def reference_element_str(expr, elem):
+    """``element_str`` by recursion at every node level."""
+    if isinstance(expr, Const):
+        return f"c[{ord_str(elem.index)}]"
+    if isinstance(expr, IdNode):
+        return semantics.pos_str(elem.pos)
+    if isinstance(expr, Sum):
+        part = expr.left if elem.side == 0 else expr.right
+        return ("l:" if elem.side == 0 else "r:") + reference_element_str(part, elem.inner)
+    if isinstance(expr, MulOmega):
+        return f"{elem.copy}#{reference_element_str(expr.base, elem.inner)}"
+    if isinstance(expr, (OmegaComp, CnfHead)):
+        if not elem.pairs:
+            return "0"
+        return "+".join(
+            f"w^{{{reference_element_str(expr.exponents, x)}}}" + (f"*{m}" if m > 1 else "")
+            for x, m in elem.pairs
+        )
+    if isinstance(expr, (Sep, Band)):
+        return reference_element_str(expr.base, elem)
+    return repr(elem)
+
+
+def _recursive_sum_levels(monkeypatch):
+    """Make ``_gen`` and ``_stream`` take every sum apart by recursion, one
+    level per summand, as they did; other nodes keep their rules."""
+    gen, stream = semantics._gen, semantics._stream
+
+    def reference_gen(expr, points, budget, lefts, pos_cmp=default_pos_cmp):
+        if isinstance(expr, Sum):
+            return [ESum(0, x) for x in reference_gen(expr.left, points, budget, lefts, pos_cmp)] + [
+                ESum(1, x) for x in reference_gen(expr.right, points, budget, lefts, pos_cmp)
+            ]
+        return gen(expr, points, budget, lefts, pos_cmp)
+
+    def reference_stream(expr, points, state, cap, bound):
+        if isinstance(expr, Sum):
+            for x in reference_stream(expr.left, points, state, cap, bound):
+                yield ESum(0, x)
+            for x in reference_stream(expr.right, points, state, cap, bound):
+                yield ESum(1, x)
+            return
+        yield from stream(expr, points, state, cap, bound)
+
+    monkeypatch.setattr(semantics, "_gen", reference_gen)
+    monkeypatch.setattr(semantics, "_stream", reference_stream)
+
+
+# sums below a repetition, a formal sum, a head and a filtered node
+SUMS_BELOW = ["(Id+1)*w", "omega[Id*2]", "omega[Id+1]", "omega[Const(w)+Id*2]",
+              "omega[omega[Id+1]+Id]", "omega_head(Id+1;Id*2)", "omega_head(Id*3;Id)",
+              "sep@(omega_head(Id+Id;Id);1;2)", "band(omega_head(Id*2;Id);0;1;1)", "Id*2+Const(2)"]
+
+
+def _sum_level_outcomes(text):
+    """Unsorted candidates, sorted enumeration, stream prefix with its pull
+    count, and every element's text."""
+    expr, state = parse_dil(text), {"pulls": 0}
+    gen = _outcome(semantics._gen, expr, [0, 1], ORACLE_BUDGET, [ZERO])
+    elems = _outcome(enum_elements, expr, 2, ORACLE_BUDGET, (ZERO, ONE))
+    stream = list(itertools.islice(semantics._stream(expr, (0, 1), state, 10**6, ONE), 60))
+    texts = [reference_element_str(expr, e) for e in stream + (elems if isinstance(elems, list) else [])]
+    return gen, elems, stream, state["pulls"], texts
+
+
+@pytest.mark.parametrize("text", SUMS_BELOW + ORACLE_EXPRS)
+def test_sum_levels_match_the_recursive_ones(text, monkeypatch):
+    new = _sum_level_outcomes(text)
+    expr = parse_dil(text)
+    rendered = [element_str(expr, e) for e in new[2] + (new[1] if isinstance(new[1], list) else [])]
+    assert rendered == new[4]
+    _recursive_sum_levels(monkeypatch)
+    assert new == _sum_level_outcomes(text)
+
+
 # at the default recursion limit the recursive walkers still handled the
 # last summand of a sum of 950 summands, and failed on this one
 LONG_SUM = 1000
@@ -451,3 +530,21 @@ class TestLongSumElements:
     def test_psi_level_zero(self, default_recursion_limit):
         terms = PsiOrder(mk_mul_nat(D_ID, LONG_SUM), ONE).enum(0)
         assert len(terms) == LONG_SUM
+
+    def test_element_str(self, default_recursion_limit):
+        d = mk_mul_nat(D_ID, 1500)
+        assert element_str(d, top_inject(d, EId(Right(0)))) == "r:" * 1499 + "x0"
+
+    def test_enum_below_a_formal_sum(self, default_recursion_limit):
+        expr = OmegaComp(mk_mul_nat(D_ID, LONG_SUM))
+        assert enum_elements(expr, 0, EnumBudget(cnf_len=1)) == [EMPTY_CNF]
+
+    def test_stream(self, default_recursion_limit):
+        # one generator per summand would nest 1,000 deep to reach the last
+        elems = prefix_elements(mk_mul_nat(D_ID, LONG_SUM), 1, LONG_SUM)
+        assert len(elems) == LONG_SUM
+        last = elems[-1]
+        for _ in range(LONG_SUM - 1):
+            assert last.__class__ is ESum and last.side == 1
+            last = last.inner
+        assert last == EId(Right(0))
