@@ -30,6 +30,8 @@ ELEMENT_ATOM, under the trace budget of the element-oracles workload:
 ELEMENT_REPEATS calls, with the slot it answers), and ``compare_elements``
 per call over the adjacent pairs of the arity-4 term's embedding images,
 ranked as ``important_index`` ranks them (median of ELEMENT_REPEATS passes).
+It runs in a fresh interpreter, so its figures do not depend on the kernel
+series run before it.
 
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
@@ -191,6 +193,14 @@ def element_series() -> dict:
     }
 
 
+def in_fresh_process(series: str) -> dict:
+    """The JSON result of this script's ``series()`` run in a new interpreter."""
+    code = f"import json, bench; print(json.dumps(bench.{series}()))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "scripts",
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(done.stdout)
+
+
 def child_cpu(argv: list) -> tuple:
     """User+system CPU seconds of one child run to completion, and its exit code."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -245,7 +255,7 @@ def main() -> int:
         print(f"{name}:", file=sys.stderr)
         report["translations"][name] = run_series(setup)
     print("elements:", file=sys.stderr)
-    report["elements"] = element_series()
+    report["elements"] = in_fresh_process("element_series")
     print("cli:", file=sys.stderr)
     report["cli"] = cli_series()
     out = ROOT / f"BENCH_{args.tag}.json"

@@ -16,6 +16,8 @@ import itertools
 from typing import Callable, Optional
 
 from .errors import (
+    DepthExceeded,
+    GuardViolation,
     NoUniqueIndex,
     NotConnected,
     NotTypeOmega,
@@ -56,6 +58,7 @@ from .ordinal import (
     Frozen,
     Ord,
     _set,
+    from_int,
     fund_seq,
     ord_add,
     ord_left_sub,
@@ -236,21 +239,40 @@ def sep_signed_iter(d: Dil, gammas):
 # ---------------------------------------------------------------------------
 # symbolic order types
 
+
+def _limit_sup(d: Dil, sample: Callable[[int], Ord]) -> Ord:
+    """The limit rule of J, psi and otp: sup of ``sample(k)``, k < ``LIMIT_SAMPLES``.
+    Samples are values of partial sums of ``d``, so a decrease is a kernel bug."""
+    values = [sample(k) for k in range(LIMIT_SAMPLES)]
+    if any(a > b for a, b in zip(values, values[1:])):
+        raise GuardViolation(f"partial-sum values decreased under {to_str(d)}")
+    return ord_sup_of_sequence(values)
+
+
 _OTP_CACHE: dict = {}
 _OTP_FOLD_CAP = 256
+# separations and bands one call may fold: a limit cut folds LIMIT_SAMPLES
+# prefixes, so the work grows about sevenfold per nested limit cut
+_OTP_FOLD_BUDGET = 4000
 
 
 def otp_symbolic(d: Dil, a: Ord) -> Ord:
-    """Exact order type of d evaluated at the notation ``a``."""
+    """Exact order type of d evaluated at the notation ``a``; past
+    ``_OTP_FOLD_BUDGET`` folds not in the cache it refuses with
+    ``DepthExceeded``."""
+    return _otp_cached(d, a, [_OTP_FOLD_BUDGET])
+
+
+def _otp_cached(d: Dil, a: Ord, budget: list) -> Ord:
     key = (d, a)
     if key in _OTP_CACHE:
         return _OTP_CACHE[key]
-    value = _otp(d, a)
+    value = _otp(d, a, budget)
     _OTP_CACHE[key] = value
     return value
 
 
-def _otp(d: Dil, a: Ord) -> Ord:
+def _otp(d: Dil, a: Ord, budget: list) -> Ord:
     if isinstance(d, Const):
         return d.value
     if isinstance(d, IdNode):
@@ -260,44 +282,45 @@ def _otp(d: Dil, a: Ord) -> Ord:
         # take, so a long sum costs no recursion depth
         spine = []
         while isinstance(d, Sum) and (d, a) not in _OTP_CACHE:
-            spine.append((d, otp_symbolic(d.left, a)))
+            spine.append((d, _otp_cached(d.left, a, budget)))
             d = d.right
-        value = otp_symbolic(d, a)
+        value = _otp_cached(d, a, budget)
         for node, left in reversed(spine):
             value = ord_add(left, value)
             _OTP_CACHE[(node, a)] = value
         return value
     if isinstance(d, MulOmega):
-        return ord_mul_omega(otp_symbolic(d.base, a))
+        return ord_mul_omega(_otp_cached(d.base, a, budget))
     if isinstance(d, OmegaComp):
-        return ord_omega_pow(otp_symbolic(d.base, a))
+        return ord_omega_pow(_otp_cached(d.base, a, budget))
     if isinstance(d, CnfHead):
-        high = otp_symbolic(d.high, a)
+        high = _otp_cached(d.high, a, budget)
         if high.is_zero():
             return ZERO
-        return ord_omega_pow(ord_add(otp_symbolic(d.low, a), high))
+        return ord_omega_pow(ord_add(_otp_cached(d.low, a, budget), high))
     if isinstance(d, Sep):
         arg = ord_add(ord_left_sub(d.cut, d.amb), a)
         return _otp_fold(
-            d.cut,
-            lambda v: otp_symbolic(mk_slice(d.base, v, ord_add(v, ONE)), arg),
-            lambda mid: otp_symbolic(Sep(d.base, mid, mid), arg),
+            d, d.cut, budget,
+            lambda v: _otp_cached(mk_slice(d.base, v, ord_add(v, ONE)), arg, budget),
+            lambda mid: _otp_cached(Sep(d.base, mid, mid), arg, budget),
         )
     if isinstance(d, Band):
         arg = ord_add(ord_left_sub(d.hi, d.amb), a)
         span = ord_left_sub(d.lo, d.hi)
         return _otp_fold(
-            span,
-            lambda v: otp_symbolic(mk_slice(d.base, ord_add(d.lo, v), d.hi), arg),
-            lambda mid: otp_symbolic(
-                mk_band(d.base, d.lo, ord_add(d.lo, mid), d.hi), arg
-            ),
+            d, span, budget,
+            lambda v: _otp_cached(mk_slice(d.base, ord_add(d.lo, v), d.hi), arg, budget),
+            lambda mid: _otp_cached(mk_band(d.base, d.lo, ord_add(d.lo, mid), d.hi), arg, budget),
         )
     raise UnsupportedOtp(f"no order-type rule for {d!r}")
 
 
-def _otp_fold(length: Ord, piece, prefix_value) -> Ord:
-    """Sum of piece(v) over v < length, via peeling and limit extrapolation."""
+def _otp_fold(d: Dil, length: Ord, budget: list, piece, prefix_value) -> Ord:
+    """Sum of piece(v) over v < length, via peeling and the limit rule."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise DepthExceeded(f"order-type folds exceeded {_OTP_FOLD_BUDGET} steps")
     if length.is_zero():
         return ZERO
     if length.is_finite():
@@ -305,18 +328,13 @@ def _otp_fold(length: Ord, piece, prefix_value) -> Ord:
         if n > _OTP_FOLD_CAP:
             raise UnsupportedOtp(f"finite fold of length {n} beyond cap")
         acc = ZERO
-        v = ZERO
-        for _ in range(n):
+        for v in map(from_int, range(n)):
             acc = ord_add(acc, piece(v))
-            v = ord_add(v, ONE)
         return acc
     if length.is_successor():
         nu = ord_pred(length)
         return ord_add(prefix_value(nu), piece(nu))
-    samples = []
-    for k in range(1, LIMIT_SAMPLES):
-        samples.append(prefix_value(fund_seq(length, k)))
-    return ord_sup_of_sequence(samples)
+    return _limit_sup(d, lambda k: prefix_value(fund_seq(length, k)))
 
 
 # ---------------------------------------------------------------------------

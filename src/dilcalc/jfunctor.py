@@ -17,13 +17,13 @@ re-checks that every recorded step descends in rank.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
-from .analysis import classify, otp_symbolic
-from .errors import DepthExceeded, FRAGMENT_ERRORS, GuardViolation
+from .analysis import _limit_sup, classify, otp_symbolic
+from .errors import DepthExceeded, FRAGMENT_ERRORS
 from .expr import Const, D_ONE, Dil, Sum, mk_omega_comp, mk_sum, to_str
 from .ordinal import (
-    LIMIT_SAMPLES,
     OMEGA,
     ONE,
     ZERO,
@@ -32,7 +32,6 @@ from .ordinal import (
     _set,
     ord_add,
     ord_omega_pow,
-    ord_sup_of_sequence,
 )
 
 # the one resource limit of the guarded recursion: steps that call classify
@@ -104,22 +103,20 @@ class _Session:
                 clause, child = "successor", tc.pred
                 value = ord_add(self.eval(child, gamma), ONE)
             elif tc.kind == "omega":
-                clause, values = "limit", []
-                for k in range(LIMIT_SAMPLES):
-                    child = tc.fund_seq(k)
-                    values.append(self.eval(child, gamma))
-                for a, b in zip(values, values[1:]):
-                    if a > b:
-                        raise GuardViolation(
-                            f"partial-sum values decreased under {to_str(d)}"
-                        )
-                value = ord_sup_of_sequence(values)
+                # a bound method: a closure here would slow every call of eval
+                members = []
+                value = _limit_sup(d, functools.partial(self._member, tc.fund_seq, gamma, members))
+                clause, child = "limit", members[-1]
             else:
                 alpha = self.eval(tc.sep_fn(self.first_cut), gamma)
                 clause, child = "separation", tc.sep_fn(alpha)
                 value = ord_add(alpha, self.eval(child, gamma))
         self.memo[(d, gamma)] = JStep(d, gamma, clause, child, value)
         return value
+
+    def _member(self, fund, gamma: Ord, members: list, k: int) -> Ord:
+        members.append(fund(k))
+        return self.eval(members[-1], gamma)
 
     def _compose(self, d: Sum, gamma: Ord) -> Ord:
         """J(a+e, gamma) = J(e, J(a, gamma)), walked down the right spine in a

@@ -19,7 +19,7 @@ import functools
 import itertools
 import random
 
-from .analysis import decompose
+from .analysis import _limit_sup, decompose
 from .errors import DepthExceeded, MalformedElement
 from .expr import (
     Band,
@@ -39,7 +39,6 @@ from .ordinal import (
     EQUAL,
     GREATER,
     LESS,
-    LIMIT_SAMPLES,
     ONE,
     ZERO,
     Frozen,
@@ -128,10 +127,7 @@ def _psi(d: Dil, gamma: Ord, budget) -> Ord:
             return ord_add(head, ONE)
         delta = ord_add(gamma, head)
         return ord_add(head, _psi_connected(dec.top, delta, budget))
-    samples = []
-    for k in range(LIMIT_SAMPLES):
-        samples.append(psi_clause_otp(dec.fund(k), gamma, budget))
-    return ord_sup_of_sequence(samples)
+    return _limit_sup(d, lambda k: psi_clause_otp(dec.fund(k), gamma, budget))
 
 
 def _psi_prefix(d: Sum, gamma: Ord, budget) -> Ord:

@@ -1,14 +1,20 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dilcalc.analysis as analysis_module
+import dilcalc.jfunctor as jfunctor_module
+import dilcalc.psi as psi_module
 from dilcalc.analysis import (
     EQUIVALENT,
     MUCH_GREATER,
     MUCH_LESS,
+    Decomposition,
+    TypeClass,
     _embeddings,
     classify,
     components,
@@ -22,7 +28,7 @@ from dilcalc.analysis import (
     sep_signed_iter,
 )
 from dilcalc.coherence import limit_prefix_inject, prefix_inject, top_inject
-from dilcalc.errors import NoUniqueIndex, NotConnected, NotTypeOmega
+from dilcalc.errors import DilcalcError, GuardViolation, NoUniqueIndex, NotConnected, NotTypeOmega
 from dilcalc.expr import (
     CnfHead,
     Const,
@@ -38,6 +44,7 @@ from dilcalc.expr import (
     parse_dil,
     to_str,
 )
+from dilcalc.jfunctor import j_eval, jprime_eval
 from dilcalc.ordinal import (
     EQUAL,
     GREATER,
@@ -50,6 +57,7 @@ from dilcalc.ordinal import (
     ord_str,
     parse_ord,
 )
+from dilcalc.psi import psi_clause_otp
 from dilcalc.semantics import (
     ECnf,
     EConst,
@@ -510,3 +518,91 @@ class TestLlRelationOnePass:
             assert answer == reference_ll_relation(d, t1, t2), (to_str(d), t1, t2)
             seen.add(answer)
         assert seen == outcomes
+
+
+# ---------------------------------------------------------------------------
+# the one limit rule
+
+# atoms of the limit grid; they and a seeded subset of their pairwise sums
+# are evaluated at 8 and at 16 samples
+LIMIT_ATOMS = (
+    "0", "1", "Const(3)", "Const(w)", "Const(w^2)", "Id", "Id+1", "1+Id", "Id*2", "Id*w",
+    "omega[Id]", "omega[Id+1]", "omega[Id*2]", "Const(w)+Id", "omega_head(0;Id)",
+    "omega_head(Id;Id)", "omega_head(1;Id)", "(Id*w)*w", "Id+Const(w)", "omega[Id]+Id",
+)
+LIMIT_FUNCTORS = (
+    lambda d, g: j_eval(d, g).value,
+    lambda d, g: jprime_eval(d, g).value,
+    psi_clause_otp,
+    otp_symbolic,
+)
+
+
+def _decreasing(k):
+    return Const(from_int(8 - k))
+
+
+class TestLimitRule:
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self, monkeypatch):
+        monkeypatch.setattr(analysis_module, "_OTP_CACHE", {})
+        monkeypatch.setattr(psi_module, "_PSI_CACHE", {})
+
+    def test_j_decrease_is_a_guard_violation(self, monkeypatch):
+        d = parse_dil("Id*w")
+        real = jfunctor_module.classify
+        monkeypatch.setattr(
+            jfunctor_module, "classify",
+            lambda e: TypeClass("omega", fund_seq=_decreasing) if e == d else real(e),
+        )
+        with pytest.raises(GuardViolation, match=r"partial-sum values decreased under Id\*w$"):
+            j_eval(d, w)
+
+    def test_psi_decrease_is_a_guard_violation(self, monkeypatch):
+        d = parse_dil("Id*w")
+        real = psi_module.decompose
+        monkeypatch.setattr(
+            psi_module, "decompose",
+            lambda e: Decomposition("limit", fund=_decreasing) if e == d else real(e),
+        )
+        with pytest.raises(GuardViolation, match=r"partial-sum values decreased under Id\*w$"):
+            psi_clause_otp(d, w)
+
+    def test_otp_decrease_is_a_guard_violation(self, monkeypatch):
+        # the cut's fundamental sequence now runs 8, 7, ..., 1
+        monkeypatch.setattr(analysis_module, "fund_seq", lambda a, k: from_int(8 - k))
+        with pytest.raises(GuardViolation, match="partial-sum values decreased under sep"):
+            otp_symbolic(Sep(HID, w, w), w)
+
+    def test_one_sample_count(self, monkeypatch):
+        # the one count reaches J, psi and otp: each samples members 0..15
+        monkeypatch.setattr(analysis_module, "LIMIT_SAMPLES", 16)
+        d = parse_dil("Id*w")
+        assert j_eval(d, w).steps[-1].child == mk_mul_nat(D_ID, 15)
+        psi_clause_otp(d, w)
+        assert (mk_mul_nat(D_ID, 15), w) in psi_module._PSI_CACHE
+        assert (mk_mul_nat(D_ID, 16), w) not in psi_module._PSI_CACHE
+        otp_symbolic(Sep(HID, w, w), w)
+        assert (Sep(HID, from_int(15), from_int(15)), w) in analysis_module._OTP_CACHE
+        assert (Sep(HID, from_int(16), from_int(16)), w) not in analysis_module._OTP_CACHE
+
+    def test_sixteen_samples_change_nothing(self, monkeypatch):
+        atoms = [parse_dil(t) for t in LIMIT_ATOMS]
+        pairs = random.Random(16).sample(list(itertools.product(atoms, atoms)), 40)
+        exprs = atoms + [mk_sum(a, b) for a, b in pairs]
+        gammas = [parse_ord(g) for g in ("0", "1", "w+1", "w^2")]
+
+        def outcomes():
+            analysis_module._OTP_CACHE.clear()
+            psi_module._PSI_CACHE.clear()
+            out = []
+            for d, g, f in itertools.product(exprs, gammas, LIMIT_FUNCTORS):
+                try:
+                    out.append(f(d, g))
+                except DilcalcError as exc:
+                    out.append(type(exc))
+            return out
+
+        eight = outcomes()
+        monkeypatch.setattr(analysis_module, "LIMIT_SAMPLES", 16)
+        assert outcomes() == eight

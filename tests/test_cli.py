@@ -248,8 +248,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
 
-
-class TestEmptyPrefix:
+    @pytest.mark.parametrize(
+        "text", ["sep@(omega_head(Id;Id);w^w;w^w)", "band(omega_head(Id;Id);0;w^w;w^w)"]
+    )
+    def test_deep_order_type_fold_ends_within_seconds(self, text):
+        # each nested limit cut multiplies the fold's work about sevenfold,
+        # so at the cut w^w only the fold budget ends it
+        src = Path(dilcalc.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "dilcalc.cli", "otp", text, "--arg", "0"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode in (0, 2)
+        assert "Traceback" not in done.stderr
     def test_enum_prints_nothing(self, capsys):
         assert run(capsys, "enum", "Id", "--x", "2", "--prefix", "0") == (0, "", "")
         code, out, _ = run(capsys, "enum", "Id", "--x", "2", "--prefix", "0", "--format", "json")
