@@ -30,8 +30,14 @@ ELEMENT_ATOM, under the trace budget of the element-oracles workload:
 ELEMENT_REPEATS calls, with the slot it answers), and ``compare_elements``
 per call over the adjacent pairs of the arity-4 term's embedding images,
 ranked as ``important_index`` ranks them (median of ELEMENT_REPEATS passes).
-It runs in a fresh interpreter, so its figures do not depend on the kernel
-series run before it.
+It runs in ELEMENT_PROCESSES fresh interpreters, so its figures do not depend
+on the kernel series run before it, and each figure is the median of the
+interpreters' medians, with their least and greatest: one interpreter's
+reading can be far from another's.
+
+The refusal point times one ``jplus_eval`` that J refuses, REFUSAL at w,
+REPEATS times in CPU seconds, and records its ``type: message``: a refusal
+runs J to ``DEPTH_CAP`` and costs more than most answers.
 
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
@@ -61,7 +67,7 @@ from dilcalc import analysis, coherence, psi  # noqa: E402
 from dilcalc.analysis import enum_trace_terms, important_index, otp_symbolic  # noqa: E402
 from dilcalc.errors import DilcalcError  # noqa: E402
 from dilcalc.expr import D_ID, D_ONE, mk_mul_nat, mk_sum, parse_dil  # noqa: E402
-from dilcalc.jfunctor import j_eval, jprime_eval  # noqa: E402
+from dilcalc.jfunctor import j_eval, jplus_eval, jprime_eval  # noqa: E402
 from dilcalc.ordinal import ord_str, parse_ord  # noqa: E402
 from dilcalc.semantics import (  # noqa: E402
     EId,
@@ -81,6 +87,8 @@ COMMANDS = ROOT / "scripts" / "lemma_suite.commands"
 ELEMENT_ATOM = "omega_head(1;omega_head(0;Id))"
 ELEMENT_BUDGET = dict(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
 ELEMENT_REPEATS = 51
+ELEMENT_PROCESSES = 3
+REFUSAL = "omega_head(0;Id)+Id+1+Const(w)+Id"
 SERIES = {
     "j": lambda d, w: j_eval(d, w).value,
     "jprime": lambda d, w: jprime_eval(d, w).value,
@@ -193,6 +201,48 @@ def element_series() -> dict:
     }
 
 
+def spread(values: list) -> dict:
+    return {"median": statistics.median(values), "min": min(values), "max": max(values),
+            "per_process": values}
+
+
+def element_spread() -> dict:
+    """element_series in ELEMENT_PROCESSES fresh interpreters: each figure's
+    median over them, with its least and greatest."""
+    runs = [in_fresh_process("element_series") for _ in range(ELEMENT_PROCESSES)]
+    index = [{"arity": row["arity"], "slot": row["slot"],
+              "ms": spread([run["important_index"][i]["median_ms"] for run in runs])}
+             for i, row in enumerate(runs[0]["important_index"])]
+    compare = runs[0]["compare_elements"]
+    return {
+        "atom": ELEMENT_ATOM,
+        "budget": ELEMENT_BUDGET,
+        "repeats": ELEMENT_REPEATS,
+        "processes": ELEMENT_PROCESSES,
+        "important_index": index,
+        "compare_elements": {"pairs": compare["pairs"], "us_per_call": spread(
+            [run["compare_elements"]["median_us_per_call"] for run in runs])},
+    }
+
+
+def refusal_point() -> dict:
+    """CPU seconds and ``type: message`` of jplus_eval(REFUSAL, w), REPEATS times."""
+    d, w = parse_dil(REFUSAL), parse_ord("w")
+    runs, answer = [], None
+    for _ in range(REPEATS):
+        psi._PSI_CACHE.clear()
+        analysis._OTP_CACHE.clear()
+        start = time.process_time()
+        try:
+            answer = ord_str(jplus_eval(d, w).value)
+        except DilcalcError as exc:
+            answer = f"{type(exc).__name__}: {exc}"
+        runs.append(time.process_time() - start)
+    print(f"  {statistics.median(runs):.2f} s, {answer}", file=sys.stderr)
+    return {"verb": "jplus", "expr": REFUSAL, "gamma": "w", "answer": answer,
+            "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs}
+
+
 def in_fresh_process(series: str) -> dict:
     """The JSON result of this script's ``series()`` run in a new interpreter."""
     code = f"import json, bench; print(json.dumps(bench.{series}()))"
@@ -254,8 +304,10 @@ def main() -> int:
     for name, setup in TRANSLATIONS.items():
         print(f"{name}:", file=sys.stderr)
         report["translations"][name] = run_series(setup)
+    print("refusal:", file=sys.stderr)
+    report["refusal"] = refusal_point()
     print("elements:", file=sys.stderr)
-    report["elements"] = in_fresh_process("element_series")
+    report["elements"] = element_spread()
     print("cli:", file=sys.stderr)
     report["cli"] = cli_series()
     out = ROOT / f"BENCH_{args.tag}.json"

@@ -249,6 +249,16 @@ def _limit_sup(d: Dil, sample: Callable[[int], Ord]) -> Ord:
     return ord_sup_of_sequence(values)
 
 
+def _forget_since(cache: dict, mark: int) -> None:
+    """Drop the entries added to ``cache`` after it held ``mark`` of them.
+
+    A refused call forgets what it cached: its budget counts cache misses,
+    so what a refusal kept would let the same call, repeated, get further
+    and answer."""
+    while len(cache) > mark:
+        cache.popitem()
+
+
 _OTP_CACHE: dict = {}
 _OTP_FOLD_CAP = 256
 # separations and bands one call may fold: a limit cut folds LIMIT_SAMPLES
@@ -259,8 +269,13 @@ _OTP_FOLD_BUDGET = 4000
 def otp_symbolic(d: Dil, a: Ord) -> Ord:
     """Exact order type of d evaluated at the notation ``a``; past
     ``_OTP_FOLD_BUDGET`` folds not in the cache it refuses with
-    ``DepthExceeded``."""
-    return _otp_cached(d, a, [_OTP_FOLD_BUDGET])
+    ``DepthExceeded`` and leaves the cache as it found it."""
+    mark = len(_OTP_CACHE)
+    try:
+        return _otp_cached(d, a, [_OTP_FOLD_BUDGET])
+    except DepthExceeded:
+        _forget_since(_OTP_CACHE, mark)
+        raise
 
 
 def _otp_cached(d: Dil, a: Ord, budget: list) -> Ord:

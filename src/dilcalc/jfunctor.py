@@ -10,9 +10,12 @@ right spine, so a sum of n summands costs n steps and no sum is rebuilt.
 Each evaluated (sub-expression, gamma) pair is recorded once, as a
 ``JStep`` with its clause, the child it recursed into last and its value;
 ``JResult.steps`` lists every one of them in post-order, root last, with no
-cap of its own.  Guards are certificates computed after the fact: eta
-bounds the value, xi bounds the order type at omega^(1+eta), and the audit
-re-checks that every recorded step descends in rank.
+cap of its own.  What does not depend on gamma is derived once per session
+and expression, in a table that ends with the session: its classification,
+the members of its fundamental sequence and its separation at the first
+cut.  Guards are certificates computed after the fact: eta bounds the
+value, xi bounds the order type at omega^(1+eta), and the audit re-checks
+that every recorded step descends in rank.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .ordinal import (
     ord_omega_pow,
 )
 
-# the one resource limit of the guarded recursion: steps that call classify
+# the one resource limit of the guarded recursion: steps that take the empty,
+# successor, limit or separation clause
 DEPTH_CAP = 10000
 
 
@@ -69,16 +73,22 @@ class _Session:
     and the memo is keyed by ``(expr, gamma)``.  The memo is also the step
     log: it maps each pair to its ``JStep``, stored once its children are
     done, so insertion order is post-order and the root comes last.
-    ``DEPTH_CAP`` bounds the guarded steps, the ones that call
-    ``classify``.  Constant steps are leaves and a sum has one composition
-    step per summand and gamma, so the guarded steps bound the work; counting
-    the others too would refuse inputs that were answered while sums were
-    classified whole, at one gamma.
+    ``DEPTH_CAP`` bounds the guarded steps, the ones that take the empty,
+    successor, limit or separation clause.  Constant steps are leaves and a
+    sum has one composition step per summand and gamma, so the guarded steps
+    bound the work; counting the others too would refuse inputs that were
+    answered while sums were classified whole, at one gamma.
+
+    ``facts`` maps each expression that took a guarded step to what every
+    gamma shares: its ``TypeClass``, the fundamental-sequence members built
+    so far (in order, from k = 0) and, for type Omega, its separation at the
+    first cut.
     """
 
     def __init__(self, first_cut: Ord):
         self.first_cut = first_cut
         self.memo = {}
+        self.facts = {}
         self.calls = 0
 
     def eval(self, d: Dil, gamma: Ord) -> Ord:
@@ -96,7 +106,12 @@ class _Session:
             self.calls += 1
             if self.calls > DEPTH_CAP:
                 raise DepthExceeded(f"evaluation exceeded {DEPTH_CAP} steps")
-            tc = classify(d)
+            facts = self.facts.get(d)
+            if facts is None:
+                tc = classify(d)
+                first = tc.sep_fn(self.first_cut) if tc.kind == "Omega" else None
+                facts = self.facts[d] = (tc, [], first)
+            tc, members, first = facts
             if tc.kind == "0":
                 clause, value = "empty", gamma
             elif tc.kind == "1":
@@ -104,19 +119,20 @@ class _Session:
                 value = ord_add(self.eval(child, gamma), ONE)
             elif tc.kind == "omega":
                 # a bound method: a closure here would slow every call of eval
-                members = []
                 value = _limit_sup(d, functools.partial(self._member, tc.fund_seq, gamma, members))
                 clause, child = "limit", members[-1]
             else:
-                alpha = self.eval(tc.sep_fn(self.first_cut), gamma)
+                alpha = self.eval(first, gamma)
                 clause, child = "separation", tc.sep_fn(alpha)
                 value = ord_add(alpha, self.eval(child, gamma))
         self.memo[(d, gamma)] = JStep(d, gamma, clause, child, value)
         return value
 
     def _member(self, fund, gamma: Ord, members: list, k: int) -> Ord:
-        members.append(fund(k))
-        return self.eval(members[-1], gamma)
+        # members are sampled in order, so member k is built on first demand
+        if k == len(members):
+            members.append(fund(k))
+        return self.eval(members[k], gamma)
 
     def _compose(self, d: Sum, gamma: Ord) -> Ord:
         """J(a+e, gamma) = J(e, J(a, gamma)), walked down the right spine in a

@@ -19,7 +19,7 @@ import functools
 import itertools
 import random
 
-from .analysis import _limit_sup, decompose
+from .analysis import _forget_since, _limit_sup, decompose
 from .errors import DepthExceeded, MalformedElement
 from .expr import (
     Band,
@@ -90,22 +90,29 @@ def psi_clause_otp(d: Dil, gamma: Ord, _budget: list = None) -> Ord:
     nor counted.  A sum passed in by the caller gives each of its summand
     steps a budget of its own, so no length of sum runs out of budget; a
     sum met inside a recursion shares that recursion's budget, so the
-    budget still bounds the work of every step.
+    budget still bounds the work of every step.  A call from outside a
+    recursion that refuses leaves the cache as it found it.
     """
     if isinstance(d, Const):
         return d.value
     key = (d, gamma)
     if key in _PSI_CACHE:
         return _PSI_CACHE[key]
-    if _budget is None and _folds(d):
-        value = _psi_prefix(d, gamma, None)
-    else:
-        if _budget is None:
-            _budget = [4000]
-        _budget[0] -= 1
-        if _budget[0] < 0:
-            raise DepthExceeded("collapse recursion exceeded its step budget")
-        value = _psi(d, gamma, _budget)
+    outer, mark = _budget is None, len(_PSI_CACHE)
+    try:
+        if _budget is None and _folds(d):
+            value = _psi_prefix(d, gamma, None)
+        else:
+            if _budget is None:
+                _budget = [4000]
+            _budget[0] -= 1
+            if _budget[0] < 0:
+                raise DepthExceeded("collapse recursion exceeded its step budget")
+            value = _psi(d, gamma, _budget)
+    except DepthExceeded:
+        if outer:
+            _forget_since(_PSI_CACHE, mark)
+        raise
     _PSI_CACHE[key] = value
     return value
 

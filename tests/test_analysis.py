@@ -28,7 +28,14 @@ from dilcalc.analysis import (
     sep_signed_iter,
 )
 from dilcalc.coherence import limit_prefix_inject, prefix_inject, top_inject
-from dilcalc.errors import DilcalcError, GuardViolation, NoUniqueIndex, NotConnected, NotTypeOmega
+from dilcalc.errors import (
+    DepthExceeded,
+    DilcalcError,
+    GuardViolation,
+    NoUniqueIndex,
+    NotConnected,
+    NotTypeOmega,
+)
 from dilcalc.expr import (
     CnfHead,
     Const,
@@ -278,6 +285,19 @@ class TestOtp:
             lhs = otp_symbolic(sep(d, w), probe)
             rhs = otp_symbolic(d, probe)
             assert lhs < rhs, text
+
+    def test_a_refusal_leaves_the_cache_as_it_was(self, monkeypatch):
+        # the cut w^3 takes 401 folds; when a refusal kept what it cached,
+        # the second call answered w^w^3 under this budget
+        monkeypatch.setattr(analysis_module, "_OTP_CACHE", {})
+        monkeypatch.setattr(analysis_module, "_OTP_FOLD_BUDGET", 300)
+        otp_symbolic(D_ID, w)
+        before = dict(analysis_module._OTP_CACHE)
+        d = parse_dil("sep@(omega_head(Id;Id);w^3;w^3)")
+        for _ in range(5):
+            with pytest.raises(DepthExceeded, match="order-type folds exceeded 300 steps"):
+                otp_symbolic(d, ZERO)
+            assert analysis_module._OTP_CACHE == before
 
 
 class TestTraceRelations:

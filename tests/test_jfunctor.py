@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import random
 
@@ -6,7 +7,7 @@ import pytest
 import dilcalc.analysis as analysis_module
 import dilcalc.expr as expr_module
 import dilcalc.jfunctor as jfunctor_module
-from dilcalc.analysis import classify, otp_symbolic
+from dilcalc.analysis import TypeClass, classify, otp_symbolic
 from dilcalc.errors import (
     DepthExceeded,
     DilcalcError,
@@ -19,6 +20,7 @@ from dilcalc.expr import (
     Const,
     D_ID,
     D_ONE,
+    Sum,
     _split_trailing,
     mk_mul_nat,
     mk_omega_comp,
@@ -312,6 +314,107 @@ class TestStepLog:
         assert len(res.steps) == 16003
         assert len({s.parent for s in res.steps}) == 2431
         assert res.steps[-1].parent == res.expr
+
+
+def _spine(seed, n):
+    """n summands as the functor-sums benchmark draws them, shuffled chunks
+    of the same 20 summands, with omega[Id] inserted in the middle."""
+    chunk = ["Id"] * 5 + ["1", "Const(3)", "Const(w)", "Const(w^2)", "Id*w"] * 3
+    rng, parts = random.Random(seed), []
+    while len(parts) < n:
+        rng.shuffle(chunk)
+        parts += chunk
+    parts = parts[:n]
+    parts.insert(n // 2, "omega[Id]")
+    return parse_dil("+".join(parts))
+
+
+class TestSessionFacts:
+    """A session derives what does not depend on gamma once per expression:
+    its classification, its fundamental-sequence members and its
+    separation at the first cut."""
+
+    CASES = [("j", "Id*w*w*w", "w"), ("jprime", "Id*w*w*w", "w"),
+             ("j", 50, "w^2"), ("jprime", 50, "w+1")]
+    FS_GAMMAS = ["0", "1", "w", "w+1", "w*2", "w^2"]
+
+    @staticmethod
+    def expr(text_or_n):
+        return _spine(3, text_or_n) if isinstance(text_or_n, int) else parse_dil(text_or_n)
+
+    @staticmethod
+    def counted(monkeypatch, variant, d, gs):
+        """The result of one evaluation and three counters: classify calls
+        per expression, fundamental-sequence members built per (expression,
+        k) and separations per (expression, cut)."""
+        classified, built, cuts = (collections.Counter() for _ in range(3))
+        real = jfunctor_module.classify
+
+        def counting(e):
+            classified[e] += 1
+            tc = real(e)
+
+            def fund(k):
+                built[e, k] += 1
+                return tc.fund_seq(k)
+
+            def sep_fn(g):
+                cuts[e, g] += 1
+                return tc.sep_fn(g)
+
+            return TypeClass(tc.kind, tc.pred, tc.fund_seq and fund, tc.sep_fn and sep_fn)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(jfunctor_module, "classify", counting)
+            res = EVALUATORS[variant](d, parse_ord(gs))
+        return res, classified, built, cuts
+
+    @pytest.mark.parametrize("variant,item,gs", CASES)
+    def test_classifies_each_expression_once(self, monkeypatch, variant, item, gs):
+        res, classified, _, _ = self.counted(monkeypatch, variant, self.expr(item), gs)
+        guarded = {s.parent for s in res.steps if not isinstance(s.parent, (Const, Sum))}
+        assert set(classified) == guarded
+        assert set(classified.values()) == {1}
+        # the table is worth having: expressions recur at other gammas
+        assert len(guarded) < sum(not isinstance(s.parent, (Const, Sum)) for s in res.steps)
+
+    @pytest.mark.parametrize("variant,item,gs", CASES)
+    def test_builds_each_limit_member_once(self, monkeypatch, variant, item, gs):
+        res, _, built, _ = self.counted(monkeypatch, variant, self.expr(item), gs)
+        limits = {s.parent for s in res.steps if s.clause == "limit"}
+        assert limits and {e for e, _ in built} == limits
+        assert set(built.values()) == {1}
+        for e in limits:
+            assert {k for f, k in built if f == e} == set(range(LIMIT_SAMPLES))
+
+    @pytest.mark.parametrize("variant,item,gs", CASES)
+    def test_separates_at_the_first_cut_once(self, monkeypatch, variant, item, gs):
+        res, _, _, cuts = self.counted(monkeypatch, variant, self.expr(item), gs)
+        first = ZERO if variant == "j" else OMEGA
+        tops = {s.parent for s in res.steps if s.clause == "separation"}
+        assert tops and {e for e, g in cuts if g == first} == tops
+        assert all(n == 1 for (_, g), n in cuts.items() if g == first)
+
+    @pytest.mark.parametrize("variant,item,gs", CASES)
+    def test_a_repeated_call_counts_the_same(self, monkeypatch, variant, item, gs):
+        d = self.expr(item)
+        first = self.counted(monkeypatch, variant, d, gs)
+        again = self.counted(monkeypatch, variant, d, gs)
+        assert again[0].steps == first[0].steps
+        assert again[1:] == first[1:]
+
+    def test_spines_fingerprint(self):
+        # count and sha1 of the rendered spines, taken before the table
+        lines = []
+        for seed in (1, 2):
+            for n in (30, 50):
+                d = _spine(seed, n)
+                for gs in self.FS_GAMMAS:
+                    for name, fn in EVALUATORS.items():
+                        lines += _render(name, d, gs, fn, 10000)
+        text = "\n".join(lines)
+        assert len(lines) == 16884
+        assert hashlib.sha1(text.encode()).hexdigest() == "d9096c0bdb02a1dade8d5bc490fd5d8286fba3fc"
 
 
 # ---------------------------------------------------------------------------

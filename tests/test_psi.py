@@ -209,6 +209,19 @@ class TestPrefixClause:
         with pytest.raises(DepthExceeded):
             psi_clause_otp(parse_dil("Id*w*w*w*w*w*w"), w)
 
+    @pytest.mark.parametrize("text", ["Id*w*w*w*w", "Id+Id*w*w*w*w"])
+    def test_a_refusal_leaves_the_cache_as_it_was(self, monkeypatch, text):
+        # Id*w^4 takes about 5,200 misses; when a refusal kept its 4,000,
+        # the second call answered.  A refused sum also forgets the summand
+        # steps before the one that refused.
+        monkeypatch.setattr(psi_module, "_PSI_CACHE", {})
+        psi_clause_otp(D_ID, ONE)
+        before = dict(psi_module._PSI_CACHE)
+        for _ in range(2):
+            with pytest.raises(DepthExceeded):
+                psi_clause_otp(parse_dil(text), w)
+            assert psi_module._PSI_CACHE == before
+
 
 class TestTermOrder:
     def test_constant_enumeration_exact(self):
