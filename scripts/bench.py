@@ -37,7 +37,10 @@ reading can be far from another's.
 
 The refusal point times one ``jplus_eval`` that J refuses, REFUSAL at w,
 REPEATS times in CPU seconds, and records its ``type: message``: a refusal
-runs J to ``DEPTH_CAP`` and costs more than most answers.
+runs J to ``DEPTH_CAP`` and costs more than most answers.  The deep-chain
+point does the same for ``jplus_eval`` of DEEP_CHAIN at w, whose separations
+nest once per summand: it shows whether J reaches its answer or refusal at
+the default recursion limit, or stops with ``RecursionError``.
 
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
@@ -89,6 +92,7 @@ ELEMENT_BUDGET = dict(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
 ELEMENT_REPEATS = 51
 ELEMENT_PROCESSES = 3
 REFUSAL = "omega_head(0;Id)+Id+1+Const(w)+Id"
+DEEP_CHAIN = "Id*1200"
 SERIES = {
     "j": lambda d, w: j_eval(d, w).value,
     "jprime": lambda d, w: jprime_eval(d, w).value,
@@ -225,9 +229,9 @@ def element_spread() -> dict:
     }
 
 
-def refusal_point() -> dict:
-    """CPU seconds and ``type: message`` of jplus_eval(REFUSAL, w), REPEATS times."""
-    d, w = parse_dil(REFUSAL), parse_ord("w")
+def jplus_point(text: str) -> dict:
+    """CPU seconds and ``type: message`` of jplus_eval(text, w), REPEATS times."""
+    d, w = parse_dil(text), parse_ord("w")
     runs, answer = [], None
     for _ in range(REPEATS):
         psi._PSI_CACHE.clear()
@@ -235,11 +239,11 @@ def refusal_point() -> dict:
         start = time.process_time()
         try:
             answer = ord_str(jplus_eval(d, w).value)
-        except DilcalcError as exc:
+        except (DilcalcError, RecursionError) as exc:
             answer = f"{type(exc).__name__}: {exc}"
         runs.append(time.process_time() - start)
     print(f"  {statistics.median(runs):.2f} s, {answer}", file=sys.stderr)
-    return {"verb": "jplus", "expr": REFUSAL, "gamma": "w", "answer": answer,
+    return {"verb": "jplus", "expr": text, "gamma": "w", "answer": answer,
             "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs}
 
 
@@ -305,7 +309,9 @@ def main() -> int:
         print(f"{name}:", file=sys.stderr)
         report["translations"][name] = run_series(setup)
     print("refusal:", file=sys.stderr)
-    report["refusal"] = refusal_point()
+    report["refusal"] = jplus_point(REFUSAL)
+    print("deep chain:", file=sys.stderr)
+    report["deep_chain"] = jplus_point(DEEP_CHAIN)
     print("elements:", file=sys.stderr)
     report["elements"] = element_spread()
     print("cli:", file=sys.stderr)

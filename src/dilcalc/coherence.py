@@ -50,6 +50,7 @@ from .semantics import (
     ECopies,
     ESum,
     Left,
+    _place,
     important_position,
 )
 
@@ -90,14 +91,7 @@ def sum_inject(a: Dil, b: Dil, side: int, elem):
             image = elem
     else:
         image = ESum(side, elem)
-    return _wrap_right(image, layers)
-
-
-def _wrap_right(elem, layers: int):
-    """``elem`` inside ``layers`` ESum(1, -) layers: the place of a later summand."""
-    for _ in range(layers):
-        elem = ESum(1, elem)
-    return elem
+    return _place(image, layers, layers + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +198,16 @@ def _sum_split(a: Dil, b: Dil, elem):
         elem, a, layers = elem.inner, a.right, layers + 1
     if isinstance(a, Const) and isinstance(b, Const):
         if elem.index < a.value:
-            return 0, _wrap_right(elem, layers)
+            return 0, _place(elem, layers, layers + 1)
         return 1, EConst(ord_left_sub(a.value, elem.index))
     if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
         if elem.side == 0:
             if elem.inner.index < a.value:
-                return 0, _wrap_right(elem.inner, layers)
+                return 0, _place(elem.inner, layers, layers + 1)
             return 1, ESum(0, EConst(ord_left_sub(a.value, elem.inner.index)))
         return 1, elem
     if elem.side == 0:
-        return 0, _wrap_right(elem.inner, layers)
+        return 0, _place(elem.inner, layers, layers + 1)
     return 1, elem.inner
 
 
@@ -307,7 +301,7 @@ def _part_inject(d: Dil, j, elem):
         last = decompose(d.right)
         side, part = _sum_split(d.left, last.prefix if succ else last.fund(j), elem)
         image = ESum(0, part) if side == 0 else ESum(1, _part_inject(d.right, j, part))
-        return _wrap_right(image, layers)
+        return _place(image, layers, layers + 1)
     if isinstance(d, (Const, Sep, Band)):
         return elem
     if isinstance(d, OmegaComp):
@@ -351,7 +345,7 @@ def top_inject(d: Dil, elem):
         # the top of a sum is the top of its last summand, in that summand's
         # place; a loop, so a long sum costs no recursion depth
         parts = summands(d)
-        return _wrap_right(top_inject(parts[-1], elem), len(parts) - 1)
+        return _place(top_inject(parts[-1], elem), len(parts) - 1, len(parts))
     if isinstance(d, OmegaComp):
         # top is mk_cnf_head(prefix, top-of-base); exponents land in the base
         pairs = []

@@ -179,8 +179,9 @@ D_ID = IdNode()
 def summands(d: Dil) -> list:
     """The summands of d down the right spine, collected in a loop, so a long
     sum costs no recursion depth; a non-sum is its own one summand.
-    ``Sum.__hash__``, ``analysis._otp`` and ``jfunctor._Session._compose``
-    walk the spine node by node instead: they store a value per spine node."""
+    ``Sum.__hash__`` and ``analysis._otp`` walk the spine node by node
+    instead, to store a value per spine node; J's session takes one frame
+    per spine node."""
     parts = []
     while isinstance(d, Sum):
         parts.append(d.left)

@@ -1,28 +1,29 @@
 """Guarded-recursive evaluation of the ordinal functors J, J' and J+.
 
-The evaluator recurses along the classification: type 0 returns the
-argument, type 1 adds one, limit types take the exact supremum along the
-fundamental sequence of partial sums, and top-type expressions split as
-alpha + beta through separation of variables (J separates at 0, the primed
-variant at omega).  A sum takes none of these clauses: it composes,
-J(a+e, gamma) = J(e, J(a, gamma)), one summand at a time down the sum's
-right spine, so a sum of n summands costs n steps and no sum is rebuilt.
-Each evaluated (sub-expression, gamma) pair is recorded once, as a
-``JStep`` with its clause, the child it recursed into last and its value;
-``JResult.steps`` lists every one of them in post-order, root last, with no
-cap of its own.  What does not depend on gamma is derived once per session
-and expression, in a table that ends with the session: its classification,
-the members of its fundamental sequence and its separation at the first
-cut.  Guards are certificates computed after the fact: eta bounds the
-value, xi bounds the order type at omega^(1+eta), and the audit re-checks
-that every recorded step descends in rank.
+The clauses follow the classification: type 0 returns the argument, type 1
+adds one, limit types take the exact supremum along the fundamental
+sequence of partial sums, and top-type expressions split as alpha + beta
+through separation of variables (J separates at 0, the primed variant at
+omega).  A sum composes, J(a+e, gamma) = J(e, J(a, gamma)), one summand at a
+time down its right spine, so a sum of n summands costs n steps and no sum
+is rebuilt.  The clauses run as frames on one explicit stack, so how deep
+they nest is bounded by ``DEPTH_CAP``, not by Python's recursion limit.
+Each evaluated (sub-expression, gamma) pair is recorded once, as a ``JStep``
+with its clause, its last child and its value; ``JResult.steps`` lists every
+one of them in post-order, root last, with no cap of its own.  What does not
+depend on gamma is derived once per session and expression, in a table that
+ends with the session: its classification, the members of its fundamental
+sequence and its separation at the first cut.  Guards are certificates
+computed after the fact: eta bounds the value, xi bounds the order type at
+omega^(1+eta), and the audit re-checks that every recorded step descends in
+rank.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
+from . import analysis
 from .analysis import _limit_sup, classify, otp_symbolic
 from .errors import DepthExceeded, FRAGMENT_ERRORS
 from .expr import Const, D_ONE, Dil, Sum, mk_omega_comp, mk_sum, to_str
@@ -66,18 +67,19 @@ class JResult(Frozen):
 
 
 class _Session:
-    """One guarded recursion of J or J'.
+    """One guarded recursion of J or J', run as one loop over a stack.
 
-    A sum composes: its left summand is evaluated at the current gamma and
-    its right summand at the value, so sub-evaluations run at other gammas
-    and the memo is keyed by ``(expr, gamma)``.  The memo is also the step
-    log: it maps each pair to its ``JStep``, stored once its children are
-    done, so insertion order is post-order and the root comes last.
+    A frame is a clause in progress at one ``(expr, gamma)``: a generator
+    that yields each ``(child, gamma)`` it needs, is sent back its value, and
+    yields its ``JStep`` last.  Memo hits and constants take no frame.  A
+    sum's right summand runs at the value of its left one, so the memo is
+    keyed by ``(expr, gamma)``.  It is also the step log: each ``JStep`` is
+    stored when its frame finishes, so the log is in post-order, root last.
     ``DEPTH_CAP`` bounds the guarded steps, the ones that take the empty,
     successor, limit or separation clause.  Constant steps are leaves and a
     sum has one composition step per summand and gamma, so the guarded steps
     bound the work; counting the others too would refuse inputs that were
-    answered while sums were classified whole, at one gamma.
+    answered while sums were classified whole.
 
     ``facts`` maps each expression that took a guarded step to what every
     gamma shares: its ``TypeClass``, the fundamental-sequence members built
@@ -87,66 +89,63 @@ class _Session:
 
     def __init__(self, first_cut: Ord):
         self.first_cut = first_cut
-        self.memo = {}
-        self.facts = {}
-        self.calls = 0
+        self.memo, self.facts, self.calls = {}, {}, 0
 
     def eval(self, d: Dil, gamma: Ord) -> Ord:
-        step = self.memo.get((d, gamma))
-        if step is not None:
-            return step.value
-        if isinstance(d, Sum):
-            return self._compose(d, gamma)
-        child = None
-        if isinstance(d, Const):
-            # closed form: unfolding the successor and limit clauses along a
-            # constant gives gamma + value; keeps nested limits tractable
-            clause, value = "constant", ord_add(gamma, d.value)
-        else:
-            self.calls += 1
-            if self.calls > DEPTH_CAP:
-                raise DepthExceeded(f"evaluation exceeded {DEPTH_CAP} steps")
-            facts = self.facts.get(d)
-            if facts is None:
-                tc = classify(d)
-                first = tc.sep_fn(self.first_cut) if tc.kind == "Omega" else None
-                facts = self.facts[d] = (tc, [], first)
-            tc, members, first = facts
-            if tc.kind == "0":
-                clause, value = "empty", gamma
-            elif tc.kind == "1":
-                clause, child = "successor", tc.pred
-                value = ord_add(self.eval(child, gamma), ONE)
-            elif tc.kind == "omega":
-                # a bound method: a closure here would slow every call of eval
-                value = _limit_sup(d, functools.partial(self._member, tc.fund_seq, gamma, members))
-                clause, child = "limit", members[-1]
+        memo, frames = self.memo, []
+        while True:
+            step = memo.get((d, gamma))
+            if step is None and isinstance(d, Const):
+                # closed form: unfolding the successor and limit clauses along a
+                # constant gives gamma + value; keeps nested limits tractable
+                step = memo[d, gamma] = JStep(d, gamma, "constant", None, ord_add(gamma, d.value))
+            value = None if step is None else step.value
+            if step is None:
+                frames.append(self._frame(d, gamma))
+            while frames:  # pass the value down until a frame asks for a child
+                out = frames[-1].send(value)
+                if out.__class__ is not JStep:
+                    d, gamma = out
+                    break
+                memo[out.parent, out.gamma] = out
+                frames.pop()
+                value = out.value
             else:
-                alpha = self.eval(first, gamma)
-                clause, child = "separation", tc.sep_fn(alpha)
-                value = ord_add(alpha, self.eval(child, gamma))
-        self.memo[(d, gamma)] = JStep(d, gamma, clause, child, value)
-        return value
+                return value
 
-    def _member(self, fund, gamma: Ord, members: list, k: int) -> Ord:
-        # members are sampled in order, so member k is built on first demand
-        if k == len(members):
-            members.append(fund(k))
-        return self.eval(members[k], gamma)
-
-    def _compose(self, d: Sum, gamma: Ord) -> Ord:
-        """J(a+e, gamma) = J(e, J(a, gamma)), walked down the right spine in a
-        loop, so a long sum costs no recursion depth.  Every spine node takes
-        the value of the last one; each records its right summand as child."""
-        spine = []
-        while isinstance(d, Sum) and (d, gamma) not in self.memo:
-            spine.append((d, gamma))
-            gamma = self.eval(d.left, gamma)
-            d = d.right
-        value = self.eval(d, gamma)
-        for node, g in reversed(spine):
-            self.memo[(node, g)] = JStep(node, g, "composition", node.right, value)
-        return value
+    def _frame(self, d: Dil, gamma: Ord):
+        if isinstance(d, Sum):
+            # J(a+e, gamma) = J(e, J(a, gamma)); the right summand is the child
+            value = yield d.right, (yield d.left, gamma)
+            yield JStep(d, gamma, "composition", d.right, value)
+            return
+        self.calls += 1
+        if self.calls > DEPTH_CAP:
+            raise DepthExceeded(f"evaluation exceeded {DEPTH_CAP} steps")
+        facts = self.facts.get(d)
+        if facts is None:
+            tc = classify(d)
+            first = tc.sep_fn(self.first_cut) if tc.kind == "Omega" else None
+            facts = self.facts[d] = (tc, [], first)
+        tc, members, first = facts
+        if tc.kind == "0":
+            clause, child, value = "empty", None, gamma
+        elif tc.kind == "1":
+            clause, child = "successor", tc.pred
+            value = ord_add((yield child, gamma), ONE)
+        elif tc.kind == "omega":
+            # _limit_sup's sample count, in order: member k is built on first demand
+            values = []
+            for k in range(analysis.LIMIT_SAMPLES):
+                if k == len(members):
+                    members.append(tc.fund_seq(k))
+                values.append((yield members[k], gamma))
+            clause, child, value = "limit", members[-1], _limit_sup(d, values.__getitem__)
+        else:
+            alpha = yield first, gamma
+            clause, child = "separation", tc.sep_fn(alpha)
+            value = ord_add(alpha, (yield child, gamma))
+        yield JStep(d, gamma, clause, child, value)
 
 
 def _run(d: Dil, gamma: Ord, variant: str) -> JResult:

@@ -349,7 +349,7 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
     if isinstance(expr, Sum):
         parts = summands(expr)
         made = {p: _gen(p, points, budget, lefts, pos_cmp) for p in dict.fromkeys(parts)}
-        return _place_parts(parts, made)
+        return [_place(x, i, len(parts)) for i, part in enumerate(parts) for x in made[part]]
     if isinstance(expr, MulOmega):
         inner = _gen(expr.base, points, budget, lefts, pos_cmp)
         return [ECopies(k, x) for k in range(budget.copies) for x in inner]
@@ -391,21 +391,7 @@ def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_po
     count = sum(len(made[part]) for part in parts)
     if count > budget.max_count:
         raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
-    return _place_parts(parts, made)
-
-
-def _place_parts(parts, made: dict) -> list:
-    """The summands' elements in order, each summand's list (made[part])
-    wrapped as ``_place`` wraps one element, a layer at a time."""
-    out = []
-    for i, part in enumerate(parts):
-        wrapped = made[part]
-        if i < len(parts) - 1:
-            wrapped = [ESum(0, x) for x in wrapped]
-        for _ in range(i):
-            wrapped = [ESum(1, x) for x in wrapped]
-        out += wrapped
-    return out
+    return [_place(x, i, len(parts)) for i, part in enumerate(parts) for x in made[part]]
 
 
 def _place(elem, i: int, n: int):

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -542,10 +543,52 @@ class TestLinearity:
         assert sums2 <= 2 * sums + 8
 
     def test_long_sum_costs_no_recursion_depth(self):
-        # the spine is walked in a loop, hashed in a loop and ranked in a loop
+        # each summand is a frame on the session's own stack, not a Python
+        # call; the spine is hashed in a loop and ranked in a loop
         res = j_eval(mk_mul_nat(D_ID, 3000), OMEGA)
         assert len(res.steps) == 4 * 3000 - 1
         assert res.value == Ord(((ONE, 3 ** 3000),))
+
+
+def _depth():
+    """The depth of the caller's frame on the Python stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestRecursionLimit:
+    """A session keeps its clauses on its own stack, so J answers or refuses
+    alike with 120 Python frames to spare and with 20,000."""
+
+    @staticmethod
+    def at_limit(call, limit):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            return _answer(call)
+        finally:
+            sys.setrecursionlimit(old)
+
+    @pytest.mark.parametrize("evaluator,text", [(jplus_eval, "Id*100"),
+                                                (jprime_eval, "omega[Id*60]")])
+    def test_refusal_needs_no_recursion_depth(self, evaluator, text):
+        d = parse_dil(text)
+        low = self.at_limit(lambda: evaluator(d, OMEGA), _depth() + 120)
+        assert low == self.at_limit(lambda: evaluator(d, OMEGA), 20000)
+        assert low.startswith("OutOfNotation: ")
+
+    def test_deep_limit_needs_no_recursion_depth(self):
+        d = parse_dil("Id*w*w*w*w")
+
+        def call():
+            res = j_eval(d, OMEGA)
+            return res.value, res.steps
+
+        low = self.at_limit(call, _depth() + 120)
+        assert low == self.at_limit(call, 20000)
+        assert ord_str(low[0]) == "w^w^3"
 
 
 class TestAudit:
