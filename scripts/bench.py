@@ -30,6 +30,9 @@ ELEMENT_ATOM, under the trace budget of the element-oracles workload:
 ELEMENT_REPEATS calls, with the slot it answers), and ``compare_elements``
 per call over the adjacent pairs of the arity-4 term's embedding images,
 ranked as ``important_index`` ranks them (median of ELEMENT_REPEATS passes).
+It also times ``ll_relation`` per call over every ordered pair of the trace
+terms up to arity 2 of the sum ELEMENT_SUM, the sum the element-oracles
+workload relates (median of ELEMENT_REPEATS passes).
 It runs in ELEMENT_PROCESSES fresh interpreters, so its figures do not depend
 on the kernel series run before it, and each figure is the median of the
 interpreters' medians, with their least and greatest: one interpreter's
@@ -67,7 +70,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from dilcalc import analysis, coherence, psi  # noqa: E402
-from dilcalc.analysis import enum_trace_terms, important_index, otp_symbolic  # noqa: E402
+from dilcalc.analysis import (  # noqa: E402
+    enum_trace_terms,
+    important_index,
+    ll_relation,
+    otp_symbolic,
+)
 from dilcalc.errors import DilcalcError  # noqa: E402
 from dilcalc.expr import D_ID, D_ONE, mk_mul_nat, mk_sum, parse_dil  # noqa: E402
 from dilcalc.jfunctor import j_eval, jplus_eval, jprime_eval  # noqa: E402
@@ -88,6 +96,7 @@ MAX_SECONDS = 5.0
 CLI_REPEATS = 5
 COMMANDS = ROOT / "scripts" / "lemma_suite.commands"
 ELEMENT_ATOM = "omega_head(1;omega_head(0;Id))"
+ELEMENT_SUM = "Id+omega_head(0;Id)+Id"
 ELEMENT_BUDGET = dict(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
 ELEMENT_REPEATS = 51
 ELEMENT_PROCESSES = 3
@@ -195,6 +204,12 @@ def element_series() -> dict:
     pairs = list(zip(images, images[1:]))
     med, runs = median_s(lambda: [compare_elements(atom, x, y) for x, y in pairs], ELEMENT_REPEATS)
     print(f"  compare_elements: {1e6 * med / len(pairs):.2f} us per call", file=sys.stderr)
+    d = parse_dil(ELEMENT_SUM)
+    sum_terms = [t for t, _ in enum_trace_terms(d, 2, EnumBudget(**ELEMENT_BUDGET))]
+    term_pairs = list(itertools.product(sum_terms, repeat=2))
+    ll_med, ll_runs = median_s(lambda: [ll_relation(d, t1, t2) for t1, t2 in term_pairs],
+                               ELEMENT_REPEATS)
+    print(f"  ll_relation: {1e6 * ll_med / len(term_pairs):.2f} us per call", file=sys.stderr)
     return {
         "atom": ELEMENT_ATOM,
         "budget": ELEMENT_BUDGET,
@@ -202,6 +217,9 @@ def element_series() -> dict:
         "important_index": index,
         "compare_elements": {"pairs": len(pairs), "median_us_per_call": 1e6 * med / len(pairs),
                              "runs_us_per_call": [1e6 * r / len(pairs) for r in runs]},
+        "ll_relation": {"sum": ELEMENT_SUM, "pairs": len(term_pairs),
+                        "median_us_per_call": 1e6 * ll_med / len(term_pairs),
+                        "runs_us_per_call": [1e6 * r / len(term_pairs) for r in ll_runs]},
     }
 
 
@@ -217,7 +235,7 @@ def element_spread() -> dict:
     index = [{"arity": row["arity"], "slot": row["slot"],
               "ms": spread([run["important_index"][i]["median_ms"] for run in runs])}
              for i, row in enumerate(runs[0]["important_index"])]
-    compare = runs[0]["compare_elements"]
+    compare, relation = runs[0]["compare_elements"], runs[0]["ll_relation"]
     return {
         "atom": ELEMENT_ATOM,
         "budget": ELEMENT_BUDGET,
@@ -226,6 +244,8 @@ def element_spread() -> dict:
         "important_index": index,
         "compare_elements": {"pairs": compare["pairs"], "us_per_call": spread(
             [run["compare_elements"]["median_us_per_call"] for run in runs])},
+        "ll_relation": {"sum": relation["sum"], "pairs": relation["pairs"], "us_per_call": spread(
+            [run["ll_relation"]["median_us_per_call"] for run in runs])},
     }
 
 

@@ -11,7 +11,6 @@ oracles the symbolic rules are tested against.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Callable, Optional
 
@@ -50,7 +49,7 @@ from .expr import (
     to_str,
 )
 from .ordinal import (
-    EQUAL,
+    GREATER,
     LESS,
     LIMIT_SAMPLES,
     ONE,
@@ -69,8 +68,8 @@ from .ordinal import (
 )
 from .semantics import (
     EnumBudget,
-    apply_embedding,
-    compare_elements,
+    Right,
+    element_key,
     enum_elements,
     support_of,
 )
@@ -362,24 +361,36 @@ def _embeddings(n: int, big: int):
     return [dict(enumerate(c)) for c in itertools.combinations(range(big), n)]
 
 
+def _image_keys(d: Dil, t, pts: list, big: int):
+    """The ``element_key`` of t's image under each embedding of its sorted
+    support ``pts`` into range(big), in ``_embeddings`` order.  The key is
+    read off t itself: a live point p keys as (1, f[p]) and a frozen
+    position as (0, value), so no image is built."""
+    slot = {p: j for j, p in enumerate(pts)}
+    for f in itertools.combinations(range(big), len(pts)):
+        yield element_key(
+            d, t, lambda pos: (1, f[slot[pos.point]]) if pos.__class__ is Right else (0, pos.value)
+        )
+
+
 def ll_relation(d: Dil, t1, t2) -> str:
-    """Coarse comparison of trace terms by exhausting embedding pairs."""
-    n1, n2 = len(support_of(d, t1)), len(support_of(d, t2))
-    big = n1 + n2
-    if big == 0:
-        c = compare_elements(d, t1, t2)
-        if c == LESS:
-            return MUCH_LESS
-        return EQUIVALENT if c == EQUAL else MUCH_GREATER
-    # each embedding is applied once; the one pass ends at an EQUAL or at a
-    # change of outcome, either of which makes the pair EQUIVALENT
-    images2 = [apply_embedding(d, t2, g) for g in _embeddings(n2, big)]
+    """Coarse comparison of trace terms by exhausting embedding pairs.
+
+    Both supports are embedded into n1 + n2 points in every way and the
+    images are compared by their ``element_key``s.  The keys of t2's images
+    are made once; t1's are made one at a time, and the one pass ends at an
+    equal pair or at a change of outcome, either of which makes the pair
+    EQUIVALENT."""
+    pts1, pts2 = support_of(d, t1), support_of(d, t2)
+    big = len(pts1) + len(pts2)
+    keys2 = list(_image_keys(d, t2, pts2, big))
     first = None
-    for f in _embeddings(n1, big):
-        image1 = apply_embedding(d, t1, f)
-        for image2 in images2:
-            c = compare_elements(d, image1, image2)
-            if c == EQUAL or first not in (None, c):
+    for key1 in _image_keys(d, t1, pts1, big):
+        for key2 in keys2:
+            if key1 == key2:
+                return EQUIVALENT
+            c = LESS if key1 < key2 else GREATER
+            if first not in (None, c):
                 return EQUIVALENT
             first = c
     return MUCH_LESS if first == LESS else MUCH_GREATER
@@ -388,12 +399,13 @@ def ll_relation(d: Dil, t1, t2) -> str:
 def important_index(d: Dil, t) -> int:
     """The unique argument slot whose increase strictly increases the value.
 
-    Each embedding f of the n support points into 2n points is applied once,
-    and the images are ranked under ``compare_elements``, equal images
+    Each embedding f of the n support points into 2n points is keyed once by
+    ``_image_keys``, and the embeddings are ranked by key, equal keys
     sharing a dense rank.  Slot i wins iff rank[f] < rank[g] for every pair
-    of embeddings with f[i] < g[i].  This assumes ``compare_elements`` is a
-    total order on well-formed elements: then rank[f] < rank[g] holds exactly
-    when the image under f compares LESS than the image under g.
+    of embeddings with f[i] < g[i].  This assumes that ``element_key``'s
+    tuple order is ``compare_elements``' order, a total order on well-formed
+    elements: then rank[f] < rank[g] holds exactly when the image under f
+    compares LESS than the image under g.
 
     The rule is decided per value: slot i wins iff, for each two consecutive
     values v < w of f[i], the highest rank of an image with f[i] = v is below
@@ -409,13 +421,11 @@ def important_index(d: Dil, t) -> int:
     if n == 0:
         raise NotConnected("nullary trace term in a connected non-unit expression")
     embs = _embeddings(n, 2 * n)
-    images = [apply_embedding(d, t, {p: f[j] for j, p in enumerate(pts)}) for f in embs]
-    by_image = functools.cmp_to_key(functools.partial(compare_elements, d))
-    order = sorted(range(len(images)), key=lambda k: by_image(images[k]))
-    rank = [0] * len(images)
+    keys = list(_image_keys(d, t, pts, 2 * n))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(keys)
     for prev, k in zip(order, order[1:]):
-        same = compare_elements(d, images[prev], images[k]) == EQUAL
-        rank[k] = rank[prev] if same else rank[prev] + 1
+        rank[k] = rank[prev] if keys[prev] == keys[k] else rank[prev] + 1
     winners = []
     for i in range(n):
         # walked by descending rank, the last write is the lowest; ascending, the highest

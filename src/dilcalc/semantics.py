@@ -76,10 +76,11 @@ def default_pos_cmp(p, q) -> int:
 # ---------------------------------------------------------------------------
 # comparison and structure
 #
-# The walkers go down Sum, MulOmega, Sep and Band levels in a loop, so the i
-# nested ESum layers of an element of a long sum's i-th summand cost no
-# recursion depth; only formal-sum exponents recurse.  Each level dispatches
-# on the node's exact class: the node classes have no subclasses.
+# The walkers (compare_elements, element_key, apply_embedding and the rest)
+# go down Sum, MulOmega, Sep and Band levels in a loop, so the i nested ESum
+# layers of an element of a long sum's i-th summand cost no recursion depth;
+# only formal-sum exponents recurse.  Each level dispatches on the node's
+# exact class: the node classes have no subclasses.
 
 
 def _descend(expr: Dil, elem):
@@ -128,6 +129,37 @@ def compare_elements(expr: Dil, e1, e2, pos_cmp=default_pos_cmp) -> int:
                 return LESS if e1.copy < e2.copy else GREATER
             expr = expr.base
             e1, e2 = e1.inner, e2.inner
+        elif kind is Sep or kind is Band:
+            expr = expr.base
+        else:
+            raise MalformedElement(f"no comparison rule for {expr!r}")
+
+
+def element_key(expr: Dil, elem, pos_key) -> tuple:
+    """A tuple whose Python order is ``compare_elements``' order, for a
+    ``pos_key`` whose order is the position order.  It holds the side of
+    each Sum level and the copy of each MulOmega level walked through, then
+    the body: ``(key(exponent), multiplicity)`` pairs for a formal sum,
+    ``pos_key(pos)`` at Id and the index at a constant.  So keys are equal
+    exactly when the elements compare EQUAL."""
+    key = []
+    while True:
+        kind = expr.__class__
+        if kind is Sum:
+            side = elem.side
+            key.append(side)
+            expr = expr.left if side == 0 else expr.right
+            elem = elem.inner
+        elif kind is OmegaComp or kind is CnfHead:
+            exponents = expr.exponents
+            return (*key, tuple([(element_key(exponents, x, pos_key), m) for x, m in elem.pairs]))
+        elif kind is IdNode:
+            return (*key, pos_key(elem.pos))
+        elif kind is Const:
+            return (*key, elem.index)
+        elif kind is MulOmega:
+            key.append(elem.copy)
+            expr, elem = expr.base, elem.inner
         elif kind is Sep or kind is Band:
             expr = expr.base
         else:

@@ -71,9 +71,11 @@ from dilcalc.semantics import (
     EId,
     ESum,
     EnumBudget,
+    Left,
     Right,
     apply_embedding,
     compare_elements,
+    element_key,
     enum_elements,
     prefix_elements,
     support_of,
@@ -314,6 +316,13 @@ class TestTraceRelations:
         right = ESum(1, EId(Right(0)))
         assert ll_relation(s2, left, right) == MUCH_LESS
 
+    @pytest.mark.parametrize("label", [5, "a"])
+    def test_points_are_embedded_by_label(self, label):
+        # a support point is placed by its rank in the support, whatever its label
+        assert ll_relation(D_ID, EId(Right(label)), EId(Right(0))) == EQUIVALENT
+        assert ll_relation(D_ID, EId(Right(0)), EId(Right(label))) == EQUIVALENT
+        assert important_index(D_ID, EId(Right(label))) == 0
+
     def test_important_index_identity(self):
         assert important_index(D_ID, EId(Right(0))) == 0
 
@@ -436,11 +445,12 @@ class TestImportantIndexRanking:
         assert important_index(atom, term) == reference_important_index(atom, term)
 
     def test_tied_images_share_a_rank(self, monkeypatch):
-        # under a comparison that ties every pair of images, no slot wins
+        # when every image gets one key, or every pair of images compares
+        # EQUAL, no slot wins
         def tie(d, x, y, pos_cmp=None):
             return EQUAL
 
-        monkeypatch.setattr("dilcalc.analysis.compare_elements", tie)
+        monkeypatch.setattr("dilcalc.analysis.element_key", lambda d, t, pos_key: ())
         monkeypatch.setitem(globals(), "compare_elements", tie)
         for atom, term in ARITY5_WITNESSES[:1] + [(D_ID, EId(Right(0)))]:
             assert _outcome(important_index, atom, term) is NoUniqueIndex
@@ -472,6 +482,28 @@ def test_compare_is_a_total_order_on_ranked_images(data):
     yz, xz = compare_elements(atom, y, z), compare_elements(atom, x, z)
     if GREATER not in (xy, yz):
         assert xz == (EQUAL if xy == yz == EQUAL else LESS)
+
+
+def default_pos_key(p):
+    return (0, p.value) if isinstance(p, Left) else (1, p.point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_image_is_keyed_from_its_term(data):
+    """The key of t's image under f is t's key with f applied to its live points."""
+    terms = _ranked_terms()
+    atom, term = terms[data.draw(st.integers(0, len(terms) - 1))]
+    pts = support_of(atom, term)
+    embs = _embeddings(len(pts), 2 * len(pts))
+    emb = embs[data.draw(st.integers(0, len(embs) - 1))]
+    f = {p: emb[j] for j, p in enumerate(pts)}
+
+    def through_f(p):
+        return default_pos_key(Right(f[p.point]) if isinstance(p, Right) else p)
+
+    image = apply_embedding(atom, term, f)
+    assert element_key(atom, image, default_pos_key) == element_key(atom, term, through_f)
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +548,16 @@ def reference_ll_relation(d, t1, t2) -> str:
 
 class TestLlRelationOnePass:
     def test_each_embedding_is_applied_once(self, monkeypatch):
-        # a MUCH_LESS pair visits every pair of embeddings
+        # a MUCH_LESS pair visits every pair of embeddings; each image is keyed once
         d = parse_dil("Id+Id")
         t1, t2 = ESum(0, EId(Right(0))), ESum(1, EId(Right(0)))
         calls = [0]
 
         def counting(*args):
             calls[0] += 1
-            return apply_embedding(*args)
+            return element_key(*args)
 
-        monkeypatch.setattr("dilcalc.analysis.apply_embedding", counting)
+        monkeypatch.setattr("dilcalc.analysis.element_key", counting)
         assert ll_relation(d, t1, t2) == MUCH_LESS
         assert calls[0] <= len(_embeddings(1, 2)) + len(_embeddings(1, 2))
 

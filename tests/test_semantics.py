@@ -1,6 +1,9 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dilcalc.semantics as semantics
 from dilcalc.coherence import top_inject
@@ -19,7 +22,9 @@ from dilcalc.expr import (
     Sep,
     Sum,
     mk_mul_nat,
+    mk_sum,
     parse_dil,
+    to_str,
 )
 from dilcalc.ordinal import EQUAL, GREATER, LESS, OMEGA, ONE, ZERO, from_int, ord_cmp, ord_str
 from dilcalc.psi import PsiOrder
@@ -37,6 +42,7 @@ from dilcalc.semantics import (
     apply_embedding,
     compare_elements,
     default_pos_cmp,
+    element_key,
     element_positions,
     element_str,
     enum_elements,
@@ -424,6 +430,69 @@ class TestWalkersMatchTheRecursiveOnes:
             assert _outcome(apply_embedding, expr, e, {0: 1}) is MalformedElement
             assert _outcome(reference_compare_elements, expr, e, e) is MalformedElement
             assert _outcome(reference_apply_embedding, expr, e, {0: 1}) is MalformedElement
+
+
+# ---------------------------------------------------------------------------
+# element_key against the comparators
+
+
+def default_pos_key(p):
+    """The key of default_pos_cmp's order: frozen positions below live ones."""
+    return (0, p.value) if isinstance(p, Left) else (1, p.point)
+
+
+# the oracle expressions, with separations and bands, alone and under a sum
+KEY_EXPRS = [parse_dil(s) for s in ORACLE_EXPRS] + [
+    Sep(CnfHead(D_ID, D_ID), OMEGA, OMEGA),
+    Band(CnfHead(D_ZERO, D_ID), ZERO, from_int(2), from_int(2)),
+    mk_sum(D_ID, Band(D_ID, ONE, from_int(3), from_int(3))),
+]
+KEY_LEFTS = (ZERO, OMEGA)
+
+
+@functools.lru_cache(maxsize=None)
+def _keyed_elements():
+    """Each of KEY_EXPRS with its ascending elements over two points and KEY_LEFTS."""
+    return [(d, enum_elements(d, 2, ORACLE_BUDGET, KEY_LEFTS)) for d in KEY_EXPRS]
+
+
+def _node_kinds(d):
+    kinds = {d.__class__}
+    for field in ("left", "right", "base", "low", "high"):
+        child = getattr(d, field, None)
+        if isinstance(child, Dil):
+            kinds |= _node_kinds(child)
+    return kinds
+
+
+class TestElementKey:
+    def test_keys_ascend_strictly_along_the_order(self):
+        kinds, positions = set(), set()
+        for d, elems in _keyed_elements():
+            kinds |= _node_kinds(d)
+            positions |= {p.__class__ for e in elems for p in element_positions(d, e)}
+            keys = [element_key(d, e, default_pos_key) for e in elems]
+            assert all(a < b for a, b in zip(keys, keys[1:])), to_str(d)
+        assert kinds == {Const, IdNode, Sum, MulOmega, OmegaComp, CnfHead, Sep, Band}
+        assert positions == {Left, Right}
+
+    def test_nodes_without_a_rule(self):
+        for expr in (Dil(), None):
+            e = EId(Right(0))
+            assert _outcome(element_key, expr, e, default_pos_key) is MalformedElement
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_key_order_is_the_element_order(data):
+    # indices, not sampled_from: hashing the elements would dominate the run
+    table = _keyed_elements()
+    d, elems = table[data.draw(st.integers(0, len(table) - 1))]
+    x, y = (elems[data.draw(st.integers(0, len(elems) - 1))] for _ in range(2))
+    kx, ky = element_key(d, x, default_pos_key), element_key(d, y, default_pos_key)
+    sign = (kx > ky) - (kx < ky)
+    assert sign == compare_elements(d, x, y) == reference_compare_elements(d, x, y)
+    assert (kx == ky) == (compare_elements(d, x, y) == EQUAL)
 
 
 # ---------------------------------------------------------------------------
