@@ -3,14 +3,17 @@
 
     python scripts/bench.py --tag T
 
-Times J, J', psi and otp of ``Id*n`` at w for each n in SIZES, in this
-process, at the interpreter's default recursion limit.  Each point runs
-REPEATS times on a freshly built expression with the module caches
-(``_PSI_CACHE``, ``_OTP_CACHE``) emptied, and the median is kept with a
-sha1 of the value, so two checkouts can be compared value for value.  A
-point that raises records the error; after an error, or a median above
-MAX_SECONDS, the series records its larger sizes as skipped.  Each series
-gets the least-squares slope of log time on log n over its timed points.
+Times J, J', psi and otp of ``Id*n`` at w for each n in SIZES, at the
+interpreter's default recursion limit.  Each point runs REPEATS times on a
+freshly built expression with the module caches (``_PSI_CACHE``,
+``_OTP_CACHE``) emptied, and the median is kept with a sha1 of the value, so
+two checkouts can be compared value for value.  A point that raises records
+the error; after an error, or a median above MAX_SECONDS, the series records
+its larger sizes as skipped.  Each series runs in PROCESSES fresh
+interpreters, one after another, and each point keeps the median of the
+interpreters' medians, with their least and greatest: one interpreter's
+reading can be far from another's.  Each series gets the least-squares slope
+of log time on log n over the medians of its timed points.
 
 The CLI series runs each line of ``scripts/lemma_suite.commands`` as
 ``python -m dilcalc.cli`` and, beside it, a bare ``python -c pass``, each
@@ -22,7 +25,7 @@ recorded too: without cached bytecode every child compiles the kernel.
 The translation series times ``coherence.sum_inject`` (of ``Id*n`` and
 ``Id``) and ``coherence.prefix_inject`` (into ``Id*n+1``) on the element of
 the last summand of ``Id*n`` over one point, with the same sizes, repeats,
-error and skip rules, and a sha1 of the image's ``element_str``.
+error, skip and interpreter rules, and a sha1 of the image's ``element_str``.
 
 The element series times the brute-force oracle layer on the atom
 ELEMENT_ATOM, under the trace budget of the element-oracles workload:
@@ -33,17 +36,16 @@ ranked as ``important_index`` ranks them (median of ELEMENT_REPEATS passes).
 It also times ``ll_relation`` per call over every ordered pair of the trace
 terms up to arity 2 of the sum ELEMENT_SUM, the sum the element-oracles
 workload relates (median of ELEMENT_REPEATS passes).
-It runs in ELEMENT_PROCESSES fresh interpreters, so its figures do not depend
-on the kernel series run before it, and each figure is the median of the
-interpreters' medians, with their least and greatest: one interpreter's
-reading can be far from another's.
+It runs in PROCESSES fresh interpreters too, and each figure is the median
+of the interpreters' medians, with their least and greatest.
 
 The refusal point times one ``jplus_eval`` that J refuses, REFUSAL at w,
-REPEATS times in CPU seconds, and records its ``type: message``: a refusal
-runs J to ``DEPTH_CAP`` and costs more than most answers.  The deep-chain
-point does the same for ``jplus_eval`` of DEEP_CHAIN at w, whose separations
-nest once per summand: it shows whether J reaches its answer or refusal at
-the default recursion limit, or stops with ``RecursionError``.
+REPEATS times in CPU seconds in this process, and records its ``type:
+message``: a refusal runs J to ``DEPTH_CAP`` and costs more than most
+answers.  The deep-chain point does the same for ``jplus_eval`` of
+DEEP_CHAIN at w, whose separations nest once per summand: it shows whether J
+reaches its answer or refusal at the default recursion limit, or stops with
+``RecursionError``.
 
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
@@ -99,7 +101,7 @@ ELEMENT_ATOM = "omega_head(1;omega_head(0;Id))"
 ELEMENT_SUM = "Id+omega_head(0;Id)+Id"
 ELEMENT_BUDGET = dict(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
 ELEMENT_REPEATS = 51
-ELEMENT_PROCESSES = 3
+PROCESSES = 3
 REFUSAL = "omega_head(0;Id)+Id+1+Const(w)+Id"
 DEEP_CHAIN = "Id*1200"
 SERIES = {
@@ -133,6 +135,7 @@ def prefix_inject_setup(n: int):
 
 
 TRANSLATIONS = {"sum_inject": sum_inject_setup, "prefix_inject": prefix_inject_setup}
+SETUPS = {**{name: kernel_setup(fn) for name, fn in SERIES.items()}, **TRANSLATIONS}
 
 
 def time_point(setup, n: int) -> dict:
@@ -153,23 +156,40 @@ def time_point(setup, n: int) -> dict:
 
 
 def fit_exponent(points: list):
-    timed = [p for p in points if "median_s" in p]
+    timed = [p for p in points if "s" in p]
     if len(timed) < 2:
         return None
     xs = [math.log(p["n"]) for p in timed]
-    ys = [math.log(p["median_s"]) for p in timed]
+    ys = [math.log(p["s"]["median"]) for p in timed]
     mx, my = statistics.fmean(xs), statistics.fmean(ys)
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def run_series(setup) -> dict:
+def run_series(name: str) -> list:
+    """The points of SETUPS[name], timed in this process."""
     points = []
     for n in SIZES:
         if points and points[-1].get("median_s", math.inf) > MAX_SECONDS:
             points.append({"n": n, "skipped": True})
             continue
-        points.append(time_point(setup, n))
+        points.append(time_point(SETUPS[name], n))
         print(f"  n={n}: {points[-1].get('median_s', points[-1].get('error'))}", file=sys.stderr)
+    return points
+
+
+def series_spread(name: str) -> dict:
+    """run_series(name) in PROCESSES fresh interpreters: each timed point's
+    median over them, with its least and greatest.  A point no interpreter
+    timed keeps the first one's error or skip."""
+    runs = [in_fresh_process(f"run_series({name!r})") for _ in range(PROCESSES)]
+    points = []
+    for row in zip(*runs):
+        timed = [p for p in row if "median_s" in p]
+        if timed:
+            points.append({"n": row[0]["n"], "s": spread([p["median_s"] for p in timed]),
+                           "value_sha1": timed[0]["value_sha1"]})
+        else:
+            points.append(next((p for p in row if "error" in p), row[0]))
     return {"points": points, "exponent": fit_exponent(points)}
 
 
@@ -229,9 +249,9 @@ def spread(values: list) -> dict:
 
 
 def element_spread() -> dict:
-    """element_series in ELEMENT_PROCESSES fresh interpreters: each figure's
+    """element_series in PROCESSES fresh interpreters: each figure's
     median over them, with its least and greatest."""
-    runs = [in_fresh_process("element_series") for _ in range(ELEMENT_PROCESSES)]
+    runs = [in_fresh_process("element_series()") for _ in range(PROCESSES)]
     index = [{"arity": row["arity"], "slot": row["slot"],
               "ms": spread([run["important_index"][i]["median_ms"] for run in runs])}
              for i, row in enumerate(runs[0]["important_index"])]
@@ -240,7 +260,7 @@ def element_spread() -> dict:
         "atom": ELEMENT_ATOM,
         "budget": ELEMENT_BUDGET,
         "repeats": ELEMENT_REPEATS,
-        "processes": ELEMENT_PROCESSES,
+        "processes": PROCESSES,
         "important_index": index,
         "compare_elements": {"pairs": compare["pairs"], "us_per_call": spread(
             [run["compare_elements"]["median_us_per_call"] for run in runs])},
@@ -267,9 +287,10 @@ def jplus_point(text: str) -> dict:
             "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs}
 
 
-def in_fresh_process(series: str) -> dict:
-    """The JSON result of this script's ``series()`` run in a new interpreter."""
-    code = f"import json, bench; print(json.dumps(bench.{series}()))"
+def in_fresh_process(call: str) -> dict:
+    """The JSON result of this script's ``call``, such as ``element_series()``,
+    run in a new interpreter."""
+    code = f"import json, bench; print(json.dumps(bench.{call}))"
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "scripts",
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout)
@@ -318,16 +339,14 @@ def main() -> int:
         "recursion_limit": sys.getrecursionlimit(),
         "family": "Id*n at w",
         "repeats": REPEATS,
+        "processes": PROCESSES,
         "max_seconds": MAX_SECONDS,
         "series": {},
+        "translations": {},
     }
-    for name, fn in SERIES.items():
+    for name in SETUPS:
         print(f"{name}:", file=sys.stderr)
-        report["series"][name] = run_series(kernel_setup(fn))
-    report["translations"] = {}
-    for name, setup in TRANSLATIONS.items():
-        print(f"{name}:", file=sys.stderr)
-        report["translations"][name] = run_series(setup)
+        report["series" if name in SERIES else "translations"][name] = series_spread(name)
     print("refusal:", file=sys.stderr)
     report["refusal"] = jplus_point(REFUSAL)
     print("deep chain:", file=sys.stderr)

@@ -302,7 +302,11 @@ def _part_inject(d: Dil, j, elem):
         side, part = _sum_split(d.left, last.prefix if succ else last.fund(j), elem)
         image = ESum(0, part) if side == 0 else ESum(1, _part_inject(d.right, j, part))
         return _place(image, layers, layers + 1)
-    if isinstance(d, (Const, Sep, Band)):
+    if isinstance(d, Const) or isinstance(d, Band) and ord_left_sub(d.lo, d.hi).is_limit():
+        # a part of a band over a limit span is a band [lo, lo+f(j)) with the
+        # same base and ambient; a separation's parts, and a successor span's
+        # prefix, are sums, shifted slices or separations at another cut,
+        # which have no injection here
         return elem
     if isinstance(d, OmegaComp):
         base = decompose(d.base)

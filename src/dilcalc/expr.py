@@ -190,10 +190,6 @@ def summands(d: Dil) -> list:
     return parts
 
 
-def is_constant(d: Dil) -> bool:
-    return isinstance(d, Const)
-
-
 def is_connected_atom(d: Dil) -> bool:
     """Connected non-unit building blocks of the normalized grammar."""
     if isinstance(d, IdNode):
@@ -203,30 +199,14 @@ def is_connected_atom(d: Dil) -> bool:
     return False
 
 
-def is_supp_monotone(d: Dil) -> bool:
-    """Smaller elements never carry larger maximal positions."""
-    if isinstance(d, (Const, IdNode)):
-        return True
-    if isinstance(d, Sum):
-        *rest, last = summands(d)
-        return all(map(is_constant, rest)) and is_supp_monotone(last)
-    if isinstance(d, OmegaComp):
-        return is_supp_monotone(d.base)
-    if isinstance(d, CnfHead):
-        return is_constant(d.low) and is_supp_monotone(d.high)
-    return False
-
-
 def is_max_dominated(d: Dil) -> bool:
-    """The most important position of every element is its maximal position."""
+    """The most important position of every element is its maximal position.
+    Such an expression is also support-monotone (smaller elements never carry
+    larger maximal positions), by induction on this definition."""
     if isinstance(d, IdNode):
         return True
     if isinstance(d, CnfHead):
-        return (
-            is_constant(d.low)
-            and is_max_dominated(d.high)
-            and is_supp_monotone(d.high)
-        )
+        return isinstance(d.low, Const) and is_max_dominated(d.high)
     return False
 
 

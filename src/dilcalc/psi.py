@@ -60,16 +60,19 @@ from .semantics import (
     Right,
     _candidates,
     _grid_values,
-    band_member,
     compare_elements,
     default_pos_cmp,
     element_positions,
     element_str,
-    sep_member,
+    member,
     validate_element,
 )
 
 CONNECTED_ROUNDS = 10
+# the budget of PsiOrder.enum's candidates, and the nesting depth of
+# PsiOrder.random_term's draws
+ENUM_BUDGET = EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
+RANDOM_DEPTH = 3
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +220,10 @@ class PsiOrder(Frozen):
 
     # -- enumeration
 
-    def enum(self, depth: int = 2, budget: EnumBudget = None):
+    def enum(self, depth: int = 2):
         """All valid terms of nesting depth <= depth, sorted ascending.
 
-        Level L lists every budgeted element over the terms known after the
+        Level L lists every ENUM_BUDGET element over the terms known after the
         levels before it.  Each point of such a candidate is one of those
         term objects, so points are compared by rank, not by recursion into
         their sub-terms: after each level the known terms are sorted once
@@ -242,8 +245,7 @@ class PsiOrder(Frozen):
         ``known + fresh`` never outnumbers the candidates, which the cap
         check has already bounded.
         """
-        budget = budget or EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
-        lefts = _grid_values(self.gamma, budget.grid)
+        lefts = _grid_values(self.gamma, ENUM_BUDGET.grid)
         rank: dict = {}
 
         def pos_cmp(p, q):
@@ -276,7 +278,7 @@ class PsiOrder(Frozen):
         known: list = []
         last = None  # ids of the terms accepted at the level before
         for _level in range(depth + 1):
-            cands = _candidates(self.dilator, known, budget, lefts, pos_cmp)
+            cands = _candidates(self.dilator, known, ENUM_BUDGET, lefts, pos_cmp)
             fresh = [t for t in cands if accepts(t, last)]
             if not fresh:
                 break
@@ -288,11 +290,11 @@ class PsiOrder(Frozen):
 
     # -- random generation
 
-    def random_term(self, rng: random.Random, depth: int = 3):
+    def random_term(self, rng: random.Random):
         lefts = _grid_values(self.gamma, 12)
         for _ in range(40):
             try:
-                cand = self._rand(self.dilator, rng, depth, lefts)
+                cand = self._rand(self.dilator, rng, RANDOM_DEPTH, lefts)
             except _DeadEnd:
                 continue
             if cand is not None and self.valid(cand):
@@ -335,12 +337,7 @@ class PsiOrder(Frozen):
         if isinstance(expr, (Sep, Band)):
             for _ in range(12):
                 cand = self._rand(expr.base, rng, depth, lefts)
-                ok = (
-                    sep_member(expr, cand)
-                    if isinstance(expr, Sep)
-                    else band_member(expr, cand)
-                )
-                if ok:
+                if member(expr, cand):
                     return cand
             raise _DeadEnd()
         raise _DeadEnd()

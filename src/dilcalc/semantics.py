@@ -277,11 +277,9 @@ def validate_element(expr: Dil, elem, pos_cmp=default_pos_cmp):
     else:
         raise MalformedElement(f"no validation rule for {expr!r}")
     for node, e in reversed(filters):
-        if node.__class__ is Sep:
-            if not sep_member(node, e):
-                raise MalformedElement("element violates the separation condition")
-        elif not band_member(node, e):
-            raise MalformedElement("element outside the band")
+        if not member(node, e):
+            raise MalformedElement("element violates the separation condition"
+                                   if node.__class__ is Sep else "element outside the band")
 
 
 def important_position(expr: Dil, elem):
@@ -300,23 +298,19 @@ def important_position(expr: Dil, elem):
         expr, elem = expr.exponents, elem.pairs[0][0]
 
 
-def sep_member(node: Sep, elem) -> bool:
+def member(node, elem) -> bool:
+    """Whether an element of a separation's or band's base lies in it: its
+    most important position is frozen, in [lo, hi) for a band; below the cut
+    for a separation, with no frozen position between it and the cut."""
     mi = important_position(node.base, elem)
-    if not isinstance(mi, Left) or ord_cmp(mi.value, node.cut) != LESS:
+    if not isinstance(mi, Left):
         return False
-    for p in element_positions(node.base, elem):
-        if isinstance(p, Left) and p.value < node.cut and p.value > mi.value:
-            return False
-    return True
-
-
-def band_member(node: Band, elem) -> bool:
-    mi = important_position(node.base, elem)
-    return (
-        isinstance(mi, Left)
-        and ord_cmp(node.lo, mi.value) != GREATER
-        and ord_cmp(mi.value, node.hi) == LESS
-    )
+    if node.__class__ is Band:
+        return ord_cmp(node.lo, mi.value) != GREATER and ord_cmp(mi.value, node.hi) == LESS
+    if ord_cmp(mi.value, node.cut) != LESS:
+        return False
+    return not any(isinstance(p, Left) and mi.value < p.value < node.cut
+                   for p in element_positions(node.base, elem))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +398,6 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
                         raise BudgetExceeded("formal-sum budget overflow")
         return out
     if isinstance(expr, (Sep, Band)):
-        member = sep_member if isinstance(expr, Sep) else band_member
         inner_lefts = _grid_values(expr.amb, budget.grid)
         return [
             e
@@ -530,7 +523,7 @@ def _stream(expr: Dil, points, state, cap, bound):
         yield from _cnf_stream(lead_stream, low_stream, state, cap, head=True)
         return
     if isinstance(expr, (Sep, Band)):
-        hi, member = (expr.cut, sep_member) if isinstance(expr, Sep) else (expr.hi, band_member)
+        hi = expr.cut if isinstance(expr, Sep) else expr.hi
         for e in _stream(expr.base, points, state, cap, expr.amb):
             mi = important_position(expr.base, e)
             if not isinstance(mi, Left) or mi.value >= hi:
@@ -611,5 +604,5 @@ def element_str(expr: Dil, elem, render_pos=pos_str) -> str:
             for x, m in elem.pairs
         ) or "0"
     else:
-        body = repr(elem)
+        raise MalformedElement(f"no rendering rule for {expr!r}")
     return "".join(head) + body

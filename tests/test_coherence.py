@@ -20,7 +20,6 @@ from dilcalc.expr import (
     IdNode,
     MulOmega,
     OmegaComp,
-    Sep,
     Sum,
     is_connected_atom,
     mk_cnf_head,
@@ -46,6 +45,7 @@ from dilcalc.semantics import (
     enum_elements,
     validate_element,
 )
+from dilcalc.suites import CheckReport, _check_decompose_expr
 
 BUDGET = EnumBudget(const_cap=5, copies=2, cnf_len=2, cnf_mult=2, grid=4, max_count=4000)
 EXPRS = ["1", "Const(3)", "Const(w)", "Const(w^2)", "Id", "Id+1", "1+Id", "Id+Const(w)",
@@ -110,6 +110,50 @@ def test_limit_injection_refuses_a_unit_top_head():
     elem = enum_elements(decompose(d).fund(1), 1)[0]
     with pytest.raises(coherence.TranslationGap):
         coherence.limit_prefix_inject(d, 1, elem)
+
+
+# separations at a successor and at a limit cut, and bands over a successor
+# span: their initial parts are sums, shifted slices or separations at another
+# cut, so the identity is no injection of them
+GAP_PARTS = ["sep(omega_head(Id;Id),1)", "sep(omega_head(Id;Id),w)",
+             "sep@(omega_head(Id;Id);2;3)", "band(omega_head(Id;Id);0;2;2)",
+             "band(omega_head(Id;Id);0;w+1;w+1)"]
+# bands over a limit span, whose parts are bands [lo, lo+f(j)) of the same base
+LIMIT_BANDS = ["band(omega_head(Id;Id);0;w;w)", "band(omega_head(Id;Id);1;w;w)",
+               "band(omega_head(Id;Id);w;w*2;w*2)", "band(omega_head(Id+Id;Id);0;w;w)"]
+PART_BUDGET = EnumBudget(const_cap=4, copies=2, cnf_len=2, cnf_mult=2, grid=4)
+
+
+def _initial_parts(d):
+    """(j, elements ascending) of d's successor prefix (j None) or of fund(1..3)."""
+    dec = decompose(d)
+    parts = [(None, dec.prefix)] if dec.kind == "succ" else [(j, dec.fund(j)) for j in (1, 2, 3)]
+    return [(j, enum_elements(part, 1, PART_BUDGET)) for j, part in parts]
+
+
+def _inject_part(d, j, elem):
+    return coherence.prefix_inject(d, elem) if j is None else coherence.limit_prefix_inject(d, j, elem)
+
+
+class TestFilteredPartInjections:
+    @pytest.mark.parametrize("text", GAP_PARTS)
+    def test_refused(self, text):
+        d = parse_dil(text)
+        for j, elems in _initial_parts(d):
+            assert elems, (text, j)
+            for e in elems[:6]:
+                with pytest.raises(coherence.TranslationGap):
+                    _inject_part(d, j, e)
+        rep = CheckReport("decompose")
+        _check_decompose_expr(rep, d, 40, 2)
+        assert rep.violations == [] and len(rep.skips) == 1, text
+
+    @pytest.mark.parametrize("text", LIMIT_BANDS)
+    def test_limit_bands_ascend(self, text):
+        d = parse_dil(text)
+        assert isinstance(d, Band) and decompose(d).kind == "limit"
+        for j, elems in _initial_parts(d):
+            _assert_ascending_images(d, [_inject_part(d, j, e) for e in elems], (text, j))
 
 
 def test_top_injection_of_a_sum_is_the_recursive_one():
@@ -204,8 +248,6 @@ def reference_prefix_inject(d, elem):
         return reference_oc_inject(
             decompose(d.base).prefix, elem, lambda x: reference_prefix_inject(d.base, x)
         )
-    if isinstance(d, (Sep, Band)):
-        return elem
     if isinstance(d, CnfHead) and not is_connected_atom(d):
         inner_dec = decompose(d.high)
         if inner_dec.kind != "succ" or not isinstance(
@@ -243,7 +285,7 @@ def reference_limit_prefix_inject(d, j, elem):
         return reference_oc_inject(
             decompose(d.base).fund(j), elem, lambda x: reference_limit_prefix_inject(d.base, j, x)
         )
-    if isinstance(d, (Sep, Band)):
+    if isinstance(d, Band) and ord_left_sub(d.lo, d.hi).is_limit():
         return elem
     if isinstance(d, CnfHead):
         if decompose(d.high).kind != "limit":

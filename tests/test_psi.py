@@ -8,7 +8,18 @@ import pytest
 import dilcalc.psi as psi_module
 from dilcalc.analysis import decompose
 from dilcalc.errors import BudgetExceeded, DepthExceeded, DilcalcError, OutOfNotation
-from dilcalc.expr import D_ID, Const, _split_trailing, mk_band, mk_mul_nat, parse_dil, to_str
+from dilcalc.expr import (
+    D_ID,
+    Band,
+    Const,
+    MulOmega,
+    Sep,
+    _split_trailing,
+    mk_band,
+    mk_mul_nat,
+    parse_dil,
+    to_str,
+)
 from dilcalc.ordinal import (  # noqa: F401
     LIMIT_SAMPLES,
     OMEGA,
@@ -314,13 +325,14 @@ class TestTermOrder:
                     if nested <= 2:
                         assert cand in universe
 
-    def test_budget_overflow_raises(self):
+    def test_budget_overflow_raises(self, monkeypatch):
         from dilcalc.errors import BudgetExceeded
         from dilcalc.semantics import EnumBudget
 
+        monkeypatch.setattr(psi_module, "ENUM_BUDGET", EnumBudget(max_count=2, const_cap=8))
         order = PsiOrder(parse_dil("Const(w)"), ZERO)
         with pytest.raises(BudgetExceeded):
-            order.enum(3, EnumBudget(max_count=2, const_cap=8))
+            order.enum(3)
 
     def test_counts_match_clause_values(self):
         order = PsiOrder(parse_dil("Const(3)"), ZERO)
@@ -388,9 +400,9 @@ def reference_enum(order, depth=2, budget=None):
     return sorted(known, key=functools.cmp_to_key(order.compare))
 
 
-def _enum_outcome(enumerate_terms, order, depth, budget):
+def _enum_outcome(enumerate_terms, order, *args):
     try:
-        return [term_str(order, t) for t in enumerate_terms(order, depth, budget)]
+        return [term_str(order, t) for t in enumerate_terms(order, *args)]
     except DilcalcError as exc:
         return (type(exc).__name__, str(exc))
 
@@ -409,11 +421,13 @@ class TestRankedEnumeration:
     @pytest.mark.parametrize("budget", [None, EnumBudget(max_count=300)], ids=["default", "cap300"])
     @pytest.mark.parametrize("gamma", ["0", "1", "w"])
     @pytest.mark.parametrize("text", RANKED_ENUM_EXPRS)
-    def test_same_terms_as_reference(self, text, gamma, budget):
+    def test_same_terms_as_reference(self, text, gamma, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(psi_module, "ENUM_BUDGET", budget)
         order = PsiOrder(parse_dil(text), parse_ord(gamma))
         deepest = 2 if budget is None and (text, gamma) in DEPTH_2_ONLY else 3
         for depth in range(deepest + 1):
-            assert _enum_outcome(PsiOrder.enum, order, depth, budget) == _enum_outcome(
+            assert _enum_outcome(PsiOrder.enum, order, depth) == _enum_outcome(
                 reference_enum, order, depth, budget
             ), (text, gamma, depth)
 
@@ -441,10 +455,11 @@ class TestHeadDilator:
     rules were shared with omega[...]; they reach the head sort key of
     PsiOrder._rand_cnf."""
 
-    def test_random_terms_pinned(self):
+    def test_random_terms_pinned(self, monkeypatch):
+        monkeypatch.setattr(psi_module, "RANDOM_DEPTH", 2)
         order = PsiOrder(parse_dil("omega_head(Id;Id)"), OMEGA)
         rng = random.Random(5)
-        drawn = [order.random_term(rng, 2) for _ in range(8)]
+        drawn = [order.random_term(rng) for _ in range(8)]
         assert [term_str(order, t) for t in drawn] == [
             "w^{r:[w^{r:[w^{r:10}]}]}*2+w^{l:3}",
             "w^{r:3}*2",
@@ -490,6 +505,21 @@ class TestSearch:
         order = PsiOrder(parse_dil("Const(5)"), ZERO)
         res = chain_search(PsiSearchHandle(order), 300, 30, seed=3)
         assert not res.found
+
+    # the repetition branch and the separation / band branch of PsiOrder._rand
+    @pytest.mark.parametrize(
+        "text,gamma,kind",
+        [("Id*w", "w", MulOmega), ("omega[Id]*w", "1", MulOmega),
+         ("sep(omega_head(Id;Id),w)", "1", Sep), ("band(omega_head(Id;Id);0;w;w)", "1", Band)],
+    )
+    def test_random_terms_of_repetitions_and_filtered_nodes(self, text, gamma, kind):
+        order = PsiOrder(parse_dil(text), parse_ord(gamma))
+        assert isinstance(order.dilator, kind)
+        rng = random.Random(7)
+        for _ in range(30):
+            t = order.random_term(rng)
+            assert t is not None and order.valid(t), text
+        assert chain_search(PsiSearchHandle(order), 20, 30, 5).summary == "NoneFound"
 
     def test_collapse_orders_resist_descent(self):
         for text, gamma in [("omega[Id]", "0"), ("Id", "w")]:

@@ -428,6 +428,7 @@ class TestWalkersMatchTheRecursiveOnes:
             e = EId(Right(0))
             assert _outcome(compare_elements, expr, e, e) is MalformedElement
             assert _outcome(apply_embedding, expr, e, {0: 1}) is MalformedElement
+            assert _outcome(element_str, expr, e) is MalformedElement
             assert _outcome(reference_compare_elements, expr, e, e) is MalformedElement
             assert _outcome(reference_apply_embedding, expr, e, {0: 1}) is MalformedElement
 
