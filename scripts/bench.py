@@ -47,6 +47,12 @@ DEEP_CHAIN at w, whose separations nest once per summand: it shows whether J
 reaches its answer or refusal at the default recursion limit, or stops with
 ``RecursionError``.
 
+The limit-tower point times ``j_eval`` of each LIMIT_TOWER expression at w
+(median of REPEATS calls, in CPU seconds) and counts its steps per clause,
+in PROCESSES fresh interpreters; each time is the median of the
+interpreters' medians, with their least and greatest.  The tower nests one
+``*w`` limit per level, so it shows what a limit costs.
+
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
 """
@@ -54,6 +60,7 @@ the script measures the checkout it sits in.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import itertools
@@ -102,6 +109,7 @@ ELEMENT_SUM = "Id+omega_head(0;Id)+Id"
 ELEMENT_BUDGET = dict(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
 ELEMENT_REPEATS = 51
 PROCESSES = 3
+LIMIT_TOWER = ("Id*w", "Id*w*w", "Id*w*w*w", "Id*w*w*w*w")
 REFUSAL = "omega_head(0;Id)+Id+1+Const(w)+Id"
 DEEP_CHAIN = "Id*1200"
 SERIES = {
@@ -287,6 +295,33 @@ def jplus_point(text: str) -> dict:
             "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs}
 
 
+def limit_tower() -> list:
+    """CPU seconds (median of REPEATS calls) and steps per clause of j_eval
+    at w, for each LIMIT_TOWER expression."""
+    w, rows = parse_ord("w"), []
+    for text in LIMIT_TOWER:
+        d, runs = parse_dil(text), []
+        for _ in range(REPEATS):
+            analysis._OTP_CACHE.clear()
+            start = time.process_time()
+            res = j_eval(d, w)
+            runs.append(time.process_time() - start)
+        steps = collections.Counter(s.clause for s in res.steps)
+        print(f"  {text}: {statistics.median(runs):.4f} s, {len(res.steps)} steps", file=sys.stderr)
+        rows.append({"expr": text, "value": ord_str(res.value), "steps": dict(sorted(steps.items())),
+                     "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs})
+    return rows
+
+
+def tower_spread() -> list:
+    """limit_tower in PROCESSES fresh interpreters: each time's median over
+    them, with its least and greatest."""
+    runs = [in_fresh_process("limit_tower()") for _ in range(PROCESSES)]
+    return [{"expr": row["expr"], "value": row["value"], "steps": row["steps"],
+             "cpu_s": spread([run[i]["median_cpu_s"] for run in runs])}
+            for i, row in enumerate(runs[0])]
+
+
 def in_fresh_process(call: str) -> dict:
     """The JSON result of this script's ``call``, such as ``element_series()``,
     run in a new interpreter."""
@@ -351,6 +386,8 @@ def main() -> int:
     report["refusal"] = jplus_point(REFUSAL)
     print("deep chain:", file=sys.stderr)
     report["deep_chain"] = jplus_point(DEEP_CHAIN)
+    print("limit tower:", file=sys.stderr)
+    report["limit_tower"] = tower_spread()
     print("elements:", file=sys.stderr)
     report["elements"] = element_spread()
     print("cli:", file=sys.stderr)

@@ -6,17 +6,20 @@ sequence of partial sums, and top-type expressions split as alpha + beta
 through separation of variables (J separates at 0, the primed variant at
 omega).  A sum composes, J(a+e, gamma) = J(e, J(a, gamma)), one summand at a
 time down its right spine, so a sum of n summands costs n steps and no sum
-is rebuilt.  The clauses run as frames on one explicit stack, so how deep
-they nest is bounded by ``DEPTH_CAP``, not by Python's recursion limit.
-Each evaluated (sub-expression, gamma) pair is recorded once, as a ``JStep``
-with its clause, its last child and its value; ``JResult.steps`` lists every
-one of them in post-order, root last, with no cap of its own.  What does not
-depend on gamma is derived once per session and expression, in a table that
-ends with the session: its classification, the members of its fundamental
+is rebuilt.  By the same clause the member B*k of a limit B*w has the value
+J(B, -) iterated k times from gamma, so that limit samples gamma and its
+iterates, one step each, and builds no member.  The clauses run as frames
+on one explicit stack, so how deep they nest is bounded by ``DEPTH_CAP``,
+not by Python's recursion limit.  Each evaluated (sub-expression, gamma)
+pair is recorded once, as a ``JStep`` with its clause, its last child and
+its value; ``JResult.steps`` lists every one of them in post-order, root
+last, with no cap of its own.  What does not depend on gamma is derived
+once per session and expression other than a B*w, in a table that ends
+with the session: its classification, the members of its fundamental
 sequence and its separation at the first cut.  Guards are certificates
 computed after the fact: eta bounds the value, xi bounds the order type at
-omega^(1+eta), and the audit re-checks that every recorded step descends in
-rank.
+omega^(1+eta), and the audit re-checks that every recorded step descends
+in rank.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional
 from . import analysis
 from .analysis import _limit_sup, classify, otp_symbolic
 from .errors import DepthExceeded, FRAGMENT_ERRORS
-from .expr import Const, D_ONE, Dil, Sum, mk_omega_comp, mk_sum, to_str
+from .expr import Const, D_ONE, Dil, MulOmega, Sum, mk_omega_comp, mk_sum, to_str
 from .ordinal import (
     OMEGA,
     ONE,
@@ -79,12 +82,14 @@ class _Session:
     successor, limit or separation clause.  Constant steps are leaves and a
     sum has one composition step per summand and gamma, so the guarded steps
     bound the work; counting the others too would refuse inputs that were
-    answered while sums were classified whole.
+    answered while sums were classified whole.  A limit ``B*w`` yields
+    ``(B, v)`` for each sample after gamma, v the sample before it; those are
+    the guarded steps its members ``B*k`` took, without their compositions.
 
-    ``facts`` maps each expression that took a guarded step to what every
-    gamma shares: its ``TypeClass``, the fundamental-sequence members built
-    so far (in order, from k = 0) and, for type Omega, its separation at the
-    first cut.
+    ``facts`` maps each expression other than a ``B*w`` that took a guarded
+    step to what every gamma shares: its ``TypeClass``, the
+    fundamental-sequence members built so far (in order, from k = 0) and,
+    for type Omega, its separation at the first cut.
     """
 
     def __init__(self, first_cut: Ord):
@@ -122,6 +127,14 @@ class _Session:
         self.calls += 1
         if self.calls > DEPTH_CAP:
             raise DepthExceeded(f"evaluation exceeded {DEPTH_CAP} steps")
+        if d.__class__ is MulOmega:
+            # J(B*k, gamma) = J(B, J(B*(k-1), gamma)): sample k iterates J(B, .)
+            # k times from gamma, one step each, so no member B*k is built
+            values = [gamma]
+            while len(values) < analysis.LIMIT_SAMPLES:
+                values.append((yield d.base, values[-1]))
+            yield JStep(d, gamma, "limit", d.base, _limit_sup(d, values.__getitem__))
+            return
         facts = self.facts.get(d)
         if facts is None:
             tc = classify(d)

@@ -37,6 +37,7 @@ from dilcalc.errors import (
     NotTypeOmega,
 )
 from dilcalc.expr import (
+    Band,
     CnfHead,
     Const,
     D_ID,
@@ -44,6 +45,7 @@ from dilcalc.expr import (
     D_ZERO,
     Sep,
     is_connected_atom,
+    mk_band,
     mk_mul_nat,
     mk_shift,
     mk_sum,
@@ -51,7 +53,7 @@ from dilcalc.expr import (
     parse_dil,
     to_str,
 )
-from dilcalc.jfunctor import j_eval, jprime_eval
+from dilcalc.jfunctor import JStep, _Session, j_eval, jprime_eval
 from dilcalc.ordinal import (
     EQUAL,
     GREATER,
@@ -600,14 +602,24 @@ class TestLimitRule:
         monkeypatch.setattr(analysis_module, "_OTP_CACHE", {})
         monkeypatch.setattr(psi_module, "_PSI_CACHE", {})
 
-    def test_j_decrease_is_a_guard_violation(self, monkeypatch):
-        d = parse_dil("Id*w")
+    def test_j_decrease_is_a_guard_violation(self):
+        # a B*w limit samples gamma and the iterates of J(B, .) from it: in a
+        # session whose J(Id, w) was tampered to lie below w they decrease
+        session = _Session(ZERO)
+        session.memo[D_ID, w] = JStep(D_ID, w, "separation", None, ZERO)
+        with pytest.raises(GuardViolation, match=r"partial-sum values decreased under Id\*w$"):
+            session.eval(parse_dil("Id*w"), w)
+
+    def test_j_member_decrease_is_a_guard_violation(self, monkeypatch):
+        # every other limit shape samples its members
+        d = parse_dil("omega[Id*w]")
         real = jfunctor_module.classify
         monkeypatch.setattr(
             jfunctor_module, "classify",
             lambda e: TypeClass("omega", fund_seq=_decreasing) if e == d else real(e),
         )
-        with pytest.raises(GuardViolation, match=r"partial-sum values decreased under Id\*w$"):
+        with pytest.raises(GuardViolation,
+                           match=r"partial-sum values decreased under omega\[Id\*w\]$"):
             j_eval(d, w)
 
     def test_psi_decrease_is_a_guard_violation(self, monkeypatch):
@@ -627,10 +639,16 @@ class TestLimitRule:
             otp_symbolic(Sep(HID, w, w), w)
 
     def test_one_sample_count(self, monkeypatch):
-        # the one count reaches J, psi and otp: each samples members 0..15
+        # the one count reaches J, psi and otp: J's B*w samples gamma and 15
+        # iterates of J(B, .), its other limits and psi and otp members 0..15
         monkeypatch.setattr(analysis_module, "LIMIT_SAMPLES", 16)
         d = parse_dil("Id*w")
-        assert j_eval(d, w).steps[-1].child == mk_mul_nat(D_ID, 15)
+        res = j_eval(d, w)
+        iterates = [s for s in res.steps if s.parent == D_ID]
+        assert res.steps[-1].child == D_ID and len(iterates) == 15
+        assert [s.gamma for s in iterates] == [w] + [s.value for s in iterates[:-1]]
+        band = Band(D_ID, ZERO, w, w)
+        assert j_eval(band, w).steps[-1].child == mk_band(D_ID, ZERO, from_int(15), w)
         psi_clause_otp(d, w)
         assert (mk_mul_nat(D_ID, 15), w) in psi_module._PSI_CACHE
         assert (mk_mul_nat(D_ID, 16), w) not in psi_module._PSI_CACHE

@@ -123,6 +123,44 @@ class TestJsonLines:
         assert (code, out, err) == (0, expected + "\n", "")
 
 
+class TestLimitStepLog:
+    """The step log of a B*w limit: gamma and the iterates of J(B, .), one
+    separation of Id each, then the limit with B as its child."""
+
+    ARGV = ["jeval", "Id*w", "--gamma", "w", "--steps", "--audit"]
+    TEXT = [
+        "value w^2",
+        "guards eta=w^2+1 xi=w^(w^2+2)+1",
+        "audit identical=True ranks_ok=True",
+        "  [constant] 0 -> w",
+        "  [constant] Const(w) -> w*2",
+        "  [separation] Id -> w*3",
+    ] + [
+        line
+        for k in range(1, 7)
+        for line in (f"  [constant] 0 -> w*{3 ** k}",
+                     f"  [constant] Const(w*{3 ** k}) -> w*{2 * 3 ** k}",
+                     f"  [separation] Id -> w*{3 ** (k + 1)}")
+    ] + ["  [limit] Id*w -> w^2"]
+
+    def test_text(self, capsys):
+        code, out, err = run(capsys, *self.ARGV)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == self.TEXT
+        assert len(self.TEXT) == 3 + 22
+
+    def test_json(self, capsys):
+        code, out, err = run(capsys, *self.ARGV, "--format", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha1(out.encode()).hexdigest() == "3b64170b6d3d00c1a29e7db614850a7988e2723a"
+        payload = json.loads(out)
+        assert payload["guardAudit"] == {"enlargedEta": "w^2+w", "identical": True,
+                                         "rankViolations": [], "stepsChecked": 16,
+                                         "unranked": 0}
+        steps = [f"  [{s['clause']}] {s['expr']} -> {s['value']}" for s in payload["steps"]]
+        assert steps == self.TEXT[3:]
+
+
 class TestExitCodes:
     def test_fragment_error_is_two(self, capsys):
         code, _, err = run(capsys, "jplus", "Id", "--gamma", "w")

@@ -21,6 +21,7 @@ from dilcalc.expr import (
     Const,
     D_ID,
     D_ONE,
+    MulOmega,
     Sum,
     _split_trailing,
     mk_mul_nat,
@@ -268,7 +269,8 @@ class TestStepLog:
         return cases
 
     def test_fingerprint(self):
-        # count and sha1 of the rendered grid, taken when sums first composed
+        # count and sha1 of the rendered grid, taken when a B*w limit first
+        # iterated J(B, .): TestIteratedLimit relates it to the member walk
         lines = []
         for case in self.grid():
             lines += _render(*case)
@@ -278,8 +280,8 @@ class TestStepLog:
                            "separation"}
         assert any("! OutOfNotation" in line for line in lines)
         assert any("! DepthExceeded" in line for line in lines)
-        assert len(lines) == 2486
-        assert hashlib.sha1(text.encode()).hexdigest() == "fb9f663eb83e00720498ae5c3eecbd22413d3bc6"
+        assert len(lines) == 1383
+        assert hashlib.sha1(text.encode()).hexdigest() == "39e339934578ad9db6177fa935cac6884dee273e"
 
     def test_answers_fingerprint(self):
         # value, eta, xi or `type: message` of each case, taken while sums
@@ -312,8 +314,8 @@ class TestStepLog:
         # the log has no cap of its own below DEPTH_CAP
         res = j_eval(parse_dil("Id*w*w*w*w"), OMEGA)
         assert ord_str(res.value) == "w^w^3"
-        assert len(res.steps) == 16003
-        assert len({s.parent for s in res.steps}) == 2431
+        assert len(res.steps) == 7603
+        assert len({s.parent for s in res.steps}) == 2407
         assert res.steps[-1].parent == res.expr
 
 
@@ -374,19 +376,32 @@ class TestSessionFacts:
     def test_classifies_each_expression_once(self, monkeypatch, variant, item, gs):
         res, classified, _, _ = self.counted(monkeypatch, variant, self.expr(item), gs)
         guarded = {s.parent for s in res.steps if not isinstance(s.parent, (Const, Sum))}
-        assert set(classified) == guarded
+        # a B*w iterates J(B, .) and is never classified
+        assert set(classified) == {e for e in guarded if not isinstance(e, MulOmega)}
         assert set(classified.values()) == {1}
         # the table is worth having: expressions recur at other gammas
         assert len(guarded) < sum(not isinstance(s.parent, (Const, Sum)) for s in res.steps)
 
     @pytest.mark.parametrize("variant,item,gs", CASES)
-    def test_builds_each_limit_member_once(self, monkeypatch, variant, item, gs):
+    def test_mul_omega_limit_builds_no_member(self, monkeypatch, variant, item, gs):
+        # every limit here is a B*w: it iterates J(B, .), its step's child is B
         res, _, built, _ = self.counted(monkeypatch, variant, self.expr(item), gs)
-        limits = {s.parent for s in res.steps if s.clause == "limit"}
-        assert limits and {e for e, _ in built} == limits
+        limits = [s for s in res.steps if s.clause == "limit"]
+        assert limits and not built
+        assert all(isinstance(s.parent, MulOmega) and s.child == s.parent.base for s in limits)
+
+    @pytest.mark.parametrize("variant", ["j", "jprime"])
+    @pytest.mark.parametrize("limit", [Band(D_ID, ZERO, OMEGA, OMEGA),
+                                       mk_omega_comp(Band(D_ID, ZERO, OMEGA, OMEGA))],
+                             ids=to_str)
+    @pytest.mark.parametrize("gs", ["0", "w", "w^2"])
+    def test_builds_each_limit_member_once(self, monkeypatch, variant, limit, gs):
+        # the other limit shapes walk their members; under *w a shape runs at
+        # LIMIT_SAMPLES - 1 gammas and still builds each member once
+        res, _, built, _ = self.counted(monkeypatch, variant, MulOmega(limit), gs)
+        assert len({s.gamma for s in res.steps if s.parent == limit}) == LIMIT_SAMPLES - 1
+        assert set(built) == {(limit, k) for k in range(LIMIT_SAMPLES)}
         assert set(built.values()) == {1}
-        for e in limits:
-            assert {k for f, k in built if f == e} == set(range(LIMIT_SAMPLES))
 
     @pytest.mark.parametrize("variant,item,gs", CASES)
     def test_separates_at_the_first_cut_once(self, monkeypatch, variant, item, gs):
@@ -405,7 +420,9 @@ class TestSessionFacts:
         assert again[1:] == first[1:]
 
     def test_spines_fingerprint(self):
-        # count and sha1 of the rendered spines, taken before the table
+        # count and sha1 of the rendered spines, taken when a B*w limit first
+        # iterated J(B, .); the table did not change them.  The 72 answers
+        # alone are as the members B*k gave them
         lines = []
         for seed in (1, 2):
             for n in (30, 50):
@@ -414,8 +431,10 @@ class TestSessionFacts:
                     for name, fn in EVALUATORS.items():
                         lines += _render(name, d, gs, fn, 10000)
         text = "\n".join(lines)
-        assert len(lines) == 16884
-        assert hashlib.sha1(text.encode()).hexdigest() == "d9096c0bdb02a1dade8d5bc490fd5d8286fba3fc"
+        assert len(lines) == 10176
+        assert hashlib.sha1(text.encode()).hexdigest() == "bf69ffb1883c41c212916dc9d989f95ef6fc2497"
+        heads = "\n".join(line for line in lines if not line.startswith("  "))
+        assert hashlib.sha1(heads.encode()).hexdigest() == "744d1c8395e2d0368c23c19ab42731b397e16b4d"
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +482,18 @@ class ReferenceSession:
         return value
 
 
+def _target(d, variant):
+    """The expression a session of ``variant`` evaluates, and its first cut:
+    J+ is J' of omega[d+1]."""
+    if variant == "jplus":
+        return mk_omega_comp(mk_sum(d, D_ONE)), OMEGA
+    return d, ZERO if variant == "j" else OMEGA
+
+
 def reference_eval(d, gamma, variant):
     """(value, eta, xi) of the peeling evaluator."""
-    if variant == "jplus":
-        d, variant = mk_omega_comp(mk_sum(d, D_ONE)), "jprime"
-    session = ReferenceSession(gamma, ZERO if variant == "j" else OMEGA)
+    d, first_cut = _target(d, variant)
+    session = ReferenceSession(gamma, first_cut)
     value = session.eval(d)
     eta = ord_add(value, ONE)
     try:
@@ -484,8 +510,35 @@ def _answer(call):
         return f"{type(exc).__name__}: {exc}"
 
 
+def seeded_sums(seed, atoms, count, longest):
+    """``count`` sums of 2 to ``longest`` summands drawn from ``atoms``."""
+    rng = random.Random(seed)
+    return ["+".join(rng.choice(atoms) for _ in range(rng.randint(2, longest)))
+            for _ in range(count)]
+
+
 class TestReference:
     GAMMAS = ["0", "1", "w", "w+1", "w*2", "w^2"]
+    # *w summands, and the other atoms they meet in sums
+    W_ATOMS = ["Id*w", "Id*w*w", "(Id+1)*w", "(1+Id)*w", "omega[Id]*w", "omega_head(0;Id)*w",
+               "Const(w)+Id*w", "(Id*w+Id)*w", "(Id+Const(w))*w", "(Id*2)*w"]
+    OTHER_ATOMS = ["1", "Id", "Const(w)", "omega[Id]", "omega[Id*w]"]
+    # every GRID_STRIDE-th case of limit_grid() runs in the suite; 43 is prime
+    # to the 18 (gamma, variant) pairs of an expression, so the slice meets
+    # them all.  Edited to 1, it runs the whole grid, in about 4 minutes
+    GRID_STRIDE = 43
+
+    @classmethod
+    def grid(cls, exprs):
+        """(expr, gamma, variant) for each expr x GAMMAS x J, J', J+."""
+        return [(d, gs, variant) for d in exprs for gs in cls.GAMMAS for variant in EVALUATORS]
+
+    @classmethod
+    def limit_grid(cls):
+        """The atoms, two in three of them *w, and 150 seeded sums of them,
+        each distinct expression once: 154 of them, 2,772 cases."""
+        atoms = cls.W_ATOMS + cls.OTHER_ATOMS
+        return cls.grid(dict.fromkeys(map(parse_dil, atoms + seeded_sums(21, atoms, 150, 4))))
 
     @staticmethod
     def assert_matches(d, gs, variant):
@@ -501,20 +554,75 @@ class TestReference:
         assert _answer(current) == want, (variant, to_str(d), gs)
 
     def test_matches_reference_on_seeded_sums(self):
-        rng = random.Random(77)
-        atoms = TestStepLog.ATOMS
-        texts = [
-            "+".join(rng.choice(atoms) for _ in range(rng.randint(2, 6)))
-            for _ in range(12)
-        ]
-        for text in texts:
-            for gs in self.GAMMAS:
-                for variant in EVALUATORS:
-                    self.assert_matches(parse_dil(text), gs, variant)
+        for case in self.grid(map(parse_dil, seeded_sums(77, TestStepLog.ATOMS, 12, 6))):
+            self.assert_matches(*case)
+
+    def test_matches_reference_on_limit_sums(self):
+        for case in self.limit_grid()[::self.GRID_STRIDE]:
+            self.assert_matches(*case)
 
     def test_matches_reference_on_a_deep_limit(self):
         # 2,801 guarded steps here against 5,203 peeling ones
         self.assert_matches(parse_dil("Id*w*w*w*w"), "w", "j")
+
+
+def _session(d, gs, variant):
+    """The session of one evaluation, run as EVALUATORS runs it, and its
+    answer or refusal as ``type: message``."""
+    d, first_cut = _target(d, variant)
+    session = _Session(first_cut)
+    return session, _answer(lambda: session.eval(d, parse_ord(gs)))
+
+
+class _NoMulOmega:
+    """Patched over ``jfunctor.MulOmega``: no expression is one, so a B*w
+    limit walks its members B*k as the other limit shapes do."""
+
+
+class TestIteratedLimit:
+    """A B*w limit samples gamma and the iterates of J(B, .) from it.  By
+    the composition clause these are the values of the members B*k, so
+    against the member walk only composition and constant steps change."""
+
+    @staticmethod
+    def both(monkeypatch, d, gs, variant, depth_cap=10000):
+        with monkeypatch.context() as patch:
+            patch.setattr(jfunctor_module, "DEPTH_CAP", depth_cap)
+            iterated = _session(d, gs, variant)
+            patch.setattr(jfunctor_module, "MulOmega", _NoMulOmega)
+            return iterated, _session(d, gs, variant)
+
+    def test_only_composition_and_constant_steps_change(self, monkeypatch):
+        extra = [(variant, parse_dil(text), gs, None, 10000)
+                 for text in ["(1+Id)*w", "(Id+1)*w", "(1+Id+1)*w", "omega[Id]*w",
+                              "(Id*w+Id)*w"]
+                 for gs in ("0", "w") for variant in EVALUATORS]
+        extra += [(variant, MulOmega(Band(D_ID, ZERO, OMEGA, OMEGA)), "w", None, 10000)
+                  for variant in ("j", "jprime")]
+        for variant, d, gs, _, cap in TestStepLog.grid() + extra:
+            (new, answer), (old, old_answer) = self.both(monkeypatch, d, gs, variant, cap)
+            assert answer == old_answer and new.calls == old.calls, (variant, to_str(d), gs)
+            guarded = [[s for s in session.memo.values()
+                        if not isinstance(s.parent, (Const, Sum))] for session in (new, old)]
+            assert len(guarded[0]) == len(guarded[1])
+            for a, b in zip(*guarded):
+                assert (a.parent, a.gamma, a.clause, a.value) == (b.parent, b.gamma, b.clause, b.value)
+                if isinstance(a.parent, MulOmega) and a.clause == "limit":
+                    base = a.parent.base
+                    assert (a.child, b.child) == (base, mk_mul_nat(base, LIMIT_SAMPLES - 1))
+                else:
+                    assert a.child == b.child
+            changed = set(new.memo).symmetric_difference(old.memo)
+            assert all(isinstance(e, (Const, Sum)) for e, _ in changed)
+
+    def test_tower_loses_only_its_composition_steps(self, monkeypatch):
+        (new, _), (old, _) = self.both(monkeypatch, parse_dil("Id*w*w*w"), "w", "j")
+        counts = [collections.Counter(s.clause for s in session.memo.values())
+                  for session in (new, old)]
+        assert new.calls == old.calls == 400
+        assert counts[0] == {"constant": 686, "separation": 343, "limit": 57}
+        assert counts[1] == {**counts[0], "composition": 1197}
+        assert len(new.memo) == 1086 and len(old.memo) == 2283
 
 
 class TestLinearity:
