@@ -12,8 +12,9 @@ the error; after an error, or a median above MAX_SECONDS, the series records
 its larger sizes as skipped.  Each series runs in PROCESSES fresh
 interpreters, one after another, and each point keeps the median of the
 interpreters' medians, with their least and greatest: one interpreter's
-reading can be far from another's.  Each series gets the least-squares slope
-of log time on log n over the medians of its timed points.
+reading can be far from another's (``fresh_spread``; the element, limit-tower
+and psi-enum points run the same way).  Each series gets the least-squares
+slope of log time on log n over the medians of its timed points.
 
 The CLI series runs each line of ``scripts/lemma_suite.commands`` as
 ``python -m dilcalc.cli`` and, beside it, a bare ``python -c pass``, each
@@ -32,12 +33,10 @@ ELEMENT_ATOM, under the trace budget of the element-oracles workload:
 ``important_index`` on the first trace term of each arity 1-4 (median of
 ELEMENT_REPEATS calls, with the slot it answers), and ``compare_elements``
 per call over the adjacent pairs of the arity-4 term's embedding images,
-ranked as ``important_index`` ranks them (median of ELEMENT_REPEATS passes).
-It also times ``ll_relation`` per call over every ordered pair of the trace
-terms up to arity 2 of the sum ELEMENT_SUM, the sum the element-oracles
-workload relates (median of ELEMENT_REPEATS passes).
-It runs in PROCESSES fresh interpreters too, and each figure is the median
-of the interpreters' medians, with their least and greatest.
+sorted by ``element_key`` as ``important_index`` ranks them (median of
+ELEMENT_REPEATS passes).  It also times ``ll_relation`` per call over every
+ordered pair of the trace terms up to arity 2 of the sum ELEMENT_SUM, the
+sum the element-oracles workload relates (median of ELEMENT_REPEATS passes).
 
 The refusal point times one ``jplus_eval`` that J refuses, REFUSAL at w,
 REPEATS times in CPU seconds in this process, and records its ``type:
@@ -49,9 +48,13 @@ reaches its answer or refusal at the default recursion limit, or stops with
 
 The limit-tower point times ``j_eval`` of each LIMIT_TOWER expression at w
 (median of REPEATS calls, in CPU seconds) and counts its steps per clause,
-in PROCESSES fresh interpreters; each time is the median of the
-interpreters' medians, with their least and greatest.  The tower nests one
-``*w`` limit per level, so it shows what a limit costs.
+in PROCESSES fresh interpreters.  The tower nests one ``*w`` limit per
+level, so it shows what a limit costs.
+
+The psi-enum point times ``psi_enum`` at depth 2 of each PSI_ENUMS order, the
+four enumerations of the collapse-fuzz workload (median of REPEATS calls, in
+CPU seconds), with the term count and the sha1 of the terms rendered one per
+line, in PROCESSES fresh interpreters.
 
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
@@ -61,7 +64,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import functools
 import hashlib
 import itertools
 import json
@@ -95,6 +97,8 @@ from dilcalc.semantics import (  # noqa: E402
     Right,
     apply_embedding,
     compare_elements,
+    default_pos_key,
+    element_key,
     element_str,
     support_of,
 )
@@ -112,6 +116,7 @@ PROCESSES = 3
 LIMIT_TOWER = ("Id*w", "Id*w*w", "Id*w*w*w", "Id*w*w*w*w")
 REFUSAL = "omega_head(0;Id)+Id+1+Const(w)+Id"
 DEEP_CHAIN = "Id*1200"
+PSI_ENUMS = (("omega[Id]+Id", "1"), ("omega[Id]", "0"), ("Id*2", "w"), ("Const(w)+Id", "w^2"))
 SERIES = {
     "j": lambda d, w: j_eval(d, w).value,
     "jprime": lambda d, w: jprime_eval(d, w).value,
@@ -185,22 +190,6 @@ def run_series(name: str) -> list:
     return points
 
 
-def series_spread(name: str) -> dict:
-    """run_series(name) in PROCESSES fresh interpreters: each timed point's
-    median over them, with its least and greatest.  A point no interpreter
-    timed keeps the first one's error or skip."""
-    runs = [in_fresh_process(f"run_series({name!r})") for _ in range(PROCESSES)]
-    points = []
-    for row in zip(*runs):
-        timed = [p for p in row if "median_s" in p]
-        if timed:
-            points.append({"n": row[0]["n"], "s": spread([p["median_s"] for p in timed]),
-                           "value_sha1": timed[0]["value_sha1"]})
-        else:
-            points.append(next((p for p in row if "error" in p), row[0]))
-    return {"points": points, "exponent": fit_exponent(points)}
-
-
 def median_s(fn, repeats: int) -> tuple:
     """The median and the runs of ``repeats`` timed calls of fn."""
     runs = []
@@ -228,7 +217,7 @@ def element_series() -> dict:
     images = sorted(
         (apply_embedding(atom, term, dict(zip(pts, c)))
          for c in itertools.combinations(range(8), 4)),
-        key=functools.cmp_to_key(functools.partial(compare_elements, atom)))
+        key=lambda x: element_key(atom, x, default_pos_key))
     pairs = list(zip(images, images[1:]))
     med, runs = median_s(lambda: [compare_elements(atom, x, y) for x, y in pairs], ELEMENT_REPEATS)
     print(f"  compare_elements: {1e6 * med / len(pairs):.2f} us per call", file=sys.stderr)
@@ -256,25 +245,32 @@ def spread(values: list) -> dict:
             "per_process": values}
 
 
-def element_spread() -> dict:
-    """element_series in PROCESSES fresh interpreters: each figure's
-    median over them, with its least and greatest."""
-    runs = [in_fresh_process("element_series()") for _ in range(PROCESSES)]
-    index = [{"arity": row["arity"], "slot": row["slot"],
-              "ms": spread([run["important_index"][i]["median_ms"] for run in runs])}
-             for i, row in enumerate(runs[0]["important_index"])]
-    compare, relation = runs[0]["compare_elements"], runs[0]["ll_relation"]
-    return {
-        "atom": ELEMENT_ATOM,
-        "budget": ELEMENT_BUDGET,
-        "repeats": ELEMENT_REPEATS,
-        "processes": PROCESSES,
-        "important_index": index,
-        "compare_elements": {"pairs": compare["pairs"], "us_per_call": spread(
-            [run["compare_elements"]["median_us_per_call"] for run in runs])},
-        "ll_relation": {"sum": relation["sum"], "pairs": relation["pairs"], "us_per_call": spread(
-            [run["ll_relation"]["median_us_per_call"] for run in runs])},
-    }
+def fresh_spread(call: str):
+    """This script's ``call``, such as ``element_series()``, run in
+    PROCESSES fresh interpreters, its results merged by ``merge_runs``."""
+    return merge_runs([in_fresh_process(call) for _ in range(PROCESSES)])
+
+
+def merge_runs(runs: list):
+    """One result from the interpreters' results of one call.  Lists merge
+    item by item.  In a dict, each ``median_<x>`` becomes ``<x>``, the
+    ``spread`` of the medians, and ``runs_<x>`` is dropped; other values
+    merge the same way.  Only the dicts that hold a median count, so a series
+    point that one interpreter skipped or failed is left out of its spread,
+    and one that no interpreter timed keeps the first one's skip or error."""
+    first = runs[0]
+    if isinstance(first, list):
+        return [merge_runs(list(row)) for row in zip(*runs)]
+    if not isinstance(first, dict):
+        return first
+    timed = [run for run in runs if any(key.startswith("median_") for key in run)] or runs
+    out = {}
+    for key in timed[0]:
+        if key.startswith("median_"):
+            out[key[len("median_"):]] = spread([run[key] for run in timed])
+        elif not key.startswith("runs_"):
+            out[key] = merge_runs([run[key] for run in timed])
+    return out
 
 
 def jplus_point(text: str) -> dict:
@@ -313,13 +309,23 @@ def limit_tower() -> list:
     return rows
 
 
-def tower_spread() -> list:
-    """limit_tower in PROCESSES fresh interpreters: each time's median over
-    them, with its least and greatest."""
-    runs = [in_fresh_process("limit_tower()") for _ in range(PROCESSES)]
-    return [{"expr": row["expr"], "value": row["value"], "steps": row["steps"],
-             "cpu_s": spread([run[i]["median_cpu_s"] for run in runs])}
-            for i, row in enumerate(runs[0])]
+def psi_enum_point() -> list:
+    """CPU seconds (median of REPEATS calls), term count and sha1 of the
+    rendered terms of psi_enum at depth 2, for each PSI_ENUMS order."""
+    rows = []
+    for text, gamma in PSI_ENUMS:
+        order, runs = psi.PsiOrder(parse_dil(text), parse_ord(gamma)), []
+        for _ in range(REPEATS):
+            start = time.process_time()
+            terms = psi.psi_enum(order, 2)
+            runs.append(time.process_time() - start)
+        rendered = "\n".join(psi.term_str(order, t) for t in terms)
+        print(f"  {text} at {gamma}: {statistics.median(runs):.4f} s, {len(terms)} terms",
+              file=sys.stderr)
+        rows.append({"expr": text, "gamma": gamma, "count": len(terms),
+                     "sha1": hashlib.sha1(rendered.encode()).hexdigest(),
+                     "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs})
+    return rows
 
 
 def in_fresh_process(call: str) -> dict:
@@ -381,15 +387,19 @@ def main() -> int:
     }
     for name in SETUPS:
         print(f"{name}:", file=sys.stderr)
-        report["series" if name in SERIES else "translations"][name] = series_spread(name)
+        points = fresh_spread(f"run_series({name!r})")
+        report["series" if name in SERIES else "translations"][name] = {
+            "points": points, "exponent": fit_exponent(points)}
     print("refusal:", file=sys.stderr)
     report["refusal"] = jplus_point(REFUSAL)
     print("deep chain:", file=sys.stderr)
     report["deep_chain"] = jplus_point(DEEP_CHAIN)
     print("limit tower:", file=sys.stderr)
-    report["limit_tower"] = tower_spread()
+    report["limit_tower"] = fresh_spread("limit_tower()")
+    print("psi enum:", file=sys.stderr)
+    report["psi_enum"] = fresh_spread("psi_enum_point()")
     print("elements:", file=sys.stderr)
-    report["elements"] = element_spread()
+    report["elements"] = fresh_spread("element_series()")
     print("cli:", file=sys.stderr)
     report["cli"] = cli_series()
     out = ROOT / f"BENCH_{args.tag}.json"

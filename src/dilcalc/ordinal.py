@@ -391,23 +391,23 @@ def ord_sup_of_sequence(values: Sequence[Ord]) -> Ord:
     """Supremum of a non-decreasing sequence sampled from a limit process.
 
     Stabilised sequences return their final value; otherwise the detected
-    pattern is solved and the result re-checked against every sample.
+    pattern is solved and the result checked against the largest sample.
     """
     values = list(values)
     if not values:
         raise UnsupportedLimit("empty sequence has no supremum here")
-    if all(v == values[-1] for v in values):
-        return values[-1]
     strict = [values[0]]
     for v in values[1:]:
-        if v > strict[-1]:
+        c = ord_cmp(v, strict[-1])
+        if c == GREATER:
             strict.append(v)
-        elif v < strict[-1]:
+        elif c == LESS:
             raise UnsupportedLimit("sequence is not monotone")
+    if len(strict) == 1:
+        return values[-1]
     result = ord_sup_solve(detect_limit_pattern(strict))
-    for v in strict:
-        if v >= result:
-            raise UnsupportedLimit("solved supremum does not bound the samples")
+    if ord_cmp(strict[-1], result) != LESS:
+        raise UnsupportedLimit("solved supremum does not bound the samples")
     return result
 
 

@@ -62,6 +62,8 @@ from .semantics import (
     _grid_values,
     compare_elements,
     default_pos_cmp,
+    default_pos_key,
+    element_key,
     element_positions,
     element_str,
     member,
@@ -198,6 +200,13 @@ class PsiOrder(Frozen):
             return self.compare(p.point, q.point)
         return default_pos_cmp(p, q)
 
+    def pos_key(self, p) -> tuple:
+        """The position key of ``pos_cmp``'s order: a sub-term is keyed by
+        its own ``element_key``."""
+        if p.__class__ is Right:
+            return (1, element_key(self.dilator, p.point, self.pos_key))
+        return default_pos_key(p)
+
     def compare(self, t1, t2) -> int:
         return compare_elements(self.dilator, t1, t2, self.pos_cmp)
 
@@ -225,18 +234,20 @@ class PsiOrder(Frozen):
 
         Level L lists every ENUM_BUDGET element over the terms known after the
         levels before it.  Each point of such a candidate is one of those
-        term objects, so points are compared by rank, not by recursion into
-        their sub-terms: after each level the known terms are sorted once
-        and each term's index is stored under ``id(term)``.  This relies on
-        ``compare`` being a strict total order on valid terms, in which
-        EQUAL means identical, so ranks order points exactly as ``compare``
-        does.
+        term objects, so each accepted term is keyed once: its position key
+        ``(1, element_key)``, with each point keyed by its stored tuple, is
+        stored under ``id(term)``.  This relies on ``compare`` being a strict
+        total order on valid terms, in which EQUAL means identical, so the
+        keys order terms exactly as ``compare`` does.
 
         Level 0 keeps every valid candidate.  At a later level a candidate
         is new iff one of its points was accepted at the level before: one
         whose points are all older was already a candidate then, and
-        validity does not depend on the level.  A candidate is checked by
-        the rules of ``valid``; its sub-terms are known terms, already valid.
+        validity does not depend on the level.  A new candidate is valid iff
+        its frozen positions are below gamma (a separation's or band's base
+        draws them up to its ambient) and its points' keys are below its
+        own: its points are valid known terms, and ``_gen`` builds only
+        well-formed elements.
 
         The known terms need no cap of their own.  Generation is monotone in
         the known points, so every known term (all of its points older than
@@ -245,46 +256,32 @@ class PsiOrder(Frozen):
         ``known + fresh`` never outnumbers the candidates, which the cap
         check has already bounded.
         """
-        lefts = _grid_values(self.gamma, ENUM_BUDGET.grid)
-        rank: dict = {}
+        dilator, gamma = self.dilator, self.gamma
+        lefts = _grid_values(gamma, ENUM_BUDGET.grid)
+        keys: dict = {}  # id(term) -> the position key of each accepted term
 
-        def pos_cmp(p, q):
-            if isinstance(p, Right) and isinstance(q, Right):
-                a, b = rank[id(p.point)], rank[id(q.point)]
-                return LESS if a < b else GREATER if a > b else EQUAL
-            return default_pos_cmp(p, q)
-
-        def compare(t1, t2):
-            return compare_elements(self.dilator, t1, t2, pos_cmp)
-
-        def accepts(t, last) -> bool:
-            positions = element_positions(self.dilator, t)
-            if last is not None and not any(
-                isinstance(p, Right) and id(p.point) in last for p in positions
-            ):
-                return False
-            try:
-                validate_element(self.dilator, t, pos_cmp)
-            except MalformedElement:
-                return False
-            for p in positions:
-                if isinstance(p, Left):
-                    if not p.value < self.gamma:
-                        return False
-                elif compare(p.point, t) != LESS:
-                    return False
-            return True
+        def pos_key(p):
+            return keys[id(p.point)] if p.__class__ is Right else (0, p.value)
 
         known: list = []
         last = None  # ids of the terms accepted at the level before
         for _level in range(depth + 1):
-            cands = _candidates(self.dilator, known, ENUM_BUDGET, lefts, pos_cmp)
-            fresh = [t for t in cands if accepts(t, last)]
+            fresh = []
+            for t in _candidates(dilator, known, ENUM_BUDGET, lefts, pos_key):
+                positions = element_positions(dilator, t)
+                ids = [id(p.point) for p in positions if p.__class__ is Right]
+                if last is not None and last.isdisjoint(ids):
+                    continue
+                if any(p.__class__ is Left and not p.value < gamma for p in positions):
+                    continue
+                key = (1, element_key(dilator, t, pos_key))
+                if all(keys[i] < key for i in ids):
+                    keys[id(t)] = key
+                    fresh.append(t)
             if not fresh:
                 break
             known = known + fresh
-            known.sort(key=functools.cmp_to_key(compare))
-            rank = {id(t): i for i, t in enumerate(known)}
+            known.sort(key=lambda t: keys[id(t)])
             last = {id(t) for t in fresh}
         return known
 
@@ -361,9 +358,7 @@ class PsiOrder(Frozen):
                     exps.append(ESum(side, self._rand(part, rng, depth, lefts)))
                 except _DeadEnd:
                     continue
-        key = functools.cmp_to_key(
-            lambda x, y: compare_elements(expr.exponents, x, y, self.pos_cmp)
-        )
+        key = functools.partial(element_key, expr.exponents, pos_key=self.pos_key)
         uniq = []
         for e in sorted(exps, key=key, reverse=True):
             if not uniq or key(uniq[-1][0]) > key(e):

@@ -73,6 +73,11 @@ def default_pos_cmp(p, q) -> int:
     return LESS if a < b else GREATER if a > b else EQUAL
 
 
+def default_pos_key(p) -> tuple:
+    """The ``element_key`` position key of ``default_pos_cmp``'s order."""
+    return (0, p.value) if p.__class__ is Left else (1, p.point)
+
+
 # ---------------------------------------------------------------------------
 # comparison and structure
 #
@@ -360,7 +365,7 @@ def _grid(bound: Ord, size: int) -> tuple:
     return tuple(sorted(out))
 
 
-def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
+def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
     """All elements within the structural budget (unsorted)."""
     if isinstance(expr, Const):
         bound = expr.value
@@ -374,16 +379,15 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
         return [EId(Left(v)) for v in lefts] + [EId(Right(p)) for p in points]
     if isinstance(expr, Sum):
         parts = summands(expr)
-        made = {p: _gen(p, points, budget, lefts, pos_cmp) for p in dict.fromkeys(parts)}
+        made = {p: _gen(p, points, budget, lefts, pos_key) for p in dict.fromkeys(parts)}
         return [_place(x, i, len(parts)) for i, part in enumerate(parts) for x in made[part]]
     if isinstance(expr, MulOmega):
-        inner = _gen(expr.base, points, budget, lefts, pos_cmp)
+        inner = _gen(expr.base, points, budget, lefts, pos_key)
         return [ECopies(k, x) for k in range(budget.copies) for x in inner]
     if isinstance(expr, (OmegaComp, CnfHead)):
-        exps = _sorted_by(
-            _gen(expr.exponents, points, budget, lefts, pos_cmp),
-            lambda x, y: compare_elements(expr.exponents, x, y, pos_cmp),
-        )
+        exponents = expr.exponents
+        exps = sorted(_gen(exponents, points, budget, lefts, pos_key),
+                      key=lambda x: element_key(exponents, x, pos_key))
         out = []
         for count in range(0, budget.cnf_len + 1):
             for combo in itertools.combinations(range(len(exps)), count):
@@ -401,18 +405,18 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
         inner_lefts = _grid_values(expr.amb, budget.grid)
         return [
             e
-            for e in _gen(expr.base, points, budget, inner_lefts, pos_cmp)
+            for e in _gen(expr.base, points, budget, inner_lefts, pos_key)
             if member(expr, e)
         ]
     raise MalformedElement(f"no enumeration rule for {expr!r}")
 
 
-def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_cmp=default_pos_cmp):
+def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
     """``_gen`` under ``budget.max_count``.  The summands of a sum are
     generated (each distinct one once) and counted before any element is
     placed, so a sum over the cap is refused without building its elements."""
     parts = summands(expr)
-    made = {p: _gen(p, points, budget, lefts, pos_cmp) for p in dict.fromkeys(parts)}
+    made = {p: _gen(p, points, budget, lefts, pos_key) for p in dict.fromkeys(parts)}
     count = sum(len(made[part]) for part in parts)
     if count > budget.max_count:
         raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
@@ -430,26 +434,22 @@ def _place(elem, i: int, n: int):
     return elem
 
 
-def _sorted_by(items, cmp):
-    return sorted(items, key=functools.cmp_to_key(cmp))
-
-
 def enum_elements(
     expr: Dil,
     points,
     budget: EnumBudget = EnumBudget(),
     lefts=(),
-    pos_cmp=default_pos_cmp,
+    pos_key=default_pos_key,
 ):
     """All elements over the given points within the budget, ascending.
 
     ``points`` may be a count (meaning 0..n-1) or an explicit label list;
-    labels need not be integers when a matching ``pos_cmp`` is supplied.
+    other labels need a ``pos_key`` whose key order is the position order.
     """
     if isinstance(points, int):
         points = list(range(points))
-    out = _candidates(expr, list(points), budget, list(lefts), pos_cmp)
-    return _sorted_by(out, lambda x, y: compare_elements(expr, x, y, pos_cmp))
+    out = _candidates(expr, list(points), budget, list(lefts), pos_key)
+    return sorted(out, key=lambda x: element_key(expr, x, pos_key))
 
 
 # ---------------------------------------------------------------------------

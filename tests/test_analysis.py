@@ -73,10 +73,10 @@ from dilcalc.semantics import (
     EId,
     ESum,
     EnumBudget,
-    Left,
     Right,
     apply_embedding,
     compare_elements,
+    default_pos_key,
     element_key,
     enum_elements,
     prefix_elements,
@@ -484,10 +484,6 @@ def test_compare_is_a_total_order_on_ranked_images(data):
     yz, xz = compare_elements(atom, y, z), compare_elements(atom, x, z)
     if GREATER not in (xy, yz):
         assert xz == (EQUAL if xy == yz == EQUAL else LESS)
-
-
-def default_pos_key(p):
-    return (0, p.value) if isinstance(p, Left) else (1, p.point)
 
 
 @settings(max_examples=100, deadline=None)

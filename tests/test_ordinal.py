@@ -201,6 +201,22 @@ class TestSupSolve:
         with pytest.raises(OutOfNotation):
             ord_sup_of_sequence(values)
 
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ([], "empty sequence has no supremum here"),
+            (["w", "w*2", "w+1", "w*3"], "sequence is not monotone"),
+            (["w", "w", "w*2", "w*2"], "need at least three sample values"),
+        ],
+    )
+    def test_sequence_refusals_pinned(self, values, message):
+        with pytest.raises(UnsupportedLimit) as info:
+            ord_sup_of_sequence([o(v) for v in values])
+        assert type(info.value) is UnsupportedLimit and str(info.value) == message
+
+    def test_stable_sequence_is_its_value(self):
+        assert ord_sup_of_sequence([o("w^2+1")] * 4) == o("w^2+1")
+
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedLimit):
             ord_sup_solve(LimitPattern(Unsupported("declared outside fragment"), w))

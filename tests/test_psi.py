@@ -49,8 +49,10 @@ from dilcalc.semantics import (
     EnumBudget,
     Left,
     Right,
+    _candidates,
     _grid_values,
     enum_elements,
+    validate_element,
 )
 
 DEFAULT_ENUM_BUDGET = EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
@@ -289,7 +291,7 @@ class TestTermOrder:
                 known = order.enum(depth)
                 assert len(known) > 1
                 forward, backward = (
-                    enum_elements(order.dilator, points, budget, lefts, order.pos_cmp)
+                    enum_elements(order.dilator, points, budget, lefts, order.pos_key)
                     for points in (known, known[::-1])
                 )
                 assert forward == backward
@@ -316,7 +318,7 @@ class TestTermOrder:
         terms = order.enum(2)
         universe = set(terms)
         budget = EnumBudget(const_cap=4, copies=2, cnf_len=2, cnf_mult=2, grid=2)
-        candidates = enum_elements(order.dilator, list(terms[:4]), budget, pos_cmp=order.pos_cmp)
+        candidates = enum_elements(order.dilator, list(terms[:4]), budget, pos_key=order.pos_key)
         for cand in candidates:
             if order.valid(cand):
                 subs = [p.point for p in element_positions(order.dilator, cand) if isinstance(p, Right)]
@@ -385,7 +387,7 @@ def reference_enum(order, depth=2, budget=None):
     for _level in range(depth + 1):
         fresh = []
         for cand in enum_elements(
-            order.dilator, known, budget, lefts=lefts, pos_cmp=order.pos_cmp
+            order.dilator, known, budget, lefts=lefts, pos_key=order.pos_key
         ):
             if cand in seen:
                 continue
@@ -408,15 +410,16 @@ def _enum_outcome(enumerate_terms, order, *args):
 
 
 RANKED_ENUM_EXPRS = ["Const(3)", "Id", "Id*2", "Id+1", "omega[Id]", "omega[Id]+Id",
-                     "Const(w)+Id", "omega_head(0;Id)"]
+                     "Const(w)+Id", "omega_head(0;Id)", "sep(omega_head(Id;Id),2)",
+                     "band(omega_head(Id;Id);0;2;2)"]
 # at the default budget these redo depth 2 (0.1-0.3 s in the reference)
 # before depth 3 overflows the formal-sum budget; they stop at depth 2
 DEPTH_2_ONLY = {("omega[Id]", "1"), ("omega[Id]+Id", "1"), ("omega_head(0;Id)", "1")}
 
 
 class TestRankedEnumeration:
-    """``PsiOrder.enum`` ranks each level once; it must list the same terms
-    in the same order, or refuse with the same error, as the reference."""
+    """``PsiOrder.enum`` keys each accepted term once; it must list the same
+    terms in the same order, or refuse with the same error, as the reference."""
 
     @pytest.mark.parametrize("budget", [None, EnumBudget(max_count=300)], ids=["default", "cap300"])
     @pytest.mark.parametrize("gamma", ["0", "1", "w"])
@@ -430,6 +433,22 @@ class TestRankedEnumeration:
             assert _enum_outcome(PsiOrder.enum, order, depth) == _enum_outcome(
                 reference_enum, order, depth, budget
             ), (text, gamma, depth)
+
+    @pytest.mark.parametrize("gamma", ["0", "1", "w"])
+    @pytest.mark.parametrize("text", RANKED_ENUM_EXPRS)
+    def test_candidates_are_well_formed(self, text, gamma):
+        # PsiOrder.enum admits candidates without validate_element: every
+        # element _candidates builds over known terms must pass it
+        order = PsiOrder(parse_dil(text), parse_ord(gamma))
+        budget = psi_module.ENUM_BUDGET
+        lefts = _grid_values(order.gamma, budget.grid)
+        for depth in range(3):
+            try:
+                cands = _candidates(order.dilator, order.enum(depth), budget, lefts, order.pos_key)
+            except BudgetExceeded:
+                continue
+            for t in cands:
+                validate_element(order.dilator, t, order.pos_cmp)
 
     # the four benchmark enumerations at depth 2: count and sha1 of the
     # rendered terms, one per line, taken before levels were ranked

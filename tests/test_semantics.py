@@ -42,6 +42,7 @@ from dilcalc.semantics import (
     apply_embedding,
     compare_elements,
     default_pos_cmp,
+    default_pos_key,
     element_key,
     element_positions,
     element_str,
@@ -354,18 +355,19 @@ ORACLE_EXPRS = [
     "omega_head(0;Id)", "omega_head(Id;Id)", "omega_head(1;omega_head(0;Id))",
 ]
 ORACLE_BUDGET = EnumBudget(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
-# three valid terms of a collapse order, used as points under its pos_cmp
+# three valid terms of a collapse order, used as points under its position order
 PSI_ORDER = PsiOrder(parse_dil("omega[Id]"), ZERO)
 PSI_TERMS = PSI_ORDER.enum(1)[:3]
+DEFAULT_POS = (default_pos_key, default_pos_cmp)
 SETTINGS = {
-    # name: (points, lefts, pos_cmp, an embedding of the points)
-    "0pts": (0, (), default_pos_cmp, {}),
-    "1pt": (1, (), default_pos_cmp, {0: 2}),
-    "2pts": (2, (), default_pos_cmp, {0: 1, 1: 3}),
-    "lefts": (0, (ZERO, ONE), default_pos_cmp, {}),
-    "lefts+1pt": (1, (ZERO,), default_pos_cmp, {0: 1}),
-    "psi": (PSI_TERMS[:2], (), PSI_ORDER.pos_cmp, {PSI_TERMS[0]: PSI_TERMS[1],
-                                                   PSI_TERMS[1]: PSI_TERMS[2]}),
+    # name: (points, lefts, (pos_key, pos_cmp), an embedding of the points)
+    "0pts": (0, (), DEFAULT_POS, {}),
+    "1pt": (1, (), DEFAULT_POS, {0: 2}),
+    "2pts": (2, (), DEFAULT_POS, {0: 1, 1: 3}),
+    "lefts": (0, (ZERO, ONE), DEFAULT_POS, {}),
+    "lefts+1pt": (1, (ZERO,), DEFAULT_POS, {0: 1}),
+    "psi": (PSI_TERMS[:2], (), (PSI_ORDER.pos_key, PSI_ORDER.pos_cmp),
+            {PSI_TERMS[0]: PSI_TERMS[1], PSI_TERMS[1]: PSI_TERMS[2]}),
 }
 
 
@@ -380,9 +382,9 @@ class TestWalkersMatchTheRecursiveOnes:
     @pytest.mark.parametrize("setting", SETTINGS)
     @pytest.mark.parametrize("text", ORACLE_EXPRS)
     def test_every_pair_of_sorted_elements(self, text, setting):
-        points, lefts, pos_cmp, mapping = SETTINGS[setting]
+        points, lefts, (pos_key, pos_cmp), mapping = SETTINGS[setting]
         expr = parse_dil(text)
-        elems = enum_elements(expr, points, ORACLE_BUDGET, lefts, pos_cmp)
+        elems = enum_elements(expr, points, ORACLE_BUDGET, lefts, pos_key)
         for x in elems:
             for y in elems:
                 assert compare_elements(expr, x, y, pos_cmp) == reference_compare_elements(
@@ -391,6 +393,16 @@ class TestWalkersMatchTheRecursiveOnes:
             assert apply_embedding(expr, x, mapping) == reference_apply_embedding(
                 expr, x, mapping
             ), x
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_position_key_orders_as_the_comparator(self, setting):
+        points, lefts, (pos_key, pos_cmp), mapping = SETTINGS[setting]
+        labels = list(range(points)) if isinstance(points, int) else list(points)
+        labels += [v for v in mapping.values() if v not in labels]
+        positions = [Left(v) for v in lefts] + [Right(p) for p in labels]
+        for p, q in itertools.product(positions, repeat=2):
+            kp, kq = pos_key(p), pos_key(q)
+            assert (kp > kq) - (kp < kq) == pos_cmp(p, q), (p, q)
 
     def test_psi_points_are_nontrivial_terms(self):
         assert len(PSI_TERMS) == 3 and PSI_TERMS[2] != EMPTY_CNF
@@ -435,11 +447,6 @@ class TestWalkersMatchTheRecursiveOnes:
 
 # ---------------------------------------------------------------------------
 # element_key against the comparators
-
-
-def default_pos_key(p):
-    """The key of default_pos_cmp's order: frozen positions below live ones."""
-    return (0, p.value) if isinstance(p, Left) else (1, p.point)
 
 
 # the oracle expressions, with separations and bands, alone and under a sum
@@ -528,12 +535,12 @@ def _recursive_sum_levels(monkeypatch):
     level per summand, as they did; other nodes keep their rules."""
     gen, stream = semantics._gen, semantics._stream
 
-    def reference_gen(expr, points, budget, lefts, pos_cmp=default_pos_cmp):
+    def reference_gen(expr, points, budget, lefts, pos_key=default_pos_key):
         if isinstance(expr, Sum):
-            return [ESum(0, x) for x in reference_gen(expr.left, points, budget, lefts, pos_cmp)] + [
-                ESum(1, x) for x in reference_gen(expr.right, points, budget, lefts, pos_cmp)
+            return [ESum(0, x) for x in reference_gen(expr.left, points, budget, lefts, pos_key)] + [
+                ESum(1, x) for x in reference_gen(expr.right, points, budget, lefts, pos_key)
             ]
-        return gen(expr, points, budget, lefts, pos_cmp)
+        return gen(expr, points, budget, lefts, pos_key)
 
     def reference_stream(expr, points, state, cap, bound):
         if isinstance(expr, Sum):
