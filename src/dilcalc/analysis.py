@@ -403,7 +403,7 @@ def important_index(d: Dil, t) -> int:
     ``_image_keys``, and the embeddings are ranked by key, equal keys
     sharing a dense rank.  Slot i wins iff rank[f] < rank[g] for every pair
     of embeddings with f[i] < g[i].  This assumes that ``element_key``'s
-    tuple order is ``compare_elements``' order, a total order on well-formed
+    key order is ``compare_elements``' order, a total order on well-formed
     elements: then rank[f] < rank[g] holds exactly when the image under f
     compares LESS than the image under g.
 

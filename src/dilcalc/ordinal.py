@@ -263,12 +263,6 @@ class ConstantIncrement(Frozen):
         _set(self, "increment", increment)
 
 
-class AffineStep(Frozen):
-    def __init__(self, multiplier: int, addend: Ord):
-        _set(self, "multiplier", multiplier)
-        _set(self, "addend", addend)
-
-
 class TermEscalation(Frozen):
     """Values share a stable CNF prefix while the next term escalates."""
 
@@ -286,8 +280,6 @@ class LimitPattern(Frozen):
     def __init__(self, kind: object, start: Ord):
         if isinstance(kind, ConstantIncrement) and kind.increment.is_zero():
             raise ValueError("ConstantIncrement needs a positive increment")
-        if isinstance(kind, AffineStep) and kind.multiplier < 1:
-            raise ValueError("AffineStep needs multiplier >= 1")
         _set(self, "kind", kind)
         _set(self, "start", start)
 
@@ -303,15 +295,6 @@ def ord_sup_solve(pattern: LimitPattern) -> Ord:
         raise UnsupportedLimit(kind.reason or "step pattern outside supported family")
     if isinstance(kind, ConstantIncrement):
         return ord_add(start, ord_mul_omega(kind.increment))
-    if isinstance(kind, AffineStep):
-        if kind.multiplier == 1:
-            if kind.addend.is_zero():
-                raise UnsupportedLimit("stationary affine step is not a limit")
-            return ord_add(start, ord_mul_omega(kind.addend))
-        first = ord_add(ord_mul_nat(start, kind.multiplier), kind.addend)
-        if ord_cmp(first, start) != GREATER:
-            raise UnsupportedLimit("affine step fails to increase")
-        return ord_omega_pow(ord_add(first.terms[0][0], ONE))
     if isinstance(kind, TermEscalation):
         return ord_add(kind.prefix, ord_omega_pow(kind.exponent_limit))
     raise UnsupportedLimit(f"unknown pattern kind {kind!r}")
@@ -330,10 +313,11 @@ def _common_prefix(values: Sequence[Ord]) -> tuple:
 def detect_limit_pattern(values: Sequence[Ord], _depth: int = 0) -> LimitPattern:
     """Detect the step family of a strictly increasing notation sequence.
 
-    Tries constant increments, then affine steps delta -> delta*m + a,
-    then escalation of the first unstable CNF term.  Sequences whose
-    iterates satisfy omega^delta_k <= delta_{k+1} throughout escape the
-    notation fragment and raise OutOfNotation.
+    Two families: constant increments, then escalation of the first CNF
+    term the last four values do not share (an affine step delta -> delta*m
+    + a, m >= 2, escalates its lead coefficient from its second value on).
+    Sequences whose iterates satisfy omega^delta_k <= delta_{k+1} throughout
+    escape the notation fragment and raise OutOfNotation.
     """
     values = list(values)
     if len(values) < 3:
@@ -355,17 +339,6 @@ def detect_limit_pattern(values: Sequence[Ord], _depth: int = 0) -> LimitPattern
     diffs = [ord_left_sub(a, b) for a, b in zip(values, values[1:])]
     if all(d == diffs[0] for d in diffs):
         return LimitPattern(ConstantIncrement(diffs[0]), start)
-
-    for m in range(2, 10):
-        scaled = ord_mul_nat(values[0], m)
-        if scaled > values[1]:
-            continue
-        addend = ord_left_sub(scaled, values[1])
-        if all(
-            ord_add(ord_mul_nat(a, m), addend) == b
-            for a, b in zip(values, values[1:])
-        ):
-            return LimitPattern(AffineStep(m, addend), start)
 
     tail = values[-4:] if len(values) >= 4 else values
     prefix = _common_prefix(tail)

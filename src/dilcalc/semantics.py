@@ -14,9 +14,13 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import BudgetExceeded, MalformedElement
-from .expr import Band, CnfHead, Const, Dil, IdNode, MulOmega, OmegaComp, Sep, Sum, summands
-from .ordinal import EQUAL, GREATER, LESS, ONE, ZERO, Frozen, Ord, _set, ord_add, ord_cmp, ord_str
+from .errors import FRAGMENT_ERRORS, BudgetExceeded, DepthExceeded, MalformedElement
+from .expr import (
+    Band, CnfHead, Const, Dil, IdNode, MulOmega, OmegaComp, Sep, Sum, mk_band, summands,
+)
+from .ordinal import (
+    EQUAL, GREATER, LESS, ONE, ZERO, Frozen, Ord, _set, from_int, ord_add, ord_cmp, ord_str,
+)
 
 
 class Left(Frozen):
@@ -140,13 +144,14 @@ def compare_elements(expr: Dil, e1, e2, pos_cmp=default_pos_cmp) -> int:
             raise MalformedElement(f"no comparison rule for {expr!r}")
 
 
-def element_key(expr: Dil, elem, pos_key) -> tuple:
-    """A tuple whose Python order is ``compare_elements``' order, for a
-    ``pos_key`` whose order is the position order.  It holds the side of
-    each Sum level and the copy of each MulOmega level walked through, then
-    the body: ``(key(exponent), multiplicity)`` pairs for a formal sum,
-    ``pos_key(pos)`` at Id and the index at a constant.  So keys are equal
-    exactly when the elements compare EQUAL."""
+def element_key(expr: Dil, elem, pos_key) -> object:
+    """A key whose Python order is ``compare_elements``' order, for a
+    ``pos_key`` whose order is the position order: the body
+    (``(key(exponent), multiplicity)`` pairs for a formal sum,
+    ``pos_key(pos)`` at Id, the index at a constant), behind the side of
+    each Sum level and the copy of each MulOmega level walked through if
+    there are any.  An expression's elements all walk such a level or none
+    does, so keys are equal exactly when the elements compare EQUAL."""
     key = []
     while True:
         kind = expr.__class__
@@ -157,11 +162,14 @@ def element_key(expr: Dil, elem, pos_key) -> tuple:
             elem = elem.inner
         elif kind is OmegaComp or kind is CnfHead:
             exponents = expr.exponents
-            return (*key, tuple([(element_key(exponents, x, pos_key), m) for x, m in elem.pairs]))
+            body = tuple([(element_key(exponents, x, pos_key), m) for x, m in elem.pairs])
+            break
         elif kind is IdNode:
-            return (*key, pos_key(elem.pos))
+            body = pos_key(elem.pos)
+            break
         elif kind is Const:
-            return (*key, elem.index)
+            body = elem.index
+            break
         elif kind is MulOmega:
             key.append(elem.copy)
             expr, elem = expr.base, elem.inner
@@ -169,6 +177,7 @@ def element_key(expr: Dil, elem, pos_key) -> tuple:
             expr = expr.base
         else:
             raise MalformedElement(f"no comparison rule for {expr!r}")
+    return (*key, body) if key else body
 
 
 def element_positions(expr: Dil, elem) -> list:
@@ -523,6 +532,8 @@ def _stream(expr: Dil, points, state, cap, bound):
         yield from _cnf_stream(lead_stream, low_stream, state, cap, head=True)
         return
     if isinstance(expr, (Sep, Band)):
+        if isinstance(expr, Band) and not expr.lo.is_zero():
+            _refuse_endless_skip(expr, len(points))
         hi = expr.cut if isinstance(expr, Sep) else expr.hi
         for e in _stream(expr.base, points, state, cap, expr.amb):
             mi = important_position(expr.base, e)
@@ -532,6 +543,20 @@ def _stream(expr: Dil, points, state, cap, bound):
                 yield e
         return
     raise MalformedElement(f"no stream rule for {expr!r}")
+
+
+def _refuse_endless_skip(band: Band, n_points: int) -> None:
+    """Refuse a band whose stream would skip infinitely many elements (the
+    band [0, lo)) before its first member: elements ascend by most important
+    position first.  If ``otp_symbolic`` refuses that band, the stream runs."""
+    from .analysis import otp_symbolic
+
+    try:
+        below = otp_symbolic(mk_band(band.base, ZERO, band.lo, band.amb), from_int(n_points))
+    except FRAGMENT_ERRORS + (BudgetExceeded, DepthExceeded):
+        return
+    if not below.is_finite():
+        raise BudgetExceeded(f"band stream skips {ord_str(below)} elements below lo")
 
 
 def _cnf_stream(lead_factory, below_factory, state, cap, head=False):

@@ -30,7 +30,6 @@ from dilcalc.analysis import (
 from dilcalc.coherence import limit_prefix_inject, prefix_inject, top_inject
 from dilcalc.errors import (
     DepthExceeded,
-    DilcalcError,
     GuardViolation,
     NoUniqueIndex,
     NotConnected,
@@ -82,6 +81,7 @@ from dilcalc.semantics import (
     prefix_elements,
     support_of,
 )
+from test_ordinal import outcome, reference_solver
 
 w = OMEGA
 H0 = CnfHead(D_ZERO, D_ID)
@@ -652,23 +652,27 @@ class TestLimitRule:
         assert (Sep(HID, from_int(15), from_int(15)), w) in analysis_module._OTP_CACHE
         assert (Sep(HID, from_int(16), from_int(16)), w) not in analysis_module._OTP_CACHE
 
-    def test_sixteen_samples_change_nothing(self, monkeypatch):
+    @staticmethod
+    def outcomes():
+        """J, J', psi and otp on the 20 atoms and 40 seeded pairwise sums at
+        gammas 0, 1, w+1, w^2 (960 cases), from empty caches: each value, or
+        refusal type and message."""
         atoms = [parse_dil(t) for t in LIMIT_ATOMS]
         pairs = random.Random(16).sample(list(itertools.product(atoms, atoms)), 40)
         exprs = atoms + [mk_sum(a, b) for a, b in pairs]
         gammas = [parse_ord(g) for g in ("0", "1", "w+1", "w^2")]
+        analysis_module._OTP_CACHE.clear()
+        psi_module._PSI_CACHE.clear()
+        return [outcome(functools.partial(f, d, g))
+                for d, g, f in itertools.product(exprs, gammas, LIMIT_FUNCTORS)]
 
-        def outcomes():
-            analysis_module._OTP_CACHE.clear()
-            psi_module._PSI_CACHE.clear()
-            out = []
-            for d, g, f in itertools.product(exprs, gammas, LIMIT_FUNCTORS):
-                try:
-                    out.append(f(d, g))
-                except DilcalcError as exc:
-                    out.append(type(exc))
-            return out
-
-        eight = outcomes()
+    def test_sixteen_samples_change_nothing(self, monkeypatch):
+        eight = self.outcomes()
         monkeypatch.setattr(analysis_module, "LIMIT_SAMPLES", 16)
-        assert outcomes() == eight
+        assert self.outcomes() == eight
+
+    def test_three_family_solver_changes_nothing(self):
+        # the reference solver also tries affine steps v -> v*m + a
+        with reference_solver():
+            want = self.outcomes()
+        assert self.outcomes() == want

@@ -1,18 +1,26 @@
+import collections
+import contextlib
+import functools
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilcalc.errors import OutOfNotation, UnsupportedLimit
+import dilcalc.ordinal as ordinal_module
+from dilcalc.errors import DilcalcError, OutOfNotation, UnsupportedLimit
 from dilcalc.ordinal import (
+    GREATER,
+    LESS,
     OMEGA,
     ONE,
     ZERO,
-    AffineStep,
     ConstantIncrement,
     LimitPattern,
     Ord,
     TermEscalation,
     Unsupported,
+    _common_prefix,
     detect_limit_pattern,
     from_int,
     fund_seq,
@@ -22,6 +30,7 @@ from dilcalc.ordinal import (
     ord_left_sub,
     ord_mul_nat,
     ord_mul_omega,
+    ord_nesting_depth,
     ord_omega_pow,
     ord_str,
     ord_sup_of_sequence,
@@ -37,8 +46,6 @@ def o(s):
 
 
 def _mk_cnf(pairs):
-    import functools
-
     pairs = sorted(pairs, key=functools.cmp_to_key(lambda a, b: ord_cmp(a[0], b[0])), reverse=True)
     terms = []
     for exp, coeff in pairs:
@@ -175,6 +182,120 @@ class TestFundSeq:
         assert fund_seq(a, k + 1) >= v
 
 
+# ---------------------------------------------------------------------------
+# a three-family limit solver, kept as a reference: constant increments, then
+# affine steps delta -> delta*m + a for m = 2..9, then term escalation.  The
+# kernel's two families must give the same outcomes on kernel samples
+
+AffineStep = collections.namedtuple("AffineStep", "multiplier addend")
+
+
+def reference_sup_solve(pattern):
+    kind, start = pattern.kind, pattern.start
+    if isinstance(kind, AffineStep):
+        first = ord_add(ord_mul_nat(start, kind.multiplier), kind.addend)
+        if ord_cmp(first, start) != GREATER:
+            raise UnsupportedLimit("affine step fails to increase")
+        return ord_omega_pow(ord_add(first.terms[0][0], ONE))
+    return ord_sup_solve(pattern)
+
+
+def reference_detect_limit_pattern(values, _depth=0, affine=None):
+    """The reference's pattern; ``affine``, if given, collects the number of
+    values of each affine match in the derivation, recursion included."""
+    values = list(values)
+    if len(values) < 3:
+        raise UnsupportedLimit("need at least three sample values")
+    for a, b in zip(values, values[1:]):
+        if ord_cmp(a, b) != LESS:
+            raise UnsupportedLimit("sequence is not strictly increasing")
+    start = values[0]
+
+    if _depth > 8:
+        raise UnsupportedLimit("pattern recursion too deep")
+
+    if all(ord_omega_pow(a) <= b for a, b in zip(values[1:], values[2:])):
+        depths = [ord_nesting_depth(v) for v in values]
+        if all(d2 > d1 for d1, d2 in zip(depths[1:], depths[2:])):
+            raise OutOfNotation("iterates escalate beyond the epsilon_0 fragment")
+
+    diffs = [ord_left_sub(a, b) for a, b in zip(values, values[1:])]
+    if all(d == diffs[0] for d in diffs):
+        return LimitPattern(ConstantIncrement(diffs[0]), start)
+
+    for m in range(2, 10):
+        scaled = ord_mul_nat(values[0], m)
+        if scaled > values[1]:
+            continue
+        addend = ord_left_sub(scaled, values[1])
+        if all(
+            ord_add(ord_mul_nat(a, m), addend) == b
+            for a, b in zip(values, values[1:])
+        ):
+            if affine is not None:
+                affine.append(len(values))
+            return LimitPattern(AffineStep(m, addend), start)
+
+    tail = values[-4:] if len(values) >= 4 else values
+    prefix = _common_prefix(tail)
+    residues = [Ord(v.terms[len(prefix):]) for v in tail]
+    if any(r.is_zero() for r in residues):
+        return LimitPattern(Unsupported("no growing residue behind the prefix"), start)
+    exps = [r.terms[0][0] for r in residues]
+    if all(e == exps[0] for e in exps):
+        coeffs = [r.terms[0][1] for r in residues]
+        if all(c1 < c2 for c1, c2 in zip(coeffs, coeffs[1:])):
+            return LimitPattern(
+                TermEscalation(Ord(prefix), ord_add(exps[0], ONE)), start
+            )
+        return LimitPattern(Unsupported("stable residue exponent, stagnant coefficient"), start)
+    if all(e1 < e2 for e1, e2 in zip(exps, exps[1:])):
+        inner = reference_detect_limit_pattern(exps, _depth + 1, affine)
+        exp_limit = reference_sup_solve(inner)
+        return LimitPattern(TermEscalation(Ord(prefix), exp_limit), start)
+    return LimitPattern(Unsupported("residue exponents not monotone"), start)
+
+
+@contextlib.contextmanager
+def reference_solver(affine=None):
+    """Within the block, every supremum the kernel solves goes through the
+    reference (``ord_sup_of_sequence`` looks both names up in its module)."""
+    with mock.patch.multiple(
+        ordinal_module,
+        detect_limit_pattern=functools.partial(reference_detect_limit_pattern, affine=affine),
+        ord_sup_solve=reference_sup_solve,
+    ):
+        yield
+
+
+def outcome(call):
+    """The value of ``call()``, or its refusal as (type, message)."""
+    try:
+        return call()
+    except DilcalcError as exc:
+        return type(exc), str(exc)
+
+
+def affine_built(start, multiplier, addend, n):
+    values = [start]
+    while len(values) < n:
+        values.append(ord_add(ord_mul_nat(values[-1], multiplier), addend))
+    return values
+
+
+def affine_sequences(min_size, max_size):
+    """Strictly increasing v, v*m + a, ... of ``ords()`` notations."""
+    return st.builds(
+        affine_built, ords(), st.integers(2, 9), ords(), st.integers(min_size, max_size)
+    ).filter(lambda vs: vs[0] < vs[1])
+
+
+def increasing_sequences(min_size, max_size):
+    return st.lists(ords(), min_size=min_size, max_size=max_size).map(
+        lambda vs: sorted(set(vs), key=functools.cmp_to_key(ord_cmp))
+    ).filter(lambda vs: len(vs) >= min_size)
+
+
 class TestSupSolve:
     def test_constant_increment_one(self):
         assert ord_sup_solve(LimitPattern(ConstantIncrement(ONE), w)) == o("w*2")
@@ -222,11 +343,41 @@ class TestSupSolve:
             ord_sup_solve(LimitPattern(Unsupported("declared outside fragment"), w))
 
     def test_affine(self):
+        # w*c -> w*3c + w*2: the lead coefficient escalates
         coeffs = [1, 5, 17, 53, 161]
         values = [ord_mul_nat(w, c) for c in coeffs]
         pattern = detect_limit_pattern(values)
-        assert isinstance(pattern.kind, AffineStep)
+        assert pattern.kind == TermEscalation(ZERO, o("2"))
         assert ord_sup_solve(pattern) == o("w^2")
+
+    def test_four_affine_values_are_refused(self):
+        # v -> v*5 + w^(w^3*3)+2 from 2: the reference answered w^(w^3*3+1)
+        # from these four values; the first residue's exponent is 0
+        values = [o(v) for v in ("2", "w^(w^3*3)+2", "w^(w^3*3)*6+2", "w^(w^3*3)*31+2")]
+        assert values == affine_built(o("2"), 5, o("w^(w^3*3)+2"), 4)
+        with reference_solver():
+            assert ord_sup_of_sequence(values) == o("w^(w^3*3+1)")
+        with pytest.raises(UnsupportedLimit, match="^residue exponents not monotone$"):
+            ord_sup_of_sequence(values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(affine_sequences(5, 10))
+    def test_affine_supremum_is_the_reference(self, values):
+        with reference_solver():
+            want = ord_sup_of_sequence(values)
+        assert ord_sup_of_sequence(values) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(increasing_sequences(3, 10), affine_sequences(3, 10)))
+    def test_outcome_is_the_reference(self, values):
+        # the one difference: an affine match on three or four values
+        # somewhere in the reference's derivation may now be refused
+        affine = []
+        with reference_solver(affine):
+            want = outcome(lambda: ord_sup_of_sequence(values))
+        got = outcome(lambda: ord_sup_of_sequence(values))
+        if got != want:
+            assert any(n <= 4 for n in affine) and got[0] is UnsupportedLimit, (values, want, got)
 
     def test_escalation(self):
         values = [ord_add(o("w^w"), ord_omega_pow(from_int(k))) for k in range(1, 7)]

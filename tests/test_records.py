@@ -11,7 +11,7 @@ from dilcalc.expr import (
 )
 from dilcalc.jfunctor import GuardAudit, JStep, j_eval, jplus_eval
 from dilcalc.ordinal import (
-    OMEGA, ONE, ZERO, AffineStep, ConstantIncrement, LimitPattern, Ord, TermEscalation,
+    OMEGA, ONE, ZERO, ConstantIncrement, LimitPattern, Ord, TermEscalation,
     Unsupported, parse_ord,
 )
 from dilcalc.psi import IllFoundedFixture, PsiOrder, PsiSearchHandle, SearchResult
@@ -26,8 +26,6 @@ RECORDS = [
      "Ord('w^(w+1)*2+w^w+3')"),
     (lambda: ConstantIncrement(ONE),
      "ConstantIncrement(increment=Ord('1'))"),
-    (lambda: AffineStep(2, ONE),
-     "AffineStep(multiplier=2, addend=Ord('1'))"),
     (lambda: TermEscalation(ONE, OMEGA),
      "TermEscalation(prefix=Ord('1'), exponent_limit=Ord('w'))"),
     (lambda: Unsupported(),

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import dilcalc.semantics as semantics
 from dilcalc.coherence import top_inject
-from dilcalc.errors import BudgetExceeded, MalformedElement
+from dilcalc.errors import BudgetExceeded, DepthExceeded, MalformedElement
 from dilcalc.expr import (
     Band,
     CnfHead,
@@ -251,6 +252,36 @@ class TestStreams:
         # their first lead
         stream = ambient_stream(head, range(2), OMEGA)
         assert [element_str(head, e) for e in itertools.islice(stream, 12)] == expected
+
+    @pytest.mark.parametrize("text, below", [
+        ("band(omega_head(Id;Id);1;w;w)", "w^(w+3)"),
+        ("band(omega_head(Id;Id);w;w*2;w*2)", "w^(w*3)"),
+        ("band(omega_head(Id;Id);1;3;3)", "w^6"),
+        ("band(omega_head(Id;Id);2;w;w)", "w^(w+4)"),
+        ("band(omega_head(0;omega_head(Id;Id));1;w;w)", "w^(w^(w+3))"),
+    ])
+    def test_band_refuses_an_endless_skip_before_its_first_pull(self, text, below):
+        # the base's elements below lo come first, and are infinitely many
+        with pytest.raises(BudgetExceeded, match=rf"^band stream skips {re.escape(below)} elements below lo$"):
+            prefix_elements(parse_dil(text), 2, 40, pull_cap=0)
+
+    def test_band_streams_when_its_skip_is_refused(self, monkeypatch):
+        band = parse_dil("band(omega_head(Id;Id);1;3;3)")
+
+        def refuse(d, a):
+            raise DepthExceeded("refused")
+
+        monkeypatch.setattr("dilcalc.analysis.otp_symbolic", refuse)
+        with pytest.raises(BudgetExceeded, match="^stream pull budget exhausted$"):
+            prefix_elements(band, 2, 40, pull_cap=1000)
+
+    def test_band_streams_past_a_finite_skip(self):
+        band = parse_dil("band(omega_head(Id;Id);0;w;w)")
+        got = [element_str(band, e) for e in prefix_elements(band, 2, 40)]
+        lead = "w^{r:L(0)}"
+        assert got == [lead, lead + "+w^{l:L(0)}"] + [f"{lead}+w^{{l:L(0)}}*{k}" for k in range(2, 40)]
+        band = Band(D_ID, from_int(2), OMEGA, OMEGA)
+        assert [element_str(band, e) for e in prefix_elements(band, 1, 3)] == ["L(2)", "L(3)", "L(4)"]
 
 
 class TestValidation:
