@@ -241,7 +241,8 @@ def sep_signed_iter(d: Dil, gammas):
 
 def _limit_sup(d: Dil, sample: Callable[[int], Ord]) -> Ord:
     """The limit rule of J, psi and otp: sup of ``sample(k)``, k < ``LIMIT_SAMPLES``.
-    Samples are values of partial sums of ``d``, so a decrease is a kernel bug."""
+    Samples are values of partial sums of ``d`` (for psi's connected clause,
+    the partial sums of its stages), so a decrease is a kernel bug."""
     values = [sample(k) for k in range(LIMIT_SAMPLES)]
     if any(a > b for a, b in zip(values, values[1:])):
         raise GuardViolation(f"partial-sum values decreased under {to_str(d)}")

@@ -7,7 +7,9 @@ comparator.  ``psi_clause_otp`` computes the order type of the whole term
 order by recursion on D.  A sum takes the prefix clause
 psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), one summand at a
 time down its right spine, so a sum of n summands costs n steps of two
-summands each; each step of a sum passed in has its own step budget.  The
+summands each; each step of a sum passed in has its own step budget.  A
+limit and a connected component's fixed point both take their value from
+``LIMIT_SAMPLES`` partial sums through ``analysis._limit_sup``.  The
 term-level services (validity, comparison, enumeration, seeded descent
 search) stay available even where the order type leaves the notation
 fragment.
@@ -16,9 +18,9 @@ fragment.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 
+from . import analysis
 from .analysis import _forget_since, _limit_sup, decompose
 from .errors import DepthExceeded, MalformedElement
 from .expr import (
@@ -47,7 +49,6 @@ from .ordinal import (
     _set,
     ord_add,
     ord_str,
-    ord_sup_of_sequence,
 )
 from .semantics import (
     ECnf,
@@ -70,7 +71,6 @@ from .semantics import (
     validate_element,
 )
 
-CONNECTED_ROUNDS = 10
 # the budget of PsiOrder.enum's candidates, and the nesting depth of
 # PsiOrder.random_term's draws
 ENUM_BUDGET = EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
@@ -160,28 +160,19 @@ def _psi_prefix(d: Sum, gamma: Ord, budget) -> Ord:
 def _psi_connected(atom: Dil, delta: Ord, budget) -> Ord:
     """Fixed point of a connected non-unit component above ``delta``.
 
-    Iterates the lower split at the running cut and sums the resulting
-    values; the partial sums are extrapolated to their supremum.
+    Iterates the lower split at the running cut, at most ``LIMIT_SAMPLES``
+    times, and sums the stage values: a zero stage ends the sum, and
+    otherwise ``_limit_sup`` takes the supremum of the partial sums.
     """
-    stages = connected_stage_values(atom, delta, budget)
-    partials = list(itertools.accumulate(stages, ord_add))
-    if stages[-1].is_zero():
-        return partials[-1]
-    return ord_sup_of_sequence(partials)
-
-
-def connected_stage_values(atom: Dil, delta: Ord, _budget: list = None) -> list:
-    """The successive stage values of the connected clause at ``delta``."""
-    total_cut, step = ZERO, delta
-    stages = []
-    for _ in range(CONNECTED_ROUNDS):
-        hi = ord_add(total_cut, step)
-        value = psi_clause_otp(mk_band(atom, total_cut, hi, hi), ZERO, _budget)
-        stages.append(value)
-        if value.is_zero():
-            break
-        total_cut, step = hi, value
-    return stages
+    cut, hi, total, partials = ZERO, delta, ZERO, []
+    for _ in range(analysis.LIMIT_SAMPLES):
+        stage = psi_clause_otp(mk_band(atom, cut, hi, hi), ZERO, budget)
+        if stage.is_zero():
+            return total
+        total = ord_add(total, stage)
+        partials.append(total)
+        cut, hi = hi, ord_add(hi, stage)
+    return _limit_sup(atom, partials.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import FRAGMENT_ERRORS, BudgetExceeded, DepthExceeded, MalformedElement
+from .errors import BudgetExceeded, MalformedElement
 from .expr import (
-    Band, CnfHead, Const, Dil, IdNode, MulOmega, OmegaComp, Sep, Sum, mk_band, summands,
+    Band, CnfHead, Const, Dil, IdNode, MulOmega, OmegaComp, Sep, Sum, summands,
 )
 from .ordinal import (
-    EQUAL, GREATER, LESS, ONE, ZERO, Frozen, Ord, _set, from_int, ord_add, ord_cmp, ord_str,
+    EQUAL, GREATER, LESS, ONE, ZERO, Frozen, Ord, _set, ord_add, ord_cmp, ord_str,
 )
 
 
@@ -533,7 +533,9 @@ def _stream(expr: Dil, points, state, cap, bound):
         return
     if isinstance(expr, (Sep, Band)):
         if isinstance(expr, Band) and not expr.lo.is_zero():
-            _refuse_endless_skip(expr, len(points))
+            # the part below lo is infinite unless the base is Id and lo finite
+            if not (isinstance(expr.base, IdNode) and expr.lo.is_finite()):
+                raise BudgetExceeded("band stream skips infinitely many elements below lo")
         hi = expr.cut if isinstance(expr, Sep) else expr.hi
         for e in _stream(expr.base, points, state, cap, expr.amb):
             mi = important_position(expr.base, e)
@@ -543,20 +545,6 @@ def _stream(expr: Dil, points, state, cap, bound):
                 yield e
         return
     raise MalformedElement(f"no stream rule for {expr!r}")
-
-
-def _refuse_endless_skip(band: Band, n_points: int) -> None:
-    """Refuse a band whose stream would skip infinitely many elements (the
-    band [0, lo)) before its first member: elements ascend by most important
-    position first.  If ``otp_symbolic`` refuses that band, the stream runs."""
-    from .analysis import otp_symbolic
-
-    try:
-        below = otp_symbolic(mk_band(band.base, ZERO, band.lo, band.amb), from_int(n_points))
-    except FRAGMENT_ERRORS + (BudgetExceeded, DepthExceeded):
-        return
-    if not below.is_finite():
-        raise BudgetExceeded(f"band stream skips {ord_str(below)} elements below lo")
 
 
 def _cnf_stream(lead_factory, below_factory, state, cap, head=False):

@@ -82,6 +82,7 @@ from dilcalc.semantics import (
     support_of,
 )
 from test_ordinal import outcome, reference_solver
+from test_psi import spy_limit_sup
 
 w = OMEGA
 H0 = CnfHead(D_ZERO, D_ID)
@@ -636,7 +637,8 @@ class TestLimitRule:
 
     def test_one_sample_count(self, monkeypatch):
         # the one count reaches J, psi and otp: J's B*w samples gamma and 15
-        # iterates of J(B, .), its other limits and psi and otp members 0..15
+        # iterates of J(B, .), its other limits and psi and otp members 0..15,
+        # and psi's connected clause 16 stages
         monkeypatch.setattr(analysis_module, "LIMIT_SAMPLES", 16)
         d = parse_dil("Id*w")
         res = j_eval(d, w)
@@ -645,9 +647,13 @@ class TestLimitRule:
         assert [s.gamma for s in iterates] == [w] + [s.value for s in iterates[:-1]]
         band = Band(D_ID, ZERO, w, w)
         assert j_eval(band, w).steps[-1].child == mk_band(D_ID, ZERO, from_int(15), w)
+        calls = spy_limit_sup(monkeypatch)
         psi_clause_otp(d, w)
         assert (mk_mul_nat(D_ID, 15), w) in psi_module._PSI_CACHE
         assert (mk_mul_nat(D_ID, 16), w) not in psi_module._PSI_CACHE
+        # psi's connected clause sums 16 stages of each Id summand
+        connected = [drawn for e, drawn in calls if e == D_ID]
+        assert connected and all(len(drawn) == 16 for drawn in connected)
         otp_symbolic(Sep(HID, w, w), w)
         assert (Sep(HID, from_int(15), from_int(15)), w) in analysis_module._OTP_CACHE
         assert (Sep(HID, from_int(16), from_int(16)), w) not in analysis_module._OTP_CACHE

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import dilcalc.analysis as analysis_module
 import dilcalc.psi as psi_module
 from dilcalc.analysis import decompose
 from dilcalc.errors import BudgetExceeded, DepthExceeded, DilcalcError, OutOfNotation
@@ -33,7 +34,6 @@ from dilcalc.ordinal import (  # noqa: F401
     parse_ord,
 )
 from dilcalc.psi import (
-    CONNECTED_ROUNDS,
     IllFoundedFixture,
     PsiOrder,
     PsiSearchHandle,
@@ -55,6 +55,9 @@ from dilcalc.semantics import (
     validate_element,
 )
 
+# the connected clause's stage count in reference_psi, independent of the
+# kernel's LIMIT_SAMPLES
+REFERENCE_STAGES = 10
 DEFAULT_ENUM_BUDGET = EnumBudget(const_cap=8, copies=2, cnf_len=2, cnf_mult=2, grid=6)
 
 w = OMEGA
@@ -153,7 +156,7 @@ def reference_psi(d, gamma):
 
     def connected(atom, delta):
         total_cut, step, stages = ZERO, delta, []
-        for _ in range(CONNECTED_ROUNDS):
+        for _ in range(REFERENCE_STAGES):
             hi = ord_add(total_cut, step)
             stages.append(rec(mk_band(atom, total_cut, hi, hi), ZERO))
             if stages[-1].is_zero():
@@ -162,6 +165,24 @@ def reference_psi(d, gamma):
         return ord_sup_of_sequence(list(itertools.accumulate(stages, ord_add)))
 
     return rec(d, gamma)
+
+
+def spy_limit_sup(monkeypatch):
+    """Record each ``(d, samples drawn)`` that psi hands ``_limit_sup``."""
+    calls, real = [], psi_module._limit_sup
+
+    def spy(d, sample):
+        drawn = []
+        calls.append((d, drawn))
+
+        def draw(k):
+            drawn.append(sample(k))
+            return drawn[-1]
+
+        return real(d, draw)
+
+    monkeypatch.setattr(psi_module, "_limit_sup", spy)
+    return calls
 
 
 def _answer(call):
@@ -361,13 +382,16 @@ class TestTermOrder:
             assert order.compare(t1, t2) == (-1 if r1 < r2 else 1)
 
     def test_stage_values_match_direct_splits(self, monkeypatch):
-        monkeypatch.setattr(psi_module, "CONNECTED_ROUNDS", 5)
-        stages = psi_module.connected_stage_values(D_ID, w)
-        assert stages == [w] * 5
+        # psi(Id, w) is the connected clause at delta = w: each stage is w
+        monkeypatch.setattr(analysis_module, "LIMIT_SAMPLES", 5)
+        monkeypatch.setattr(psi_module, "_PSI_CACHE", {})
+        calls = spy_limit_sup(monkeypatch)
+        assert psi_clause_otp(D_ID, w) == parse_ord("w^2")
+        partials = [parse_ord(f"w*{k}") for k in range(1, 6)]
+        assert calls == [(D_ID, partials)]
         total = ZERO
-        for g in stages:
-            hi = ord_add(total, g)
-            assert psi_clause_otp(mk_band(D_ID, total, hi, hi), ZERO) == g
+        for hi in partials:
+            assert psi_clause_otp(mk_band(D_ID, total, hi, hi), ZERO) == w
             total = hi
 
     def test_term_rendering(self):
