@@ -33,10 +33,11 @@ ELEMENT_ATOM, under the trace budget of the element-oracles workload:
 ``important_index`` on the first trace term of each arity 1-4 (median of
 ELEMENT_REPEATS calls, with the slot it answers), and ``compare_elements``
 per call over the adjacent pairs of the arity-4 term's embedding images,
-sorted by ``element_key`` as ``important_index`` ranks them (median of
-ELEMENT_REPEATS passes).  It also times ``ll_relation`` per call over every
-ordered pair of the trace terms up to arity 2 of the sum ELEMENT_SUM, the
-sum the element-oracles workload relates (median of ELEMENT_REPEATS passes).
+sorted by ``element_key``, so that each call compares two neighbours in the
+images' order (median of ELEMENT_REPEATS passes).  It also times
+``ll_relation`` per call over every ordered pair of the trace terms up to
+arity 2 of the sum ELEMENT_SUM, the sum the element-oracles workload
+relates (median of ELEMENT_REPEATS passes).
 
 The refusal point times one ``jplus_eval`` that J refuses, REFUSAL at w,
 REPEATS times in CPU seconds in this process, and records its ``type:

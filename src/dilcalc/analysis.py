@@ -6,7 +6,11 @@ component with the prefix before it, or a fundamental sequence of proper
 initial summands.  ``classify``, ``sep``, ``sep_signed`` and
 ``otp_symbolic`` ride on top of it.  The brute-force trace relations
 (``ll_relation``, ``important_index``) live here too; they are the
-oracles the symbolic rules are tested against.
+oracles the symbolic rules are tested against.  Both key each embedding
+of a term's support without building its image: ``ll_relation`` by the
+image's ``element_key``, ``important_index`` by the tuple of the
+embedding's values at the term's live positions, which orders the images
+of one term as their keys do.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .semantics import (
     EnumBudget,
     Right,
     element_key,
+    element_positions,
     enum_elements,
     support_of,
 )
@@ -366,7 +371,9 @@ def _image_keys(d: Dil, t, pts: list, big: int):
     """The ``element_key`` of t's image under each embedding of its sorted
     support ``pts`` into range(big), in ``_embeddings`` order.  The key is
     read off t itself: a live point p keys as (1, f[p]) and a frozen
-    position as (0, value), so no image is built."""
+    position as (0, value), so no image is built.  ``ll_relation`` compares
+    the keys of two terms, whose keys differ in shape, so it needs the whole
+    key."""
     slot = {p: j for j, p in enumerate(pts)}
     for f in itertools.combinations(range(big), len(pts)):
         yield element_key(
@@ -400,13 +407,20 @@ def ll_relation(d: Dil, t1, t2) -> str:
 def important_index(d: Dil, t) -> int:
     """The unique argument slot whose increase strictly increases the value.
 
-    Each embedding f of the n support points into 2n points is keyed once by
-    ``_image_keys``, and the embeddings are ranked by key, equal keys
-    sharing a dense rank.  Slot i wins iff rank[f] < rank[g] for every pair
-    of embeddings with f[i] < g[i].  This assumes that ``element_key``'s
-    key order is ``compare_elements``' order, a total order on well-formed
-    elements: then rank[f] < rank[g] holds exactly when the image under f
-    compares LESS than the image under g.
+    Each embedding f of the n support points into 2n points (a
+    ``combinations`` tuple) is keyed by its slot tuple: f[s] for the slot s
+    of each live position of t, in ``element_positions`` order.  The
+    embeddings are ranked by key, equal keys sharing a dense rank.  Slot i
+    wins iff rank[f] < rank[g] for every pair of embeddings with f[i] < g[i].
+
+    The slot tuples order the images as their ``element_key``s do.  The
+    images of one term have keys of one shape, which differ only at the live
+    leaves (1, f[s]); ``element_positions`` walks the leaves in the key's
+    order; and two nested tuples of one shape compare as their leaf
+    sequences.  This assumes that ``element_key``'s key order is
+    ``compare_elements``' order, a total order on well-formed elements: then
+    rank[f] < rank[g] holds exactly when the image under f compares LESS
+    than the image under g.
 
     The rule is decided per value: slot i wins iff, for each two consecutive
     values v < w of f[i], the highest rank of an image with f[i] = v is below
@@ -421,8 +435,10 @@ def important_index(d: Dil, t) -> int:
     n = len(pts)
     if n == 0:
         raise NotConnected("nullary trace term in a connected non-unit expression")
-    embs = _embeddings(n, 2 * n)
-    keys = list(_image_keys(d, t, pts, 2 * n))
+    slot = {p: j for j, p in enumerate(pts)}
+    seq = [slot[p.point] for p in element_positions(d, t) if p.__class__ is Right]
+    embs = list(itertools.combinations(range(2 * n), n))
+    keys = [tuple([f[s] for s in seq]) for f in embs]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = [0] * len(keys)
     for prev, k in zip(order, order[1:]):

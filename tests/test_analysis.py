@@ -77,6 +77,7 @@ from dilcalc.semantics import (
     compare_elements,
     default_pos_key,
     element_key,
+    element_positions,
     enum_elements,
     prefix_elements,
     support_of,
@@ -448,12 +449,12 @@ class TestImportantIndexRanking:
         assert important_index(atom, term) == reference_important_index(atom, term)
 
     def test_tied_images_share_a_rank(self, monkeypatch):
-        # when every image gets one key, or every pair of images compares
-        # EQUAL, no slot wins
+        # when the term shows no live position, so that every embedding's
+        # slot tuple is (), or every pair of images compares EQUAL, no slot wins
         def tie(d, x, y, pos_cmp=None):
             return EQUAL
 
-        monkeypatch.setattr("dilcalc.analysis.element_key", lambda d, t, pos_key: ())
+        monkeypatch.setattr("dilcalc.analysis.element_positions", lambda d, t: [])
         monkeypatch.setitem(globals(), "compare_elements", tie)
         for atom, term in ARITY5_WITNESSES[:1] + [(D_ID, EId(Right(0)))]:
             assert _outcome(important_index, atom, term) is NoUniqueIndex
@@ -485,6 +486,64 @@ def test_compare_is_a_total_order_on_ranked_images(data):
     yz, xz = compare_elements(atom, y, z), compare_elements(atom, x, z)
     if GREATER not in (xy, yz):
         assert xz == (EQUAL if xy == yz == EQUAL else LESS)
+
+
+def _slot_tuples(atom, term) -> list:
+    """Each embedding's values at the term's live positions, in
+    ``element_positions`` order: the keys ``important_index`` ranks."""
+    slot = {p: j for j, p in enumerate(support_of(atom, term))}
+    seq = [slot[p.point] for p in element_positions(atom, term) if isinstance(p, Right)]
+    n = len(slot)
+    return [tuple(f[s] for s in seq) for f in itertools.combinations(range(2 * n), n)]
+
+
+def _image_key(atom, term, pts, f):
+    """The ``element_key`` of the term's image under f, a ``combinations``
+    tuple over the sorted support ``pts``."""
+    image = apply_embedding(atom, term, {p: f[j] for j, p in enumerate(pts)})
+    return element_key(atom, image, default_pos_key)
+
+
+def _dense_ranks(keys) -> list:
+    level = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [level[k] for k in keys]
+
+
+class TestSlotTuples:
+    # ORDER_SANITY_ATOMS are also the atoms of the element-oracles workload
+    @pytest.mark.parametrize("atom", ORDER_SANITY_ATOMS, ids=to_str)
+    def test_slot_tuples_order_images_as_their_keys(self, atom):
+        # equal dense ranks: every pair of embeddings is less, equal or
+        # greater by its slot tuples exactly as by its images' keys
+        terms = _trace_terms(atom, 4)
+        assert terms
+        for t, _ in terms:
+            pts = support_of(atom, t)
+            embs = itertools.combinations(range(2 * len(pts)), len(pts))
+            keys = [_image_key(atom, t, pts, f) for f in embs]
+            assert _dense_ranks(_slot_tuples(atom, t)) == _dense_ranks(keys), t
+
+    def test_the_first_live_position_is_important(self):
+        """The first live leaf decides the key order, so the important index
+        is the slot of the term's first live position; on well-formed terms
+        NoUniqueIndex comes only from a forced tie."""
+        for atom, t in _ranked_terms() + ARITY5_WITNESSES:
+            first = next(p for p in element_positions(atom, t) if isinstance(p, Right))
+            assert important_index(atom, t) == support_of(atom, t).index(first.point), t
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_slot_tuples_compare_as_image_keys(data):
+    """Two embeddings' slot tuples compare as their images' keys."""
+    terms = _ranked_terms()
+    atom, term = terms[data.draw(st.integers(0, len(terms) - 1))]
+    pts, slots = support_of(atom, term), _slot_tuples(atom, term)
+    embs = list(itertools.combinations(range(2 * len(pts)), len(pts)))
+    i, j = (data.draw(st.integers(0, len(embs) - 1)) for _ in range(2))
+    ki, kj = (_image_key(atom, term, pts, embs[k]) for k in (i, j))
+    assert (slots[i] < slots[j]) == (ki < kj)
+    assert (slots[i] == slots[j]) == (ki == kj)
 
 
 @settings(max_examples=100, deadline=None)
