@@ -35,9 +35,12 @@ ELEMENT_REPEATS calls, with the slot it answers), and ``compare_elements``
 per call over the adjacent pairs of the arity-4 term's embedding images,
 sorted by ``element_key``, so that each call compares two neighbours in the
 images' order (median of ELEMENT_REPEATS passes).  It also times
-``ll_relation`` per call over every ordered pair of the trace terms up to
-arity 2 of the sum ELEMENT_SUM, the sum the element-oracles workload
-relates (median of ELEMENT_REPEATS passes).
+``ll_relation`` per call, with a sha1 of its answers, over every ordered
+pair of the trace terms up to arity 2 of the sum ELEMENT_SUM, the sum the
+element-oracles workload relates (median of ELEMENT_REPEATS passes), and
+over every ordered pair of ELEMENT_ATOM's trace terms up to arity 3, the
+arities the workload relates on its atoms (median of REPEATS passes: that
+is 432 terms, so 186,624 pairs).
 
 The refusal point times one ``jplus_eval`` that J refuses, REFUSAL at w,
 REPEATS times in CPU seconds in this process, and records its ``type:
@@ -89,7 +92,7 @@ from dilcalc.analysis import (  # noqa: E402
     otp_symbolic,
 )
 from dilcalc.errors import DilcalcError  # noqa: E402
-from dilcalc.expr import D_ID, D_ONE, mk_mul_nat, mk_sum, parse_dil  # noqa: E402
+from dilcalc.expr import D_ID, D_ONE, mk_mul_nat, mk_sum, parse_dil, to_str  # noqa: E402
 from dilcalc.jfunctor import j_eval, jplus_eval, jprime_eval  # noqa: E402
 from dilcalc.ordinal import ord_str, parse_ord  # noqa: E402
 from dilcalc.semantics import (  # noqa: E402
@@ -224,10 +227,8 @@ def element_series() -> dict:
     print(f"  compare_elements: {1e6 * med / len(pairs):.2f} us per call", file=sys.stderr)
     d = parse_dil(ELEMENT_SUM)
     sum_terms = [t for t, _ in enum_trace_terms(d, 2, EnumBudget(**ELEMENT_BUDGET))]
-    term_pairs = list(itertools.product(sum_terms, repeat=2))
-    ll_med, ll_runs = median_s(lambda: [ll_relation(d, t1, t2) for t1, t2 in term_pairs],
-                               ELEMENT_REPEATS)
-    print(f"  ll_relation: {1e6 * ll_med / len(term_pairs):.2f} us per call", file=sys.stderr)
+    atom_terms = [t for t, arity in enum_trace_terms(atom, 4, EnumBudget(**ELEMENT_BUDGET))
+                  if arity <= 3]
     return {
         "atom": ELEMENT_ATOM,
         "budget": ELEMENT_BUDGET,
@@ -235,10 +236,23 @@ def element_series() -> dict:
         "important_index": index,
         "compare_elements": {"pairs": len(pairs), "median_us_per_call": 1e6 * med / len(pairs),
                              "runs_us_per_call": [1e6 * r / len(pairs) for r in runs]},
-        "ll_relation": {"sum": ELEMENT_SUM, "pairs": len(term_pairs),
-                        "median_us_per_call": 1e6 * ll_med / len(term_pairs),
-                        "runs_us_per_call": [1e6 * r / len(term_pairs) for r in ll_runs]},
+        "ll_relation": {"sum": ELEMENT_SUM, **ll_point(d, sum_terms, ELEMENT_REPEATS)},
+        "ll_relation_atom": {"atom": ELEMENT_ATOM, "max_arity": 3,
+                             **ll_point(atom, atom_terms, REPEATS)},
     }
+
+
+def ll_point(d, terms: list, repeats: int) -> dict:
+    """Microseconds per ``ll_relation`` call over every ordered pair of terms
+    (median of ``repeats`` passes), with the sha1 of the answers."""
+    pairs = list(itertools.product(terms, repeat=2))
+    med, runs = median_s(lambda: [ll_relation(d, t1, t2) for t1, t2 in pairs], repeats)
+    answers = "\n".join(ll_relation(d, t1, t2) for t1, t2 in pairs)
+    print(f"  ll_relation on {to_str(d)}: {1e6 * med / len(pairs):.2f} us per call",
+          file=sys.stderr)
+    return {"pairs": len(pairs), "answers_sha1": hashlib.sha1(answers.encode()).hexdigest(),
+            "median_us_per_call": 1e6 * med / len(pairs),
+            "runs_us_per_call": [1e6 * r / len(pairs) for r in runs]}
 
 
 def spread(values: list) -> dict:

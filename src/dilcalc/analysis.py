@@ -6,16 +6,18 @@ component with the prefix before it, or a fundamental sequence of proper
 initial summands.  ``classify``, ``sep``, ``sep_signed`` and
 ``otp_symbolic`` ride on top of it.  The brute-force trace relations
 (``ll_relation``, ``important_index``) live here too; they are the
-oracles the symbolic rules are tested against.  Both key each embedding
-of a term's support without building its image: ``ll_relation`` by the
-image's ``element_key``, ``important_index`` by the tuple of the
-embedding's values at the term's live positions, which orders the images
-of one term as their keys do.
+oracles the symbolic rules are tested against.  Neither builds an
+image.  ``ll_relation`` keys only each term's least and greatest image,
+under its lowest and its highest embedding, since an image's
+``element_key`` is monotone in the embedding.  ``important_index`` sorts
+every embedding by the tuple of its values at the term's live positions,
+which orders the images of one term as their keys do.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Optional
 
 from .errors import (
@@ -53,8 +55,6 @@ from .expr import (
     to_str,
 )
 from .ordinal import (
-    GREATER,
-    LESS,
     LIMIT_SAMPLES,
     ONE,
     ZERO,
@@ -367,41 +367,37 @@ def _embeddings(n: int, big: int):
     return [dict(enumerate(c)) for c in itertools.combinations(range(big), n)]
 
 
-def _image_keys(d: Dil, t, pts: list, big: int):
-    """The ``element_key`` of t's image under each embedding of its sorted
-    support ``pts`` into range(big), in ``_embeddings`` order.  The key is
-    read off t itself: a live point p keys as (1, f[p]) and a frozen
-    position as (0, value), so no image is built.  ``ll_relation`` compares
-    the keys of two terms, whose keys differ in shape, so it needs the whole
-    key."""
-    slot = {p: j for j, p in enumerate(pts)}
-    for f in itertools.combinations(range(big), len(pts)):
-        yield element_key(
-            d, t, lambda pos: (1, f[slot[pos.point]]) if pos.__class__ is Right else (0, pos.value)
-        )
-
-
 def ll_relation(d: Dil, t1, t2) -> str:
-    """Coarse comparison of trace terms by exhausting embedding pairs.
+    """Coarse comparison of trace terms over every pair of embeddings of
+    their supports into n1 + n2 points, decided by four extreme images.
 
-    Both supports are embedded into n1 + n2 points in every way and the
-    images are compared by their ``element_key``s.  The keys of t2's images
-    are made once; t1's are made one at a time, and the one pass ends at an
-    equal pair or at a change of outcome, either of which makes the pair
-    EQUIVALENT."""
+    MUCH_LESS iff max1 < min2, MUCH_GREATER iff max2 < min1, and EQUIVALENT
+    otherwise, where min and max are the least and greatest image keys of a
+    term.  An image is keyed off the term itself, so none is built: a live
+    point p keys as (1, f[slot of p]) and a frozen position as (0, value).
+
+    A term's least image is under the lowest embedding (0, ..., n-1) and its
+    greatest under the highest (big-n, ..., big-1).  The images of one term
+    have keys of one shape, ordered as their leaf sequences; the lowest
+    embedding is pointwise below every embedding and the highest above, and
+    a pointwise smaller embedding gives a leafwise smaller key.  So every
+    pair compares LESS iff max1 < min2, and GREATER iff max2 < min1; if
+    neither holds, the pair (highest, lowest) is not LESS and (lowest,
+    highest) is not GREATER, which makes the terms EQUIVALENT."""
     pts1, pts2 = support_of(d, t1), support_of(d, t2)
     big = len(pts1) + len(pts2)
-    keys2 = list(_image_keys(d, t2, pts2, big))
-    first = None
-    for key1 in _image_keys(d, t1, pts1, big):
-        for key2 in keys2:
-            if key1 == key2:
-                return EQUIVALENT
-            c = LESS if key1 < key2 else GREATER
-            if first not in (None, c):
-                return EQUIVALENT
-            first = c
-    return MUCH_LESS if first == LESS else MUCH_GREATER
+
+    def extreme_key(t, pts, lowest):
+        slot = {p: j if lowest else big - len(pts) + j for j, p in enumerate(pts)}
+        return element_key(
+            d, t, lambda pos: (1, slot[pos.point]) if pos.__class__ is Right else (0, pos.value)
+        )
+
+    if extreme_key(t1, pts1, False) < extreme_key(t2, pts2, True):
+        return MUCH_LESS
+    if extreme_key(t2, pts2, False) < extreme_key(t1, pts1, True):
+        return MUCH_GREATER
+    return EQUIVALENT
 
 
 def important_index(d: Dil, t) -> int:
@@ -409,9 +405,14 @@ def important_index(d: Dil, t) -> int:
 
     Each embedding f of the n support points into 2n points (a
     ``combinations`` tuple) is keyed by its slot tuple: f[s] for the slot s
-    of each live position of t, in ``element_positions`` order.  The
-    embeddings are ranked by key, equal keys sharing a dense rank.  Slot i
-    wins iff rank[f] < rank[g] for every pair of embeddings with f[i] < g[i].
+    of each live position of t, in ``element_positions`` order.  Along the
+    embeddings sorted by key, slot i wins iff f[i] never falls and changes
+    only where the key changes.
+
+    This is the pairwise rule "f[i] < g[i] implies key f < key g".  Its
+    contrapositive, "key f <= key g implies f[i] <= g[i]", says that f[i] is
+    a non-decreasing function of the key; along the sorted list that is
+    exactly a walk that never falls and is constant on each run of equal keys.
 
     The slot tuples order the images as their ``element_key``s do.  The
     images of one term have keys of one shape, which differ only at the live
@@ -419,15 +420,8 @@ def important_index(d: Dil, t) -> int:
     order; and two nested tuples of one shape compare as their leaf
     sequences.  This assumes that ``element_key``'s key order is
     ``compare_elements``' order, a total order on well-formed elements: then
-    rank[f] < rank[g] holds exactly when the image under f compares LESS
-    than the image under g.
-
-    The rule is decided per value: slot i wins iff, for each two consecutive
-    values v < w of f[i], the highest rank of an image with f[i] = v is below
-    the lowest rank of one with f[i] = w.  The pairwise rule gives this for
-    those two images; conversely, the ranks being integers, it chains along
-    the consecutive values to every pair with f[i] < g[i].  So a slot costs
-    one pass over the embeddings instead of one per pair.
+    key f < key g holds exactly when the image under f compares LESS than
+    the image under g.
     """
     if not is_connected_atom(d):
         raise NotConnected(f"{to_str(d)} is not connected and non-unit")
@@ -437,23 +431,12 @@ def important_index(d: Dil, t) -> int:
         raise NotConnected("nullary trace term in a connected non-unit expression")
     slot = {p: j for j, p in enumerate(pts)}
     seq = [slot[p.point] for p in element_positions(d, t) if p.__class__ is Right]
-    embs = list(itertools.combinations(range(2 * n), n))
-    keys = [tuple([f[s] for s in seq]) for f in embs]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    rank = [0] * len(keys)
-    for prev, k in zip(order, order[1:]):
-        rank[k] = rank[prev] if keys[prev] == keys[k] else rank[prev] + 1
-    winners = []
-    for i in range(n):
-        # walked by descending rank, the last write is the lowest; ascending, the highest
-        low, high = [None] * (2 * n), [None] * (2 * n)
-        for k in reversed(order):
-            low[embs[k][i]] = rank[k]
-        for k in order:
-            high[embs[k][i]] = rank[k]
-        bounds = [(lo, hi) for lo, hi in zip(low, high) if hi is not None]
-        if all(hi < lo for (_, hi), (lo, _) in zip(bounds, bounds[1:])):
-            winners.append(i)
+    key = operator.itemgetter(*seq) if seq else lambda f: ()
+    embs = sorted(itertools.combinations(range(2 * n), n), key=key)
+    steps = [(f, g, key(f) != key(g)) for f, g in zip(embs, embs[1:])]
+    winners = [
+        i for i in range(n) if all(f[i] == g[i] or (f[i] < g[i] and new) for f, g, new in steps)
+    ]
     if len(winners) != 1:
         raise NoUniqueIndex(f"candidates {winners} for {to_str(d)}")
     return winners[0]

@@ -31,7 +31,6 @@ from .expr import (
     mk_sep_atom,
     mk_sep_plus,
     mk_shift,
-    mk_sum,
     summands,
     to_str,
 )

@@ -375,6 +375,13 @@ ARITY5_WITNESSES = [
 ]
 
 
+# connected heads beyond the order-sanity atoms
+EXTRA_HEADS = [parse_dil("omega_head(Id+1;Id)"), parse_dil("omega_head(1;Id)")]
+# TRACE_BUDGET with three-term formal sums, so that a single head has
+# arity-3 trace terms
+HEAD_BUDGET = EnumBudget(const_cap=3, copies=2, cnf_len=3, cnf_mult=2, grid=3)
+
+
 def reference_important_index(d, t) -> int:
     """The rule important_index had before it ranked images: for each slot
     i, compare the images of every pair of embeddings with f[i] < g[i]
@@ -447,6 +454,15 @@ class TestImportantIndexRanking:
     @pytest.mark.parametrize("atom,term", ARITY5_WITNESSES, ids=["head", "composite-head"])
     def test_matches_reference_on_arity_5_witnesses(self, atom, term):
         assert important_index(atom, term) == reference_important_index(atom, term)
+
+    @pytest.mark.parametrize("head", EXTRA_HEADS, ids=to_str)
+    def test_matches_reference_on_extra_heads(self, head):
+        terms = [t for t, n in enum_trace_terms(head, 3, HEAD_BUDGET) if n]
+        assert any(len(support_of(head, t)) == 3 for t in terms)
+        for t in terms:
+            assert _outcome(important_index, head, t) == _outcome(
+                reference_important_index, head, t
+            ), t
 
     def test_tied_images_share_a_rank(self, monkeypatch):
         # when the term shows no live position, so that every embedding's
@@ -564,14 +580,37 @@ def test_an_image_is_keyed_from_its_term(data):
     assert element_key(atom, image, default_pos_key) == element_key(atom, term, through_f)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_image_keys_are_monotone_in_the_embedding(data):
+    """If f <= g pointwise, the image key under f is <= the key under g; so
+    the lowest and the highest embedding bound every image's key, the lemma
+    ll_relation's extreme images rest on."""
+    terms = _ranked_terms()
+    atom, term = terms[data.draw(st.integers(0, len(terms) - 1))]
+    pts = support_of(atom, term)
+    n = len(pts)
+    embs = list(itertools.combinations(range(2 * n), n))
+    f, g = (embs[data.draw(st.integers(0, len(embs) - 1))] for _ in range(2))
+    # the pointwise min and max of two embeddings are embeddings
+    low, high = tuple(map(min, f, g)), tuple(map(max, f, g))
+    lowest, highest = tuple(range(n)), tuple(range(n, 2 * n))
+    keys = [_image_key(atom, term, pts, e) for e in (lowest, low, f, high, highest)]
+    assert keys == sorted(keys)
+    assert keys[0] <= _image_key(atom, term, pts, g) <= keys[-1]
+
+
 # ---------------------------------------------------------------------------
 # ll_relation against the two-pass body it replaced
 
 # the trace-term budget of the order-sanity suite's placed-element checks
 PAIR_BUDGET = EnumBudget(const_cap=2, copies=2, cnf_len=2, cnf_mult=1, grid=2)
-# connected atoms relate every pair as equivalent; a sum orders some pairs
-LL_CASES = [(atom, {EQUIVALENT}) for atom in ORDER_SANITY_ATOMS] + [
-    (parse_dil("omega[Id]+Id"), {MUCH_LESS, MUCH_GREATER, EQUIVALENT})
+# connected atoms relate every pair as equivalent; a sum or Id*w orders some pairs
+ALL_LL = {MUCH_LESS, MUCH_GREATER, EQUIVALENT}
+LL_CASES = [(atom, {EQUIVALENT}) for atom in ORDER_SANITY_ATOMS + EXTRA_HEADS] + [
+    (parse_dil(text), ALL_LL)
+    # the last is the sum of the element-oracles workload
+    for text in ("omega[Id]+Id", "Id+Id", "Id*w", "Id+omega_head(0;Id)+Id")
 ]
 
 
@@ -606,9 +645,15 @@ def reference_ll_relation(d, t1, t2) -> str:
 
 class TestLlRelationOnePass:
     def test_each_embedding_is_applied_once(self, monkeypatch):
-        # a MUCH_LESS pair visits every pair of embeddings; each image is keyed once
-        d = parse_dil("Id+Id")
-        t1, t2 = ESum(0, EId(Right(0))), ESum(1, EId(Right(0)))
+        # only the extreme images are keyed: at most four keys per call, where
+        # an arity-3 pair has 20 x 20 pairs of embeddings
+        atom = ORDER_SANITY_ATOMS[-1]
+        t1, t2 = [t for t, n in _trace_terms(atom, 3) if n == 3][:2]
+        s2 = parse_dil("Id+Id")
+        cases = [
+            (atom, t1, t2, EQUIVALENT),
+            (s2, ESum(0, EId(Right(0))), ESum(1, EId(Right(0))), MUCH_LESS),
+        ]
         calls = [0]
 
         def counting(*args):
@@ -616,8 +661,10 @@ class TestLlRelationOnePass:
             return element_key(*args)
 
         monkeypatch.setattr("dilcalc.analysis.element_key", counting)
-        assert ll_relation(d, t1, t2) == MUCH_LESS
-        assert calls[0] <= len(_embeddings(1, 2)) + len(_embeddings(1, 2))
+        for d, x, y, answer in cases:
+            calls[0] = 0
+            assert ll_relation(d, x, y) == answer == reference_ll_relation(d, x, y)
+            assert calls[0] <= 4
 
     @pytest.mark.parametrize("d,outcomes", LL_CASES, ids=[to_str(d) for d, _ in LL_CASES])
     def test_matches_the_two_pass_body(self, d, outcomes):
