@@ -7,7 +7,8 @@ Times J, J', psi and otp of ``Id*n`` at w for each n in SIZES, at the
 interpreter's default recursion limit.  Each point runs REPEATS times on a
 freshly built expression with the module caches (``_PSI_CACHE``,
 ``_OTP_CACHE``) emptied, and the median is kept with a sha1 of the value, so
-two checkouts can be compared value for value.  A point that raises records
+two checkouts can be compared value for value, and with the number of entries
+each cache holds after the last call.  A point that raises records
 the error; after an error, or a median above MAX_SECONDS, the series records
 its larger sizes as skipped.  Each series runs in PROCESSES fresh
 interpreters, one after another, and each point keeps the median of the
@@ -42,13 +43,15 @@ over every ordered pair of ELEMENT_ATOM's trace terms up to arity 3, the
 arities the workload relates on its atoms (median of REPEATS passes: that
 is 432 terms, so 186,624 pairs).
 
-The refusal point times one ``jplus_eval`` that J refuses, REFUSAL at w,
-REPEATS times in CPU seconds in this process, and records its ``type:
-message``: a refusal runs J to ``DEPTH_CAP`` and costs more than most
-answers.  The deep-chain point does the same for ``jplus_eval`` of
-DEEP_CHAIN at w, whose separations nest once per summand: it shows whether J
-reaches its answer or refusal at the default recursion limit, or stops with
-``RecursionError``.
+The refusal point times one ``jplus_eval`` of REFUSAL at w, REPEATS times
+in CPU seconds in this process, and records its answer or ``type:
+message``; it once ran J to ``DEPTH_CAP`` and now refuses with
+``OutOfNotation`` at once, since a head over constants is a constant.  The
+depth-cap point does the same for ``j_eval`` of DEPTH_CAP_EXPR, a limit tower
+one level above LIMIT_TOWER's top, which still runs J to ``DEPTH_CAP``.  The
+deep-chain point does the same for ``jplus_eval`` of DEEP_CHAIN at w, whose
+separations nest once per summand: it shows whether J reaches its answer or
+refusal at the default recursion limit, or stops with ``RecursionError``.
 
 The limit-tower point times ``j_eval`` of each LIMIT_TOWER expression at w
 (median of REPEATS calls, in CPU seconds) and counts its steps per clause,
@@ -119,6 +122,7 @@ ELEMENT_REPEATS = 51
 PROCESSES = 3
 LIMIT_TOWER = ("Id*w", "Id*w*w", "Id*w*w*w", "Id*w*w*w*w")
 REFUSAL = "omega_head(0;Id)+Id+1+Const(w)+Id"
+DEPTH_CAP_EXPR = "Id*w*w*w*w*w"
 DEEP_CHAIN = "Id*1200"
 PSI_ENUMS = (("omega[Id]+Id", "1"), ("omega[Id]", "0"), ("Id*2", "w"), ("Const(w)+Id", "w^2"))
 SERIES = {
@@ -169,7 +173,9 @@ def time_point(setup, n: int) -> dict:
             return {"n": n, "error": f"{type(exc).__name__}: {exc}"[:200]}
         runs.append(time.perf_counter() - start)
         digest = hashlib.sha1(show(value).encode()).hexdigest()
-    return {"n": n, "median_s": statistics.median(runs), "runs_s": runs, "value_sha1": digest}
+    return {"n": n, "median_s": statistics.median(runs), "runs_s": runs, "value_sha1": digest,
+            "otp_cache_entries": len(analysis._OTP_CACHE),
+            "psi_cache_entries": len(psi._PSI_CACHE)}
 
 
 def fit_exponent(points: list):
@@ -288,8 +294,12 @@ def merge_runs(runs: list):
     return out
 
 
-def jplus_point(text: str) -> dict:
-    """CPU seconds and ``type: message`` of jplus_eval(text, w), REPEATS times."""
+EVALUATORS = {"j": j_eval, "jplus": jplus_eval}
+
+
+def eval_point(verb: str, text: str) -> dict:
+    """CPU seconds and value or ``type: message`` of the ``verb`` evaluator
+    at text and w, REPEATS times."""
     d, w = parse_dil(text), parse_ord("w")
     runs, answer = [], None
     for _ in range(REPEATS):
@@ -297,12 +307,12 @@ def jplus_point(text: str) -> dict:
         analysis._OTP_CACHE.clear()
         start = time.process_time()
         try:
-            answer = ord_str(jplus_eval(d, w).value)
+            answer = ord_str(EVALUATORS[verb](d, w).value)
         except (DilcalcError, RecursionError) as exc:
             answer = f"{type(exc).__name__}: {exc}"
         runs.append(time.process_time() - start)
     print(f"  {statistics.median(runs):.2f} s, {answer}", file=sys.stderr)
-    return {"verb": "jplus", "expr": text, "gamma": "w", "answer": answer,
+    return {"verb": verb, "expr": text, "gamma": "w", "answer": answer,
             "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs}
 
 
@@ -406,9 +416,11 @@ def main() -> int:
         report["series" if name in SERIES else "translations"][name] = {
             "points": points, "exponent": fit_exponent(points)}
     print("refusal:", file=sys.stderr)
-    report["refusal"] = jplus_point(REFUSAL)
+    report["refusal"] = eval_point("jplus", REFUSAL)
+    print("depth cap:", file=sys.stderr)
+    report["depth_cap"] = eval_point("j", DEPTH_CAP_EXPR)
     print("deep chain:", file=sys.stderr)
-    report["deep_chain"] = jplus_point(DEEP_CHAIN)
+    report["deep_chain"] = eval_point("jplus", DEEP_CHAIN)
     print("limit tower:", file=sys.stderr)
     report["limit_tower"] = fresh_spread("limit_tower()")
     print("psi enum:", file=sys.stderr)

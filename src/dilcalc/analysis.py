@@ -52,6 +52,7 @@ from .expr import (
     mk_shift,
     mk_slice,
     mk_sum,
+    summands,
     to_str,
 )
 from .ordinal import (
@@ -61,6 +62,7 @@ from .ordinal import (
     Frozen,
     Ord,
     _set,
+    _sup_of_monotone,
     from_int,
     fund_seq,
     ord_add,
@@ -68,7 +70,6 @@ from .ordinal import (
     ord_mul_omega,
     ord_omega_pow,
     ord_pred,
-    ord_sup_of_sequence,
 )
 from .semantics import (
     EnumBudget,
@@ -247,11 +248,16 @@ def sep_signed_iter(d: Dil, gammas):
 def _limit_sup(d: Dil, sample: Callable[[int], Ord]) -> Ord:
     """The limit rule of J, psi and otp: sup of ``sample(k)``, k < ``LIMIT_SAMPLES``.
     Samples are values of partial sums of ``d`` (for psi's connected clause,
-    the partial sums of its stages), so a decrease is a kernel bug."""
+    the partial sums of its stages), so a decrease is a kernel bug.
+
+    All samples are drawn first, in order.  One pass then compares each with
+    the last distinct one: a decrease raises ``GuardViolation``, a repeat is
+    dropped, and the distinct samples go to the solver, whose
+    ``detect_limit_pattern`` still tests that they increase."""
     values = [sample(k) for k in range(LIMIT_SAMPLES)]
-    if any(a > b for a, b in zip(values, values[1:])):
-        raise GuardViolation(f"partial-sum values decreased under {to_str(d)}")
-    return ord_sup_of_sequence(values)
+    return _sup_of_monotone(
+        values, lambda: GuardViolation(f"partial-sum values decreased under {to_str(d)}")
+    )
 
 
 def _forget_since(cache: dict, mark: int) -> None:
@@ -274,7 +280,13 @@ _OTP_FOLD_BUDGET = 4000
 def otp_symbolic(d: Dil, a: Ord) -> Ord:
     """Exact order type of d evaluated at the notation ``a``; past
     ``_OTP_FOLD_BUDGET`` folds not in the cache it refuses with
-    ``DepthExceeded`` and leaves the cache as it found it."""
+    ``DepthExceeded`` and leaves the cache as it found it.
+
+    ``_OTP_CACHE`` keeps the value of each node asked for at each argument,
+    but for a ``Const`` or ``Id``, which are answered directly, and for the
+    inner nodes of a sum's right spine, which are never asked for: a sum is
+    the fold of its summands' values.  Only separations and bands fold, so
+    a sum whose summands are cached costs no budget."""
     mark = len(_OTP_CACHE)
     try:
         return _otp_cached(d, a, [_OTP_FOLD_BUDGET])
@@ -284,6 +296,10 @@ def otp_symbolic(d: Dil, a: Ord) -> Ord:
 
 
 def _otp_cached(d: Dil, a: Ord, budget: list) -> Ord:
+    if isinstance(d, Const):
+        return d.value
+    if isinstance(d, IdNode):
+        return a
     key = (d, a)
     if key in _OTP_CACHE:
         return _OTP_CACHE[key]
@@ -293,21 +309,13 @@ def _otp_cached(d: Dil, a: Ord, budget: list) -> Ord:
 
 
 def _otp(d: Dil, a: Ord, budget: list) -> Ord:
-    if isinstance(d, Const):
-        return d.value
-    if isinstance(d, IdNode):
-        return a
     if isinstance(d, Sum):
-        # down the right spine in a loop, in the order the recursion would
-        # take, so a long sum costs no recursion depth
-        spine = []
-        while isinstance(d, Sum) and (d, a) not in _OTP_CACHE:
-            spine.append((d, _otp_cached(d.left, a, budget)))
-            d = d.right
-        value = _otp_cached(d, a, budget)
-        for node, left in reversed(spine):
+        # summands left to right, folded from the right: a long sum costs no
+        # recursion depth
+        values = [_otp_cached(part, a, budget) for part in summands(d)]
+        value = values.pop()
+        for left in reversed(values):
             value = ord_add(left, value)
-            _OTP_CACHE[(node, a)] = value
         return value
     if isinstance(d, MulOmega):
         return ord_mul_omega(_otp_cached(d.base, a, budget))

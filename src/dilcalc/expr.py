@@ -179,9 +179,8 @@ D_ID = IdNode()
 def summands(d: Dil) -> list:
     """The summands of d down the right spine, collected in a loop, so a long
     sum costs no recursion depth; a non-sum is its own one summand.
-    ``Sum.__hash__`` and ``analysis._otp`` walk the spine node by node
-    instead, to store a value per spine node; J's session takes one frame
-    per spine node."""
+    ``Sum.__hash__`` walks the spine node by node instead, to store a hash
+    per spine node; J's session takes one frame per spine node."""
     parts = []
     while isinstance(d, Sum):
         parts.append(d.left)
@@ -275,6 +274,8 @@ def mk_cnf_head(low: Dil, high: Dil) -> Dil:
             return D_ZERO
         if high.value == ONE:
             return mk_mul_omega(mk_omega_comp(low))
+        if isinstance(low, Const):
+            return Const(ord_omega_pow(ord_add(low.value, high.value)))
     return CnfHead(low, high)
 
 

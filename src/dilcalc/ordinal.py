@@ -9,7 +9,7 @@ the exact supremum, or refuses honestly.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import OutOfNotation, ParseError, UnsupportedLimit
 
@@ -336,9 +336,11 @@ def detect_limit_pattern(values: Sequence[Ord], _depth: int = 0) -> LimitPattern
         if all(d2 > d1 for d1, d2 in zip(depths[1:], depths[2:])):
             raise OutOfNotation("iterates escalate beyond the epsilon_0 fragment")
 
-    diffs = [ord_left_sub(a, b) for a, b in zip(values, values[1:])]
-    if all(d == diffs[0] for d in diffs):
-        return LimitPattern(ConstantIncrement(diffs[0]), start)
+    # stops at the first increment that differs, which for an escalation
+    # is the second
+    step = ord_left_sub(values[0], values[1])
+    if all(ord_left_sub(a, b) == step for a, b in zip(values[1:], values[2:])):
+        return LimitPattern(ConstantIncrement(step), start)
 
     tail = values[-4:] if len(values) >= 4 else values
     prefix = _common_prefix(tail)
@@ -361,23 +363,32 @@ def detect_limit_pattern(values: Sequence[Ord], _depth: int = 0) -> LimitPattern
 
 
 def ord_sup_of_sequence(values: Sequence[Ord]) -> Ord:
-    """Supremum of a non-decreasing sequence sampled from a limit process.
-
-    Stabilised sequences return their final value; otherwise the detected
-    pattern is solved and the result checked against the largest sample.
-    """
+    """Supremum of a non-decreasing sequence sampled from a limit process;
+    a decrease refuses with "sequence is not monotone".  See
+    ``_sup_of_monotone``."""
     values = list(values)
     if not values:
         raise UnsupportedLimit("empty sequence has no supremum here")
+    return _sup_of_monotone(values, lambda: UnsupportedLimit("sequence is not monotone"))
+
+
+def _sup_of_monotone(values: list, decrease: Callable[[], Exception]) -> Ord:
+    """Supremum of a non-empty list of samples, in one pass: each is compared
+    with the last distinct one, a repeat is dropped and a decrease raises
+    ``decrease()``.  A stabilised sequence returns its one value; otherwise
+    the detected pattern is solved and the result checked against the
+    largest sample.  ``detect_limit_pattern`` and ``ord_sup_solve`` are
+    looked up in this module at each call, so a patch or a wrapper of either
+    is seen."""
     strict = [values[0]]
     for v in values[1:]:
         c = ord_cmp(v, strict[-1])
         if c == GREATER:
             strict.append(v)
         elif c == LESS:
-            raise UnsupportedLimit("sequence is not monotone")
+            raise decrease()
     if len(strict) == 1:
-        return values[-1]
+        return strict[0]
     result = ord_sup_solve(detect_limit_pattern(strict))
     if ord_cmp(strict[-1], result) != LESS:
         raise UnsupportedLimit("solved supremum does not bound the samples")

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,7 @@ from dilcalc.expr import (
     D_ID,
     D_ONE,
     D_ZERO,
+    IdNode,
     Sep,
     is_connected_atom,
     mk_band,
@@ -50,6 +52,7 @@ from dilcalc.expr import (
     mk_sum,
     mk_sum_all,
     parse_dil,
+    summands,
     to_str,
 )
 from dilcalc.jfunctor import JStep, _Session, j_eval, jprime_eval
@@ -62,7 +65,10 @@ from dilcalc.ordinal import (
     ZERO,
     from_int,
     fund_seq,
+    ord_add,
+    ord_cmp,
     ord_str,
+    ord_sup_of_sequence,
     parse_ord,
 )
 from dilcalc.psi import psi_clause_otp
@@ -82,7 +88,7 @@ from dilcalc.semantics import (
     prefix_elements,
     support_of,
 )
-from test_ordinal import outcome, reference_solver
+from test_ordinal import ords, outcome, reference_solver
 from test_psi import spy_limit_sup
 
 w = OMEGA
@@ -304,6 +310,25 @@ class TestOtp:
             with pytest.raises(DepthExceeded, match="order-type folds exceeded 300 steps"):
                 otp_symbolic(d, ZERO)
             assert analysis_module._OTP_CACHE == before
+
+    def test_a_sum_caches_only_the_key_asked_for(self, monkeypatch):
+        # a 50-summand spine drawn as the functor-sums benchmark draws its
+        # spines: a sum is the fold of its summands' values, so no inner
+        # node of its right spine is cached, and no Const or Id is
+        chunk = ["Id"] * 5 + ["1", "Const(3)", "Const(w)", "Const(w^2)", "Id*w"] * 3
+        rng, parts = random.Random(27), []
+        while len(parts) < 50:
+            rng.shuffle(chunk)
+            parts += chunk
+        d = parse_dil("+".join(parts[:50]))
+        kept = [p for p in summands(d) if not isinstance(p, (Const, IdNode))]
+        assert kept
+        for gs in ("0", "1", "w", "w^2"):
+            g = parse_ord(gs)
+            monkeypatch.setattr(analysis_module, "_OTP_CACHE", {})
+            value = otp_symbolic(d, g)
+            assert set(analysis_module._OTP_CACHE) == {(d, g)} | {(p, g) for p in kept}
+            assert value == functools.reduce(ord_add, [otp_symbolic(p, g) for p in summands(d)])
 
 
 class TestTraceRelations:
@@ -788,3 +813,73 @@ class TestLimitRule:
         with reference_solver():
             want = self.outcomes()
         assert self.outcomes() == want
+
+
+def reference_limit_sup(d, sample):
+    """``_limit_sup`` before it made one pass: the decrease guard over all
+    samples, then ``ord_sup_of_sequence``, which filters them again."""
+    values = [sample(k) for k in range(analysis_module.LIMIT_SAMPLES)]
+    if any(a > b for a, b in zip(values, values[1:])):
+        raise GuardViolation(f"partial-sum values decreased under {to_str(d)}")
+    return ord_sup_of_sequence(values)
+
+
+def differential_limit_sup(monkeypatch):
+    """Route the limit rule of J, psi and otp through a spy that draws the
+    samples once and requires ``_limit_sup`` and ``reference_limit_sup`` to
+    give one value, or one refusal type and message.  Returns the list of
+    the sample lists checked."""
+    real, checked = analysis_module._limit_sup, []
+
+    def spy(d, sample):
+        values = [sample(k) for k in range(analysis_module.LIMIT_SAMPLES)]
+        checked.append(values)
+        want = outcome(lambda: reference_limit_sup(d, values.__getitem__))
+        assert outcome(lambda: real(d, values.__getitem__)) == want, (to_str(d), values)
+        return real(d, values.__getitem__)
+
+    for module in (analysis_module, jfunctor_module, psi_module):
+        monkeypatch.setattr(module, "_limit_sup", spy)
+    return checked
+
+
+@st.composite
+def limit_samples(draw):
+    """1-10 ``ords()`` in ascending order with runs of equal values; in half
+    of the draws two neighbours are swapped, which puts in a decrease unless
+    they are equal."""
+    n = draw(st.integers(1, 10))
+    distinct = draw(st.lists(ords(), min_size=1, max_size=n))
+    values = sorted(draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n)),
+                    key=functools.cmp_to_key(ord_cmp))
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 2))
+        values[i], values[i + 1] = values[i + 1], values[i]
+    return values
+
+
+class TestOnePassLimitRule:
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self, monkeypatch):
+        monkeypatch.setattr(analysis_module, "_OTP_CACHE", {})
+        monkeypatch.setattr(psi_module, "_PSI_CACHE", {})
+
+    @settings(max_examples=400, deadline=None)
+    @given(limit_samples())
+    def test_matches_reference_on_sequences(self, values):
+        with mock.patch.object(analysis_module, "LIMIT_SAMPLES", len(values)):
+            want = outcome(lambda: reference_limit_sup(D_ID, values.__getitem__))
+            assert outcome(lambda: analysis_module._limit_sup(D_ID, values.__getitem__)) == want
+
+    def test_matches_reference_on_the_limit_tower(self, monkeypatch):
+        checked = differential_limit_sup(monkeypatch)
+        for text in ("Id*w", "Id*w*w", "Id*w*w*w", "Id*w*w*w*w"):
+            for evaluator in (j_eval, jprime_eval):
+                evaluator(parse_dil(text), w)
+        assert len(checked) > 100
+
+    def test_matches_reference_on_the_limit_rule_cases(self, monkeypatch):
+        # TestLimitRule's 960 cases of J, J', psi and otp
+        checked = differential_limit_sup(monkeypatch)
+        TestLimitRule.outcomes()
+        assert len(checked) > 100

@@ -55,6 +55,7 @@ from dilcalc.ordinal import (
     parse_ord,
 )
 from dilcalc.suites import J_SUITE
+from test_analysis import differential_limit_sup
 
 w = OMEGA
 
@@ -560,6 +561,27 @@ class TestReference:
     def test_matches_reference_on_limit_sums(self):
         for case in self.limit_grid()[::self.GRID_STRIDE]:
             self.assert_matches(*case)
+
+    # the limit grid's J+ cases that ran J to DEPTH_CAP while a head over
+    # constants, such as omega_head(0;Const(2)), stayed a CnfHead, which J's
+    # constant clause does not key on
+    FORMER_DEPTH_CAP = [
+        "omega_head(0;Id)*w", "1+omega_head(0;Id)*w", "omega_head(0;Id)*w+Const(w)",
+        "omega_head(0;Id)*w+Const(w)+(Id+Id)*w", "omega_head(0;Id)*w+Id+(Id+Id)*w",
+        "omega_head(0;Id)*w+(Id+Const(w))*w", "omega_head(0;Id)*w+(Id+1)*w",
+        "omega_head(0;Id)*w+(Id+Const(w))*w+omega[Id]*w+omega[Id]*w",
+    ]
+
+    def test_former_depth_cap_cases_refuse_at_once(self, monkeypatch):
+        cases = [(d, gs, variant) for d, gs, variant in self.limit_grid()
+                 if variant == "jplus" and to_str(d) in self.FORMER_DEPTH_CAP]
+        assert len(cases) == 48
+        checked = differential_limit_sup(monkeypatch)
+        for d, gs, variant in cases:
+            self.assert_matches(d, gs, variant)
+            assert _answer(lambda: jplus_eval(d, parse_ord(gs))) == (
+                "OutOfNotation: iterates escalate beyond the epsilon_0 fragment")
+        assert checked
 
     def test_matches_reference_on_a_deep_limit(self):
         # 2,801 guarded steps here against 5,203 peeling ones

@@ -385,6 +385,25 @@ class TestSupSolve:
         assert isinstance(pattern.kind, TermEscalation)
         assert ord_sup_of_sequence(values) == o("w^w*2")
 
+    def test_an_escalation_stops_at_its_second_increment(self):
+        # the constant-increment test computes increments only until one
+        # differs; a constant increment computes all of them
+        calls, real = [], ordinal_module.ord_left_sub
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        # the lead coefficient escalates, so no inner sequence is solved
+        escalation = [ord_add(o("w^w"), ord_mul_nat(w, 2 ** k)) for k in range(8)]
+        constant = [o(f"w*{k}") for k in range(1, 9)]
+        with mock.patch.object(ordinal_module, "ord_left_sub", counting):
+            assert isinstance(detect_limit_pattern(escalation).kind, TermEscalation)
+            assert len(calls) <= 2
+            del calls[:]
+            assert detect_limit_pattern(constant).kind == ConstantIncrement(w)
+            assert len(calls) == 7
+
     def test_iterates_strictly_bounded(self):
         # the solved supremum strictly bounds 100 iterates and is least in
         # the finite-witness sense: every canonical approximant is overtaken
