@@ -13,8 +13,8 @@ the error; after an error, or a median above MAX_SECONDS, the series records
 its larger sizes as skipped.  Each series runs in PROCESSES fresh
 interpreters, one after another, and each point keeps the median of the
 interpreters' medians, with their least and greatest: one interpreter's
-reading can be far from another's (``fresh_spread``; the element, limit-tower
-and psi-enum points run the same way).  Each series gets the least-squares
+reading can be far from another's (``fresh_spread``; every other point but
+the CLI series runs the same way).  Each series gets the least-squares
 slope of log time on log n over the medians of its timed points.
 
 The CLI series runs each line of ``scripts/lemma_suite.commands`` as
@@ -44,14 +44,16 @@ arities the workload relates on its atoms (median of REPEATS passes: that
 is 432 terms, so 186,624 pairs).
 
 The refusal point times one ``jplus_eval`` of REFUSAL at w, REPEATS times
-in CPU seconds in this process, and records its answer or ``type:
-message``; it once ran J to ``DEPTH_CAP`` and now refuses with
+in CPU seconds, in PROCESSES fresh interpreters, and records its answer or
+``type: message``; it once ran J to ``DEPTH_CAP`` and now refuses with
 ``OutOfNotation`` at once, since a head over constants is a constant.  The
 depth-cap point does the same for ``j_eval`` of DEPTH_CAP_EXPR, a limit tower
 one level above LIMIT_TOWER's top, which still runs J to ``DEPTH_CAP``.  The
 deep-chain point does the same for ``jplus_eval`` of DEEP_CHAIN at w, whose
 separations nest once per summand: it shows whether J reaches its answer or
 refusal at the default recursion limit, or stops with ``RecursionError``.
+Each of the three starts in its own interpreters, so none reads what
+another left in its process.
 
 The limit-tower point times ``j_eval`` of each LIMIT_TOWER expression at w
 (median of REPEATS calls, in CPU seconds) and counts its steps per clause,
@@ -416,11 +418,11 @@ def main() -> int:
         report["series" if name in SERIES else "translations"][name] = {
             "points": points, "exponent": fit_exponent(points)}
     print("refusal:", file=sys.stderr)
-    report["refusal"] = eval_point("jplus", REFUSAL)
+    report["refusal"] = fresh_spread(f"eval_point('jplus', {REFUSAL!r})")
     print("depth cap:", file=sys.stderr)
-    report["depth_cap"] = eval_point("j", DEPTH_CAP_EXPR)
+    report["depth_cap"] = fresh_spread(f"eval_point('j', {DEPTH_CAP_EXPR!r})")
     print("deep chain:", file=sys.stderr)
-    report["deep_chain"] = eval_point("jplus", DEEP_CHAIN)
+    report["deep_chain"] = fresh_spread(f"eval_point('jplus', {DEEP_CHAIN!r})")
     print("limit tower:", file=sys.stderr)
     report["limit_tower"] = fresh_spread("limit_tower()")
     print("psi enum:", file=sys.stderr)

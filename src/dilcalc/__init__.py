@@ -3,7 +3,6 @@
 from types import ModuleType as _ModuleType
 
 from .analysis import (
-    TypeClass,
     classify,
     components,
     decompose,

@@ -3,8 +3,8 @@
 ``decompose`` presents an expression as an ordered sum of connected
 pieces, exposed through a successor/limit view: either a last connected
 component with the prefix before it, or a fundamental sequence of proper
-initial summands.  ``classify``, ``sep``, ``sep_signed`` and
-``otp_symbolic`` ride on top of it.  The brute-force trace relations
+initial summands.  ``classify`` (the type name), ``sep``, ``sep_signed``
+and ``otp_symbolic`` ride on top of it.  The brute-force trace relations
 (``ll_relation``, ``important_index``) live here too; they are the
 oracles the symbolic rules are tested against.  Neither builds an
 image.  ``ll_relation`` keys only each term's least and greatest image,
@@ -94,10 +94,10 @@ class Decomposition(Frozen):
 
 def _concat(prefix_expr: Dil, rest: Dil) -> Decomposition:
     d = decompose(rest)
-    if d.kind == "zero":
-        return decompose(prefix_expr)
     if d.kind == "succ":
         return Decomposition("succ", mk_sum(prefix_expr, d.prefix), d.top)
+    if d.kind == "zero":  # only a hand-built empty band is a zero summand
+        raise UnsupportedDecomposition(f"{to_str(rest)} is not normalized")
     return Decomposition("limit", fund=lambda k: mk_sum(prefix_expr, d.fund(k)))
 
 
@@ -190,36 +190,42 @@ def components(d: Dil) -> list:
 # classification
 
 
-class TypeClass(Frozen):
-    def __init__(self, kind: str, pred: Optional[Dil] = None,
-                 fund_seq: Optional[Callable[[int], Dil]] = None,
-                 sep_fn: Optional[Callable[[Ord], Dil]] = None):
-        _set(self, "kind", kind)  # "0" | "1" | "omega" | "Omega"
-        _set(self, "pred", pred)
-        _set(self, "fund_seq", fund_seq)
-        _set(self, "sep_fn", sep_fn)
-
-
-def classify(d: Dil) -> TypeClass:
+def classify(d: Dil) -> str:
+    """The type of ``d`` read off its decomposition: "0", "1", "omega" or "Omega"."""
     dec = decompose(d)
     if dec.kind == "zero":
-        return TypeClass("0")
+        return "0"
     if dec.kind == "limit":
-        return TypeClass("omega", fund_seq=dec.fund)
-    if dec.top == D_ONE:
-        return TypeClass("1", pred=dec.prefix)
-    prefix, top = dec.prefix, dec.top
-    return TypeClass(
-        "Omega", sep_fn=lambda g: mk_sum(prefix, mk_sep_atom(top, g, g))
-    )
+        return "omega"
+    return "1" if dec.top == D_ONE else "Omega"
+
+
+def _normalized(d: Dil, dec: Decomposition) -> Decomposition:
+    """``dec``, the decomposition of ``d`` that J or psi takes as a limit or
+    as a successor with a connected top; a zero or unit-top one refuses.
+
+    J and psi answer a ``Const`` and compose or fold a ``Sum`` first (psi's
+    step ``Const + atom`` decomposes as ``atom``).  Every other normalized
+    node is a limit or has a connected top (``Id``, or from ``mk_cnf_head``
+    or ``mk_slice`` over a connected base), and zero comes only from
+    ``Const(0)`` and from an empty ``Band``, which ``mk_band`` never builds;
+    so only a hand-built node gets here zero or unit-topped."""
+    if dec.kind == "zero" or isinstance(dec.top, Const):
+        raise UnsupportedDecomposition(f"{to_str(d)} is not normalized")
+    return dec
+
+
+def separate(dec: Decomposition, g: Ord) -> Dil:
+    """The separation at ``g`` of a successor with a connected top."""
+    return mk_sum(dec.prefix, mk_sep_atom(dec.top, g, g))
 
 
 def sep(d: Dil, g: Ord) -> Dil:
     """Separation of variables; demands the top classification."""
-    tc = classify(d)
-    if tc.kind != "Omega":
-        raise NotTypeOmega(f"{to_str(d)} has type {tc.kind}")
-    return tc.sep_fn(g)
+    dec = decompose(d)
+    if dec.kind != "succ" or dec.top == D_ONE:
+        raise NotTypeOmega(f"{to_str(d)} has type {classify(d)}")
+    return separate(dec, g)
 
 
 def sep_signed(d: Dil, g: Ord):

@@ -155,11 +155,12 @@ def _answer(args):
     """A verb's JSON fields besides verb and inputs, its text lines, its exit code."""
     verb = args.verb
     if verb == "classify":
-        tc = classify(parse_dil(args.expr))
-        if tc.kind == "1":
-            pred = to_str(tc.pred)
+        expr = parse_dil(args.expr)
+        kind = classify(expr)
+        if kind == "1":
+            pred = to_str(decompose(expr).prefix)
             return {"result": {"type": "1", "pred": pred}}, [f"type 1, pred {pred}"], 0
-        return {"result": {"type": tc.kind}}, [f"type {tc.kind}"], 0
+        return {"result": {"type": kind}}, [f"type {kind}"], 0
     if verb == "decompose":
         expr = parse_dil(args.expr)
         dec = decompose(expr)

@@ -1,11 +1,12 @@
 """Guarded-recursive evaluation of the ordinal functors J, J' and J+.
 
-The clauses follow the classification: type 0 returns the argument, type 1
-adds one, limit types take the exact supremum along the fundamental
-sequence of partial sums, and top-type expressions split as alpha + beta
-through separation of variables (J separates at 0, the primed variant at
-omega).  A sum composes, J(a+e, gamma) = J(e, J(a, gamma)), one summand at a
-time down its right spine, so a sum of n summands costs n steps and no sum
+The clauses follow the decomposition: a constant adds its value, a limit
+takes the exact supremum along the fundamental sequence of partial sums,
+and a successor with a connected top splits as alpha + beta through
+separation of variables (J separates at 0, the primed variant at omega);
+no normalized expression decomposes otherwise (``analysis._normalized``).
+A sum composes, J(a+e, gamma) = J(e, J(a, gamma)), one summand at a time
+down its right spine, so a sum of n summands costs n steps and no sum
 is rebuilt.  By the same clause the member B*k of a limit B*w has the value
 J(B, -) iterated k times from gamma, so that limit samples gamma and its
 iterates, one step each, and builds no member.  The clauses run as frames
@@ -15,7 +16,7 @@ pair is recorded once, as a ``JStep`` with its clause, its last child and
 its value; ``JResult.steps`` lists every one of them in post-order, root
 last, with no cap of its own.  What does not depend on gamma is derived
 once per session and expression other than a B*w, in a table that ends
-with the session: its classification, the members of its fundamental
+with the session: its decomposition, the members of its fundamental
 sequence and its separation at the first cut.  Guards are certificates
 computed after the fact: eta bounds the value, xi bounds the order type at
 omega^(1+eta), and the audit re-checks that every recorded step descends
@@ -27,7 +28,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import analysis
-from .analysis import _limit_sup, classify, otp_symbolic
+from .analysis import _limit_sup, _normalized, decompose, otp_symbolic, separate
 from .errors import DepthExceeded, FRAGMENT_ERRORS
 from .expr import Const, D_ONE, Dil, MulOmega, Sum, mk_omega_comp, mk_sum, to_str
 from .ordinal import (
@@ -41,8 +42,8 @@ from .ordinal import (
     ord_omega_pow,
 )
 
-# the one resource limit of the guarded recursion: steps that take the empty,
-# successor, limit or separation clause
+# the one resource limit of the guarded recursion: steps that take the limit
+# or separation clause
 DEPTH_CAP = 10000
 
 
@@ -78,18 +79,18 @@ class _Session:
     sum's right summand runs at the value of its left one, so the memo is
     keyed by ``(expr, gamma)``.  It is also the step log: each ``JStep`` is
     stored when its frame finishes, so the log is in post-order, root last.
-    ``DEPTH_CAP`` bounds the guarded steps, the ones that take the empty,
-    successor, limit or separation clause.  Constant steps are leaves and a
-    sum has one composition step per summand and gamma, so the guarded steps
-    bound the work; counting the others too would refuse inputs that were
-    answered while sums were classified whole.  A limit ``B*w`` yields
+    ``DEPTH_CAP`` bounds the guarded steps, the ones that take the limit or
+    separation clause.  Constant steps are leaves and a sum has one
+    composition step per summand and gamma, so the guarded steps bound the
+    work; counting the others too would refuse inputs that were answered
+    while sums were decomposed whole.  A limit ``B*w`` yields
     ``(B, v)`` for each sample after gamma, v the sample before it; those are
     the guarded steps its members ``B*k`` took, without their compositions.
 
     ``facts`` maps each expression other than a ``B*w`` that took a guarded
-    step to what every gamma shares: its ``TypeClass``, the
+    step to what every gamma shares: its ``Decomposition``, the
     fundamental-sequence members built so far (in order, from k = 0) and,
-    for type Omega, its separation at the first cut.
+    for a successor, its separation at the first cut.
     """
 
     def __init__(self, first_cut: Ord):
@@ -137,26 +138,21 @@ class _Session:
             return
         facts = self.facts.get(d)
         if facts is None:
-            tc = classify(d)
-            first = tc.sep_fn(self.first_cut) if tc.kind == "Omega" else None
-            facts = self.facts[d] = (tc, [], first)
-        tc, members, first = facts
-        if tc.kind == "0":
-            clause, child, value = "empty", None, gamma
-        elif tc.kind == "1":
-            clause, child = "successor", tc.pred
-            value = ord_add((yield child, gamma), ONE)
-        elif tc.kind == "omega":
+            dec = _normalized(d, decompose(d))
+            first = separate(dec, self.first_cut) if dec.kind == "succ" else None
+            facts = self.facts[d] = (dec, [], first)
+        dec, members, first = facts
+        if dec.kind == "limit":
             # _limit_sup's sample count, in order: member k is built on first demand
             values = []
             for k in range(analysis.LIMIT_SAMPLES):
                 if k == len(members):
-                    members.append(tc.fund_seq(k))
+                    members.append(dec.fund(k))
                 values.append((yield members[k], gamma))
             clause, child, value = "limit", members[-1], _limit_sup(d, values.__getitem__)
         else:
             alpha = yield first, gamma
-            clause, child = "separation", tc.sep_fn(alpha)
+            clause, child = "separation", separate(dec, alpha)
             value = ord_add(alpha, (yield child, gamma))
         yield JStep(d, gamma, clause, child, value)
 

@@ -21,7 +21,7 @@ import functools
 import random
 
 from . import analysis
-from .analysis import _forget_since, _limit_sup, decompose
+from .analysis import _forget_since, _limit_sup, _normalized, decompose
 from .errors import DepthExceeded, MalformedElement
 from .expr import (
     Band,
@@ -41,7 +41,6 @@ from .ordinal import (
     EQUAL,
     GREATER,
     LESS,
-    ONE,
     ZERO,
     Frozen,
     Ord,
@@ -130,13 +129,9 @@ def _folds(d: Dil) -> bool:
 def _psi(d: Dil, gamma: Ord, budget) -> Ord:
     if _folds(d):
         return _psi_prefix(d, gamma, budget)
-    dec = decompose(d)
-    if dec.kind == "zero":
-        return ZERO
+    dec = _normalized(d, decompose(d))
     if dec.kind == "succ":
         head = psi_clause_otp(dec.prefix, gamma, budget)
-        if isinstance(dec.top, Const):  # the unit component
-            return ord_add(head, ONE)
         delta = ord_add(gamma, head)
         return ord_add(head, _psi_connected(dec.top, delta, budget))
     return _limit_sup(d, lambda k: psi_clause_otp(dec.fund(k), gamma, budget))

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -15,7 +16,6 @@ from dilcalc.analysis import (
     MUCH_GREATER,
     MUCH_LESS,
     Decomposition,
-    TypeClass,
     _embeddings,
     classify,
     components,
@@ -45,8 +45,10 @@ from dilcalc.expr import (
     D_ZERO,
     IdNode,
     Sep,
+    Sum,
     is_connected_atom,
     mk_band,
+    mk_sep_atom,
     mk_mul_nat,
     mk_shift,
     mk_sum,
@@ -146,7 +148,7 @@ class TestLongSums:
     LONG = mk_mul_nat(D_ID, 5000)
 
     def test_classify(self, default_recursion_limit):
-        assert classify(self.LONG).kind == "Omega"
+        assert classify(self.LONG) == "Omega"
 
     def test_decompose_successor(self, default_recursion_limit):
         dec = decompose(self.LONG)
@@ -163,22 +165,64 @@ class TestLongSums:
 
 
 class TestClassify:
+    """The type name is read off the one decomposition."""
+
     def test_zero(self):
-        assert classify(parse_dil("0")).kind == "0"
+        assert classify(parse_dil("0")) == "0"
+        assert decompose(parse_dil("0")).kind == "zero"
 
     def test_successor(self):
-        tc = classify(parse_dil("Id+1"))
-        assert tc.kind == "1" and tc.pred == D_ID
+        assert classify(parse_dil("Id+1")) == "1"
+        assert decompose(parse_dil("Id+1")).prefix == D_ID
 
     def test_limit_with_fundamental_sequence(self):
-        tc = classify(parse_dil("1*w"))
-        assert tc.kind == "omega"
-        assert to_str(tc.fund_seq(3)) == "Const(3)"
+        assert classify(parse_dil("1*w")) == "omega"
+        assert to_str(decompose(parse_dil("1*w")).fund(3)) == "Const(3)"
 
     def test_top_type(self):
-        tc = classify(D_ID)
-        assert tc.kind == "Omega"
-        assert to_str(tc.sep_fn(w)) == "Const(w)"
+        assert classify(D_ID) == "Omega"
+        assert to_str(sep(D_ID, w)) == "Const(w)"
+
+
+class TestNormalizedDecompositions:
+    """The lemma that leaves J and psi without a zero or a unit clause: every
+    node ``decompose`` reaches from a parsed expression, other than a
+    ``Const`` or a ``Sum``, is a limit or a successor with a connected top."""
+
+    # TestStepLog's atoms, and one each of the head, separation, band and
+    # shift forms
+    ROOTS = ["0", "1", "Const(3)", "Const(w)", "Id", "Id+1", "Id*2", "Id*w", "omega[Id]",
+             "Const(w)+Id", "omega[Id*2]", "1*w", "(Id*w)*w", "omega_head(Id;Id*2)",
+             "sep(omega_head(Id;Id),w+1)", "sep@(omega_head(Id;Id);2;w)",
+             "band(omega_head(Id;Id);1;w+2;w+2)", "shift(omega_head(Id;Id),w)"]
+    DEPTH = 6
+
+    def test_every_reached_node_is_a_limit_or_has_a_connected_top(self):
+        # breadth first, DEPTH steps of prefix, top, fund(0..3), a sum's
+        # summands and the separation of a connected top at 0, 1 and w
+        queue = collections.deque((parse_dil(text), 0) for text in self.ROOTS)
+        seen, checked = set(), collections.Counter()
+        while queue:
+            d, depth = queue.popleft()
+            if d in seen:
+                continue
+            seen.add(d)
+            dec = decompose(d)
+            if not isinstance(d, (Const, Sum)):
+                checked[type(d).__name__] += 1
+                assert dec.kind == "limit" or is_connected_atom(dec.top), to_str(d)
+            if depth == self.DEPTH:
+                continue
+            nxt = summands(d) if isinstance(d, Sum) else []
+            if dec.kind == "succ":
+                nxt += [dec.prefix, dec.top]
+                if is_connected_atom(dec.top):
+                    nxt += [mk_sep_atom(dec.top, g, g) for g in (ZERO, ONE, w)]
+            elif dec.kind == "limit":
+                nxt += [dec.fund(k) for k in range(4)]
+            queue.extend((e, depth + 1) for e in nxt)
+        assert set(checked) == {"IdNode", "CnfHead", "OmegaComp", "MulOmega", "Sep", "Band"}
+        assert sum(checked.values()) >= 80
 
 
 class TestSep:
@@ -292,7 +336,7 @@ class TestOtp:
         probe = parse_ord("w^2")
         for text in ["Id", "omega[Id]", "omega[Id*2]", "Id*2"]:
             d = parse_dil(text)
-            if classify(d).kind != "Omega":
+            if classify(d) != "Omega":
                 continue
             lhs = otp_symbolic(sep(d, w), probe)
             rhs = otp_symbolic(d, probe)
@@ -741,10 +785,10 @@ class TestLimitRule:
     def test_j_member_decrease_is_a_guard_violation(self, monkeypatch):
         # every other limit shape samples its members
         d = parse_dil("omega[Id*w]")
-        real = jfunctor_module.classify
+        real = jfunctor_module.decompose
         monkeypatch.setattr(
-            jfunctor_module, "classify",
-            lambda e: TypeClass("omega", fund_seq=_decreasing) if e == d else real(e),
+            jfunctor_module, "decompose",
+            lambda e: Decomposition("limit", fund=_decreasing) if e == d else real(e),
         )
         with pytest.raises(GuardViolation,
                            match=r"partial-sum values decreased under omega\[Id\*w\]$"):

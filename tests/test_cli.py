@@ -46,6 +46,10 @@ class TestVerbs:
         code, out, _ = run(capsys, "decompose", "omega[Id]")
         assert code == 0 and out.strip() == "[1, omega_head(0;Id)]"
 
+    def test_decompose_zero(self, capsys):
+        code, out, _ = run(capsys, "decompose", "0")
+        assert code == 0 and out == "[]\n"
+
     def test_sep(self, capsys):
         code, out, _ = run(capsys, "sep", "Id+Id", "--gamma", "w")
         assert code == 0 and out.strip() == "Id+Const(w)"
@@ -74,6 +78,12 @@ class TestVerbs:
 JSON_LINES = [
     ("classify Id+1",
      '{"inputs": {"expr": "Id+1"}, "result": {"pred": "Id", "type": "1"}, "verb": "classify"}'),
+    ("classify 0",
+     '{"inputs": {"expr": "0"}, "result": {"type": "0"}, "verb": "classify"}'),
+    ("classify 1*w",
+     '{"inputs": {"expr": "1*w"}, "result": {"type": "omega"}, "verb": "classify"}'),
+    ("decompose 0",
+     '{"inputs": {"expr": "0"}, "result": {"components": [], "kind": "zero"}, "verb": "decompose"}'),
     ("decompose Id*w --samples 2",
      '{"inputs": {"expr": "Id*w"}, "result": {"kind": "limit", "partials": ["0", "Id"]}, '
      '"verb": "decompose"}'),
@@ -398,7 +408,7 @@ class TestImportSurface:
             "BudgetExceeded", "DepthExceeded", "Dil", "DilcalcError", "EnumBudget",
             "GuardViolation", "JResult", "LimitPattern", "MalformedElement", "NoUniqueIndex",
             "NotConnected", "NotTypeOmega", "Ord", "OutOfNotation", "ParseError", "PsiOrder",
-            "TypeClass", "UnsupportedDecomposition", "UnsupportedLimit", "UnsupportedOtp",
+            "UnsupportedDecomposition", "UnsupportedLimit", "UnsupportedOtp",
             "ambient_stream", "chain_search", "classify", "compare_elements",
             "components", "decompose", "detect_limit_pattern", "enum_elements",
             "important_index", "j_eval", "j_guard_report", "jplus_eval",

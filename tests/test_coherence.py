@@ -52,7 +52,7 @@ EXPRS = ["1", "Const(3)", "Const(w)", "Const(w^2)", "Id", "Id+1", "1+Id", "Id+Co
          "Id*2", "Id*w", "omega[Id]", "omega[Id+1]", "omega[Id*2]", "Const(w)+Id",
          "omega[Id]+Id", "omega_head(0;Id)", "omega_head(Id;Id)", "omega_head(1;Id+1)",
          "omega_head(0;Id*2)", "omega_head(Id;Id*w)", "omega[Id]*w", "Id*w+Id",
-         "omega_head(0;Id)+1"]
+         "omega_head(0;Id)+1", "omega[Id+1+Id]", "omega_head(Id;Id*2)"]
 ATOMS = ["Id", "omega_head(0;Id)", "omega_head(Id;Id)", "omega_head(1;omega_head(0;Id))",
          "omega_head(Id*2;Id)", "omega_head(Const(w);Id)"]
 # a head whose limit comes from the repeated unit top of its high part
@@ -90,8 +90,9 @@ class TestTranslationsAscend:
                     _assert_ascending_images(d, images, (text, j))
 
     def test_shift_translations(self, gs):
+        # separations and bands too: shift_translate moves their ambient
         g = parse_ord(gs)
-        for text in EXPRS:
+        for text in EXPRS + GAP_PARTS + LIMIT_BANDS:
             d = parse_dil(text)
             images = [coherence.shift_translate(d, g, e) for e in _elements(d, g)]
             _assert_ascending_images(mk_shift(d, g), images, text)

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import random
+import re
 import sys
 
 import pytest
@@ -8,13 +9,14 @@ import pytest
 import dilcalc.analysis as analysis_module
 import dilcalc.expr as expr_module
 import dilcalc.jfunctor as jfunctor_module
-from dilcalc.analysis import TypeClass, classify, otp_symbolic
+from dilcalc.analysis import Decomposition, classify, decompose, otp_symbolic
 from dilcalc.errors import (
     DepthExceeded,
     DilcalcError,
     FRAGMENT_ERRORS,
     GuardViolation,
     OutOfNotation,
+    UnsupportedDecomposition,
 )
 from dilcalc.expr import (
     Band,
@@ -26,6 +28,7 @@ from dilcalc.expr import (
     _split_trailing,
     mk_mul_nat,
     mk_omega_comp,
+    mk_sep_atom,
     mk_shift,
     mk_sum,
     parse_dil,
@@ -54,6 +57,7 @@ from dilcalc.ordinal import (
     ord_sup_of_sequence,
     parse_ord,
 )
+from dilcalc.psi import psi_clause_otp
 from dilcalc.suites import J_SUITE
 from test_analysis import differential_limit_sup
 
@@ -126,23 +130,23 @@ class TestLaws:
             assert j_eval(d, w).value == j_eval(d, w).value
 
     def test_clause_reverification(self):
-        from dilcalc.analysis import classify, sep
+        from dilcalc.analysis import sep
         from dilcalc.ordinal import ord_add
 
         for text in self.SUITE:
             d = parse_dil(text)
             value = j_eval(d, w).value
-            tc = classify(d)
-            if tc.kind == "0":
+            kind, dec = classify(d), decompose(d)
+            if kind == "0":
                 assert value == w
-            elif tc.kind == "1":
-                assert value == ord_add(j_eval(tc.pred, w).value, parse_ord("1"))
-            elif tc.kind == "Omega":
+            elif kind == "1":
+                assert value == ord_add(j_eval(dec.prefix, w).value, parse_ord("1"))
+            elif kind == "Omega":
                 alpha = j_eval(sep(d, parse_ord("0")), w).value
                 beta = j_eval(sep(d, alpha), w).value
                 assert value == ord_add(alpha, beta)
             else:
-                samples = [j_eval(tc.fund_seq(k), w).value for k in range(6)]
+                samples = [j_eval(dec.fund(k), w).value for k in range(6)]
                 assert all(W <= value for W in samples)
                 assert all(v < value or v == value for v in samples)
 
@@ -252,8 +256,8 @@ class TestStepLog:
     @classmethod
     def grid(cls):
         """(name, expr, gamma, evaluator, depth_cap) over seeded sums of
-        atoms, plus two raw bands of Id: parsed expressions do not reach
-        the empty and successor clauses, these bands do."""
+        atoms, plus two raw bands of Id, empty and of type 1, which
+        ``mk_band`` never builds: they refuse as not normalized."""
         rng = random.Random(2024)
         texts = list(cls.ATOMS) + [
             "+".join(rng.choice(cls.ATOMS) for _ in range(rng.randint(2, 3)))
@@ -270,27 +274,41 @@ class TestStepLog:
         return cases
 
     def test_fingerprint(self):
-        # count and sha1 of the rendered grid, taken when a B*w limit first
-        # iterated J(B, .): TestIteratedLimit relates it to the member walk
+        # count and sha1 of the rendered grid, re-taken when the two raw
+        # bands began to refuse; the other 1,369 lines are as they were when
+        # a B*w limit first iterated J(B, .), which TestIteratedLimit relates
+        # to the member walk
         lines = []
         for case in self.grid():
             lines += _render(*case)
         text = "\n".join(lines)
         clauses = {line[3:line.index("]")] for line in lines if line.startswith("  [")}
-        assert clauses == {"constant", "composition", "empty", "successor", "limit",
-                           "separation"}
+        assert clauses == {"constant", "composition", "limit", "separation"}
         assert any("! OutOfNotation" in line for line in lines)
         assert any("! DepthExceeded" in line for line in lines)
-        assert len(lines) == 1383
-        assert hashlib.sha1(text.encode()).hexdigest() == "39e339934578ad9db6177fa935cac6884dee273e"
+        assert len(lines) == 1373
+        assert hashlib.sha1(text.encode()).hexdigest() == "285291093438d9e3969293f0e6b291ac7489b23f"
 
     def test_answers_fingerprint(self):
         # value, eta, xi or `type: message` of each case, taken while sums
-        # were still peeled: composing changed the log, not the answers
+        # were still peeled (composing changed the log, not the answers) and
+        # re-taken when the two raw bands began to refuse
         heads = [_render(*case)[0] for case in self.grid()]
         assert len(heads) == 92
         text = "\n".join(heads)
-        assert hashlib.sha1(text.encode()).hexdigest() == "098b907255a0ea8b7dc195ff173b0a1c525e4107"
+        assert hashlib.sha1(text.encode()).hexdigest() == "442409c2d6153b8df72a4891eb02386782e78f27"
+
+    @pytest.mark.parametrize("band", [Band(D_ID, OMEGA, OMEGA, OMEGA),
+                                      Band(D_ID, ZERO, from_int(2), from_int(2))], ids=to_str)
+    @pytest.mark.parametrize("evaluator", [j_eval, jprime_eval, psi_clause_otp],
+                             ids=lambda f: f.__name__)
+    def test_hand_built_bands_refuse(self, band, evaluator):
+        # decomposed as zero and as 1 + 1, which no normalized node is; as
+        # the last summand of a sum too, which psi decomposes step by step
+        message = rf"{re.escape(to_str(band))} is not normalized$"
+        for d in (band, Sum(D_ID, band)):
+            with pytest.raises(UnsupportedDecomposition, match=message):
+                evaluator(d, w)
 
     @pytest.mark.parametrize("gs", ["0", "w", "w^2"])
     def test_shape(self, gs):
@@ -335,7 +353,7 @@ def _spine(seed, n):
 
 class TestSessionFacts:
     """A session derives what does not depend on gamma once per expression:
-    its classification, its fundamental-sequence members and its
+    its decomposition, its fundamental-sequence members and its
     separation at the first cut."""
 
     CASES = [("j", "Id*w*w*w", "w"), ("jprime", "Id*w*w*w", "w"),
@@ -348,28 +366,31 @@ class TestSessionFacts:
 
     @staticmethod
     def counted(monkeypatch, variant, d, gs):
-        """The result of one evaluation and three counters: classify calls
+        """The result of one evaluation and three counters: decompose calls
         per expression, fundamental-sequence members built per (expression,
         k) and separations per (expression, cut)."""
         classified, built, cuts = (collections.Counter() for _ in range(3))
-        real = jfunctor_module.classify
+        real, real_separate, owner = jfunctor_module.decompose, jfunctor_module.separate, {}
 
         def counting(e):
             classified[e] += 1
-            tc = real(e)
+            dec = real(e)
 
             def fund(k):
                 built[e, k] += 1
-                return tc.fund_seq(k)
+                return dec.fund(k)
 
-            def sep_fn(g):
-                cuts[e, g] += 1
-                return tc.sep_fn(g)
+            out = Decomposition(dec.kind, dec.prefix, dec.top, dec.fund and fund)
+            owner[id(out)] = e
+            return out
 
-            return TypeClass(tc.kind, tc.pred, tc.fund_seq and fund, tc.sep_fn and sep_fn)
+        def separating(dec, g):
+            cuts[owner[id(dec)], g] += 1
+            return real_separate(dec, g)
 
         with monkeypatch.context() as patch:
-            patch.setattr(jfunctor_module, "classify", counting)
+            patch.setattr(jfunctor_module, "decompose", counting)
+            patch.setattr(jfunctor_module, "separate", separating)
             res = EVALUATORS[variant](d, parse_ord(gs))
         return res, classified, built, cuts
 
@@ -464,21 +485,24 @@ class ReferenceSession:
             value = ord_add(self.gamma, d.value)
         else:
             rest, last = _split_trailing(d)
-            tc = None if rest is not None and isinstance(last, Const) else classify(d)
-            if tc is None:
+            dec = None if rest is not None and isinstance(last, Const) else decompose(d)
+            if dec is None:
                 value = ord_add(self.eval(rest), last.value)
-            elif tc.kind == "0":
+            elif dec.kind == "zero":
                 value = self.gamma
-            elif tc.kind == "1":
-                value = ord_add(self.eval(tc.pred), ONE)
-            elif tc.kind == "omega":
-                values = [self.eval(tc.fund_seq(k)) for k in range(LIMIT_SAMPLES)]
+            elif dec.kind == "succ" and dec.top == D_ONE:
+                value = ord_add(self.eval(dec.prefix), ONE)
+            elif dec.kind == "limit":
+                values = [self.eval(dec.fund(k)) for k in range(LIMIT_SAMPLES)]
                 if any(a > b for a, b in zip(values, values[1:])):
                     raise GuardViolation(f"partial-sum values decreased under {to_str(d)}")
                 value = ord_sup_of_sequence(values)
             else:
-                alpha = self.eval(tc.sep_fn(self.first_cut))
-                value = ord_add(alpha, self.eval(tc.sep_fn(alpha)))
+                def split(g):
+                    return mk_sum(dec.prefix, mk_sep_atom(dec.top, g, g))
+
+                alpha = self.eval(split(self.first_cut))
+                value = ord_add(alpha, self.eval(split(alpha)))
         self.memo[d] = value
         return value
 

@@ -5,7 +5,7 @@ immutability, and unhashable mutable records."""
 
 import pytest
 
-from dilcalc.analysis import Decomposition, TypeClass
+from dilcalc.analysis import Decomposition
 from dilcalc.expr import (
     D_ID, D_ONE, D_ZERO, Band, CnfHead, Const, IdNode, MulOmega, OmegaComp, Sep, Sum,
 )
@@ -68,8 +68,6 @@ RECORDS = [
      'EnumBudget(max_count=10, const_cap=12, copies=3, cnf_len=2, cnf_mult=2, grid=3)'),
     (lambda: Decomposition("succ", D_ZERO, D_ONE),
      "Decomposition(kind='succ', prefix=Const(value=Ord('0')), top=Const(value=Ord('1')), fund=None)"),
-    (lambda: TypeClass("1", pred=D_ONE),
-     "TypeClass(kind='1', pred=Const(value=Ord('1')), fund_seq=None, sep_fn=None)"),
     (lambda: JStep(D_ID, OMEGA, "limit", None, OMEGA),
      "JStep(parent=IdNode(), gamma=Ord('w'), clause='limit', child=None, value=Ord('w'))"),
     (lambda: j_eval(D_ONE, ONE),
