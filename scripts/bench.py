@@ -65,6 +65,14 @@ four enumerations of the collapse-fuzz workload (median of REPEATS calls, in
 CPU seconds), with the term count and the sha1 of the terms rendered one per
 line, in PROCESSES fresh interpreters.
 
+The chain-search point times ``chain_search`` (CHAIN_TRIALS trials, chain
+depth CHAIN_DEPTH) at each of CHAIN_SEEDS for each CHAIN_ORDERS order, the
+four search orders of the collapse-fuzz workload (median of REPEATS passes
+over the seeds, in CPU seconds), with a sha1 of the search answers and one of
+every term the search drew, in PROCESSES fresh interpreters.  The orders are
+well-founded, so every answer reads ``NoneFound``; the drawn terms show that
+the seeded draws stay the same.
+
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
 """
@@ -127,6 +135,10 @@ REFUSAL = "omega_head(0;Id)+Id+1+Const(w)+Id"
 DEPTH_CAP_EXPR = "Id*w*w*w*w*w"
 DEEP_CHAIN = "Id*1200"
 PSI_ENUMS = (("omega[Id]+Id", "1"), ("omega[Id]", "0"), ("Id*2", "w"), ("Const(w)+Id", "w^2"))
+CHAIN_ORDERS = (("omega[Id]", "0"), ("Id", "w"), ("Id*2", "w"), ("Const(w)+Id", "w^2"))
+CHAIN_SEEDS = range(25)
+CHAIN_TRIALS = 20
+CHAIN_DEPTH = 30
 SERIES = {
     "j": lambda d, w: j_eval(d, w).value,
     "jprime": lambda d, w: jprime_eval(d, w).value,
@@ -355,6 +367,44 @@ def psi_enum_point() -> list:
     return rows
 
 
+class DrawLog(psi.PsiSearchHandle):
+    """The search handle of an order, keeping every term it draws."""
+
+    def __init__(self, order):
+        super().__init__(order)
+        self.drawn = []
+
+    def random_element(self, rng):
+        term = super().random_element(rng)
+        self.drawn.append(term)
+        return term
+
+
+def chain_search_point() -> list:
+    """CPU seconds (median of REPEATS passes over CHAIN_SEEDS) of
+    chain_search, with the sha1 of its answers and of the terms it drew, for
+    each CHAIN_ORDERS order."""
+    rows = []
+    for text, gamma in CHAIN_ORDERS:
+        order, runs = psi.PsiOrder(parse_dil(text), parse_ord(gamma)), []
+        for _ in range(REPEATS):
+            handle = DrawLog(order)
+            start = time.process_time()
+            results = [psi.chain_search(handle, CHAIN_TRIALS, CHAIN_DEPTH, seed)
+                       for seed in CHAIN_SEEDS]
+            runs.append(time.process_time() - start)
+        answers = "\n".join(f"{r.summary} trials={r.trials} chain={len(r.chain)}" for r in results)
+        drawn = "\n".join("-" if t is None else psi.term_str(order, t) for t in handle.drawn)
+        print(f"  {text} at {gamma}: {statistics.median(runs):.4f} s, {len(handle.drawn)} draws",
+              file=sys.stderr)
+        rows.append({"expr": text, "gamma": gamma, "seeds": len(CHAIN_SEEDS),
+                     "answers_sha1": hashlib.sha1(answers.encode()).hexdigest(),
+                     "draws": len(handle.drawn),
+                     "drawn_sha1": hashlib.sha1(drawn.encode()).hexdigest(),
+                     "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs})
+    return rows
+
+
 def in_fresh_process(call: str) -> dict:
     """The JSON result of this script's ``call``, such as ``element_series()``,
     run in a new interpreter."""
@@ -427,6 +477,8 @@ def main() -> int:
     report["limit_tower"] = fresh_spread("limit_tower()")
     print("psi enum:", file=sys.stderr)
     report["psi_enum"] = fresh_spread("psi_enum_point()")
+    print("chain search:", file=sys.stderr)
+    report["chain_search"] = fresh_spread("chain_search_point()")
     print("elements:", file=sys.stderr)
     report["elements"] = fresh_spread("element_series()")
     print("cli:", file=sys.stderr)

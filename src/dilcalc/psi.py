@@ -17,7 +17,6 @@ fragment.
 
 from __future__ import annotations
 
-import functools
 import random
 
 from . import analysis
@@ -219,12 +218,15 @@ class PsiOrder(Frozen):
         """All valid terms of nesting depth <= depth, sorted ascending.
 
         Level L lists every ENUM_BUDGET element over the terms known after the
-        levels before it.  Each point of such a candidate is one of those
-        term objects, so each accepted term is keyed once: its position key
-        ``(1, element_key)``, with each point keyed by its stored tuple, is
-        stored under ``id(term)``.  This relies on ``compare`` being a strict
-        total order on valid terms, in which EQUAL means identical, so the
-        keys order terms exactly as ``compare`` does.
+        levels before it, a list sorted ascending.  Each point of such a
+        candidate is one of those term objects, so the level keys a point by
+        its rank in that list: position key ``(1, rank)``.  Ranks are
+        injective and order-preserving over the known terms, so in this rank
+        space ``element_key`` orders the level's candidates and the known
+        terms, re-keyed at the start of the level, exactly as ``compare``
+        does; and since ``compare`` is a strict total order on valid terms in
+        which EQUAL means identical, equal keys mean equal terms.  A key holds
+        its points' ranks, not their keys, so it stays shallow at any level.
 
         Level 0 keeps every valid candidate.  At a later level a candidate
         is new iff one of its points was accepted at the level before: one
@@ -233,7 +235,8 @@ class PsiOrder(Frozen):
         its frozen positions are below gamma (a separation's or band's base
         draws them up to its ambient) and its points' keys are below its
         own: its points are valid known terms, and ``_gen`` builds only
-        well-formed elements.
+        well-formed elements.  One ``element_key`` walk per candidate gives
+        its key, its points and its frozen positions.
 
         The known terms need no cap of their own.  Generation is monotone in
         the known points, so every known term (all of its points older than
@@ -244,24 +247,32 @@ class PsiOrder(Frozen):
         """
         dilator, gamma = self.dilator, self.gamma
         lefts = _grid_values(gamma, ENUM_BUDGET.grid)
-        keys: dict = {}  # id(term) -> the position key of each accepted term
+        found: list = []  # the candidate's point ids; None for a frozen position >= gamma
 
         def pos_key(p):
-            return keys[id(p.point)] if p.__class__ is Right else (0, p.value)
+            return ranks[id(p.point)] if p.__class__ is Right else (0, p.value)
+
+        def probe(p):
+            if p.__class__ is Right:
+                i = id(p.point)
+                found.append(i)
+                return ranks[i]
+            if not p.value < gamma:
+                found.append(None)
+            return (0, p.value)
 
         known: list = []
         last = None  # ids of the terms accepted at the level before
         for _level in range(depth + 1):
+            ranks = {id(t): (1, i) for i, t in enumerate(known)}  # id -> position key
+            keys = {id(t): element_key(dilator, t, pos_key) for t in known}
             fresh = []
             for t in _candidates(dilator, known, ENUM_BUDGET, lefts, pos_key):
-                positions = element_positions(dilator, t)
-                ids = [id(p.point) for p in positions if p.__class__ is Right]
-                if last is not None and last.isdisjoint(ids):
+                found.clear()
+                key = element_key(dilator, t, probe)
+                if None in found or (last is not None and last.isdisjoint(found)):
                     continue
-                if any(p.__class__ is Left and not p.value < gamma for p in positions):
-                    continue
-                key = (1, element_key(dilator, t, pos_key))
-                if all(keys[i] < key for i in ids):
+                if all(keys[i] < key for i in found):
                     keys[id(t)] = key
                     fresh.append(t)
             if not fresh:
@@ -344,11 +355,13 @@ class PsiOrder(Frozen):
                     exps.append(ESum(side, self._rand(part, rng, depth, lefts)))
                 except _DeadEnd:
                     continue
-        key = functools.partial(element_key, expr.exponents, pos_key=self.pos_key)
-        uniq = []
-        for e in sorted(exps, key=key, reverse=True):
-            if not uniq or key(uniq[-1][0]) > key(e):
+        keyed = [(element_key(expr.exponents, e, self.pos_key), e) for e in exps]
+        keyed.sort(key=lambda ke: ke[0], reverse=True)
+        uniq, last = [], None
+        for k, e in keyed:
+            if not uniq or last > k:
                 uniq.append((e, rng.randint(1, 2)))
+                last = k
         if head and (not uniq or uniq[0][0].side != 1):
             raise _DeadEnd()
         return ECnf(tuple(uniq))

@@ -22,6 +22,7 @@ from .analysis import (
     otp_symbolic,
     sep,
     sep_signed,
+    separate,
 )
 from .errors import FRAGMENT_ERRORS, DilcalcError
 from .expr import (
@@ -424,10 +425,10 @@ def _check_shift_expr(rep, d: Dil, g: Ord, k: int, n_points: int):
 
 def _check_sep_expr(rep, d: Dil, g: Ord, k: int, n_points: int):
     tag = f"sep {to_str(d)} at {ord_str(g)}"
-    if classify(d) != "Omega":
-        return
     dec = decompose(d)
-    sep_expr = sep(d, g)
+    if dec.kind != "succ" or dec.top == D_ONE:  # not of type Omega
+        return
+    sep_expr = separate(dec, g)
     atom = dec.top
     sep_atom_expr = mk_sep_atom(atom, g, g)
     images = [

@@ -22,6 +22,7 @@ from dilcalc.expr import (
     to_str,
 )
 from dilcalc.ordinal import (  # noqa: F401
+    LESS,
     LIMIT_SAMPLES,
     OMEGA,
     ONE,
@@ -473,6 +474,22 @@ class TestRankedEnumeration:
                 continue
             for t in cands:
                 validate_element(order.dilator, t, order.pos_cmp)
+
+    @pytest.mark.parametrize("gamma", ["0", "1", "w"])
+    @pytest.mark.parametrize("text", RANKED_ENUM_EXPRS)
+    def test_terms_ascend_and_are_valid(self, text, gamma):
+        # independent of any key: adjacent terms ascend under compare, and
+        # every term passes the recursive valid, which enum does not run
+        order = PsiOrder(parse_dil(text), parse_ord(gamma))
+        for depth in range(3):
+            try:
+                terms = order.enum(depth)
+            except BudgetExceeded:
+                continue
+            for a, b in zip(terms, terms[1:]):
+                assert order.compare(a, b) == LESS, (text, gamma, depth)
+            for t in terms:
+                assert order.valid(t), (text, gamma, depth)
 
     # the four benchmark enumerations at depth 2: count and sha1 of the
     # rendered terms, one per line, taken before levels were ranked
