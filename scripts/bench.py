@@ -109,7 +109,6 @@ from dilcalc.expr import D_ID, D_ONE, mk_mul_nat, mk_sum, parse_dil, to_str  # n
 from dilcalc.jfunctor import j_eval, jplus_eval, jprime_eval  # noqa: E402
 from dilcalc.ordinal import ord_str, parse_ord  # noqa: E402
 from dilcalc.semantics import (  # noqa: E402
-    EId,
     EnumBudget,
     Right,
     apply_embedding,
@@ -158,14 +157,14 @@ def kernel_setup(fn):
 
 def sum_inject_setup(n: int):
     d = mk_mul_nat(D_ID, n)
-    elem = coherence.top_inject(d, EId(Right(0)))
+    elem = coherence.top_inject(d, Right(0))
     target = mk_sum(d, D_ID)
     return (lambda: coherence.sum_inject(d, D_ID, 0, elem)), lambda r: element_str(target, r)
 
 
 def prefix_inject_setup(n: int):
     d = mk_mul_nat(D_ID, n)
-    elem, target = coherence.top_inject(d, EId(Right(0))), mk_sum(d, D_ONE)
+    elem, target = coherence.top_inject(d, Right(0)), mk_sum(d, D_ONE)
     return (lambda: coherence.prefix_inject(target, elem)), lambda r: element_str(target, r)
 
 

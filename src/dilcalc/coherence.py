@@ -44,8 +44,6 @@ from .ordinal import (
     ord_pred,
 )
 from .semantics import (
-    ECnf,
-    EConst,
     ECopies,
     ESum,
     Left,
@@ -80,12 +78,12 @@ def sum_inject(a: Dil, b: Dil, side: int, elem):
             elem = elem.inner
         a, layers = a.right, layers + 1
     if isinstance(a, Const) and isinstance(b, Const):
-        image = elem if side == 0 else EConst(ord_add(a.value, elem.index))
+        image = elem if side == 0 else ord_add(a.value, elem)
     elif isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
         if side == 0:
             image = ESum(0, elem)
         elif elem.side == 0:
-            image = ESum(0, EConst(ord_add(a.value, elem.inner.index)))
+            image = ESum(0, ord_add(a.value, elem.inner))
         else:
             image = elem
     else:
@@ -100,11 +98,11 @@ def sum_inject(a: Dil, b: Dil, side: int, elem):
 def frozen_value(expr: Dil, elem, bound: Ord) -> Ord:
     """Rank of an element with only frozen positions inside expr([0, bound))."""
     if isinstance(expr, Const):
-        return elem.index
+        return elem
     if isinstance(expr, IdNode):
-        if not isinstance(elem.pos, Left):
+        if not isinstance(elem, Left):
             raise TranslationGap("live position in a frozen element")
-        return elem.pos.value
+        return elem.value
     if isinstance(expr, Sum):
         # the ranks of the earlier summands, added up in a loop
         total = ZERO
@@ -122,7 +120,7 @@ def frozen_value(expr: Dil, elem, bound: Ord) -> Ord:
         )
     if isinstance(expr, (OmegaComp, CnfHead)):
         total = ZERO
-        for x, m in elem.pairs:
+        for x, m in elem:
             v = frozen_value(expr.exponents, x, bound)
             total = ord_add(total, ord_mul_nat(ord_omega_pow(v), m))
         if isinstance(expr, OmegaComp):
@@ -143,8 +141,8 @@ def shift_translate(expr: Dil, g: Ord, elem):
     if g.is_zero() or isinstance(expr, Const):
         return elem
     if isinstance(expr, IdNode):
-        if isinstance(elem.pos, Left):
-            return sum_inject(Const(g), D_ID, 0, EConst(elem.pos.value))
+        if isinstance(elem, Left):
+            return sum_inject(Const(g), D_ID, 0, elem.value)
         return sum_inject(Const(g), D_ID, 1, elem)
     if isinstance(expr, Sum):
         part = expr.left if elem.side == 0 else expr.right
@@ -160,23 +158,11 @@ def shift_translate(expr: Dil, g: Ord, elem):
         target = mk_omega_comp(mk_shift(expr.base, g))
         if not isinstance(target, OmegaComp):
             raise TranslationGap(f"shifted {to_str(expr)} renormalizes")
-        return ECnf(
-            tuple((shift_translate(expr.base, g, x), m) for x, m in elem.pairs)
-        )
+        return tuple((shift_translate(expr.base, g, x), m) for x, m in elem)
     if isinstance(expr, CnfHead):
-        return ECnf(
-            tuple(
-                (
-                    ESum(
-                        x.side,
-                        shift_translate(
-                            expr.low if x.side == 0 else expr.high, g, x.inner
-                        ),
-                    ),
-                    m,
-                )
-                for x, m in elem.pairs
-            )
+        return tuple(
+            (ESum(x.side, shift_translate(expr.low if x.side == 0 else expr.high, g, x.inner)), m)
+            for x, m in elem
         )
     if isinstance(expr, (Sep, Band)):
         return elem  # ambient extension keeps the representation
@@ -196,14 +182,14 @@ def _sum_split(a: Dil, b: Dil, elem):
             return 0, outer
         elem, a, layers = elem.inner, a.right, layers + 1
     if isinstance(a, Const) and isinstance(b, Const):
-        if elem.index < a.value:
+        if elem < a.value:
             return 0, _place(elem, layers, layers + 1)
-        return 1, EConst(ord_left_sub(a.value, elem.index))
+        return 1, ord_left_sub(a.value, elem)
     if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
         if elem.side == 0:
-            if elem.inner.index < a.value:
+            if elem.inner < a.value:
                 return 0, _place(elem.inner, layers, layers + 1)
-            return 1, ESum(0, EConst(ord_left_sub(a.value, elem.inner.index)))
+            return 1, ESum(0, ord_left_sub(a.value, elem.inner))
         return 1, elem
     if elem.side == 0:
         return 0, _place(elem.inner, layers, layers + 1)
@@ -224,7 +210,7 @@ def plus_translate(atom: Dil, g: Ord, elem):
         low_t = mk_shift(atom.low, g)
         band_t = mk_band(atom.high, ZERO, g, g)
         pairs = []
-        for x, m in elem.pairs:
+        for x, m in elem:
             if x.side == 0:
                 new = ESum(0, sum_inject(low_t, band_t, 0, shift_translate(atom.low, g, x.inner)))
             else:
@@ -235,7 +221,7 @@ def plus_translate(atom: Dil, g: Ord, elem):
                 else:
                     new = ESum(1, plus_translate(atom.high, g, x.inner))
             pairs.append((new, m))
-        return ECnf(tuple(pairs))
+        return tuple(pairs)
     raise TranslationGap(f"no upper-split translation for {atom!r}")
 
 
@@ -244,7 +230,7 @@ def _cut_translate(target: Dil, atom: Dil, g: Ord, elem):
     the atom's part below the cut: its frozen rank when that part is a
     constant, else the element itself."""
     if isinstance(target, Const):
-        return EConst(frozen_value(atom, elem, g))
+        return frozen_value(atom, elem, g)
     return elem
 
 
@@ -343,7 +329,7 @@ def top_inject(d: Dil, elem):
     if dec.kind != "succ":
         raise TranslationGap("top injection needs a successor decomposition")
     if isinstance(d, Const):
-        return EConst(ord_pred(d.value))
+        return ord_pred(d.value)
     if isinstance(d, Sum):
         # the top of a sum is the top of its last summand, in that summand's
         # place; a loop, so a long sum costs no recursion depth
@@ -352,16 +338,16 @@ def top_inject(d: Dil, elem):
     if isinstance(d, OmegaComp):
         # top is mk_cnf_head(prefix, top-of-base); exponents land in the base
         pairs = []
-        for x, m in elem.pairs:
+        for x, m in elem:
             if x.side == 0:
                 pairs.append((prefix_inject(d.base, x.inner), m))
             else:
                 pairs.append((top_inject(d.base, x.inner), m))
-        return ECnf(tuple(pairs))
+        return tuple(pairs)
     if isinstance(d, CnfHead):
         inner_dec = decompose(d.high)
         pairs = []
-        for x, m in elem.pairs:
+        for x, m in elem:
             if x.side == 0:
                 side, part = _sum_split(d.low, inner_dec.prefix, x.inner)
                 if side == 0:
@@ -370,34 +356,32 @@ def top_inject(d: Dil, elem):
                     pairs.append((ESum(1, prefix_inject(d.high, part)), m))
             else:
                 pairs.append((ESum(1, top_inject(d.high, x.inner)), m))
-        return ECnf(tuple(pairs))
+        return tuple(pairs)
     raise TranslationGap(f"no top injection for {d!r}")
 
 
 def _inject_high(elem, inject):
     """A head element with its high-part exponents mapped by ``inject``."""
-    return ECnf(
-        tuple((x if x.side == 0 else ESum(1, inject(x.inner)), m) for x, m in elem.pairs)
-    )
+    return tuple((x if x.side == 0 else ESum(1, inject(x.inner)), m) for x, m in elem)
 
 
 def _oc_inject(p: Dil, elem, inject_exp):
     """Element of mk_omega_comp(p) as a formal sum with exponents mapped by inject_exp."""
     target = mk_omega_comp(p)
     if isinstance(target, OmegaComp):
-        return ECnf(tuple((inject_exp(x), m) for x, m in elem.pairs))
+        return tuple((inject_exp(x), m) for x, m in elem)
     if isinstance(target, Const):
         # only a constant p composes to a constant: the index in base-omega form
-        return ECnf(tuple((inject_exp(EConst(exp)), m) for exp, m in elem.index.terms))
+        return tuple((inject_exp(exp), m) for exp, m in elem.terms)
     if isinstance(target, MulOmega):
         pdec = decompose(p)
         if pdec.kind != "succ" or pdec.top != D_ONE:
             raise TranslationGap("unexpected repetition normal form")
-        unit = top_inject(p, EConst(ZERO))  # the last unit of p
+        unit = top_inject(p, ZERO)  # the last unit of p
         inner = _oc_inject(pdec.prefix, elem.inner, lambda x: inject_exp(prefix_inject(p, x)))
         if elem.copy == 0:
             return inner
         lead = (inject_exp(unit), elem.copy)
-        return ECnf((lead,) + inner.pairs)
+        return (lead,) + inner
     raise TranslationGap(f"no omega-composition translation onto {to_str(target)}")
 

@@ -120,40 +120,40 @@ class _Session:
                 return value
 
     def _frame(self, d: Dil, gamma: Ord):
-        if isinstance(d, Sum):
+        if d.__class__ is not Sum:  # a guarded step
+            self.calls += 1
+            if self.calls > DEPTH_CAP:
+                raise DepthExceeded(f"evaluation exceeded {DEPTH_CAP} steps")
+        if d.__class__ is Sum:
             # J(a+e, gamma) = J(e, J(a, gamma)); the right summand is the child
-            value = yield d.right, (yield d.left, gamma)
-            yield JStep(d, gamma, "composition", d.right, value)
-            return
-        self.calls += 1
-        if self.calls > DEPTH_CAP:
-            raise DepthExceeded(f"evaluation exceeded {DEPTH_CAP} steps")
-        if d.__class__ is MulOmega:
+            clause, child = "composition", d.right
+            value = yield child, (yield d.left, gamma)
+        elif d.__class__ is MulOmega:
             # J(B*k, gamma) = J(B, J(B*(k-1), gamma)): sample k iterates J(B, .)
             # k times from gamma, one step each, so no member B*k is built
             values = [gamma]
             while len(values) < analysis.LIMIT_SAMPLES:
                 values.append((yield d.base, values[-1]))
-            yield JStep(d, gamma, "limit", d.base, _limit_sup(d, values.__getitem__))
-            return
-        facts = self.facts.get(d)
-        if facts is None:
-            dec = _normalized(d, decompose(d))
-            first = separate(dec, self.first_cut) if dec.kind == "succ" else None
-            facts = self.facts[d] = (dec, [], first)
-        dec, members, first = facts
-        if dec.kind == "limit":
-            # _limit_sup's sample count, in order: member k is built on first demand
-            values = []
-            for k in range(analysis.LIMIT_SAMPLES):
-                if k == len(members):
-                    members.append(dec.fund(k))
-                values.append((yield members[k], gamma))
-            clause, child, value = "limit", members[-1], _limit_sup(d, values.__getitem__)
+            clause, child, value = "limit", d.base, _limit_sup(d, values.__getitem__)
         else:
-            alpha = yield first, gamma
-            clause, child = "separation", separate(dec, alpha)
-            value = ord_add(alpha, (yield child, gamma))
+            facts = self.facts.get(d)
+            if facts is None:
+                dec = _normalized(d, decompose(d))
+                first = separate(dec, self.first_cut) if dec.kind == "succ" else None
+                facts = self.facts[d] = (dec, [], first)
+            dec, members, first = facts
+            if dec.kind == "limit":
+                # _limit_sup's sample count, in order: member k is built on first demand
+                values = []
+                for k in range(analysis.LIMIT_SAMPLES):
+                    if k == len(members):
+                        members.append(dec.fund(k))
+                    values.append((yield members[k], gamma))
+                clause, child, value = "limit", members[-1], _limit_sup(d, values.__getitem__)
+            else:
+                alpha = yield first, gamma
+                clause, child = "separation", separate(dec, alpha)
+                value = ord_add(alpha, (yield child, gamma))
         yield JStep(d, gamma, clause, child, value)
 
 
@@ -196,10 +196,6 @@ class GuardAudit(Frozen):
         _set(self, "steps_checked", steps_checked)
         _set(self, "rank_violations", rank_violations)
         _set(self, "unranked_steps", unranked_steps)
-
-    @property
-    def ok(self) -> bool:
-        return self.value_identical and not self.rank_violations
 
 
 def j_guard_report(result: JResult) -> GuardAudit:

@@ -49,10 +49,7 @@ from .ordinal import (
     ord_str,
 )
 from .semantics import (
-    ECnf,
-    EConst,
     ECopies,
-    EId,
     ESum,
     EnumBudget,
     Left,
@@ -312,9 +309,9 @@ class PsiOrder(Frozen):
             pool = _grid_values(bound, 6)
             if not pool:
                 raise _DeadEnd()
-            return EConst(rng.choice(pool))
+            return rng.choice(pool)
         if isinstance(expr, IdNode):
-            return EId(self._rand_position(rng, depth, lefts))
+            return self._rand_position(rng, depth, lefts)
         if isinstance(expr, Sum):
             side = rng.randint(0, 1)
             for s in (side, 1 - side):
@@ -340,7 +337,7 @@ class PsiOrder(Frozen):
         head = isinstance(expr, CnfHead)
         count = rng.randint(0 if not head else 1, 2)
         if count == 0:
-            return ECnf(())
+            return ()
         exps = []
         if head:
             exps.append(ESum(1, self._rand(expr.high, rng, depth, lefts)))
@@ -364,7 +361,7 @@ class PsiOrder(Frozen):
                 last = k
         if head and (not uniq or uniq[0][0].side != 1):
             raise _DeadEnd()
-        return ECnf(tuple(uniq))
+        return tuple(uniq)
 
 
 class _DeadEnd(Exception):

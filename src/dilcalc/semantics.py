@@ -4,7 +4,12 @@ An element of an expression over an argument order is a nested value
 mirroring the expression structure.  Positions are either frozen ordinals
 below an ambient bound (``Left``) or live points of the argument order
 (``Right``); live points may be arbitrary labels, which is how collapse
-terms reuse this module.  Two enumerators are provided: an exhaustive
+terms reuse this module.  The leaves are plain values: a ``Const``'s
+element is its ``Ord`` index, an ``Id``'s element is its position, and an
+``omega[...]`` or ``omega_head(...)`` element is the tuple of its
+``(exponent, multiplicity)`` pairs, exponents descending, with ``()`` the
+empty sum.  Only sum and repetition levels wrap the element below them
+(``ESum``, ``ECopies``).  Two enumerators are provided: an exhaustive
 budget-capped one, and a lazy stream that yields the true ascending
 prefix of the order.
 """
@@ -33,16 +38,6 @@ class Right(Frozen):
         _set(self, "point", point)
 
 
-class EConst(Frozen):
-    def __init__(self, index: Ord):
-        _set(self, "index", index)
-
-
-class EId(Frozen):
-    def __init__(self, pos: object):
-        _set(self, "pos", pos)
-
-
 class ESum(Frozen):
     def __init__(self, side: int, inner: object):
         _set(self, "side", side)
@@ -53,16 +48,6 @@ class ECopies(Frozen):
     def __init__(self, copy: int, inner: object):
         _set(self, "copy", copy)
         _set(self, "inner", inner)
-
-
-class ECnf(Frozen):
-    """Formal sum of omega-powers: ((exponent, multiplicity), ...) descending."""
-
-    def __init__(self, pairs: tuple = ()):
-        _set(self, "pairs", pairs)
-
-
-EMPTY_CNF = ECnf()
 
 
 def default_pos_cmp(p, q) -> int:
@@ -119,20 +104,19 @@ def compare_elements(expr: Dil, e1, e2, pos_cmp=default_pos_cmp) -> int:
             e1, e2 = e1.inner, e2.inner
         elif kind is OmegaComp or kind is CnfHead:
             exponents = expr.exponents
-            p1, p2 = e1.pairs, e2.pairs
-            for (x, m), (y, n) in zip(p1, p2):
+            for (x, m), (y, n) in zip(e1, e2):
                 c = compare_elements(exponents, x, y, pos_cmp)
                 if c != EQUAL:
                     return c
                 if m != n:
                     return LESS if m < n else GREATER
-            if len(p1) == len(p2):
+            if len(e1) == len(e2):
                 return EQUAL
-            return LESS if len(p1) < len(p2) else GREATER
+            return LESS if len(e1) < len(e2) else GREATER
         elif kind is IdNode:
-            return pos_cmp(e1.pos, e2.pos)
+            return pos_cmp(e1, e2)
         elif kind is Const:
-            return ord_cmp(e1.index, e2.index)
+            return ord_cmp(e1, e2)
         elif kind is MulOmega:
             if e1.copy != e2.copy:
                 return LESS if e1.copy < e2.copy else GREATER
@@ -162,13 +146,13 @@ def element_key(expr: Dil, elem, pos_key) -> object:
             elem = elem.inner
         elif kind is OmegaComp or kind is CnfHead:
             exponents = expr.exponents
-            body = tuple([(element_key(exponents, x, pos_key), m) for x, m in elem.pairs])
+            body = tuple([(element_key(exponents, x, pos_key), m) for x, m in elem])
             break
         elif kind is IdNode:
-            body = pos_key(elem.pos)
+            body = pos_key(elem)
             break
         elif kind is Const:
-            body = elem.index
+            body = elem
             break
         elif kind is MulOmega:
             key.append(elem.copy)
@@ -191,9 +175,9 @@ def _walk_positions(expr, elem, out):
     expr, elem = _descend(expr, elem)
     kind = expr.__class__
     if kind is IdNode:
-        out.append(elem.pos)
+        out.append(elem)
     elif kind is OmegaComp or kind is CnfHead:
-        for x, _ in elem.pairs:
+        for x, _ in elem:
             _walk_positions(expr.exponents, x, out)
     elif kind is not Const:
         raise MalformedElement(f"no position rule for {expr!r}")
@@ -225,15 +209,12 @@ def apply_embedding(expr: Dil, elem, mapping) -> object:
             expr = expr.left if elem.side == 0 else expr.right
             elem = elem.inner
         elif kind is OmegaComp or kind is CnfHead:
-            exponents, pairs = expr.exponents, []
-            for x, m in elem.pairs:
-                pairs.append((apply_embedding(exponents, x, mapping), m))
-            elem = ECnf(tuple(pairs))
+            exponents = expr.exponents
+            elem = tuple([(apply_embedding(exponents, x, mapping), m) for x, m in elem])
             break
         elif kind is IdNode:
-            pos = elem.pos
-            if isinstance(pos, Right):
-                elem = EId(Right(mapping[pos.point]))
+            if isinstance(elem, Right):
+                elem = Right(mapping[elem.point])
             break
         elif kind is Const:
             break
@@ -270,23 +251,23 @@ def validate_element(expr: Dil, elem, pos_cmp=default_pos_cmp):
         else:
             break
     if kind is Const:
-        if not isinstance(elem, EConst) or ord_cmp(elem.index, expr.value) != LESS:
+        if not isinstance(elem, Ord) or ord_cmp(elem, expr.value) != LESS:
             raise MalformedElement(f"bad constant element {elem!r}")
     elif kind is IdNode:
-        if not isinstance(elem, EId):
+        if not isinstance(elem, (Left, Right)):
             raise MalformedElement(f"bad Id element {elem!r}")
     elif kind is OmegaComp or kind is CnfHead:
-        if not isinstance(elem, ECnf):
+        if not isinstance(elem, tuple):
             raise MalformedElement(f"bad formal sum {elem!r}")
-        for x, m in elem.pairs:
+        for x, m in elem:
             if m < 1:
                 raise MalformedElement("multiplicities must be positive")
             validate_element(expr.exponents, x, pos_cmp)
-        for (x, _), (y, _) in zip(elem.pairs, elem.pairs[1:]):
+        for (x, _), (y, _) in zip(elem, elem[1:]):
             if compare_elements(expr.exponents, x, y, pos_cmp) != GREATER:
                 raise MalformedElement("exponents must strictly descend")
         if kind is CnfHead:
-            if not elem.pairs or elem.pairs[0][0].side != 1:
+            if not elem or elem[0][0].side != 1:
                 raise MalformedElement("head elements need a high-part lead")
     else:
         raise MalformedElement(f"no validation rule for {expr!r}")
@@ -302,14 +283,14 @@ def important_position(expr: Dil, elem):
         expr, elem = _descend(expr, elem)
         kind = expr.__class__
         if kind is IdNode:
-            return elem.pos
+            return elem
         if kind is Const:
             return None
         if kind is not OmegaComp and kind is not CnfHead:
             raise MalformedElement(f"no importance rule for {expr!r}")
-        if not elem.pairs:
+        if not elem:  # the empty formal sum
             return None
-        expr, elem = expr.exponents, elem.pairs[0][0]
+        expr, elem = expr.exponents, elem[0][0]
 
 
 def member(node, elem) -> bool:
@@ -381,11 +362,11 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
         out = []
         v = ZERO
         while len(out) < budget.const_cap and v < bound:
-            out.append(EConst(v))
+            out.append(v)
             v = ord_add(v, ONE)
         return out
     if isinstance(expr, IdNode):
-        return [EId(Left(v)) for v in lefts] + [EId(Right(p)) for p in points]
+        return [Left(v) for v in lefts] + [Right(p) for p in points]
     if isinstance(expr, Sum):
         parts = summands(expr)
         made = {p: _gen(p, points, budget, lefts, pos_key) for p in dict.fromkeys(parts)}
@@ -402,9 +383,9 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
             for combo in itertools.combinations(range(len(exps)), count):
                 descending = [exps[i] for i in reversed(combo)]
                 for mults in itertools.product(range(1, budget.cnf_mult + 1), repeat=count):
-                    cand = ECnf(tuple(zip(descending, mults)))
+                    cand = tuple(zip(descending, mults))
                     if isinstance(expr, CnfHead):
-                        if not cand.pairs or cand.pairs[0][0].side != 1:
+                        if not cand or cand[0][0].side != 1:
                             continue
                     out.append(cand)
                     if len(out) > budget.max_count:
@@ -489,18 +470,18 @@ def _stream(expr: Dil, points, state, cap, bound):
         v = ZERO
         while v < expr.value:
             _tick(state, cap)
-            yield EConst(v)
+            yield v
             v = ord_add(v, ONE)
         return
     if isinstance(expr, IdNode):
         v = ZERO
         while v < bound:
             _tick(state, cap)
-            yield EId(Left(v))
+            yield Left(v)
             v = ord_add(v, ONE)
         for p in points:
             _tick(state, cap)
-            yield EId(Right(p))
+            yield Right(p)
         return
     if isinstance(expr, Sum):
         parts = summands(expr)
@@ -519,17 +500,15 @@ def _stream(expr: Dil, points, state, cap, bound):
                 return
             k += 1
     if isinstance(expr, OmegaComp):
-        lead_stream = lambda: _stream(expr.base, points, state, cap, bound)
-        yield from _cnf_stream(lead_stream, lambda: (), state, cap)
+        yield ()
+        yield from _cnf_stream(_stream(expr.base, points, state, cap, bound), (), (), state, cap)
         return
     if isinstance(expr, CnfHead):
-        lead_stream = lambda: (
-            ESum(1, x) for x in _stream(expr.high, points, state, cap, bound)
+        leads = (ESum(1, x) for x in _stream(expr.high, points, state, cap, bound))
+        lows, tails = (
+            (ESum(0, x) for x in _stream(expr.low, points, state, cap, bound)) for _ in range(2)
         )
-        low_stream = lambda: (
-            ESum(0, x) for x in _stream(expr.low, points, state, cap, bound)
-        )
-        yield from _cnf_stream(lead_stream, low_stream, state, cap, head=True)
+        yield from _cnf_stream(leads, lows, tails, state, cap)
         return
     if isinstance(expr, (Sep, Band)):
         if isinstance(expr, Band) and not expr.lo.is_zero():
@@ -547,33 +526,34 @@ def _stream(expr: Dil, points, state, cap, bound):
     raise MalformedElement(f"no stream rule for {expr!r}")
 
 
-def _cnf_stream(lead_factory, below_factory, state, cap, head=False):
-    """Ascending formal sums; leads ascend over lead_factory, tails over
-    everything strictly below the current lead: below_factory, then the
-    earlier leads.  A tail stream passes no below_factory; it is the same
-    stream over its source, except that its leads are not charged a pull."""
-    if not head:
-        yield EMPTY_CNF
-    seen_leads = []
-    for lead in lead_factory():
-        if below_factory is not None:
+def _cnf_stream(leads, lows, tails, state, cap):
+    """The nonempty formal sums over the exponents in ``leads`` and ``lows``,
+    two ascending streams with every low exponent below every lead, in
+    ascending order as far as any prefix reaches: the least lead's block,
+    as its multiplicity is unbounded.  That block is lead*m when ``lows`` is
+    empty, else the lead alone, then lead + t*m for t the least low
+    exponent.  ``tails`` is a second stream of the low exponents, from which
+    t is pulled after the lead alone, so t's pulls are charged twice, and
+    each lead + t*m is charged two pulls; the pull at which ``pull_cap``
+    refuses depends on both."""
+    lead = next(leads, None)
+    if lead is None:
+        return
+    _tick(state, cap)
+    if next(iter(lows), None) is None:
+        m = 1
+        while True:
             _tick(state, cap)
-        prior = list(seen_leads)
-
-        def tails(prior=prior):
-            return itertools.chain(below_factory() if below_factory else (), prior)
-
-        if next(tails(), None) is None:
-            m = 1
-            while True:
-                _tick(state, cap)
-                yield ECnf(((lead, m),))
-                m += 1
-        else:
-            for tail in _cnf_stream(tails, None, state, cap):
-                _tick(state, cap)
-                yield ECnf(((lead, 1),) + tail.pairs)
-        seen_leads.append(lead)
+            yield ((lead, m),)
+            m += 1
+    _tick(state, cap)
+    yield ((lead, 1),)
+    least, m = next(iter(tails)), 1
+    while True:
+        _tick(state, cap)
+        _tick(state, cap)
+        yield ((lead, 1), (least, m))
+        m += 1
 
 
 def prefix_elements(expr: Dil, n_points: int, k: int, pull_cap: int = 200000):
@@ -608,13 +588,13 @@ def element_str(expr: Dil, elem, render_pos=pos_str) -> str:
         else:
             break
     if kind is Const:
-        body = f"c[{ord_str(elem.index)}]"
+        body = f"c[{ord_str(elem)}]"
     elif kind is IdNode:
-        body = render_pos(elem.pos)
+        body = render_pos(elem)
     elif kind is OmegaComp or kind is CnfHead:
         body = "+".join(
             f"w^{{{element_str(expr.exponents, x, render_pos)}}}" + (f"*{m}" if m > 1 else "")
-            for x, m in elem.pairs
+            for x, m in elem
         ) or "0"
     else:
         raise MalformedElement(f"no rendering rule for {expr!r}")

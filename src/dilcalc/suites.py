@@ -65,8 +65,6 @@ from .psi import (
     psi_clause_otp,
 )
 from .semantics import (
-    ECnf,
-    EId,
     ESum,
     EnumBudget,
     Right,
@@ -95,6 +93,10 @@ class CheckReport(Record):
 
     def skipped(self, line: str):
         self.skips.append(line)
+
+    def refused(self, label: str, exc: Exception):
+        """A fragment refusal, recorded as the skip ``<label>: <Type>``."""
+        self.skipped(f"{label}: {type(exc).__name__}")
 
     def failed(self, line: str):
         self.ok = False
@@ -191,12 +193,12 @@ def check_bound_theorem(**_opts) -> CheckReport:
             try:
                 lhs = ord_add(g, psi_clause_otp(d, g))
             except FRAGMENT_ERRORS as exc:
-                rep.skipped(f"psi side of ({ds},{gs}): {type(exc).__name__}")
+                rep.refused(f"psi side of ({ds},{gs})", exc)
                 continue
             try:
                 rhs = jplus_eval(d, g).value
             except FRAGMENT_ERRORS as exc:
-                rep.skipped(f"closure side of ({ds},{gs}): {type(exc).__name__}")
+                rep.refused(f"closure side of ({ds},{gs})", exc)
                 continue
             rep.check(
                 lhs <= rhs,
@@ -226,7 +228,7 @@ def check_j_laws(**_opts) -> CheckReport:
                 mid = j_eval(d, g).value
                 rhs = j_eval(e, mid).value
             except FRAGMENT_ERRORS as exc:
-                rep.skipped(f"composition ({ds},{es},{gs}): {type(exc).__name__}")
+                rep.refused(f"composition ({ds},{es},{gs})", exc)
                 continue
             if lhs != rhs:
                 rep.failed(f"composition ({ds},{es},{gs}): {ord_str(lhs)} != {ord_str(rhs)}")
@@ -240,7 +242,8 @@ def check_j_laws(**_opts) -> CheckReport:
             d, g = _d(ds), parse_ord(gs)
             try:
                 res = j_eval(d, g)
-            except FRAGMENT_ERRORS:
+            except FRAGMENT_ERRORS as exc:
+                rep.refused(f"audit ({ds},{gs})", exc)
                 continue
             audit = j_guard_report(res)
             if not audit.value_identical:
@@ -260,7 +263,8 @@ def check_j_laws(**_opts) -> CheckReport:
             try:
                 small = j_eval(d, g1).value
                 big = j_eval(mk_sum(d, e), g2).value
-            except FRAGMENT_ERRORS:
+            except FRAGMENT_ERRORS as exc:
+                rep.refused(f"monotonicity ({ds},{es},{g1s},{g2s})", exc)
                 continue
             if not small <= big:
                 rep.failed(f"monotonicity broke: J({ds},{g1s}) > J({ds}+{es},{g2s})")
@@ -271,7 +275,8 @@ def check_j_laws(**_opts) -> CheckReport:
             try:
                 v1 = j_eval(mk_mul_nat(d, n), W).value
                 v2 = j_eval(mk_mul_nat(d, n + 1), W).value
-            except FRAGMENT_ERRORS:
+            except FRAGMENT_ERRORS as exc:
+                rep.refused(f"monotonicity ({ds}*{n})", exc)
                 continue
             if not v1 <= v2:
                 rep.failed(f"monotonicity broke on {ds}*{n}")
@@ -285,7 +290,8 @@ def check_j_laws(**_opts) -> CheckReport:
             d, g = _d(ds), parse_ord(gs)
             try:
                 v = j_eval(d, g).value
-            except FRAGMENT_ERRORS:
+            except FRAGMENT_ERRORS as exc:
+                rep.refused(f"properties ({ds},{gs})", exc)
                 continue
             props += 1
             if not g <= v:
@@ -298,9 +304,10 @@ def check_j_laws(**_opts) -> CheckReport:
             if classify(d) == "Omega" and has_unit:
                 try:
                     c = j_eval(sep(d, ord_add(g, ONE)), g).value
-                except FRAGMENT_ERRORS:
-                    c = None
-                if c is not None and not c <= v:
+                except FRAGMENT_ERRORS as exc:
+                    rep.refused(f"(c) ({ds},{gs})", exc)
+                    continue
+                if not c <= v:
                     rep.failed(f"(c) broke on ({ds},{gs})")
     for ds, es in [("Id", "1"), ("Id", "Id"), ("1", "Id"), ("Const(w)", "omega[Id]"),
                    ("omega[Id]", "1"), ("Id*2", "Id")]:
@@ -308,7 +315,8 @@ def check_j_laws(**_opts) -> CheckReport:
         try:
             whole = j_eval(mk_sum(d, e), W).value
             part = j_eval(d, W).value
-        except FRAGMENT_ERRORS:
+        except FRAGMENT_ERRORS as exc:
+            rep.refused(f"(e) ({ds},{es})", exc)
             continue
         props += 1
         if not whole.is_zero() and e != D_ZERO and not part < whole:
@@ -324,7 +332,7 @@ def check_j_laws(**_opts) -> CheckReport:
                 lhs = jprime_eval(d, g).value
                 rhs = j_eval(mk_mul_nat(d, 8), g).value
             except FRAGMENT_ERRORS as exc:
-                rep.skipped(f"eightfold ({ds},{gs}): {type(exc).__name__}")
+                rep.refused(f"eightfold ({ds},{gs})", exc)
                 continue
             if not lhs <= rhs:
                 rep.failed(f"eightfold bound broke on ({ds},{gs})")
@@ -340,7 +348,8 @@ def check_j_laws(**_opts) -> CheckReport:
                 try:
                     lhs = jprime_eval(mk_shift(d, from_int(n)), g).value
                     rhs = jprime_eval(d, g).value
-                except FRAGMENT_ERRORS:
+                except FRAGMENT_ERRORS as exc:
+                    rep.refused(f"shift robustness ({ds},{n},{gs})", exc)
                     continue
                 if lhs != rhs:
                     rep.failed(f"shift robustness broke on ({ds},{n},{gs})")
@@ -357,7 +366,7 @@ def check_j_laws(**_opts) -> CheckReport:
             try:
                 v = jplus_eval(d, g).value
             except FRAGMENT_ERRORS as exc:
-                rep.skipped(f"closure ({ds},{gs}): {type(exc).__name__}")
+                rep.refused(f"closure ({ds},{gs})", exc)
                 continue
             if not (ord_is_principal(v) and g < v):
                 rep.failed(f"closure value not principal above gamma on ({ds},{gs})")
@@ -563,13 +572,10 @@ def check_order_sanity(**_opts) -> CheckReport:
     # arity-5 witnesses: maximal index on a dominated atom, lead index on a
     # composite head whose tails carry larger points
     h = CnfHead(D_ZERO, D_ID)
-    t5 = ECnf(tuple((ESum(1, EId(Right(i))), 1) for i in reversed(range(5))))
+    t5 = tuple((ESum(1, Right(i)), 1) for i in reversed(range(5)))
     rep.check(important_index(h, t5) == 4, "arity-5 term has the maximal index")
     hid = CnfHead(D_ID, D_ID)
-    mixed = ECnf(
-        ((ESum(1, EId(Right(0))), 1),)
-        + tuple((ESum(0, EId(Right(i))), 1) for i in (4, 3, 2, 1))
-    )
+    mixed = ((ESum(1, Right(0)), 1),) + tuple((ESum(0, Right(i)), 1) for i in (4, 3, 2, 1))
     rep.check(
         important_index(hid, mixed) == 0,
         "arity-5 composite-head term keeps importance at the lead",
@@ -606,7 +612,7 @@ def check_order_sanity(**_opts) -> CheckReport:
                 lhs = otp_symbolic(sep(d, g), probe)
                 rhs = otp_symbolic(d, probe)
             except FRAGMENT_ERRORS as exc:
-                rep.skipped(f"rank decrease ({ds},{gs}): {type(exc).__name__}")
+                rep.refused(f"rank decrease ({ds},{gs})", exc)
                 continue
             rep.check(lhs < rhs, f"rank decrease {ds} at {gs}: {ord_str(lhs)} < {ord_str(rhs)}")
     return rep

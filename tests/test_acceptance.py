@@ -89,3 +89,29 @@ def test_run_check_times_each_suite(monkeypatch):
     for name in ("slow", "all"):
         reports = run_check(name)
         assert reports and all(r.duration >= 0.01 for r in reports)
+
+
+def test_functor_law_refusals_are_recorded_as_skips(monkeypatch):
+    import dilcalc.suites as suites
+    from dilcalc.errors import OutOfNotation
+    from dilcalc.expr import parse_dil
+    from dilcalc.ordinal import OMEGA
+
+    refused, real = (parse_dil("Id*2"), OMEGA), suites.j_eval
+
+    def j_eval(d, g):
+        if (d, g) == refused:
+            raise OutOfNotation("refused on one input")
+        return real(d, g)
+
+    monkeypatch.setattr(suites, "j_eval", j_eval)
+    rep = suites.check_j_laws()
+    assert rep.ok, rep.violations
+    for line in ["composition (0,Id*2,w): OutOfNotation",
+                 "audit (Id*2,w): OutOfNotation",
+                 "monotonicity (Id*2,Const(w),w,w): OutOfNotation",
+                 "monotonicity (Id*1): OutOfNotation",
+                 "properties (Id*2,w): OutOfNotation",
+                 "(e) (Id*2,Id): OutOfNotation"]:
+        assert line in rep.skips
+    assert rep.skips[-12:] == PRINTED["j-laws"][1]

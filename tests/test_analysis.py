@@ -75,9 +75,6 @@ from dilcalc.ordinal import (
 )
 from dilcalc.psi import psi_clause_otp
 from dilcalc.semantics import (
-    ECnf,
-    EConst,
-    EId,
     ESum,
     EnumBudget,
     Right,
@@ -378,44 +375,44 @@ class TestOtp:
 class TestTraceRelations:
     def test_constant_indices_compare_directly(self):
         cw = parse_dil("Const(w)")
-        assert ll_relation(cw, EConst(from_int(2)), EConst(from_int(5))) == MUCH_LESS
+        assert ll_relation(cw, from_int(2), from_int(5)) == MUCH_LESS
 
     def test_identity_is_self_equivalent(self):
-        assert ll_relation(D_ID, EId(Right(0)), EId(Right(0))) == EQUIVALENT
+        assert ll_relation(D_ID, Right(0), Right(0)) == EQUIVALENT
 
     def test_sum_copies_are_ordered(self):
         s2 = parse_dil("Id+Id")
-        left = ESum(0, EId(Right(0)))
-        right = ESum(1, EId(Right(0)))
+        left = ESum(0, Right(0))
+        right = ESum(1, Right(0))
         assert ll_relation(s2, left, right) == MUCH_LESS
 
     @pytest.mark.parametrize("label", [5, "a"])
     def test_points_are_embedded_by_label(self, label):
         # a support point is placed by its rank in the support, whatever its label
-        assert ll_relation(D_ID, EId(Right(label)), EId(Right(0))) == EQUIVALENT
-        assert ll_relation(D_ID, EId(Right(0)), EId(Right(label))) == EQUIVALENT
-        assert important_index(D_ID, EId(Right(label))) == 0
+        assert ll_relation(D_ID, Right(label), Right(0)) == EQUIVALENT
+        assert ll_relation(D_ID, Right(0), Right(label)) == EQUIVALENT
+        assert important_index(D_ID, Right(label)) == 0
 
     def test_important_index_identity(self):
-        assert important_index(D_ID, EId(Right(0))) == 0
+        assert important_index(D_ID, Right(0)) == 0
 
     def test_important_index_head_pairs(self):
-        term = ECnf(((ESum(1, EId(Right(1))), 1), (ESum(1, EId(Right(0))), 1)))
+        term = ((ESum(1, Right(1)), 1), (ESum(1, Right(0)), 1))
         assert important_index(H0, term) == 1
 
     def test_important_index_unary_head(self):
-        term = ECnf(((ESum(1, EId(Right(0))), 1),))
+        term = ((ESum(1, Right(0)), 1),)
         assert important_index(H0, term) == 0
 
     def test_lead_position_wins_for_composite_heads(self):
         # tail from the low copy carries the larger point; importance stays
         # with the lead, so maximality fails here by design
-        term = ECnf(((ESum(1, EId(Right(0))), 1), (ESum(0, EId(Right(1))), 1)))
+        term = ((ESum(1, Right(0)), 1), (ESum(0, Right(1)), 1))
         assert important_index(HID, term) == 0
 
     def test_not_connected(self):
         with pytest.raises(NotConnected):
-            important_index(parse_dil("Id+Id"), ESum(0, EId(Right(0))))
+            important_index(parse_dil("Id+Id"), ESum(0, Right(0)))
 
     def test_uniqueness_over_enumerated_terms(self):
         budget = EnumBudget(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
@@ -433,14 +430,8 @@ ORDER_SANITY_ATOMS = [D_ID, H0, HID, CnfHead(D_ONE, H0)]
 TRACE_BUDGET = EnumBudget(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
 # the two arity-5 witnesses of the order-sanity suite
 ARITY5_WITNESSES = [
-    (H0, ECnf(tuple((ESum(1, EId(Right(i))), 1) for i in reversed(range(5))))),
-    (
-        HID,
-        ECnf(
-            ((ESum(1, EId(Right(0))), 1),)
-            + tuple((ESum(0, EId(Right(i))), 1) for i in (4, 3, 2, 1))
-        ),
-    ),
+    (H0, tuple((ESum(1, Right(i)), 1) for i in reversed(range(5)))),
+    (HID, ((ESum(1, Right(0)), 1),) + tuple((ESum(0, Right(i)), 1) for i in (4, 3, 2, 1))),
 ]
 
 
@@ -541,7 +532,7 @@ class TestImportantIndexRanking:
 
         monkeypatch.setattr("dilcalc.analysis.element_positions", lambda d, t: [])
         monkeypatch.setitem(globals(), "compare_elements", tie)
-        for atom, term in ARITY5_WITNESSES[:1] + [(D_ID, EId(Right(0)))]:
+        for atom, term in ARITY5_WITNESSES[:1] + [(D_ID, Right(0))]:
             assert _outcome(important_index, atom, term) is NoUniqueIndex
             assert _outcome(reference_important_index, atom, term) is NoUniqueIndex
 
@@ -721,7 +712,7 @@ class TestLlRelationOnePass:
         s2 = parse_dil("Id+Id")
         cases = [
             (atom, t1, t2, EQUIVALENT),
-            (s2, ESum(0, EId(Right(0))), ESum(1, EId(Right(0))), MUCH_LESS),
+            (s2, ESum(0, Right(0)), ESum(1, Right(0)), MUCH_LESS),
         ]
         calls = [0]
 

@@ -32,10 +32,7 @@ from dilcalc.expr import (
 )
 from dilcalc.ordinal import LESS, OMEGA, ZERO, ord_add, ord_left_sub, parse_ord
 from dilcalc.semantics import (
-    ECnf,
-    EConst,
     ECopies,
-    EId,
     ESum,
     EnumBudget,
     Left,
@@ -167,7 +164,7 @@ def test_top_injection_of_a_sum_is_the_recursive_one():
 
 
 def test_top_injection_of_a_long_sum_needs_no_recursion(default_recursion_limit):
-    elem = EId(Right(0))
+    elem = Right(0)
     image = coherence.top_inject(mk_mul_nat(D_ID, 2000), elem)
     for _ in range(1999):
         assert image.__class__ is ESum and image.side == 1
@@ -194,12 +191,12 @@ def reference_sum_inject(a, b, side, elem):
             return reference_sum_inject(a.left, rest, 1, inner)
         return reference_sum_inject(a.left, rest, 1, reference_sum_inject(a.right, b, 1, elem))
     if isinstance(a, Const) and isinstance(b, Const):
-        return elem if side == 0 else EConst(ord_add(a.value, elem.index))
+        return elem if side == 0 else ord_add(a.value, elem)
     if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
         if side == 0:
             return ESum(0, elem)
         if elem.side == 0:
-            return ESum(0, EConst(ord_add(a.value, elem.inner.index)))
+            return ESum(0, ord_add(a.value, elem.inner))
         return elem
     return ESum(side, elem)
 
@@ -219,14 +216,14 @@ def reference_sum_split(a, b, elem):
             return 0, ESum(1, inner2)
         return 1, inner2
     if isinstance(a, Const) and isinstance(b, Const):
-        if elem.index < a.value:
+        if elem < a.value:
             return 0, elem
-        return 1, EConst(ord_left_sub(a.value, elem.index))
+        return 1, ord_left_sub(a.value, elem)
     if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
         if elem.side == 0:
-            if elem.inner.index < a.value:
+            if elem.inner < a.value:
                 return 0, elem.inner
-            return 1, ESum(0, EConst(ord_left_sub(a.value, elem.inner.index)))
+            return 1, ESum(0, ord_left_sub(a.value, elem.inner))
         return 1, elem
     return elem.side, elem.inner
 
@@ -301,27 +298,27 @@ def reference_oc_inject(p, elem, inject_exp):
     """``_oc_inject`` with the rank inverse it had for constants."""
     target = mk_omega_comp(p)
     if isinstance(target, OmegaComp):
-        return ECnf(tuple((inject_exp(x), m) for x, m in elem.pairs))
+        return tuple((inject_exp(x), m) for x, m in elem)
     if isinstance(target, Const):
-        pairs = [(inject_exp(reference_const_element_of(p, exp)), c) for exp, c in elem.index.terms]
-        return ECnf(tuple(pairs))
+        pairs = [(inject_exp(reference_const_element_of(p, exp)), c) for exp, c in elem.terms]
+        return tuple(pairs)
     if isinstance(target, MulOmega):
         pdec = decompose(p)
         if pdec.kind != "succ" or pdec.top != D_ONE:
             raise coherence.TranslationGap("unexpected repetition normal form")
-        unit = coherence.top_inject(p, EConst(ZERO))
+        unit = coherence.top_inject(p, ZERO)
         inner = reference_oc_inject(
             pdec.prefix, elem.inner, lambda x: inject_exp(reference_prefix_inject(p, x))
         )
         if elem.copy == 0:
             return inner
-        return ECnf(((inject_exp(unit), elem.copy),) + inner.pairs)
+        return ((inject_exp(unit), elem.copy),) + inner
     raise coherence.TranslationGap(f"no omega-composition translation onto {to_str(target)}")
 
 
 def reference_const_element_of(p, v):
     if isinstance(p, Const):
-        return EConst(v)
+        return v
     if isinstance(p, Sum):
         left_otp = otp_symbolic(p.left, ZERO)
         if v < left_otp:
@@ -398,7 +395,7 @@ def test_sum_maps_match_the_recursive_ones(sa):
 
 def _last_summand_element(n, point=0):
     """The element of Id*n in its last summand, n-1 ESum(1, -) layers deep."""
-    return coherence.top_inject(mk_mul_nat(D_ID, n), EId(Right(point)))
+    return coherence.top_inject(mk_mul_nat(D_ID, n), Right(point))
 
 
 def _peel(elem, sides):
@@ -415,14 +412,14 @@ class TestLongSums:
     N = 1500
 
     def test_sum_inject(self, default_recursion_limit):
-        a, x = mk_mul_nat(D_ID, self.N), EId(Right(0))
+        a, x = mk_mul_nat(D_ID, self.N), Right(0)
         assert _peel(coherence.sum_inject(a, D_ID, 1, x), [1] * self.N) is x
         image = coherence.sum_inject(a, D_ID, 0, _last_summand_element(self.N))
         assert _peel(image, [1] * (self.N - 1) + [0]) == x
         assert coherence.sum_inject(a, D_ID, 0, ESum(0, x)).inner is x
 
     def test_sum_split(self, default_recursion_limit):
-        a, x = mk_mul_nat(D_ID, self.N), EId(Right(0))
+        a, x = mk_mul_nat(D_ID, self.N), Right(0)
         side, part = coherence._sum_split(a, D_ID, coherence.sum_inject(a, D_ID, 1, x))
         assert side == 1 and part is x
         image = coherence.sum_inject(a, D_ID, 0, _last_summand_element(self.N))
@@ -430,16 +427,16 @@ class TestLongSums:
         assert side == 0 and _peel(part, [1] * (self.N - 1)) == x
 
     def test_prefix_inject(self, default_recursion_limit):
-        d, x = mk_sum(mk_mul_nat(D_ID, self.N), D_ONE), EId(Right(0))
+        d, x = mk_sum(mk_mul_nat(D_ID, self.N), D_ONE), Right(0)
         image = coherence.prefix_inject(d, _last_summand_element(self.N))
         assert _peel(image, [1] * (self.N - 1) + [0]) == x
 
     def test_limit_prefix_inject(self, default_recursion_limit):
-        d, x = mk_sum(mk_mul_nat(D_ID, self.N), parse_dil("Id*w")), EId(Right(0))
+        d, x = mk_sum(mk_mul_nat(D_ID, self.N), parse_dil("Id*w")), Right(0)
         for j in (1, 2):
             image = coherence.limit_prefix_inject(d, j, _last_summand_element(self.N + j))
             assert _peel(image, [1] * self.N) == ECopies(j - 1, x)
 
     def test_frozen_value(self, default_recursion_limit):
-        elem = coherence.top_inject(mk_mul_nat(D_ID, self.N), EId(Left(ZERO)))
+        elem = coherence.top_inject(mk_mul_nat(D_ID, self.N), Left(ZERO))
         assert coherence.frozen_value(mk_mul_nat(D_ID, self.N), elem, OMEGA) == parse_ord("w*1499")

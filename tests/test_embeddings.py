@@ -27,9 +27,6 @@ from dilcalc.expr import (
 from dilcalc.ordinal import LESS, OMEGA, ZERO, from_int, ord_add, parse_ord
 from dilcalc.psi import PsiOrder
 from dilcalc.semantics import (
-    ECnf,
-    EConst,
-    EId,
     ESum,
     Left,
     Right,
@@ -48,8 +45,8 @@ def _map_lefts(expr, elem, fn):
     if isinstance(expr, Const):
         return elem
     if isinstance(expr, IdNode):
-        if isinstance(elem.pos, Left):
-            return EId(Left(fn(elem.pos.value)))
+        if isinstance(elem, Left):
+            return Left(fn(elem.value))
         return elem
     if isinstance(expr, Sum):
         part = expr.left if elem.side == 0 else expr.right
@@ -59,19 +56,17 @@ def _map_lefts(expr, elem, fn):
 
         return ECopies(elem.copy, _map_lefts(expr.base, elem.inner, fn))
     if isinstance(expr, OmegaComp):
-        return ECnf(tuple((_map_lefts(expr.base, x, fn), m) for x, m in elem.pairs))
+        return tuple((_map_lefts(expr.base, x, fn), m) for x, m in elem)
     if isinstance(expr, CnfHead):
-        return ECnf(
-            tuple(
-                (
-                    ESum(
-                        x.side,
-                        _map_lefts(expr.low if x.side == 0 else expr.high, x.inner, fn),
-                    ),
-                    m,
-                )
-                for x, m in elem.pairs
+        return tuple(
+            (
+                ESum(
+                    x.side,
+                    _map_lefts(expr.low if x.side == 0 else expr.high, x.inner, fn),
+                ),
+                m,
             )
+            for x, m in elem
         )
     if isinstance(expr, (Sep, Band)):
         return _map_lefts(expr.base, elem, fn)
@@ -164,28 +159,28 @@ class TestShiftedSeparationComposition:
 
         def translate(elem):
             pairs = []
-            for x, m in elem.pairs:
+            for x, m in elem:
                 inner = x.inner
                 if x.side == 1:
                     pairs.append((ESum(1, _bump_id(inner, g)), m))
                 else:
                     pairs.append((_route_low(inner, g), m))
-            return ECnf(tuple(pairs))
+            return tuple(pairs)
 
         def _bump_id(id_elem, g):
-            if isinstance(id_elem.pos, Left):
-                return EId(Left(ord_add(g, id_elem.pos.value)))
+            if isinstance(id_elem, Left):
+                return Left(ord_add(g, id_elem.value))
             return id_elem
 
         def _route_low(low_elem, g):
             # low part of the shifted-head top: frozen left copy, then the
             # live left copy, then the frozen right copy below the shift
             if low_elem.side == 0:
-                return ESum(0, EId(Left(low_elem.inner.index)))
+                return ESum(0, Left(low_elem.inner))
             inner = low_elem.inner
             if inner.side == 0:
                 return ESum(0, _bump_id(inner.inner, g))
-            return ESum(1, EId(Left(inner.inner.index)))
+            return ESum(1, Left(inner.inner))
 
         elements = prefix_elements(src, 1, 20)
         images = [translate(e) for e in elements]
@@ -215,24 +210,24 @@ class TestHeadsOfSeparations:
         def translate(elem):
             # exponents over Id+Const(w): left Id copy stays live, constant
             # part becomes the frozen right copy
-            if not elem.pairs:
+            if not elem:
                 return None  # lands in the prefix part; checked separately
-            lead = elem.pairs[0][0]
+            lead = elem[0][0]
             pairs = []
-            for x, m in elem.pairs:
+            for x, m in elem:
                 if x.side == 0:
                     pairs.append((ESum(0, x.inner), m))
                 else:
-                    pairs.append((ESum(1, EId(Left(x.inner.index))), m))
+                    pairs.append((ESum(1, Left(x.inner)), m))
             if lead.side == 0:
-                return ECnf(tuple(x for x in pairs))  # all in the left copy
-            return ECnf(tuple(pairs))
+                return tuple(x for x in pairs)  # all in the left copy
+            return tuple(pairs)
 
         from dilcalc.semantics import EnumBudget, enum_elements
 
         budget = EnumBudget(const_cap=4, cnf_len=2, cnf_mult=2)
         elements = enum_elements(src, 1, budget)
-        lead_high = [e for e in elements if e.pairs and e.pairs[0][0].side == 1]
+        lead_high = [e for e in elements if e and e[0][0].side == 1]
         assert lead_high, "the enumeration should contain high leads"
         sep_target = Sep(HID, g, g)
         images = [translate(e) for e in lead_high]
@@ -254,8 +249,8 @@ class TestCollapseSumSplit:
         assert len(all_terms) == 5
         first = PsiOrder(parse_dil("Const(2)"), ZERO).enum(2)
         second = PsiOrder(parse_dil("Const(3)"), from_int(2)).enum(2)
-        images = [EConst(t.index) for t in first]
-        images += [EConst(ord_add(from_int(2), t.index)) for t in second]
+        images = list(first)
+        images += [ord_add(from_int(2), t) for t in second]
         assert images == all_terms
 
     def test_unit_plus_identity(self):
@@ -269,13 +264,13 @@ class TestCollapseSumSplit:
         def map_second(t):
             # positions below gamma stay; positions in [gamma, delta) become
             # sub-terms from the first part; nested terms recurse
-            if isinstance(t.pos, Left):
-                v = t.pos.value
+            if isinstance(t, Left):
+                v = t.value
                 if v < gamma:
-                    return ESum(1, EId(Left(v)))
+                    return ESum(1, Left(v))
                 idx = (v.as_int() - gamma.as_int())
-                return ESum(1, EId(Right(ESum(0, first_terms[idx]))))
-            return ESum(1, EId(Right(map_second(t.pos.point))))
+                return ESum(1, Right(ESum(0, first_terms[idx])))
+            return ESum(1, Right(map_second(t.point)))
 
         combined_terms = combined.enum(3)
         images = [ESum(0, t) for t in first_terms]

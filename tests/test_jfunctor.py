@@ -171,14 +171,15 @@ class TestLaws:
     def test_guard_audit_trivial(self):
         res = j_eval(parse_dil("0"), w)
         assert all(s.child is None for s in res.steps)
-        assert j_guard_report(res).ok
+        audit = j_guard_report(res)
+        assert audit.value_identical and not audit.rank_violations
 
     def test_guard_audit_ranks_partial_sums(self):
         res = j_eval(parse_dil("Id*w"), w)
         limit_edges = [s for s in res.steps if s.clause == "limit" and s.child is not None]
         assert limit_edges
         audit = j_guard_report(res)
-        assert audit.ok and audit.steps_checked > 0
+        assert audit.value_identical and not audit.rank_violations and audit.steps_checked > 0
 
     def test_depth_cap_configurable(self, monkeypatch):
         from dilcalc.errors import DepthExceeded
@@ -761,12 +762,14 @@ class TestAudit:
         probe = ord_omega_pow(ord_add(ONE, res.eta))
         assert root.clause == "composition" and root.child == D_ID
         assert otp_symbolic(root.parent, probe) == otp_symbolic(root.child, probe)
-        assert j_guard_report(res).ok
+        audit = j_guard_report(res)
+        assert audit.value_identical and not audit.rank_violations
 
     def test_composition_child_must_be_the_right_summand(self):
         res = j_eval(parse_dil("Id+Id+Id"), OMEGA)
         bad = self.tampered(res, "composition", lambda s: s.parent.right.right)
-        assert j_guard_report(res).ok
+        audit = j_guard_report(res)
+        assert audit.value_identical and not audit.rank_violations
         assert j_guard_report(bad).rank_violations
 
     def test_separation_child_of_equal_rank_is_caught(self):
@@ -780,7 +783,8 @@ class TestAudit:
         session.eval(d, OMEGA)
         monkeypatch.setattr(jfunctor_module, "DEPTH_CAP", session.calls)
         res = j_eval(d, OMEGA)
-        assert j_guard_report(res).ok
+        audit = j_guard_report(res)
+        assert audit.value_identical and not audit.rank_violations
         monkeypatch.setattr(jfunctor_module, "DEPTH_CAP", session.calls - 1)
         with pytest.raises(DepthExceeded):
             j_guard_report(res)
@@ -796,6 +800,7 @@ class TestAudit:
 
         monkeypatch.setattr(jfunctor_module, "otp_symbolic", counting)
         audit = j_guard_report(res)
-        assert audit.ok and audit.steps_checked == 2 * sum(s.child is not None for s in res.steps)
+        assert audit.value_identical and not audit.rank_violations
+        assert audit.steps_checked == 2 * sum(s.child is not None for s in res.steps)
         # one more: the re-evaluation's xi ranks the root at the first eta
         assert len(ranked) == len(set(ranked)) + 1

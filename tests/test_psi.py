@@ -44,9 +44,6 @@ from dilcalc.psi import (
     term_str,
 )
 from dilcalc.semantics import (
-    ECnf,
-    EConst,
-    EId,
     EnumBudget,
     Left,
     Right,
@@ -262,7 +259,7 @@ class TestTermOrder:
     def test_constant_enumeration_exact(self):
         order = PsiOrder(parse_dil("Const(3)"), ZERO)
         terms = order.enum(2)
-        assert terms == [EConst(ZERO), EConst(ONE), EConst(from_int(2))]
+        assert terms == [ZERO, ONE, from_int(2)]
 
     def test_empty_when_no_seed(self):
         assert PsiOrder(D_ID, ZERO).enum(3) == []
@@ -277,28 +274,28 @@ class TestTermOrder:
 
     def test_validity(self):
         order = PsiOrder(D_ID, ONE)
-        base = EId(Left(ZERO))
+        base = Left(ZERO)
         assert order.valid(base)
-        assert order.valid(EId(Right(base)))
-        assert not order.valid(EId(Left(ONE)))
+        assert order.valid(Right(base))
+        assert not order.valid(Left(ONE))
 
     def test_subterm_positions_must_descend(self):
         order = PsiOrder(parse_dil("omega[Id]"), ZERO)
-        empty = ECnf(())
+        empty = ()
         assert order.valid(empty)
-        small = ECnf(((EId(Right(empty)), 1),))
+        small = ((Right(empty), 1),)
         assert order.valid(small)
-        big = ECnf(((EId(Right(small)), 1),))
+        big = ((Right(small), 1),)
         assert order.valid(big)
         # exponents listed in ascending order are rejected
-        assert not order.valid(ECnf(((EId(Right(empty)), 1), (EId(Right(small)), 1))))
+        assert not order.valid(((Right(empty), 1), (Right(small), 1)))
 
     def test_comparison_examples(self):
         order = PsiOrder(parse_dil("Const(3)"), ZERO)
-        assert order.compare(EConst(ZERO), EConst(from_int(2))) == -1
+        assert order.compare(ZERO, from_int(2)) == -1
         o1 = PsiOrder(D_ID, ONE)
-        t0 = EId(Left(ZERO))
-        t1 = EId(Right(t0))
+        t0 = Left(ZERO)
+        t1 = Right(t0)
         assert o1.compare(t0, t1) == -1
         assert o1.compare(t1, t1) == 0
 
@@ -319,8 +316,8 @@ class TestTermOrder:
                 assert forward == backward
 
     def test_structurally_wrong_term_is_invalid(self):
-        assert PsiOrder(D_ID, ONE).valid(EConst(ZERO)) is False
-        assert PsiOrder(parse_dil("omega[Id]"), ZERO).valid(EId(Left(ZERO))) is False
+        assert PsiOrder(D_ID, ONE).valid(ZERO) is False
+        assert PsiOrder(parse_dil("omega[Id]"), ZERO).valid(Left(ZERO)) is False
 
     def test_trichotomy_and_transitivity(self):
         order = PsiOrder(parse_dil("omega[Id]"), ZERO)
@@ -371,9 +368,9 @@ class TestTermOrder:
         value = psi_clause_otp(D_ID, OMEGA)
 
         def rank(t):
-            if isinstance(t.pos, Left):
-                return t.pos.value
-            return ord_add(ord_mul_nat(OMEGA, 1), rank(t.pos.point))
+            if isinstance(t, Left):
+                return t.value
+            return ord_add(ord_mul_nat(OMEGA, 1), rank(t.point))
 
         terms = order.enum(3)
         ranks = [rank(t) for t in terms]
@@ -397,8 +394,18 @@ class TestTermOrder:
 
     def test_term_rendering(self):
         order = PsiOrder(D_ID, ONE)
-        t0 = EId(Left(ZERO))
-        assert term_str(order, EId(Right(t0))) == "[0]"
+        t0 = Left(ZERO)
+        assert term_str(order, Right(t0)) == "[0]"
+
+    def test_the_empty_formal_sum_is_a_term(self):
+        # () is falsy: the term services must read it as the empty sum
+        order = PsiOrder(parse_dil("omega[Id]"), ZERO)
+        t = order.random_term(random.Random(1))
+        assert t == () and order.valid(t)
+        terms = order.enum(1)
+        assert terms[0] == () and all(order.compare((), u) == -1 for u in terms[1:])
+        assert term_str(order, t) == "0"
+        assert term_str(order, terms[1]) == "w^{[0]}"
 
 
 def reference_enum(order, depth=2, budget=None):

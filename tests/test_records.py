@@ -15,7 +15,7 @@ from dilcalc.ordinal import (
     Unsupported, parse_ord,
 )
 from dilcalc.psi import IllFoundedFixture, PsiOrder, PsiSearchHandle, SearchResult
-from dilcalc.semantics import ECnf, EConst, ECopies, EId, ESum, EnumBudget, Left, Right
+from dilcalc.semantics import ECopies, ESum, EnumBudget, Left, Right
 from dilcalc.suites import CheckReport
 
 # (constructor, repr); the repr also pins the fields and their order
@@ -52,18 +52,10 @@ RECORDS = [
      "Left(value=Ord('0'))"),
     (lambda: Right(0),
      'Right(point=0)'),
-    (lambda: EConst(ONE),
-     "EConst(index=Ord('1'))"),
-    (lambda: EId(Left(ZERO)),
-     "EId(pos=Left(value=Ord('0')))"),
-    (lambda: ESum(1, EId(Right(0))),
-     'ESum(side=1, inner=EId(pos=Right(point=0)))'),
-    (lambda: ECopies(2, EConst(ZERO)),
-     "ECopies(copy=2, inner=EConst(index=Ord('0')))"),
-    (lambda: ECnf(),
-     'ECnf(pairs=())'),
-    (lambda: ECnf(((EConst(ZERO), 2),)),
-     "ECnf(pairs=((EConst(index=Ord('0')), 2),))"),
+    (lambda: ESum(1, Right(0)),
+     'ESum(side=1, inner=Right(point=0))'),
+    (lambda: ECopies(2, ZERO),
+     "ECopies(copy=2, inner=Ord('0'))"),
     (lambda: EnumBudget(max_count=10, grid=3),
      'EnumBudget(max_count=10, const_cap=12, copies=3, cnf_len=2, cnf_mult=2, grid=3)'),
     (lambda: Decomposition("succ", D_ZERO, D_ONE),
@@ -123,8 +115,8 @@ def test_record_semantics(make, text):
 
 def test_equal_fields_of_another_class_are_not_equal():
     assert Left(ZERO) != Right(ZERO) and Left(ZERO).__eq__(Right(ZERO)) is NotImplemented
-    assert EConst(ZERO) != Const(ZERO) and Const(ZERO) != EConst(ZERO)
-    assert len({Left(ZERO), Right(ZERO), EConst(ZERO), Const(ZERO)}) == 4
+    assert ESum(0, ZERO) != ECopies(0, ZERO) and ECopies(0, ZERO) != ESum(0, ZERO)
+    assert len({Left(ZERO), Right(ZERO), ESum(0, ZERO), ECopies(0, ZERO), Const(ZERO)}) == 5
 
 
 def test_mutable_records_stay_mutable():
