@@ -15,7 +15,9 @@ interpreters, one after another, and each point keeps the median of the
 interpreters' medians, with their least and greatest: one interpreter's
 reading can be far from another's (``fresh_spread``; every other point but
 the CLI series runs the same way).  Each series gets the least-squares
-slope of log time on log n over the medians of its timed points.
+slope of log time on log n over the medians of its timed points.  The peel
+series, with the same rules, times ``expr._split_trailing`` applied to
+``Id*n`` until only its first summand is left.
 
 The CLI series runs each line of ``scripts/lemma_suite.commands`` as
 ``python -m dilcalc.cli`` and, beside it, a bare ``python -c pass``, each
@@ -105,7 +107,15 @@ from dilcalc.analysis import (  # noqa: E402
     otp_symbolic,
 )
 from dilcalc.errors import DilcalcError  # noqa: E402
-from dilcalc.expr import D_ID, D_ONE, mk_mul_nat, mk_sum, parse_dil, to_str  # noqa: E402
+from dilcalc.expr import (  # noqa: E402
+    D_ID,
+    D_ONE,
+    _split_trailing,
+    mk_mul_nat,
+    mk_sum,
+    parse_dil,
+    to_str,
+)
 from dilcalc.jfunctor import j_eval, jplus_eval, jprime_eval  # noqa: E402
 from dilcalc.ordinal import ord_str, parse_ord  # noqa: E402
 from dilcalc.semantics import (  # noqa: E402
@@ -155,6 +165,18 @@ def kernel_setup(fn):
     return setup
 
 
+def peel_setup(n: int):
+    """``_split_trailing`` down Id*n to its first summand, shown as text."""
+    d = mk_mul_nat(D_ID, n)
+
+    def peel():
+        rest = d
+        while rest is not None:
+            rest, last = _split_trailing(rest)
+        return last
+    return peel, to_str
+
+
 def sum_inject_setup(n: int):
     d = mk_mul_nat(D_ID, n)
     elem = coherence.top_inject(d, Right(0))
@@ -169,7 +191,8 @@ def prefix_inject_setup(n: int):
 
 
 TRANSLATIONS = {"sum_inject": sum_inject_setup, "prefix_inject": prefix_inject_setup}
-SETUPS = {**{name: kernel_setup(fn) for name, fn in SERIES.items()}, **TRANSLATIONS}
+SETUPS = {**{name: kernel_setup(fn) for name, fn in SERIES.items()}, "peel": peel_setup,
+          **TRANSLATIONS}
 
 
 def time_point(setup, n: int) -> dict:
@@ -464,7 +487,7 @@ def main() -> int:
     for name in SETUPS:
         print(f"{name}:", file=sys.stderr)
         points = fresh_spread(f"run_series({name!r})")
-        report["series" if name in SERIES else "translations"][name] = {
+        report["translations" if name in TRANSLATIONS else "series"][name] = {
             "points": points, "exponent": fit_exponent(points)}
     print("refusal:", file=sys.stderr)
     report["refusal"] = fresh_spread(f"eval_point('jplus', {REFUSAL!r})")

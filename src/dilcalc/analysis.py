@@ -290,8 +290,8 @@ def otp_symbolic(d: Dil, a: Ord) -> Ord:
 
     ``_OTP_CACHE`` keeps the value of each node asked for at each argument,
     but for a ``Const`` or ``Id``, which are answered directly, and for the
-    inner nodes of a sum's right spine, which are never asked for: a sum is
-    the fold of its summands' values.  Only separations and bands fold, so
+    sums made of a sum's summands, which are never asked for: a sum is the
+    fold of its summands' values.  Only separations and bands fold, so
     a sum whose summands are cached costs no budget."""
     mark = len(_OTP_CACHE)
     try:

@@ -15,7 +15,6 @@ from .expr import (
     Band,
     CnfHead,
     Const,
-    D_ID,
     D_ONE,
     Dil,
     IdNode,
@@ -23,6 +22,7 @@ from .expr import (
     OmegaComp,
     Sep,
     Sum,
+    _split_trailing,
     is_connected_atom,
     mk_band,
     mk_cnf_head,
@@ -31,6 +31,7 @@ from .expr import (
     mk_sep_atom,
     mk_sep_plus,
     mk_shift,
+    mk_sum_all,
     summands,
     to_str,
 )
@@ -48,6 +49,7 @@ from .semantics import (
     ESum,
     Left,
     _place,
+    _sum_index,
     important_position,
 )
 
@@ -63,32 +65,23 @@ class TranslationGap(UnsupportedDecomposition):
 def sum_inject(a: Dil, b: Dil, side: int, elem):
     """Element of ``a`` (side 0) or ``b`` (side 1) as an element of mk_sum(a, b).
 
-    A normal form has no two adjacent constants, so only ``a``'s last summand
-    can merge with ``b``: the elements of its other summands keep their ESum
-    layers, and the loop down ``a`` costs no recursion depth."""
+    The summands of the sum are those of ``a`` and then those of ``b``, but
+    for ``a``'s last and ``b``'s first, which merge when both are constants;
+    an element of ``b``'s first then lies above ``a``'s last's value."""
     if isinstance(a, Const) and a.value.is_zero():
         return elem
     if isinstance(b, Const) and b.value.is_zero():
         return elem
-    outer, layers = elem, 0
-    while a.__class__ is Sum:
-        if side == 0:
-            if elem.side == 0:
-                return outer
-            elem = elem.inner
-        a, layers = a.right, layers + 1
-    if isinstance(a, Const) and isinstance(b, Const):
-        image = elem if side == 0 else ord_add(a.value, elem)
-    elif isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
-        if side == 0:
-            image = ESum(0, elem)
-        elif elem.side == 0:
-            image = ESum(0, ord_add(a.value, elem.inner))
-        else:
-            image = elem
-    else:
-        image = ESum(side, elem)
-    return _place(image, layers, layers + 1)
+    pa, pb = summands(a), summands(b)
+    merged = pa[-1].__class__ is Const and pb[0].__class__ is Const
+    i, inner = _sum_index(len(pa if side == 0 else pb), elem)
+    if side == 0 and i < len(pa) - 1:
+        return elem  # coded alike in ``a`` and in the sum
+    if side == 1:
+        if merged and i == 0:
+            inner = ord_add(pa[-1].value, inner)
+        i += len(pa) - merged
+    return _place(inner, i, len(pa) + len(pb) - merged)
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +98,11 @@ def frozen_value(expr: Dil, elem, bound: Ord) -> Ord:
         return elem.value
     if isinstance(expr, Sum):
         # the ranks of the earlier summands, added up in a loop
+        i, elem = _sum_index(len(expr.parts), elem)
         total = ZERO
-        while expr.__class__ is Sum:
-            if elem.side == 0:
-                expr, elem = expr.left, elem.inner
-                break
-            total = ord_add(total, otp_symbolic(expr.left, bound))
-            expr, elem = expr.right, elem.inner
-        return ord_add(total, frozen_value(expr, elem, bound))
+        for part in expr.parts[:i]:
+            total = ord_add(total, otp_symbolic(part, bound))
+        return ord_add(total, frozen_value(expr.parts[i], elem, bound))
     if isinstance(expr, MulOmega):
         base = otp_symbolic(expr.base, bound)
         return ord_add(
@@ -141,17 +131,18 @@ def shift_translate(expr: Dil, g: Ord, elem):
     if g.is_zero() or isinstance(expr, Const):
         return elem
     if isinstance(expr, IdNode):
-        if isinstance(elem, Left):
-            return sum_inject(Const(g), D_ID, 0, elem.value)
-        return sum_inject(Const(g), D_ID, 1, elem)
+        # mk_shift gives Const(g)+Id: a frozen position is an index of Const(g)
+        return ESum(0, elem.value) if isinstance(elem, Left) else ESum(1, elem)
     if isinstance(expr, Sum):
-        part = expr.left if elem.side == 0 else expr.right
-        return sum_inject(
-            mk_shift(expr.left, g),
-            mk_shift(expr.right, g),
-            elem.side,
-            shift_translate(part, g, elem.inner),
-        )
+        # the shifted summand's element among the shifted summands from it
+        # on, then after those before it
+        i, elem = _sum_index(len(expr.parts), elem)
+        shifted = [mk_shift(part, g) for part in expr.parts]
+        image = shift_translate(expr.parts[i], g, elem)
+        image = sum_inject(shifted[i], mk_sum_all(shifted[i + 1:]), 0, image)
+        if i:
+            image = sum_inject(mk_sum_all(shifted[:i]), mk_sum_all(shifted[i:]), 1, image)
+        return image
     if isinstance(expr, MulOmega):
         return ECopies(elem.copy, shift_translate(expr.base, g, elem.inner))
     if isinstance(expr, OmegaComp):
@@ -170,30 +161,22 @@ def shift_translate(expr: Dil, g: Ord, elem):
 
 
 def _sum_split(a: Dil, b: Dil, elem):
-    """Which side of mk_sum(a, b) an element belongs to, with the part element;
-    down ``a`` in a loop, as in ``sum_inject``."""
+    """Which side of mk_sum(a, b) an element belongs to, with the part
+    element; the inverse of ``sum_inject``."""
     if isinstance(a, Const) and a.value.is_zero():
         return 1, elem
     if isinstance(b, Const) and b.value.is_zero():
         return 0, elem
-    outer, layers = elem, 0
-    while a.__class__ is Sum:
-        if elem.side == 0:
-            return 0, outer
-        elem, a, layers = elem.inner, a.right, layers + 1
-    if isinstance(a, Const) and isinstance(b, Const):
-        if elem < a.value:
-            return 0, _place(elem, layers, layers + 1)
-        return 1, ord_left_sub(a.value, elem)
-    if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
-        if elem.side == 0:
-            if elem.inner < a.value:
-                return 0, _place(elem.inner, layers, layers + 1)
-            return 1, ESum(0, ord_left_sub(a.value, elem.inner))
-        return 1, elem
-    if elem.side == 0:
-        return 0, _place(elem.inner, layers, layers + 1)
-    return 1, elem.inner
+    pa, pb = summands(a), summands(b)
+    merged = pa[-1].__class__ is Const and pb[0].__class__ is Const
+    i, inner = _sum_index(len(pa) + len(pb) - merged, elem)
+    if i < len(pa) - 1:
+        return 0, elem  # coded alike in the sum and in ``a``
+    if merged and i == len(pa) - 1 and not inner < pa[-1].value:
+        return 1, _place(ord_left_sub(pa[-1].value, inner), 0, len(pb))
+    if i < len(pa):
+        return 0, _place(inner, i, len(pa))
+    return 1, _place(inner, i - len(pa) + merged, len(pb))
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +259,13 @@ def _part_inject(d: Dil, j, elem):
         raise TranslationGap("prefix injection needs a successor decomposition" if succ
                              else "limit injection needs a limit decomposition")
     if isinstance(d, Sum):
-        # only the last summand's part can merge with the summand before it
-        # (see sum_inject), so the loop stops at the last two summands
-        outer, layers = elem, 0
-        while d.right.__class__ is Sum:
-            if elem.side == 0:
-                return outer
-            elem, d, layers = elem.inner, d.right, layers + 1
-        last = decompose(d.right)
-        side, part = _sum_split(d.left, last.prefix if succ else last.fund(j), elem)
-        image = ESum(0, part) if side == 0 else ESum(1, _part_inject(d.right, j, part))
-        return _place(image, layers, layers + 1)
+        # the part is the summands before the last, then the last's part
+        rest, last = _split_trailing(d)
+        dec = decompose(last)
+        side, part = _sum_split(rest, dec.prefix if succ else dec.fund(j), elem)
+        if side == 1:
+            part = _part_inject(last, j, part)
+        return sum_inject(rest, last, side, part)
     if isinstance(d, Const) or isinstance(d, Band) and ord_left_sub(d.lo, d.hi).is_limit():
         # a part of a band over a limit span is a band [lo, lo+f(j)) with the
         # same base and ambient; a separation's parts, and a successor span's

@@ -7,10 +7,10 @@ Surface syntax::
     Atom ::= "0" | "1" | "Id" | "Const(" Ord ")" | "omega[" Dil "]"
            | "shift(" Dil "," Ord ")" | "sep(" Dil "," Ord ")" | "(" Dil ")"
 
-Construction goes through the ``mk_*`` functions, which keep sums
-right-associated and zero-free, merge adjacent constants, expand finite
-multiples, rewrite ``omega[D+1]`` to ``omega[D]*w``, and eliminate shift
-nodes entirely.  Two node kinds exist only internally: ``CnfHead`` (the
+Construction goes through the ``mk_*`` functions, which keep each sum a
+flat tuple of its summands, zero-free, merge adjacent constants, expand
+finite multiples, rewrite ``omega[D+1]`` to ``omega[D]*w``, and eliminate
+shift nodes entirely.  Two node kinds exist only internally: ``CnfHead`` (the
 connected head of an ``omega[...]`` expression) and ``Band`` (a slab of a
 connected expression cut by its most important argument position).
 """
@@ -74,37 +74,26 @@ class IdNode(Dil):
 
 
 class Sum(Dil):
+    """A sum of two or more summands, left to right.  Built by ``mk_sum_all``
+    it is in normal form: no summand is a sum or zero, and no two adjacent
+    summands are constants."""
+
     _hash = None  # not a field: set on first use, then kept
 
-    def __init__(self, left: Dil, right: Dil):
-        _set(self, "left", left)
-        _set(self, "right", right)
+    def __init__(self, parts: tuple):
+        _set(self, "parts", parts)
 
     def __hash__(self):
-        """hash((left, right)), computed once.  The spine below is filled
-        bottom-up in a loop, so a long sum costs no recursion depth; lazily,
-        because most sums built are never hashed."""
+        """hash((parts,)), the field hash, computed once: memo keys hold the
+        same sums again and again."""
         if self._hash is None:
-            spine, node = [], self
-            while isinstance(node, Sum) and node._hash is None:
-                spine.append(node)
-                node = node.right
-            for node in reversed(spine):
-                _set(node, "_hash", hash((node.left, node.right)))
+            _set(self, "_hash", hash((self.parts,)))
         return self._hash
 
     def __eq__(self, other):
-        """Field equality over ``summands``, so two equal long sums built
-        apart (say, as memo keys) need no recursion."""
         if other.__class__ is not Sum:
             return NotImplemented
-        return summands(self) == summands(other)
-
-    def __repr__(self):
-        """The field repr, built over ``summands`` in a loop."""
-        parts = summands(self)
-        heads = "".join(f"Sum(left={p!r}, right=" for p in parts[:-1])
-        return heads + repr(parts[-1]) + ")" * (len(parts) - 1)
+        return self.parts == other.parts
 
 
 class MulOmega(Dil):
@@ -141,8 +130,8 @@ class CnfHead(Dil):
 
     @cached_property
     def exponents(self) -> Dil:
-        """Sum(low, high), not normalized, so each exponent keeps its side tag."""
-        return Sum(self.low, self.high)
+        """Sum((low, high)), not flattened, so each exponent keeps its side tag."""
+        return Sum((self.low, self.high))
 
 
 class Sep(Dil):
@@ -176,17 +165,9 @@ D_ONE = Const(ONE)
 D_ID = IdNode()
 
 
-def summands(d: Dil) -> list:
-    """The summands of d down the right spine, collected in a loop, so a long
-    sum costs no recursion depth; a non-sum is its own one summand.
-    ``Sum.__hash__`` walks the spine node by node instead, to store a hash
-    per spine node; J's session takes one frame per spine node."""
-    parts = []
-    while isinstance(d, Sum):
-        parts.append(d.left)
-        d = d.right
-    parts.append(d)
-    return parts
+def summands(d: Dil) -> tuple:
+    """The summands of d, left to right; a non-sum is its own one summand."""
+    return d.parts if d.__class__ is Sum else (d,)
 
 
 def is_connected_atom(d: Dil) -> bool:
@@ -214,27 +195,26 @@ def is_max_dominated(d: Dil) -> bool:
 
 
 def mk_sum(a: Dil, b: Dil) -> Dil:
-    if isinstance(a, Const) and a.value.is_zero():
-        return b
-    if isinstance(b, Const) and b.value.is_zero():
-        return a
-    if isinstance(a, Sum):
-        for part in reversed(summands(a)):
-            b = mk_sum(part, b)
-        return b
-    if isinstance(a, Const):
-        if isinstance(b, Const):
-            return Const(ord_add(a.value, b.value))
-        if isinstance(b, Sum) and isinstance(b.left, Const):
-            return Sum(Const(ord_add(a.value, b.left.value)), b.right)
-    return Sum(a, b)
+    return mk_sum_all((a, b))
 
 
 def mk_sum_all(parts) -> Dil:
-    total = D_ZERO
-    for p in reversed(list(parts)):
-        total = mk_sum(p, total)
-    return total
+    """The normal form of the sum of ``parts``, themselves normal forms, in
+    one pass: their summands are concatenated, zeros dropped, and the
+    constants that meet where one part ends and the next begins merged."""
+    out = []
+    for part in parts:
+        ps = part.parts if part.__class__ is Sum else (part,)
+        if ps[0].__class__ is Const:
+            if ps[0].value.is_zero():
+                continue
+            if out and out[-1].__class__ is Const:
+                out[-1] = Const(ord_add(out[-1].value, ps[0].value))
+                ps = ps[1:]
+        out += ps
+    if len(out) < 2:
+        return out[0] if out else D_ZERO
+    return Sum(tuple(out))
 
 
 def mk_mul_nat(d: Dil, n: int) -> Dil:
@@ -250,9 +230,12 @@ def mk_mul_omega(d: Dil) -> Dil:
 
 
 def _split_trailing(d: Dil):
-    """Split a normalized expression as (rest, last summand)."""
-    *rest, last = summands(d)
-    return (mk_sum_all(rest) if rest else None), last
+    """Split a normalized expression as (rest, last summand); the summands
+    before the last are already in normal form, so the rest is a slice."""
+    parts = summands(d)
+    if len(parts) < 3:
+        return (parts[0] if len(parts) == 2 else None), parts[-1]
+    return Sum(parts[:-1]), parts[-1]
 
 
 def mk_omega_comp(d: Dil) -> Dil:

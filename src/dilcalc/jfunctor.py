@@ -6,21 +6,21 @@ and a successor with a connected top splits as alpha + beta through
 separation of variables (J separates at 0, the primed variant at omega);
 no normalized expression decomposes otherwise (``analysis._normalized``).
 A sum composes, J(a+e, gamma) = J(e, J(a, gamma)), one summand at a time
-down its right spine, so a sum of n summands costs n steps and no sum
-is rebuilt.  By the same clause the member B*k of a limit B*w has the value
-J(B, -) iterated k times from gamma, so that limit samples gamma and its
-iterates, one step each, and builds no member.  The clauses run as frames
-on one explicit stack, so how deep they nest is bounded by ``DEPTH_CAP``,
-not by Python's recursion limit.  Each evaluated (sub-expression, gamma)
-pair is recorded once, as a ``JStep`` with its clause, its last child and
-its value; ``JResult.steps`` lists every one of them in post-order, root
-last, with no cap of its own.  What does not depend on gamma is derived
-once per session and expression other than a B*w, in a table that ends
-with the session: its decomposition, the members of its fundamental
-sequence and its separation at the first cut.  Guards are certificates
-computed after the fact: eta bounds the value, xi bounds the order type at
-omega^(1+eta), and the audit re-checks that every recorded step descends
-in rank.
+left to right in one step, so a sum of n summands costs one composition
+step and the steps of its summands, and no sum is rebuilt.  By the same
+clause the member B*k of a limit B*w has the value J(B, -) iterated k times
+from gamma, so that limit samples gamma and its iterates, one step each,
+and builds no member.  The clauses run as frames on one explicit stack, so
+how deep they nest is bounded by ``DEPTH_CAP``, not by Python's recursion
+limit.  Each evaluated (sub-expression, gamma) pair is recorded once, as a
+``JStep`` with its clause, its last child and its value; ``JResult.steps``
+lists every one of them in post-order, root last, with no cap of its own.
+What does not depend on gamma is derived once per session and expression
+other than a B*w, in a table that ends with the session: its decomposition,
+the members of its fundamental sequence and its separation at the first
+cut.  Guards are certificates computed after the fact: eta bounds the
+value, xi bounds the order type at omega^(1+eta), and the audit re-checks
+that every recorded step descends in rank.
 """
 
 from __future__ import annotations
@@ -75,17 +75,18 @@ class _Session:
 
     A frame is a clause in progress at one ``(expr, gamma)``: a generator
     that yields each ``(child, gamma)`` it needs, is sent back its value, and
-    yields its ``JStep`` last.  Memo hits and constants take no frame.  A
-    sum's right summand runs at the value of its left one, so the memo is
-    keyed by ``(expr, gamma)``.  It is also the step log: each ``JStep`` is
-    stored when its frame finishes, so the log is in post-order, root last.
-    ``DEPTH_CAP`` bounds the guarded steps, the ones that take the limit or
-    separation clause.  Constant steps are leaves and a sum has one
-    composition step per summand and gamma, so the guarded steps bound the
-    work; counting the others too would refuse inputs that were answered
-    while sums were decomposed whole.  A limit ``B*w`` yields
-    ``(B, v)`` for each sample after gamma, v the sample before it; those are
-    the guarded steps its members ``B*k`` took, without their compositions.
+    yields its ``JStep`` last.  Memo hits and constants take no frame.  Each
+    summand of a sum runs at the value of the summands before it, so the
+    memo is keyed by ``(expr, gamma)``.  It is also the step log: each
+    ``JStep`` is stored when its frame finishes, so the log is in
+    post-order, root last.  ``DEPTH_CAP`` bounds the guarded steps, the ones
+    that take the limit or separation clause.  Constant steps are leaves and
+    a sum has one composition step per gamma over all its summands, so the
+    guarded steps bound the work; counting the others too would refuse
+    inputs that were answered while sums were decomposed whole.  A limit
+    ``B*w`` yields ``(B, v)`` for each sample after gamma, v the sample
+    before it; those are the guarded steps its members ``B*k`` took, without
+    their compositions.
 
     ``facts`` maps each expression other than a ``B*w`` that took a guarded
     step to what every gamma shares: its ``Decomposition``, the
@@ -125,9 +126,11 @@ class _Session:
             if self.calls > DEPTH_CAP:
                 raise DepthExceeded(f"evaluation exceeded {DEPTH_CAP} steps")
         if d.__class__ is Sum:
-            # J(a+e, gamma) = J(e, J(a, gamma)); the right summand is the child
-            clause, child = "composition", d.right
-            value = yield child, (yield d.left, gamma)
+            # J(a+e, gamma) = J(e, J(a, gamma)), folded left to right; the
+            # last summand is the child
+            clause, child, value = "composition", d.parts[-1], gamma
+            for part in d.parts:
+                value = yield part, value
         elif d.__class__ is MulOmega:
             # J(B*k, gamma) = J(B, J(B*(k-1), gamma)): sample k iterates J(B, .)
             # k times from gamma, one step each, so no member B*k is built
@@ -203,7 +206,7 @@ def j_guard_report(result: JResult) -> GuardAudit:
     recorded edge under two guards, ranking each expression once per guard.
 
     An edge must lower the rank ``otp_symbolic(-, omega^(1+eta))`` strictly,
-    except a composition edge: it descends to the right summand of its
+    except a composition edge: it descends to the last summand of its
     parent, a proper subterm, whose rank may equal the parent's
     (``otp(1+Id, w^(1+eta)) = otp(Id, w^(1+eta))``), so it is checked as
     that descent with a rank that does not rise.
@@ -235,7 +238,7 @@ def j_guard_report(result: JResult) -> GuardAudit:
             if step.clause == "composition":
                 ok = (
                     isinstance(step.parent, Sum)
-                    and step.child == step.parent.right
+                    and step.child == step.parent.parts[-1]
                     and child_rank <= parent_rank
                 )
             else:

@@ -6,9 +6,9 @@ compares terms through the element order of D with that position
 comparator.  ``psi_clause_otp`` computes the order type of the whole term
 order by recursion on D.  A sum takes the prefix clause
 psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), one summand at a
-time down its right spine, so a sum of n summands costs n steps of two
-summands each; each step of a sum passed in has its own step budget.  A
-limit and a connected component's fixed point both take their value from
+time left to right, so a sum of n summands costs n steps of two summands
+each; each step of a sum passed in has its own step budget.  A limit and a
+connected component's fixed point both take their value from
 ``LIMIT_SAMPLES`` partial sums through ``analysis._limit_sup``.  The
 term-level services (validity, comparison, enumeration, seeded descent
 search) stay available even where the order type leaves the notation
@@ -119,7 +119,7 @@ def psi_clause_otp(d: Dil, gamma: Ord, _budget: list = None) -> Ord:
 
 def _folds(d: Dil) -> bool:
     """A sum that the prefix clause folds; a step ``Const + atom`` does not."""
-    return isinstance(d, Sum) and (isinstance(d.right, Sum) or not isinstance(d.left, Const))
+    return d.__class__ is Sum and (len(d.parts) > 2 or d.parts[0].__class__ is not Const)
 
 
 def _psi(d: Dil, gamma: Ord, budget) -> Ord:
@@ -134,8 +134,8 @@ def _psi(d: Dil, gamma: Ord, budget) -> Ord:
 
 
 def _psi_prefix(d: Sum, gamma: Ord, budget) -> Ord:
-    """psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), walked down
-    the right spine in a loop: each step evaluates ``Const(v) + a`` for the
+    """psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), folded over
+    the summands in a loop: each step evaluates ``Const(v) + a`` for the
     next summand ``a``, with v the value of the summands before it.
 
     The terms over P form an initial segment of the collapse order, and the
@@ -313,14 +313,7 @@ class PsiOrder(Frozen):
         if isinstance(expr, IdNode):
             return self._rand_position(rng, depth, lefts)
         if isinstance(expr, Sum):
-            side = rng.randint(0, 1)
-            for s in (side, 1 - side):
-                try:
-                    part = expr.left if s == 0 else expr.right
-                    return ESum(s, self._rand(part, rng, depth, lefts))
-                except _DeadEnd:
-                    continue
-            raise _DeadEnd()
+            return self._rand_sum(expr.parts, 0, rng, depth, lefts)
         if isinstance(expr, MulOmega):
             return ECopies(rng.randint(0, 3), self._rand(expr.base, rng, depth, lefts))
         if isinstance(expr, (OmegaComp, CnfHead)):
@@ -331,6 +324,22 @@ class PsiOrder(Frozen):
                 if member(expr, cand):
                     return cand
             raise _DeadEnd()
+        raise _DeadEnd()
+
+    def _rand_sum(self, parts, i, rng, depth, lefts):
+        """An element of the sum of ``parts[i:]``, drawn as over a binary sum
+        of ``parts[i]`` and the rest: one side per level, the other side if
+        that one is a dead end."""
+        if i == len(parts) - 1:
+            return self._rand(parts[i], rng, depth, lefts)
+        side = rng.randint(0, 1)
+        for s in (side, 1 - side):
+            try:
+                if s == 0:
+                    return ESum(0, self._rand(parts[i], rng, depth, lefts))
+                return ESum(1, self._rand_sum(parts, i + 1, rng, depth, lefts))
+            except _DeadEnd:
+                continue
         raise _DeadEnd()
 
     def _rand_cnf(self, expr, rng, depth, lefts):

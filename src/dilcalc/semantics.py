@@ -70,11 +70,27 @@ def default_pos_key(p) -> tuple:
 # ---------------------------------------------------------------------------
 # comparison and structure
 #
-# The walkers (compare_elements, element_key, apply_embedding and the rest)
-# go down Sum, MulOmega, Sep and Band levels in a loop, so the i nested ESum
-# layers of an element of a long sum's i-th summand cost no recursion depth;
-# only formal-sum exponents recurse.  Each level dispatches on the node's
-# exact class: the node classes have no subclasses.
+# An element of a sum's i-th summand is coded as over nested binary sums:
+# behind i ESum(1, -) layers, and then one ESum(0, -) unless the summand is
+# the last.  The walkers (compare_elements, element_key, apply_embedding and
+# the rest) count those layers into an index over the sum's parts, inline
+# where they are hot, taking the first layer unchecked since a sum has two
+# or more parts.  They go down Sum, MulOmega, Sep and Band levels in a loop,
+# so a long sum costs no recursion depth; only formal-sum exponents recurse.
+# Each level dispatches on the node's exact class: the node classes have no
+# subclasses.
+
+
+def _sum_index(n: int, elem):
+    """The index of the summand that an element of an n-summand sum lies
+    in, and its element there."""
+    i = 0
+    while i < n - 1:
+        side, elem = elem.side, elem.inner
+        if side == 0:
+            break
+        i += 1
+    return i, elem
 
 
 def _descend(expr: Dil, elem):
@@ -82,8 +98,15 @@ def _descend(expr: Dil, elem):
     while True:
         kind = expr.__class__
         if kind is Sum:
-            expr = expr.left if elem.side == 0 else expr.right
-            elem = elem.inner
+            parts, i = expr.parts, 0
+            while True:
+                side, elem = elem.side, elem.inner
+                if side == 0:
+                    break
+                i += 1
+                if i == len(parts) - 1:
+                    break
+            expr = parts[i]
         elif kind is MulOmega:
             expr, elem = expr.base, elem.inner
         elif kind is Sep or kind is Band:
@@ -97,11 +120,18 @@ def compare_elements(expr: Dil, e1, e2, pos_cmp=default_pos_cmp) -> int:
     while True:
         kind = expr.__class__
         if kind is Sum:
-            side = e1.side
-            if side != e2.side:
-                return LESS if side < e2.side else GREATER
-            expr = expr.left if side == 0 else expr.right
-            e1, e2 = e1.inner, e2.inner
+            parts, i = expr.parts, 0
+            while True:
+                side = e1.side
+                if side != e2.side:
+                    return LESS if side < e2.side else GREATER
+                e1, e2 = e1.inner, e2.inner
+                if side == 0:
+                    break
+                i += 1
+                if i == len(parts) - 1:
+                    break
+            expr = parts[i]
         elif kind is OmegaComp or kind is CnfHead:
             exponents = expr.exponents
             for (x, m), (y, n) in zip(e1, e2):
@@ -140,10 +170,16 @@ def element_key(expr: Dil, elem, pos_key) -> object:
     while True:
         kind = expr.__class__
         if kind is Sum:
-            side = elem.side
-            key.append(side)
-            expr = expr.left if side == 0 else expr.right
-            elem = elem.inner
+            parts, i = expr.parts, 0
+            while True:
+                side, elem = elem.side, elem.inner
+                key.append(side)
+                if side == 0:
+                    break
+                i += 1
+                if i == len(parts) - 1:
+                    break
+            expr = parts[i]
         elif kind is OmegaComp or kind is CnfHead:
             exponents = expr.exponents
             body = tuple([(element_key(exponents, x, pos_key), m) for x, m in elem])
@@ -205,9 +241,16 @@ def apply_embedding(expr: Dil, elem, mapping) -> object:
     while True:
         kind = expr.__class__
         if kind is Sum:
-            layers.append((ESum, elem.side))
-            expr = expr.left if elem.side == 0 else expr.right
-            elem = elem.inner
+            parts, i = expr.parts, 0
+            while True:
+                side, elem = elem.side, elem.inner
+                layers.append((ESum, side))
+                if side == 0:
+                    break
+                i += 1
+                if i == len(parts) - 1:
+                    break
+            expr = parts[i]
         elif kind is OmegaComp or kind is CnfHead:
             exponents = expr.exponents
             elem = tuple([(apply_embedding(exponents, x, mapping), m) for x, m in elem])
@@ -237,10 +280,15 @@ def validate_element(expr: Dil, elem, pos_cmp=default_pos_cmp):
     while True:
         kind = expr.__class__
         if kind is Sum:
-            if not isinstance(elem, ESum) or elem.side not in (0, 1):
-                raise MalformedElement(f"bad sum element {elem!r}")
-            expr = expr.left if elem.side == 0 else expr.right
-            elem = elem.inner
+            parts, i, last = expr.parts, 0, len(expr.parts) - 1
+            while i < last:
+                if not isinstance(elem, ESum) or elem.side not in (0, 1):
+                    raise MalformedElement(f"bad sum element {elem!r}")
+                side, elem = elem.side, elem.inner
+                if side == 0:
+                    break
+                i += 1
+            expr = parts[i]
         elif kind is MulOmega:
             if not isinstance(elem, ECopies) or elem.copy < 0:
                 raise MalformedElement(f"bad repetition element {elem!r}")
@@ -414,9 +462,9 @@ def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_po
 
 
 def _place(elem, i: int, n: int):
-    """An element of the i-th of n summands as an element of their sum: the
-    ESum nodes of its place on the right spine, built in a loop, so a long
-    sum costs no recursion depth."""
+    """An element of the i-th of n summands as an element of their sum,
+    the inverse of ``_sum_index``: its ESum layers, built in a loop, so a
+    long sum costs no recursion depth."""
     if i < n - 1:
         elem = ESum(0, elem)
     for _ in range(i):
@@ -577,9 +625,10 @@ def element_str(expr: Dil, elem, render_pos=pos_str) -> str:
     while True:
         kind = expr.__class__
         if kind is Sum:
-            head.append("l:" if elem.side == 0 else "r:")
-            expr = expr.left if elem.side == 0 else expr.right
-            elem = elem.inner
+            parts = expr.parts
+            i, elem = _sum_index(len(parts), elem)
+            head.append("r:" * i + ("l:" if i < len(parts) - 1 else ""))
+            expr = parts[i]
         elif kind is MulOmega:
             head.append(f"{elem.copy}#")
             expr, elem = expr.base, elem.inner

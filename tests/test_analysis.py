@@ -210,7 +210,7 @@ class TestNormalizedDecompositions:
                 assert dec.kind == "limit" or is_connected_atom(dec.top), to_str(d)
             if depth == self.DEPTH:
                 continue
-            nxt = summands(d) if isinstance(d, Sum) else []
+            nxt = list(summands(d)) if isinstance(d, Sum) else []
             if dec.kind == "succ":
                 nxt += [dec.prefix, dec.top]
                 if is_connected_atom(dec.top):
@@ -354,8 +354,8 @@ class TestOtp:
 
     def test_a_sum_caches_only_the_key_asked_for(self, monkeypatch):
         # a 50-summand spine drawn as the functor-sums benchmark draws its
-        # spines: a sum is the fold of its summands' values, so no inner
-        # node of its right spine is cached, and no Const or Id is
+        # spines: a sum is the fold of its summands' values, so no sum of
+        # some of its summands is cached, and no Const or Id is
         chunk = ["Id"] * 5 + ["1", "Const(3)", "Const(w)", "Const(w^2)", "Id*w"] * 3
         rng, parts = random.Random(27), []
         while len(parts) < 50:

@@ -309,6 +309,30 @@ class TestExitCodes:
         )
         assert done.returncode in (0, 2)
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv,code,out,err",
+        [
+            (["otp", "Const(w^(100000000000000000000))", "--arg", "w"], 0,
+             "w^100000000000000000000\n", ""),
+            (["otp", "Id*99999", "--arg", "w"], 0, "w*99999\n", ""),
+            (["otp", "omega_head(Id;Id)+Id*5000", "--arg", "w"], 0, "w^(w*2)+w*5000\n", ""),
+            (["jeval", "Id*99999", "--gamma", "w"], 2, "",
+             "refused: DepthExceeded: evaluation exceeded 10000 steps\n"),
+            (["jeval", "+".join(["Id+Const(w)+Id*w+1"] * 1250), "--gamma", "w"], 2, "",
+             "refused: DepthExceeded: evaluation exceeded 10000 steps\n"),
+            (["jeval", "omega_head(Id;Id)+Id*5000", "--gamma", "w"], 2, "",
+             "outside supported fragment: OutOfNotation: iterates escalate beyond the "
+             "epsilon_0 fragment\n"),
+        ],
+        ids=["huge-exponent", "otp-long-sum", "otp-head-sum", "jeval-long-sum",
+             "jeval-mixed-sum", "jeval-head-sum"],
+    )
+    def test_robustness_probe(self, capsys, argv, code, out, err):
+        # huge and long inputs answer or refuse with their exit code, in
+        # about a second or less each
+        assert run(capsys, *argv) == (code, out, err)
+
     def test_enum_prints_nothing(self, capsys):
         assert run(capsys, "enum", "Id", "--x", "2", "--prefix", "0") == (0, "", "")
         code, out, _ = run(capsys, "enum", "Id", "--x", "2", "--prefix", "0", "--format", "json")

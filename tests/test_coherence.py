@@ -43,6 +43,7 @@ from dilcalc.semantics import (
     validate_element,
 )
 from dilcalc.suites import CheckReport, _check_decompose_expr
+from test_semantics import halves
 
 BUDGET = EnumBudget(const_cap=5, copies=2, cnf_len=2, cnf_mult=2, grid=4, max_count=4000)
 EXPRS = ["1", "Const(3)", "Const(w)", "Const(w^2)", "Id", "Id+1", "1+Id", "Id+Const(w)",
@@ -155,12 +156,14 @@ class TestFilteredPartInjections:
 
 
 def test_top_injection_of_a_sum_is_the_recursive_one():
-    # ESum(1, -) around the right summand's injection, as the recursion had it
+    # ESum(1, -) around the injection into the summands after the first, as
+    # the recursion had it
     for text in ("Id+1", "1+Id", "Id*2", "Id*3+1", "Const(w)+Id", "omega[Id]+Id",
                  "omega_head(0;Id)+1", "Id+omega_head(Id;Id)"):
         d = parse_dil(text)
         for e in _elements(decompose(d).top, parse_ord("2")):
-            assert coherence.top_inject(d, e) == ESum(1, coherence.top_inject(d.right, e)), text
+            right = halves(d)[1]
+            assert coherence.top_inject(d, e) == ESum(1, coherence.top_inject(right, e)), text
 
 
 def test_top_injection_of_a_long_sum_needs_no_recursion(default_recursion_limit):
@@ -183,16 +186,17 @@ def reference_sum_inject(a, b, side, elem):
     if isinstance(b, Const) and b.value.is_zero():
         return elem
     if isinstance(a, Sum):
-        rest = mk_sum(a.right, b)
+        left, right = halves(a)
+        rest = mk_sum(right, b)
         if side == 0:
             if elem.side == 0:
-                return reference_sum_inject(a.left, rest, 0, elem.inner)
-            inner = reference_sum_inject(a.right, b, 0, elem.inner)
-            return reference_sum_inject(a.left, rest, 1, inner)
-        return reference_sum_inject(a.left, rest, 1, reference_sum_inject(a.right, b, 1, elem))
+                return reference_sum_inject(left, rest, 0, elem.inner)
+            inner = reference_sum_inject(right, b, 0, elem.inner)
+            return reference_sum_inject(left, rest, 1, inner)
+        return reference_sum_inject(left, rest, 1, reference_sum_inject(right, b, 1, elem))
     if isinstance(a, Const) and isinstance(b, Const):
         return elem if side == 0 else ord_add(a.value, elem)
-    if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
+    if isinstance(a, Const) and isinstance(b, Sum) and isinstance(halves(b)[0], Const):
         if side == 0:
             return ESum(0, elem)
         if elem.side == 0:
@@ -208,10 +212,11 @@ def reference_sum_split(a, b, elem):
     if isinstance(b, Const) and b.value.is_zero():
         return 0, elem
     if isinstance(a, Sum):
-        side, inner = reference_sum_split(a.left, mk_sum(a.right, b), elem)
+        left, right = halves(a)
+        side, inner = reference_sum_split(left, mk_sum(right, b), elem)
         if side == 0:
             return 0, ESum(0, inner)
-        side2, inner2 = reference_sum_split(a.right, b, inner)
+        side2, inner2 = reference_sum_split(right, b, inner)
         if side2 == 0:
             return 0, ESum(1, inner2)
         return 1, inner2
@@ -219,7 +224,7 @@ def reference_sum_split(a, b, elem):
         if elem < a.value:
             return 0, elem
         return 1, ord_left_sub(a.value, elem)
-    if isinstance(a, Const) and isinstance(b, Sum) and isinstance(b.left, Const):
+    if isinstance(a, Const) and isinstance(b, Sum) and isinstance(halves(b)[0], Const):
         if elem.side == 0:
             if elem.inner < a.value:
                 return 0, elem.inner
@@ -238,10 +243,11 @@ def reference_prefix_inject(d, elem):
     if isinstance(d, IdNode):
         raise coherence.TranslationGap("the identity expression has an empty prefix")
     if isinstance(d, Sum):
-        side, part = reference_sum_split(d.left, decompose(d.right).prefix, elem)
+        left, right = halves(d)
+        side, part = reference_sum_split(left, decompose(right).prefix, elem)
         if side == 0:
             return ESum(0, part)
-        return ESum(1, reference_prefix_inject(d.right, part))
+        return ESum(1, reference_prefix_inject(right, part))
     if isinstance(d, OmegaComp):
         return reference_oc_inject(
             decompose(d.base).prefix, elem, lambda x: reference_prefix_inject(d.base, x)
@@ -264,10 +270,11 @@ def reference_limit_prefix_inject(d, j, elem):
     if isinstance(d, Const):
         return elem
     if isinstance(d, Sum):
-        side, part = reference_sum_split(d.left, decompose(d.right).fund(j), elem)
+        left, right = halves(d)
+        side, part = reference_sum_split(left, decompose(right).fund(j), elem)
         if side == 0:
             return ESum(0, part)
-        return ESum(1, reference_limit_prefix_inject(d.right, j, part))
+        return ESum(1, reference_limit_prefix_inject(right, j, part))
     if isinstance(d, MulOmega):
         copy, current = 0, elem
         remaining = j
@@ -320,20 +327,22 @@ def reference_const_element_of(p, v):
     if isinstance(p, Const):
         return v
     if isinstance(p, Sum):
-        left_otp = otp_symbolic(p.left, ZERO)
+        left, right = halves(p)
+        left_otp = otp_symbolic(left, ZERO)
         if v < left_otp:
-            return ESum(0, reference_const_element_of(p.left, v))
-        return ESum(1, reference_const_element_of(p.right, ord_left_sub(left_otp, v)))
+            return ESum(0, reference_const_element_of(left, v))
+        return ESum(1, reference_const_element_of(right, ord_left_sub(left_otp, v)))
     raise coherence.TranslationGap(f"no rank inverse for {p!r}")
 
 
 def reference_frozen_value(expr, elem, bound):
     """``frozen_value`` by recursion at sum levels."""
     if isinstance(expr, Sum):
+        left, right = halves(expr)
         if elem.side == 0:
-            return reference_frozen_value(expr.left, elem.inner, bound)
-        rest = reference_frozen_value(expr.right, elem.inner, bound)
-        return ord_add(otp_symbolic(expr.left, bound), rest)
+            return reference_frozen_value(left, elem.inner, bound)
+        rest = reference_frozen_value(right, elem.inner, bound)
+        return ord_add(otp_symbolic(left, bound), rest)
     return coherence.frozen_value(expr, elem, bound)
 
 

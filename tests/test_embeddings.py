@@ -34,6 +34,7 @@ from dilcalc.semantics import (
     prefix_elements,
     validate_element,
 )
+from test_semantics import halves
 
 w = OMEGA
 H0 = CnfHead(D_ZERO, D_ID)
@@ -49,7 +50,8 @@ def _map_lefts(expr, elem, fn):
             return Left(fn(elem.value))
         return elem
     if isinstance(expr, Sum):
-        part = expr.left if elem.side == 0 else expr.right
+        left, right = halves(expr)
+        part = left if elem.side == 0 else right
         return ESum(elem.side, _map_lefts(part, elem.inner, fn))
     if isinstance(expr, MulOmega):
         from dilcalc.semantics import ECopies

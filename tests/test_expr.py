@@ -2,6 +2,8 @@ import functools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dilcalc.expr as expr_module
 from dilcalc.errors import ParseError
@@ -11,9 +13,11 @@ from dilcalc.expr import (
     D_ID,
     D_ONE,
     D_ZERO,
+    Dil,
     MulOmega,
     OmegaComp,
     Sep,
+    Sum,
     is_connected_atom,
     is_max_dominated,
     mk_band,
@@ -103,25 +107,32 @@ def test_sum_parse_equals_the_summand_fold():
         assert parse_dil("+".join(summands)) == expected == mk_sum_all(parts)
 
 
-def test_sum_parse_is_linear(monkeypatch):
-    calls = [0]
+def test_sum_parse_is_linear(monkeypatch, default_recursion_limit):
+    # the parser builds each sum once, from its summands: a *2 term's sum,
+    # and then the whole sum, with 1+Const(w) merged into Const(w);
+    # 5,000 summands, more than the default recursion limit
+    built, init = [], Sum.__init__
 
-    def counting(a, b):
-        calls[0] += 1
-        return mk_sum(a, b)
+    def counting(self, parts):
+        built.append(len(parts))
+        init(self, parts)
 
-    monkeypatch.setattr(expr_module, "mk_sum", counting)
-    n = 200
-    parsed = parse_dil("+".join(["Id"] * n))
-    assert calls[0] <= 2 * n
-    assert parsed == mk_mul_nat(D_ID, n)
+    monkeypatch.setattr(Sum, "__init__", counting)
+    parse_dil("+".join(["Id"] * 5000))
+    assert built == [5000]
+    built.clear()
+    parsed = parse_dil("+".join(["Id", "1", "Const(w)", "Id*2"] * 1250))
+    assert built == [2] * 1250 + [5000]
+    assert parsed.parts == (D_ID, Const(OMEGA), D_ID, D_ID) * 1250
 
 
-def test_sum_hash_and_equality_are_the_field_ones_and_need_no_recursion():
-    # 5,000 summands, deeper than the default recursion limit
+def test_sum_hash_and_equality_are_the_field_ones_and_need_no_recursion(
+    default_recursion_limit,
+):
+    # 5,000 summands, more than the default recursion limit
     d = mk_mul_nat(D_ID, 5000)
-    assert hash(d) == hash((d.left, d.right))
-    assert hash(d.right) == hash((d.right.left, d.right.right))
+    assert d.parts == (D_ID,) * 5000
+    assert hash(d) == hash((d.parts,))
     fresh = mk_mul_nat(D_ID, 5000)
     assert fresh is not d and fresh == d and hash(fresh) == hash(d)
     assert d != mk_sum_all([D_ID] * 4999 + [D_ONE])
@@ -140,20 +151,20 @@ def test_long_sum_prints_in_a_loop(default_recursion_limit):
     assert to_str(mk_mul_nat(D_ID, 1200)) == "+".join(["Id"] * 1200)
 
 
-def test_sum_repr_is_the_dataclass_one_and_needs_no_recursion(default_recursion_limit):
-    assert repr(mk_sum(D_ID, D_ID)) == "Sum(left=IdNode(), right=IdNode())"
+def test_sum_repr_is_the_record_one_and_needs_no_recursion(default_recursion_limit):
+    assert repr(mk_sum(D_ID, D_ID)) == "Sum(parts=(IdNode(), IdNode()))"
     assert repr(mk_sum_all([D_ID, D_ID, D_ONE])) == (
-        "Sum(left=IdNode(), right=Sum(left=IdNode(), right=Const(value=Ord('1'))))"
+        "Sum(parts=(IdNode(), IdNode(), Const(value=Ord('1'))))"
     )
     # a head's exponents are an unnormalized sum with a sum on the left
     assert repr(CnfHead(mk_sum(D_ID, D_ID), D_ID).exponents) == (
-        "Sum(left=Sum(left=IdNode(), right=IdNode()), right=IdNode())"
+        "Sum(parts=(Sum(parts=(IdNode(), IdNode())), IdNode()))"
     )
     text = repr(mk_mul_nat(D_ID, 5000))
-    assert text == "Sum(left=IdNode(), right=" * 4999 + "IdNode()" + ")" * 4999
+    assert text == "Sum(parts=(" + ", ".join(["IdNode()"] * 5000) + "))"
 
 
-# 5,000 summands, deeper than the default recursion limit
+# 5,000 summands, more than the default recursion limit
 LONG = mk_mul_nat(D_ID, 5000)
 
 
@@ -163,6 +174,49 @@ def test_long_sum_constructors_need_no_recursion(default_recursion_limit):
     assert mk_omega_comp(mk_sum(LONG, D_ONE)) == MulOmega(OmegaComp(LONG))
 
 
+# the surface grammar over the leaves 0, 1, Id and Const(w)
+_LEAVES = st.sampled_from(["0", "1", "Id", "Const(w)"])
+
+
+def _grown(inner):
+    return st.one_of(
+        st.tuples(inner, inner).map("{0[0]}+{0[1]}".format),
+        st.tuples(inner, st.integers(0, 3)).map("({0[0]})*{0[1]}".format),
+        inner.map("({})*w".format),
+        inner.map("omega[{}]".format),
+        inner.map("shift({},w)".format),
+    )
+
+
+def _sums(d):
+    """Every Sum reachable from d through node fields; a head's exponents
+    are a property, not a field, so they are not reached."""
+    stack, out = [d], []
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Sum:
+            out.append(node)
+        for name in node._fields:
+            value = getattr(node, name)
+            stack += [v for v in (value if isinstance(value, tuple) else (value,))
+                      if isinstance(v, Dil)]
+    return out
+
+
+@given(st.recursive(_LEAVES, _grown, max_leaves=8))
+def test_parsed_sums_are_in_normal_form(text):
+    d = parse_dil(text)
+    for node in _sums(d):
+        parts = node.parts
+        assert len(parts) >= 2, text
+        assert not any(p.__class__ is Sum or p == D_ZERO for p in parts), text
+        assert not any(a.__class__ is Const and b.__class__ is Const
+                       for a, b in zip(parts, parts[1:])), text
+    if "Id" not in text:  # every leaf is a constant
+        assert isinstance(d, Const), text
+    assert parse_dil(to_str(d)) == d, text
+
+
 def test_multiplier_cap(monkeypatch):
     monkeypatch.setattr(expr_module, "MAX_MULTIPLIER", 5)
     assert to_str(parse_dil("Id*5")) == "Id+Id+Id+Id+Id"
@@ -170,11 +224,11 @@ def test_multiplier_cap(monkeypatch):
         parse_dil("Id*6")
 
 
-def test_sum_normalization_right_greedy():
+def test_sum_normalization_keeps_the_trailing_unit():
     expr = parse_dil("Id+Id+1")
-    # right spine ends at the unit so the last component is accessible
+    # the unit stays the last summand, where decompose finds it
     assert to_str(expr) == "Id+Id+1"
-    assert expr.right.right == D_ONE
+    assert expr.parts == (D_ID, D_ID, D_ONE)
 
 
 def test_shift_composes():

@@ -31,6 +31,7 @@ from dilcalc.expr import (
     mk_sep_atom,
     mk_shift,
     mk_sum,
+    mk_sum_all,
     parse_dil,
     to_str,
 )
@@ -275,10 +276,9 @@ class TestStepLog:
         return cases
 
     def test_fingerprint(self):
-        # count and sha1 of the rendered grid, re-taken when the two raw
-        # bands began to refuse; the other 1,369 lines are as they were when
-        # a B*w limit first iterated J(B, .), which TestIteratedLimit relates
-        # to the member walk
+        # count and sha1 of the rendered grid, re-taken when a sum began to
+        # compose all its summands in one step (28 composition lines, not
+        # 52); test_fingerprint_but_compositions holds the rest
         lines = []
         for case in self.grid():
             lines += _render(*case)
@@ -287,8 +287,21 @@ class TestStepLog:
         assert clauses == {"constant", "composition", "limit", "separation"}
         assert any("! OutOfNotation" in line for line in lines)
         assert any("! DepthExceeded" in line for line in lines)
-        assert len(lines) == 1373
-        assert hashlib.sha1(text.encode()).hexdigest() == "285291093438d9e3969293f0e6b291ac7489b23f"
+        assert sum(line.startswith("  [composition]") for line in lines) == 28
+        assert len(lines) == 1349
+        assert hashlib.sha1(text.encode()).hexdigest() == "620e85a07e4c45125e198265516943cdfa6f1741"
+
+    def test_fingerprint_but_compositions(self):
+        # the grid without its composition and audit lines (the audit counts
+        # the composition edges), as it was while a sum composed one binary
+        # level at a time: folding a sum's summands changed only those lines
+        lines = []
+        for case in self.grid():
+            lines += [line for line in _render(*case)
+                      if not line.startswith(("  [composition]", "  audit"))]
+        assert len(lines) == 1264
+        text = "\n".join(lines)
+        assert hashlib.sha1(text.encode()).hexdigest() == "e4b3f6629a1e94f2c8eefb66b8ddbe5a501c7241"
 
     def test_answers_fingerprint(self):
         # value, eta, xi or `type: message` of each case, taken while sums
@@ -307,7 +320,7 @@ class TestStepLog:
         # decomposed as zero and as 1 + 1, which no normalized node is; as
         # the last summand of a sum too, which psi decomposes step by step
         message = rf"{re.escape(to_str(band))} is not normalized$"
-        for d in (band, Sum(D_ID, band)):
+        for d in (band, Sum((D_ID, band))):
             with pytest.raises(UnsupportedDecomposition, match=message):
                 evaluator(d, w)
 
@@ -322,8 +335,9 @@ class TestStepLog:
                 done, parents = set(), set()
                 for s in res.steps:
                     if s.clause == "composition":
-                        # the right summand, evaluated earlier at the left's value
-                        assert s.child == s.parent.right and s.child in parents, text
+                        # the last summand, evaluated earlier at the value of
+                        # the summands before it
+                        assert s.child == s.parent.parts[-1] and s.child in parents, text
                     elif s.child is not None:
                         # every other clause recurses at its own gamma
                         assert (s.child, s.gamma) in done, (text, to_str(s.child))
@@ -443,9 +457,10 @@ class TestSessionFacts:
         assert again[1:] == first[1:]
 
     def test_spines_fingerprint(self):
-        # count and sha1 of the rendered spines, taken when a B*w limit first
-        # iterated J(B, .); the table did not change them.  The 72 answers
-        # alone are as the members B*k gave them
+        # count and sha1 of the rendered spines, re-taken when a sum began to
+        # compose all its summands in one step.  Without the composition and
+        # audit lines they are as they were when a B*w limit first iterated
+        # J(B, .), and the 72 answers alone as the members B*k gave them
         lines = []
         for seed in (1, 2):
             for n in (30, 50):
@@ -454,8 +469,12 @@ class TestSessionFacts:
                     for name, fn in EVALUATORS.items():
                         lines += _render(name, d, gs, fn, 10000)
         text = "\n".join(lines)
-        assert len(lines) == 10176
-        assert hashlib.sha1(text.encode()).hexdigest() == "bf69ffb1883c41c212916dc9d989f95ef6fc2497"
+        assert len(lines) == 8988
+        assert hashlib.sha1(text.encode()).hexdigest() == "48505da368091ab9609f137136899398fc947439"
+        kept = [line for line in lines if not line.startswith(("  [composition]", "  audit"))]
+        assert len(kept) == 8892
+        kept = "\n".join(kept)
+        assert hashlib.sha1(kept.encode()).hexdigest() == "f5eb296f89621c260e6d03a8c3582bf719648fca"
         heads = "\n".join(line for line in lines if not line.startswith("  "))
         assert hashlib.sha1(heads.encode()).hexdigest() == "744d1c8395e2d0368c23c19ab42731b397e16b4d"
 
@@ -668,8 +687,8 @@ class TestIteratedLimit:
                   for session in (new, old)]
         assert new.calls == old.calls == 400
         assert counts[0] == {"constant": 686, "separation": 343, "limit": 57}
-        assert counts[1] == {**counts[0], "composition": 1197}
-        assert len(new.memo) == 1086 and len(old.memo) == 2283
+        assert counts[1] == {**counts[0], "composition": 342}
+        assert len(new.memo) == 1086 and len(old.memo) == 1428
 
 
 class TestLinearity:
@@ -698,10 +717,10 @@ class TestLinearity:
         assert sums2 <= 2 * sums + 8
 
     def test_long_sum_costs_no_recursion_depth(self):
-        # each summand is a frame on the session's own stack, not a Python
-        # call; the spine is hashed in a loop and ranked in a loop
+        # the summands are folded in one frame on the session's own stack,
+        # not in Python calls; the sum is ranked in a loop
         res = j_eval(mk_mul_nat(D_ID, 3000), OMEGA)
-        assert len(res.steps) == 4 * 3000 - 1
+        assert len(res.steps) == 3 * 3000 + 1
         assert res.value == Ord(((ONE, 3 ** 3000),))
 
 
@@ -765,9 +784,11 @@ class TestAudit:
         audit = j_guard_report(res)
         assert audit.value_identical and not audit.rank_violations
 
-    def test_composition_child_must_be_the_right_summand(self):
+    def test_composition_child_must_be_the_last_summand(self):
+        # the sum of the summands after the first ranks no higher than the
+        # sum, so only the structural check refuses it
         res = j_eval(parse_dil("Id+Id+Id"), OMEGA)
-        bad = self.tampered(res, "composition", lambda s: s.parent.right.right)
+        bad = self.tampered(res, "composition", lambda s: mk_sum_all(s.parent.parts[1:]))
         audit = j_guard_report(res)
         assert audit.value_identical and not audit.rank_violations
         assert j_guard_report(bad).rank_violations

@@ -36,8 +36,8 @@ RECORDS = [
      "Const(value=Ord('1'))"),
     (lambda: IdNode(),
      'IdNode()'),
-    (lambda: Sum(IdNode(), Const(ONE)),
-     "Sum(left=IdNode(), right=Const(value=Ord('1')))"),
+    (lambda: Sum((IdNode(), Const(ONE))),
+     "Sum(parts=(IdNode(), Const(value=Ord('1'))))"),
     (lambda: MulOmega(D_ID),
      'MulOmega(base=IdNode())'),
     (lambda: OmegaComp(D_ID),

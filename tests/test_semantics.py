@@ -23,6 +23,7 @@ from dilcalc.expr import (
     Sum,
     mk_mul_nat,
     mk_sum,
+    mk_sum_all,
     parse_dil,
     to_str,
 )
@@ -52,6 +53,12 @@ from dilcalc.semantics import (
 )
 
 SMALL = EnumBudget(const_cap=4, copies=2, cnf_len=2, cnf_mult=2, grid=3)
+
+
+def halves(d: Sum) -> tuple:
+    """A sum as the binary sum its elements are coded over: its first
+    summand, and the sum of the others."""
+    return d.parts[0], mk_sum_all(d.parts[1:])
 
 
 class TestCompare:
@@ -420,7 +427,8 @@ def reference_compare_elements(expr, e1, e2, pos_cmp=default_pos_cmp):
     if isinstance(expr, Sum):
         if e1.side != e2.side:
             return LESS if e1.side < e2.side else GREATER
-        part = expr.left if e1.side == 0 else expr.right
+        left, right = halves(expr)
+        part = left if e1.side == 0 else right
         return reference_compare_elements(part, e1.inner, e2.inner, pos_cmp)
     if isinstance(expr, MulOmega):
         if e1.copy != e2.copy:
@@ -450,7 +458,8 @@ def reference_apply_embedding(expr, elem, mapping):
             return Right(mapping[elem.point])
         return elem
     if isinstance(expr, Sum):
-        part = expr.left if elem.side == 0 else expr.right
+        left, right = halves(expr)
+        part = left if elem.side == 0 else right
         return ESum(elem.side, reference_apply_embedding(part, elem.inner, mapping))
     if isinstance(expr, MulOmega):
         return ECopies(elem.copy, reference_apply_embedding(expr.base, elem.inner, mapping))
@@ -640,7 +649,8 @@ def reference_element_str(expr, elem):
     if isinstance(expr, IdNode):
         return semantics.pos_str(elem)
     if isinstance(expr, Sum):
-        part = expr.left if elem.side == 0 else expr.right
+        left, right = halves(expr)
+        part = left if elem.side == 0 else right
         return ("l:" if elem.side == 0 else "r:") + reference_element_str(part, elem.inner)
     if isinstance(expr, MulOmega):
         return f"{elem.copy}#{reference_element_str(expr.base, elem.inner)}"
@@ -663,16 +673,16 @@ def _recursive_sum_levels(monkeypatch):
 
     def reference_gen(expr, points, budget, lefts, pos_key=default_pos_key):
         if isinstance(expr, Sum):
-            return [ESum(0, x) for x in reference_gen(expr.left, points, budget, lefts, pos_key)] + [
-                ESum(1, x) for x in reference_gen(expr.right, points, budget, lefts, pos_key)
+            return [ESum(0, x) for x in reference_gen(halves(expr)[0], points, budget, lefts, pos_key)] + [
+                ESum(1, x) for x in reference_gen(halves(expr)[1], points, budget, lefts, pos_key)
             ]
         return gen(expr, points, budget, lefts, pos_key)
 
     def reference_stream(expr, points, state, cap, bound):
         if isinstance(expr, Sum):
-            for x in reference_stream(expr.left, points, state, cap, bound):
+            for x in reference_stream(halves(expr)[0], points, state, cap, bound):
                 yield ESum(0, x)
-            for x in reference_stream(expr.right, points, state, cap, bound):
+            for x in reference_stream(halves(expr)[1], points, state, cap, bound):
                 yield ESum(1, x)
             return
         yield from stream(expr, points, state, cap, bound)
