@@ -25,6 +25,9 @@ CLI_REPEATS times in alternation, and keeps the median of each child's user
 plus system CPU time (from ``os.wait4``) with its exit code.  Children
 inherit this process's environment, so whether they may write bytecode is
 recorded too: without cached bytecode every child compiles the kernel.
+The check-all point runs ``python -m dilcalc.cli check all`` the same way in
+PROCESSES children and keeps the median CPU time, with the exit codes and
+the sha1s of the children's stdout.
 
 The translation series times ``coherence.sum_inject`` (of ``Id*n`` and
 ``Id``) and ``coherence.prefix_inject`` (into ``Id*n+1``) on the element of
@@ -93,6 +96,7 @@ import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -436,10 +440,10 @@ def in_fresh_process(call: str) -> dict:
     return json.loads(done.stdout)
 
 
-def child_cpu(argv: list) -> tuple:
+def child_cpu(argv: list, stdout=subprocess.DEVNULL) -> tuple:
     """User+system CPU seconds of one child run to completion, and its exit code."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen(argv, env=env, stdout=stdout, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return usage.ru_utime + usage.ru_stime, proc.returncode
@@ -466,6 +470,20 @@ def cli_series() -> dict:
         "verbs_median_cpu_s": statistics.median(v["median_cpu_s"] for v in verbs),
         "verbs": verbs,
     }
+
+
+def check_all_point() -> dict:
+    runs, exits, digests = [], set(), set()
+    for _ in range(PROCESSES):
+        with tempfile.TemporaryFile() as out:
+            cpu, code = child_cpu([sys.executable, "-m", "dilcalc.cli", "check", "all"], out)
+            out.seek(0)
+            digests.add(hashlib.sha1(out.read()).hexdigest())
+        runs.append(cpu)
+        exits.add(code)
+    print(f"  check all {statistics.median(runs):.3f} s", file=sys.stderr)
+    return {"median_cpu_s": statistics.median(runs), "runs_cpu_s": runs,
+            "exits": sorted(exits), "stdout_sha1s": sorted(digests)}
 
 
 def main() -> int:
@@ -505,6 +523,8 @@ def main() -> int:
     report["elements"] = fresh_spread("element_series()")
     print("cli:", file=sys.stderr)
     report["cli"] = cli_series()
+    print("check all:", file=sys.stderr)
+    report["check_all"] = check_all_point()
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)

@@ -91,20 +91,36 @@ def test_run_check_times_each_suite(monkeypatch):
         assert reports and all(r.duration >= 0.01 for r in reports)
 
 
+def test_separated_pool_is_of_type_omega():
+    # the closure and rank-decrease checks separate its members untested
+    from dilcalc.analysis import classify
+    from dilcalc.expr import parse_dil
+    from dilcalc.suites import OMEGA_TYPE_SUITE
+
+    assert {classify(parse_dil(s)) for s in OMEGA_TYPE_SUITE} == {"Omega"}
+
+
 def test_functor_law_refusals_are_recorded_as_skips(monkeypatch):
     import dilcalc.suites as suites
     from dilcalc.errors import OutOfNotation
     from dilcalc.expr import parse_dil
-    from dilcalc.ordinal import OMEGA
+    from dilcalc.ordinal import parse_ord
 
-    refused, real = (parse_dil("Id*2"), OMEGA), suites.j_eval
+    def refusing(name, ds, gs):
+        refused, real = (parse_dil(ds), parse_ord(gs)), getattr(suites, name)
 
-    def j_eval(d, g):
-        if (d, g) == refused:
-            raise OutOfNotation("refused on one input")
-        return real(d, g)
+        def fn(d, g):
+            if (d, g) == refused:
+                raise OutOfNotation("refused on one input")
+            return real(d, g)
 
-    monkeypatch.setattr(suites, "j_eval", j_eval)
+        monkeypatch.setattr(suites, name, fn)
+
+    refusing("j_eval", "Id*2", "w")
+    refusing("jprime_eval", "omega[Id]", "w^2")
+    refusing("jplus_eval", "Const(w)", "w")
+    refusing("psi_clause_otp", "Id*w", "w^2")
+    refusing("sep", "1+Id", "1")
     rep = suites.check_j_laws()
     assert rep.ok, rep.violations
     for line in ["composition (0,Id*2,w): OutOfNotation",
@@ -112,6 +128,17 @@ def test_functor_law_refusals_are_recorded_as_skips(monkeypatch):
                  "monotonicity (Id*2,Const(w),w,w): OutOfNotation",
                  "monotonicity (Id*1): OutOfNotation",
                  "properties (Id*2,w): OutOfNotation",
-                 "(e) (Id*2,Id): OutOfNotation"]:
+                 "(c) (1+Id,0): OutOfNotation",
+                 "(e) (Id*2,Id): OutOfNotation",
+                 "eightfold (omega[Id],w^2): OutOfNotation",
+                 "shift robustness (omega[Id],1,w^2): OutOfNotation",
+                 "closure (omega[Id],w): OutOfNotation"]:
         assert line in rep.skips
     assert rep.skips[-12:] == PRINTED["j-laws"][1]
+    rep = suites.check_bound_theorem()
+    assert rep.ok, rep.violations
+    assert "closure side of (Const(w),w): OutOfNotation" in rep.skips
+    assert "psi side of (Id*w,w^2): OutOfNotation" in rep.skips
+    rep = suites.check_order_sanity()
+    assert rep.ok, rep.violations
+    assert rep.skips == ["rank decrease (1+Id,1): OutOfNotation"]

@@ -378,6 +378,20 @@ class TestScenario:
         assert code == 0
         assert hashlib.sha1(out.encode()).hexdigest() == "544997e43f54e2c6b52e98d0a275dc0383882f92"
 
+    def test_check_all_output_is_pinned(self, capsys, monkeypatch):
+        # both formats render the reports of one run
+        import dilcalc.suites as suites
+
+        reports = suites.run_check("all")
+        monkeypatch.setattr(suites, "run_check", lambda name, **_opts: reports)
+        digests = []
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "check", "all", "--format", fmt)
+            assert (code, err) == (0, "")
+            digests.append(hashlib.sha1(out.encode()).hexdigest())
+        assert digests == ["b2b407eb5029028c5a56fef7babc41b82a790ec8",
+                           "d84d38a16c3e380a47018d989df7fba12488778e"]
+
     def test_run_file_aggregates_worst_exit(self, tmp_path, capsys):
         scenario = tmp_path / "demo.commands"
         scenario.write_text(

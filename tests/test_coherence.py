@@ -42,7 +42,7 @@ from dilcalc.semantics import (
     enum_elements,
     validate_element,
 )
-from dilcalc.suites import CheckReport, _check_decompose_expr
+from dilcalc.suites import CheckReport, _check_decompose_expr, run_check
 from test_semantics import halves
 
 BUDGET = EnumBudget(const_cap=5, copies=2, cnf_len=2, cnf_mult=2, grid=4, max_count=4000)
@@ -173,6 +173,20 @@ def test_top_injection_of_a_long_sum_needs_no_recursion(default_recursion_limit)
         assert image.__class__ is ESum and image.side == 1
         image = image.inner
     assert image is elem
+
+
+def test_a_sep_translation_gap_is_a_skip(monkeypatch):
+    real, case = coherence.sep_translate, (parse_dil("omega_head(0;Id)"), parse_ord("2"))
+
+    def sep_translate(a, g, elem):
+        if (a, g) == case:
+            raise coherence.TranslationGap("no translation here")
+        return real(a, g, elem)
+
+    monkeypatch.setattr(coherence, "sep_translate", sep_translate)
+    (rep,) = run_check("coherence")
+    assert rep.ok and rep.violations == []
+    assert rep.skips == ["sep omega[Id] at 2: no translation here"]
 
 
 # ---------------------------------------------------------------------------
