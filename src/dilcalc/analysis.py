@@ -4,14 +4,16 @@
 pieces, exposed through a successor/limit view: either a last connected
 component with the prefix before it, or a fundamental sequence of proper
 initial summands.  ``classify`` (the type name), ``sep``, ``sep_signed``
-and ``otp_symbolic`` ride on top of it.  The brute-force trace relations
-(``ll_relation``, ``important_index``) live here too; they are the
-oracles the symbolic rules are tested against.  Neither builds an
-image.  ``ll_relation`` keys only each term's least and greatest image,
-under its lowest and its highest embedding, since an image's
-``element_key`` is monotone in the embedding.  ``important_index`` sorts
-every embedding by the tuple of its values at the term's live positions,
-which orders the images of one term as their keys do.
+and ``otp_symbolic`` ride on top of it; ``decompose`` and ``otp_symbolic``
+take a separation or band apart through the same two parts, ``_below``
+and ``_slice_at``.  The brute-force trace relations (``ll_relation``,
+``important_index``) live here too; they are the oracles the symbolic
+rules are tested against.  Neither builds an image.  ``ll_relation`` keys
+only each term's least and greatest image, under its lowest and its
+highest embedding, since an image's ``element_key`` is monotone in the
+embedding.  ``important_index`` sorts every embedding by the tuple of its
+values at the term's live positions, which orders the images of one term
+as their keys do.
 """
 
 from __future__ import annotations
@@ -101,6 +103,26 @@ def _concat(prefix_expr: Dil, rest: Dil) -> Decomposition:
     return Decomposition("limit", fund=lambda k: mk_sum(prefix_expr, d.fund(k)))
 
 
+def _length(d: Dil) -> Ord:
+    """The number of values the most important position of ``d`` takes."""
+    return d.cut if isinstance(d, Sep) else ord_left_sub(d.lo, d.hi)
+
+
+def _below(d: Dil, m: Ord) -> Dil:
+    """The initial part of ``d`` whose most important position lies below
+    its m-th value; a separation's part keeps the positions above its cut."""
+    if isinstance(d, Sep):
+        return mk_sep_atom(d.base, m, ord_add(m, ord_left_sub(d.cut, d.amb)))
+    return mk_band(d.base, d.lo, ord_add(d.lo, m), d.amb)
+
+
+def _slice_at(d: Dil, v: Ord) -> Dil:
+    """The slice of ``d`` whose most important position is its v-th value."""
+    if isinstance(d, Sep):
+        return mk_shift(mk_slice(d.base, v, ord_add(v, ONE)), ord_left_sub(d.cut, d.amb))
+    return mk_slice(d.base, ord_add(d.lo, v), d.amb)
+
+
 def decompose(d: Dil) -> Decomposition:
     if isinstance(d, Const):
         a = d.value
@@ -142,29 +164,14 @@ def decompose(d: Dil) -> Decomposition:
                 "limit", fund=lambda k: mk_cnf_head(d.low, inner.fund(k))
             )
         raise UnsupportedDecomposition(f"head over zero: {to_str(d)}")
-    if isinstance(d, Sep):
-        free = ord_left_sub(d.cut, d.amb)
-        if d.cut.is_successor():
-            nu = ord_pred(d.cut)
-            fiber = mk_shift(mk_slice(d.base, nu, ord_add(nu, ONE)), free)
-            return _concat(mk_sep_atom(d.base, nu, d.amb), fiber)
-        return Decomposition(
-            "limit",
-            fund=lambda k: mk_sep_atom(d.base, fund_seq(d.cut, k), d.amb),
-        )
-    if isinstance(d, Band):
-        span = ord_left_sub(d.lo, d.hi)
-        if span.is_zero():
+    if isinstance(d, (Sep, Band)):
+        length = _length(d)
+        if length.is_zero():
             return Decomposition("zero")
-        if span.is_successor():
-            nu = ord_add(d.lo, ord_pred(span))
-            return _concat(
-                mk_band(d.base, d.lo, nu, d.amb), mk_slice(d.base, nu, d.amb)
-            )
-        return Decomposition(
-            "limit",
-            fund=lambda k: mk_band(d.base, d.lo, ord_add(d.lo, fund_seq(span, k)), d.amb),
-        )
+        if length.is_successor():
+            nu = ord_pred(length)
+            return _concat(_below(d, nu), _slice_at(d, nu))
+        return Decomposition("limit", fund=lambda k: _below(d, fund_seq(length, k)))
     raise UnsupportedDecomposition(f"no decomposition rule for {d!r}")
 
 
@@ -292,7 +299,8 @@ def otp_symbolic(d: Dil, a: Ord) -> Ord:
     but for a ``Const`` or ``Id``, which are answered directly, and for the
     sums made of a sum's summands, which are never asked for: a sum is the
     fold of its summands' values.  Only separations and bands fold, so
-    a sum whose summands are cached costs no budget."""
+    a sum whose summands are cached costs no budget.  A fold sums the
+    parts that ``decompose`` names."""
     mark = len(_OTP_CACHE)
     try:
         return _otp_cached(d, a, [_OTP_FOLD_BUDGET])
@@ -332,43 +340,32 @@ def _otp(d: Dil, a: Ord, budget: list) -> Ord:
         if high.is_zero():
             return ZERO
         return ord_omega_pow(ord_add(_otp_cached(d.low, a, budget), high))
-    if isinstance(d, Sep):
-        arg = ord_add(ord_left_sub(d.cut, d.amb), a)
-        return _otp_fold(
-            d, d.cut, budget,
-            lambda v: _otp_cached(mk_slice(d.base, v, ord_add(v, ONE)), arg, budget),
-            lambda mid: _otp_cached(Sep(d.base, mid, mid), arg, budget),
-        )
-    if isinstance(d, Band):
-        arg = ord_add(ord_left_sub(d.hi, d.amb), a)
-        span = ord_left_sub(d.lo, d.hi)
-        return _otp_fold(
-            d, span, budget,
-            lambda v: _otp_cached(mk_slice(d.base, ord_add(d.lo, v), d.hi), arg, budget),
-            lambda mid: _otp_cached(mk_band(d.base, d.lo, ord_add(d.lo, mid), d.hi), arg, budget),
-        )
+    if isinstance(d, (Sep, Band)):
+        return _otp_fold(d, a, budget)
     raise UnsupportedOtp(f"no order-type rule for {d!r}")
 
 
-def _otp_fold(d: Dil, length: Ord, budget: list, piece, prefix_value) -> Ord:
-    """Sum of piece(v) over v < length, via peeling and the limit rule."""
+def _otp_fold(d: Dil, a: Ord, budget: list) -> Ord:
+    """The sum at ``a`` of the slices of a separation or band: a finite
+    length (zero too) folds them, a successor peels the last off ``_below``,
+    and a limit samples ``_below`` at its fundamental sequence."""
     budget[0] -= 1
     if budget[0] < 0:
         raise DepthExceeded(f"order-type folds exceeded {_OTP_FOLD_BUDGET} steps")
-    if length.is_zero():
-        return ZERO
+    length = _length(d)
     if length.is_finite():
         n = length.as_int()
         if n > _OTP_FOLD_CAP:
             raise UnsupportedOtp(f"finite fold of length {n} beyond cap")
         acc = ZERO
         for v in map(from_int, range(n)):
-            acc = ord_add(acc, piece(v))
+            acc = ord_add(acc, _otp_cached(_slice_at(d, v), a, budget))
         return acc
     if length.is_successor():
         nu = ord_pred(length)
-        return ord_add(prefix_value(nu), piece(nu))
-    return _limit_sup(d, lambda k: prefix_value(fund_seq(length, k)))
+        prefix = _otp_cached(_below(d, nu), a, budget)
+        return ord_add(prefix, _otp_cached(_slice_at(d, nu), a, budget))
+    return _limit_sup(d, lambda k: _otp_cached(_below(d, fund_seq(length, k)), a, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -266,11 +266,12 @@ def _part_inject(d: Dil, j, elem):
         if side == 1:
             part = _part_inject(last, j, part)
         return sum_inject(rest, last, side, part)
-    if isinstance(d, Const) or isinstance(d, Band) and ord_left_sub(d.lo, d.hi).is_limit():
-        # a part of a band over a limit span is a band [lo, lo+f(j)) with the
-        # same base and ambient; a separation's parts, and a successor span's
-        # prefix, are sums, shifted slices or separations at another cut,
-        # which have no injection here
+    if (isinstance(d, Const) or isinstance(d, Band) and ord_left_sub(d.lo, d.hi).is_limit()
+            or isinstance(d, Sep) and d.cut.is_limit() and d.amb == d.cut):
+        # a part is a band [lo, lo+f(j)) of the same base and ambient, or the
+        # separation at the cut f(j); a successor's prefix is a sum with a
+        # slice, and a part of a separation with positions above its cut
+        # holds them lower, so those have no injection here
         return elem
     if isinstance(d, OmegaComp):
         base = decompose(d.base)

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import random
 from unittest import mock
@@ -84,6 +85,7 @@ from dilcalc.semantics import (
     element_key,
     element_positions,
     enum_elements,
+    member,
     prefix_elements,
     support_of,
 )
@@ -136,6 +138,56 @@ class TestDecompose:
                     for e in prefix_elements(dec.fund(j), 2, 50)
                 ]
                 assert images == target[: len(images)], (text, j)
+
+
+class TestFilteredParts:
+    """A separation or band is the sum of its slices, and ``decompose`` and
+    ``otp_symbolic`` take it apart by one rule: the parts it names are its
+    initial segments, whether or not the ambient lies above the cut."""
+
+    ATOMS = ["omega_head(Id;Id)", "omega_head(Id+1;Id)", "omega_head(0;omega_head(Id;Id))"]
+    CUTS = ["2", "w", "w+1", "w*2", "w^2"]
+    ARGS = [ZERO, ONE, w]
+
+    def cases(self):
+        """(node, cut, whether the ambient is the cut): each atom's separation
+        and band [0, cut), with the ambient the cut and the cut + w."""
+        out = []
+        for atom, cut in itertools.product(self.ATOMS, self.CUTS):
+            for amb in (cut, ord_str(ord_add(parse_ord(cut), w))):
+                for text in (f"sep@({atom};{cut};{amb})", f"band({atom};0;{cut};{amb})"):
+                    out.append((parse_dil(text), parse_ord(cut), amb == cut))
+        return out
+
+    def test_parts_add_up_to_the_whole(self):
+        for d, _, _ in self.cases():
+            dec = decompose(d)
+            for a in self.ARGS:
+                whole = otp_symbolic(d, a)
+                if dec.kind == "succ":
+                    parts = ord_add(otp_symbolic(dec.prefix, a), otp_symbolic(dec.top, a))
+                else:
+                    parts = analysis_module._limit_sup(
+                        d, lambda k: otp_symbolic(dec.fund(k), a))
+                assert parts == whole, (to_str(d), ord_str(a))
+
+    def test_limit_parts_are_members(self):
+        budget = EnumBudget(const_cap=4, copies=2, cnf_len=2, cnf_mult=1, grid=2)
+        # a successor cut whose last slice is a limit decomposes as a limit
+        # too, but its parts are sums with a part of that slice
+        for d, cut, at_cut in self.cases():
+            if not (at_cut and cut.is_limit()):
+                continue
+            dec = decompose(d)
+            for j in (1, 2, 3):
+                elems = enum_elements(dec.fund(j), 1, budget)
+                assert elems and all(member(d, e) for e in elems), (to_str(d), j)
+
+    def test_order_types_pinned(self):
+        # taken before the two part rules became one
+        text = "".join(f"{to_str(d)} {ord_str(a)} {ord_str(otp_symbolic(d, a))}\n"
+                       for d, _, _ in self.cases() for a in self.ARGS)
+        assert hashlib.sha1(text.encode()).hexdigest() == "d1b233bc89b44132ec05e64f5fec99aa5c2e6dd2"
 
 
 class TestLongSums:

@@ -50,6 +50,18 @@ class TestVerbs:
         code, out, _ = run(capsys, "decompose", "0")
         assert code == 0 and out == "[]\n"
 
+    def test_decompose_over_a_limit_prefix(self, capsys):
+        # components refuses the transfinite prefix, so the verb names the
+        # successor view's prefix and top
+        code, out, _ = run(capsys, "decompose", "Const(w)+Id")
+        assert code == 0 and out.splitlines() == ["prefix Const(w)", "top Id"]
+
+    def test_decompose_separation_at_a_limit_cut(self, capsys):
+        # its parts are the separations at the cuts below, each its own ambient
+        code, out, _ = run(capsys, "decompose", "sep@(omega_head(Id;Id);w;w)")
+        assert code == 0 and out.splitlines() == [
+            "limit; partial sums: 0, sep(omega_head(Id;Id),1), sep(omega_head(Id;Id),2)"]
+
     def test_sep(self, capsys):
         code, out, _ = run(capsys, "sep", "Id+Id", "--gamma", "w")
         assert code == 0 and out.strip() == "Id+Const(w)"
@@ -84,6 +96,9 @@ JSON_LINES = [
      '{"inputs": {"expr": "1*w"}, "result": {"type": "omega"}, "verb": "classify"}'),
     ("decompose 0",
      '{"inputs": {"expr": "0"}, "result": {"components": [], "kind": "zero"}, "verb": "decompose"}'),
+    ("decompose Const(w)+Id",
+     '{"inputs": {"expr": "Const(w)+Id"}, "result": {"kind": "successor", "prefix": "Const(w)", '
+     '"top": "Id"}, "verb": "decompose"}'),
     ("decompose Id*w --samples 2",
      '{"inputs": {"expr": "Id*w"}, "result": {"kind": "limit", "partials": ["0", "Id"]}, '
      '"verb": "decompose"}'),

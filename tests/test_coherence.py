@@ -20,6 +20,7 @@ from dilcalc.expr import (
     IdNode,
     MulOmega,
     OmegaComp,
+    Sep,
     Sum,
     is_connected_atom,
     mk_cnf_head,
@@ -90,7 +91,7 @@ class TestTranslationsAscend:
     def test_shift_translations(self, gs):
         # separations and bands too: shift_translate moves their ambient
         g = parse_ord(gs)
-        for text in EXPRS + GAP_PARTS + LIMIT_BANDS:
+        for text in EXPRS + GAP_PARTS + LIMIT_PARTS:
             d = parse_dil(text)
             images = [coherence.shift_translate(d, g, e) for e in _elements(d, g)]
             _assert_ascending_images(mk_shift(d, g), images, text)
@@ -111,15 +112,17 @@ def test_limit_injection_refuses_a_unit_top_head():
         coherence.limit_prefix_inject(d, 1, elem)
 
 
-# separations at a successor and at a limit cut, and bands over a successor
-# span: their initial parts are sums, shifted slices or separations at another
-# cut, so the identity is no injection of them
-GAP_PARTS = ["sep(omega_head(Id;Id),1)", "sep(omega_head(Id;Id),w)",
-             "sep@(omega_head(Id;Id);2;3)", "band(omega_head(Id;Id);0;2;2)",
-             "band(omega_head(Id;Id);0;w+1;w+1)"]
-# bands over a limit span, whose parts are bands [lo, lo+f(j)) of the same base
-LIMIT_BANDS = ["band(omega_head(Id;Id);0;w;w)", "band(omega_head(Id;Id);1;w;w)",
-               "band(omega_head(Id;Id);w;w*2;w*2)", "band(omega_head(Id+Id;Id);0;w;w)"]
+# separations at a successor cut or with positions above the cut, and bands
+# over a successor span: their initial parts are sums with a slice, or hold
+# the positions above the cut lower down, so the identity is no injection
+GAP_PARTS = ["sep(omega_head(Id;Id),1)", "sep@(omega_head(Id;Id);2;3)",
+             "band(omega_head(Id;Id);0;2;2)", "band(omega_head(Id;Id);0;w+1;w+1)"]
+# bands over a limit span, whose parts are bands [lo, lo+f(j)) of the same base,
+# and a separation at a limit cut with the cut as its ambient, whose parts are
+# the separations at the cuts f(j)
+LIMIT_PARTS = ["band(omega_head(Id;Id);0;w;w)", "band(omega_head(Id;Id);1;w;w)",
+               "band(omega_head(Id;Id);w;w*2;w*2)", "band(omega_head(Id+Id;Id);0;w;w)",
+               "sep(omega_head(Id;Id),w)"]
 PART_BUDGET = EnumBudget(const_cap=4, copies=2, cnf_len=2, cnf_mult=2, grid=4)
 
 
@@ -147,10 +150,10 @@ class TestFilteredPartInjections:
         _check_decompose_expr(rep, d, 40, 2)
         assert rep.violations == [] and len(rep.skips) == 1, text
 
-    @pytest.mark.parametrize("text", LIMIT_BANDS)
-    def test_limit_bands_ascend(self, text):
+    @pytest.mark.parametrize("text", LIMIT_PARTS)
+    def test_limit_parts_ascend(self, text):
         d = parse_dil(text)
-        assert isinstance(d, Band) and decompose(d).kind == "limit"
+        assert isinstance(d, (Band, Sep)) and decompose(d).kind == "limit"
         for j, elems in _initial_parts(d):
             _assert_ascending_images(d, [_inject_part(d, j, e) for e in elems], (text, j))
 

@@ -20,10 +20,12 @@ from dilcalc.errors import (
 )
 from dilcalc.expr import (
     Band,
+    CnfHead,
     Const,
     D_ID,
     D_ONE,
     MulOmega,
+    Sep,
     Sum,
     _split_trailing,
     mk_mul_nat,
@@ -313,12 +315,14 @@ class TestStepLog:
         assert hashlib.sha1(text.encode()).hexdigest() == "442409c2d6153b8df72a4891eb02386782e78f27"
 
     @pytest.mark.parametrize("band", [Band(D_ID, OMEGA, OMEGA, OMEGA),
-                                      Band(D_ID, ZERO, from_int(2), from_int(2))], ids=to_str)
+                                      Band(D_ID, ZERO, from_int(2), from_int(2)),
+                                      Sep(CnfHead(D_ID, D_ID), ZERO, ZERO)], ids=to_str)
     @pytest.mark.parametrize("evaluator", [j_eval, jprime_eval, psi_clause_otp],
                              ids=lambda f: f.__name__)
     def test_hand_built_bands_refuse(self, band, evaluator):
-        # decomposed as zero and as 1 + 1, which no normalized node is; as
-        # the last summand of a sum too, which psi decomposes step by step
+        # decomposed as zero and as 1 + 1, which no normalized node is (a
+        # separation at the cut 0 too, by the band's rule); as the last
+        # summand of a sum too, which psi decomposes step by step
         message = rf"{re.escape(to_str(band))} is not normalized$"
         for d in (band, Sum((D_ID, band))):
             with pytest.raises(UnsupportedDecomposition, match=message):

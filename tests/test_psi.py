@@ -15,6 +15,7 @@ from dilcalc.expr import (
     Const,
     MulOmega,
     Sep,
+    Sum,
     _split_trailing,
     mk_band,
     mk_mul_nat,
@@ -573,11 +574,12 @@ class TestSearch:
         res = chain_search(PsiSearchHandle(order), 300, 30, seed=3)
         assert not res.found
 
-    # the repetition branch and the separation / band branch of PsiOrder._rand
+    # the repetition, separation / band and sum branches of PsiOrder._rand
     @pytest.mark.parametrize(
         "text,gamma,kind",
         [("Id*w", "w", MulOmega), ("omega[Id]*w", "1", MulOmega),
-         ("sep(omega_head(Id;Id),w)", "1", Sep), ("band(omega_head(Id;Id);0;w;w)", "1", Band)],
+         ("sep(omega_head(Id;Id),w)", "1", Sep), ("band(omega_head(Id;Id);0;w;w)", "1", Band),
+         ("Id*2", "w", Sum), ("Const(w)+Id", "w^2", Sum)],
     )
     def test_random_terms_of_repetitions_and_filtered_nodes(self, text, gamma, kind):
         order = PsiOrder(parse_dil(text), parse_ord(gamma))
@@ -587,6 +589,16 @@ class TestSearch:
             t = order.random_term(rng)
             assert t is not None and order.valid(t), text
         assert chain_search(PsiSearchHandle(order), 20, 30, 5).summary == "NoneFound"
+
+    def test_random_sum_terms_pinned(self, monkeypatch):
+        # PsiOrder._rand_sum draws one side of the sum per level
+        monkeypatch.setattr(psi_module, "RANDOM_DEPTH", 2)
+        order = PsiOrder(parse_dil("Id*2"), OMEGA)
+        rng = random.Random(5)
+        drawn = [order.random_term(rng) for _ in range(8)]
+        assert [term_str(order, t) for t in drawn] == [
+            "r:[l:[l:10]]", "l:[l:3]", "r:9", "l:3", "r:6", "l:[l:9]", "r:0", "l:3",
+        ]
 
     def test_collapse_orders_resist_descent(self):
         for text, gamma in [("omega[Id]", "0"), ("Id", "w")]:
