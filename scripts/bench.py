@@ -72,11 +72,11 @@ line, in PROCESSES fresh interpreters.
 
 The chain-search point times ``chain_search`` (CHAIN_TRIALS trials, chain
 depth CHAIN_DEPTH) at each of CHAIN_SEEDS for each CHAIN_ORDERS order, the
-four search orders of the collapse-fuzz workload (median of REPEATS passes
-over the seeds, in CPU seconds), with a sha1 of the search answers and one of
-every term the search drew, in PROCESSES fresh interpreters.  The orders are
-well-founded, so every answer reads ``NoneFound``; the drawn terms show that
-the seeded draws stay the same.
+four search orders of the collapse-fuzz workload and a sum of three parts
+(median of REPEATS passes over the seeds, in CPU seconds), with a sha1 of the
+search answers and one of every term the search drew, in PROCESSES fresh
+interpreters.  The orders are well-founded, so every answer reads
+``NoneFound``; the drawn terms show that the seeded draws stay the same.
 
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
@@ -148,7 +148,8 @@ REFUSAL = "omega_head(0;Id)+Id+1+Const(w)+Id"
 DEPTH_CAP_EXPR = "Id*w*w*w*w*w"
 DEEP_CHAIN = "Id*1200"
 PSI_ENUMS = (("omega[Id]+Id", "1"), ("omega[Id]", "0"), ("Id*2", "w"), ("Const(w)+Id", "w^2"))
-CHAIN_ORDERS = (("omega[Id]", "0"), ("Id", "w"), ("Id*2", "w"), ("Const(w)+Id", "w^2"))
+CHAIN_ORDERS = (("omega[Id]", "0"), ("Id", "w"), ("Id*2", "w"), ("Const(w)+Id", "w^2"),
+                ("Id+1+Id", "w"))
 CHAIN_SEEDS = range(25)
 CHAIN_TRIALS = 20
 CHAIN_DEPTH = 30

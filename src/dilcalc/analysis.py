@@ -273,14 +273,20 @@ def _limit_sup(d: Dil, sample: Callable[[int], Ord]) -> Ord:
     )
 
 
-def _forget_since(cache: dict, mark: int) -> None:
-    """Drop the entries added to ``cache`` after it held ``mark`` of them.
+def _refusing(cache: dict, call: Callable[..., Ord], *args) -> Ord:
+    """``call(*args)``; if it raises ``DepthExceeded``, the entries it added
+    to ``cache`` are dropped first.
 
     A refused call forgets what it cached: its budget counts cache misses,
     so what a refusal kept would let the same call, repeated, get further
     and answer."""
-    while len(cache) > mark:
-        cache.popitem()
+    mark = len(cache)
+    try:
+        return call(*args)
+    except DepthExceeded:
+        while len(cache) > mark:
+            cache.popitem()
+        raise
 
 
 _OTP_CACHE: dict = {}
@@ -301,12 +307,7 @@ def otp_symbolic(d: Dil, a: Ord) -> Ord:
     fold of its summands' values.  Only separations and bands fold, so
     a sum whose summands are cached costs no budget.  A fold sums the
     parts that ``decompose`` names."""
-    mark = len(_OTP_CACHE)
-    try:
-        return _otp_cached(d, a, [_OTP_FOLD_BUDGET])
-    except DepthExceeded:
-        _forget_since(_OTP_CACHE, mark)
-        raise
+    return _refusing(_OTP_CACHE, _otp_cached, d, a, [_OTP_FOLD_BUDGET])
 
 
 def _otp_cached(d: Dil, a: Ord, budget: list) -> Ord:

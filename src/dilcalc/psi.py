@@ -7,8 +7,9 @@ comparator.  ``psi_clause_otp`` computes the order type of the whole term
 order by recursion on D.  A sum takes the prefix clause
 psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), one summand at a
 time left to right, so a sum of n summands costs n steps of two summands
-each; each step of a sum passed in has its own step budget.  A limit and a
-connected component's fixed point both take their value from
+each; each step of a sum passed in has its own step budget, and a refused
+call forgets what it cached, by the rule ``otp_symbolic`` follows.  A limit
+and a connected component's fixed point both take their value from
 ``LIMIT_SAMPLES`` partial sums through ``analysis._limit_sup``.  The
 term-level services (validity, comparison, enumeration, seeded descent
 search) stay available even where the order type leaves the notation
@@ -20,7 +21,7 @@ from __future__ import annotations
 import random
 
 from . import analysis
-from .analysis import _forget_since, _limit_sup, _normalized, decompose
+from .analysis import _limit_sup, _normalized, _refusing, decompose
 from .errors import DepthExceeded, MalformedElement
 from .expr import (
     Band,
@@ -56,6 +57,7 @@ from .semantics import (
     Right,
     _candidates,
     _grid_values,
+    _place,
     compare_elements,
     default_pos_cmp,
     default_pos_key,
@@ -78,7 +80,7 @@ RANDOM_DEPTH = 3
 _PSI_CACHE: dict = {}
 
 
-def psi_clause_otp(d: Dil, gamma: Ord, _budget: list = None) -> Ord:
+def psi_clause_otp(d: Dil, gamma: Ord) -> Ord:
     """Order type of the collapse order of d shifted by gamma.
 
     A sum other than ``Const + atom`` is folded by the prefix clause
@@ -90,29 +92,28 @@ def psi_clause_otp(d: Dil, gamma: Ord, _budget: list = None) -> Ord:
     nor counted.  A sum passed in by the caller gives each of its summand
     steps a budget of its own, so no length of sum runs out of budget; a
     sum met inside a recursion shares that recursion's budget, so the
-    budget still bounds the work of every step.  A call from outside a
-    recursion that refuses leaves the cache as it found it.
+    budget still bounds the work of every step.  A refused call leaves the
+    cache as it found it (``analysis._refusing``, as for ``otp_symbolic``).
     """
+    return _refusing(_PSI_CACHE, _psi_cached, d, gamma, None)
+
+
+def _psi_cached(d: Dil, gamma: Ord, budget) -> Ord:
+    """psi with the recursion's budget; ``None`` marks a call from outside
+    a recursion, where a folding sum is not charged and each summand step
+    starts a budget of its own."""
     if isinstance(d, Const):
         return d.value
     key = (d, gamma)
     if key in _PSI_CACHE:
         return _PSI_CACHE[key]
-    outer, mark = _budget is None, len(_PSI_CACHE)
-    try:
-        if _budget is None and _folds(d):
-            value = _psi_prefix(d, gamma, None)
-        else:
-            if _budget is None:
-                _budget = [4000]
-            _budget[0] -= 1
-            if _budget[0] < 0:
-                raise DepthExceeded("collapse recursion exceeded its step budget")
-            value = _psi(d, gamma, _budget)
-    except DepthExceeded:
-        if outer:
-            _forget_since(_PSI_CACHE, mark)
-        raise
+    if budget is not None or not _folds(d):
+        if budget is None:
+            budget = [4000]
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise DepthExceeded("collapse recursion exceeded its step budget")
+    value = _psi(d, gamma, budget)
     _PSI_CACHE[key] = value
     return value
 
@@ -124,28 +125,20 @@ def _folds(d: Dil) -> bool:
 
 def _psi(d: Dil, gamma: Ord, budget) -> Ord:
     if _folds(d):
-        return _psi_prefix(d, gamma, budget)
+        # psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), one
+        # summand at a time: the terms over P form an initial segment of
+        # the collapse order, and the terms over X see them only as
+        # available positions, so only their order type matters
+        value = ZERO
+        for part in summands(d):
+            value = _psi_cached(mk_sum(Const(value), part), gamma, budget)
+        return value
     dec = _normalized(d, decompose(d))
     if dec.kind == "succ":
-        head = psi_clause_otp(dec.prefix, gamma, budget)
+        head = _psi_cached(dec.prefix, gamma, budget)
         delta = ord_add(gamma, head)
         return ord_add(head, _psi_connected(dec.top, delta, budget))
-    return _limit_sup(d, lambda k: psi_clause_otp(dec.fund(k), gamma, budget))
-
-
-def _psi_prefix(d: Sum, gamma: Ord, budget) -> Ord:
-    """psi(P + X, gamma) = psi(Const(psi(P, gamma)) + X, gamma), folded over
-    the summands in a loop: each step evaluates ``Const(v) + a`` for the
-    next summand ``a``, with v the value of the summands before it.
-
-    The terms over P form an initial segment of the collapse order, and the
-    terms over X see them only as available positions, so only their order
-    type matters.
-    """
-    value = ZERO
-    for part in summands(d):
-        value = psi_clause_otp(mk_sum(Const(value), part), gamma, budget)
-    return value
+    return _limit_sup(d, lambda k: _psi_cached(dec.fund(k), gamma, budget))
 
 
 def _psi_connected(atom: Dil, delta: Ord, budget) -> Ord:
@@ -157,7 +150,7 @@ def _psi_connected(atom: Dil, delta: Ord, budget) -> Ord:
     """
     cut, hi, total, partials = ZERO, delta, ZERO, []
     for _ in range(analysis.LIMIT_SAMPLES):
-        stage = psi_clause_otp(mk_band(atom, cut, hi, hi), ZERO, budget)
+        stage = _psi_cached(mk_band(atom, cut, hi, hi), ZERO, budget)
         if stage.is_zero():
             return total
         total = ord_add(total, stage)
@@ -313,7 +306,15 @@ class PsiOrder(Frozen):
         if isinstance(expr, IdNode):
             return self._rand_position(rng, depth, lefts)
         if isinstance(expr, Sum):
-            return self._rand_sum(expr.parts, 0, rng, depth, lefts)
+            parts = expr.parts
+            n = len(parts)
+            i = rng.randint(0, n - 1)
+            for _ in range(n):
+                try:
+                    return _place(self._rand(parts[i], rng, depth, lefts), i, n)
+                except _DeadEnd:
+                    i = (i + 1) % n
+            raise _DeadEnd()
         if isinstance(expr, MulOmega):
             return ECopies(rng.randint(0, 3), self._rand(expr.base, rng, depth, lefts))
         if isinstance(expr, (OmegaComp, CnfHead)):
@@ -324,22 +325,6 @@ class PsiOrder(Frozen):
                 if member(expr, cand):
                     return cand
             raise _DeadEnd()
-        raise _DeadEnd()
-
-    def _rand_sum(self, parts, i, rng, depth, lefts):
-        """An element of the sum of ``parts[i:]``, drawn as over a binary sum
-        of ``parts[i]`` and the rest: one side per level, the other side if
-        that one is a dead end."""
-        if i == len(parts) - 1:
-            return self._rand(parts[i], rng, depth, lefts)
-        side = rng.randint(0, 1)
-        for s in (side, 1 - side):
-            try:
-                if s == 0:
-                    return ESum(0, self._rand(parts[i], rng, depth, lefts))
-                return ESum(1, self._rand_sum(parts, i + 1, rng, depth, lefts))
-            except _DeadEnd:
-                continue
         raise _DeadEnd()
 
     def _rand_cnf(self, expr, rng, depth, lefts):

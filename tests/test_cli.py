@@ -339,13 +339,21 @@ class TestExitCodes:
             (["jeval", "omega_head(Id;Id)+Id*5000", "--gamma", "w"], 2, "",
              "outside supported fragment: OutOfNotation: iterates escalate beyond the "
              "epsilon_0 fragment\n"),
+            (["psi-otp", "Const(w^(100000000000000000000))", "--gamma", "w"], 0,
+             "w^100000000000000000000\n", ""),
+            (["psi-otp", "omega_head(Id;Id)+Id*5000", "--gamma", "w"], 2, "",
+             "outside supported fragment: OutOfNotation: iterates escalate beyond the "
+             "epsilon_0 fragment\n"),
+            (["psi-otp", "+".join(["Id+Const(w)+Id*w+1"] * 1250), "--gamma", "w"], 0,
+             "w^(w*1250)+1\n", ""),
         ],
         ids=["huge-exponent", "otp-long-sum", "otp-head-sum", "jeval-long-sum",
-             "jeval-mixed-sum", "jeval-head-sum"],
+             "jeval-mixed-sum", "jeval-head-sum", "psi-huge-exponent", "psi-head-sum",
+             "psi-mixed-sum"],
     )
     def test_robustness_probe(self, capsys, argv, code, out, err):
         # huge and long inputs answer or refuse with their exit code, in
-        # about a second or less each
+        # about two seconds or less each
         assert run(capsys, *argv) == (code, out, err)
 
     def test_enum_prints_nothing(self, capsys):

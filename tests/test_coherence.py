@@ -7,6 +7,8 @@ leads; each translation must send it to valid elements of the target that
 still ascend.
 """
 
+from itertools import islice
+
 import pytest
 
 from dilcalc import coherence
@@ -26,6 +28,7 @@ from dilcalc.expr import (
     mk_cnf_head,
     mk_mul_nat,
     mk_omega_comp,
+    mk_sep_atom,
     mk_shift,
     mk_sum,
     parse_dil,
@@ -39,6 +42,7 @@ from dilcalc.semantics import (
     Left,
     Right,
     _grid_values,
+    ambient_stream,
     compare_elements,
     enum_elements,
     validate_element,
@@ -190,6 +194,18 @@ def test_a_sep_translation_gap_is_a_skip(monkeypatch):
     (rep,) = run_check("coherence")
     assert rep.ok and rep.violations == []
     assert rep.skips == ["sep omega[Id] at 2: no translation here"]
+
+
+# check all separates no composite head, so it never runs these
+@pytest.mark.parametrize("g", ["1", "2", "w", "w+1", "w*2"])
+@pytest.mark.parametrize("text", ["omega_head(Id;Id)", "omega_head(Id+1;Id)",
+                                  "omega_head(1;omega_head(0;Id))"])
+def test_sep_translation_of_a_head(text, g):
+    atom, cut = parse_dil(text), parse_ord(g)
+    elems = islice(ambient_stream(Sep(atom, cut, cut), range(2)), 60)
+    images = [coherence.sep_translate(atom, cut, e) for e in elems]
+    assert len(images) == 60
+    assert images == list(islice(ambient_stream(mk_sep_atom(atom, cut, cut), range(2)), 60))
 
 
 # ---------------------------------------------------------------------------

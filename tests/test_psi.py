@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -50,6 +51,7 @@ from dilcalc.semantics import (
     Right,
     _candidates,
     _grid_values,
+    _sum_index,
     enum_elements,
     validate_element,
 )
@@ -579,7 +581,7 @@ class TestSearch:
         "text,gamma,kind",
         [("Id*w", "w", MulOmega), ("omega[Id]*w", "1", MulOmega),
          ("sep(omega_head(Id;Id),w)", "1", Sep), ("band(omega_head(Id;Id);0;w;w)", "1", Band),
-         ("Id*2", "w", Sum), ("Const(w)+Id", "w^2", Sum)],
+         ("Id*2", "w", Sum), ("Const(w)+Id", "w^2", Sum), ("Id+1+Id", "w", Sum)],
     )
     def test_random_terms_of_repetitions_and_filtered_nodes(self, text, gamma, kind):
         order = PsiOrder(parse_dil(text), parse_ord(gamma))
@@ -590,8 +592,17 @@ class TestSearch:
             assert t is not None and order.valid(t), text
         assert chain_search(PsiSearchHandle(order), 20, 30, 5).summary == "NoneFound"
 
+    def test_random_sum_draws_every_summand(self):
+        # one index per sum reaches every summand alike; a side drawn per
+        # binary level reached summand i at rate 2^-(i+1)
+        order = PsiOrder(parse_dil("Id*8"), OMEGA)
+        rng = random.Random(1)
+        counts = Counter(_sum_index(8, order.random_term(rng))[0] for _ in range(400))
+        assert min(counts[i] for i in range(8)) >= 25, counts
+
     def test_random_sum_terms_pinned(self, monkeypatch):
-        # PsiOrder._rand_sum draws one side of the sum per level
+        # PsiOrder._rand draws one summand index per sum, for two parts one
+        # rng.randint(0, 1)
         monkeypatch.setattr(psi_module, "RANDOM_DEPTH", 2)
         order = PsiOrder(parse_dil("Id*2"), OMEGA)
         rng = random.Random(5)
