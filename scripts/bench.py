@@ -70,6 +70,13 @@ four enumerations of the collapse-fuzz workload (median of REPEATS calls, in
 CPU seconds), with the term count and the sha1 of the terms rendered one per
 line, in PROCESSES fresh interpreters.
 
+The enum-elements point times ``enum_trace_terms`` under ELEMENT_BUDGET, the
+trace budget of the element-oracles workload, of each ELEMENT_ATOMS atom up
+to arity 4 and of ELEMENT_SUM up to arity 2, the enumerations that workload's
+set-up makes (median of REPEATS calls, in CPU seconds), with the term count
+and the sha1 of the terms rendered one per line with their arity, in
+PROCESSES fresh interpreters.
+
 The chain-search point times ``chain_search`` (CHAIN_TRIALS trials, chain
 depth CHAIN_DEPTH) at each of CHAIN_SEEDS for each CHAIN_ORDERS order, the
 four search orders of the collapse-fuzz workload and a sum of three parts
@@ -139,6 +146,7 @@ MAX_SECONDS = 5.0
 CLI_REPEATS = 5
 COMMANDS = ROOT / "scripts" / "lemma_suite.commands"
 ELEMENT_ATOM = "omega_head(1;omega_head(0;Id))"
+ELEMENT_ATOMS = ("Id", "omega_head(0;Id)", "omega_head(Id;Id)", ELEMENT_ATOM)
 ELEMENT_SUM = "Id+omega_head(0;Id)+Id"
 ELEMENT_BUDGET = dict(const_cap=3, copies=2, cnf_len=2, cnf_mult=2, grid=3)
 ELEMENT_REPEATS = 51
@@ -394,6 +402,25 @@ def psi_enum_point() -> list:
     return rows
 
 
+def enum_elements_point() -> list:
+    """CPU seconds (median of REPEATS calls), term count and sha1 of the
+    rendered terms of enum_trace_terms under ELEMENT_BUDGET, for each
+    ELEMENT_ATOMS atom up to arity 4 and for ELEMENT_SUM up to arity 2."""
+    rows = []
+    for text, max_arity in [*((atom, 4) for atom in ELEMENT_ATOMS), (ELEMENT_SUM, 2)]:
+        d, runs = parse_dil(text), []
+        for _ in range(REPEATS):
+            start = time.process_time()
+            terms = enum_trace_terms(d, max_arity, EnumBudget(**ELEMENT_BUDGET))
+            runs.append(time.process_time() - start)
+        rendered = "\n".join(f"{arity} {element_str(d, t)}" for t, arity in terms)
+        print(f"  {text}: {statistics.median(runs):.4f} s, {len(terms)} terms", file=sys.stderr)
+        rows.append({"expr": text, "max_arity": max_arity, "count": len(terms),
+                     "sha1": hashlib.sha1(rendered.encode()).hexdigest(),
+                     "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs})
+    return rows
+
+
 class DrawLog(psi.PsiSearchHandle):
     """The search handle of an order, keeping every term it draws."""
 
@@ -518,6 +545,8 @@ def main() -> int:
     report["limit_tower"] = fresh_spread("limit_tower()")
     print("psi enum:", file=sys.stderr)
     report["psi_enum"] = fresh_spread("psi_enum_point()")
+    print("enum elements:", file=sys.stderr)
+    report["enum_elements"] = fresh_spread("enum_elements_point()")
     print("chain search:", file=sys.stderr)
     report["chain_search"] = fresh_spread("chain_search_point()")
     print("elements:", file=sys.stderr)

@@ -207,69 +207,54 @@ class PsiOrder(Frozen):
     def enum(self, depth: int = 2):
         """All valid terms of nesting depth <= depth, sorted ascending.
 
-        Level L lists every ENUM_BUDGET element over the terms known after the
-        levels before it, a list sorted ascending.  Each point of such a
-        candidate is one of those term objects, so the level keys a point by
-        its rank in that list: position key ``(1, rank)``.  Ranks are
-        injective and order-preserving over the known terms, so in this rank
-        space ``element_key`` orders the level's candidates and the known
-        terms, re-keyed at the start of the level, exactly as ``compare``
-        does; and since ``compare`` is a strict total order on valid terms in
-        which EQUAL means identical, equal keys mean equal terms.  A key holds
-        its points' ranks, not their keys, so it stays shallow at any level.
-
-        Level 0 keeps every valid candidate.  At a later level a candidate
-        is new iff one of its points was accepted at the level before: one
-        whose points are all older was already a candidate then, and
-        validity does not depend on the level.  A new candidate is valid iff
-        its frozen positions are below gamma (a separation's or band's base
-        draws them up to its ambient) and its points' keys are below its
-        own: its points are valid known terms, and ``_gen`` builds only
-        well-formed elements.  One ``element_key`` walk per candidate gives
-        its key, its points and its frozen positions.
-
-        The known terms need no cap of their own.  Generation is monotone in
-        the known points, so every known term (all of its points older than
-        the last level) is again a candidate, and every fresh term (a point
-        from the last level) is a candidate too; the two are disjoint, so
-        ``known + fresh`` never outnumbers the candidates, which the cap
-        check has already bounded.
+        Level L walks, in key order, the ``_candidates`` over the terms known
+        after the levels before it, a list sorted ascending.  A point of a
+        candidate is one of those term objects, keyed ``(1, rank)`` by its
+        rank there; ranks are injective and order-preserving, so the keys
+        order the candidates as ``compare`` does, and stay shallow at any
+        level.  A candidate is valid iff each frozen position v (key
+        ``(0, v)``; a separation's or band's base draws them up to its
+        ambient) is below gamma and each point is below it: ``_gen`` builds
+        only well-formed elements.  Generation is monotone in the
+        known points and validity does not depend on the level, so the
+        valid candidates whose points all predate the level before (at
+        level 0, none) are the known terms again, met in rank order: the
+        point of rank r is below a candidate iff more than r of them have
+        been met.  A level that meets no new valid candidate ends the walk;
+        otherwise its valid candidates, in key order, are the next known
+        terms, bounded by the cap on the candidates.
         """
         dilator, gamma = self.dilator, self.gamma
         lefts = _grid_values(gamma, ENUM_BUDGET.grid)
-        found: list = []  # the candidate's point ids; None for a frozen position >= gamma
 
         def pos_key(p):
             return ranks[id(p.point)] if p.__class__ is Right else (0, p.value)
 
-        def probe(p):
-            if p.__class__ is Right:
-                i = id(p.point)
-                found.append(i)
-                return ranks[i]
-            if not p.value < gamma:
-                found.append(None)
-            return (0, p.value)
-
         known: list = []
-        last = None  # ids of the terms accepted at the level before
+        last = None  # ranks of the terms accepted at the level before
         for _level in range(depth + 1):
-            ranks = {id(t): (1, i) for i, t in enumerate(known)}  # id -> position key
-            keys = {id(t): element_key(dilator, t, pos_key) for t in known}
-            fresh = []
-            for t in _candidates(dilator, known, ENUM_BUDGET, lefts, pos_key):
-                found.clear()
-                key = element_key(dilator, t, probe)
-                if None in found or (last is not None and last.isdisjoint(found)):
-                    continue
-                if all(keys[i] < key for i in found):
-                    keys[id(t)] = key
-                    fresh.append(t)
+            ranks = {id(t): (1, i) for i, t in enumerate(known)}
+            cands = _candidates(dilator, known, ENUM_BUDGET, lefts, pos_key)
+            terms, fresh, older = [], [], 0  # older: the known terms passed so far
+            for i in sorted(range(len(cands)), key=cands.keys.__getitem__):
+                new = last is None
+                for tag, v in cands.positions[i]:
+                    if tag == 0:
+                        if not v < gamma:
+                            break
+                    elif v >= older:
+                        break
+                    elif not new:
+                        new = v in last
+                else:
+                    if new:
+                        fresh.append(len(terms))
+                    else:
+                        older += 1
+                    terms.append(cands[i])
             if not fresh:
                 break
-            known = known + fresh
-            known.sort(key=lambda t: keys[id(t)])
-            last = {id(t) for t in fresh}
+            known, last = terms, set(fresh)
         return known
 
     # -- random generation

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .errors import BudgetExceeded, MalformedElement
 from .expr import (
@@ -404,61 +405,97 @@ def _grid(bound: Ord, size: int) -> tuple:
 
 
 def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
-    """All elements within the structural budget (unsorted)."""
-    if isinstance(expr, Const):
+    """All elements within the structural budget (unsorted), in parallel
+    lists with their keys, built from keyed parts and kept as ``(*prefix,
+    body)`` so that a tuple body is never read as a prefix (``_unwrap``
+    gives the ``element_key``), and their position keys (``pos_key`` of
+    each position, in ``element_positions`` order)."""
+    kind = expr.__class__
+    if kind is Const:
         bound = expr.value
         out = []
         v = ZERO
         while len(out) < budget.const_cap and v < bound:
             out.append(v)
             v = ord_add(v, ONE)
-        return out
-    if isinstance(expr, IdNode):
-        return [Left(v) for v in lefts] + [Right(p) for p in points]
-    if isinstance(expr, Sum):
-        parts = summands(expr)
-        made = {p: _gen(p, points, budget, lefts, pos_key) for p in dict.fromkeys(parts)}
-        return [_place(x, i, len(parts)) for i, part in enumerate(parts) for x in made[part]]
-    if isinstance(expr, MulOmega):
-        inner = _gen(expr.base, points, budget, lefts, pos_key)
-        return [ECopies(k, x) for k in range(budget.copies) for x in inner]
-    if isinstance(expr, (OmegaComp, CnfHead)):
-        exponents = expr.exponents
-        exps = sorted(_gen(exponents, points, budget, lefts, pos_key),
-                      key=lambda x: element_key(exponents, x, pos_key))
-        out = []
+        return out, [(v,) for v in out], [()] * len(out)
+    if kind is IdNode:
+        elems = [Left(v) for v in lefts] + [Right(p) for p in points]
+        keys = [(pos_key(e),) for e in elems]
+        return elems, keys, keys  # an Id element's one position key is its body
+    if kind is Sum:
+        return _place_keyed(expr.parts, points, budget, lefts, pos_key, math.inf)
+    if kind is MulOmega:
+        elems, keys, positions = _gen(expr.base, points, budget, lefts, pos_key)
+        copies = range(budget.copies)
+        return ([ECopies(k, x) for k in copies for x in elems],
+                [(k, *key) for k in copies for key in keys], positions * budget.copies)
+    if kind is OmegaComp or kind is CnfHead:
+        elems, keys, positions = _gen(expr.exponents, points, budget, lefts, pos_key)
+        # kept keys sort as element keys do: all of an expression's have a prefix or none has
+        order = sorted(range(len(elems)), key=keys.__getitem__)
+        exps = [elems[i] for i in order]
+        mults = range(1, budget.cnf_mult + 1)
+        pairs = [[(x, m) for m in mults] for x in exps]
+        key_pairs = [[(_unwrap(keys[i]), m) for m in mults] for i in order]
+        out, out_keys, out_positions = [], [], []
         for count in range(0, budget.cnf_len + 1):
             for combo in itertools.combinations(range(len(exps)), count):
-                descending = [exps[i] for i in reversed(combo)]
-                for mults in itertools.product(range(1, budget.cnf_mult + 1), repeat=count):
-                    cand = tuple(zip(descending, mults))
-                    if isinstance(expr, CnfHead):
-                        if not cand or cand[0][0].side != 1:
-                            continue
-                    out.append(cand)
-                    if len(out) > budget.max_count:
-                        raise BudgetExceeded("formal-sum budget overflow")
-        return out
-    if isinstance(expr, (Sep, Band)):
-        inner_lefts = _grid_values(expr.amb, budget.grid)
-        return [
-            e
-            for e in _gen(expr.base, points, budget, inner_lefts, pos_key)
-            if member(expr, e)
-        ]
+                if kind is CnfHead and (not combo or exps[combo[-1]].side != 1):
+                    continue
+                descending = combo[::-1]
+                out += itertools.product(*[pairs[i] for i in descending])
+                out_keys += [(body,) for body in
+                             itertools.product(*[key_pairs[i] for i in descending])]
+                out_positions += ([tuple(p for i in descending for p in positions[order[i]])]
+                                  * budget.cnf_mult ** count)
+                if len(out) > budget.max_count:
+                    raise BudgetExceeded("formal-sum budget overflow")
+        return out, out_keys, out_positions
+    if kind is Sep or kind is Band:
+        made = _gen(expr.base, points, budget, _grid_values(expr.amb, budget.grid), pos_key)
+        kept = [member(expr, e) for e in made[0]]
+        return tuple(list(itertools.compress(column, kept)) for column in made)
     raise MalformedElement(f"no enumeration rule for {expr!r}")
 
 
-def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
-    """``_gen`` under ``budget.max_count``.  The summands of a sum are
-    generated (each distinct one once) and counted before any element is
-    placed, so a sum over the cap is refused without building its elements."""
-    parts = summands(expr)
+def _unwrap(key):
+    """The ``element_key`` of a key kept as ``(*prefix, body)``."""
+    return key if len(key) > 1 else key[0]
+
+
+def _place_keyed(parts, points, budget: EnumBudget, lefts, pos_key, cap):
+    """``_gen`` of the sum of ``parts``; each distinct summand is generated
+    once, and a sum over ``cap`` elements is refused before any is placed."""
     made = {p: _gen(p, points, budget, lefts, pos_key) for p in dict.fromkeys(parts)}
-    count = sum(len(made[part]) for part in parts)
-    if count > budget.max_count:
-        raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
-    return [_place(x, i, len(parts)) for i, part in enumerate(parts) for x in made[part]]
+    count = sum(len(made[part][0]) for part in parts)
+    if count > cap:
+        raise BudgetExceeded(f"{count} elements exceed cap {cap}")
+    n = len(parts)
+    elems, keys, positions = [], [], []
+    for i, part in enumerate(parts):
+        part_elems, part_keys, part_positions = made[part]
+        prefix = (1,) * i + ((0,) if i < n - 1 else ())
+        elems += [_place(x, i, n) for x in part_elems]
+        keys += [prefix + key for key in part_keys]
+        positions += part_positions
+    return elems, keys, positions
+
+
+class _Candidates(list):
+    """Elements in generation order, with parallel lists ``keys`` (their
+    ``element_key``s) and ``positions`` (their position keys)."""
+
+    def __init__(self, elems, keys, positions):
+        super().__init__(elems)
+        self.keys, self.positions = [_unwrap(key) for key in keys], positions
+
+
+def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
+    """``_gen`` under ``budget.max_count``, with each element's key and
+    position keys; a sum is counted before its elements are built."""
+    return _Candidates(*_place_keyed(summands(expr), points, budget, lefts, pos_key,
+                                     budget.max_count))
 
 
 def _place(elem, i: int, n: int):
@@ -472,22 +509,18 @@ def _place(elem, i: int, n: int):
     return elem
 
 
-def enum_elements(
-    expr: Dil,
-    points,
-    budget: EnumBudget = EnumBudget(),
-    lefts=(),
-    pos_key=default_pos_key,
-):
-    """All elements over the given points within the budget, ascending.
+def enum_elements(expr: Dil, points, budget: EnumBudget = EnumBudget(), lefts=(),
+                  pos_key=default_pos_key):
+    """All elements over the given points within the budget, ascending:
+    the candidates, sorted by the keys they were built with.
 
     ``points`` may be a count (meaning 0..n-1) or an explicit label list;
     other labels need a ``pos_key`` whose key order is the position order.
     """
     if isinstance(points, int):
         points = list(range(points))
-    out = _candidates(expr, list(points), budget, list(lefts), pos_key)
-    return sorted(out, key=lambda x: element_key(expr, x, pos_key))
+    cands = _candidates(expr, list(points), budget, list(lefts), pos_key)
+    return [cands[i] for i in sorted(range(len(cands)), key=cands.keys.__getitem__)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dilcalc.expr as expr_module
-from dilcalc.errors import ParseError
+from dilcalc.errors import DilcalcError, ParseError
 from dilcalc.expr import (
     CnfHead,
     Const,
@@ -14,6 +15,7 @@ from dilcalc.expr import (
     D_ONE,
     D_ZERO,
     Dil,
+    IdNode,
     MulOmega,
     OmegaComp,
     Sep,
@@ -21,16 +23,20 @@ from dilcalc.expr import (
     is_connected_atom,
     is_max_dominated,
     mk_band,
+    mk_cnf_head,
     mk_mul_nat,
+    mk_mul_omega,
     mk_omega_comp,
+    mk_sep_atom,
     mk_sep_plus,
     mk_shift,
+    mk_slice,
     mk_sum,
     mk_sum_all,
     parse_dil,
     to_str,
 )
-from dilcalc.ordinal import MAX_NESTING, OMEGA, ONE, ZERO, from_int
+from dilcalc.ordinal import MAX_NESTING, OMEGA, ONE, ZERO, from_int, parse_ord
 
 
 @pytest.mark.parametrize(
@@ -291,3 +297,65 @@ def test_band_collapses_for_frozen_shapes():
     h = CnfHead(D_ZERO, D_ID)
     assert to_str(mk_band(h, ZERO, OMEGA, OMEGA)) == "Const(w^w)"
     assert mk_band(h, OMEGA, OMEGA, OMEGA) == D_ZERO
+
+
+# ---------------------------------------------------------------------------
+# no constructor returns a constant dilator that is not a Const
+
+CONSTANTS = [D_ZERO, D_ONE, Const(from_int(2)), Const(OMEGA), Const(parse_ord("w+1")),
+             Const(parse_ord("w^2"))]
+ATOMS = [parse_dil(s) for s in ("Id", "omega_head(0;Id)", "omega_head(Id;Id)",
+                                "omega_head(Id+1;Id)", "omega_head(1;omega_head(0;Id))")]
+ID_TERMS = ATOMS + [parse_dil(s) for s in (
+    "Id+1", "1+Id", "Id*2", "Id*w", "omega[Id]", "omega[Id+1]", "Const(w)+Id", "omega[Id]+Id",
+    "sep(omega_head(Id;Id),2)", "band(omega_head(Id;Id);0;2;2)")]
+ORDS = [ZERO, ONE, from_int(2), OMEGA, parse_ord("w+1"), parse_ord("w*2")]
+
+
+def _holds_id(d) -> bool:
+    """Whether an Id node is reachable from d through node fields."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is IdNode:
+            return True
+        for name in node._fields:
+            value = getattr(node, name)
+            stack += [v for v in (value if isinstance(value, tuple) else (value,))
+                      if isinstance(v, Dil)]
+    return False
+
+
+def _constructed():
+    """(call, result) for each constructor over the pools."""
+    pool = CONSTANTS + ID_TERMS
+    calls = [(mk_sum_all, (ps,)) for k in (1, 2) for ps in itertools.product(pool, repeat=k)]
+    calls += [(mk_sum_all, (ps,)) for ps in itertools.product(CONSTANTS + ATOMS[:2], repeat=3)]
+    calls += [(mk_mul_nat, (d, n)) for d in pool for n in range(4)]
+    calls += [(fn, (d,)) for fn in (mk_mul_omega, mk_omega_comp) for d in pool]
+    calls += [(mk_cnf_head, ps) for ps in itertools.product(pool, repeat=2)]
+    calls += [(mk_shift, (d, g)) for d in pool for g in ORDS]
+    for atom, a, amb in itertools.product(ATOMS, ORDS, ORDS):
+        if a <= amb:
+            calls += [(mk_sep_atom, (atom, a, amb)), (mk_slice, (atom, a, amb))]
+            calls += [(mk_band, (atom, lo, a, amb)) for lo in ORDS if lo < a]
+    calls += [(mk_sep_plus, (atom, g)) for atom in ATOMS for g in ORDS]
+    for fn, args in calls:
+        try:
+            yield (fn.__name__, args), fn(*args)
+        except DilcalcError:
+            continue
+
+
+def test_no_constructor_returns_a_constant_that_is_not_a_const():
+    results = list(_constructed())
+    assert {name for (name, _), _ in results} == {
+        "mk_sum_all", "mk_mul_nat", "mk_mul_omega", "mk_omega_comp", "mk_cnf_head",
+        "mk_shift", "mk_band", "mk_sep_atom", "mk_slice", "mk_sep_plus"}
+    constant = [(call, d) for call, d in results if not _holds_id(d)]
+    assert [(call, d) for call, d in constant if d.__class__ is not Const] == []
+    # the property is not vacuous: constants come from every constructor but mk_sep_plus,
+    # whose result over an atom always holds Id
+    assert {name for (name, _), _ in constant} >= {
+        "mk_sum_all", "mk_mul_nat", "mk_mul_omega", "mk_omega_comp", "mk_cnf_head",
+        "mk_shift", "mk_band", "mk_sep_atom", "mk_slice"}

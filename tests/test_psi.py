@@ -52,6 +52,8 @@ from dilcalc.semantics import (
     _candidates,
     _grid_values,
     _sum_index,
+    element_key,
+    element_positions,
     enum_elements,
     validate_element,
 )
@@ -518,6 +520,48 @@ class TestRankedEnumeration:
         rendered = "\n".join(term_str(order, t) for t in terms)
         assert len(terms) == count
         assert hashlib.sha1(rendered.encode()).hexdigest() == digest
+
+
+class TestKeyedCandidates:
+    """The candidates ``PsiOrder.enum`` reads carry the keys and position
+    keys that the walks give under the order's own position key, and the
+    enumeration refuses at the reference's caps with its messages."""
+
+    @pytest.mark.parametrize("gamma", ["0", "1", "w"])
+    @pytest.mark.parametrize("text", RANKED_ENUM_EXPRS)
+    def test_keys_order_the_candidates_as_compare(self, text, gamma):
+        order = PsiOrder(parse_dil(text), parse_ord(gamma))
+        lefts = _grid_values(order.gamma, DEFAULT_ENUM_BUDGET.grid)
+        # over the terms of depth 1, else of depth 0, else over no term
+        for known in (lambda: order.enum(1), lambda: order.enum(0), list):
+            try:
+                cands = _candidates(order.dilator, known(), DEFAULT_ENUM_BUDGET, lefts,
+                                    order.pos_key)
+                break
+            except BudgetExceeded:
+                continue
+        assert cands.keys == [element_key(order.dilator, t, order.pos_key) for t in cands]
+        assert cands.positions == [tuple(map(order.pos_key, element_positions(order.dilator, t)))
+                                   for t in cands]
+        by_key = [cands[i] for i in sorted(range(len(cands)), key=cands.keys.__getitem__)]
+        assert by_key == sorted(cands, key=functools.cmp_to_key(order.compare))
+
+    def test_refusals_at_the_reference_caps(self, monkeypatch):
+        refusals = set()
+        for cap in (1, 5, 20, 60, 150):
+            budget = EnumBudget(max_count=cap, const_cap=8, copies=2, cnf_len=2, cnf_mult=2,
+                                grid=6)
+            monkeypatch.setattr(psi_module, "ENUM_BUDGET", budget)
+            for text, gamma in [("omega[Id]+Id", "1"), ("omega_head(0;Id)", "1"),
+                                ("band(omega_head(Id;Id);0;2;2)", "1"), ("Id*2", "w")]:
+                order = PsiOrder(parse_dil(text), parse_ord(gamma))
+                for depth in range(3):
+                    got = _enum_outcome(PsiOrder.enum, order, depth)
+                    assert got == _enum_outcome(reference_enum, order, depth, budget), (
+                        text, cap, depth)
+                    if isinstance(got, tuple):
+                        refusals.add(got[1].split()[-1] if "cap" in got[1] else got[1])
+        assert refusals == {"formal-sum budget overflow", "1", "5", "20", "60"}
 
 
 class TestHeadDilator:

@@ -28,7 +28,7 @@ from dilcalc.expr import (
     to_str,
 )
 from dilcalc.ordinal import (
-    EQUAL, GREATER, LESS, OMEGA, ONE, ZERO, from_int, ord_cmp, ord_str, parse_ord,
+    EQUAL, GREATER, LESS, OMEGA, ONE, ZERO, from_int, ord_add, ord_cmp, ord_str, parse_ord,
 )
 from dilcalc.psi import PsiOrder
 from dilcalc.semantics import (
@@ -673,9 +673,14 @@ def _recursive_sum_levels(monkeypatch):
 
     def reference_gen(expr, points, budget, lefts, pos_key=default_pos_key):
         if isinstance(expr, Sum):
-            return [ESum(0, x) for x in reference_gen(halves(expr)[0], points, budget, lefts, pos_key)] + [
-                ESum(1, x) for x in reference_gen(halves(expr)[1], points, budget, lefts, pos_key)
-            ]
+            elems, keys, positions = [], [], []
+            for side, half in enumerate(halves(expr)):
+                half_elems, half_keys, half_positions = reference_gen(
+                    half, points, budget, lefts, pos_key)
+                elems += [ESum(side, x) for x in half_elems]
+                keys += [(side, *key) for key in half_keys]
+                positions += half_positions
+            return elems, keys, positions
         return gen(expr, points, budget, lefts, pos_key)
 
     def reference_stream(expr, points, state, cap, bound):
@@ -761,3 +766,142 @@ class TestLongSumElements:
             assert last.__class__ is ESum and last.side == 1
             last = last.inner
         assert last == Right(0)
+
+
+# ---------------------------------------------------------------------------
+# the keyed generator against the unkeyed one
+
+
+def reference_candidates(expr, points, budget, lefts, pos_key=default_pos_key):
+    """``semantics._candidates`` as it was before it keyed what it built:
+    the elements alone, each formal sum's exponents sorted by one
+    ``element_key`` walk each, and a sum's summands counted against the cap
+    before any element is placed."""
+    def gen(expr, lefts):
+        if isinstance(expr, Const):
+            out, v = [], ZERO
+            while len(out) < budget.const_cap and v < expr.value:
+                out.append(v)
+                v = ord_add(v, ONE)
+            return out
+        if isinstance(expr, IdNode):
+            return [Left(v) for v in lefts] + [Right(p) for p in points]
+        if isinstance(expr, Sum):
+            return place(expr.parts, [gen(part, lefts) for part in expr.parts])
+        if isinstance(expr, MulOmega):
+            return [ECopies(k, x) for k in range(budget.copies) for x in gen(expr.base, lefts)]
+        if isinstance(expr, (OmegaComp, CnfHead)):
+            exponents = expr.exponents
+            exps = sorted(gen(exponents, lefts), key=lambda x: element_key(exponents, x, pos_key))
+            out = []
+            for count in range(budget.cnf_len + 1):
+                for combo in itertools.combinations(range(len(exps)), count):
+                    descending = [exps[i] for i in reversed(combo)]
+                    for mults in itertools.product(range(1, budget.cnf_mult + 1), repeat=count):
+                        cand = tuple(zip(descending, mults))
+                        if isinstance(expr, CnfHead) and (not cand or cand[0][0].side != 1):
+                            continue
+                        out.append(cand)
+                        if len(out) > budget.max_count:
+                            raise BudgetExceeded("formal-sum budget overflow")
+            return out
+        if isinstance(expr, (Sep, Band)):
+            inner_lefts = semantics._grid_values(expr.amb, budget.grid)
+            return [e for e in gen(expr.base, inner_lefts) if semantics.member(expr, e)]
+        raise MalformedElement(f"no enumeration rule for {expr!r}")
+
+    def place(parts, made):
+        return [semantics._place(x, i, len(parts)) for i, elems in enumerate(made) for x in elems]
+
+    parts = semantics.summands(expr)
+    made = [gen(part, list(lefts)) for part in parts]
+    count = sum(map(len, made))
+    if count > budget.max_count:
+        raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
+    return place(parts, made)
+
+
+def reference_enum_elements(expr, points, budget, lefts, pos_key=default_pos_key):
+    """The unkeyed candidates, sorted by one ``element_key`` walk each."""
+    return sorted(reference_candidates(expr, points, budget, lefts, pos_key),
+                  key=lambda e: element_key(expr, e, pos_key))
+
+
+# every _gen branch: constants, Id, sums of two and three parts, repetitions,
+# formal sums, heads (whose high-lead filter drops the low-led sums), and
+# separations (sep and sep@) and bands, whose members are kept
+KEYED_EXPRS = [
+    "Const(3)", "Const(w)", "Id", "Id+1", "Id+Const(w)+Id", "Id*w", "(Id+1+Id)*w", "omega[Id]",
+    "omega[Id+1]", "omega[Id]+Id", "omega_head(0;Id)", "omega_head(Id;Id)",
+    "omega_head(Id+1;Id)", "omega_head(1;omega_head(0;Id))", "sep(omega_head(Id;Id),2)",
+    "sep@(omega_head(Id+Id;Id);1;2)", "band(omega_head(Id;Id);0;2;2)",
+    "Id+band(omega_head(Id;Id);0;2;2)",
+]
+
+
+def _labels(points):
+    return list(range(points)) if isinstance(points, int) else list(points)
+
+
+class TestKeyedGenerator:
+    """``_candidates`` hands over each element with its ``element_key`` and
+    its position keys, built as the element is; they must be the walked
+    ones, and the elements, their order and the refusals the unkeyed ones."""
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    @pytest.mark.parametrize("text", KEYED_EXPRS)
+    def test_keys_and_positions_are_the_walked_ones(self, text, setting):
+        points, lefts, (pos_key, _), _ = SETTINGS[setting]
+        expr, labels = parse_dil(text), _labels(points)
+        cands = semantics._candidates(expr, labels, ORACLE_BUDGET, list(lefts), pos_key)
+        assert list(cands) == reference_candidates(expr, labels, ORACLE_BUDGET, lefts, pos_key)
+        assert cands.keys == [element_key(expr, e, pos_key) for e in cands]
+        assert cands.positions == [tuple(map(pos_key, element_positions(expr, e))) for e in cands]
+        assert enum_elements(expr, points, ORACLE_BUDGET, lefts, pos_key) == (
+            reference_enum_elements(expr, labels, ORACLE_BUDGET, lefts, pos_key))
+
+    def test_the_pool_reaches_every_branch(self, monkeypatch):
+        gen, kinds, counts = semantics._gen, set(), set()
+
+        def spy(expr, *args):
+            kinds.add(expr.__class__)
+            if expr.__class__ is Sum:
+                counts.add(len(expr.parts))
+            return gen(expr, *args)
+
+        monkeypatch.setattr(semantics, "_gen", spy)
+        for text in KEYED_EXPRS:
+            semantics._candidates(parse_dil(text), [0, 1], ORACLE_BUDGET, [ZERO])
+        assert kinds == {Const, IdNode, Sum, MulOmega, OmegaComp, CnfHead, Sep, Band}
+        assert {2, 3} <= counts
+
+    def test_nodes_without_a_rule(self):
+        for expr in (Dil(), MulOmega(Dil()), mk_sum(D_ID, Dil())):
+            assert _outcome(enum_elements, expr, 1) is MalformedElement
+            assert _outcome(reference_candidates, expr, [0], ORACLE_BUDGET, ()) is MalformedElement
+
+    def test_refusals_are_the_unkeyed_ones(self):
+        # caps below, at and above each expression's count: the same elements
+        # or the same refusal, from the formal sum or from the top-level cap
+        refusals = set()
+        for text in KEYED_EXPRS:
+            expr, lefts = parse_dil(text), (ZERO, ONE)
+            full = len(reference_candidates(expr, [0, 1], ORACLE_BUDGET, lefts))
+            for cap in sorted({0, 1, 2, 5, 10, 40, max(full - 1, 0), full}):
+                budget = EnumBudget(max_count=cap, const_cap=3, copies=2, cnf_len=2,
+                                    cnf_mult=2, grid=3)
+                got = _refusal(lambda: list(semantics._candidates(expr, [0, 1], budget, [*lefts])))
+                assert got == _refusal(lambda: reference_candidates(expr, [0, 1], budget, lefts))
+                assert _refusal(lambda: enum_elements(expr, 2, budget, lefts)) == _refusal(
+                    lambda: reference_enum_elements(expr, [0, 1], budget, lefts)), (text, cap)
+                if isinstance(got, tuple):
+                    refusals.add(got[1].split()[-1] if "cap" in got[1] else got[1])
+        assert refusals >= {"formal-sum budget overflow", "0", "1", "2", "5", "10", "40"}
+
+
+def _refusal(call):
+    """The call's result, or the type and message of the error it raised."""
+    try:
+        return call()
+    except BudgetExceeded as exc:
+        return type(exc).__name__, str(exc)
