@@ -76,9 +76,9 @@ from .ordinal import (
 from .semantics import (
     EnumBudget,
     Right,
+    _candidates,
     element_key,
     element_positions,
-    enum_elements,
     support_of,
 )
 
@@ -459,7 +459,10 @@ def enum_trace_terms(d: Dil, max_arity: int, budget=None):
     budget = budget or EnumBudget()
     out = []
     for n in range(max_arity + 1):
-        for e in enum_elements(d, n, budget):
-            if len(support_of(d, e)) == n:
-                out.append((e, n))
+        # as enum_elements, keeping the elements whose position keys hold n
+        # distinct live points (1, p)
+        cands = _candidates(d, list(range(n)), budget, [])
+        for i in cands.key_order():
+            if len({v for tag, v in cands.positions[i] if tag == 1}) == n:
+                out.append((cands[i], n))
     return out

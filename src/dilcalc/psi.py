@@ -186,20 +186,30 @@ class PsiOrder(Frozen):
         return compare_elements(self.dilator, t1, t2, self.pos_cmp)
 
     def valid(self, t) -> bool:
+        """The decision procedure: ``t`` is well formed and descends."""
+        return self._well_formed(t) and self._descends(t)
+
+    def _well_formed(self, t) -> bool:
+        """Well formed as an element, each frozen position below gamma,
+        and each sub-term well formed, recursively."""
         try:
             validate_element(self.dilator, t, self.pos_cmp)
         except MalformedElement:
             return False
         for p in element_positions(self.dilator, t):
-            if isinstance(p, Left):
+            if p.__class__ is Left:
                 if not p.value < self.gamma:
                     return False
-            else:
-                sub = p.point
-                if not self.valid(sub):
-                    return False
-                if self.compare(sub, t) != LESS:
-                    return False
+            elif not self._well_formed(p.point):
+                return False
+        return True
+
+    def _descends(self, t) -> bool:
+        """Each sub-term of a well-formed ``t`` lies below it, recursively."""
+        for p in element_positions(self.dilator, t):
+            if p.__class__ is Right and (self.compare(p.point, t) != LESS
+                                         or not self._descends(p.point)):
+                return False
         return True
 
     # -- enumeration
@@ -236,7 +246,7 @@ class PsiOrder(Frozen):
             ranks = {id(t): (1, i) for i, t in enumerate(known)}
             cands = _candidates(dilator, known, ENUM_BUDGET, lefts, pos_key)
             terms, fresh, older = [], [], 0  # older: the known terms passed so far
-            for i in sorted(range(len(cands)), key=cands.keys.__getitem__):
+            for i in cands.key_order():
                 new = last is None
                 for tag, v in cands.positions[i]:
                     if tag == 0:
@@ -260,13 +270,21 @@ class PsiOrder(Frozen):
     # -- random generation
 
     def random_term(self, rng: random.Random):
+        """A valid term drawn from ``rng``, or None after 40 failed draws.
+
+        ``_rand`` builds only well-formed terms: frozen positions and
+        constant indices from their grids, formal-sum exponents sorted and
+        de-duplicated by key, heads with a high lead, filtered nodes that
+        pass ``member``.  So a draw is checked for descent only
+        (``_descends``); ``valid`` is the full decision procedure.
+        """
         lefts = _grid_values(self.gamma, 12)
         for _ in range(40):
             try:
                 cand = self._rand(self.dilator, rng, RANDOM_DEPTH, lefts)
             except _DeadEnd:
                 continue
-            if cand is not None and self.valid(cand):
+            if self._descends(cand):
                 return cand
         return None
 
@@ -274,9 +292,7 @@ class PsiOrder(Frozen):
         if lefts and (depth <= 0 or rng.random() < 0.6):
             return Left(rng.choice(lefts))
         if depth > 0:
-            sub = self._rand(self.dilator, rng, depth - 1, lefts)
-            if sub is not None:
-                return Right(sub)
+            return Right(self._rand(self.dilator, rng, depth - 1, lefts))
         raise _DeadEnd()
 
     def _rand(self, expr, rng, depth, lefts):

@@ -490,6 +490,10 @@ class _Candidates(list):
         super().__init__(elems)
         self.keys, self.positions = [_unwrap(key) for key in keys], positions
 
+    def key_order(self):
+        """The candidates' indices in key order, which is element order."""
+        return sorted(range(len(self)), key=self.keys.__getitem__)
+
 
 def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
     """``_gen`` under ``budget.max_count``, with each element's key and
@@ -520,7 +524,7 @@ def enum_elements(expr: Dil, points, budget: EnumBudget = EnumBudget(), lefts=()
     if isinstance(points, int):
         points = list(range(points))
     cands = _candidates(expr, list(points), budget, list(lefts), pos_key)
-    return [cands[i] for i in sorted(range(len(cands)), key=cands.keys.__getitem__)]
+    return [cands[i] for i in cands.key_order()]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ import pytest
 import dilcalc.analysis as analysis_module
 import dilcalc.psi as psi_module
 from dilcalc.analysis import decompose
-from dilcalc.errors import BudgetExceeded, DepthExceeded, DilcalcError, OutOfNotation
+from dilcalc.errors import (
+    BudgetExceeded,
+    DepthExceeded,
+    DilcalcError,
+    MalformedElement,
+    OutOfNotation,
+)
 from dilcalc.expr import (
     D_ID,
     Band,
@@ -654,6 +660,74 @@ class TestSearch:
         assert [term_str(order, t) for t in drawn] == [
             "r:[l:[l:10]]", "l:[l:3]", "r:9", "l:3", "r:6", "l:[l:9]", "r:0", "l:3",
         ]
+
+    # the collapse-fuzz orders, then the orders above and a head
+    DRAW_ORDERS = [("omega[Id]", "0"), ("Id", "w"), ("Id*2", "w"), ("Const(w)+Id", "w^2"),
+                   ("Id*w", "w"), ("omega[Id]*w", "1"), ("sep(omega_head(Id;Id),w)", "1"),
+                   ("band(omega_head(Id;Id);0;w;w)", "1"), ("Id+1+Id", "w"),
+                   ("omega_head(Id;Id)", "w")]
+
+    @staticmethod
+    def raw_draws(order, seed, count):
+        """``count`` raw ``_rand`` draws, as ``random_term`` makes them,
+        before any check."""
+        rng, lefts, out = random.Random(seed), _grid_values(order.gamma, 12), []
+        while len(out) < count:
+            try:
+                out.append(order._rand(order.dilator, rng, psi_module.RANDOM_DEPTH, lefts))
+            except psi_module._DeadEnd:
+                pass
+        return out
+
+    @staticmethod
+    def reference_valid(order, t):
+        """Validity checked in one walk: structure, then each position (a
+        frozen one below gamma, a sub-term valid and below ``t``)."""
+        try:
+            validate_element(order.dilator, t, order.pos_cmp)
+        except MalformedElement:
+            return False
+        return all(p.value < order.gamma if isinstance(p, Left)
+                   else TestSearch.reference_valid(order, p.point)
+                   and order.compare(p.point, t) == LESS
+                   for p in element_positions(order.dilator, t))
+
+    @pytest.mark.parametrize("text,gamma", DRAW_ORDERS)
+    def test_draws_need_only_the_descent_check(self, text, gamma):
+        # _rand builds well-formed terms, so random_term's _descends
+        # accepts a draw exactly when valid does
+        order = PsiOrder(parse_dil(text), parse_ord(gamma))
+        for t in self.raw_draws(order, 3, 300):
+            assert order._well_formed(t), term_str(order, t)
+            ok = self.reference_valid(order, t)
+            assert order._descends(t) == order.valid(t) == ok, term_str(order, t)
+
+    def test_some_draws_fail_the_descent_check(self):
+        order = PsiOrder(parse_dil("Id*2"), OMEGA)
+        draws = self.raw_draws(order, 3, 300)
+        assert any(not order._descends(t) for t in draws)
+        assert not all(order.valid(t) for t in draws)
+
+    # sha1 of term_str over every draw of chain_search(handle, 20, 30, seed=1)
+    # ("-" for None), with the draw count, for each collapse-fuzz order
+    @pytest.mark.parametrize("text,gamma,draws,digest", [
+        ("omega[Id]", "0", 108, "691572ff17967785f9d3a0e74846089c7bfde959"),
+        ("Id", "w", 181, "2530a1e60e331c89377d30c946b82f7efacebc5f"),
+        ("Id*2", "w", 155, "32e7eb55aba9dd96b8e977507af4d4390665e308"),
+        ("Const(w)+Id", "w^2", 130, "4eb1819e2a7f960177eb7c9d06d147c37cdb235a"),
+    ])
+    def test_chain_search_draws_pinned(self, text, gamma, draws, digest):
+        order, drawn = PsiOrder(parse_dil(text), parse_ord(gamma)), []
+
+        class DrawLog(PsiSearchHandle):
+            def random_element(self, rng):
+                drawn.append(super().random_element(rng))
+                return drawn[-1]
+
+        res = chain_search(DrawLog(order), 20, 30, 1)
+        assert (res.summary, res.trials) == ("NoneFound", 20)
+        rendered = "\n".join("-" if t is None else term_str(order, t) for t in drawn)
+        assert (len(drawn), hashlib.sha1(rendered.encode()).hexdigest()) == (draws, digest)
 
     def test_collapse_orders_resist_descent(self):
         for text, gamma in [("omega[Id]", "0"), ("Id", "w")]:
