@@ -14,11 +14,20 @@ and a connected component's fixed point both take their value from
 term-level services (validity, comparison, enumeration, seeded descent
 search) stay available even where the order type leaves the notation
 fragment.
+
+Seeded draws come from a sampler each ``PsiOrder`` builds once
+(``_build_sampler``): one closure per expression node, holding its pools, its
+summand count and the closures below it, which reads each index off the
+rng's bits as ``randint`` and ``choice`` would.  A draw is built well
+formed and records the sub-terms it placed, each with its own records, so
+``random_term`` checks only that each recorded sub-term lies below its
+term, recursively, without walking the draw again.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 from . import analysis
 from .analysis import _limit_sup, _normalized, _refusing, decompose
@@ -57,7 +66,6 @@ from .semantics import (
     Right,
     _candidates,
     _grid_values,
-    _place,
     compare_elements,
     default_pos_cmp,
     default_pos_key,
@@ -171,7 +179,7 @@ class PsiOrder(Frozen):
         _set(self, "gamma", gamma)
 
     def pos_cmp(self, p, q) -> int:
-        if isinstance(p, Right) and isinstance(q, Right):
+        if p.__class__ is Right and q.__class__ is Right:
             return self.compare(p.point, q.point)
         return default_pos_cmp(p, q)
 
@@ -272,95 +280,178 @@ class PsiOrder(Frozen):
     def random_term(self, rng: random.Random):
         """A valid term drawn from ``rng``, or None after 40 failed draws.
 
-        ``_rand`` builds only well-formed terms: frozen positions and
-        constant indices from their grids, formal-sum exponents sorted and
-        de-duplicated by key, heads with a high lead, filtered nodes that
-        pass ``member``.  So a draw is checked for descent only
-        (``_descends``); ``valid`` is the full decision procedure.
+        ``rng`` is assumed to be a ``random.Random``: the sampler reads each
+        index off ``rng.getrandbits`` by ``Random._randbelow``'s rejection
+        rule, which is the rule ``randint`` and ``choice`` follow there.
+        The sampler (``_build_sampler``) builds only well-formed terms:
+        frozen positions and constant indices from their grids, formal-sum
+        exponents descending without repeats, heads with a high lead,
+        filtered nodes that pass ``member``.  Each draw records the
+        sub-terms it placed (``_draw``), so a draw is checked for descent
+        only, on its records, with no second walk (``_placed_descend``,
+        which decides as ``_descends`` does); ``valid`` is the full
+        decision procedure.
         """
-        lefts = _grid_values(self.gamma, 12)
         for _ in range(40):
             try:
-                cand = self._rand(self.dilator, rng, RANDOM_DEPTH, lefts)
+                t, placed = self._draw(rng)
             except _DeadEnd:
                 continue
-            if self._descends(cand):
-                return cand
+            if self._placed_descend(t, placed):
+                return t
         return None
 
-    def _rand_position(self, rng, depth, lefts):
-        if lefts and (depth <= 0 or rng.random() < 0.6):
-            return Left(rng.choice(lefts))
-        if depth > 0:
-            return Right(self._rand(self.dilator, rng, depth - 1, lefts))
-        raise _DeadEnd()
+    def _draw(self, rng: random.Random):
+        """One raw draw, ``(term, placed)``: ``placed`` holds a pair
+        ``(sub-term, its placed)`` for each live position of the term.
+        Raises ``_DeadEnd`` where a node has nothing to draw from."""
+        placed = []
+        return self._sampler(rng.getrandbits, rng.random, RANDOM_DEPTH, placed), placed
 
-    def _rand(self, expr, rng, depth, lefts):
-        if isinstance(expr, Const):
-            if expr.value.is_zero():
-                raise _DeadEnd()
-            bound = expr.value
-            pool = _grid_values(bound, 6)
-            if not pool:
-                raise _DeadEnd()
-            return rng.choice(pool)
-        if isinstance(expr, IdNode):
-            return self._rand_position(rng, depth, lefts)
-        if isinstance(expr, Sum):
-            parts = expr.parts
-            n = len(parts)
-            i = rng.randint(0, n - 1)
-            for _ in range(n):
-                try:
-                    return _place(self._rand(parts[i], rng, depth, lefts), i, n)
-                except _DeadEnd:
-                    i = (i + 1) % n
-            raise _DeadEnd()
-        if isinstance(expr, MulOmega):
-            return ECopies(rng.randint(0, 3), self._rand(expr.base, rng, depth, lefts))
-        if isinstance(expr, (OmegaComp, CnfHead)):
-            return self._rand_cnf(expr, rng, depth, lefts)
-        if isinstance(expr, (Sep, Band)):
-            for _ in range(12):
-                cand = self._rand(expr.base, rng, depth, lefts)
-                if member(expr, cand):
-                    return cand
-            raise _DeadEnd()
-        raise _DeadEnd()
+    def _placed_descend(self, t, placed) -> bool:
+        """Each placed sub-term lies below ``t``, recursively."""
+        for s, below in placed:
+            if self.compare(s, t) != LESS or not self._placed_descend(s, below):
+                return False
+        return True
 
-    def _rand_cnf(self, expr, rng, depth, lefts):
-        head = isinstance(expr, CnfHead)
-        count = rng.randint(0 if not head else 1, 2)
-        if count == 0:
-            return ()
-        exps = []
-        if head:
-            exps.append(ESum(1, self._rand(expr.high, rng, depth, lefts)))
-            count -= 1
-        for _ in range(count):
-            if not head:
-                exps.append(self._rand(expr.base, rng, depth, lefts))
-            else:
-                side = 0 if rng.random() < 0.7 else 1
-                part = expr.low if side == 0 else expr.high
-                try:
-                    exps.append(ESum(side, self._rand(part, rng, depth, lefts)))
-                except _DeadEnd:
-                    continue
-        keyed = [(element_key(expr.exponents, e, self.pos_key), e) for e in exps]
-        keyed.sort(key=lambda ke: ke[0], reverse=True)
-        uniq, last = [], None
-        for k, e in keyed:
-            if not uniq or last > k:
-                uniq.append((e, rng.randint(1, 2)))
-                last = k
-        if head and (not uniq or uniq[0][0].side != 1):
-            raise _DeadEnd()
-        return tuple(uniq)
+    @cached_property
+    def _sampler(self):
+        """The dilator's sampler, built on first use; not a field."""
+        return _build_sampler(self.dilator, _grid_values(self.gamma, 12), self.pos_cmp)
 
 
 class _DeadEnd(Exception):
     pass
+
+
+def _below(bits, n: int) -> int:
+    """An index below ``n`` read off ``bits``, an rng's ``getrandbits``, by
+    ``Random._randbelow``'s rejection rule: the bits, and so the index,
+    that ``randrange(n)`` would draw."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _dead_end(bits, unit, depth, placed):
+    raise _DeadEnd()
+
+
+def _build_sampler(dilator: Dil, lefts: tuple, pos_cmp):
+    """The dilator's closure ``draw(bits, unit, depth, placed)``, with one
+    such closure per node below it; ``bits`` and ``unit`` are an rng's
+    ``getrandbits`` and ``random``.  An Id at ``depth`` > 0 may place a
+    sub-term instead of a frozen position, drawn by the dilator's closure at
+    one depth less, and appends ``(sub-term, its placed)`` to ``placed``.
+    A draw drops the records of what it throws away (a rejected separation
+    or band candidate, a repeated formal-sum exponent), and one that raises
+    ``_DeadEnd`` leaves ``placed`` as it found it."""
+    lefts = tuple(Left(v) for v in lefts)
+    n_lefts = len(lefts)
+
+    def formal(exponents, x, y, mark, bits, placed):
+        """The formal sum of the drawn exponents ``x`` and ``y`` (None if
+        only ``x`` was drawn), descending; an ``y`` equal to ``x`` is
+        dropped with its records, those past ``mark``.  Then a
+        multiplicity of 1 or 2 is drawn for each kept exponent in order."""
+        if y is not None:
+            c = compare_elements(exponents, x, y, pos_cmp)
+            if c == GREATER:
+                return ((x, _below(bits, 2) + 1), (y, _below(bits, 2) + 1))
+            if c == LESS:
+                return ((y, _below(bits, 2) + 1), (x, _below(bits, 2) + 1))
+            del placed[mark:]
+        return ((x, _below(bits, 2) + 1),)
+
+    def build(expr):
+        kind = expr.__class__
+        if kind is Const:
+            pool = _grid_values(expr.value, 6)
+            size = len(pool)
+            if not size:  # Const(0) has no element
+                return _dead_end
+
+            def draw(bits, unit, depth, placed):
+                return pool[_below(bits, size)]
+        elif kind is IdNode:
+            def draw(bits, unit, depth, placed):
+                if lefts and (depth <= 0 or unit() < 0.6):
+                    return lefts[_below(bits, n_lefts)]
+                if depth <= 0:
+                    raise _DeadEnd()
+                below = []
+                t = top(bits, unit, depth - 1, below)
+                placed.append((t, below))
+                return Right(t)
+        elif kind is Sum:
+            parts = [build(p) for p in expr.parts]
+            n = len(parts)
+
+            def draw(bits, unit, depth, placed):
+                i = _below(bits, n)
+                for _ in range(n):
+                    try:
+                        elem = parts[i](bits, unit, depth, placed)
+                    except _DeadEnd:
+                        i = (i + 1) % n
+                        continue
+                    if i < n - 1:
+                        elem = ESum(0, elem)
+                    for _ in range(i):
+                        elem = ESum(1, elem)
+                    return elem
+                raise _DeadEnd()
+        elif kind is MulOmega:
+            base = build(expr.base)
+
+            def draw(bits, unit, depth, placed):
+                copy = _below(bits, 4)
+                return ECopies(copy, base(bits, unit, depth, placed))
+        elif kind is OmegaComp:
+            base, exponents = build(expr.base), expr.exponents
+
+            def draw(bits, unit, depth, placed):
+                count = _below(bits, 3)
+                if count == 0:
+                    return ()
+                x = base(bits, unit, depth, placed)
+                mark = len(placed)
+                y = base(bits, unit, depth, placed) if count == 2 else None
+                return formal(exponents, x, y, mark, bits, placed)
+        elif kind is CnfHead:
+            low, high, exponents = build(expr.low), build(expr.high), expr.exponents
+
+            def draw(bits, unit, depth, placed):
+                count = _below(bits, 2) + 1
+                x = ESum(1, high(bits, unit, depth, placed))
+                mark, y = len(placed), None
+                if count == 2:
+                    side = 0 if unit() < 0.7 else 1
+                    try:
+                        y = ESum(side, (high if side else low)(bits, unit, depth, placed))
+                    except _DeadEnd:  # the head keeps its lead alone
+                        pass
+                return formal(exponents, x, y, mark, bits, placed)
+        elif kind is Sep or kind is Band:
+            base = build(expr.base)
+
+            def draw(bits, unit, depth, placed):
+                mark = len(placed)
+                for _ in range(12):
+                    elem = base(bits, unit, depth, placed)
+                    if member(expr, elem):
+                        return elem
+                    del placed[mark:]
+                raise _DeadEnd()
+        else:
+            raise MalformedElement(f"no sampling rule for {expr!r}")
+        return draw
+
+    top = build(dilator)
+    return top
 
 
 def psi_enum(order: PsiOrder, depth: int = 4):

@@ -476,7 +476,11 @@ def _place_keyed(parts, points, budget: EnumBudget, lefts, pos_key, cap):
     for i, part in enumerate(parts):
         part_elems, part_keys, part_positions = made[part]
         prefix = (1,) * i + ((0,) if i < n - 1 else ())
-        elems += [_place(x, i, n) for x in part_elems]
+        if i < n - 1:  # _place's layers, one list at a time
+            part_elems = [ESum(0, x) for x in part_elems]
+        for _ in range(i):
+            part_elems = [ESum(1, x) for x in part_elems]
+        elems += part_elems
         keys += [prefix + key for key in part_keys]
         positions += part_positions
     return elems, keys, positions

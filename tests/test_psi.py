@@ -19,7 +19,9 @@ from dilcalc.errors import (
 from dilcalc.expr import (
     D_ID,
     Band,
+    CnfHead,
     Const,
+    Dil,
     MulOmega,
     Sep,
     Sum,
@@ -572,8 +574,8 @@ class TestKeyedCandidates:
 
 class TestHeadDilator:
     """Collapse orders over an internal head, pinned before its formal-sum
-    rules were shared with omega[...]; they reach the head sort key of
-    PsiOrder._rand_cnf."""
+    rules were shared with omega[...]; they reach the sampler's ordering of
+    a head's exponents."""
 
     def test_random_terms_pinned(self, monkeypatch):
         monkeypatch.setattr(psi_module, "RANDOM_DEPTH", 2)
@@ -626,12 +628,16 @@ class TestSearch:
         res = chain_search(PsiSearchHandle(order), 300, 30, seed=3)
         assert not res.found
 
-    # the repetition, separation / band and sum branches of PsiOrder._rand
+    # the repetition, separation / band, sum and head branches of the sampler
     @pytest.mark.parametrize(
         "text,gamma,kind",
         [("Id*w", "w", MulOmega), ("omega[Id]*w", "1", MulOmega),
          ("sep(omega_head(Id;Id),w)", "1", Sep), ("band(omega_head(Id;Id);0;w;w)", "1", Band),
-         ("Id*2", "w", Sum), ("Const(w)+Id", "w^2", Sum), ("Id+1+Id", "w", Sum)],
+         ("Id*2", "w", Sum), ("Const(w)+Id", "w^2", Sum), ("Id+1+Id", "w", Sum),
+         # a summand with no draw at depth 0 (no frozen position below 0)
+         ("Id+1", "0", Sum),
+         # a head over Const(0): an empty constant pool, so a head keeps its lead alone
+         ("omega_head(0;Id)", "w", CnfHead)],
     )
     def test_random_terms_of_repetitions_and_filtered_nodes(self, text, gamma, kind):
         order = PsiOrder(parse_dil(text), parse_ord(gamma))
@@ -642,6 +648,18 @@ class TestSearch:
             assert t is not None and order.valid(t), text
         assert chain_search(PsiSearchHandle(order), 20, 30, 5).summary == "NoneFound"
 
+    @pytest.mark.parametrize("text,gamma", [("0", "w"), ("Id*2", "0")])
+    def test_orders_without_terms_draw_none(self, text, gamma):
+        order = PsiOrder(parse_dil(text), parse_ord(gamma))
+        assert order.random_term(random.Random(1)) is None
+
+    def test_a_node_without_a_sampling_rule_is_refused(self):
+        class Opaque(Dil):
+            pass
+
+        with pytest.raises(MalformedElement, match="no sampling rule"):
+            PsiOrder(Opaque(), ZERO).random_term(random.Random(1))
+
     def test_random_sum_draws_every_summand(self):
         # one index per sum reaches every summand alike; a side drawn per
         # binary level reached summand i at rate 2^-(i+1)
@@ -651,8 +669,8 @@ class TestSearch:
         assert min(counts[i] for i in range(8)) >= 25, counts
 
     def test_random_sum_terms_pinned(self, monkeypatch):
-        # PsiOrder._rand draws one summand index per sum, for two parts one
-        # rng.randint(0, 1)
+        # the sampler draws one summand index per sum, for two parts the bits
+        # of one rng.randint(0, 1)
         monkeypatch.setattr(psi_module, "RANDOM_DEPTH", 2)
         order = PsiOrder(parse_dil("Id*2"), OMEGA)
         rng = random.Random(5)
@@ -669,12 +687,12 @@ class TestSearch:
 
     @staticmethod
     def raw_draws(order, seed, count):
-        """``count`` raw ``_rand`` draws, as ``random_term`` makes them,
-        before any check."""
-        rng, lefts, out = random.Random(seed), _grid_values(order.gamma, 12), []
+        """``count`` raw draws ``(term, placed)``, as ``random_term`` makes
+        them, before any check."""
+        rng, out = random.Random(seed), []
         while len(out) < count:
             try:
-                out.append(order._rand(order.dilator, rng, psi_module.RANDOM_DEPTH, lefts))
+                out.append(order._draw(rng))
             except psi_module._DeadEnd:
                 pass
         return out
@@ -694,17 +712,59 @@ class TestSearch:
 
     @pytest.mark.parametrize("text,gamma", DRAW_ORDERS)
     def test_draws_need_only_the_descent_check(self, text, gamma):
-        # _rand builds well-formed terms, so random_term's _descends
-        # accepts a draw exactly when valid does
+        # the sampler builds well-formed terms, so _descends accepts a draw
+        # exactly when valid does
         order = PsiOrder(parse_dil(text), parse_ord(gamma))
-        for t in self.raw_draws(order, 3, 300):
+        for t, _ in self.raw_draws(order, 3, 300):
             assert order._well_formed(t), term_str(order, t)
             ok = self.reference_valid(order, t)
             assert order._descends(t) == order.valid(t) == ok, term_str(order, t)
 
+    @staticmethod
+    def assert_placed(order, t, placed):
+        """``placed`` holds exactly the sub-terms at the live positions of
+        ``t`` (the objects themselves, so as a multiset), each with its own
+        records, recursively."""
+        subs = [p.point for p in element_positions(order.dilator, t) if p.__class__ is Right]
+        assert Counter(map(id, subs)) == Counter(id(s) for s, _ in placed), term_str(order, t)
+        for s, below in placed:
+            TestSearch.assert_placed(order, s, below)
+
+    @pytest.mark.parametrize("text,gamma", DRAW_ORDERS)
+    def test_draws_record_their_sub_terms(self, text, gamma):
+        # the descent check on a draw's records decides as _descends does
+        order = PsiOrder(parse_dil(text), parse_ord(gamma))
+        for t, placed in self.raw_draws(order, 3, 300):
+            self.assert_placed(order, t, placed)
+            assert order._placed_descend(t, placed) == order._descends(t) == order.valid(t), (
+                term_str(order, t))
+
+    def test_the_sampler_is_not_a_field(self):
+        order, fresh = PsiOrder(D_ID, OMEGA), PsiOrder(D_ID, OMEGA)
+        assert order.random_term(random.Random(1)) is not None
+        assert "_sampler" in vars(order) and "_sampler" not in vars(fresh)
+        assert (order == fresh, hash(order), repr(order)) == (True, hash(fresh), repr(fresh))
+        assert repr(order) == "PsiOrder(dilator=IdNode(), gamma=Ord('w'))"
+
+    def test_index_draws_read_the_rng_as_randrange_and_choice(self):
+        # _below reads Random._randbelow's bits, and a constant's pool draw
+        # (its grid: every value below a finite bound) reads choice's; n runs
+        # over each 2^k and 2^k + 1 up to 65
+        for seed in range(10):
+            for n in range(1, 71):
+                ours, ref = random.Random(seed), random.Random(seed)
+                assert ([psi_module._below(ours.getrandbits, n) for _ in range(20)]
+                        == [ref.randrange(n) for _ in range(20)]), (seed, n)
+                order = PsiOrder(Const(from_int(n)), ZERO)
+                pool = _grid_values(from_int(n), 6)
+                assert len(pool) == n
+                assert ([order._draw(ours)[0] for _ in range(20)]
+                        == [ref.choice(pool) for _ in range(20)]), (seed, n)
+                assert ours.random() == ref.random()
+
     def test_some_draws_fail_the_descent_check(self):
         order = PsiOrder(parse_dil("Id*2"), OMEGA)
-        draws = self.raw_draws(order, 3, 300)
+        draws = [t for t, _ in self.raw_draws(order, 3, 300)]
         assert any(not order._descends(t) for t in draws)
         assert not all(order.valid(t) for t in draws)
 
