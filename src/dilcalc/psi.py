@@ -17,11 +17,11 @@ fragment.
 
 Seeded draws come from a sampler each ``PsiOrder`` builds once
 (``_build_sampler``): one closure per expression node, holding its pools, its
-summand count and the closures below it, which reads each index off the
-rng's bits as ``randint`` and ``choice`` would.  A draw is built well
-formed and records the sub-terms it placed, each with its own records, so
-``random_term`` checks only that each recorded sub-term lies below its
-term, recursively, without walking the draw again.
+summand count and the closures below it, which draws each index with the
+rng's own ``_randbelow``, the rule ``randint`` and ``choice`` use.  A draw
+is built well formed and records the sub-terms it placed, each with its own
+records, so ``random_term`` checks only that each recorded sub-term lies
+below its term, recursively, without walking the draw again.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .semantics import (
     Right,
     _candidates,
     _grid_values,
+    _place,
     compare_elements,
     default_pos_cmp,
     default_pos_key,
@@ -280,9 +281,9 @@ class PsiOrder(Frozen):
     def random_term(self, rng: random.Random):
         """A valid term drawn from ``rng``, or None after 40 failed draws.
 
-        ``rng`` is assumed to be a ``random.Random``: the sampler reads each
-        index off ``rng.getrandbits`` by ``Random._randbelow``'s rejection
-        rule, which is the rule ``randint`` and ``choice`` follow there.
+        ``rng`` is assumed to be a ``random.Random``: the sampler draws each
+        index with ``rng._randbelow``, which ``randint`` and ``choice`` call
+        there, so a seeded draw reads the stream they would.
         The sampler (``_build_sampler``) builds only well-formed terms:
         frozen positions and constant indices from their grids, formal-sum
         exponents descending without repeats, heads with a high lead,
@@ -306,12 +307,12 @@ class PsiOrder(Frozen):
         ``(sub-term, its placed)`` for each live position of the term.
         Raises ``_DeadEnd`` where a node has nothing to draw from."""
         placed = []
-        return self._sampler(rng.getrandbits, rng.random, RANDOM_DEPTH, placed), placed
+        return self._sampler(rng._randbelow, rng.random, RANDOM_DEPTH, placed), placed
 
     def _placed_descend(self, t, placed) -> bool:
         """Each placed sub-term lies below ``t``, recursively."""
-        for s, below in placed:
-            if self.compare(s, t) != LESS or not self._placed_descend(s, below):
+        for s, inner in placed:
+            if self.compare(s, t) != LESS or not self._placed_descend(s, inner):
                 return False
         return True
 
@@ -325,34 +326,24 @@ class _DeadEnd(Exception):
     pass
 
 
-def _below(bits, n: int) -> int:
-    """An index below ``n`` read off ``bits``, an rng's ``getrandbits``, by
-    ``Random._randbelow``'s rejection rule: the bits, and so the index,
-    that ``randrange(n)`` would draw."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _dead_end(bits, unit, depth, placed):
+def _dead_end(below, unit, depth, placed):
     raise _DeadEnd()
 
 
 def _build_sampler(dilator: Dil, lefts: tuple, pos_cmp):
-    """The dilator's closure ``draw(bits, unit, depth, placed)``, with one
-    such closure per node below it; ``bits`` and ``unit`` are an rng's
-    ``getrandbits`` and ``random``.  An Id at ``depth`` > 0 may place a
+    """The dilator's closure ``draw(below, unit, depth, placed)``, with one
+    such closure per node below it; ``below`` and ``unit`` are an rng's
+    ``_randbelow`` and ``random``.  An Id at ``depth`` > 0 may place a
     sub-term instead of a frozen position, drawn by the dilator's closure at
     one depth less, and appends ``(sub-term, its placed)`` to ``placed``.
-    A draw drops the records of what it throws away (a rejected separation
-    or band candidate, a repeated formal-sum exponent), and one that raises
-    ``_DeadEnd`` leaves ``placed`` as it found it."""
+    A draw drops the records of what it throws away: a rejected separation
+    or band candidate, a repeated formal-sum exponent, and what a sum part
+    or a head's second exponent placed before it raised ``_DeadEnd``
+    (trimmed where the ``_DeadEnd`` is caught)."""
     lefts = tuple(Left(v) for v in lefts)
     n_lefts = len(lefts)
 
-    def formal(exponents, x, y, mark, bits, placed):
+    def formal(exponents, x, y, mark, below, placed):
         """The formal sum of the drawn exponents ``x`` and ``y`` (None if
         only ``x`` was drawn), descending; an ``y`` equal to ``x`` is
         dropped with its records, those past ``mark``.  Then a
@@ -360,11 +351,11 @@ def _build_sampler(dilator: Dil, lefts: tuple, pos_cmp):
         if y is not None:
             c = compare_elements(exponents, x, y, pos_cmp)
             if c == GREATER:
-                return ((x, _below(bits, 2) + 1), (y, _below(bits, 2) + 1))
+                return ((x, below(2) + 1), (y, below(2) + 1))
             if c == LESS:
-                return ((y, _below(bits, 2) + 1), (x, _below(bits, 2) + 1))
+                return ((y, below(2) + 1), (x, below(2) + 1))
             del placed[mark:]
-        return ((x, _below(bits, 2) + 1),)
+        return ((x, below(2) + 1),)
 
     def build(expr):
         kind = expr.__class__
@@ -374,74 +365,69 @@ def _build_sampler(dilator: Dil, lefts: tuple, pos_cmp):
             if not size:  # Const(0) has no element
                 return _dead_end
 
-            def draw(bits, unit, depth, placed):
-                return pool[_below(bits, size)]
+            def draw(below, unit, depth, placed):
+                return pool[below(size)]
         elif kind is IdNode:
-            def draw(bits, unit, depth, placed):
+            def draw(below, unit, depth, placed):
                 if lefts and (depth <= 0 or unit() < 0.6):
-                    return lefts[_below(bits, n_lefts)]
+                    return lefts[below(n_lefts)]
                 if depth <= 0:
                     raise _DeadEnd()
-                below = []
-                t = top(bits, unit, depth - 1, below)
-                placed.append((t, below))
+                inner = []
+                t = top(below, unit, depth - 1, inner)
+                placed.append((t, inner))
                 return Right(t)
         elif kind is Sum:
             parts = [build(p) for p in expr.parts]
             n = len(parts)
 
-            def draw(bits, unit, depth, placed):
-                i = _below(bits, n)
+            def draw(below, unit, depth, placed):
+                i, mark = below(n), len(placed)
                 for _ in range(n):
                     try:
-                        elem = parts[i](bits, unit, depth, placed)
+                        return _place(parts[i](below, unit, depth, placed), i, n)
                     except _DeadEnd:
+                        del placed[mark:]
                         i = (i + 1) % n
-                        continue
-                    if i < n - 1:
-                        elem = ESum(0, elem)
-                    for _ in range(i):
-                        elem = ESum(1, elem)
-                    return elem
                 raise _DeadEnd()
         elif kind is MulOmega:
             base = build(expr.base)
 
-            def draw(bits, unit, depth, placed):
-                copy = _below(bits, 4)
-                return ECopies(copy, base(bits, unit, depth, placed))
+            def draw(below, unit, depth, placed):
+                copy = below(4)
+                return ECopies(copy, base(below, unit, depth, placed))
         elif kind is OmegaComp:
             base, exponents = build(expr.base), expr.exponents
 
-            def draw(bits, unit, depth, placed):
-                count = _below(bits, 3)
+            def draw(below, unit, depth, placed):
+                count = below(3)
                 if count == 0:
                     return ()
-                x = base(bits, unit, depth, placed)
+                x = base(below, unit, depth, placed)
                 mark = len(placed)
-                y = base(bits, unit, depth, placed) if count == 2 else None
-                return formal(exponents, x, y, mark, bits, placed)
+                y = base(below, unit, depth, placed) if count == 2 else None
+                return formal(exponents, x, y, mark, below, placed)
         elif kind is CnfHead:
             low, high, exponents = build(expr.low), build(expr.high), expr.exponents
 
-            def draw(bits, unit, depth, placed):
-                count = _below(bits, 2) + 1
-                x = ESum(1, high(bits, unit, depth, placed))
+            def draw(below, unit, depth, placed):
+                count = below(2) + 1
+                x = ESum(1, high(below, unit, depth, placed))
                 mark, y = len(placed), None
                 if count == 2:
                     side = 0 if unit() < 0.7 else 1
                     try:
-                        y = ESum(side, (high if side else low)(bits, unit, depth, placed))
+                        y = ESum(side, (high if side else low)(below, unit, depth, placed))
                     except _DeadEnd:  # the head keeps its lead alone
-                        pass
-                return formal(exponents, x, y, mark, bits, placed)
+                        del placed[mark:]
+                return formal(exponents, x, y, mark, below, placed)
         elif kind is Sep or kind is Band:
             base = build(expr.base)
 
-            def draw(bits, unit, depth, placed):
+            def draw(below, unit, depth, placed):
                 mark = len(placed)
                 for _ in range(12):
-                    elem = base(bits, unit, depth, placed)
+                    elem = base(below, unit, depth, placed)
                     if member(expr, elem):
                         return elem
                     del placed[mark:]

@@ -679,11 +679,14 @@ class TestSearch:
             "r:[l:[l:10]]", "l:[l:3]", "r:9", "l:3", "r:6", "l:[l:9]", "r:0", "l:3",
         ]
 
-    # the collapse-fuzz orders, then the orders above and a head
+    # the collapse-fuzz orders, then the orders above and a head, then orders
+    # at gamma 0 whose sum part or head exponent can place a sub-term and then
+    # dead-end (a second omega exponent drawn at depth 0)
     DRAW_ORDERS = [("omega[Id]", "0"), ("Id", "w"), ("Id*2", "w"), ("Const(w)+Id", "w^2"),
                    ("Id*w", "w"), ("omega[Id]*w", "1"), ("sep(omega_head(Id;Id),w)", "1"),
                    ("band(omega_head(Id;Id);0;w;w)", "1"), ("Id+1+Id", "w"),
-                   ("omega_head(Id;Id)", "w")]
+                   ("omega_head(Id;Id)", "w"), ("omega[Id]+Id", "0"), ("omega[Id]*2", "0"),
+                   ("omega_head(Id;omega[Id])+Id", "0")]
 
     @staticmethod
     def raw_draws(order, seed, count):
@@ -746,21 +749,34 @@ class TestSearch:
         assert (order == fresh, hash(order), repr(order)) == (True, hash(fresh), repr(fresh))
         assert repr(order) == "PsiOrder(dilator=IdNode(), gamma=Ord('w'))"
 
-    def test_index_draws_read_the_rng_as_randrange_and_choice(self):
-        # _below reads Random._randbelow's bits, and a constant's pool draw
-        # (its grid: every value below a finite bound) reads choice's; n runs
-        # over each 2^k and 2^k + 1 up to 65
+    def test_pool_draws_read_the_rng_as_choice(self):
+        # a constant's pool draw (its grid: every value below a finite bound)
+        # reads the stream choice reads; n runs over each 2^k and 2^k + 1 up
+        # to 65
         for seed in range(10):
             for n in range(1, 71):
                 ours, ref = random.Random(seed), random.Random(seed)
-                assert ([psi_module._below(ours.getrandbits, n) for _ in range(20)]
-                        == [ref.randrange(n) for _ in range(20)]), (seed, n)
                 order = PsiOrder(Const(from_int(n)), ZERO)
                 pool = _grid_values(from_int(n), 6)
                 assert len(pool) == n
                 assert ([order._draw(ours)[0] for _ in range(20)]
                         == [ref.choice(pool) for _ in range(20)]), (seed, n)
                 assert ours.random() == ref.random()
+
+    # sha1 of term_str over 300 random_term draws at seed 3 ("-" for None):
+    # a sum part or head exponent that dead-ends after placing a sub-term
+    # leaves no record behind, so these match the draws of the walk-based
+    # descent check
+    @pytest.mark.parametrize("text,digest", [
+        ("omega[Id]+Id", "ed3b85ff50a1db757993f9a74d8d918fb3396060"),
+        ("omega[Id]*2", "2b899874a7a777183589afd6404fdd70ba49432e"),
+        ("omega_head(Id;omega[Id])+Id", "ed038a9a7701d2a3947a7c0c887c7f02279958e1"),
+    ])
+    def test_dead_ended_draws_pinned(self, text, digest):
+        order, rng = PsiOrder(parse_dil(text), ZERO), random.Random(3)
+        drawn = [order.random_term(rng) for _ in range(300)]
+        rendered = "\n".join("-" if t is None else term_str(order, t) for t in drawn)
+        assert hashlib.sha1(rendered.encode()).hexdigest() == digest
 
     def test_some_draws_fail_the_descent_check(self):
         order = PsiOrder(parse_dil("Id*2"), OMEGA)
