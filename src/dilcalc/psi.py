@@ -195,31 +195,22 @@ class PsiOrder(Frozen):
         return compare_elements(self.dilator, t1, t2, self.pos_cmp)
 
     def valid(self, t) -> bool:
-        """The decision procedure: ``t`` is well formed and descends."""
-        return self._well_formed(t) and self._descends(t)
-
-    def _well_formed(self, t) -> bool:
-        """Well formed as an element, each frozen position below gamma,
-        and each sub-term well formed, recursively."""
+        """The decision procedure, in one walk: ``t`` is a well-formed
+        element, each frozen position is below gamma, and each sub-term is
+        valid and below ``t``, compared with ``t`` once all are valid."""
         try:
             validate_element(self.dilator, t, self.pos_cmp)
         except MalformedElement:
             return False
-        for p in element_positions(self.dilator, t):
+        positions = element_positions(self.dilator, t)
+        for p in positions:
             if p.__class__ is Left:
                 if not p.value < self.gamma:
                     return False
-            elif not self._well_formed(p.point):
+            elif not self.valid(p.point):
                 return False
-        return True
-
-    def _descends(self, t) -> bool:
-        """Each sub-term of a well-formed ``t`` lies below it, recursively."""
-        for p in element_positions(self.dilator, t):
-            if p.__class__ is Right and (self.compare(p.point, t) != LESS
-                                         or not self._descends(p.point)):
-                return False
-        return True
+        return all(self.compare(p.point, t) == LESS
+                   for p in positions if p.__class__ is Right)
 
     # -- enumeration
 
@@ -290,7 +281,7 @@ class PsiOrder(Frozen):
         filtered nodes that pass ``member``.  Each draw records the
         sub-terms it placed (``_draw``), so a draw is checked for descent
         only, on its records, with no second walk (``_placed_descend``,
-        which decides as ``_descends`` does); ``valid`` is the full
+        which decides on a draw as ``valid`` does); ``valid`` is the full
         decision procedure.
         """
         for _ in range(40):

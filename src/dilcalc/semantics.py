@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 from .errors import BudgetExceeded, MalformedElement
 from .expr import (
@@ -52,13 +51,12 @@ class ECopies(Frozen):
 
 
 def default_pos_cmp(p, q) -> int:
-    if p.__class__ is not Right or q.__class__ is not Right:
-        if isinstance(p, Left) and isinstance(q, Left):
-            return ord_cmp(p.value, q.value)
-        if isinstance(p, Left):
-            return LESS
-        if isinstance(q, Left):
-            return GREATER
+    """Frozen positions by value, below every live point; live points by
+    their labels' own order."""
+    if p.__class__ is Left:
+        return ord_cmp(p.value, q.value) if q.__class__ is Left else LESS
+    if q.__class__ is Left:
+        return GREATER
     a, b = p.point, q.point
     return LESS if a < b else GREATER if a > b else EQUAL
 
@@ -424,9 +422,10 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
         keys = [(pos_key(e),) for e in elems]
         return elems, keys, keys  # an Id element's one position key is its body
     if kind is Sum:
-        return _place_keyed(expr.parts, points, budget, lefts, pos_key, math.inf)
+        return _place_keyed(expr.parts, points, budget, lefts, pos_key)
     if kind is MulOmega:
         elems, keys, positions = _gen(expr.base, points, budget, lefts, pos_key)
+        _check_cap(len(elems) * budget.copies, budget)
         copies = range(budget.copies)
         return ([ECopies(k, x) for k in copies for x in elems],
                 [(k, *key) for k in copies for key in keys], positions * budget.copies)
@@ -464,13 +463,18 @@ def _unwrap(key):
     return key if len(key) > 1 else key[0]
 
 
-def _place_keyed(parts, points, budget: EnumBudget, lefts, pos_key, cap):
+def _check_cap(count: int, budget: EnumBudget):
+    """Refuse a level of ``count`` elements over ``budget.max_count``, before
+    any of them is built."""
+    if count > budget.max_count:
+        raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
+
+
+def _place_keyed(parts, points, budget: EnumBudget, lefts, pos_key):
     """``_gen`` of the sum of ``parts``; each distinct summand is generated
-    once, and a sum over ``cap`` elements is refused before any is placed."""
+    once, and a sum over the cap is refused before any element is placed."""
     made = {p: _gen(p, points, budget, lefts, pos_key) for p in dict.fromkeys(parts)}
-    count = sum(len(made[part][0]) for part in parts)
-    if count > cap:
-        raise BudgetExceeded(f"{count} elements exceed cap {cap}")
+    _check_cap(sum(len(made[part][0]) for part in parts), budget)
     n = len(parts)
     elems, keys, positions = [], [], []
     for i, part in enumerate(parts):
@@ -500,10 +504,9 @@ class _Candidates(list):
 
 
 def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
-    """``_gen`` under ``budget.max_count``, with each element's key and
-    position keys; a sum is counted before its elements are built."""
-    return _Candidates(*_place_keyed(summands(expr), points, budget, lefts, pos_key,
-                                     budget.max_count))
+    """``_gen`` with each element's key and position keys; a top-level
+    non-sum is counted against the cap as a sum of one summand."""
+    return _Candidates(*_place_keyed(summands(expr), points, budget, lefts, pos_key))
 
 
 def _place(elem, i: int, n: int):

@@ -234,8 +234,12 @@ class TestExitCodes:
             (["otp", "Id" + "*w" * 12000, "--arg", "w"], "refused: RecursionError: "),
             (["psi-enum", "omega[Id]", "--gamma", "1"],
              "refused: BudgetExceeded: formal-sum budget overflow\n"),
+            # the 12th *w level (2^12 elements) is refused before it is
+            # built, not after 2^24 elements are
+            (["psi-enum", "Id" + "*w" * 24, "--gamma", "1", "--depth", "1", "--prefix", "3"],
+             "refused: BudgetExceeded: 4096 elements exceed cap 4000\n"),
         ],
-        ids=["recursion", "budget"],
+        ids=["recursion", "budget", "repetition"],
     )
     def test_refusal_is_two(self, capsys, argv, refusal):
         code, out, err = run(capsys, *argv)

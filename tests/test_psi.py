@@ -713,15 +713,27 @@ class TestSearch:
                    and order.compare(p.point, t) == LESS
                    for p in element_positions(order.dilator, t))
 
+    @staticmethod
+    def well_formed(order, t):
+        """Structure alone: a well-formed element whose frozen positions lie
+        below gamma, and whose sub-terms are well formed, recursively."""
+        try:
+            validate_element(order.dilator, t, order.pos_cmp)
+        except MalformedElement:
+            return False
+        return all(p.value < order.gamma if isinstance(p, Left)
+                   else TestSearch.well_formed(order, p.point)
+                   for p in element_positions(order.dilator, t))
+
     @pytest.mark.parametrize("text,gamma", DRAW_ORDERS)
     def test_draws_need_only_the_descent_check(self, text, gamma):
-        # the sampler builds well-formed terms, so _descends accepts a draw
-        # exactly when valid does
+        # the sampler builds well-formed terms, so the descent check on a
+        # draw's records accepts it exactly when valid does
         order = PsiOrder(parse_dil(text), parse_ord(gamma))
-        for t, _ in self.raw_draws(order, 3, 300):
-            assert order._well_formed(t), term_str(order, t)
+        for t, placed in self.raw_draws(order, 3, 300):
+            assert self.well_formed(order, t), term_str(order, t)
             ok = self.reference_valid(order, t)
-            assert order._descends(t) == order.valid(t) == ok, term_str(order, t)
+            assert order._placed_descend(t, placed) == order.valid(t) == ok, term_str(order, t)
 
     @staticmethod
     def assert_placed(order, t, placed):
@@ -735,12 +747,11 @@ class TestSearch:
 
     @pytest.mark.parametrize("text,gamma", DRAW_ORDERS)
     def test_draws_record_their_sub_terms(self, text, gamma):
-        # the descent check on a draw's records decides as _descends does
+        # the descent check on a draw's records decides as valid does
         order = PsiOrder(parse_dil(text), parse_ord(gamma))
         for t, placed in self.raw_draws(order, 3, 300):
             self.assert_placed(order, t, placed)
-            assert order._placed_descend(t, placed) == order._descends(t) == order.valid(t), (
-                term_str(order, t))
+            assert order._placed_descend(t, placed) == order.valid(t), term_str(order, t)
 
     def test_the_sampler_is_not_a_field(self):
         order, fresh = PsiOrder(D_ID, OMEGA), PsiOrder(D_ID, OMEGA)
@@ -780,9 +791,9 @@ class TestSearch:
 
     def test_some_draws_fail_the_descent_check(self):
         order = PsiOrder(parse_dil("Id*2"), OMEGA)
-        draws = [t for t, _ in self.raw_draws(order, 3, 300)]
-        assert any(not order._descends(t) for t in draws)
-        assert not all(order.valid(t) for t in draws)
+        draws = self.raw_draws(order, 3, 300)
+        assert any(not order._placed_descend(t, placed) for t, placed in draws)
+        assert not all(order.valid(t) for t, _ in draws)
 
     # sha1 of term_str over every draw of chain_search(handle, 20, 30, seed=1)
     # ("-" for None), with the draw count, for each collapse-fuzz order

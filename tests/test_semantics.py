@@ -1,5 +1,7 @@
 import functools
 import itertools
+import resource
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -159,7 +161,8 @@ def _limit_esums(monkeypatch, bound):
 
 
 class TestCapOnLongSums:
-    """A sum over the element cap is refused before its elements are built."""
+    """A sum or a ``*w`` level over the element cap is refused before its
+    elements are built."""
 
     def test_enum_elements(self, monkeypatch):
         _limit_esums(monkeypatch, 0)
@@ -172,6 +175,18 @@ class TestCapOnLongSums:
         _limit_esums(monkeypatch, 800 * 801 // 2)
         with pytest.raises(BudgetExceeded, match=r"^640800 elements exceed cap 4000$"):
             PsiOrder(mk_mul_nat(D_ID, 800), ONE).enum(1)
+
+    @pytest.mark.parametrize("k", [8, 12, 50, 200])
+    @pytest.mark.parametrize("base,first_over", [("Id", 6561), ("Id+Id", 4374)])
+    def test_repetition_levels(self, base, first_over, k, default_recursion_limit):
+        # each *w level triples its base's elements; the first level over the
+        # cap is refused before any of its copies is built, not after 3^k are
+        expr = functools.reduce(lambda d, _: MulOmega(d), range(k), parse_dil(base))
+        rss, cpu = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, time.process_time()
+        with pytest.raises(BudgetExceeded, match=rf"^{first_over} elements exceed cap 4000$"):
+            enum_elements(expr, 1)
+        assert time.process_time() - cpu < 0.1
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss < 50 * 1024  # KiB
 
 
 class TestStreams:
@@ -775,8 +790,12 @@ class TestLongSumElements:
 def reference_candidates(expr, points, budget, lefts, pos_key=default_pos_key):
     """``semantics._candidates`` as it was before it keyed what it built:
     the elements alone, each formal sum's exponents sorted by one
-    ``element_key`` walk each, and a sum's summands counted against the cap
-    before any element is placed."""
+    ``element_key`` walk each, and each sum's summands and each repetition's
+    copies counted against the cap before any element is placed."""
+    def check(count):
+        if count > budget.max_count:
+            raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
+
     def gen(expr, lefts):
         if isinstance(expr, Const):
             out, v = [], ZERO
@@ -787,9 +806,13 @@ def reference_candidates(expr, points, budget, lefts, pos_key=default_pos_key):
         if isinstance(expr, IdNode):
             return [Left(v) for v in lefts] + [Right(p) for p in points]
         if isinstance(expr, Sum):
-            return place(expr.parts, [gen(part, lefts) for part in expr.parts])
+            made = [gen(part, lefts) for part in expr.parts]
+            check(sum(map(len, made)))
+            return place(expr.parts, made)
         if isinstance(expr, MulOmega):
-            return [ECopies(k, x) for k in range(budget.copies) for x in gen(expr.base, lefts)]
+            base = gen(expr.base, lefts)
+            check(len(base) * budget.copies)
+            return [ECopies(k, x) for k in range(budget.copies) for x in base]
         if isinstance(expr, (OmegaComp, CnfHead)):
             exponents = expr.exponents
             exps = sorted(gen(exponents, lefts), key=lambda x: element_key(exponents, x, pos_key))
@@ -815,9 +838,7 @@ def reference_candidates(expr, points, budget, lefts, pos_key=default_pos_key):
 
     parts = semantics.summands(expr)
     made = [gen(part, list(lefts)) for part in parts]
-    count = sum(map(len, made))
-    if count > budget.max_count:
-        raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
+    check(sum(map(len, made)))
     return place(parts, made)
 
 
