@@ -217,12 +217,12 @@ class PsiOrder(Frozen):
     def enum(self, depth: int = 2):
         """All valid terms of nesting depth <= depth, sorted ascending.
 
-        Level L walks, in key order, the ``_candidates`` over the terms known
-        after the levels before it, a list sorted ascending.  A point of a
-        candidate is one of those term objects, keyed ``(1, rank)`` by its
-        rank there; ranks are injective and order-preserving, so the keys
-        order the candidates as ``compare`` does, and stay shallow at any
-        level.  A candidate is valid iff each frozen position v (key
+        Level L walks the ``_candidates`` over the terms known after the
+        levels before it, a list sorted ascending, in the order they are
+        built, which is ascending.  A point of a candidate is one of those
+        term objects, keyed ``(1, rank)`` by its rank there; ranks are
+        injective and order-preserving, so the position keys stay shallow at
+        any level.  A candidate is valid iff each frozen position v (key
         ``(0, v)``; a separation's or band's base draws them up to its
         ambient) is below gamma and each point is below it: ``_gen`` builds
         only well-formed elements.  Generation is monotone in the
@@ -231,7 +231,7 @@ class PsiOrder(Frozen):
         level 0, none) are the known terms again, met in rank order: the
         point of rank r is below a candidate iff more than r of them have
         been met.  A level that meets no new valid candidate ends the walk;
-        otherwise its valid candidates, in key order, are the next known
+        otherwise its valid candidates, in order, are the next known
         terms, bounded by the cap on the candidates.
         """
         dilator, gamma = self.dilator, self.gamma
@@ -244,11 +244,10 @@ class PsiOrder(Frozen):
         last = None  # ranks of the terms accepted at the level before
         for _level in range(depth + 1):
             ranks = {id(t): (1, i) for i, t in enumerate(known)}
-            cands = _candidates(dilator, known, ENUM_BUDGET, lefts, pos_key)
             terms, fresh, older = [], [], 0  # older: the known terms passed so far
-            for i in cands.key_order():
+            for cand, held in zip(*_candidates(dilator, known, ENUM_BUDGET, lefts, pos_key)):
                 new = last is None
-                for tag, v in cands.positions[i]:
+                for tag, v in held:
                     if tag == 0:
                         if not v < gamma:
                             break
@@ -261,7 +260,7 @@ class PsiOrder(Frozen):
                         fresh.append(len(terms))
                     else:
                         older += 1
-                    terms.append(cands[i])
+                    terms.append(cand)
             if not fresh:
                 break
             known, last = terms, set(fresh)

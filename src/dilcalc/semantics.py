@@ -306,10 +306,12 @@ def validate_element(expr: Dil, elem, pos_cmp=default_pos_cmp):
     elif kind is OmegaComp or kind is CnfHead:
         if not isinstance(elem, tuple):
             raise MalformedElement(f"bad formal sum {elem!r}")
-        for x, m in elem:
-            if m < 1:
-                raise MalformedElement("multiplicities must be positive")
-            validate_element(expr.exponents, x, pos_cmp)
+        for entry in elem:
+            if (entry.__class__ is not tuple or len(entry) != 2
+                    or entry[1].__class__ is not int or entry[1] < 1):
+                raise MalformedElement(f"bad formal-sum entry {entry!r}, not an (exponent, "
+                                       "multiplicity >= 1) pair")
+            validate_element(expr.exponents, entry[0], pos_cmp)
         for (x, _), (y, _) in zip(elem, elem[1:]):
             if compare_elements(expr.exponents, x, y, pos_cmp) != GREATER:
                 raise MalformedElement("exponents must strictly descend")
@@ -403,11 +405,12 @@ def _grid(bound: Ord, size: int) -> tuple:
 
 
 def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
-    """All elements within the structural budget (unsorted), in parallel
-    lists with their keys, built from keyed parts and kept as ``(*prefix,
-    body)`` so that a tuple body is never read as a prefix (``_unwrap``
-    gives the ``element_key``), and their position keys (``pos_key`` of
-    each position, in ``element_positions`` order)."""
+    """All elements within the structural budget, and a parallel list of
+    their position keys (``pos_key`` of each position, in
+    ``element_positions`` order).  Given ascending ``points`` and ``lefts``,
+    the elements are built ascending, with no keys and no sort: each level
+    lists its parts in order, and a formal sum walks its ascending exponents
+    depth first, which is ``compare_elements``' lexicographic order."""
     kind = expr.__class__
     if kind is Const:
         bound = expr.value
@@ -416,51 +419,49 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
         while len(out) < budget.const_cap and v < bound:
             out.append(v)
             v = ord_add(v, ONE)
-        return out, [(v,) for v in out], [()] * len(out)
+        return out, [()] * len(out)
     if kind is IdNode:
         elems = [Left(v) for v in lefts] + [Right(p) for p in points]
-        keys = [(pos_key(e),) for e in elems]
-        return elems, keys, keys  # an Id element's one position key is its body
+        return elems, [(pos_key(e),) for e in elems]
     if kind is Sum:
         return _place_keyed(expr.parts, points, budget, lefts, pos_key)
     if kind is MulOmega:
-        elems, keys, positions = _gen(expr.base, points, budget, lefts, pos_key)
+        elems, positions = _gen(expr.base, points, budget, lefts, pos_key)
         _check_cap(len(elems) * budget.copies, budget)
         copies = range(budget.copies)
-        return ([ECopies(k, x) for k in copies for x in elems],
-                [(k, *key) for k in copies for key in keys], positions * budget.copies)
+        return [ECopies(k, x) for k in copies for x in elems], positions * budget.copies
     if kind is OmegaComp or kind is CnfHead:
-        elems, keys, positions = _gen(expr.exponents, points, budget, lefts, pos_key)
-        # kept keys sort as element keys do: all of an expression's have a prefix or none has
-        order = sorted(range(len(elems)), key=keys.__getitem__)
-        exps = [elems[i] for i in order]
+        exps, positions = _gen(expr.exponents, points, budget, lefts, pos_key)
         mults = range(1, budget.cnf_mult + 1)
         pairs = [[(x, m) for m in mults] for x in exps]
-        key_pairs = [[(_unwrap(keys[i]), m) for m in mults] for i in order]
-        out, out_keys, out_positions = [], [], []
-        for count in range(0, budget.cnf_len + 1):
-            for combo in itertools.combinations(range(len(exps)), count):
-                if kind is CnfHead and (not combo or exps[combo[-1]].side != 1):
-                    continue
-                descending = combo[::-1]
-                out += itertools.product(*[pairs[i] for i in descending])
-                out_keys += [(body,) for body in
-                             itertools.product(*[key_pairs[i] for i in descending])]
-                out_positions += ([tuple(p for i in descending for p in positions[order[i]])]
-                                  * budget.cnf_mult ** count)
-                if len(out) > budget.max_count:
-                    raise BudgetExceeded("formal-sum budget overflow")
-        return out, out_keys, out_positions
+        out, out_positions = [], []
+
+        def walk(body, held, below):
+            # body, then its extensions by the exponents before index ``below``;
+            # the walk nests only as deep as the log of the cap
+            out.append(body)
+            out_positions.append(held)
+            if len(out) > budget.max_count:
+                raise BudgetExceeded("formal-sum budget overflow")
+            if len(body) < budget.cnf_len:
+                for i in range(below):
+                    more = held + positions[i]
+                    for pair in pairs[i]:
+                        walk(body + (pair,), more, i)
+
+        if kind is OmegaComp:
+            walk((), (), len(exps))
+        elif budget.cnf_len:  # a head's sums need a high-part lead
+            for i, x in enumerate(exps):
+                if x.side == 1:
+                    for pair in pairs[i]:
+                        walk((pair,), positions[i], i)
+        return out, out_positions
     if kind is Sep or kind is Band:
         made = _gen(expr.base, points, budget, _grid_values(expr.amb, budget.grid), pos_key)
         kept = [member(expr, e) for e in made[0]]
         return tuple(list(itertools.compress(column, kept)) for column in made)
     raise MalformedElement(f"no enumeration rule for {expr!r}")
-
-
-def _unwrap(key):
-    """The ``element_key`` of a key kept as ``(*prefix, body)``."""
-    return key if len(key) > 1 else key[0]
 
 
 def _check_cap(count: int, budget: EnumBudget):
@@ -471,42 +472,28 @@ def _check_cap(count: int, budget: EnumBudget):
 
 
 def _place_keyed(parts, points, budget: EnumBudget, lefts, pos_key):
-    """``_gen`` of the sum of ``parts``; each distinct summand is generated
-    once, and a sum over the cap is refused before any element is placed."""
+    """``_gen`` of the sum of ``parts``, part after part; each distinct
+    summand is generated once, and a sum over the cap is refused before any
+    element is placed."""
     made = {p: _gen(p, points, budget, lefts, pos_key) for p in dict.fromkeys(parts)}
     _check_cap(sum(len(made[part][0]) for part in parts), budget)
     n = len(parts)
-    elems, keys, positions = [], [], []
+    elems, positions = [], []
     for i, part in enumerate(parts):
-        part_elems, part_keys, part_positions = made[part]
-        prefix = (1,) * i + ((0,) if i < n - 1 else ())
+        part_elems, part_positions = made[part]
         if i < n - 1:  # _place's layers, one list at a time
             part_elems = [ESum(0, x) for x in part_elems]
         for _ in range(i):
             part_elems = [ESum(1, x) for x in part_elems]
         elems += part_elems
-        keys += [prefix + key for key in part_keys]
         positions += part_positions
-    return elems, keys, positions
-
-
-class _Candidates(list):
-    """Elements in generation order, with parallel lists ``keys`` (their
-    ``element_key``s) and ``positions`` (their position keys)."""
-
-    def __init__(self, elems, keys, positions):
-        super().__init__(elems)
-        self.keys, self.positions = [_unwrap(key) for key in keys], positions
-
-    def key_order(self):
-        """The candidates' indices in key order, which is element order."""
-        return sorted(range(len(self)), key=self.keys.__getitem__)
+    return elems, positions
 
 
 def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
-    """``_gen`` with each element's key and position keys; a top-level
-    non-sum is counted against the cap as a sum of one summand."""
-    return _Candidates(*_place_keyed(summands(expr), points, budget, lefts, pos_key))
+    """``_gen`` of the expression over ascending ``points`` and ``lefts``;
+    a top-level non-sum is counted against the cap as a sum of one summand."""
+    return _place_keyed(summands(expr), points, budget, lefts, pos_key)
 
 
 def _place(elem, i: int, n: int):
@@ -522,16 +509,17 @@ def _place(elem, i: int, n: int):
 
 def enum_elements(expr: Dil, points, budget: EnumBudget = EnumBudget(), lefts=(),
                   pos_key=default_pos_key):
-    """All elements over the given points within the budget, ascending:
-    the candidates, sorted by the keys they were built with.
+    """All elements over the given points within the budget, ascending, as
+    they are built: only the points and the frozen positions are sorted.
 
     ``points`` may be a count (meaning 0..n-1) or an explicit label list;
     other labels need a ``pos_key`` whose key order is the position order.
     """
     if isinstance(points, int):
-        points = list(range(points))
-    cands = _candidates(expr, list(points), budget, list(lefts), pos_key)
-    return [cands[i] for i in cands.key_order()]
+        points = range(points)
+    points = sorted(points, key=lambda p: pos_key(Right(p)))
+    lefts = sorted(lefts, key=lambda v: pos_key(Left(v)))
+    return _candidates(expr, points, budget, lefts, pos_key)[0]
 
 
 # ---------------------------------------------------------------------------

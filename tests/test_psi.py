@@ -332,6 +332,17 @@ class TestTermOrder:
         assert PsiOrder(D_ID, ONE).valid(ZERO) is False
         assert PsiOrder(parse_dil("omega[Id]"), ZERO).valid(Left(ZERO)) is False
 
+    @pytest.mark.parametrize("term", [
+        (Right(()),), ((Right(()), 1, 1),), ((Right(()), "a"),), ((Right(()), 1.5),),
+    ], ids=["bare-position", "triple", "str-multiplicity", "float-multiplicity"])
+    def test_malformed_formal_sum_entries_are_invalid(self, term):
+        # each entry of a formal sum is an (exponent, int multiplicity >= 1) pair
+        order = PsiOrder(parse_dil("omega[Id]"), ONE)
+        with pytest.raises(MalformedElement, match="^bad formal-sum entry"):
+            validate_element(order.dilator, term, order.pos_cmp)
+        assert order.valid(term) is False
+        assert order.valid(((Right(()), 1),)) is True
+
     def test_trichotomy_and_transitivity(self):
         order = PsiOrder(parse_dil("omega[Id]"), ZERO)
         terms = order.enum(2)[:12]
@@ -489,7 +500,8 @@ class TestRankedEnumeration:
         lefts = _grid_values(order.gamma, budget.grid)
         for depth in range(3):
             try:
-                cands = _candidates(order.dilator, order.enum(depth), budget, lefts, order.pos_key)
+                cands, _ = _candidates(order.dilator, order.enum(depth), budget, lefts,
+                                       order.pos_key)
             except BudgetExceeded:
                 continue
             for t in cands:
@@ -530,29 +542,29 @@ class TestRankedEnumeration:
         assert hashlib.sha1(rendered.encode()).hexdigest() == digest
 
 
-class TestKeyedCandidates:
-    """The candidates ``PsiOrder.enum`` reads carry the keys and position
-    keys that the walks give under the order's own position key, and the
-    enumeration refuses at the reference's caps with its messages."""
+class TestOrderedCandidates:
+    """The candidates ``PsiOrder.enum`` reads come out ascending under
+    ``compare``, with the position keys that the walks give under the
+    order's own position key, and the enumeration refuses at the
+    reference's caps with its messages."""
 
     @pytest.mark.parametrize("gamma", ["0", "1", "w"])
     @pytest.mark.parametrize("text", RANKED_ENUM_EXPRS)
-    def test_keys_order_the_candidates_as_compare(self, text, gamma):
+    def test_candidates_ascend_under_compare(self, text, gamma):
         order = PsiOrder(parse_dil(text), parse_ord(gamma))
         lefts = _grid_values(order.gamma, DEFAULT_ENUM_BUDGET.grid)
         # over the terms of depth 1, else of depth 0, else over no term
         for known in (lambda: order.enum(1), lambda: order.enum(0), list):
             try:
-                cands = _candidates(order.dilator, known(), DEFAULT_ENUM_BUDGET, lefts,
-                                    order.pos_key)
+                cands, positions = _candidates(order.dilator, known(), DEFAULT_ENUM_BUDGET,
+                                               lefts, order.pos_key)
                 break
             except BudgetExceeded:
                 continue
-        assert cands.keys == [element_key(order.dilator, t, order.pos_key) for t in cands]
-        assert cands.positions == [tuple(map(order.pos_key, element_positions(order.dilator, t)))
-                                   for t in cands]
-        by_key = [cands[i] for i in sorted(range(len(cands)), key=cands.keys.__getitem__)]
-        assert by_key == sorted(cands, key=functools.cmp_to_key(order.compare))
+        assert cands == sorted(cands, key=lambda t: element_key(order.dilator, t, order.pos_key))
+        assert all(order.compare(a, b) == LESS for a, b in zip(cands, cands[1:]))
+        assert positions == [tuple(map(order.pos_key, element_positions(order.dilator, t)))
+                             for t in cands]
 
     def test_refusals_at_the_reference_caps(self, monkeypatch):
         refusals = set()

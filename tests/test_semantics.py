@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import resource
 import time
@@ -182,11 +183,22 @@ class TestCapOnLongSums:
         # each *w level triples its base's elements; the first level over the
         # cap is refused before any of its copies is built, not after 3^k are
         expr = functools.reduce(lambda d, _: MulOmega(d), range(k), parse_dil(base))
+        # a full collection now, so that none over the session's heap (0.1 s
+        # at some 480,000 objects) falls inside the measured call
+        gc.collect()
         rss, cpu = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, time.process_time()
         with pytest.raises(BudgetExceeded, match=rf"^{first_over} elements exceed cap 4000$"):
             enum_elements(expr, 1)
         assert time.process_time() - cpu < 0.1
         assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss < 50 * 1024  # KiB
+
+    @pytest.mark.parametrize("mult", [1, 2])
+    def test_formal_sum_walk_depth(self, mult, default_recursion_limit):
+        # the formal sums are walked depth first, and a sum of length l comes
+        # after the 2^(l-1) or more sums over lesser exponents: the cap is
+        # met long before the walk nests as deep as the length allows
+        with pytest.raises(BudgetExceeded, match=r"^formal-sum budget overflow$"):
+            enum_elements(OmegaComp(D_ID), 3000, EnumBudget(cnf_len=5000, cnf_mult=mult))
 
 
 class TestStreams:
@@ -688,14 +700,12 @@ def _recursive_sum_levels(monkeypatch):
 
     def reference_gen(expr, points, budget, lefts, pos_key=default_pos_key):
         if isinstance(expr, Sum):
-            elems, keys, positions = [], [], []
+            elems, positions = [], []
             for side, half in enumerate(halves(expr)):
-                half_elems, half_keys, half_positions = reference_gen(
-                    half, points, budget, lefts, pos_key)
+                half_elems, half_positions = reference_gen(half, points, budget, lefts, pos_key)
                 elems += [ESum(side, x) for x in half_elems]
-                keys += [(side, *key) for key in half_keys]
                 positions += half_positions
-            return elems, keys, positions
+            return elems, positions
         return gen(expr, points, budget, lefts, pos_key)
 
     def reference_stream(expr, points, state, cap, bound):
@@ -718,8 +728,8 @@ SUMS_BELOW = ["(Id+1)*w", "omega[Id*2]", "omega[Id+1]", "omega[Const(w)+Id*2]",
 
 
 def _sum_level_outcomes(text):
-    """Unsorted candidates, sorted enumeration, stream prefix with its pull
-    count, and every element's text."""
+    """Candidates with their position keys, enumeration, stream prefix with
+    its pull count, and every element's text."""
     expr, state = parse_dil(text), {"pulls": 0}
     gen = _outcome(semantics._gen, expr, [0, 1], ORACLE_BUDGET, [ZERO])
     elems = _outcome(enum_elements, expr, 2, ORACLE_BUDGET, (ZERO, ONE))
@@ -734,6 +744,7 @@ def test_sum_levels_match_the_recursive_ones(text, monkeypatch):
     expr = parse_dil(text)
     rendered = [element_str(expr, e) for e in new[2] + (new[1] if isinstance(new[1], list) else [])]
     assert rendered == new[4]
+    assert new[0][0] == reference_enum_elements(expr, [0, 1], ORACLE_BUDGET, [ZERO])
     _recursive_sum_levels(monkeypatch)
     assert new == _sum_level_outcomes(text)
 
@@ -784,14 +795,15 @@ class TestLongSumElements:
 
 
 # ---------------------------------------------------------------------------
-# the keyed generator against the unkeyed one
+# the generator, built in element order, against the sorted reference
 
 
 def reference_candidates(expr, points, budget, lefts, pos_key=default_pos_key):
-    """``semantics._candidates`` as it was before it keyed what it built:
-    the elements alone, each formal sum's exponents sorted by one
-    ``element_key`` walk each, and each sum's summands and each repetition's
-    copies counted against the cap before any element is placed."""
+    """``semantics._candidates`` as it was before it built in element order:
+    the elements alone and unsorted, each formal sum's exponents sorted by
+    one ``element_key`` walk each and its sums listed by length, and each
+    sum's summands and each repetition's copies counted against the cap
+    before any element is placed."""
     def check(count):
         if count > budget.max_count:
             raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
@@ -843,7 +855,7 @@ def reference_candidates(expr, points, budget, lefts, pos_key=default_pos_key):
 
 
 def reference_enum_elements(expr, points, budget, lefts, pos_key=default_pos_key):
-    """The unkeyed candidates, sorted by one ``element_key`` walk each."""
+    """The reference candidates, sorted by one ``element_key`` walk each."""
     return sorted(reference_candidates(expr, points, budget, lefts, pos_key),
                   key=lambda e: element_key(expr, e, pos_key))
 
@@ -864,22 +876,24 @@ def _labels(points):
     return list(range(points)) if isinstance(points, int) else list(points)
 
 
-class TestKeyedGenerator:
-    """``_candidates`` hands over each element with its ``element_key`` and
-    its position keys, built as the element is; they must be the walked
-    ones, and the elements, their order and the refusals the unkeyed ones."""
+class TestOrderedGenerator:
+    """``_candidates`` builds each element in element order, with its
+    position keys, and sorts nothing: the elements must be the reference's,
+    sorted by one ``element_key`` walk each, each one below the next, and
+    the position keys and the refusals the walked and the reference ones."""
 
     @pytest.mark.parametrize("setting", SETTINGS)
     @pytest.mark.parametrize("text", KEYED_EXPRS)
-    def test_keys_and_positions_are_the_walked_ones(self, text, setting):
-        points, lefts, (pos_key, _), _ = SETTINGS[setting]
+    def test_candidates_come_out_in_element_order(self, text, setting):
+        points, lefts, (pos_key, pos_cmp), _ = SETTINGS[setting]
         expr, labels = parse_dil(text), _labels(points)
-        cands = semantics._candidates(expr, labels, ORACLE_BUDGET, list(lefts), pos_key)
-        assert list(cands) == reference_candidates(expr, labels, ORACLE_BUDGET, lefts, pos_key)
-        assert cands.keys == [element_key(expr, e, pos_key) for e in cands]
-        assert cands.positions == [tuple(map(pos_key, element_positions(expr, e))) for e in cands]
-        assert enum_elements(expr, points, ORACLE_BUDGET, lefts, pos_key) == (
-            reference_enum_elements(expr, labels, ORACLE_BUDGET, lefts, pos_key))
+        elems, positions = semantics._candidates(expr, labels, ORACLE_BUDGET, list(lefts), pos_key)
+        assert elems == reference_enum_elements(expr, labels, ORACLE_BUDGET, lefts, pos_key)
+        assert all(compare_elements(expr, a, b, pos_cmp) == LESS for a, b in zip(elems, elems[1:]))
+        assert positions == [tuple(map(pos_key, element_positions(expr, e))) for e in elems]
+        assert enum_elements(expr, points, ORACLE_BUDGET, lefts, pos_key) == elems
+        # enum_elements sorts the labels and frozen positions it is given
+        assert enum_elements(expr, labels[::-1], ORACLE_BUDGET, lefts[::-1], pos_key) == elems
 
     def test_the_pool_reaches_every_branch(self, monkeypatch):
         gen, kinds, counts = semantics._gen, set(), set()
@@ -901,7 +915,7 @@ class TestKeyedGenerator:
             assert _outcome(enum_elements, expr, 1) is MalformedElement
             assert _outcome(reference_candidates, expr, [0], ORACLE_BUDGET, ()) is MalformedElement
 
-    def test_refusals_are_the_unkeyed_ones(self):
+    def test_refusals_are_the_reference_ones(self):
         # caps below, at and above each expression's count: the same elements
         # or the same refusal, from the formal sum or from the top-level cap
         refusals = set()
@@ -911,8 +925,8 @@ class TestKeyedGenerator:
             for cap in sorted({0, 1, 2, 5, 10, 40, max(full - 1, 0), full}):
                 budget = EnumBudget(max_count=cap, const_cap=3, copies=2, cnf_len=2,
                                     cnf_mult=2, grid=3)
-                got = _refusal(lambda: list(semantics._candidates(expr, [0, 1], budget, [*lefts])))
-                assert got == _refusal(lambda: reference_candidates(expr, [0, 1], budget, lefts))
+                got = _refusal(lambda: semantics._candidates(expr, [0, 1], budget, [*lefts])[0])
+                assert got == _refusal(lambda: reference_enum_elements(expr, [0, 1], budget, lefts))
                 assert _refusal(lambda: enum_elements(expr, 2, budget, lefts)) == _refusal(
                     lambda: reference_enum_elements(expr, [0, 1], budget, lefts)), (text, cap)
                 if isinstance(got, tuple):
