@@ -85,6 +85,14 @@ search answers and one of every term the search drew, in PROCESSES fresh
 interpreters.  The orders are well-founded, so every answer reads
 ``NoneFound``; the drawn terms show that the seeded draws stay the same.
 
+The stream point takes STREAM_ELEMENTS elements of each STREAM_EXPRS
+expression over STREAM_POINTS points through ``prefix_elements`` (median of
+REPEATS calls, in CPU seconds), with the sha1 of the elements rendered one
+per line, and counts the elements that ``ambient_stream`` yields before it
+refuses at each pull cap of STREAM_CAPS, in PROCESSES fresh interpreters.
+The expressions are the heads of the pinned pull table in the tests and
+the ``omega[...]`` expressions of the element-oracles workload.
+
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
 """
@@ -117,7 +125,7 @@ from dilcalc.analysis import (  # noqa: E402
     ll_relation,
     otp_symbolic,
 )
-from dilcalc.errors import DilcalcError  # noqa: E402
+from dilcalc.errors import BudgetExceeded, DilcalcError  # noqa: E402
 from dilcalc.expr import (  # noqa: E402
     D_ID,
     D_ONE,
@@ -132,11 +140,13 @@ from dilcalc.ordinal import ord_str, parse_ord  # noqa: E402
 from dilcalc.semantics import (  # noqa: E402
     EnumBudget,
     Right,
+    ambient_stream,
     apply_embedding,
     compare_elements,
     default_pos_key,
     element_key,
     element_str,
+    prefix_elements,
     support_of,
 )
 
@@ -159,6 +169,12 @@ PSI_ENUMS = (("omega[Id]+Id", "1"), ("omega[Id]", "0"), ("Id*2", "w"), ("Const(w
 CHAIN_ORDERS = (("omega[Id]", "0"), ("Id", "w"), ("Id*2", "w"), ("Const(w)+Id", "w^2"),
                 ("Id+1+Id", "w"))
 CHAIN_SEEDS = range(25)
+STREAM_EXPRS = ("omega_head(0;Id)", "omega_head(Id;Id)", "omega_head(Const(w);Id)",
+                "omega_head(1;omega_head(0;Id))", "omega_head(omega[Id];Id)", "omega[Id]",
+                "omega[Id+1]", "omega[Id*2]", "omega[Id]+Id")
+STREAM_POINTS = 3
+STREAM_ELEMENTS = 10000
+STREAM_CAPS = (100, 1000)
 CHAIN_TRIALS = 20
 CHAIN_DEPTH = 30
 SERIES = {
@@ -421,6 +437,36 @@ def enum_elements_point() -> list:
     return rows
 
 
+def stream_point() -> list:
+    """CPU seconds (median of REPEATS calls) and sha1 of the rendered
+    elements of prefix_elements taking STREAM_ELEMENTS elements over
+    STREAM_POINTS points, and the elements yielded before the refusal at
+    each STREAM_CAPS pull cap, for each STREAM_EXPRS expression."""
+    rows = []
+    for text in STREAM_EXPRS:
+        d, runs = parse_dil(text), []
+        for _ in range(REPEATS):
+            start = time.process_time()
+            elems = prefix_elements(d, STREAM_POINTS, STREAM_ELEMENTS)
+            runs.append(time.process_time() - start)
+        rendered = "\n".join(element_str(d, e) for e in elems)
+        before_refusal = {}
+        for cap in STREAM_CAPS:
+            count = 0
+            try:
+                for _ in ambient_stream(d, range(STREAM_POINTS), pull_cap=cap):
+                    count += 1
+            except BudgetExceeded:
+                before_refusal[cap] = count
+        print(f"  {text}: {statistics.median(runs):.4f} s, refusals after {before_refusal}",
+              file=sys.stderr)
+        rows.append({"expr": text, "count": len(elems),
+                     "sha1": hashlib.sha1(rendered.encode()).hexdigest(),
+                     "before_refusal": before_refusal,
+                     "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs})
+    return rows
+
+
 class DrawLog(psi.PsiSearchHandle):
     """The search handle of an order, keeping every term it draws."""
 
@@ -547,6 +593,8 @@ def main() -> int:
     report["psi_enum"] = fresh_spread("psi_enum_point()")
     print("enum elements:", file=sys.stderr)
     report["enum_elements"] = fresh_spread("enum_elements_point()")
+    print("stream:", file=sys.stderr)
+    report["stream"] = fresh_spread("stream_point()")
     print("chain search:", file=sys.stderr)
     report["chain_search"] = fresh_spread("chain_search_point()")
     print("elements:", file=sys.stderr)

@@ -11,7 +11,8 @@ element is its ``Ord`` index, an ``Id``'s element is its position, and an
 empty sum.  Only sum and repetition levels wrap the element below them
 (``ESum``, ``ECopies``).  Two enumerators are provided: an exhaustive
 budget-capped one, and a lazy stream that yields the true ascending
-prefix of the order.
+prefix of the order, charging one pull per element that a constant, an
+``Id`` or a formal-sum level yields.
 """
 
 from __future__ import annotations
@@ -531,109 +532,85 @@ def ambient_stream(expr: Dil, points, bound: Ord = ZERO, pull_cap: int = 200000)
     strictly ascending order.
 
     The stream realizes the true initial segment of the order: frozen
-    positions are walked upward from zero, and filtered nodes stop as soon
-    as the most important argument leaves their window.
+    positions are walked upward from zero, a formal sum yields the least
+    lead's block, and filtered nodes stop as soon as the most important
+    argument leaves their window.  Each element that a constant, an ``Id``
+    or a formal-sum level yields costs one pull, the empty sum included,
+    and the pull past ``pull_cap`` raises ``BudgetExceeded``.  A ``range``,
+    tuple or list of points is read as given; other iterables are copied once.
     """
-    state = {"pulls": 0}
-    return _stream(expr, tuple(points), state, pull_cap, bound)
+    if points.__class__ not in (range, tuple, list):
+        points = tuple(points)
+    pulls = itertools.count(1)
+
+    def pull():
+        if next(pulls) > pull_cap:
+            raise BudgetExceeded("stream pull budget exhausted")
+
+    return _stream(expr, points, bound, pull)
 
 
-def _tick(state, pull_cap):
-    state["pulls"] += 1
-    if state["pulls"] > pull_cap:
-        raise BudgetExceeded("stream pull budget exhausted")
-
-
-def _stream(expr: Dil, points, state, cap, bound):
-    """Ascending elements of ``expr`` over the order [0, bound) + points."""
-    if isinstance(expr, Const):
-        v = ZERO
-        while v < expr.value:
-            _tick(state, cap)
-            yield v
+def _stream(expr: Dil, points, bound, pull):
+    """Ascending elements of ``expr`` over the order [0, bound) + points,
+    calling ``pull()`` before each element of a constant, Id or formal sum."""
+    kind = expr.__class__
+    if kind is Const or kind is IdNode:
+        v, top = ZERO, expr.value if kind is Const else bound
+        while v < top:
+            pull()
+            yield v if kind is Const else Left(v)
             v = ord_add(v, ONE)
-        return
-    if isinstance(expr, IdNode):
-        v = ZERO
-        while v < bound:
-            _tick(state, cap)
-            yield Left(v)
-            v = ord_add(v, ONE)
-        for p in points:
-            _tick(state, cap)
-            yield Right(p)
-        return
-    if isinstance(expr, Sum):
-        parts = summands(expr)
+        if kind is IdNode:
+            for p in points:
+                pull()
+                yield Right(p)
+    elif kind is Sum:
+        parts = expr.parts
         for i, part in enumerate(parts):
-            for x in _stream(part, points, state, cap, bound):
+            for x in _stream(part, points, bound, pull):
                 yield _place(x, i, len(parts))
-        return
-    if isinstance(expr, MulOmega):
-        k = 0
-        while True:
-            produced = False
-            for x in _stream(expr.base, points, state, cap, bound):
-                produced = True
+    elif kind is MulOmega:
+        for k in itertools.count():
+            x = None
+            for x in _stream(expr.base, points, bound, pull):
                 yield ECopies(k, x)
-            if not produced:
-                return
-            k += 1
-    if isinstance(expr, OmegaComp):
-        yield ()
-        yield from _cnf_stream(_stream(expr.base, points, state, cap, bound), (), (), state, cap)
-        return
-    if isinstance(expr, CnfHead):
-        leads = (ESum(1, x) for x in _stream(expr.high, points, state, cap, bound))
-        lows, tails = (
-            (ESum(0, x) for x in _stream(expr.low, points, state, cap, bound)) for _ in range(2)
-        )
-        yield from _cnf_stream(leads, lows, tails, state, cap)
-        return
-    if isinstance(expr, (Sep, Band)):
-        if isinstance(expr, Band) and not expr.lo.is_zero():
+            if x is None:
+                return  # an empty base: no copy has an element
+    elif kind is OmegaComp or kind is CnfHead:
+        # the multiplicity is unbounded, so the least lead's block comes
+        # first: lead*m when no exponent lies below the lead, else the lead
+        # alone, then lead + t*m for t the least low exponent
+        if kind is OmegaComp:
+            pull()
+            yield ()
+        lead = next(_stream(expr.base if kind is OmegaComp else expr.high, points, bound, pull),
+                    None)
+        if lead is None:
+            return
+        body, least = (), None
+        if kind is CnfHead:
+            lead, least = ESum(1, lead), next(_stream(expr.low, points, bound, pull), None)
+        if least is not None:
+            pull()
+            yield ((lead, 1),)
+            body, lead = ((lead, 1),), ESum(0, least)
+        for m in itertools.count(1):
+            pull()
+            yield (*body, (lead, m))
+    elif kind is Sep or kind is Band:
+        if kind is Band and not expr.lo.is_zero():
             # the part below lo is infinite unless the base is Id and lo finite
-            if not (isinstance(expr.base, IdNode) and expr.lo.is_finite()):
+            if not (expr.base.__class__ is IdNode and expr.lo.is_finite()):
                 raise BudgetExceeded("band stream skips infinitely many elements below lo")
-        hi = expr.cut if isinstance(expr, Sep) else expr.hi
-        for e in _stream(expr.base, points, state, cap, expr.amb):
+        hi = expr.cut if kind is Sep else expr.hi
+        for e in _stream(expr.base, points, expr.amb, pull):
             mi = important_position(expr.base, e)
-            if not isinstance(mi, Left) or mi.value >= hi:
+            if mi.__class__ is not Left or mi.value >= hi:
                 return  # ascending, so nothing later can re-enter
             if member(expr, e):
                 yield e
-        return
-    raise MalformedElement(f"no stream rule for {expr!r}")
-
-
-def _cnf_stream(leads, lows, tails, state, cap):
-    """The nonempty formal sums over the exponents in ``leads`` and ``lows``,
-    two ascending streams with every low exponent below every lead, in
-    ascending order as far as any prefix reaches: the least lead's block,
-    as its multiplicity is unbounded.  That block is lead*m when ``lows`` is
-    empty, else the lead alone, then lead + t*m for t the least low
-    exponent.  ``tails`` is a second stream of the low exponents, from which
-    t is pulled after the lead alone, so t's pulls are charged twice, and
-    each lead + t*m is charged two pulls; the pull at which ``pull_cap``
-    refuses depends on both."""
-    lead = next(leads, None)
-    if lead is None:
-        return
-    _tick(state, cap)
-    if next(iter(lows), None) is None:
-        m = 1
-        while True:
-            _tick(state, cap)
-            yield ((lead, m),)
-            m += 1
-    _tick(state, cap)
-    yield ((lead, 1),)
-    least, m = next(iter(tails)), 1
-    while True:
-        _tick(state, cap)
-        _tick(state, cap)
-        yield ((lead, 1), (least, m))
-        m += 1
+    else:
+        raise MalformedElement(f"no stream rule for {expr!r}")
 
 
 def prefix_elements(expr: Dil, n_points: int, k: int, pull_cap: int = 200000):

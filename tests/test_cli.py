@@ -364,6 +364,20 @@ class TestExitCodes:
         assert run(capsys, "enum", "Id", "--x", "2", "--prefix", "0") == (0, "", "")
         code, out, _ = run(capsys, "enum", "Id", "--x", "2", "--prefix", "0", "--format", "json")
         assert (code, json.loads(out)["result"]) == (0, [])
+        # a repetition whose base has no element over no point
+        assert run(capsys, "enum", "Id*w", "--x", "0") == (0, "", "")
+
+    def test_enum_charges_one_pull_per_element(self, capsys):
+        # a head with a low part reaches the default cap of 200,000 pulls no
+        # sooner than one without: the lead, the least low exponent, then
+        # one pull for each sum
+        code, out, err = run(capsys, "enum", "omega_head(Id;Id)", "--x", "1", "--prefix", "100000")
+        lines = out.splitlines()
+        assert (code, len(lines), err) == (0, 100000, "")
+        assert lines[:2] == ["w^{r:x0}", "w^{r:x0}+w^{l:x0}"]
+        assert lines[-1] == "w^{r:x0}+w^{l:x0}*99999"
+        code, _, err = run(capsys, "enum", "omega_head(Id;Id)", "--x", "1", "--prefix", "200000")
+        assert (code, err) == (2, "refused: BudgetExceeded: stream pull budget exhausted\n")
 
     def test_coherence_passes(self, capsys):
         code, out, _ = run(capsys, "check", "coherence", "--prefix", "0")

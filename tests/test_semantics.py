@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import itertools
 import resource
 import time
@@ -54,6 +55,7 @@ from dilcalc.semantics import (
     support_of,
     validate_element,
 )
+from dilcalc.suites import COHERENCE_SUITE
 
 SMALL = EnumBudget(const_cap=4, copies=2, cnf_len=2, cnf_mult=2, grid=3)
 
@@ -335,40 +337,101 @@ class TestStreams:
         band = Band(D_ID, from_int(2), OMEGA, OMEGA)
         assert [element_str(band, e) for e in prefix_elements(band, 1, 3)] == ["L(2)", "L(3)", "L(4)"]
 
+    @pytest.mark.parametrize("text", ["Id*w", "(Id+Id)*w"])
+    def test_repetition_over_an_empty_base_ends(self, text):
+        # no copy has an element, and no pull is made, so the cap cannot stop it
+        assert prefix_elements(parse_dil(text), 0, 5) == []
 
-# the formal-sum streams' pull counts, taken when each lead still kept its
-# own block: for each of the settings CNF_PULL_SETTINGS, the pulls charged
-# for the first 1, 5, 17 and 40 elements; and, over one point above the
-# bound 1, how many elements come before the refusal at pull caps 0-15
+    def test_points_are_read_as_given(self, default_recursion_limit):
+        gc.collect()
+        rss, cpu = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, time.process_time()
+        assert prefix_elements(D_ID, 10**7, 3) == [Right(0), Right(1), Right(2)]
+        assert time.process_time() - cpu < 0.1
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss < 50 * 1024  # KiB
+
+    def test_other_points_are_copied_once(self):
+        # the second summand reads the points again
+        got = list(ambient_stream(parse_dil("Id*2"), (p for p in "ab")))
+        assert [element_str(parse_dil("Id*2"), e) for e in got] == ["l:xa", "l:xb", "r:xa", "r:xb"]
+
+
+# the stream grid: the COHERENCE_SUITE expressions, heads with and without a
+# low part, nested formal sums, *w chains, separations and bands (lo 0 and
+# lo > 0), and the hand-built nodes above, each over 0-3 points at the
+# bounds GRID_BOUNDS, rendered as their first 60 elements or their refusal
+STREAM_GRID = [parse_dil(s) for s in COHERENCE_SUITE + [
+    "omega_head(0;Id)", "omega_head(1;Id)", "omega_head(Id;Id)", "omega_head(Id+1;Id)",
+    "omega_head(Id*2;Id)", "omega_head(Const(w);Id)", "omega_head(1;omega_head(0;Id))",
+    "omega_head(omega[Id];Id)", "omega_head(0;omega_head(Id;Id))", "omega[omega[Id]]",
+    "omega[1+Id]", "omega[omega[Id+1]+Id]", "omega[Id]*w", "Id*w*w", "(Id+1)*w", "(Id+Id)*w",
+    "sep(omega_head(Id;Id),2)", "sep@(omega_head(Id+Id;Id);1;2)",
+    "band(omega_head(Id;Id);0;w;w)", "band(omega_head(Id*2;Id);0;1;1)",
+    "band(omega_head(Id;Id);1;w;w)", "band(omega_head(0;omega_head(Id;Id));1;w;w)",
+]] + [Sep(CnfHead(D_ID, D_ID), OMEGA, OMEGA), Band(D_ID, OMEGA, parse_ord("w*2"), parse_ord("w*2")),
+      Band(D_ID, from_int(2), OMEGA, OMEGA), CnfHead(D_ID, D_ID), CnfHead(D_ONE, CnfHead(D_ZERO, D_ID))]
+GRID_BOUNDS = [parse_ord(s) for s in ("0", "1", "2", "w", "w*2+1")]
+
+
+def test_stream_grid_is_pinned():
+    # element order and refusals apart from pull counts: no stream here
+    # comes near the default cap
+    lines = []
+    for expr, n, bound in itertools.product(STREAM_GRID, range(4), GRID_BOUNDS):
+        try:
+            body = " ".join(element_str(expr, e) for e in
+                            itertools.islice(ambient_stream(expr, range(n), bound), 60))
+        except BudgetExceeded as exc:
+            body = f"{type(exc).__name__}: {exc}"
+        lines.append(f"{to_str(expr)} {n} {ord_str(bound)}: {body}")
+    assert len(lines) == 840 and sum("BudgetExceeded" in line for line in lines) == 60
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "b3930572c1d38696b1537d59aed3e21ad06963ac"
+
+
+class Pulls:
+    """A counting ``pull`` for ``semantics._stream``."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __call__(self):
+        self.count += 1
+
+
+# the formal-sum streams' pull counts, one pull per element that a constant,
+# an Id or a formal-sum level yields: for each of the settings
+# CNF_PULL_SETTINGS, the pulls charged for the first 1, 5, 17 and 40
+# elements; and, over one point above the bound 1, how many elements come
+# before the refusal at pull caps 0-15
 H0, HID = CnfHead(D_ZERO, D_ID), CnfHead(D_ID, D_ID)
 CNF_PULL_SETTINGS = ((0, ZERO), (1, ONE), (2, OMEGA))
 CNF_PULLS = [
-    (parse_dil("omega[Id]"), [(0, 0, 0, 0), (0, 6, 18, 41), (0, 6, 18, 41)],
-     [1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
-    (parse_dil("omega[Id*2]"), [(0, 0, 0, 0), (0, 6, 18, 41), (0, 6, 18, 41)],
-     [1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
-    (parse_dil("omega[1+Id]"), [(0, 6, 18, 41), (0, 6, 18, 41), (0, 6, 18, 41)],
-     [1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
-    (parse_dil("omega[omega[Id]]"), [(0, 5, 17, 40), (0, 5, 17, 40), (0, 5, 17, 40)],
-     [1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]),
-    (parse_dil("omega[Id]*w"), [(0, 0, 0, 0), (0, 6, 18, 41), (0, 6, 18, 41)],
-     [1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
-    (H0, [(0, 0, 0, 0), (3, 7, 19, 42), (3, 7, 19, 42)],
+    (parse_dil("omega[Id]"), [(1, 1, 1, 1), (1, 6, 18, 41), (1, 6, 18, 41)],
+     [0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
+    (parse_dil("omega[Id*2]"), [(1, 1, 1, 1), (1, 6, 18, 41), (1, 6, 18, 41)],
+     [0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
+    (parse_dil("omega[1+Id]"), [(1, 6, 18, 41), (1, 6, 18, 41), (1, 6, 18, 41)],
+     [0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
+    (parse_dil("omega[omega[Id]]"), [(1, 6, 18, 41), (1, 6, 18, 41), (1, 6, 18, 41)],
+     [0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
+    (parse_dil("omega[Id]*w"), [(1, 5, 17, 40), (1, 6, 18, 41), (1, 6, 18, 41)],
+     [0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
+    (H0, [(0, 0, 0, 0), (2, 6, 18, 41), (2, 6, 18, 41)],
+     [0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
+    (HID, [(0, 0, 0, 0), (3, 7, 19, 42), (3, 7, 19, 42)],
      [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]),
-    (HID, [(0, 0, 0, 0), (4, 13, 37, 83), (4, 13, 37, 83)],
-     [0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]),
-    (parse_dil("omega_head(Const(w);Id)"), [(0, 0, 0, 0), (4, 13, 37, 83), (4, 13, 37, 83)],
-     [0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]),
-    (parse_dil("omega_head(1;omega_head(0;Id))"), [(0, 0, 0, 0), (6, 15, 39, 85), (6, 15, 39, 85)],
-     [0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5]),
-    (parse_dil("omega_head(omega[Id];Id)"), [(0, 0, 0, 0), (3, 11, 35, 81), (3, 11, 35, 81)],
-     [0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7]),
-    (Sep(HID, OMEGA, OMEGA), [(4, 13, 37, 83), (4, 13, 37, 83), (4, 13, 37, 83)],
-     [0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]),
-    (Sep(H0, ONE, OMEGA), [(3, 7, 19, 42), (3, 7, 19, 42), (3, 7, 19, 42)],
+    (parse_dil("omega_head(Const(w);Id)"), [(0, 0, 0, 0), (3, 7, 19, 42), (3, 7, 19, 42)],
      [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]),
-    (Band(HID, ZERO, OMEGA, OMEGA), [(4, 13, 37, 83), (4, 13, 37, 83), (4, 13, 37, 83)],
-     [0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]),
+    (parse_dil("omega_head(1;omega_head(0;Id))"), [(0, 0, 0, 0), (4, 8, 20, 43), (4, 8, 20, 43)],
+     [0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]),
+    (parse_dil("omega_head(omega[Id];Id)"), [(0, 0, 0, 0), (3, 7, 19, 42), (3, 7, 19, 42)],
+     [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]),
+    (Sep(HID, OMEGA, OMEGA), [(3, 7, 19, 42), (3, 7, 19, 42), (3, 7, 19, 42)],
+     [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]),
+    (Sep(H0, ONE, OMEGA), [(2, 6, 18, 41), (2, 6, 18, 41), (2, 6, 18, 41)],
+     [0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
+    (Band(HID, ZERO, OMEGA, OMEGA), [(3, 7, 19, 42), (3, 7, 19, 42), (3, 7, 19, 42)],
+     [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]),
 ]
 
 
@@ -379,11 +442,13 @@ def test_formal_sum_streams_charge_the_pinned_pulls(expr, pulls, before_refusal)
     for n, bound in CNF_PULL_SETTINGS:
         counts = []
         for k in (1, 5, 17, 40):
-            state = {"pulls": 0}
-            list(itertools.islice(semantics._stream(expr, tuple(range(n)), state, 10**6, bound), k))
-            counts.append(state["pulls"])
+            pull = Pulls()
+            list(itertools.islice(semantics._stream(expr, range(n), bound, pull), k))
+            counts.append(pull.count)
         got.append(tuple(counts))
     assert got == pulls
+    # past the lead's first sum, each element costs one pull
+    assert all(len(set(p)) == 1 or (p[2] - p[1], p[3] - p[2]) == (12, 23) for p in got)
     counts = []
     for cap in range(16):
         stream = ambient_stream(expr, (0,), ONE, cap)
@@ -392,6 +457,12 @@ def test_formal_sum_streams_charge_the_pinned_pulls(expr, pulls, before_refusal)
                 next(stream)
         counts.append(i)
     assert counts == before_refusal
+    # the one-pull rule: from the cap at which the least lead's first sum
+    # comes out, every extra pull of cap adds exactly one element
+    elems = list(itertools.islice(ambient_stream(expr, (0,), ONE), 41))
+    lead = 1 + next(i for i, e in enumerate(elems) if semantics._descend(expr, e)[1] != ())
+    first = counts.index(lead)
+    assert counts[first:] == list(range(lead, lead + 16 - first))
 
 
 class TestValidation:
@@ -708,14 +779,14 @@ def _recursive_sum_levels(monkeypatch):
             return elems, positions
         return gen(expr, points, budget, lefts, pos_key)
 
-    def reference_stream(expr, points, state, cap, bound):
+    def reference_stream(expr, points, bound, pull):
         if isinstance(expr, Sum):
-            for x in reference_stream(halves(expr)[0], points, state, cap, bound):
+            for x in reference_stream(halves(expr)[0], points, bound, pull):
                 yield ESum(0, x)
-            for x in reference_stream(halves(expr)[1], points, state, cap, bound):
+            for x in reference_stream(halves(expr)[1], points, bound, pull):
                 yield ESum(1, x)
             return
-        yield from stream(expr, points, state, cap, bound)
+        yield from stream(expr, points, bound, pull)
 
     monkeypatch.setattr(semantics, "_gen", reference_gen)
     monkeypatch.setattr(semantics, "_stream", reference_stream)
@@ -730,12 +801,12 @@ SUMS_BELOW = ["(Id+1)*w", "omega[Id*2]", "omega[Id+1]", "omega[Const(w)+Id*2]",
 def _sum_level_outcomes(text):
     """Candidates with their position keys, enumeration, stream prefix with
     its pull count, and every element's text."""
-    expr, state = parse_dil(text), {"pulls": 0}
+    expr, pull = parse_dil(text), Pulls()
     gen = _outcome(semantics._gen, expr, [0, 1], ORACLE_BUDGET, [ZERO])
     elems = _outcome(enum_elements, expr, 2, ORACLE_BUDGET, (ZERO, ONE))
-    stream = list(itertools.islice(semantics._stream(expr, (0, 1), state, 10**6, ONE), 60))
+    stream = list(itertools.islice(semantics._stream(expr, (0, 1), ONE, pull), 60))
     texts = [reference_element_str(expr, e) for e in stream + (elems if isinstance(elems, list) else [])]
-    return gen, elems, stream, state["pulls"], texts
+    return gen, elems, stream, pull.count, texts
 
 
 @pytest.mark.parametrize("text", SUMS_BELOW + ORACLE_EXPRS)
