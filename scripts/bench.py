@@ -143,7 +143,6 @@ from dilcalc.semantics import (  # noqa: E402
     ambient_stream,
     apply_embedding,
     compare_elements,
-    default_pos_key,
     element_key,
     element_str,
     prefix_elements,
@@ -275,6 +274,12 @@ def median_s(fn, repeats: int) -> tuple:
     return statistics.median(runs), runs
 
 
+def pos_key(p) -> tuple:
+    """The position key of the default position order: frozen positions by
+    value, below the live points by label."""
+    return (1, p.point) if p.__class__ is Right else (0, p.value)
+
+
 def element_series() -> dict:
     atom = parse_dil(ELEMENT_ATOM)
     firsts = {}
@@ -292,7 +297,7 @@ def element_series() -> dict:
     images = sorted(
         (apply_embedding(atom, term, dict(zip(pts, c)))
          for c in itertools.combinations(range(8), 4)),
-        key=lambda x: element_key(atom, x, default_pos_key))
+        key=lambda x: element_key(atom, x, pos_key))
     pairs = list(zip(images, images[1:]))
     med, runs = median_s(lambda: [compare_elements(atom, x, y) for x, y in pairs], ELEMENT_REPEATS)
     print(f"  compare_elements: {1e6 * med / len(pairs):.2f} us per call", file=sys.stderr)

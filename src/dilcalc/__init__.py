@@ -41,7 +41,6 @@ from .ordinal import (
     ord_mul_omega,
     ord_omega_pow,
     ord_str,
-    ord_sup_of_sequence,
     ord_sup_solve,
     parse_ord,
 )

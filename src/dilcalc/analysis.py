@@ -460,7 +460,7 @@ def enum_trace_terms(d: Dil, max_arity: int, budget=None):
     out = []
     for n in range(max_arity + 1):
         # as enum_elements, keeping the elements whose position keys hold n
-        # distinct live points (1, p)
+        # distinct live points (1, i)
         for cand, held in zip(*_candidates(d, list(range(n)), budget, [])):
             if len({v for tag, v in held if tag == 1}) == n:
                 out.append((cand, n))

@@ -362,16 +362,6 @@ def detect_limit_pattern(values: Sequence[Ord], _depth: int = 0) -> LimitPattern
     return LimitPattern(Unsupported("residue exponents not monotone"), start)
 
 
-def ord_sup_of_sequence(values: Sequence[Ord]) -> Ord:
-    """Supremum of a non-decreasing sequence sampled from a limit process;
-    a decrease refuses with "sequence is not monotone".  See
-    ``_sup_of_monotone``."""
-    values = list(values)
-    if not values:
-        raise UnsupportedLimit("empty sequence has no supremum here")
-    return _sup_of_monotone(values, lambda: UnsupportedLimit("sequence is not monotone"))
-
-
 def _sup_of_monotone(values: list, decrease: Callable[[], Exception]) -> Ord:
     """Supremum of a non-empty list of samples, in one pass: each is compared
     with the last distinct one, a repeat is dropped and a decrease raises

@@ -69,8 +69,6 @@ from .semantics import (
     _place,
     compare_elements,
     default_pos_cmp,
-    default_pos_key,
-    element_key,
     element_positions,
     element_str,
     member,
@@ -184,13 +182,6 @@ class PsiOrder(Frozen):
             return self.compare(p.point, q.point)
         return default_pos_cmp(p, q)
 
-    def pos_key(self, p) -> tuple:
-        """The position key of ``pos_cmp``'s order: a sub-term is keyed by
-        its own ``element_key``."""
-        if p.__class__ is Right:
-            return (1, element_key(self.dilator, p.point, self.pos_key))
-        return default_pos_key(p)
-
     def compare(self, t1, t2) -> int:
         return compare_elements(self.dilator, t1, t2, self.pos_cmp)
 
@@ -220,32 +211,27 @@ class PsiOrder(Frozen):
         Level L walks the ``_candidates`` over the terms known after the
         levels before it, a list sorted ascending, in the order they are
         built, which is ascending.  A point of a candidate is one of those
-        term objects, keyed ``(1, rank)`` by its rank there; ranks are
-        injective and order-preserving, so the position keys stay shallow at
-        any level.  A candidate is valid iff each frozen position v (key
-        ``(0, v)``; a separation's or band's base draws them up to its
-        ambient) is below gamma and each point is below it: ``_gen`` builds
-        only well-formed elements.  Generation is monotone in the
-        known points and validity does not depend on the level, so the
-        valid candidates whose points all predate the level before (at
-        level 0, none) are the known terms again, met in rank order: the
-        point of rank r is below a candidate iff more than r of them have
-        been met.  A level that meets no new valid candidate ends the walk;
-        otherwise its valid candidates, in order, are the next known
-        terms, bounded by the cap on the candidates.
+        term objects, and ``_gen`` keys it ``(1, rank)`` by its place in that
+        list, which is its rank, so the position keys stay shallow at any
+        level and no key of a term is ever built.  A candidate is valid iff
+        each frozen position v (key ``(0, v)``; a separation's or band's base
+        draws them up to its ambient) is below gamma and each point is below
+        it: ``_gen`` builds only well-formed elements.  Generation is
+        monotone in the known points and validity does not depend on the
+        level, so the valid candidates whose points all predate the level
+        before (at level 0, none) are the known terms again, met in rank
+        order: the point of rank r is below a candidate iff more than r of
+        them have been met.  A level that meets no new valid candidate ends
+        the walk; otherwise its valid candidates, in order, are the next
+        known terms, bounded by the cap on the candidates.
         """
         dilator, gamma = self.dilator, self.gamma
         lefts = _grid_values(gamma, ENUM_BUDGET.grid)
-
-        def pos_key(p):
-            return ranks[id(p.point)] if p.__class__ is Right else (0, p.value)
-
         known: list = []
         last = None  # ranks of the terms accepted at the level before
         for _level in range(depth + 1):
-            ranks = {id(t): (1, i) for i, t in enumerate(known)}
             terms, fresh, older = [], [], 0  # older: the known terms passed so far
-            for cand, held in zip(*_candidates(dilator, known, ENUM_BUDGET, lefts, pos_key)):
+            for cand, held in zip(*_candidates(dilator, known, ENUM_BUDGET, lefts)):
                 new = last is None
                 for tag, v in held:
                     if tag == 0:

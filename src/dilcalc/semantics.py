@@ -62,11 +62,6 @@ def default_pos_cmp(p, q) -> int:
     return LESS if a < b else GREATER if a > b else EQUAL
 
 
-def default_pos_key(p) -> tuple:
-    """The ``element_key`` position key of ``default_pos_cmp``'s order."""
-    return (0, p.value) if p.__class__ is Left else (1, p.point)
-
-
 # ---------------------------------------------------------------------------
 # comparison and structure
 #
@@ -220,17 +215,9 @@ def _walk_positions(expr, elem, out):
 
 
 def support_of(expr: Dil, elem) -> list:
-    """The live points of the element; frozen ordinals are part of the code."""
-    points = [p.point for p in element_positions(expr, elem) if isinstance(p, Right)]
-    seen, out = set(), []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    try:
-        return sorted(out)
-    except TypeError:
-        return out
+    """The live points of the element, ascending and without repeats;
+    frozen ordinals are part of the code."""
+    return sorted({p.point for p in element_positions(expr, elem) if isinstance(p, Right)})
 
 
 def apply_embedding(expr: Dil, elem, mapping) -> object:
@@ -405,13 +392,15 @@ def _grid(bound: Ord, size: int) -> tuple:
     return tuple(sorted(out))
 
 
-def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
+def _gen(expr: Dil, points, budget: EnumBudget, lefts):
     """All elements within the structural budget, and a parallel list of
-    their position keys (``pos_key`` of each position, in
-    ``element_positions`` order).  Given ascending ``points`` and ``lefts``,
-    the elements are built ascending, with no keys and no sort: each level
-    lists its parts in order, and a formal sum walks its ascending exponents
-    depth first, which is ``compare_elements``' lexicographic order."""
+    their position keys, in ``element_positions`` order: a position is keyed
+    by its place in what it was given, ``(0, v)`` for the frozen value v and
+    ``(1, i)`` for the i-th point.  Given ascending ``points`` and ``lefts``,
+    the keys order as the positions do, and the elements are built
+    ascending, with no sort: each level lists its parts in order, and a
+    formal sum walks its ascending exponents depth first, which is
+    ``compare_elements``' lexicographic order."""
     kind = expr.__class__
     if kind is Const:
         bound = expr.value
@@ -423,16 +412,16 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
         return out, [()] * len(out)
     if kind is IdNode:
         elems = [Left(v) for v in lefts] + [Right(p) for p in points]
-        return elems, [(pos_key(e),) for e in elems]
+        return elems, [((0, v),) for v in lefts] + [((1, i),) for i in range(len(points))]
     if kind is Sum:
-        return _place_keyed(expr.parts, points, budget, lefts, pos_key)
+        return _place_keyed(expr.parts, points, budget, lefts)
     if kind is MulOmega:
-        elems, positions = _gen(expr.base, points, budget, lefts, pos_key)
+        elems, positions = _gen(expr.base, points, budget, lefts)
         _check_cap(len(elems) * budget.copies, budget)
         copies = range(budget.copies)
         return [ECopies(k, x) for k in copies for x in elems], positions * budget.copies
     if kind is OmegaComp or kind is CnfHead:
-        exps, positions = _gen(expr.exponents, points, budget, lefts, pos_key)
+        exps, positions = _gen(expr.exponents, points, budget, lefts)
         mults = range(1, budget.cnf_mult + 1)
         pairs = [[(x, m) for m in mults] for x in exps]
         out, out_positions = [], []
@@ -459,7 +448,7 @@ def _gen(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
                         walk((pair,), positions[i], i)
         return out, out_positions
     if kind is Sep or kind is Band:
-        made = _gen(expr.base, points, budget, _grid_values(expr.amb, budget.grid), pos_key)
+        made = _gen(expr.base, points, budget, _grid_values(expr.amb, budget.grid))
         kept = [member(expr, e) for e in made[0]]
         return tuple(list(itertools.compress(column, kept)) for column in made)
     raise MalformedElement(f"no enumeration rule for {expr!r}")
@@ -472,11 +461,11 @@ def _check_cap(count: int, budget: EnumBudget):
         raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
 
 
-def _place_keyed(parts, points, budget: EnumBudget, lefts, pos_key):
+def _place_keyed(parts, points, budget: EnumBudget, lefts):
     """``_gen`` of the sum of ``parts``, part after part; each distinct
     summand is generated once, and a sum over the cap is refused before any
     element is placed."""
-    made = {p: _gen(p, points, budget, lefts, pos_key) for p in dict.fromkeys(parts)}
+    made = {p: _gen(p, points, budget, lefts) for p in dict.fromkeys(parts)}
     _check_cap(sum(len(made[part][0]) for part in parts), budget)
     n = len(parts)
     elems, positions = [], []
@@ -491,10 +480,10 @@ def _place_keyed(parts, points, budget: EnumBudget, lefts, pos_key):
     return elems, positions
 
 
-def _candidates(expr: Dil, points, budget: EnumBudget, lefts, pos_key=default_pos_key):
+def _candidates(expr: Dil, points, budget: EnumBudget, lefts):
     """``_gen`` of the expression over ascending ``points`` and ``lefts``;
     a top-level non-sum is counted against the cap as a sum of one summand."""
-    return _place_keyed(summands(expr), points, budget, lefts, pos_key)
+    return _place_keyed(summands(expr), points, budget, lefts)
 
 
 def _place(elem, i: int, n: int):
@@ -508,19 +497,17 @@ def _place(elem, i: int, n: int):
     return elem
 
 
-def enum_elements(expr: Dil, points, budget: EnumBudget = EnumBudget(), lefts=(),
-                  pos_key=default_pos_key):
+def enum_elements(expr: Dil, points, budget: EnumBudget = EnumBudget()):
     """All elements over the given points within the budget, ascending, as
-    they are built: only the points and the frozen positions are sorted.
+    they are built: only the points are sorted.
 
-    ``points`` may be a count (meaning 0..n-1) or an explicit label list;
-    other labels need a ``pos_key`` whose key order is the position order.
+    ``points`` may be a count (meaning 0..n-1) or a list of distinct labels
+    that compare with each other; a repeated label raises ``ValueError``.
     """
-    if isinstance(points, int):
-        points = range(points)
-    points = sorted(points, key=lambda p: pos_key(Right(p)))
-    lefts = sorted(lefts, key=lambda v: pos_key(Left(v)))
-    return _candidates(expr, points, budget, lefts, pos_key)[0]
+    points = sorted(range(points) if isinstance(points, int) else points)
+    if any(a == b for a, b in itertools.pairwise(points)):
+        raise ValueError("enum_elements: repeated point")
+    return _candidates(expr, points, budget, ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +525,16 @@ def ambient_stream(expr: Dil, points, bound: Ord = ZERO, pull_cap: int = 200000)
     or a formal-sum level yields costs one pull, the empty sum included,
     and the pull past ``pull_cap`` raises ``BudgetExceeded``.  A ``range``,
     tuple or list of points is read as given; other iterables are copied once.
+    Points that do not strictly ascend raise ``ValueError``.
     """
-    if points.__class__ not in (range, tuple, list):
-        points = tuple(points)
+    if points.__class__ is range:
+        ascending = points.step > 0
+    else:
+        if points.__class__ not in (tuple, list):
+            points = tuple(points)
+        ascending = all(a < b for a, b in itertools.pairwise(points))
+    if not ascending:
+        raise ValueError("ambient_stream: points must strictly ascend")
     pulls = itertools.count(1)
 
     def pull():

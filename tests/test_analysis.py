@@ -71,7 +71,6 @@ from dilcalc.ordinal import (
     ord_add,
     ord_cmp,
     ord_str,
-    ord_sup_of_sequence,
     parse_ord,
 )
 from dilcalc.psi import psi_clause_otp
@@ -81,7 +80,6 @@ from dilcalc.semantics import (
     Right,
     apply_embedding,
     compare_elements,
-    default_pos_key,
     element_key,
     element_positions,
     enum_elements,
@@ -89,8 +87,9 @@ from dilcalc.semantics import (
     prefix_elements,
     support_of,
 )
-from test_ordinal import ords, outcome, reference_solver
+from test_ordinal import ords, outcome, reference_solver, sup_of_sequence
 from test_psi import spy_limit_sup
+from test_semantics import default_pos_key
 
 w = OMEGA
 H0 = CnfHead(D_ZERO, D_ID)
@@ -904,11 +903,11 @@ class TestLimitRule:
 
 def reference_limit_sup(d, sample):
     """``_limit_sup`` before it made one pass: the decrease guard over all
-    samples, then ``ord_sup_of_sequence``, which filters them again."""
+    samples, then ``sup_of_sequence``, which filters them again."""
     values = [sample(k) for k in range(analysis_module.LIMIT_SAMPLES)]
     if any(a > b for a, b in zip(values, values[1:])):
         raise GuardViolation(f"partial-sum values decreased under {to_str(d)}")
-    return ord_sup_of_sequence(values)
+    return sup_of_sequence(values)
 
 
 def differential_limit_sup(monkeypatch):

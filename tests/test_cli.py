@@ -492,7 +492,7 @@ class TestImportSurface:
             "components", "decompose", "detect_limit_pattern", "enum_elements",
             "important_index", "j_eval", "j_guard_report", "jplus_eval",
             "jprime_eval", "ll_relation", "ord_add", "ord_cmp", "ord_is_principal",
-            "ord_mul_nat", "ord_mul_omega", "ord_omega_pow", "ord_str", "ord_sup_of_sequence",
+            "ord_mul_nat", "ord_mul_omega", "ord_omega_pow", "ord_str",
             "ord_sup_solve", "otp_symbolic", "parse_dil", "parse_ord",
             "prefix_elements", "psi_clause_otp", "psi_enum", "sep",
             "sep_signed", "sep_signed_iter", "support_of", "to_str",

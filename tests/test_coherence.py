@@ -41,6 +41,7 @@ from dilcalc.semantics import (
     EnumBudget,
     Left,
     Right,
+    _candidates,
     _grid_values,
     ambient_stream,
     compare_elements,
@@ -62,9 +63,9 @@ ATOMS = ["Id", "omega_head(0;Id)", "omega_head(Id;Id)", "omega_head(1;omega_head
 UNIT_TOP_HEAD = "omega_head(1;Id+1)"
 
 
-def _elements(d, g):
-    """The first 60 elements of ``d`` over [0, g) + two points, ascending."""
-    return enum_elements(d, 2, BUDGET, _grid_values(g, 2))[:60]
+def _elements(d, g, n_points=2):
+    """The first 60 elements of ``d`` over [0, g) + the points, ascending."""
+    return _candidates(d, list(range(n_points)), BUDGET, _grid_values(g, 2))[0][:60]
 
 
 def _assert_ascending_images(target, images, tag):
@@ -424,7 +425,7 @@ def test_sum_maps_match_the_recursive_ones(sa):
             assert _outcome(coherence._sum_split, a, b, e) == _outcome(
                 reference_sum_split, a, b, e
             ), (sa, b, e)
-        frozen = enum_elements(s, 0, BUDGET, _grid_values(parse_ord("w"), 2))[:20]
+        frozen = _elements(s, parse_ord("w"), 0)[:20]
         for e in frozen:
             assert _outcome(coherence.frozen_value, s, e, OMEGA) == _outcome(
                 reference_frozen_value, s, e, OMEGA

@@ -57,12 +57,12 @@ from dilcalc.ordinal import (
     ord_add,
     ord_omega_pow,
     ord_str,
-    ord_sup_of_sequence,
     parse_ord,
 )
 from dilcalc.psi import psi_clause_otp
 from dilcalc.suites import J_SUITE
 from test_analysis import differential_limit_sup
+from test_ordinal import sup_of_sequence
 
 w = OMEGA
 
@@ -520,7 +520,7 @@ class ReferenceSession:
                 values = [self.eval(dec.fund(k)) for k in range(LIMIT_SAMPLES)]
                 if any(a > b for a, b in zip(values, values[1:])):
                     raise GuardViolation(f"partial-sum values decreased under {to_str(d)}")
-                value = ord_sup_of_sequence(values)
+                value = sup_of_sequence(values)
             else:
                 def split(g):
                     return mk_sum(dec.prefix, mk_sep_atom(dec.top, g, g))

@@ -8,7 +8,7 @@ import pytest
 
 import dilcalc.analysis as analysis_module
 import dilcalc.psi as psi_module
-from dilcalc.analysis import decompose
+from dilcalc.analysis import decompose, enum_trace_terms
 from dilcalc.errors import (
     BudgetExceeded,
     DepthExceeded,
@@ -41,7 +41,6 @@ from dilcalc.ordinal import (  # noqa: F401
     from_int,
     ord_add,
     ord_str,
-    ord_sup_of_sequence,
     parse_ord,
 )
 from dilcalc.psi import (
@@ -62,9 +61,12 @@ from dilcalc.semantics import (
     _sum_index,
     element_key,
     element_positions,
+    element_str,
     enum_elements,
     validate_element,
 )
+from test_ordinal import sup_of_sequence
+from test_semantics import KEYED_EXPRS, ORACLE_BUDGET, _place_key, _refusal, psi_pos_key
 
 # the connected clause's stage count in reference_psi, independent of the
 # kernel's LIMIT_SAMPLES
@@ -163,7 +165,7 @@ def reference_psi(d, gamma):
             if isinstance(dec.top, Const):
                 return ord_add(head, ONE)
             return ord_add(head, connected(dec.top, ord_add(gamma, head)))
-        return ord_sup_of_sequence([rec(dec.fund(k), gamma) for k in range(LIMIT_SAMPLES)])
+        return sup_of_sequence([rec(dec.fund(k), gamma) for k in range(LIMIT_SAMPLES)])
 
     def connected(atom, delta):
         total_cut, step, stages = ZERO, delta, []
@@ -173,7 +175,7 @@ def reference_psi(d, gamma):
             if stages[-1].is_zero():
                 return functools.reduce(ord_add, stages)
             total_cut, step = hi, stages[-1]
-        return ord_sup_of_sequence(list(itertools.accumulate(stages, ord_add)))
+        return sup_of_sequence(list(itertools.accumulate(stages, ord_add)))
 
     return rec(d, gamma)
 
@@ -323,7 +325,7 @@ class TestTermOrder:
                 known = order.enum(depth)
                 assert len(known) > 1
                 forward, backward = (
-                    enum_elements(order.dilator, points, budget, lefts, order.pos_key)
+                    psi_candidates(order, points, budget, lefts)
                     for points in (known, known[::-1])
                 )
                 assert forward == backward
@@ -355,13 +357,13 @@ class TestTermOrder:
     def test_freeness_surrogate(self):
         # every budgeted element whose sub-terms are valid and below it is
         # itself a term of the enumeration
-        from dilcalc.semantics import EnumBudget, element_positions, enum_elements
+        from dilcalc.semantics import EnumBudget, element_positions
 
         order = PsiOrder(parse_dil("omega[Id]"), ZERO)
         terms = order.enum(2)
         universe = set(terms)
         budget = EnumBudget(const_cap=4, copies=2, cnf_len=2, cnf_mult=2, grid=2)
-        candidates = enum_elements(order.dilator, list(terms[:4]), budget, pos_key=order.pos_key)
+        candidates, _ = psi_candidates(order, terms[:4], budget)
         for cand in candidates:
             if order.valid(cand):
                 subs = [p.point for p in element_positions(order.dilator, cand) if isinstance(p, Right)]
@@ -432,6 +434,13 @@ class TestTermOrder:
         assert term_str(order, terms[1]) == "w^{[0]}"
 
 
+def psi_candidates(order, terms, budget, lefts=()):
+    """``_candidates`` over the terms, sorted by the order's position key,
+    and the frozen values ``lefts``."""
+    key = psi_pos_key(order)
+    return _candidates(order.dilator, sorted(terms, key=lambda t: key(Right(t))), budget, lefts)
+
+
 def reference_enum(order, depth=2, budget=None):
     """The enumeration as it was before levels were ranked: every
     candidate of every level is sorted, deduplicated against all accepted
@@ -442,9 +451,7 @@ def reference_enum(order, depth=2, budget=None):
     seen = set()
     for _level in range(depth + 1):
         fresh = []
-        for cand in enum_elements(
-            order.dilator, known, budget, lefts=lefts, pos_key=order.pos_key
-        ):
+        for cand in psi_candidates(order, known, budget, lefts)[0]:
             if cand in seen:
                 continue
             if order.valid(cand):
@@ -500,8 +507,7 @@ class TestRankedEnumeration:
         lefts = _grid_values(order.gamma, budget.grid)
         for depth in range(3):
             try:
-                cands, _ = _candidates(order.dilator, order.enum(depth), budget, lefts,
-                                       order.pos_key)
+                cands, _ = _candidates(order.dilator, order.enum(depth), budget, lefts)
             except BudgetExceeded:
                 continue
             for t in cands:
@@ -544,9 +550,8 @@ class TestRankedEnumeration:
 
 class TestOrderedCandidates:
     """The candidates ``PsiOrder.enum`` reads come out ascending under
-    ``compare``, with the position keys that the walks give under the
-    order's own position key, and the enumeration refuses at the
-    reference's caps with its messages."""
+    ``compare``, each point keyed by its rank among the known terms, and
+    the enumeration refuses at the reference's caps with its messages."""
 
     @pytest.mark.parametrize("gamma", ["0", "1", "w"])
     @pytest.mark.parametrize("text", RANKED_ENUM_EXPRS)
@@ -556,14 +561,15 @@ class TestOrderedCandidates:
         # over the terms of depth 1, else of depth 0, else over no term
         for known in (lambda: order.enum(1), lambda: order.enum(0), list):
             try:
-                cands, positions = _candidates(order.dilator, known(), DEFAULT_ENUM_BUDGET,
-                                               lefts, order.pos_key)
+                terms = known()
+                cands, positions = _candidates(order.dilator, terms, DEFAULT_ENUM_BUDGET, lefts)
                 break
             except BudgetExceeded:
                 continue
-        assert cands == sorted(cands, key=lambda t: element_key(order.dilator, t, order.pos_key))
+        key = psi_pos_key(order)
+        assert cands == sorted(cands, key=lambda t: element_key(order.dilator, t, key))
         assert all(order.compare(a, b) == LESS for a, b in zip(cands, cands[1:]))
-        assert positions == [tuple(map(order.pos_key, element_positions(order.dilator, t)))
+        assert positions == [tuple(_place_key(terms, p) for p in element_positions(order.dilator, t))
                              for t in cands]
 
     def test_refusals_at_the_reference_caps(self, monkeypatch):
@@ -833,3 +839,46 @@ class TestSearch:
             handle = PsiSearchHandle(PsiOrder(parse_dil(text), parse_ord(gamma)))
             res = chain_search(handle, 1500, 30, seed=11)
             assert not res.found, text
+
+
+# ---------------------------------------------------------------------------
+# the enumerators' outputs, pinned
+
+DIGEST_TRACE_EXPRS = ["Id", "Id+1", "Id*w", "omega[Id]", "omega[Id]+Id", "omega_head(0;Id)",
+                      "omega_head(Id;Id)", "omega_head(1;omega_head(0;Id))"]
+
+
+def _enumeration_lines():
+    """One line per enumeration, its rendered output or its refusal: the
+    collapse orders at gamma 1 and w, depths 0-3; the trace terms up to
+    arity 3 at caps 10, 100 and 4,000; the elements over 0-3 points."""
+    lines = []
+
+    def add(call, render):
+        got = _refusal(call)
+        lines.append(" ".join(map(render, got)) if isinstance(got, list) else ": ".join(got))
+
+    for text, gamma in itertools.product(RANKED_ENUM_EXPRS, ("1", "w")):
+        order = PsiOrder(parse_dil(text), parse_ord(gamma))
+        for depth in range(4):
+            add(lambda: order.enum(depth), lambda t: term_str(order, t))
+    for text in DIGEST_TRACE_EXPRS:
+        d = parse_dil(text)
+        for cap in (10, 100, 4000):
+            budget = EnumBudget(max_count=cap, const_cap=3, copies=2, cnf_len=2, cnf_mult=2,
+                                grid=3)
+            add(lambda: enum_trace_terms(d, 3, budget), lambda tn: f"{element_str(d, tn[0])}/{tn[1]}")
+    for text in KEYED_EXPRS:
+        d = parse_dil(text)
+        for n in range(4):
+            add(lambda: enum_elements(d, n, ORACLE_BUDGET), lambda e: element_str(d, e))
+    return lines
+
+
+def test_enumeration_digest_pinned():
+    # taken before points were keyed by their place in the list
+    lines = _enumeration_lines()
+    assert len(lines) == 176 and sum(map(len, lines)) == 398711
+    assert sum(line.startswith("BudgetExceeded") for line in lines) == 27
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "a70d598789bb3b3b92205e5223f14e033a672cf5"

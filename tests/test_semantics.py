@@ -45,7 +45,6 @@ from dilcalc.semantics import (
     apply_embedding,
     compare_elements,
     default_pos_cmp,
-    default_pos_key,
     element_key,
     element_positions,
     element_str,
@@ -58,6 +57,21 @@ from dilcalc.semantics import (
 from dilcalc.suites import COHERENCE_SUITE
 
 SMALL = EnumBudget(const_cap=4, copies=2, cnf_len=2, cnf_mult=2, grid=3)
+
+
+def default_pos_key(p) -> tuple:
+    """The ``element_key`` position key of ``default_pos_cmp``'s order."""
+    return (0, p.value) if p.__class__ is Left else (1, p.point)
+
+
+def psi_pos_key(order):
+    """The position key of ``order.pos_cmp``'s order: a sub-term is keyed
+    by its own ``element_key``."""
+    def key(p):
+        if p.__class__ is Right:
+            return (1, element_key(order.dilator, p.point, key))
+        return default_pos_key(p)
+    return key
 
 
 def halves(d: Sum) -> tuple:
@@ -107,6 +121,13 @@ class TestSupport:
         oc = parse_dil("omega[Id]")
         e = ((Right(1), 1), (Right(0), 1))
         assert support_of(oc, e) == [0, 1]
+        e = ((ESum(1, Right(2)), 1), (ESum(0, Right(2)), 1), (ESum(0, Right(0)), 1))
+        assert support_of(parse_dil("omega[Id+Id]"), e) == [0, 2]
+
+    def test_unsortable_labels_raise(self):
+        # an unsorted support would misplace important_index's slots
+        with pytest.raises(TypeError):
+            support_of(parse_dil("omega[Id]"), ((Right("a"), 1), (Right(0), 1)))
 
     def test_naturality(self):
         oc = parse_dil("omega[Id]")
@@ -148,6 +169,10 @@ class TestEnum:
     def test_deterministic(self):
         expr = parse_dil("omega[Id*2]")
         assert enum_elements(expr, 2, SMALL) == enum_elements(expr, 2, SMALL)
+
+    def test_repeated_labels_are_refused(self):
+        with pytest.raises(ValueError, match="^enum_elements: repeated point$"):
+            enum_elements(D_ID, [0, 0])
 
 
 def _limit_esums(monkeypatch, bound):
@@ -222,6 +247,16 @@ class TestStreams:
         assert prefix_elements(expr, 2, 50) == enum_elements(
             expr, 2, EnumBudget(const_cap=10)
         )
+
+    @pytest.mark.parametrize("points", [[1, 0], (0, 0), range(2, 0, -1), iter([1, 0])],
+                             ids=["list", "tuple", "range", "iterator"])
+    def test_points_that_do_not_ascend_are_refused(self, points):
+        with pytest.raises(ValueError, match="^ambient_stream: points must strictly ascend$"):
+            ambient_stream(D_ID, points)
+
+    def test_ascending_points_are_read_as_given(self):
+        for points in ([0, 2, 4], (0, 2, 4), range(0, 6, 2), iter([0, 2, 4])):
+            assert list(ambient_stream(D_ID, points)) == [Right(0), Right(2), Right(4)]
 
     def test_streams_ascend(self):
         for text in ["omega[Id*2]", "Id*w", "omega[Id]+Id", "Const(w^2)"]:
@@ -599,9 +634,17 @@ SETTINGS = {
     "2pts": (2, (), DEFAULT_POS, {0: 1, 1: 3}),
     "lefts": (0, (ZERO, ONE), DEFAULT_POS, {}),
     "lefts+1pt": (1, (ZERO,), DEFAULT_POS, {0: 1}),
-    "psi": (PSI_TERMS[:2], (), (PSI_ORDER.pos_key, PSI_ORDER.pos_cmp),
+    "psi": (PSI_TERMS[:2], (), (psi_pos_key(PSI_ORDER), PSI_ORDER.pos_cmp),
             {PSI_TERMS[0]: PSI_TERMS[1], PSI_TERMS[1]: PSI_TERMS[2]}),
 }
+
+
+def _setting_candidates(expr, setting):
+    """The setting's labels, sorted by its position key, and ``_candidates``
+    over them and its frozen values."""
+    points, lefts, (pos_key, _), _ = SETTINGS[setting]
+    labels = sorted(_labels(points), key=lambda p: pos_key(Right(p)))
+    return labels, semantics._candidates(expr, labels, ORACLE_BUDGET, lefts)
 
 
 def _outcome(fn, *args):
@@ -615,9 +658,9 @@ class TestWalkersMatchTheRecursiveOnes:
     @pytest.mark.parametrize("setting", SETTINGS)
     @pytest.mark.parametrize("text", ORACLE_EXPRS)
     def test_every_pair_of_sorted_elements(self, text, setting):
-        points, lefts, (pos_key, pos_cmp), mapping = SETTINGS[setting]
+        _, _, (_, pos_cmp), mapping = SETTINGS[setting]
         expr = parse_dil(text)
-        elems = enum_elements(expr, points, ORACLE_BUDGET, lefts, pos_key)
+        _, (elems, _) = _setting_candidates(expr, setting)
         for x in elems:
             for y in elems:
                 assert compare_elements(expr, x, y, pos_cmp) == reference_compare_elements(
@@ -694,7 +737,7 @@ KEY_LEFTS = (ZERO, OMEGA)
 @functools.lru_cache(maxsize=None)
 def _keyed_elements():
     """Each of KEY_EXPRS with its ascending elements over two points and KEY_LEFTS."""
-    return [(d, enum_elements(d, 2, ORACLE_BUDGET, KEY_LEFTS)) for d in KEY_EXPRS]
+    return [(d, semantics._candidates(d, [0, 1], ORACLE_BUDGET, KEY_LEFTS)[0]) for d in KEY_EXPRS]
 
 
 def _node_kinds(d):
@@ -769,15 +812,15 @@ def _recursive_sum_levels(monkeypatch):
     level per summand, as they did; other nodes keep their rules."""
     gen, stream = semantics._gen, semantics._stream
 
-    def reference_gen(expr, points, budget, lefts, pos_key=default_pos_key):
+    def reference_gen(expr, points, budget, lefts):
         if isinstance(expr, Sum):
             elems, positions = [], []
             for side, half in enumerate(halves(expr)):
-                half_elems, half_positions = reference_gen(half, points, budget, lefts, pos_key)
+                half_elems, half_positions = reference_gen(half, points, budget, lefts)
                 elems += [ESum(side, x) for x in half_elems]
                 positions += half_positions
             return elems, positions
-        return gen(expr, points, budget, lefts, pos_key)
+        return gen(expr, points, budget, lefts)
 
     def reference_stream(expr, points, bound, pull):
         if isinstance(expr, Sum):
@@ -803,7 +846,7 @@ def _sum_level_outcomes(text):
     its pull count, and every element's text."""
     expr, pull = parse_dil(text), Pulls()
     gen = _outcome(semantics._gen, expr, [0, 1], ORACLE_BUDGET, [ZERO])
-    elems = _outcome(enum_elements, expr, 2, ORACLE_BUDGET, (ZERO, ONE))
+    elems = _outcome(lambda: semantics._candidates(expr, [0, 1], ORACLE_BUDGET, (ZERO, ONE))[0])
     stream = list(itertools.islice(semantics._stream(expr, (0, 1), ONE, pull), 60))
     texts = [reference_element_str(expr, e) for e in stream + (elems if isinstance(elems, list) else [])]
     return gen, elems, stream, pull.count, texts
@@ -947,24 +990,38 @@ def _labels(points):
     return list(range(points)) if isinstance(points, int) else list(points)
 
 
+def _place_key(labels, p) -> tuple:
+    """A position keyed by its place: ``(0, v)`` for the frozen value v,
+    ``(1, i)`` for the i-th of the labels."""
+    return (0, p.value) if p.__class__ is Left else (1, labels.index(p.point))
+
+
 class TestOrderedGenerator:
     """``_candidates`` builds each element in element order, with its
     position keys, and sorts nothing: the elements must be the reference's,
-    sorted by one ``element_key`` walk each, each one below the next, and
-    the position keys and the refusals the walked and the reference ones."""
+    sorted by one ``element_key`` walk each, each one below the next, the
+    position keys their places in what the generator was given, and the
+    refusals the reference ones."""
 
     @pytest.mark.parametrize("setting", SETTINGS)
     @pytest.mark.parametrize("text", KEYED_EXPRS)
     def test_candidates_come_out_in_element_order(self, text, setting):
         points, lefts, (pos_key, pos_cmp), _ = SETTINGS[setting]
-        expr, labels = parse_dil(text), _labels(points)
-        elems, positions = semantics._candidates(expr, labels, ORACLE_BUDGET, list(lefts), pos_key)
+        expr = parse_dil(text)
+        labels, (elems, positions) = _setting_candidates(expr, setting)
         assert elems == reference_enum_elements(expr, labels, ORACLE_BUDGET, lefts, pos_key)
         assert all(compare_elements(expr, a, b, pos_cmp) == LESS for a, b in zip(elems, elems[1:]))
-        assert positions == [tuple(map(pos_key, element_positions(expr, e))) for e in elems]
-        assert enum_elements(expr, points, ORACLE_BUDGET, lefts, pos_key) == elems
-        # enum_elements sorts the labels and frozen positions it is given
-        assert enum_elements(expr, labels[::-1], ORACLE_BUDGET, lefts[::-1], pos_key) == elems
+        assert positions == [tuple(_place_key(labels, p) for p in element_positions(expr, e))
+                             for e in elems]
+        if not lefts and pos_key is default_pos_key:
+            assert enum_elements(expr, points, ORACLE_BUDGET) == elems
+            # enum_elements sorts the labels it is given
+            assert enum_elements(expr, labels[::-1], ORACLE_BUDGET) == elems
+
+    def test_points_are_keyed_by_their_place(self):
+        elems, positions = semantics._candidates(D_ID, [5, 9, 12], ORACLE_BUDGET, [ZERO])
+        assert elems == [Left(ZERO), Right(5), Right(9), Right(12)]
+        assert positions == [((0, ZERO),), ((1, 0),), ((1, 1),), ((1, 2),)]
 
     def test_the_pool_reaches_every_branch(self, monkeypatch):
         gen, kinds, counts = semantics._gen, set(), set()
@@ -998,8 +1055,8 @@ class TestOrderedGenerator:
                                     cnf_mult=2, grid=3)
                 got = _refusal(lambda: semantics._candidates(expr, [0, 1], budget, [*lefts])[0])
                 assert got == _refusal(lambda: reference_enum_elements(expr, [0, 1], budget, lefts))
-                assert _refusal(lambda: enum_elements(expr, 2, budget, lefts)) == _refusal(
-                    lambda: reference_enum_elements(expr, [0, 1], budget, lefts)), (text, cap)
+                assert _refusal(lambda: enum_elements(expr, 2, budget)) == _refusal(
+                    lambda: reference_enum_elements(expr, [0, 1], budget, ())), (text, cap)
                 if isinstance(got, tuple):
                     refusals.add(got[1].split()[-1] if "cap" in got[1] else got[1])
         assert refusals >= {"formal-sum budget overflow", "0", "1", "2", "5", "10", "40"}
