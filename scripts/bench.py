@@ -30,9 +30,11 @@ PROCESSES children and keeps the median CPU time, with the exit codes and
 the sha1s of the children's stdout.
 
 The translation series times ``coherence.sum_inject`` (of ``Id*n`` and
-``Id``) and ``coherence.prefix_inject`` (into ``Id*n+1``) on the element of
-the last summand of ``Id*n`` over one point, with the same sizes, repeats,
-error, skip and interpreter rules, and a sha1 of the image's ``element_str``.
+``Id``), ``coherence.prefix_inject`` (into ``Id*n+1``) and
+``coherence.limit_prefix_inject`` (into ``Id*w``, whose fund(n) is ``Id*n``)
+on the element of the last summand of ``Id*n`` over one point, with the same
+sizes, repeats, error, skip and interpreter rules, and a sha1 of the image's
+``element_str``.
 
 The element series times the brute-force oracle layer on the atom
 ELEMENT_ATOM, under the trace budget of the element-oracles workload:
@@ -209,7 +211,7 @@ def sum_inject_setup(n: int):
     d = mk_mul_nat(D_ID, n)
     elem = coherence.top_inject(d, Right(0))
     target = mk_sum(d, D_ID)
-    return (lambda: coherence.sum_inject(d, D_ID, 0, elem)), lambda r: element_str(target, r)
+    return (lambda: coherence.sum_inject((d, D_ID), 0, elem)), lambda r: element_str(target, r)
 
 
 def prefix_inject_setup(n: int):
@@ -218,7 +220,13 @@ def prefix_inject_setup(n: int):
     return (lambda: coherence.prefix_inject(target, elem)), lambda r: element_str(target, r)
 
 
-TRANSLATIONS = {"sum_inject": sum_inject_setup, "prefix_inject": prefix_inject_setup}
+def limit_prefix_inject_setup(n: int):
+    d, elem = parse_dil("Id*w"), coherence.top_inject(mk_mul_nat(D_ID, n), Right(0))
+    return (lambda: coherence.limit_prefix_inject(d, n, elem)), lambda r: element_str(d, r)
+
+
+TRANSLATIONS = {"sum_inject": sum_inject_setup, "prefix_inject": prefix_inject_setup,
+                "limit_prefix_inject": limit_prefix_inject_setup}
 SETUPS = {**{name: kernel_setup(fn) for name, fn in SERIES.items()}, "peel": peel_setup,
           **TRANSLATIONS}
 

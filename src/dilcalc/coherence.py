@@ -5,6 +5,12 @@ order isomorphism or embedding; this module constructs those maps on
 elements so the checks can compare streams structurally instead of
 trusting the rules.  A failed translation or a mismatched prefix is a
 real soundness violation.
+
+A sum of parts concatenates their summands but for the constants that meet
+at a seam, which merge: ``_seams`` states that rule, and ``sum_inject`` /
+``_sum_split`` are its two directions.  A flat sum's elements are read and
+built only through ``semantics._sum_index`` / ``_place``; a head's exponents
+keep their two-part ``ESum`` sides.
 """
 
 from __future__ import annotations
@@ -22,16 +28,13 @@ from .expr import (
     OmegaComp,
     Sep,
     Sum,
-    _split_trailing,
     is_connected_atom,
     mk_band,
     mk_cnf_head,
-    mk_mul_nat,
     mk_omega_comp,
     mk_sep_atom,
     mk_sep_plus,
     mk_shift,
-    mk_sum_all,
     summands,
     to_str,
 )
@@ -62,26 +65,54 @@ class TranslationGap(UnsupportedDecomposition):
 # sums
 
 
-def sum_inject(a: Dil, b: Dil, side: int, elem):
-    """Element of ``a`` (side 0) or ``b`` (side 1) as an element of mk_sum(a, b).
+def _seams(parts):
+    """Where each of ``parts`` lands in the normal form of their sum: the
+    index there of its first summand and the value of the constant that
+    summand merged into (None if none), or None for a zero part, which has
+    no summand; and the number of summands of the sum."""
+    seams, n, tail = [], 0, None
+    for part in parts:
+        ps = summands(part)
+        if ps[0].__class__ is Const and ps[0].value.is_zero():
+            seams.append(None)
+            continue
+        merged = tail is not None and ps[0].__class__ is Const
+        seams.append((n - 1, tail) if merged else (n, None))
+        n += len(ps) - merged
+        if ps[-1].__class__ is not Const:
+            tail = None
+        else:  # a lone constant merged into the tail grows it
+            tail = ord_add(tail, ps[0].value) if merged and len(ps) == 1 else ps[-1].value
+    return seams, n
 
-    The summands of the sum are those of ``a`` and then those of ``b``, but
-    for ``a``'s last and ``b``'s first, which merge when both are constants;
-    an element of ``b``'s first then lies above ``a``'s last's value."""
-    if isinstance(a, Const) and a.value.is_zero():
-        return elem
-    if isinstance(b, Const) and b.value.is_zero():
-        return elem
-    pa, pb = summands(a), summands(b)
-    merged = pa[-1].__class__ is Const and pb[0].__class__ is Const
-    i, inner = _sum_index(len(pa if side == 0 else pb), elem)
-    if side == 0 and i < len(pa) - 1:
-        return elem  # coded alike in ``a`` and in the sum
-    if side == 1:
-        if merged and i == 0:
-            inner = ord_add(pa[-1].value, inner)
-        i += len(pa) - merged
-    return _place(inner, i, len(pa) + len(pb) - merged)
+
+def sum_inject(parts, k: int, elem):
+    """Element of ``parts[k]`` as an element of the sum of ``parts``: its
+    summands from the part's first summand's index on, the first above the
+    constant it merged into."""
+    seams, n = _seams(parts)
+    first, below = seams[k]
+    i, inner = _sum_index(len(summands(parts[k])), elem)
+    if i == 0 and below is not None:
+        inner = ord_add(below, inner)
+    return _place(inner, first + i, n)
+
+
+def _sum_split(parts, elem):
+    """Which of ``parts`` an element of their sum lies in, with its element
+    there; the inverse of ``sum_inject``."""
+    seams, n = _seams(parts)
+    i, inner = _sum_index(n, elem)
+    for k in range(len(parts) - 1, -1, -1):
+        if seams[k] is None or seams[k][0] > i:
+            continue
+        first, below = seams[k]
+        if first == i and below is not None:
+            if inner < below:
+                continue  # below the merge: in an earlier part
+            inner = ord_left_sub(below, inner)
+        return k, _place(inner, i - first, len(summands(parts[k])))
+    raise TranslationGap("no part holds the element")
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +163,12 @@ def shift_translate(expr: Dil, g: Ord, elem):
         return elem
     if isinstance(expr, IdNode):
         # mk_shift gives Const(g)+Id: a frozen position is an index of Const(g)
-        return ESum(0, elem.value) if isinstance(elem, Left) else ESum(1, elem)
+        return _place(elem.value, 0, 2) if isinstance(elem, Left) else _place(elem, 1, 2)
     if isinstance(expr, Sum):
-        # the shifted summand's element among the shifted summands from it
-        # on, then after those before it
+        # the shifted summand's element among the shifted summands
         i, elem = _sum_index(len(expr.parts), elem)
         shifted = [mk_shift(part, g) for part in expr.parts]
-        image = shift_translate(expr.parts[i], g, elem)
-        image = sum_inject(shifted[i], mk_sum_all(shifted[i + 1:]), 0, image)
-        if i:
-            image = sum_inject(mk_sum_all(shifted[:i]), mk_sum_all(shifted[i:]), 1, image)
-        return image
+        return sum_inject(shifted, i, shift_translate(expr.parts[i], g, elem))
     if isinstance(expr, MulOmega):
         return ECopies(elem.copy, shift_translate(expr.base, g, elem.inner))
     if isinstance(expr, OmegaComp):
@@ -160,25 +186,6 @@ def shift_translate(expr: Dil, g: Ord, elem):
     raise TranslationGap(f"no shift translation for {expr!r}")
 
 
-def _sum_split(a: Dil, b: Dil, elem):
-    """Which side of mk_sum(a, b) an element belongs to, with the part
-    element; the inverse of ``sum_inject``."""
-    if isinstance(a, Const) and a.value.is_zero():
-        return 1, elem
-    if isinstance(b, Const) and b.value.is_zero():
-        return 0, elem
-    pa, pb = summands(a), summands(b)
-    merged = pa[-1].__class__ is Const and pb[0].__class__ is Const
-    i, inner = _sum_index(len(pa) + len(pb) - merged, elem)
-    if i < len(pa) - 1:
-        return 0, elem  # coded alike in the sum and in ``a``
-    if merged and i == len(pa) - 1 and not inner < pa[-1].value:
-        return 1, _place(ord_left_sub(pa[-1].value, inner), 0, len(pb))
-    if i < len(pa):
-        return 0, _place(inner, i, len(pa))
-    return 1, _place(inner, i - len(pa) + merged, len(pb))
-
-
 # ---------------------------------------------------------------------------
 # splits of connected atoms
 
@@ -190,17 +197,16 @@ def plus_translate(atom: Dil, g: Ord, elem):
     if isinstance(atom, IdNode):
         return elem
     if isinstance(atom, CnfHead):
-        low_t = mk_shift(atom.low, g)
-        band_t = mk_band(atom.high, ZERO, g, g)
+        low = (mk_shift(atom.low, g), mk_band(atom.high, ZERO, g, g))
         pairs = []
         for x, m in elem:
             if x.side == 0:
-                new = ESum(0, sum_inject(low_t, band_t, 0, shift_translate(atom.low, g, x.inner)))
+                new = ESum(0, sum_inject(low, 0, shift_translate(atom.low, g, x.inner)))
             else:
                 mi = important_position(atom.high, x.inner)
                 if isinstance(mi, Left) and mi.value < g:
-                    frozen = _cut_translate(band_t, atom.high, g, x.inner)
-                    new = ESum(0, sum_inject(low_t, band_t, 1, frozen))
+                    frozen = _cut_translate(low[1], atom.high, g, x.inner)
+                    new = ESum(0, sum_inject(low, 1, frozen))
                 else:
                     new = ESum(1, plus_translate(atom.high, g, x.inner))
             pairs.append((new, m))
@@ -217,18 +223,13 @@ def _cut_translate(target: Dil, atom: Dil, g: Ord, elem):
     return elem
 
 
-def minus_translate(atom: Dil, g: Ord, elem):
-    """Lower-split element as an element of mk_band(atom, 0, g, g)."""
-    return _cut_translate(mk_band(atom, ZERO, g, g), atom, g, elem)
-
-
 def split_translate(atom: Dil, g: Ord, elem):
     """Element of atom over [0,g)+X into the split sum (lower + upper)."""
-    minus, plus = mk_band(atom, ZERO, g, g), mk_sep_plus(atom, g)
+    parts = (mk_band(atom, ZERO, g, g), mk_sep_plus(atom, g))
     mi = important_position(atom, elem)
     if isinstance(mi, Left) and mi.value < g:
-        return sum_inject(minus, plus, 0, minus_translate(atom, g, elem))
-    return sum_inject(minus, plus, 1, plus_translate(atom, g, elem))
+        return sum_inject(parts, 0, _cut_translate(parts[0], atom, g, elem))
+    return sum_inject(parts, 1, plus_translate(atom, g, elem))
 
 
 def sep_translate(atom: Dil, g: Ord, elem):
@@ -255,17 +256,17 @@ def _part_inject(d: Dil, j, elem):
     of the successor view's prefix when ``j`` is None, else of the limit
     view's fund(j).  Both views take d apart along the same nodes."""
     succ = j is None
-    if decompose(d).kind != ("succ" if succ else "limit"):
+    dec = decompose(d.parts[-1] if d.__class__ is Sum else d)  # a sum's kind is its last's
+    if dec.kind != ("succ" if succ else "limit"):
         raise TranslationGap("prefix injection needs a successor decomposition" if succ
                              else "limit injection needs a limit decomposition")
-    if isinstance(d, Sum):
+    if d.__class__ is Sum:
         # the part is the summands before the last, then the last's part
-        rest, last = _split_trailing(d)
-        dec = decompose(last)
-        side, part = _sum_split(rest, dec.prefix if succ else dec.fund(j), elem)
-        if side == 1:
-            part = _part_inject(last, j, part)
-        return sum_inject(rest, last, side, part)
+        parts = d.parts
+        k, elem = _sum_split((*parts[:-1], dec.prefix if succ else dec.fund(j)), elem)
+        if k == len(parts) - 1:
+            elem = _part_inject(parts[-1], j, elem)
+        return _place(elem, k, len(parts))
     if (isinstance(d, Const) or isinstance(d, Band) and ord_left_sub(d.lo, d.hi).is_limit()
             or isinstance(d, Sep) and d.cut.is_limit() and d.amb == d.cut):
         # a part is a band [lo, lo+f(j)) of the same base and ambient, or the
@@ -289,15 +290,8 @@ def _part_inject(d: Dil, j, elem):
     if isinstance(d, IdNode):
         raise TranslationGap("the identity expression has an empty prefix")
     if isinstance(d, MulOmega):
-        copy, current, remaining = 0, elem, j
-        while remaining > 1:
-            side, part = _sum_split(d.base, mk_mul_nat(d.base, remaining - 1), current)
-            if side == 0:
-                return ECopies(copy, part)
-            copy, current, remaining = copy + 1, part, remaining - 1
-        if remaining == 1:
-            return ECopies(copy, current)
-        raise TranslationGap("empty repetition prefix has no elements")
+        # fund(j) is j copies of the base
+        return ECopies(*_sum_split((d.base,) * j, elem))
     raise TranslationGap(f"no {'prefix' if succ else 'limit'} injection for {d!r}")
 
 
@@ -305,37 +299,28 @@ def top_inject(d: Dil, elem):
     """Element of decompose(d).top as an element of d."""
     if is_connected_atom(d):
         return elem
-    dec = decompose(d)
-    if dec.kind != "succ":
+    if d.__class__ is Sum:
+        # the top of a sum is the top of its last summand, in that summand's
+        # place, and so is its decomposition kind
+        return _place(top_inject(d.parts[-1], elem), len(d.parts) - 1, len(d.parts))
+    if decompose(d).kind != "succ":
         raise TranslationGap("top injection needs a successor decomposition")
     if isinstance(d, Const):
         return ord_pred(d.value)
-    if isinstance(d, Sum):
-        # the top of a sum is the top of its last summand, in that summand's
-        # place; a loop, so a long sum costs no recursion depth
-        parts = summands(d)
-        return _place(top_inject(parts[-1], elem), len(parts) - 1, len(parts))
     if isinstance(d, OmegaComp):
         # top is mk_cnf_head(prefix, top-of-base); exponents land in the base
-        pairs = []
-        for x, m in elem:
-            if x.side == 0:
-                pairs.append((prefix_inject(d.base, x.inner), m))
-            else:
-                pairs.append((top_inject(d.base, x.inner), m))
-        return tuple(pairs)
+        return tuple(((top_inject if x.side else prefix_inject)(d.base, x.inner), m)
+                     for x, m in elem)
     if isinstance(d, CnfHead):
-        inner_dec = decompose(d.high)
-        pairs = []
+        # top is mk_cnf_head(low + the high part's prefix, its top)
+        prefix, pairs = decompose(d.high).prefix, []
         for x, m in elem:
-            if x.side == 0:
-                side, part = _sum_split(d.low, inner_dec.prefix, x.inner)
-                if side == 0:
-                    pairs.append((ESum(0, part), m))
-                else:
-                    pairs.append((ESum(1, prefix_inject(d.high, part)), m))
+            if x.side == 1:
+                x = ESum(1, top_inject(d.high, x.inner))
             else:
-                pairs.append((ESum(1, top_inject(d.high, x.inner)), m))
+                side, part = _sum_split((d.low, prefix), x.inner)
+                x = ESum(side, prefix_inject(d.high, part) if side else part)
+            pairs.append((x, m))
         return tuple(pairs)
     raise TranslationGap(f"no top injection for {d!r}")
 

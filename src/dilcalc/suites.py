@@ -399,7 +399,7 @@ def _check_sep_expr(rep, d: Dil, g: Ord, k: int, n_points: int):
     """``d`` is of type Omega and ``g`` is not zero."""
     dec = decompose(d)
     atom, sep_atom_expr = dec.top, mk_sep_atom(dec.top, g, g)
-    inject = partial(coherence.sum_inject, dec.prefix, sep_atom_expr)
+    inject = partial(coherence.sum_inject, (dec.prefix, sep_atom_expr))
     _witness(rep, f"sep {to_str(d)} at {ord_str(g)}", _elements(separate(dec, g), n_points), k, [
         (_elements(dec.prefix, n_points), partial(inject, 0)),
         (_elements(Sep(atom, g, g), n_points), lambda e: inject(1, coherence.sep_translate(atom, g, e))),

@@ -7,6 +7,7 @@ leads; each translation must send it to valid elements of the target that
 still ascend.
 """
 
+import time
 from itertools import islice
 
 import pytest
@@ -31,6 +32,7 @@ from dilcalc.expr import (
     mk_sep_atom,
     mk_shift,
     mk_sum,
+    mk_sum_all,
     parse_dil,
     to_str,
 )
@@ -418,11 +420,11 @@ def test_sum_maps_match_the_recursive_ones(sa):
         s = mk_sum(a, b)
         for side, part in ((0, a), (1, b)):
             for e in _elements(part, parse_ord("w"))[:20]:
-                assert _outcome(coherence.sum_inject, a, b, side, e) == _outcome(
+                assert _outcome(coherence.sum_inject, (a, b), side, e) == _outcome(
                     reference_sum_inject, a, b, side, e
                 ), (sa, b, side, e)
         for e in _elements(s, parse_ord("w"))[:40]:
-            assert _outcome(coherence._sum_split, a, b, e) == _outcome(
+            assert _outcome(coherence._sum_split, (a, b), e) == _outcome(
                 reference_sum_split, a, b, e
             ), (sa, b, e)
         frozen = _elements(s, parse_ord("w"), 0)[:20]
@@ -430,6 +432,47 @@ def test_sum_maps_match_the_recursive_ones(sa):
             assert _outcome(coherence.frozen_value, s, e, OMEGA) == _outcome(
                 reference_frozen_value, s, e, OMEGA
             ), (sa, b, e)
+
+
+def fold_sum_inject(parts, k, elem):
+    """``sum_inject`` over any number of parts as the two-part reference,
+    folded from the left."""
+    if k:
+        elem = reference_sum_inject(mk_sum_all(parts[:k]), parts[k], 1, elem)
+    for m in range(k + 1, len(parts)):
+        elem = reference_sum_inject(mk_sum_all(parts[:m]), parts[m], 0, elem)
+    return elem
+
+
+def fold_sum_split(parts, elem):
+    """``_sum_split`` over any number of parts as the two-part reference,
+    folded from the right."""
+    for m in range(len(parts) - 1, 0, -1):
+        side, elem = reference_sum_split(mk_sum_all(parts[:m]), parts[m], elem)
+        if side == 1:
+            return m, elem
+    return 0, elem
+
+
+# chained constant merges, a zero part between two constants, and parts
+# that are themselves sums
+PART_LISTS = [("Id+1", "2", "3+Id"), ("1", "2", "3"), ("1", "0", "2"), ("Id+1", "0", "2+Id"),
+              ("0", "1", "Id"), ("2+Id+3", "1+Id", "Id*2"), ("Id+Const(w)", "1", "Const(w)+Id+1"),
+              ("omega[Id]+1", "1", "1", "1+Id"), ("Id*2", "omega_head(0;Id)", "Id*w")]
+
+
+@pytest.mark.parametrize("texts", PART_LISTS, ids="|".join)
+def test_n_ary_sum_maps_match_a_fold_of_the_recursive_ones(texts):
+    parts, w = tuple(map(parse_dil, texts)), parse_ord("w")
+    for k, part in enumerate(parts):
+        for e in _elements(part, w)[:20]:
+            assert _outcome(coherence.sum_inject, parts, k, e) == _outcome(
+                fold_sum_inject, parts, k, e
+            ), (texts, k, e)
+    for e in _elements(mk_sum_all(parts), w)[:40]:
+        assert _outcome(coherence._sum_split, parts, e) == _outcome(
+            fold_sum_split, parts, e
+        ), (texts, e)
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +499,17 @@ class TestLongSums:
 
     def test_sum_inject(self, default_recursion_limit):
         a, x = mk_mul_nat(D_ID, self.N), Right(0)
-        assert _peel(coherence.sum_inject(a, D_ID, 1, x), [1] * self.N) is x
-        image = coherence.sum_inject(a, D_ID, 0, _last_summand_element(self.N))
+        assert _peel(coherence.sum_inject((a, D_ID), 1, x), [1] * self.N) is x
+        image = coherence.sum_inject((a, D_ID), 0, _last_summand_element(self.N))
         assert _peel(image, [1] * (self.N - 1) + [0]) == x
-        assert coherence.sum_inject(a, D_ID, 0, ESum(0, x)).inner is x
+        assert coherence.sum_inject((a, D_ID), 0, ESum(0, x)).inner is x
 
     def test_sum_split(self, default_recursion_limit):
         a, x = mk_mul_nat(D_ID, self.N), Right(0)
-        side, part = coherence._sum_split(a, D_ID, coherence.sum_inject(a, D_ID, 1, x))
+        side, part = coherence._sum_split((a, D_ID), coherence.sum_inject((a, D_ID), 1, x))
         assert side == 1 and part is x
-        image = coherence.sum_inject(a, D_ID, 0, _last_summand_element(self.N))
-        side, part = coherence._sum_split(a, D_ID, image)
+        image = coherence.sum_inject((a, D_ID), 0, _last_summand_element(self.N))
+        side, part = coherence._sum_split((a, D_ID), image)
         assert side == 0 and _peel(part, [1] * (self.N - 1)) == x
 
     def test_prefix_inject(self, default_recursion_limit):
@@ -479,6 +522,15 @@ class TestLongSums:
         for j in (1, 2):
             image = coherence.limit_prefix_inject(d, j, _last_summand_element(self.N + j))
             assert _peel(image, [1] * self.N) == ECopies(j - 1, x)
+
+    def test_limit_prefix_inject_of_a_repetition(self, default_recursion_limit):
+        # fund(3000) of Id*w is Id*3000, taken apart in one split over its
+        # copies, so the call is linear in j
+        d, elem = parse_dil("Id*w"), _last_summand_element(3000)
+        start = time.process_time()
+        image = coherence.limit_prefix_inject(d, 3000, elem)
+        assert time.process_time() - start < 0.1
+        assert image == ECopies(2999, Right(0))
 
     def test_frozen_value(self, default_recursion_limit):
         elem = coherence.top_inject(mk_mul_nat(D_ID, self.N), Left(ZERO))
