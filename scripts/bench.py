@@ -95,6 +95,13 @@ refuses at each pull cap of STREAM_CAPS, in PROCESSES fresh interpreters.
 The expressions are the heads of the pinned pull table in the tests and
 the ``omega[...]`` expressions of the element-oracles workload.
 
+The sep-fold point times ``otp_symbolic`` at 1 of SEP_FOLD for each n in
+SEP_FOLD_SIZES (median of REPEATS calls, in CPU seconds, ``_OTP_CACHE``
+emptied before each), with the answer or ``type: message``, in PROCESSES
+fresh interpreters.  The separation's slices at w+k build a ``*w`` chain
+one node per unit of the constant's finite tail, so it shows what such a
+chain costs.
+
 The kernel is imported from the ``src`` directory next to this script, so
 the script measures the checkout it sits in.  Standard library only.
 """
@@ -178,6 +185,8 @@ STREAM_ELEMENTS = 10000
 STREAM_CAPS = (100, 1000)
 CHAIN_TRIALS = 20
 CHAIN_DEPTH = 30
+SEP_FOLD = "sep@(omega_head(Id;Id);w+{n};w+{n})"
+SEP_FOLD_SIZES = (25, 50, 100, 200)
 SERIES = {
     "j": lambda d, w: j_eval(d, w).value,
     "jprime": lambda d, w: jprime_eval(d, w).value,
@@ -450,6 +459,27 @@ def enum_elements_point() -> list:
     return rows
 
 
+def sep_fold_point() -> list:
+    """CPU seconds (median of REPEATS calls, each on an empty ``_OTP_CACHE``)
+    and answer of otp_symbolic at 1 of SEP_FOLD, for each SEP_FOLD_SIZES n."""
+    rows = []
+    for n in SEP_FOLD_SIZES:
+        text = SEP_FOLD.format(n=n)
+        d, runs = parse_dil(text), []
+        for _ in range(REPEATS):
+            analysis._OTP_CACHE.clear()
+            start = time.process_time()
+            try:
+                answer = ord_str(otp_symbolic(d, parse_ord("1")))
+            except (DilcalcError, RecursionError) as exc:
+                answer = f"{type(exc).__name__}: {exc}"
+            runs.append(time.process_time() - start)
+        print(f"  {text}: {statistics.median(runs):.4f} s, {answer}", file=sys.stderr)
+        rows.append({"expr": text, "arg": "1", "answer": answer,
+                     "median_cpu_s": statistics.median(runs), "runs_cpu_s": runs})
+    return rows
+
+
 def stream_point() -> list:
     """CPU seconds (median of REPEATS calls) and sha1 of the rendered
     elements of prefix_elements taking STREAM_ELEMENTS elements over
@@ -606,6 +636,8 @@ def main() -> int:
     report["psi_enum"] = fresh_spread("psi_enum_point()")
     print("enum elements:", file=sys.stderr)
     report["enum_elements"] = fresh_spread("enum_elements_point()")
+    print("sep fold:", file=sys.stderr)
+    report["sep_fold"] = fresh_spread("sep_fold_point()")
     print("stream:", file=sys.stderr)
     report["stream"] = fresh_spread("stream_point()")
     print("chain search:", file=sys.stderr)

@@ -64,7 +64,7 @@ from .semantics import (
     EnumBudget,
     Left,
     Right,
-    _candidates,
+    _gen,
     _grid_values,
     _place,
     compare_elements,
@@ -182,15 +182,25 @@ class PsiOrder(Frozen):
             return self.compare(p.point, q.point)
         return default_pos_cmp(p, q)
 
+    def _checked_cmp(self, p, q) -> int:
+        """``pos_cmp`` for ``valid``'s formal-sum exponents: two points are
+        compared once their sub-terms are valid, else MalformedElement."""
+        if p.__class__ is Right and q.__class__ is Right:
+            if not (self.valid(p.point) and self.valid(q.point)):
+                raise MalformedElement("invalid sub-term")
+        return self.pos_cmp(p, q)
+
     def compare(self, t1, t2) -> int:
         return compare_elements(self.dilator, t1, t2, self.pos_cmp)
 
     def valid(self, t) -> bool:
         """The decision procedure, in one walk: ``t`` is a well-formed
         element, each frozen position is below gamma, and each sub-term is
-        valid and below ``t``, compared with ``t`` once all are valid."""
+        valid and below ``t``, compared with ``t`` once all are valid.  No
+        sub-term is compared before it is found valid, so a malformed one
+        makes ``t`` invalid and raises nothing."""
         try:
-            validate_element(self.dilator, t, self.pos_cmp)
+            validate_element(self.dilator, t, self._checked_cmp)
         except MalformedElement:
             return False
         positions = element_positions(self.dilator, t)
@@ -208,22 +218,23 @@ class PsiOrder(Frozen):
     def enum(self, depth: int = 2):
         """All valid terms of nesting depth <= depth, sorted ascending.
 
-        Level L walks the ``_candidates`` over the terms known after the
-        levels before it, a list sorted ascending, in the order they are
-        built, which is ascending.  A point of a candidate is one of those
-        term objects, and ``_gen`` keys it ``(1, rank)`` by its place in that
-        list, which is its rank, so the position keys stay shallow at any
-        level and no key of a term is ever built.  A candidate is valid iff
-        each frozen position v (key ``(0, v)``; a separation's or band's base
-        draws them up to its ambient) is below gamma and each point is below
-        it: ``_gen`` builds only well-formed elements.  Generation is
-        monotone in the known points and validity does not depend on the
-        level, so the valid candidates whose points all predate the level
-        before (at level 0, none) are the known terms again, met in rank
-        order: the point of rank r is below a candidate iff more than r of
-        them have been met.  A level that meets no new valid candidate ends
-        the walk; otherwise its valid candidates, in order, are the next
-        known terms, bounded by the cap on the candidates.
+        Level L walks the candidates that ``_gen`` builds over the terms
+        known after the levels before it, a list sorted ascending, in the
+        order they are built, which is ascending.  A point of a candidate is
+        one of those term objects, and ``_gen`` keys it ``(1, rank)`` by its
+        place in that list, which is its rank, so the position keys stay
+        shallow at any level and no key of a term is ever built.  A
+        candidate is valid iff each frozen position v (key ``(0, v)``; a
+        separation's or band's base draws them up to its ambient) is below
+        gamma and each point is below it: ``_gen`` builds only well-formed
+        elements.  Generation is monotone in the known points and validity
+        does not depend on the level, so the valid candidates whose points
+        all predate the level before (at level 0, none) are the known terms
+        again, met in rank order: the point of rank r is below a candidate
+        iff more than r of them have been met.  A level that meets no new
+        valid candidate ends the walk; otherwise its valid candidates, in
+        order, are the next known terms, bounded by the cap on the
+        candidates.
         """
         dilator, gamma = self.dilator, self.gamma
         lefts = _grid_values(gamma, ENUM_BUDGET.grid)
@@ -231,7 +242,7 @@ class PsiOrder(Frozen):
         last = None  # ranks of the terms accepted at the level before
         for _level in range(depth + 1):
             terms, fresh, older = [], [], 0  # older: the known terms passed so far
-            for cand, held in zip(*_candidates(dilator, known, ENUM_BUDGET, lefts)):
+            for cand, held in zip(*_gen(dilator, known, ENUM_BUDGET, lefts)):
                 new = last is None
                 for tag, v in held:
                     if tag == 0:

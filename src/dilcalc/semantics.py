@@ -22,10 +22,10 @@ import itertools
 
 from .errors import BudgetExceeded, MalformedElement
 from .expr import (
-    Band, CnfHead, Const, Dil, IdNode, MulOmega, OmegaComp, Sep, Sum, summands,
+    Band, CnfHead, Const, Dil, IdNode, MulOmega, OmegaComp, Sep, Sum,
 )
 from .ordinal import (
-    EQUAL, GREATER, LESS, ONE, ZERO, Frozen, Ord, _set, ord_add, ord_cmp, ord_str,
+    EQUAL, GREATER, LESS, ONE, ZERO, Frozen, Ord, _set, from_int, ord_add, ord_cmp, ord_str,
 )
 
 
@@ -261,8 +261,10 @@ def apply_embedding(expr: Dil, elem, mapping) -> object:
 
 
 def validate_element(expr: Dil, elem, pos_cmp=default_pos_cmp):
-    """Structural well-formedness; raises MalformedElement.  A separation's
-    or band's membership is checked after its base, innermost first."""
+    """Structural well-formedness, leaves included: a repetition copy is an
+    ``int`` >= 0 and a frozen position holds an ``Ord``.  Raises
+    MalformedElement.  A separation's or band's membership is checked after
+    its base, innermost first."""
     filters = []
     while True:
         kind = expr.__class__
@@ -277,7 +279,7 @@ def validate_element(expr: Dil, elem, pos_cmp=default_pos_cmp):
                 i += 1
             expr = parts[i]
         elif kind is MulOmega:
-            if not isinstance(elem, ECopies) or elem.copy < 0:
+            if not isinstance(elem, ECopies) or elem.copy.__class__ is not int or elem.copy < 0:
                 raise MalformedElement(f"bad repetition element {elem!r}")
             expr, elem = expr.base, elem.inner
         elif kind is Sep or kind is Band:
@@ -289,7 +291,7 @@ def validate_element(expr: Dil, elem, pos_cmp=default_pos_cmp):
         if not isinstance(elem, Ord) or ord_cmp(elem, expr.value) != LESS:
             raise MalformedElement(f"bad constant element {elem!r}")
     elif kind is IdNode:
-        if not isinstance(elem, (Left, Right)):
+        if not (isinstance(elem, Right) or isinstance(elem, Left) and isinstance(elem.value, Ord)):
             raise MalformedElement(f"bad Id element {elem!r}")
     elif kind is OmegaComp or kind is CnfHead:
         if not isinstance(elem, tuple):
@@ -393,28 +395,43 @@ def _grid(bound: Ord, size: int) -> tuple:
 
 
 def _gen(expr: Dil, points, budget: EnumBudget, lefts):
-    """All elements within the structural budget, and a parallel list of
-    their position keys, in ``element_positions`` order: a position is keyed
-    by its place in what it was given, ``(0, v)`` for the frozen value v and
-    ``(1, i)`` for the i-th point.  Given ascending ``points`` and ``lefts``,
-    the keys order as the positions do, and the elements are built
-    ascending, with no sort: each level lists its parts in order, and a
-    formal sum walks its ascending exponents depth first, which is
-    ``compare_elements``' lexicographic order."""
+    """The exhaustive enumerator's one entry: all elements within the
+    structural budget over ascending ``points`` and ``lefts``, and a
+    parallel list of their position keys, in ``element_positions`` order: a
+    position is keyed by its place in what it was given, ``(0, v)`` for the
+    frozen value v and ``(1, i)`` for the i-th point, so the keys order as
+    the positions do.  The elements are built ascending, with no sort: each
+    level lists its parts in order, and a formal sum walks its ascending
+    exponents depth first, which is ``compare_elements``' lexicographic
+    order.  Each constant, ``Id``, sum and repetition level is counted
+    against the cap before any of its elements is built, so a refusal names
+    the first level over the cap; a formal sum's walk stops at cap + 1."""
     kind = expr.__class__
     if kind is Const:
         bound = expr.value
-        out = []
-        v = ZERO
-        while len(out) < budget.const_cap and v < bound:
-            out.append(v)
-            v = ord_add(v, ONE)
-        return out, [()] * len(out)
+        count = min(bound.as_int(), budget.const_cap) if bound.is_finite() else budget.const_cap
+        _check_cap(count, budget)
+        return [from_int(k) for k in range(count)], [()] * count
     if kind is IdNode:
+        _check_cap(len(lefts) + len(points), budget)
         elems = [Left(v) for v in lefts] + [Right(p) for p in points]
         return elems, [((0, v),) for v in lefts] + [((1, i),) for i in range(len(points))]
     if kind is Sum:
-        return _place_keyed(expr.parts, points, budget, lefts)
+        # each distinct summand is generated once, and placed one ESum
+        # layer at a time, a list per layer
+        parts = expr.parts
+        made = {p: _gen(p, points, budget, lefts) for p in dict.fromkeys(parts)}
+        _check_cap(sum(len(made[part][0]) for part in parts), budget)
+        elems, positions = [], []
+        for i, part in enumerate(parts):
+            part_elems, part_positions = made[part]
+            if i < len(parts) - 1:
+                part_elems = [ESum(0, x) for x in part_elems]
+            for _ in range(i):
+                part_elems = [ESum(1, x) for x in part_elems]
+            elems += part_elems
+            positions += part_positions
+        return elems, positions
     if kind is MulOmega:
         elems, positions = _gen(expr.base, points, budget, lefts)
         _check_cap(len(elems) * budget.copies, budget)
@@ -461,31 +478,6 @@ def _check_cap(count: int, budget: EnumBudget):
         raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
 
 
-def _place_keyed(parts, points, budget: EnumBudget, lefts):
-    """``_gen`` of the sum of ``parts``, part after part; each distinct
-    summand is generated once, and a sum over the cap is refused before any
-    element is placed."""
-    made = {p: _gen(p, points, budget, lefts) for p in dict.fromkeys(parts)}
-    _check_cap(sum(len(made[part][0]) for part in parts), budget)
-    n = len(parts)
-    elems, positions = [], []
-    for i, part in enumerate(parts):
-        part_elems, part_positions = made[part]
-        if i < n - 1:  # _place's layers, one list at a time
-            part_elems = [ESum(0, x) for x in part_elems]
-        for _ in range(i):
-            part_elems = [ESum(1, x) for x in part_elems]
-        elems += part_elems
-        positions += part_positions
-    return elems, positions
-
-
-def _candidates(expr: Dil, points, budget: EnumBudget, lefts):
-    """``_gen`` of the expression over ascending ``points`` and ``lefts``;
-    a top-level non-sum is counted against the cap as a sum of one summand."""
-    return _place_keyed(summands(expr), points, budget, lefts)
-
-
 def _place(elem, i: int, n: int):
     """An element of the i-th of n summands as an element of their sum,
     the inverse of ``_sum_index``: its ESum layers, built in a loop, so a
@@ -507,7 +499,7 @@ def enum_elements(expr: Dil, points, budget: EnumBudget = EnumBudget()):
     points = sorted(range(points) if isinstance(points, int) else points)
     if any(a == b for a, b in itertools.pairwise(points)):
         raise ValueError("enum_elements: repeated point")
-    return _candidates(expr, points, budget, ())[0]
+    return _gen(expr, points, budget, ())[0]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from dilcalc.semantics import (
     EnumBudget,
     Left,
     Right,
-    _candidates,
+    _gen,
     _grid_values,
     ambient_stream,
     compare_elements,
@@ -67,7 +67,7 @@ UNIT_TOP_HEAD = "omega_head(1;Id+1)"
 
 def _elements(d, g, n_points=2):
     """The first 60 elements of ``d`` over [0, g) + the points, ascending."""
-    return _candidates(d, list(range(n_points)), BUDGET, _grid_values(g, 2))[0][:60]
+    return _gen(d, list(range(n_points)), BUDGET, _grid_values(g, 2))[0][:60]
 
 
 def _assert_ascending_images(target, images, tag):

@@ -53,10 +53,12 @@ from dilcalc.psi import (
     term_str,
 )
 from dilcalc.semantics import (
+    ECopies,
+    ESum,
     EnumBudget,
     Left,
     Right,
-    _candidates,
+    _gen,
     _grid_values,
     _sum_index,
     element_key,
@@ -345,6 +347,34 @@ class TestTermOrder:
         assert order.valid(term) is False
         assert order.valid(((Right(()), 1),)) is True
 
+    @pytest.mark.parametrize("text,term,message", [
+        ("Id*w", ECopies(1.5, Left(ZERO)), "bad repetition"),
+        ("Id*w", ECopies(True, Left(ZERO)), "bad repetition"),
+        ("Id*w", ECopies(-1, Left(ZERO)), "bad repetition"),
+        ("Id*w", ECopies("a", Left(ZERO)), "bad repetition"),
+        ("Id*w", ECopies(None, Left(ZERO)), "bad repetition"),
+        ("Id*w", ECopies(1, Left(0)), "bad Id"),
+        ("Id", Left("x"), "bad Id"),
+        ("Id+Id", ESum(1, Right(ESum(0, Left("x")))), None),
+        ("omega[Id]", ((Right("a"), 1), (Right("b"), 1)), None),
+    ], ids=["float-copy", "bool-copy", "negative-copy", "str-copy", "none-copy",
+            "int-frozen", "str-frozen", "sub-term-leaf", "sub-term-exponents"])
+    def test_malformed_leaves_are_invalid(self, text, term, message):
+        # a repetition copy is an int >= 0 and a frozen position holds an
+        # Ord; a sub-term is compared only once it is valid, so valid
+        # decides on every one of these and raises nothing
+        order = PsiOrder(parse_dil(text), OMEGA)
+        if message is not None:
+            with pytest.raises(MalformedElement, match=f"^{message}"):
+                validate_element(order.dilator, term)
+        assert order.valid(term) is False
+
+    def test_repetition_terms_with_int_copies_stay_valid(self):
+        # no other test asks valid about a repetition's terms
+        order = PsiOrder(parse_dil("Id*w"), OMEGA)
+        assert order.valid(ECopies(0, Left(ZERO)))
+        assert order.valid(ECopies(2, Right(ECopies(1, Left(ONE)))))
+
     def test_trichotomy_and_transitivity(self):
         order = PsiOrder(parse_dil("omega[Id]"), ZERO)
         terms = order.enum(2)[:12]
@@ -435,10 +465,10 @@ class TestTermOrder:
 
 
 def psi_candidates(order, terms, budget, lefts=()):
-    """``_candidates`` over the terms, sorted by the order's position key,
+    """``_gen`` over the terms, sorted by the order's position key,
     and the frozen values ``lefts``."""
     key = psi_pos_key(order)
-    return _candidates(order.dilator, sorted(terms, key=lambda t: key(Right(t))), budget, lefts)
+    return _gen(order.dilator, sorted(terms, key=lambda t: key(Right(t))), budget, lefts)
 
 
 def reference_enum(order, depth=2, budget=None):
@@ -501,13 +531,13 @@ class TestRankedEnumeration:
     @pytest.mark.parametrize("text", RANKED_ENUM_EXPRS)
     def test_candidates_are_well_formed(self, text, gamma):
         # PsiOrder.enum admits candidates without validate_element: every
-        # element _candidates builds over known terms must pass it
+        # element that _gen builds over known terms must pass it
         order = PsiOrder(parse_dil(text), parse_ord(gamma))
         budget = psi_module.ENUM_BUDGET
         lefts = _grid_values(order.gamma, budget.grid)
         for depth in range(3):
             try:
-                cands, _ = _candidates(order.dilator, order.enum(depth), budget, lefts)
+                cands, _ = _gen(order.dilator, order.enum(depth), budget, lefts)
             except BudgetExceeded:
                 continue
             for t in cands:
@@ -562,7 +592,7 @@ class TestOrderedCandidates:
         for known in (lambda: order.enum(1), lambda: order.enum(0), list):
             try:
                 terms = known()
-                cands, positions = _candidates(order.dilator, terms, DEFAULT_ENUM_BUDGET, lefts)
+                cands, positions = _gen(order.dilator, terms, DEFAULT_ENUM_BUDGET, lefts)
                 break
             except BudgetExceeded:
                 continue

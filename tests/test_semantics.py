@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import resource
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -189,8 +190,31 @@ def _limit_esums(monkeypatch, bound):
 
 
 class TestCapOnLongSums:
-    """A sum or a ``*w`` level over the element cap is refused before its
-    elements are built."""
+    """A constant, ``Id``, sum or ``*w`` level over the element cap is
+    refused before its elements are built."""
+
+    def test_id_level(self):
+        # only the sorted points are allocated; building the 300,000
+        # positions before counting them would take about 84 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=r"^300000 elements exceed cap 4000$"):
+                enum_elements(D_ID, 300_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
+
+    @pytest.mark.parametrize("text,points,cap,count", [
+        ("Const(w)+Id", 1, 5, 12), ("omega[Const(w)+Id]", 1, 5, 12),
+        ("(Const(w)+Id)*w", 1, 11, 12),
+        ("Const(7)", 0, 5, 7), ("Id*w", 10, 5, 10), ("omega[Id]", 6, 5, 6),
+    ])
+    def test_first_level_over_the_cap(self, text, points, cap, count):
+        # the constant's min(value, const_cap) indices and the Id's
+        # positions are counted as a level of their own
+        with pytest.raises(BudgetExceeded, match=rf"^{count} elements exceed cap {cap}$"):
+            enum_elements(parse_dil(text), points, EnumBudget(max_count=cap))
 
     def test_enum_elements(self, monkeypatch):
         _limit_esums(monkeypatch, 0)
@@ -640,11 +664,11 @@ SETTINGS = {
 
 
 def _setting_candidates(expr, setting):
-    """The setting's labels, sorted by its position key, and ``_candidates``
+    """The setting's labels, sorted by its position key, and ``_gen``
     over them and its frozen values."""
     points, lefts, (pos_key, _), _ = SETTINGS[setting]
     labels = sorted(_labels(points), key=lambda p: pos_key(Right(p)))
-    return labels, semantics._candidates(expr, labels, ORACLE_BUDGET, lefts)
+    return labels, semantics._gen(expr, labels, ORACLE_BUDGET, lefts)
 
 
 def _outcome(fn, *args):
@@ -737,7 +761,7 @@ KEY_LEFTS = (ZERO, OMEGA)
 @functools.lru_cache(maxsize=None)
 def _keyed_elements():
     """Each of KEY_EXPRS with its ascending elements over two points and KEY_LEFTS."""
-    return [(d, semantics._candidates(d, [0, 1], ORACLE_BUDGET, KEY_LEFTS)[0]) for d in KEY_EXPRS]
+    return [(d, semantics._gen(d, [0, 1], ORACLE_BUDGET, KEY_LEFTS)[0]) for d in KEY_EXPRS]
 
 
 def _node_kinds(d):
@@ -846,7 +870,7 @@ def _sum_level_outcomes(text):
     its pull count, and every element's text."""
     expr, pull = parse_dil(text), Pulls()
     gen = _outcome(semantics._gen, expr, [0, 1], ORACLE_BUDGET, [ZERO])
-    elems = _outcome(lambda: semantics._candidates(expr, [0, 1], ORACLE_BUDGET, (ZERO, ONE))[0])
+    elems = _outcome(lambda: semantics._gen(expr, [0, 1], ORACLE_BUDGET, (ZERO, ONE))[0])
     stream = list(itertools.islice(semantics._stream(expr, (0, 1), ONE, pull), 60))
     texts = [reference_element_str(expr, e) for e in stream + (elems if isinstance(elems, list) else [])]
     return gen, elems, stream, pull.count, texts
@@ -913,11 +937,12 @@ class TestLongSumElements:
 
 
 def reference_candidates(expr, points, budget, lefts, pos_key=default_pos_key):
-    """``semantics._candidates`` as it was before it built in element order:
+    """``semantics._gen`` as it was before it built in element order:
     the elements alone and unsorted, each formal sum's exponents sorted by
     one ``element_key`` walk each and its sums listed by length, and each
-    sum's summands and each repetition's copies counted against the cap
-    before any element is placed."""
+    constant's indices, each Id's positions, each sum's summands and each
+    repetition's copies counted against the cap before any element is
+    placed."""
     def check(count):
         if count > budget.max_count:
             raise BudgetExceeded(f"{count} elements exceed cap {budget.max_count}")
@@ -928,13 +953,17 @@ def reference_candidates(expr, points, budget, lefts, pos_key=default_pos_key):
             while len(out) < budget.const_cap and v < expr.value:
                 out.append(v)
                 v = ord_add(v, ONE)
+            check(len(out))
             return out
         if isinstance(expr, IdNode):
-            return [Left(v) for v in lefts] + [Right(p) for p in points]
+            out = [Left(v) for v in lefts] + [Right(p) for p in points]
+            check(len(out))
+            return out
         if isinstance(expr, Sum):
             made = [gen(part, lefts) for part in expr.parts]
             check(sum(map(len, made)))
-            return place(expr.parts, made)
+            n = len(made)
+            return [semantics._place(x, i, n) for i, elems in enumerate(made) for x in elems]
         if isinstance(expr, MulOmega):
             base = gen(expr.base, lefts)
             check(len(base) * budget.copies)
@@ -959,13 +988,7 @@ def reference_candidates(expr, points, budget, lefts, pos_key=default_pos_key):
             return [e for e in gen(expr.base, inner_lefts) if semantics.member(expr, e)]
         raise MalformedElement(f"no enumeration rule for {expr!r}")
 
-    def place(parts, made):
-        return [semantics._place(x, i, len(parts)) for i, elems in enumerate(made) for x in elems]
-
-    parts = semantics.summands(expr)
-    made = [gen(part, list(lefts)) for part in parts]
-    check(sum(map(len, made)))
-    return place(parts, made)
+    return gen(expr, list(lefts))
 
 
 def reference_enum_elements(expr, points, budget, lefts, pos_key=default_pos_key):
@@ -997,7 +1020,7 @@ def _place_key(labels, p) -> tuple:
 
 
 class TestOrderedGenerator:
-    """``_candidates`` builds each element in element order, with its
+    """``_gen`` builds each element in element order, with its
     position keys, and sorts nothing: the elements must be the reference's,
     sorted by one ``element_key`` walk each, each one below the next, the
     position keys their places in what the generator was given, and the
@@ -1019,7 +1042,7 @@ class TestOrderedGenerator:
             assert enum_elements(expr, labels[::-1], ORACLE_BUDGET) == elems
 
     def test_points_are_keyed_by_their_place(self):
-        elems, positions = semantics._candidates(D_ID, [5, 9, 12], ORACLE_BUDGET, [ZERO])
+        elems, positions = semantics._gen(D_ID, [5, 9, 12], ORACLE_BUDGET, [ZERO])
         assert elems == [Left(ZERO), Right(5), Right(9), Right(12)]
         assert positions == [((0, ZERO),), ((1, 0),), ((1, 1),), ((1, 2),)]
 
@@ -1034,7 +1057,7 @@ class TestOrderedGenerator:
 
         monkeypatch.setattr(semantics, "_gen", spy)
         for text in KEYED_EXPRS:
-            semantics._candidates(parse_dil(text), [0, 1], ORACLE_BUDGET, [ZERO])
+            semantics._gen(parse_dil(text), [0, 1], ORACLE_BUDGET, [ZERO])
         assert kinds == {Const, IdNode, Sum, MulOmega, OmegaComp, CnfHead, Sep, Band}
         assert {2, 3} <= counts
 
@@ -1053,7 +1076,7 @@ class TestOrderedGenerator:
             for cap in sorted({0, 1, 2, 5, 10, 40, max(full - 1, 0), full}):
                 budget = EnumBudget(max_count=cap, const_cap=3, copies=2, cnf_len=2,
                                     cnf_mult=2, grid=3)
-                got = _refusal(lambda: semantics._candidates(expr, [0, 1], budget, [*lefts])[0])
+                got = _refusal(lambda: semantics._gen(expr, [0, 1], budget, [*lefts])[0])
                 assert got == _refusal(lambda: reference_enum_elements(expr, [0, 1], budget, lefts))
                 assert _refusal(lambda: enum_elements(expr, 2, budget)) == _refusal(
                     lambda: reference_enum_elements(expr, [0, 1], budget, ())), (text, cap)
